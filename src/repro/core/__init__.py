@@ -4,7 +4,6 @@ from .controller import BaselineTracker, CategoricalPolicy, ReinforceController
 from .cost import NasCostModel
 from .engine import (
     ExecutionBackend,
-    ProcessPoolBackend,
     ResumableLoop,
     SearchEngine,
     SerialBackend,
@@ -63,10 +62,10 @@ from .search import (
 
 
 def __getattr__(name: str):
-    # Lazy (PEP 562), mirroring repro.core.engine: the distributed
-    # backend's transport imports repro.service, which must not load
+    # Lazy (PEP 562), mirroring repro.core.engine: the remote
+    # backends' transport imports repro.service, which must not load
     # while this package is still initializing.
-    if name in ("DistributedBackend", "run_worker"):
+    if name in ("DistributedBackend", "ProcessPoolBackend", "run_worker"):
         from . import engine
 
         return getattr(engine, name)

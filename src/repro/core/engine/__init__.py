@@ -12,7 +12,6 @@ from .backends import (
     WORKERS_ENV_VAR,
     BackendSpec,
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
     default_worker_count,
@@ -39,14 +38,14 @@ from .engine import (
 )
 from .loop import ResumableLoop
 
-#: Distributed-backend names resolved lazily (PEP 562): importing
+#: Remote-backend names resolved lazily (PEP 562): importing
 #: .distributed eagerly would pull the socket transport — and through it
 #: repro.service — into every `import repro.core`, re-entering the
 #: partially-initialized core package via runtime.checkpoint.
 _DISTRIBUTED_EXPORTS = (
     "DIST_BIND_ENV_VAR",
     "DistributedBackend",
-    "DistributedContext",
+    "ProcessPoolBackend",
     "WorkerHost",
     "run_worker",
 )
@@ -69,7 +68,6 @@ __all__ = [
     "BackendSpec",
     "CandidateRecord",
     "DistributedBackend",
-    "DistributedContext",
     "DrawnCandidate",
     "ExecutionBackend",
     "PerformanceFn",

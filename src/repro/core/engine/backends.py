@@ -14,18 +14,20 @@ tasks, and this module supplies the things that map runs on:
   pool.  Cheap (no serialization) but the GIL caps it on CPU-bound
   scoring; best when tasks are latency-bound or release the GIL in
   NumPy kernels.
-* :class:`ProcessPoolBackend` — fans *picklable* tasks out across
-  worker processes: true multi-core execution for the compute-dominated
-  scoring path.  Supernet weights travel through one shared-memory
-  segment (see :mod:`.shm` / :mod:`.worker`), not through task pickles,
-  and a killed worker's map is resubmitted (bounded retries) without
-  restarting the step.
+* :class:`~.distributed.ProcessPoolBackend` — fans *picklable* tasks
+  out across worker processes: true multi-core execution for the
+  compute-dominated scoring path.  Supernet weights travel through one
+  shared-memory segment (see :mod:`.shm` / :mod:`.worker`), not through
+  task pickles, and a killed worker's tasks are resubmitted (bounded
+  per-task retries) without restarting the step.
 * :class:`~.distributed.DistributedBackend` — the cross-*host* leg:
   a TCP controller sharding the same stage tasks across worker
   processes that may live on other machines (``repro worker``), with
-  versioned weight broadcasts in place of the shared-memory segment and
-  per-task resubmission in place of whole-map retry.  Registered here
-  lazily; see :mod:`.distributed`.
+  versioned weight broadcasts in place of the shared-memory segment.
+
+The last two are one controller/worker substrate configured twice
+(:mod:`.distributed`: spawned processes over socketpairs, or a TCP
+listener); both are registered here lazily.
 
 **Determinism contract.**  A backend may only be handed tasks whose
 outputs are independent of scheduling: pure functions of their inputs,
@@ -46,16 +48,17 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-import pickle
 import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Executor, ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
-from .worker import build_remote_context, initialize_worker
+# Imported for its atexit hook, which must be registered before ours
+# below: atexit runs LIFO, and worker pools have to shut down before the
+# shared-memory segments their workers read are unlinked.
+from . import shm  # noqa: F401
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -69,7 +72,7 @@ WORKERS_ENV_VAR = "REPRO_WORKERS"
 #: Start-method override for the process backend (``fork`` / ``spawn``
 #: / ``forkserver``).  Defaults to ``fork`` where the platform offers
 #: it: workers inherit the imported modules instead of re-importing
-#: them, which keeps pool startup in the milliseconds.
+#: them, which keeps worker startup in the milliseconds.
 MP_CONTEXT_ENV_VAR = "REPRO_MP_CONTEXT"
 
 
@@ -171,7 +174,9 @@ class SerialBackend(ExecutionBackend):
 # dominate their cost.  Shared pools live until `shutdown_pools()` —
 # registered with atexit so interpreter exit reaps them — while pools a
 # backend was asked to own (``shared=False``) are released by that
-# backend's `close()`.
+# backend's `close()`.  Thread pools are executors; the remote backends
+# register their worker clusters here too (`shutdown(wait=...)` is the
+# whole interface).
 _POOLS: Dict[Tuple[Any, ...], Executor] = {}
 _POOLS_LOCK = threading.Lock()
 
@@ -227,17 +232,6 @@ def process_start_method() -> str:
     return multiprocessing.get_start_method()
 
 
-def _process_pool_factory(workers: int, method: str) -> Callable[[], Executor]:
-    def factory() -> Executor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context(method),
-            initializer=initialize_worker,
-        )
-
-    return factory
-
-
 class ThreadPoolBackend(ExecutionBackend):
     """Fan tasks out across a thread pool, gathering in order.
 
@@ -286,175 +280,26 @@ class ThreadPoolBackend(ExecutionBackend):
             self._owned_pool = None
 
 
-class ProcessPoolBackend(ExecutionBackend):
-    """Fan picklable tasks out across worker *processes*.
-
-    This is the GIL-free leg: CPU-bound scoring shards scale with the
-    machine's cores.  What makes it practical:
-
-    * **tasks are data, not closures** — the engine sends
-      :class:`~.worker.StageTask` payloads that a worker executes
-      against a supernet it rehydrated once (see
-      :meth:`register_context`), so per-task pickles carry batch arrays
-      only;
-    * **weights travel through shared memory** — one versioned segment
-      the engine republishes after each cross-shard weight update;
-      workers copy-in at most once per version;
-    * **functions that cannot travel run locally** — ``map`` probes the
-      function (and a representative item) for picklability and quietly
-      degrades to the in-process serial loop, which is always correct;
-    * **worker loss is survivable** — a killed worker breaks the pool's
-      current map; the backend discards the broken pool, builds a fresh
-      one, and resubmits the whole map.  Tasks are pure by the
-      determinism contract, so resubmission is idempotent and the
-      retried results are bit-identical.  Retries are bounded; on
-      exhaustion a retryable
-      :class:`~repro.runtime.errors.WorkerCrashError` surfaces so the
-      supervisor can restart the step from its snapshot.
-    """
-
-    name = "processes"
-    remote = True
-
-    #: how many times one ``map`` survives a broken pool before raising
-    max_map_retries = 2
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        seed: int = 0,
-        shared: bool = True,
-        start_method: Optional[str] = None,
-    ):
-        super().__init__(
-            seed=seed,
-            workers=workers if workers is not None else default_worker_count(),
-        )
-        self._shared = shared
-        self._method = start_method or process_start_method()
-        self._owned_pool: Optional[Executor] = None
-        self._context: Optional[Any] = None
-        #: workers lost (pool breaks) over this backend's lifetime; the
-        #: engine mirrors deltas into the ``supervisor.worker_losses``
-        #: churn counter
-        self.worker_losses = 0
-
-    # -- pool lifecycle -------------------------------------------------
-    def _pool_key(self) -> Tuple[Any, ...]:
-        return ("processes", self.workers, self._method)
-
-    def _pool(self) -> Executor:
-        if self._shared:
-            return _shared_pool(
-                self._pool_key(), _process_pool_factory(self.workers, self._method)
-            )
-        if self._owned_pool is None:
-            self._owned_pool = _process_pool_factory(self.workers, self._method)()
-        return self._owned_pool
-
-    def _discard_pool(self, pool: Executor) -> None:
-        if self._shared:
-            _discard_shared_pool(self._pool_key(), pool)
-        elif self._owned_pool is pool:
-            self._owned_pool = None
-        pool.shutdown(wait=True)
-
-    # -- supernet context ----------------------------------------------
-    def register_context(self, supernet: Any) -> Optional[Any]:
-        """Publish ``supernet`` to workers via shared memory.
-
-        Returns the :class:`~.worker.RemoteShardContext` handle (the
-        engine drives `publish()` / `ref()` through it), or ``None``
-        when the supernet cannot travel — unpicklable spec, parameter
-        mismatch on rebuild, non-float64 parameters, or a single-worker
-        pool where remote execution buys nothing.  ``None`` keeps every
-        stage on the in-process path.
-        """
-        if self.workers <= 1:
-            return None
-        if self._context is not None:
-            self._context.release()
-        self._context = build_remote_context(supernet)
-        return self._context
-
-    # -- execution ------------------------------------------------------
-    def _can_ship(self, fn: Callable, items: Sequence) -> bool:
-        try:
-            pickle.dumps(fn)
-            if items:
-                pickle.dumps(items[0])
-            return True
-        except Exception:
-            return False
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        items = list(items)
-        if len(items) <= 1 or self.workers == 1 or not self._can_ship(fn, items):
-            return [fn(item) for item in items]
-        attempts = 0
-        while True:
-            pool = self._pool()
-            try:
-                return list(pool.map(fn, items))
-            except BrokenProcessPool:
-                # A worker died mid-map (OOM-kill, SIGKILL, hard crash).
-                # The pool is unusable from here on; replace it and
-                # resubmit the whole map — tasks are pure, so the retry
-                # recomputes identical results.
-                self.worker_losses += 1
-                self._discard_pool(pool)
-                attempts += 1
-                if attempts > self.max_map_retries:
-                    from ...runtime.errors import WorkerCrashError
-
-                    raise WorkerCrashError(
-                        f"process pool broke {attempts} times while mapping "
-                        f"{len(items)} tasks; giving up after "
-                        f"{self.max_map_retries} resubmissions"
-                    )
-
-    # -- checkpoint state ----------------------------------------------
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["weights_version"] = (
-            int(self._context.version) if self._context is not None else 0
-        )
-        return state
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        super().load_state_dict(state)
-        if self._context is not None:
-            # Republish past the checkpointed version: the restored
-            # parameter values reach the segment, and surviving workers
-            # whose applied version predates the crash still refresh.
-            self._context.fast_forward(int(state.get("weights_version", 0)))
-
-    def close(self) -> None:
-        if self._context is not None:
-            self._context.release()
-            self._context = None
-        if self._owned_pool is not None:
-            self._owned_pool.shutdown(wait=True)
-            self._owned_pool = None
-
-
 # ----------------------------------------------------------------------
 # Backend resolution
 # ----------------------------------------------------------------------
-def _distributed_backend(workers: Optional[int], seed: int) -> ExecutionBackend:
-    # Imported lazily: distributed.py pulls in the socket transport
-    # (which shares framing with repro.service) and imports this module
-    # back — registry construction must not trigger that cycle.
-    from .distributed import DistributedBackend
+def _remote_backend(name: str) -> Callable[[Optional[int], int], ExecutionBackend]:
+    def factory(workers: Optional[int], seed: int) -> ExecutionBackend:
+        # Imported lazily: distributed.py pulls in the socket transport
+        # (which shares framing with repro.service) and imports this
+        # module back — registry construction must not trigger that cycle.
+        from . import distributed
 
-    return DistributedBackend(workers=workers, seed=seed)
+        return getattr(distributed, name)(workers=workers, seed=seed)
+
+    return factory
 
 
 _REGISTRY: Dict[str, Callable[[Optional[int], int], ExecutionBackend]] = {
     "serial": lambda workers, seed: SerialBackend(seed=seed),
     "threads": lambda workers, seed: ThreadPoolBackend(workers=workers, seed=seed),
-    "processes": lambda workers, seed: ProcessPoolBackend(workers=workers, seed=seed),
-    "distributed": _distributed_backend,
+    "processes": _remote_backend("ProcessPoolBackend"),
+    "distributed": _remote_backend("DistributedBackend"),
 }
 
 _ALIASES: Dict[str, str] = {

@@ -1,46 +1,54 @@
-"""Cross-host controller/worker execution backend.
+"""The remote worker substrate: one controller, two kinds of link.
 
-This is the last rung of the backend ladder and the paper's actual
-deployment shape: one controller owns the policy and the search loop,
-and ``N`` workers — on this host or others — score shards against
-supernets they rehydrated once from a serialized spec.  Where the
-process backend (:mod:`.backends`) moves weights through a shared-memory
-seqlock, hosts have no shared memory; the same versioning becomes a
-*push*: every ``optimizer_step()`` republish broadcasts a versioned
-weight message, every task is stamped with the version it must score
-against, and a worker holding older weights re-fetches before scoring
-(:class:`WorkerHost` below).  The determinism contract is unchanged —
-per-task ``SeedSequence`` streams ride inside the pickled payloads and
-the gather is order-preserving — so a distributed search is
+This is the paper's deployment shape: one controller owns the policy and
+the search loop, and ``N`` workers score shards against supernets they
+rehydrated once from a serialized spec.  Both remote backends configure
+the one :class:`_Cluster` controller, and every worker is a
+:class:`WorkerHost` running the same ``hello`` → ``context``/``task``/
+``result`` loop over a connected socket:
+
+* ``processes`` (:class:`ProcessPoolBackend`) — the controller *spawns*
+  ``workers`` processes on this machine, each joined over an anonymous
+  ``socket.socketpair()``; no port is opened, and a lost worker is
+  respawned before the next map.
+* ``distributed`` (:class:`DistributedBackend`) — the controller binds a
+  TCP listener and accepts workers whenever they arrive (``repro worker
+  --connect host:port``).  By default it also spawns ``workers``
+  loopback worker threads running the exact code path an external worker
+  runs, so ``--backend distributed`` works out of the box on one machine
+  and the wire protocol is exercised end-to-end even in tier-1 CI.
+
+Weights have two *carriers*, selected by the kind of link.  A spawned
+worker shares this machine's memory: its ``context`` message names the
+:class:`~.shm.SharedWeights` segment and a task stamped with a newer
+version triggers the seqlock copy-in.  A worker that dialled in over TCP
+gets the same versions as a *push*: every ``optimizer_step()`` republish
+broadcasts a versioned weight message, and a worker holding older
+weights re-fetches before scoring.  The determinism contract is
+unchanged — per-task ``SeedSequence`` streams ride inside the pickled
+payloads and the gather is order-preserving — so a remote search is
 bit-identical to a serial one.
 
-Fault tolerance generalizes the process pool's whole-map resubmission
-into *per-task* resubmission: a lost host (connection drop, worker
-SIGKILL) orphans only the tasks assigned to it, which are re-sent to
-surviving workers with a bounded per-task retry budget; exhaustion (or
-losing every worker) raises the retryable
+Fault tolerance is *per-task* resubmission: a lost worker (connection
+drop, SIGKILL) orphans only the tasks assigned to it, which are re-sent
+to surviving workers with a bounded per-task retry budget; exhaustion
+(or losing every worker) raises the retryable
 :class:`~repro.runtime.errors.WorkerCrashError`, handing the step to the
 supervisor's checkpoint/restart path.
-
-Topology: a :class:`_Cluster` (one per ``(workers, bind)`` key, shared
-through the executor-pool registry) binds a TCP listener and accepts
-workers whenever they arrive.  By default it also spawns ``workers``
-loopback worker threads running the exact code path an external
-``repro worker --connect host:port`` process runs, so ``--backend
-distributed`` works out of the box on one machine and the wire protocol
-is exercised end-to-end even in tier-1 CI.
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 import pickle
 import socket
 import threading
 import time
+import weakref
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -49,8 +57,10 @@ from .backends import (
     _discard_shared_pool,
     _shared_pool,
     default_worker_count,
+    process_start_method,
 )
 from ...service.protocol import ProtocolError
+from .shm import SharedWeights, WeightLayout, weight_layout
 from .transport import (
     DEFAULT_BIND,
     TRANSPORT_VERSION,
@@ -61,14 +71,13 @@ from .transport import (
 )
 from .worker import (
     RemoteContextRef,
+    RemoteShardContext,
     StageTask,
+    build_remote_context,
     build_supernet_from_spec,
     execute_stage_kind,
-    next_context_id,
-    register_local_context,
+    mark_worker_process,
     run_stage_task,
-    unregister_local_context,
-    worker_spec_for,
 )
 
 T = TypeVar("T")
@@ -83,20 +92,6 @@ def _crash_error(message: str) -> Exception:
     from ...runtime.errors import WorkerCrashError
 
     return WorkerCrashError(message)
-
-
-def _weights_layout(
-    arrays: Sequence[np.ndarray],
-) -> List[Tuple[Tuple[int, ...], int, int]]:
-    """``(shape, offset, size)`` per array, in float64 *elements* — the
-    same layout convention the shared-memory segment uses, so
-    :class:`~.worker.RemoteContextRef` is meaningful on both backends."""
-    layout: List[Tuple[Tuple[int, ...], int, int]] = []
-    offset = 0
-    for array in arrays:
-        layout.append((tuple(array.shape), offset, int(array.size)))
-        offset += int(array.size)
-    return layout
 
 
 def _snapshot_weights(arrays: Sequence[np.ndarray]) -> bytes:
@@ -124,9 +119,11 @@ def _picklable_error(error: BaseException) -> BaseException:
 # Worker side
 # ----------------------------------------------------------------------
 class _HostContext:
-    """One rehydrated supernet plus its last-applied weight version."""
+    """One rehydrated supernet plus its last-applied weight version.
+    Weights arrive as pushed bytes (:meth:`apply`) or, given the name of
+    the controller's shared ``segment``, by :meth:`copy_in`."""
 
-    def __init__(self, supernet: Any, layout: Sequence[Tuple[Tuple[int, ...], int, int]]):
+    def __init__(self, supernet: Any, layout: WeightLayout, segment: Optional[str] = None):
         self.supernet = supernet
         self.param_arrays = [p.data for p in supernet.parameters()]
         self.layout = [
@@ -137,8 +134,9 @@ class _HostContext:
         if shapes != expected:
             raise RuntimeError(
                 f"rehydrated supernet parameters {shapes} do not match the "
-                f"broadcast layout {expected}"
+                f"published layout {expected}"
             )
+        self.shared = SharedWeights.attach(segment, self.layout) if segment else None
         self.applied_version = 0
 
     def apply(self, version: int, data: bytes) -> None:
@@ -149,6 +147,14 @@ class _HostContext:
             np.copyto(array, flat[offset : offset + size].reshape(shape))
         self.applied_version = int(version)
 
+    def copy_in(self) -> None:
+        """Refresh from the segment (torn-read-safe, see :mod:`.shm`)."""
+        self.applied_version = self.shared.copy_into(self.param_arrays)
+
+    def close(self) -> None:
+        if self.shared is not None:
+            self.shared.release()
+
 
 class WorkerHost:
     """One worker's connection to a controller: the ``repro worker`` loop.
@@ -156,19 +162,24 @@ class WorkerHost:
     Single-threaded by design: one socket, one message at a time, with a
     small backlog deque for messages that arrive while the worker is
     blocked waiting for a context or weight version it asked for.  The
-    same loop runs as an external process (``repro worker``) and as the
-    cluster's loopback worker threads — one code path, tested both ways.
+    same loop runs as an external process (``repro worker``), as the
+    cluster's loopback worker threads and — handed its connected socket
+    instead of an address to dial — as a spawned ``processes`` worker:
+    one code path, tested each way.
     """
 
     def __init__(
         self,
-        address: Union[str, Tuple[str, int]],
+        address: Union[str, Tuple[str, int], socket.socket],
         worker_id: Optional[str] = None,
         max_tasks: Optional[int] = None,
         connect_timeout: float = 10.0,
     ):
-        target = parse_address(address) if isinstance(address, str) else tuple(address)
-        self.address = (target[0], int(target[1]))
+        if isinstance(address, str):
+            address = parse_address(address)
+        if not isinstance(address, socket.socket):
+            address = (address[0], int(address[1]))
+        self.address = address
         self.worker_id = worker_id or f"{socket.gethostname()}/{os.getpid()}"
         #: execute-and-reply budget; ``None`` serves until shutdown/EOF.
         #: A bounded worker exits *abruptly* once spent — no goodbye —
@@ -185,9 +196,12 @@ class WorkerHost:
     def run(self) -> int:
         """Serve until shutdown, EOF, or the ``max_tasks`` budget is
         spent; returns the number of tasks executed."""
-        sock = socket.create_connection(self.address, timeout=self.connect_timeout)
-        sock.settimeout(None)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if isinstance(self.address, socket.socket):
+            sock = self.address
+        else:
+            sock = socket.create_connection(self.address, timeout=self.connect_timeout)
+            sock.settimeout(None)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         try:
             send_message(
@@ -238,7 +252,9 @@ class WorkerHost:
         kind = message["type"]
         context_id = message["context_id"]
         if kind == "release":
-            self._contexts.pop(context_id, None)
+            released = self._contexts.pop(context_id, None)
+            if isinstance(released, _HostContext):
+                released.close()
             return
         if kind == "weights":
             ctx = self._contexts.get(context_id)
@@ -255,7 +271,7 @@ class WorkerHost:
         try:
             supernet = build_supernet_from_spec(pickle.loads(message["spec"]))
             ctx: Union[_HostContext, Exception] = _HostContext(
-                supernet, message["layout"]
+                supernet, message["layout"], message.get("segment")
             )
             if message.get("weights") is not None:
                 ctx.apply(message["version"], message["weights"])
@@ -297,7 +313,9 @@ class WorkerHost:
         ctx = self._contexts[context_id]
         if isinstance(ctx, Exception):
             raise ctx
-        if ctx.applied_version < ref.version:
+        if ctx.applied_version < ref.version and ctx.shared is not None:
+            ctx.copy_in()
+        elif ctx.applied_version < ref.version:
             # Stale weights: this task was stamped after a publish whose
             # broadcast we have not seen (reconnect races, lost frames
             # are impossible but joins are not) — re-fetch before
@@ -334,35 +352,28 @@ class WorkerHost:
                 {"type": "error", "task_id": task_id, "error": _picklable_error(error)}
             )
         self.executed += 1
-        if self._send({"type": "result", "task_id": task_id, "value": value,
-                       "seconds": seconds}):
-            return True
-        return False
+        return self._send(
+            {"type": "result", "task_id": task_id, "value": value, "seconds": seconds}
+        )
 
     def _send(self, message: Dict[str, Any]) -> bool:
         try:
             send_message(self._sock, message)
             return True
+        except (OSError, ProtocolError):
+            return False
         except Exception as error:
             # A result that cannot pickle must come back as a typed task
             # error, not a dead worker.
-            if not isinstance(error, (OSError, ProtocolError)):
-                try:
-                    send_message(
-                        self._sock,
-                        {
-                            "type": "error",
-                            "task_id": message.get("task_id"),
-                            "error": _picklable_error(
-                                error if isinstance(error, Exception)
-                                else RuntimeError(str(error))
-                            ),
-                        },
-                    )
-                    return True
-                except Exception:
-                    return False
-            return False
+            error = _picklable_error(error)
+            try:
+                send_message(
+                    self._sock,
+                    {"type": "error", "task_id": message.get("task_id"), "error": error},
+                )
+                return True
+            except Exception:
+                return False
 
 
 def run_worker(
@@ -383,6 +394,37 @@ def run_worker(
         connect_timeout=connect_timeout,
     )
     return host.run()
+
+
+#: Every live cluster in this process: what a forked worker inherited.
+_LIVE_CLUSTERS: "weakref.WeakSet[_Cluster]" = weakref.WeakSet()
+
+#: Held from ``socketpair()`` until the parent closed the worker's end, so
+#: no worker forked meanwhile (any cluster, any thread) inherits a copy of
+#: it — a dead worker is an EOF to the controller only if it held the last.
+_SPAWN_LOCK = threading.Lock()
+
+
+def _spawned_worker_main(
+    sock: socket.socket, controller_ends: List[socket.socket], worker_id: str
+) -> None:
+    """Body of a controller-spawned worker process.
+
+    The child first closes its copy of every controller-side socket —
+    ``controller_ends`` (its own link's and those of siblings not yet
+    admitted) and, under ``fork``, every other one the controller had
+    open: a worker must see EOF, and exit, the moment its controller
+    dies, which any worker's copy of the controller's end would prevent.
+    """
+    mark_worker_process()
+    for controller_end in controller_ends:
+        controller_end.close()
+    for cluster in list(_LIVE_CLUSTERS):
+        cluster._close_sockets()
+    try:
+        run_worker(sock, worker_id=worker_id)
+    except Exception:
+        pass  # loss is observed (and accounted) controller-side
 
 
 # ----------------------------------------------------------------------
@@ -408,20 +450,28 @@ class _MapRun:
     __slots__ = ("results", "remaining", "failure", "max_retries")
 
     def __init__(self, count: int, max_retries: int):
-        self.results: List[Optional[Tuple[Any, float, str]]] = [None] * count
+        self.results: List[Optional[Tuple[Any, float, Union[int, str]]]] = [None] * count
         self.remaining = count
         self.failure: Optional[BaseException] = None
         self.max_retries = max_retries
 
 
 class _WorkerLink:
-    """One connected worker: socket, send lock, outstanding tasks."""
+    """One connected worker: socket, send lock, outstanding tasks.
 
-    def __init__(self, sock: socket.socket, worker_id: str, host: str, pid: int):
+    ``process`` is the worker's handle when the controller spawned it
+    (the link is a socketpair, the worker shares this machine's memory),
+    ``None`` when it dialled in over TCP.
+    """
+
+    def __init__(
+        self, sock: socket.socket, worker_id: str, host: str, pid: int, process: Any
+    ):
         self.sock = sock
         self.worker_id = worker_id
         self.host = host
         self.pid = pid
+        self.process = process
         self.alive = True
         self.outstanding: Dict[int, _TaskRecord] = {}
         self._send_lock = threading.Lock()
@@ -432,20 +482,29 @@ class _WorkerLink:
 
 
 class _Cluster:
-    """Listener + worker links + context state, shared across backends.
+    """Worker links + context state, shared across backends.
 
-    Registered in the executor-pool registry under ``("distributed",
-    workers, bind, spawn_local)`` and duck-types ``shutdown(wait=...)``,
-    so ``shutdown_pools()`` (and interpreter exit) reaps it like any
+    Registered in the executor-pool registry under the owning backend's
+    configuration key and duck-types ``shutdown(wait=...)``, so
+    ``shutdown_pools()`` (and interpreter exit) reaps it like any
     executor.  One cluster serves every search in the process that picks
     the same key — the point: tests and sweeps run hundreds of searches,
     and workers rehydrate supernets per *context*, not per search
     object, so connection churn is zero.
+
+    With a ``start_method`` it spawns its ``workers`` as processes over
+    socketpairs and never listens; without one it binds ``bind`` and
+    admits whoever dials in (``spawn_local``: its own loopback threads).
     """
 
-    def __init__(self, workers: int, bind: str = DEFAULT_BIND, spawn_local: bool = True):
+    def __init__(
+        self,
+        workers: int,
+        bind: str = DEFAULT_BIND,
+        spawn_local: bool = True,
+        start_method: Optional[str] = None,
+    ):
         self.workers = workers
-        self.spawn_local = spawn_local
         self.worker_losses = 0
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
@@ -455,14 +514,22 @@ class _Cluster:
         self._task_ids = itertools.count(1)
         self._rr = 0
         self._closed = False
+        self._start_method = start_method
+        self._spawn_ids = itertools.count()
+        self._listener: Optional[socket.socket] = None
+        self.address: Optional[Tuple[str, int]] = None
+        self._local_threads: List[threading.Thread] = []
+        _LIVE_CLUSTERS.add(self)
+        if start_method is not None:
+            self._fill_workers()
+            return
         host, port = parse_address(bind)
         self._listener = socket.create_server((host, port))
-        self.address: Tuple[str, int] = self._listener.getsockname()[:2]
+        self.address = self._listener.getsockname()[:2]
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-dist-accept", daemon=True
         )
         self._accept_thread.start()
-        self._local_threads: List[threading.Thread] = []
         if spawn_local:
             base = f"{socket.gethostname()}/{os.getpid()}"
             for index in range(workers):
@@ -474,6 +541,57 @@ class _Cluster:
                 )
                 thread.start()
                 self._local_threads.append(thread)
+
+    # -- controller-spawned workers ------------------------------------
+    def _fill_workers(self) -> None:
+        """Spawn worker processes until ``workers`` are linked: at
+        construction and before every map, so a lost worker is replaced.
+        All are started before any is admitted — admission starts a
+        receive thread, and a fork is safest with the fewest threads
+        alive.  (No-op for a listening cluster: its workers dial in.)"""
+        if self._start_method is None:
+            return
+        with self._lock:  # the usual case, without the process-wide lock
+            if self._closed or len(self._links) >= self.workers:
+                return
+        with _SPAWN_LOCK:
+            with self._lock:
+                missing = 0 if self._closed else self.workers - len(self._links)
+            started: List[Tuple[socket.socket, Any]] = []
+            for _ in range(missing):
+                started.append(self._spawn_worker([conn for conn, _ in started]))
+            for conn, process in started:
+                self._admit(conn, process)
+
+    def _spawn_worker(self, unadmitted: List[socket.socket]) -> Tuple[socket.socket, Any]:
+        controller_end, worker_end = socket.socketpair()
+        worker_id = f"{socket.gethostname()}/{os.getpid()}/w{next(self._spawn_ids)}"
+        process = multiprocessing.get_context(self._start_method).Process(
+            target=_spawned_worker_main,
+            args=(worker_end, [controller_end, *unadmitted], worker_id),
+            daemon=True,
+        )
+        try:
+            process.start()
+        except BaseException:
+            controller_end.close()
+            raise
+        finally:
+            worker_end.close()
+        return controller_end, process
+
+    def _close_sockets(self) -> None:
+        """Close every controller-side socket: for a forked worker, where
+        they are inherited copies.  Takes no lock — one held by another
+        thread at the fork would never be released in the child."""
+        sockets = [link.sock for link in self._links.values()]
+        if self._listener is not None:
+            sockets.append(self._listener)
+        for sock in sockets:
+            try:
+                sock.close()
+            except OSError:
+                pass
 
     def _run_local_worker(self, worker_id: str) -> None:
         try:
@@ -492,31 +610,35 @@ class _Cluster:
                 target=self._admit, args=(conn,), name="repro-dist-admit", daemon=True
             ).start()
 
-    def _admit(self, conn: socket.socket) -> None:
+    def _admit(self, conn: socket.socket, process: Optional[Any] = None) -> None:
         try:
-            conn.settimeout(10.0)
+            # A dialled-in worker says hello at once; a spawned one may
+            # first have to start an interpreter (``spawn``).
+            conn.settimeout(10.0 if process is None else 60.0)
             hello = recv_message(conn)
             if (
                 hello is None
                 or hello.get("type") != "hello"
                 or hello.get("transport") != TRANSPORT_VERSION
             ):
-                conn.close()
+                self._reject(conn, process)
                 return
             conn.settimeout(None)
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if conn.family != socket.AF_UNIX:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except (ProtocolError, OSError):
-            conn.close()
+            self._reject(conn, process)
             return
         link = _WorkerLink(
             conn,
             str(hello.get("worker_id") or "unknown/0"),
             str(hello.get("host") or "unknown"),
             int(hello.get("pid") or 0),
+            process,
         )
         with self._cond:
             if self._closed:
-                conn.close()
+                self._reject(conn, process)
                 return
             base, n = link.worker_id, 1
             while link.worker_id in self._links:
@@ -527,7 +649,7 @@ class _Cluster:
             self._cond.notify_all()
         try:
             for state in contexts:
-                link.send(self._context_message(state))
+                link.send(state)
         except (OSError, ProtocolError):
             self._handle_link_loss(link)
             return
@@ -538,9 +660,22 @@ class _Cluster:
             daemon=True,
         ).start()
 
+    def _reject(self, conn: socket.socket, process: Optional[Any]) -> None:
+        conn.close()
+        if process is not None:
+            self._reap(process)
+
+    @staticmethod
+    def _reap(process: Any) -> None:
+        """End a spawned worker (a no-op once it exited) and collect it."""
+        process.kill()
+        process.join(timeout=5.0)
+
     def wait_for_workers(self, count: int, timeout: float) -> int:
-        """Block until ``count`` workers are connected (or timeout)."""
-        deadline = time.monotonic() + timeout
+        """Block until ``count`` workers are connected (or timeout); a
+        cluster that spawns its own tops them up and has nobody to wait for."""
+        self._fill_workers()
+        deadline = time.monotonic() + (timeout if self._listener is not None else 0.0)
         with self._cond:
             while len(self._links) < count and not self._closed:
                 remaining = deadline - time.monotonic()
@@ -555,54 +690,62 @@ class _Cluster:
             return len(self._links)
 
     # -- context / weight state ----------------------------------------
+    # A context's state is its ``context`` message: spec, layout, version
+    # and the weight carrier — ``segment`` names the shared segment when
+    # this cluster spawned its workers (they share its memory), ``weights``
+    # holds the current bytes when workers dial in over TCP.
+    def _pushed_weights(self, arrays: Sequence[np.ndarray]) -> Optional[bytes]:
+        """A weight version as a TCP worker needs it (``None`` when none
+        can exist: nobody dials into a cluster that does not listen)."""
+        return _snapshot_weights(arrays) if self._listener is not None else None
+
     @staticmethod
-    def _context_message(state: Dict[str, Any]) -> Dict[str, Any]:
+    def _weights_message(state: Dict[str, Any]) -> Dict[str, Any]:
         return {
-            "type": "context",
+            "type": "weights",
             "context_id": state["context_id"],
-            "spec": state["spec"],
-            "layout": state["layout"],
             "version": state["version"],
-            "weights": state["weights"],
+            "data": state["weights"],
         }
 
     def register_context(
         self,
         context_id: str,
         spec: bytes,
-        layout: Tuple[Tuple[Tuple[int, ...], int, int], ...],
         version: int,
-        weights: bytes,
+        segment: Optional[str],
+        arrays: Sequence[np.ndarray],
     ) -> None:
         state = {
+            "type": "context",
             "context_id": context_id,
             "spec": spec,
-            "layout": layout,
+            "layout": tuple(weight_layout(arrays)),
             "version": int(version),
-            "weights": weights,
+            "segment": segment,
+            "weights": self._pushed_weights(arrays),
         }
         with self._lock:
             self._contexts[context_id] = state
             links = list(self._links.values())
-        self._broadcast(links, self._context_message(state))
+        self._broadcast(links, dict(state))
 
-    def update_weights(self, context_id: str, version: int, weights: bytes) -> None:
+    def update_weights(
+        self, context_id: str, version: int, arrays: Sequence[np.ndarray]
+    ) -> None:
+        weights = self._pushed_weights(arrays)
         with self._lock:
             state = self._contexts.get(context_id)
             if state is None:
                 return
             state["version"] = int(version)
             state["weights"] = weights
+            message = self._weights_message(state)
             links = list(self._links.values())
-        self._broadcast(
-            links,
-            {
-                "type": "weights",
-                "context_id": context_id,
-                "version": int(version),
-                "data": weights,
-            },
-        )
+        # Spawned workers copy in from the segment when a task's version
+        # stamp says so; only dialled-in ones are pushed to.
+        if weights is not None:
+            self._broadcast(links, message)
 
     def release_context(self, context_id: str) -> None:
         with self._lock:
@@ -620,14 +763,14 @@ class _Cluster:
     # -- the map --------------------------------------------------------
     def run_map(
         self, messages: Sequence[Dict[str, Any]], max_retries: int
-    ) -> List[Tuple[Any, float, str]]:
-        """Fan ``messages`` out, gather ``(value, seconds, worker_id)``
+    ) -> List[Tuple[Any, float, Union[int, str]]]:
+        """Fan ``messages`` out, gather ``(value, seconds, worker)``
         in submission order; resubmit orphans of lost workers."""
         run = _MapRun(len(messages), max_retries)
         records: List[_TaskRecord] = []
         with self._cond:
             if self._closed:
-                raise _crash_error("distributed cluster is shut down")
+                raise _crash_error("worker cluster is shut down")
             for index, message in enumerate(messages):
                 task_id = next(self._task_ids)
                 message = dict(message)
@@ -648,12 +791,12 @@ class _Cluster:
             # Tasks that never found a worker fail the run up front.
             if any(r.link is None for r in records) and run.failure is None:
                 self._fail_run_locked(
-                    run, _crash_error("no distributed workers are connected")
+                    run, _crash_error("no remote workers are connected")
                 )
             while run.remaining > 0 and run.failure is None:
                 if self._closed:
                     self._fail_run_locked(
-                        run, _crash_error("distributed cluster shut down mid-map")
+                        run, _crash_error("worker cluster shut down mid-map")
                     )
                     break
                 self._cond.wait(timeout=0.5)
@@ -707,16 +850,9 @@ class _Cluster:
             if state is None:
                 link.send({"type": "context", "context_id": context_id, "missing": True})
             elif weights_only:
-                link.send(
-                    {
-                        "type": "weights",
-                        "context_id": context_id,
-                        "version": state["version"],
-                        "data": state["weights"],
-                    }
-                )
+                link.send(self._weights_message(state))
             else:
-                link.send(self._context_message(state))
+                link.send(state)
         except (OSError, ProtocolError):
             self._handle_link_loss(link)
 
@@ -729,7 +865,10 @@ class _Cluster:
             if record is None:
                 return  # stale: its run already failed
             run = record.run
-            run.results[record.index] = (value, seconds, link.worker_id)
+            # Spawned workers are labelled by pid, dialled-in ones by
+            # their host-qualified id (what ``span.worker`` aggregates on).
+            worker = link.pid if link.process is not None else link.worker_id
+            run.results[record.index] = (value, seconds, worker)
             run.remaining -= 1
             if run.remaining == 0:
                 self._cond.notify_all()
@@ -785,7 +924,7 @@ class _Cluster:
                     self._fail_run_locked(
                         run,
                         _crash_error(
-                            "lost the last distributed worker with tasks in flight"
+                            "lost the last remote worker with tasks in flight"
                         ),
                     )
                     continue
@@ -795,6 +934,8 @@ class _Cluster:
             link.sock.close()
         except OSError:
             pass
+        if link.process is not None:
+            self._reap(link.process)
         for target, record in resubmissions:
             try:
                 target.send(record.message)
@@ -809,10 +950,11 @@ class _Cluster:
             self._closed = True
             links = list(self._links.values())
             self._cond.notify_all()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        if self._listener is not None:
+            try:
+                self._listener.close()
+            except OSError:
+                pass
         for link in links:
             try:
                 link.send({"type": "shutdown"})
@@ -821,199 +963,90 @@ class _Cluster:
         if wait:
             for thread in self._local_threads:
                 thread.join(timeout=5.0)
+            for link in links:
+                if link.process is not None:
+                    link.process.join(timeout=5.0)
         for link in links:
             try:
                 link.sock.close()
             except OSError:
                 pass
+            if link.process is not None:
+                self._reap(link.process)
 
 
 # ----------------------------------------------------------------------
-# Engine-side context handle
+# The backends
 # ----------------------------------------------------------------------
-class DistributedContext:
-    """Engine-side handle on one supernet published to the cluster.
-
-    The same surface :class:`~.worker.RemoteShardContext` offers the
-    engine — ``ref()`` / ``publish()`` / ``fast_forward()`` /
-    ``release()`` — with the seqlock segment replaced by versioned
-    broadcast state held in the cluster.
-    """
-
-    def __init__(self, cluster: _Cluster, supernet: Any, spec_bytes: bytes):
-        self.cluster = cluster
-        self.supernet = supernet
-        self.param_arrays = [p.data for p in supernet.parameters()]
-        self.layout = _weights_layout(self.param_arrays)
-        self.context_id = next_context_id()
-        self.version = 1
-        self._released = False
-        register_local_context(self.context_id, supernet)
-        cluster.register_context(
-            self.context_id,
-            spec_bytes,
-            tuple(self.layout),
-            self.version,
-            _snapshot_weights(self.param_arrays),
-        )
-
-    def ref(self) -> RemoteContextRef:
-        """A picklable reference stamped with the current version.
-
-        No shared-memory segments exist here: the spec travelled in the
-        context broadcast and weights travel in version messages, so the
-        segment fields are empty and only ``context_id``/``version`` do
-        the work.
-        """
-        return RemoteContextRef(
-            context_id=self.context_id,
-            spec_segment="",
-            weights_segment=None,
-            layout=tuple(self.layout),
-            version=self.version,
-        )
-
-    def publish(self) -> int:
-        """Broadcast the live parameters as the next weight version."""
-        self.version += 1
-        self.cluster.update_weights(
-            self.context_id, self.version, _snapshot_weights(self.param_arrays)
-        )
-        return self.version
-
-    def fast_forward(self, version: int) -> int:
-        """Republish past a checkpoint's recorded version (monotonic
-        across crash/resume, so stale workers always refresh)."""
-        self.version = max(self.version, int(version)) + 1
-        self.cluster.update_weights(
-            self.context_id, self.version, _snapshot_weights(self.param_arrays)
-        )
-        return self.version
-
-    def release(self) -> None:
-        if self._released:
-            return
-        self._released = True
-        unregister_local_context(self.context_id)
-        self.cluster.release_context(self.context_id)
-
-
-def build_distributed_context(
-    supernet: Any, cluster_factory: Callable[[], _Cluster]
-) -> Optional[DistributedContext]:
-    """Validate and publish ``supernet``, or ``None`` if it cannot travel.
-
-    The same strict registration-time probe the process backend runs: the
-    spec must survive a pickle round trip and rebuild into a supernet
-    whose parameter shapes and dtypes match exactly, and parameters must
-    be float64 (the broadcast byte layout assumes it).  Any failure keeps
-    the search on the always-correct in-process path — and skips cluster
-    startup entirely.
-    """
+def _can_ship(fn: Callable, items: Sequence) -> bool:
+    """Whether an opaque ``fn`` and a representative item pickle."""
     try:
-        arrays = [p.data for p in supernet.parameters()]
-        if not arrays or any(a.dtype != np.float64 for a in arrays):
-            return None
-        spec_bytes = pickle.dumps(worker_spec_for(supernet))
-        rebuilt = build_supernet_from_spec(pickle.loads(spec_bytes))
-        rebuilt_arrays = [p.data for p in rebuilt.parameters()]
-        if [(a.shape, a.dtype) for a in rebuilt_arrays] != [
-            (a.shape, a.dtype) for a in arrays
-        ]:
-            return None
-        return DistributedContext(cluster_factory(), supernet, spec_bytes)
+        pickle.dumps(fn)
+        if items:
+            pickle.dumps(items[0])
+        return True
     except Exception:
-        return None
+        return False
 
 
-# ----------------------------------------------------------------------
-# The backend
-# ----------------------------------------------------------------------
-class DistributedBackend(ExecutionBackend):
-    """Fan picklable tasks out across worker *hosts* over TCP.
+class _ClusterBackend(ExecutionBackend):
+    """What ``processes`` and ``distributed`` share: everything but the
+    cluster's configuration (``_cluster_key`` / ``_new_cluster()``).
 
-    The cross-host leg of the ladder: same determinism contract, same
-    engine surface as :class:`~.backends.ProcessPoolBackend`, different
-    failure domain.  Key differences from the process pool:
-
-    * **weights are pushed, not shared** — ``publish()`` broadcasts a
-      versioned weight message; a worker scoring a task stamped with a
-      newer version re-fetches first (the shm seqlock, generalized);
-    * **loss is per-task, not per-map** — a dead host orphans only its
-      assigned tasks, which are resubmitted to survivors under a bounded
-      per-task retry budget before
-      :class:`~repro.runtime.errors.WorkerCrashError` surfaces;
-    * **membership is open** — workers may join at any time (``repro
-      worker --connect``); by default the cluster also spawns loopback
-      worker threads so the backend works standalone.
+    * **tasks are data, not closures** — the engine sends
+      :class:`~.worker.StageTask` payloads that a worker executes
+      against a supernet it rehydrated once (see
+      :meth:`register_context`), so per-task pickles carry batch arrays
+      only;
+    * **functions that cannot travel run locally** — an opaque ``fn``
+      (a pricing function) is probed for picklability and quietly
+      degrades to the in-process serial loop, which is always correct;
+      stage tasks skip the probe: registration proved their context
+      travels;
+    * **worker loss is survivable** — see the module docstring.  Tasks
+      are pure by the determinism contract, so resubmission is
+      idempotent and the retried results are bit-identical.
     """
 
-    name = "distributed"
     remote = True
 
     #: per-task resubmissions tolerated before the map gives up
     max_task_retries = 2
+    #: how long a map waits for a first worker to dial in
+    worker_timeout = 30.0
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        seed: int = 0,
-        bind: Optional[str] = None,
-        spawn_local: Optional[bool] = None,
-        shared: bool = True,
-        worker_timeout: float = 30.0,
-    ):
+    def __init__(self, workers: Optional[int], seed: int, shared: bool):
         super().__init__(
             seed=seed,
             workers=workers if workers is not None else default_worker_count(),
         )
-        env_bind = os.environ.get(DIST_BIND_ENV_VAR)
-        self._bind = bind if bind is not None else (env_bind or DEFAULT_BIND)
-        # An explicit bind (flag or env) implies external workers will
-        # connect; the loopback complement is for the standalone case.
-        if spawn_local is None:
-            spawn_local = bind is None and not env_bind
-        self._spawn_local = spawn_local
         self._shared = shared
-        self._owned_cluster: Optional[_Cluster] = None
         self._active_cluster: Optional[_Cluster] = None
         self._losses_before = 0
-        self._context: Optional[DistributedContext] = None
-        self.worker_timeout = worker_timeout
+        self._context: Optional[RemoteShardContext] = None
 
     # -- cluster lifecycle ----------------------------------------------
-    def _cluster_key(self) -> Tuple[Any, ...]:
-        return ("distributed", self.workers, self._bind, self._spawn_local)
-
     def _cluster(self) -> _Cluster:
-        if self._active_cluster is not None and not self._active_cluster._closed:
-            return self._active_cluster
-        factory = lambda: _Cluster(  # noqa: E731
-            self.workers, bind=self._bind, spawn_local=self._spawn_local
-        )
+        cluster = self._active_cluster
+        if cluster is not None and not cluster._closed:
+            return cluster
         if self._shared:
-            cluster = _shared_pool(self._cluster_key(), factory)  # type: ignore[arg-type]
+            cluster = _shared_pool(self._cluster_key, self._new_cluster)  # type: ignore[arg-type]
             if cluster._closed:
                 # A shutdown_pools() happened since; replace the corpse.
-                _discard_shared_pool(self._cluster_key(), cluster)  # type: ignore[arg-type]
-                cluster = _shared_pool(self._cluster_key(), factory)  # type: ignore[arg-type]
+                _discard_shared_pool(self._cluster_key, cluster)  # type: ignore[arg-type]
+                cluster = _shared_pool(self._cluster_key, self._new_cluster)  # type: ignore[arg-type]
         else:
-            if self._owned_cluster is None or self._owned_cluster._closed:
-                self._owned_cluster = factory()
-            cluster = self._owned_cluster
-        if self._active_cluster is not cluster:
-            self._active_cluster = cluster
-            self._losses_before = cluster.worker_losses
+            cluster = self._new_cluster()
+        self._active_cluster = cluster
+        self._losses_before = cluster.worker_losses
         return cluster
 
     @property
-    def address(self) -> str:
-        """``host:port`` external workers connect to (binds lazily)."""
-        return format_address(self._cluster().address)
-
-    @property
     def worker_losses(self) -> int:
-        """Hosts lost since this backend first touched its cluster."""
+        """Workers lost since this backend first touched its cluster;
+        the engine mirrors deltas into the ``supervisor.worker_losses``
+        churn counter."""
         if self._active_cluster is None:
             return 0
         return self._active_cluster.worker_losses - self._losses_before
@@ -1025,34 +1058,25 @@ class DistributedBackend(ExecutionBackend):
             return 0
         return self._active_cluster.host_count
 
-    def wait_for_workers(self, count: Optional[int] = None, timeout: Optional[float] = None) -> int:
-        """Block until ``count`` (default: all) workers are connected."""
-        return self._cluster().wait_for_workers(
-            count if count is not None else self.workers,
-            timeout if timeout is not None else self.worker_timeout,
-        )
-
     # -- supernet context ----------------------------------------------
-    def register_context(self, supernet: Any) -> Optional[DistributedContext]:
-        """Publish ``supernet`` to the cluster (or ``None`` if it cannot
-        travel / remote execution buys nothing at one worker)."""
+    def register_context(self, supernet: Any) -> Optional[RemoteShardContext]:
+        """Publish ``supernet`` to the cluster's workers.
+
+        Returns the :class:`~.worker.RemoteShardContext` handle (the
+        engine drives `publish()` / `ref()` through it), or ``None``
+        when the supernet cannot travel — unpicklable spec, parameter
+        mismatch on rebuild, non-float64 parameters, or a single-worker
+        pool where remote execution buys nothing.  ``None`` keeps every
+        stage on the in-process path.
+        """
         if self.workers <= 1:
             return None
         if self._context is not None:
             self._context.release()
-        self._context = build_distributed_context(supernet, self._cluster)
+        self._context = build_remote_context(supernet, self._cluster)
         return self._context
 
     # -- execution ------------------------------------------------------
-    def _can_ship(self, fn: Callable, items: Sequence) -> bool:
-        try:
-            pickle.dumps(fn)
-            if items:
-                pickle.dumps(items[0])
-            return True
-        except Exception:
-            return False
-
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         items = list(items)
         if len(items) <= 1 or self.workers == 1:
@@ -1065,7 +1089,7 @@ class DistributedBackend(ExecutionBackend):
                 return [fn(item) for item in items]
             messages = [{"type": "task", "task": task} for task in items]
             unwrap = False
-        elif self._can_ship(fn, items):
+        elif _can_ship(fn, items):
             messages = [{"type": "call", "fn": fn, "item": item} for item in items]
             unwrap = True
         else:
@@ -1077,9 +1101,9 @@ class DistributedBackend(ExecutionBackend):
         results = cluster.run_map(messages, self.max_task_retries)
         if unwrap:
             return [value for value, _, _ in results]
-        # Stage tasks keep the (value, seconds, worker_id) triple —
-        # the same contract run_stage_task has, with the worker id
-        # replacing the pid so spans are labelled per host.
+        # Stage tasks keep the (value, seconds, worker) triple — the
+        # same contract run_stage_task has, with a dialled-in worker's
+        # id replacing the pid so spans are labelled per host.
         return results  # type: ignore[return-value]
 
     # -- checkpoint state ----------------------------------------------
@@ -1090,26 +1114,109 @@ class DistributedBackend(ExecutionBackend):
         )
         return state
 
-    def load_state_dict(self, state) -> None:
+    def load_state_dict(self, state: Mapping[str, Any]) -> None:
         super().load_state_dict(state)
         if self._context is not None:
-            self._context.fast_forward(int(state.get("weights_version", 0)))
+            # Republish past the checkpointed version: the restored
+            # parameter values reach the workers, and surviving workers
+            # whose applied version predates the crash still refresh.
+            self._context.publish(int(state.get("weights_version", 0)) + 1)
 
     def close(self) -> None:
         if self._context is not None:
             self._context.release()
             self._context = None
-        if self._owned_cluster is not None:
-            self._owned_cluster.shutdown(wait=True)
-            self._owned_cluster = None
+        if self._active_cluster is not None and not self._shared:
+            self._active_cluster.shutdown(wait=True)
         self._active_cluster = None
+
+
+class ProcessPoolBackend(_ClusterBackend):
+    """Fan picklable tasks out across worker *processes* on this machine.
+
+    This is the GIL-free leg: CPU-bound scoring shards scale with the
+    machine's cores.  The cluster spawns the workers itself (``fork``
+    by default, see :func:`~.backends.process_start_method`), talks to
+    each over a socketpair — no port is opened — and replaces a lost one
+    before the next map.  **Weights travel through shared memory**: one
+    versioned segment the engine republishes after each cross-shard
+    weight update; workers copy-in at most once per version.
+    """
+
+    name = "processes"
+
+    def __init__(
+        self,
+        workers: Optional[int] = None,
+        seed: int = 0,
+        shared: bool = True,
+        start_method: Optional[str] = None,
+    ):
+        super().__init__(workers, seed, shared)
+        self._method = start_method or process_start_method()
+        self._cluster_key = ("processes", self.workers, self._method)
+
+    def _new_cluster(self) -> _Cluster:
+        return _Cluster(self.workers, start_method=self._method)
+
+
+class DistributedBackend(_ClusterBackend):
+    """Fan picklable tasks out across worker *hosts* over TCP.
+
+    The cross-host leg of the ladder: same determinism contract, same
+    engine surface as :class:`ProcessPoolBackend`, different failure
+    domain.  Key differences from the process pool:
+
+    * **weights are pushed, not shared** — ``publish()`` broadcasts a
+      versioned weight message; a worker scoring a task stamped with a
+      newer version re-fetches first (the shm seqlock, generalized);
+    * **membership is open** — workers may join at any time (``repro
+      worker --connect``); by default the cluster also spawns loopback
+      worker threads so the backend works standalone.
+    """
+
+    name = "distributed"
+
+    def __init__(
+        self,
+        workers: Optional[int] = None,
+        seed: int = 0,
+        bind: Optional[str] = None,
+        spawn_local: Optional[bool] = None,
+        shared: bool = True,
+        worker_timeout: float = 30.0,
+    ):
+        super().__init__(workers, seed, shared)
+        env_bind = os.environ.get(DIST_BIND_ENV_VAR)
+        self._bind = bind if bind is not None else (env_bind or DEFAULT_BIND)
+        # An explicit bind (flag or env) implies external workers will
+        # connect; the loopback complement is for the standalone case.
+        if spawn_local is None:
+            spawn_local = bind is None and not env_bind
+        self._spawn_local = spawn_local
+        self._cluster_key = ("distributed", self.workers, self._bind, spawn_local)
+        self.worker_timeout = worker_timeout
+
+    def _new_cluster(self) -> _Cluster:
+        return _Cluster(self.workers, bind=self._bind, spawn_local=self._spawn_local)
+
+    @property
+    def address(self) -> str:
+        """``host:port`` external workers connect to (binds lazily)."""
+        return format_address(self._cluster().address)
+
+    def wait_for_workers(self, count: Optional[int] = None, timeout: Optional[float] = None) -> int:
+        """Block until ``count`` (default: all) workers are connected."""
+        return self._cluster().wait_for_workers(
+            count if count is not None else self.workers,
+            timeout if timeout is not None else self.worker_timeout,
+        )
 
 
 __all__ = [
     "DIST_BIND_ENV_VAR",
     "DistributedBackend",
-    "DistributedContext",
+    "ProcessPoolBackend",
     "WorkerHost",
-    "build_distributed_context",
     "run_worker",
 ]

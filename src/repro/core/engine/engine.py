@@ -81,6 +81,7 @@ from ..reward import RewardFunction
 from .backends import BackendSpec, ExecutionBackend, resolve_backend
 from .worker import (
     StageTask,
+    execute_stage_kind,
     payload_nbytes,
     quality_many_payloads,
     quality_payloads,
@@ -314,8 +315,8 @@ class SearchEngine:
         self._warmup_rng = np.random.default_rng(config.seed + 1)
         self._tape_totals: Dict[str, int] = {}
         self._worker_loss_total = 0
-        # Remote backends (process pools) score against a supernet each
-        # worker rehydrates from shared memory; publishing happens here,
+        # Remote backends (processes, distributed) score against a
+        # supernet each worker rehydrates once; publishing happens here,
         # lazily, only when the weights actually changed since the last
         # fan-out.  Backends that cannot host this supernet remotely
         # return None and every stage stays on the in-process path.
@@ -516,11 +517,11 @@ class SearchEngine:
     ) -> List[Any]:
         """Ship closure-free stage tasks through the backend.
 
-        The current weights are published to the shared segment first
-        (if dirty), and every task carries the resulting version so no
-        worker scores against stale parameters.  Workers time themselves
-        and report their pid; accounting happens here on the engine
-        thread, including the pickled-batch IPC volume estimate.
+        The current weights are published first (if dirty), and every
+        task carries the resulting version so no worker scores against
+        stale parameters.  Workers time themselves and report who they
+        are; accounting happens here on the engine thread, including the
+        pickled-batch IPC volume estimate.
         """
         self._sync_remote_weights()
         ref = self._remote_ctx.ref()
@@ -550,6 +551,18 @@ class SearchEngine:
                     **label,
                 )
         return [value for value, _, _ in results]
+
+    def _score(self, kind: str, payloads: Sequence[Tuple[Any, ...]]) -> List[Any]:
+        """One score fan-out: ``kind`` payloads shipped as stage tasks
+        when the supernet is hosted remotely, else run in-process — the
+        same :func:`~.worker.execute_stage_kind` dispatch either way."""
+        if self._remote_active():
+            return self._fan_out_tasks(STAGE_SCORE, kind, payloads)
+        return self._fan_out(
+            STAGE_SCORE,
+            lambda payload: execute_stage_kind(self.supernet, kind, payload),
+            payloads,
+        )
 
     # ------------------------------------------------------------------
     # Stage primitives
@@ -587,54 +600,19 @@ class SearchEngine:
         quality signals consume their rng streams exactly as the
         sequential implementation did.
         """
-        quality_split = getattr(self.supernet, "quality_split", None)
-        if quality_split is not None:
+        if getattr(self.supernet, "quality_split", None) is not None:
             streams = self.backend.rng_streams(len(drawn))
-            if self._remote_active():
-                return [
-                    float(v)
-                    for v in self._fan_out_tasks(
-                        STAGE_SCORE,
-                        "quality_split",
-                        quality_split_payloads(drawn, batches, streams),
-                    )
-                ]
-            return [
-                float(v)
-                for v in self._fan_out(
-                    STAGE_SCORE,
-                    lambda task: quality_split(
-                        task[0][0], task[1].inputs, task[1].labels, task[2]
-                    ),
-                    list(zip(drawn, batches, streams)),
-                )
-            ]
+            return self._score(
+                "quality_split", quality_split_payloads(drawn, batches, streams)
+            )
         if groups is None or not isinstance(self.supernet, StackedScoring):
             return [
                 self.supernet.quality(arch, batch.inputs, batch.labels)
                 for batch, (arch, _) in zip(batches, drawn)
             ]
-        if self._remote_active():
-            per_group = self._fan_out_tasks(
-                STAGE_SCORE,
-                "quality_many",
-                quality_many_payloads(drawn, batches, groups),
-            )
-            qualities_remote: List[float] = [0.0] * len(drawn)
-            for positions, values in zip(groups, per_group):
-                for position, value in zip(positions, values):
-                    qualities_remote[position] = float(value)
-            return qualities_remote
-        quality_many = self.supernet.quality_many
-
-        def score_group(positions: List[int]) -> List[float]:
-            arch = drawn[positions[0]][0]
-            return quality_many(
-                arch,
-                [batches[i].inputs for i in positions],
-                [batches[i].labels for i in positions],
-            )
-        per_group = self._fan_out(STAGE_SCORE, score_group, groups)
+        per_group = self._score(
+            "quality_many", quality_many_payloads(drawn, batches, groups)
+        )
         qualities: List[float] = [0.0] * len(drawn)
         for positions, values in zip(groups, per_group):
             for position, value in zip(positions, values):
@@ -651,44 +629,14 @@ class SearchEngine:
         split-rng supernets get per-task streams; stochastic supernets
         without split support stay serial in shard order.
         """
-        quality_split = getattr(self.supernet, "quality_split", None)
-        if quality_split is not None:
+        if getattr(self.supernet, "quality_split", None) is not None:
             streams = self.backend.rng_streams(len(drawn))
-            if self._remote_active():
-                return [
-                    float(v)
-                    for v in self._fan_out_tasks(
-                        STAGE_SCORE,
-                        "quality_split",
-                        quality_split_payloads(
-                            drawn, [batch] * len(drawn), streams
-                        ),
-                    )
-                ]
-            return [
-                float(v)
-                for v in self._fan_out(
-                    STAGE_SCORE,
-                    lambda task: quality_split(
-                        task[0][0], batch.inputs, batch.labels, task[1]
-                    ),
-                    list(zip(drawn, streams)),
-                )
-            ]
-        if isinstance(self.supernet, StackedScoring):
-            if self._remote_active():
-                return [
-                    float(v)
-                    for v in self._fan_out_tasks(
-                        STAGE_SCORE, "quality", quality_payloads(drawn, batch)
-                    )
-                ]
-            quality = self.supernet.quality
-            return self._fan_out(
-                STAGE_SCORE,
-                lambda cand: quality(cand[0], batch.inputs, batch.labels),
-                drawn,
+            return self._score(
+                "quality_split",
+                quality_split_payloads(drawn, [batch] * len(drawn), streams),
             )
+        if isinstance(self.supernet, StackedScoring):
+            return self._score("quality", quality_payloads(drawn, batch))
         return [
             self.supernet.quality(cand, batch.inputs, batch.labels)
             for cand, _ in drawn

@@ -1,12 +1,16 @@
 """Shared-memory publication of supernet weights for process workers.
 
-The process-pool backend scores shards in worker *processes*, so the
-supernet's weights must be visible across address spaces.  Pickling the
-weights into every task would ship the full parameter set per task per
-step; instead the engine publishes **one** copy into a
-:mod:`multiprocessing.shared_memory` segment and updates it in place
-after each cross-shard weight update.  Workers attach once and copy the
-current weights into their rehydrated supernet before scoring.
+The ``processes`` backend scores shards in worker *processes* the
+controller spawned on this machine, so the supernet's weights must be
+visible across address spaces.  Pickling the weights into every task
+would ship the full parameter set per task per step; instead the engine
+publishes **one** copy into a :mod:`multiprocessing.shared_memory`
+segment and updates it in place after each cross-shard weight update.
+Workers attach once (the ``context`` message names the segment, see
+:mod:`.distributed`) and copy the current weights into their rehydrated
+supernet before scoring.  This is the weight *carrier* of
+controller-spawned links; workers reached over TCP get the same
+versions as byte pushes instead.
 
 Torn reads are prevented with a *seqlock*: the segment header carries a
 version counter that the publisher bumps to an odd value before writing
@@ -16,12 +20,9 @@ raced a write and must be retried.  (In the engine's step loop the
 publisher only writes between fan-outs, so retries are a correctness
 backstop, not a steady-state cost.)
 
-Two segment flavors live here:
-
-* :class:`SharedWeights` — the flat float64 parameter image plus its
-  ``(shape, offset, size)`` layout;
-* :class:`SharedBlob` — an immutable pickled payload (the worker
-  rehydration spec), written once at publish time.
+One segment flavor lives here, :class:`SharedWeights`: the flat float64
+parameter image plus its ``(shape, offset, size)`` layout
+(:func:`weight_layout`, which the TCP byte push shares).
 
 Every segment this process creates is tracked and unlinked at exit, so
 crashed or interrupted runs do not leak ``/dev/shm`` entries.
@@ -56,6 +57,22 @@ def shared_memory_available() -> bool:
     return shared_memory is not None
 
 
+def weight_layout(arrays: Sequence[np.ndarray]) -> WeightLayout:
+    """``(shape, offset, size)`` per array, offsets in float64 elements.
+
+    The one layout convention both weight carriers use: the shared
+    segment's payload and the bytes a TCP weight push concatenates.
+    """
+    layout: WeightLayout = []
+    offset = 0
+    for array in arrays:
+        if array.dtype != np.float64:
+            raise TypeError(f"shared weights must be float64, got {array.dtype}")
+        layout.append((tuple(array.shape), offset, int(array.size)))
+        offset += int(array.size)
+    return layout
+
+
 # ----------------------------------------------------------------------
 # Creator-side segment tracking: unlink everything we created at exit.
 # ----------------------------------------------------------------------
@@ -86,7 +103,7 @@ def _cleanup_created_segments() -> None:
             pass
 
 
-# Registered at import time, i.e. *before* the executor pools register
+# Registered at import time, i.e. *before* the worker pools register
 # their own atexit hooks in backends.py — atexit runs LIFO, so pools
 # shut down (workers stop reading) before their segments are unlinked.
 atexit.register(_cleanup_created_segments)
@@ -111,43 +128,7 @@ def _attach_segment(name: str) -> Any:
         resource_tracker.register = original_register
 
 
-class _Segment:
-    """Shared lifecycle plumbing of both segment flavors."""
-
-    def __init__(self, segment: Any, owner: bool):
-        self._segment = segment
-        self._owner = owner
-        self._closed = False
-
-    @property
-    def name(self) -> str:
-        return self._segment.name
-
-    def close(self) -> None:
-        """Drop this process's mapping (the segment itself survives)."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._segment.close()
-        except Exception:  # pragma: no cover - double-close races
-            pass
-
-    def release(self) -> None:
-        """Creator-side teardown: unmap *and* unlink the segment."""
-        if self._closed:
-            return
-        self._closed = True
-        _untrack(self._segment.name)
-        try:
-            self._segment.close()
-            if self._owner:
-                self._segment.unlink()
-        except Exception:  # pragma: no cover - already gone
-            pass
-
-
-class SharedWeights(_Segment):
+class SharedWeights:
     """One shared, versioned copy of a supernet's parameter arrays.
 
     The publisher (engine process) calls :meth:`publish` after every
@@ -158,7 +139,9 @@ class SharedWeights(_Segment):
     """
 
     def __init__(self, segment: Any, layout: WeightLayout, owner: bool):
-        super().__init__(segment, owner)
+        self._segment = segment
+        self._owner = owner
+        self._closed = False
         self.layout = [
             (tuple(shape), int(offset), int(size))
             for shape, offset, size in layout
@@ -172,25 +155,36 @@ class SharedWeights(_Segment):
         )
 
     @property
+    def name(self) -> str:
+        return self._segment.name
+
+    @property
     def version(self) -> int:
         """Latest published version (even; odd means write in progress)."""
         return int(self._header[0])
+
+    def release(self) -> None:
+        """Drop this process's mapping; the creator also unlinks the
+        segment (for an attacher the segment itself survives)."""
+        if self._closed:
+            return
+        self._closed = True
+        _untrack(self._segment.name)
+        try:
+            self._segment.close()
+            if self._owner:
+                self._segment.unlink()
+        except Exception:  # pragma: no cover - already gone
+            pass
 
     # ------------------------------------------------------------------
     @classmethod
     def create(cls, arrays: Sequence[np.ndarray]) -> "SharedWeights":
         """Create a segment sized for ``arrays`` and publish them as v2."""
-        layout: WeightLayout = []
-        offset = 0
-        for array in arrays:
-            if array.dtype != np.float64:
-                raise TypeError(
-                    f"shared weights must be float64, got {array.dtype}"
-                )
-            layout.append((tuple(array.shape), offset, int(array.size)))
-            offset += int(array.size)
+        layout = weight_layout(arrays)
+        total = sum(size for _, _, size in layout)
         segment = shared_memory.SharedMemory(
-            create=True, size=HEADER_BYTES + max(offset, 1) * 8
+            create=True, size=HEADER_BYTES + max(total, 1) * 8
         )
         _track(segment)
         weights = cls(segment, layout, owner=True)
@@ -249,35 +243,3 @@ class SharedWeights(_Segment):
             if self.version == before:
                 return before
             time.sleep(0.0002)
-
-
-class SharedBlob(_Segment):
-    """An immutable shared byte payload (worker rehydration specs).
-
-    Written once at creation; the int64 header carries the payload
-    length, so no versioning is needed.
-    """
-
-    def __init__(self, segment: Any, owner: bool):
-        super().__init__(segment, owner)
-        self._header = np.ndarray((1,), dtype=np.int64, buffer=segment.buf)
-
-    @classmethod
-    def create(cls, payload: bytes) -> "SharedBlob":
-        segment = shared_memory.SharedMemory(
-            create=True, size=8 + max(len(payload), 1)
-        )
-        _track(segment)
-        blob = cls(segment, owner=True)
-        blob._header[0] = len(payload)
-        segment.buf[8 : 8 + len(payload)] = payload
-        return blob
-
-    @classmethod
-    def attach(cls, name: str) -> "SharedBlob":
-        return cls(_attach_segment(name), owner=False)
-
-    def load(self) -> bytes:
-        """The payload bytes (a copy; safe after :meth:`close`)."""
-        length = int(self._header[0])
-        return bytes(self._segment.buf[8 : 8 + length])

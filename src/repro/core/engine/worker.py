@@ -1,32 +1,23 @@
-"""Serializable stage tasks and the per-process worker context.
+"""Serializable stage tasks and the engine-side context handle.
 
 The engine's score stages historically captured live search objects in
 closures — fine for threads, impossible for processes.  This module is
 the picklable boundary: a :class:`StageTask` carries only plain data
 (architectures, batch arrays, rng generators) plus a
-:class:`RemoteContextRef` naming the shared-memory segments a worker
-needs to rebuild the scoring context, and :func:`run_stage_task` is the
-module-level entry point a process pool can import by qualified name.
+:class:`RemoteContextRef` naming the scoring context a worker must hold
+and the weight version it must score against.  Every remote worker
+runs one loop (:class:`~.distributed.WorkerHost`): it rehydrates the
+supernet once per context from the spec the ``context`` message
+carries, validates its parameter shapes against the published layout,
+and refreshes its weights whenever a task's ``version`` is newer than
+the one it last applied.  The engine's side of that contract is the
+:class:`RemoteShardContext` handle :func:`build_remote_context` returns.
 
-Worker lifecycle:
-
-* the pool initializer (:func:`initialize_worker`) marks the process as
-  a worker and drops any state inherited over ``fork`` — contexts must
-  be rebuilt from their refs, never reused from the parent's memory;
-* the first task referencing a context **rehydrates** it: the pickled
-  spec blob is loaded from shared memory, the supernet is rebuilt from
-  its ``(class, config)`` factory (or unpickled), its parameter shapes
-  are validated against the shared-weights layout, and the weights
-  segment is attached — once per worker process, cached thereafter;
-* before scoring, a task whose ``version`` is newer than the context's
-  last-applied version copies the current weights out of shared memory
-  (a torn-read-safe seqlock copy, see :mod:`.shm`).
-
-When :func:`run_stage_task` runs on the *engine* thread instead — the
-process backend degrades to a serial loop for single-task maps or
-unpicklable supernets — the context ref resolves to the live supernet
-registered at context creation, so no copy and no segment attachment
-happens and results are trivially identical.
+When :func:`run_stage_task` runs on the *engine* thread — remote
+backends degrade to a serial loop for single-task maps or unpicklable
+supernets — the context ref resolves to the live supernet registered at
+context creation, so no copy and no segment attachment happens and
+results are trivially identical.
 """
 
 from __future__ import annotations
@@ -35,37 +26,27 @@ import itertools
 import os
 import pickle
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .shm import SharedBlob, SharedWeights, shared_memory_available
+from .shm import SharedWeights, shared_memory_available, weight_layout
 
 #: Stage-task kinds the worker knows how to run.
 TASK_KINDS = ("quality_many", "quality", "quality_split")
 
-#: Worker-side context cache capacity.  Tests and sweeps create many
-#: short-lived searches against one long-lived pool; each context holds
-#: a full supernet, so the cache stays small and evicts oldest-first.
-CONTEXT_CACHE_CAPACITY = 4
-
 
 @dataclass(frozen=True)
 class RemoteContextRef:
-    """Everything a worker needs to (re)build one scoring context.
+    """Names one scoring context and the weight state a task needs.
 
-    ``layout`` and segment names describe where the supernet spec and
-    the current weights live in shared memory; ``version`` stamps the
-    weight state this task must score against — a worker whose applied
-    version is older refreshes from the segment before scoring.
+    ``version`` stamps the weight state this task must score against — a
+    worker whose applied version is older refreshes (from the shared
+    segment, or by re-fetching from the controller) before scoring.
     """
 
     context_id: str
-    spec_segment: str
-    weights_segment: Optional[str]
-    layout: Tuple[Tuple[Tuple[int, ...], int, int], ...]
     version: int
 
 
@@ -83,50 +64,29 @@ class StageTask:
 # Per-process state
 # ----------------------------------------------------------------------
 _IS_WORKER = False
-#: worker-side rehydrated contexts, keyed by context_id (LRU)
-_CONTEXTS: "OrderedDict[str, _WorkerContext]" = OrderedDict()
 #: engine-side live contexts, for the serial-fallback path
 _LOCAL: Dict[str, Any] = {}
 
 _CONTEXT_COUNTER = itertools.count()
 
 
-def initialize_worker() -> None:
-    """Process-pool initializer: mark this process as a worker.
+def mark_worker_process() -> None:
+    """First call in a controller-spawned worker: mark this process.
 
     Under the ``fork`` start method the child inherits the parent's
     module state — including live engine-side contexts whose supernets
     must NOT be scored against (their weights stop tracking the engine's
     the moment the fork happens).  Everything is dropped; contexts are
-    rebuilt from their refs on first use.
+    rebuilt from the ``context`` messages the controller sends.
     """
     global _IS_WORKER
     _IS_WORKER = True
-    _CONTEXTS.clear()
     _LOCAL.clear()
 
 
 def in_worker() -> bool:
-    """Whether this process is a pool worker (vs the engine process)."""
+    """Whether this process is a spawned worker (vs the engine process)."""
     return _IS_WORKER
-
-
-class _WorkerContext:
-    """A rehydrated supernet plus its shared-weights attachment."""
-
-    def __init__(self, supernet: Any, weights: Optional[SharedWeights]):
-        self.supernet = supernet
-        self.weights = weights
-        self.param_arrays = [p.data for p in supernet.parameters()]
-        self.applied_version = 0
-
-    def sync_weights(self, version: int) -> None:
-        if self.weights is not None and self.applied_version < version:
-            self.applied_version = self.weights.copy_into(self.param_arrays)
-
-    def close(self) -> None:
-        if self.weights is not None:
-            self.weights.close()
 
 
 def build_supernet_from_spec(spec: Tuple[Any, ...]) -> Any:
@@ -147,49 +107,14 @@ def build_supernet_from_spec(spec: Tuple[Any, ...]) -> Any:
     raise ValueError(f"unknown supernet spec kind {kind!r}")
 
 
-def _rehydrate(ref: RemoteContextRef) -> _WorkerContext:
-    """Build this worker's copy of the context named by ``ref``."""
-    blob = SharedBlob.attach(ref.spec_segment)
-    try:
-        spec = pickle.loads(blob.load())
-    finally:
-        blob.close()
-    supernet = build_supernet_from_spec(spec)
-    arrays = [p.data for p in supernet.parameters()]
-    shapes = [tuple(a.shape) for a in arrays]
-    expected = [tuple(shape) for shape, _, _ in ref.layout]
-    if shapes != expected:
-        raise RuntimeError(
-            f"rehydrated supernet parameters {shapes} do not match the "
-            f"shared-weights layout {expected}"
-        )
-    weights = None
-    if ref.weights_segment is not None:
-        weights = SharedWeights.attach(ref.weights_segment, list(ref.layout))
-    return _WorkerContext(supernet, weights)
-
-
 def _context_for(ref: RemoteContextRef) -> Any:
-    """The scoring context for ``ref``: live on the engine thread,
-    rehydrated-and-cached in a worker process."""
-    if not _IS_WORKER:
-        supernet = _LOCAL.get(ref.context_id)
-        if supernet is None:
-            raise RuntimeError(
-                f"stage task references unknown local context {ref.context_id!r}"
-            )
-        return supernet
-    ctx = _CONTEXTS.get(ref.context_id)
-    if ctx is None:
-        ctx = _rehydrate(ref)
-        _CONTEXTS[ref.context_id] = ctx
-        while len(_CONTEXTS) > CONTEXT_CACHE_CAPACITY:
-            _, evicted = _CONTEXTS.popitem(last=False)
-            evicted.close()
-    else:
-        _CONTEXTS.move_to_end(ref.context_id)
-    ctx.sync_weights(ref.version)
-    return ctx.supernet
+    """The live supernet registered engine-side under ``ref``."""
+    supernet = _LOCAL.get(ref.context_id)
+    if supernet is None:
+        raise RuntimeError(
+            f"stage task references unknown local context {ref.context_id!r}"
+        )
+    return supernet
 
 
 def register_local_context(context_id: str, supernet: Any) -> None:
@@ -212,9 +137,9 @@ def next_context_id() -> str:
 def execute_stage_kind(supernet: Any, kind: str, payload: Tuple[Any, ...]) -> Any:
     """Run one stage-task kind against ``supernet``.
 
-    The single kind dispatch shared by every remote executor: process
-    pools call it through :func:`run_stage_task`, distributed worker
-    hosts call it directly against their rehydrated supernet.
+    The single kind dispatch shared by every executor: worker hosts
+    call it against their rehydrated supernet, the engine calls it
+    in-process (directly, or through :func:`run_stage_task`).
     """
     if kind == "quality_many":
         arch, inputs_seq, labels_seq = payload
@@ -231,9 +156,10 @@ def execute_stage_kind(supernet: Any, kind: str, payload: Tuple[Any, ...]) -> An
 def run_stage_task(task: StageTask) -> Tuple[Any, float, int]:
     """Execute one stage task; returns ``(value, seconds, pid)``.
 
-    The wall time is measured here, inside the worker, so the engine
-    can account per-process ``span.worker`` durations without workers
-    ever touching the metrics registry.
+    The in-process form of what a worker host replies with: the wall
+    time is measured next to the execution, so the engine can account
+    ``span.worker`` durations without workers ever touching the metrics
+    registry.
     """
     start = time.perf_counter()
     supernet = _context_for(task.context)
@@ -332,82 +258,95 @@ def worker_spec_for(supernet: Any) -> Tuple[Any, ...]:
 class RemoteShardContext:
     """Engine-side handle on one supernet published to workers.
 
-    Owns the spec blob and weights segments, tracks the published
-    version, and registers the live supernet for the serial-fallback
-    path.  Built through :func:`build_remote_context`, which validates
-    the whole round trip before any worker sees a task.
+    Owns the weights segment (when the workers share this machine's
+    memory), tracks the published version — the one monotonic counter
+    tasks are stamped with — and registers the live supernet for the
+    serial-fallback path.  Built through :func:`build_remote_context`,
+    which validates the whole round trip before any worker sees a task.
     """
 
     def __init__(
         self,
         supernet: Any,
-        weights: SharedWeights,
-        spec_blob: SharedBlob,
+        spec_bytes: bytes,
+        weights: Optional[SharedWeights],
+        cluster: Optional[Any],
     ):
         self.supernet = supernet
         self.param_arrays = [p.data for p in supernet.parameters()]
         self.weights = weights
-        self.spec_blob = spec_blob
+        self.cluster = cluster
         self.context_id = next_context_id()
-        self.version = weights.version
+        self.version = weights.version if weights is not None else 1
         self._released = False
         register_local_context(self.context_id, supernet)
+        if cluster is not None:
+            cluster.register_context(
+                self.context_id,
+                spec_bytes,
+                self.version,
+                weights.name if weights is not None else None,
+                self.param_arrays,
+            )
 
     def ref(self) -> RemoteContextRef:
         """A picklable reference stamped with the current version."""
-        return RemoteContextRef(
-            context_id=self.context_id,
-            spec_segment=self.spec_blob.name,
-            weights_segment=self.weights.name,
-            layout=tuple(self.weights.layout),
-            version=self.version,
-        )
+        return RemoteContextRef(context_id=self.context_id, version=self.version)
 
-    def publish(self) -> int:
-        """Push the live parameter arrays into the shared segment."""
-        self.version = self.weights.publish(self.param_arrays)
-        return self.version
+    def publish(self, minimum_version: int = 0) -> int:
+        """Make the live parameter arrays the next weight version.
 
-    def fast_forward(self, version: int) -> int:
-        """Republish past ``version`` (a checkpoint's recorded version).
-
-        Keeps the version monotonic across crash/resume so a surviving
+        With a segment this is the in-place shared-memory write and
+        workers copy in when a task's stamp says so; without one the
+        cluster pushes the bytes to its workers.  A resumed run passes
+        ``minimum_version`` (its checkpoint's recorded version + 1):
+        the version stays monotonic across crash/resume, so a surviving
         worker whose applied version predates the crash still refreshes
         on its first post-resume task.
         """
-        self.version = self.weights.publish(
-            self.param_arrays, minimum_version=int(version) + 1
-        )
+        if self.weights is not None:
+            self.version = self.weights.publish(self.param_arrays, minimum_version)
+        else:
+            self.version = max(self.version + 1, int(minimum_version))
+        if self.cluster is not None:
+            self.cluster.update_weights(
+                self.context_id, self.version, self.param_arrays
+            )
         return self.version
 
     def release(self) -> None:
-        """Tear down segments and the local registration (idempotent)."""
+        """Tear down the segment, the workers' copies and the local
+        registration (idempotent)."""
         if self._released:
             return
         self._released = True
         unregister_local_context(self.context_id)
-        self.weights.release()
-        self.spec_blob.release()
+        if self.cluster is not None:
+            self.cluster.release_context(self.context_id)
+        if self.weights is not None:
+            self.weights.release()
 
 
-def build_remote_context(supernet: Any) -> Optional[RemoteShardContext]:
-    """Publish ``supernet`` for worker processes, or ``None`` if it
+def build_remote_context(
+    supernet: Any, cluster_factory: Optional[Callable[[], Any]] = None
+) -> Optional[RemoteShardContext]:
+    """Publish ``supernet`` for remote workers, or ``None`` if it
     cannot travel.
 
     The probe is strict so failures surface *here*, at registration,
     rather than as a crashed worker mid-step: the spec must survive a
     pickle round trip and rebuild into a supernet whose parameter
-    shapes and dtypes match the live one exactly (shared weights
-    overwrite values, not structure).  Any failure keeps the search on
-    the always-correct in-process path.
+    shapes and dtypes match the live one exactly (published weights
+    overwrite values, not structure), and parameters must be float64
+    (both weight carriers assume it).  Any failure keeps the search on
+    the always-correct in-process path — and skips cluster startup
+    entirely.  Without a ``cluster_factory`` the handle still owns a
+    weights segment: publishing needs no workers.
     """
-    if not shared_memory_available():
-        return None
     weights = None
-    blob = None
     try:
-        params = list(supernet.parameters())
-        arrays = [p.data for p in params]
+        arrays = [p.data for p in supernet.parameters()]
+        weight_layout(arrays)  # float64 or TypeError
         spec_bytes = pickle.dumps(worker_spec_for(supernet))
         rebuilt = build_supernet_from_spec(pickle.loads(spec_bytes))
         rebuilt_arrays = [p.data for p in rebuilt.parameters()]
@@ -415,12 +354,14 @@ def build_remote_context(supernet: Any) -> Optional[RemoteShardContext]:
             (a.shape, a.dtype) for a in arrays
         ]:
             return None
-        weights = SharedWeights.create(arrays)
-        blob = SharedBlob.create(spec_bytes)
-        return RemoteShardContext(supernet, weights, blob)
+        cluster = cluster_factory() if cluster_factory is not None else None
+        # A cluster with no address to dial spawned every worker here.
+        if cluster is None or cluster.address is None:
+            if not shared_memory_available():
+                return None
+            weights = SharedWeights.create(arrays)
+        return RemoteShardContext(supernet, spec_bytes, weights, cluster)
     except Exception:
         if weights is not None:
             weights.release()
-        if blob is not None:
-            blob.release()
         return None

@@ -69,12 +69,12 @@ class SearchInterrupted(Exception):
 class WorkerCrashError(RuntimeError):
     """A backend lost workers beyond its resubmission budget.
 
-    Raised by :class:`~repro.core.engine.backends.ProcessPoolBackend`
-    after a ``map`` survived ``max_map_retries`` broken pools and broke
-    again, and by
-    :class:`~repro.core.engine.distributed.DistributedBackend` when a
-    task burned its per-task retries across lost hosts or the last
-    connected worker vanished mid-map.  Deliberately a ``RuntimeError``
+    Raised by the remote backends
+    (:class:`~repro.core.engine.distributed.ProcessPoolBackend`,
+    :class:`~repro.core.engine.distributed.DistributedBackend`) when a
+    task burned its per-task retries (``max_task_retries``) across lost
+    workers or the last connected worker vanished mid-map.
+    Deliberately a ``RuntimeError``
     subclass: losing workers is a transient infrastructure failure (OOM
     kills, preemptions, network partitions), so the supervisor's restart
     loop classifies it retryable and resumes the search from its last

@@ -11,13 +11,16 @@ map, per-task rng splitting, checkpointable split counter) and of the
 ``getattr`` duck-typing.
 """
 
+import collections
 import os
 import pickle
 import signal
 import socket
+import stat
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -129,6 +132,23 @@ def _reciprocal(x):
     return 1 // x
 
 
+def _kill_this_worker_once(flag_path):
+    """SIGKILL the calling process if it is a worker and the first to ask.
+
+    The flag file (O_EXCL-created) makes the kill fire exactly once
+    across all workers and all resubmissions; the engine process is
+    never killed.
+    """
+    if not in_worker():
+        return
+    try:
+        fd = os.open(flag_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return
+    os.close(fd)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 class KillOnceCost:
     """Picklable pricing fn that SIGKILLs the first worker that runs it.
 
@@ -143,15 +163,74 @@ class KillOnceCost:
         self.flag_path = str(flag_path)
 
     def __call__(self, arch):
-        if in_worker():
-            try:
-                fd = os.open(self.flag_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                pass
-            else:
-                os.close(fd)
-                os.kill(os.getpid(), signal.SIGKILL)
+        _kill_this_worker_once(self.flag_path)
         return capacity_cost(arch)
+
+
+class LoggedKillOnce:
+    """Picklable fn that logs every execution of every item to a file.
+
+    With a ``victim`` item it also SIGKILLs the worker running that item
+    (once, like :class:`KillOnceCost`) — after the log line, so the
+    victim is the one item a per-task retry policy may run twice.
+    """
+
+    def __init__(self, log_path, flag_path=None, victim=None):
+        self.log_path = str(log_path)
+        self.flag_path = str(flag_path)
+        self.victim = victim
+
+    def __call__(self, item):
+        with open(self.log_path, "a") as log:  # O_APPEND: one line, one write
+            log.write(f"{item}\n")
+        if item == self.victim:
+            _kill_this_worker_once(self.flag_path)
+        time.sleep(0.03)  # keep both maps in flight while the worker dies
+        return item * item
+
+    def executions(self):
+        with open(self.log_path) as log:
+            return collections.Counter(int(line) for line in log)
+
+
+def _in_worker(_item):
+    return in_worker()
+
+
+def _listening_sockets():
+    """Inodes of this process's sockets that are in the listening state."""
+    inodes = set()
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            status = os.fstat(int(name))
+            if not stat.S_ISSOCK(status.st_mode):
+                continue
+            sock = socket.socket(fileno=os.dup(int(name)))
+        except OSError:
+            continue  # the listing's own fd, or one closed meanwhile
+        with sock:
+            if sock.getsockopt(socket.SOL_SOCKET, socket.SO_ACCEPTCONN):
+                inodes.add(status.st_ino)
+    return inodes
+
+
+def _running(pid):
+    """``pid``'s parent pid if it is still running (not gone, not a zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state, parent = handle.read().rpartition(")")[2].split()[:2]
+    except OSError:
+        return None
+    return int(parent) if state != "Z" else None
+
+
+def _child_pids(pid):
+    """Direct children of ``pid`` that are still running."""
+    return [
+        int(name)
+        for name in os.listdir("/proc")
+        if name.isdigit() and _running(name) == pid
+    ]
 
 
 def assert_results_identical(reference, other, space):
@@ -494,9 +573,9 @@ class TestPoolLifecycle:
     def test_owned_process_pool_released_on_close(self):
         backend = ProcessPoolBackend(workers=2, shared=False)
         assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
-        assert backend._owned_pool is not None
+        assert backend._active_cluster is not None
         backend.close()
-        assert backend._owned_pool is None
+        assert backend._active_cluster is None
 
     def test_shutdown_pools_clears_shared_registry(self):
         backend = ThreadPoolBackend(workers=3)
@@ -506,6 +585,105 @@ class TestPoolLifecycle:
         assert not backends_mod._POOLS
         # Pools rebuild transparently on the next map.
         assert backend.map(_square, [2, 3]) == [4, 9]
+
+
+class TestSpawnedWorkers:
+    """What is particular to workers the controller spawns itself."""
+
+    def test_lost_worker_costs_only_its_own_tasks(self, tmp_path):
+        # Two maps in flight on one shared cluster (the daemon's two-jobs
+        # case); a worker dies under one of them.  Only the orphaned
+        # items may run again: the victim (logged, then killed) twice,
+        # every other item of either map exactly once.
+        items = list(range(10))
+        killer = LoggedKillOnce(tmp_path / "a.log", tmp_path / "killed", victim=5)
+        bystander = LoggedKillOnce(tmp_path / "b.log")
+        first = ProcessPoolBackend(workers=2)
+        second = ProcessPoolBackend(workers=2)
+        assert first.map(_square, [1, 2]) == [1, 4]  # both workers are up
+        outcome = {}
+        thread = threading.Thread(
+            target=lambda: outcome.update(values=second.map(bystander, items))
+        )
+        thread.start()
+        values = first.map(killer, items)
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        assert (tmp_path / "killed").exists()  # a worker really died mid-map
+        assert values == outcome["values"] == [i * i for i in items]
+        assert first.worker_losses == 1
+        expected = {item: 1 for item in items}
+        assert bystander.executions() == expected
+        assert killer.executions() == {**expected, 5: 2}
+        # ...and the lost worker is replaced before the next map.
+        assert first.map(_square, [3, 4]) == [9, 16]
+        assert first.host_count == 2
+
+    def test_spawned_workers_know_they_are_workers(self):
+        backend = ProcessPoolBackend(workers=2)
+        assert backend.map(_in_worker, [0, 1, 2, 3]) == [True] * 4
+        assert not in_worker()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_processes_never_listen(self):
+        before = _listening_sockets()
+        backend = ProcessPoolBackend(workers=2, shared=False)
+        assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert _listening_sockets() == before
+        backend.close()
+        # The probe does see a listener when there is one.
+        listener = DistributedBackend(workers=2, shared=False)
+        assert listener.map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert len(_listening_sockets() - before) == 1
+        listener.close()
+        assert _listening_sockets() == before
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+    def test_shutdown_reaps_workers_and_segments(self):
+        segments = set(os.listdir("/dev/shm"))
+        telemetry = Telemetry()
+        search = build_single(backend="processes", workers=2, telemetry=telemetry)
+        search.run()
+        spans = telemetry.trace.registry.histogram("span.worker").series()
+        pids = {dict(key)["pid"] for key in spans if "pid" in dict(key)}
+        assert pids and all(_running(pid) is not None for pid in pids)
+        search.backend.close()
+        shutdown_pools()
+        assert not any(_running(pid) is not None for pid in pids)
+        assert set(os.listdir("/dev/shm")) <= segments
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_sigkilled_controller_leaves_no_orphans(self):
+        # Workers hold no copy of any controller-side socket, so the
+        # controller's death is an EOF to each of them.
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "search", "--steps", "100000",
+             "--backend", "processes", "--workers", "2"],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            children = []
+            while len(children) < 2 and time.monotonic() < deadline:
+                assert proc.poll() is None
+                time.sleep(0.1)
+                children = _child_pids(proc.pid)
+            assert len(children) >= 2  # two workers (and shm's resource tracker)
+            time.sleep(0.5)  # mid-search: tasks are in flight
+            children = _child_pids(proc.pid)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30.0)
+        deadline = time.monotonic() + 10.0
+        while any(_running(pid) is not None for pid in children) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in children if _running(pid) is not None]
 
 
 class TestStageTaskPickling:
@@ -520,13 +698,7 @@ class TestStageTaskPickling:
     def _local_ref(self, supernet):
         context_id = worker_mod.next_context_id()
         worker_mod.register_local_context(context_id, supernet)
-        return RemoteContextRef(
-            context_id=context_id,
-            spec_segment="",
-            weights_segment=None,
-            layout=(),
-            version=0,
-        )
+        return RemoteContextRef(context_id=context_id, version=0)
 
     def _shard(self, search, count=4):
         drawn = search.sample_shard(count, warming_up=True)
@@ -783,23 +955,23 @@ class TestDistributedContract:
     def test_owned_cluster_released_on_close(self):
         backend = DistributedBackend(workers=2, seed=0, shared=False)
         assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
-        assert backend._owned_cluster is not None
+        assert backend._active_cluster is not None
         backend.close()
-        assert backend._owned_cluster is None
+        assert backend._active_cluster is None
 
 
 class TestWorkerWireProtocol:
     """WorkerHost against a scripted controller over a socketpair."""
 
     def _supernet_and_layout(self):
-        from repro.core.engine.distributed import _weights_layout
+        from repro.core.engine.shm import weight_layout
         from repro.supernet import DlrmSuperNetwork, DlrmSupernetConfig
 
         supernet = DlrmSuperNetwork(
             DlrmSupernetConfig(num_tables=NUM_TABLES, seed=0)
         )
         arrays = [p.data for p in supernet.parameters()]
-        return supernet, arrays, _weights_layout(arrays)
+        return supernet, arrays, weight_layout(arrays)
 
     def test_stale_task_refetches_weights_before_scoring(self):
         from repro.core.engine.distributed import (
@@ -838,13 +1010,7 @@ class TestWorkerWireProtocol:
         thread = threading.Thread(target=controller)
         thread.start()
         try:
-            ref = RemoteContextRef(
-                context_id=context_id,
-                spec_segment="",
-                weights_segment=None,
-                layout=tuple(ctx.layout),
-                version=3,
-            )
+            ref = RemoteContextRef(context_id=context_id, version=3)
             got = host._context_for_task(ref)
         finally:
             thread.join()
@@ -889,13 +1055,7 @@ class TestWorkerWireProtocol:
         thread = threading.Thread(target=controller)
         thread.start()
         try:
-            ref = RemoteContextRef(
-                context_id=context_id,
-                spec_segment="",
-                weights_segment=None,
-                layout=tuple(layout),
-                version=1,
-            )
+            ref = RemoteContextRef(context_id=context_id, version=1)
             got = host._context_for_task(ref)
         finally:
             thread.join()
