@@ -130,7 +130,7 @@ class ElasticTraining(SearchEngine):
             batches = self.pipeline.next_shard(cfg.num_cores)
         groups = group_unique_architectures(drawn) if cfg.group_unique else None
         with runtime.timed(STAGE_SCORE):
-            qualities = self.score_shard(drawn, batches, groups)
+            qualities = self.score_shard(drawn, batches, groups, trains_on_shard=True)
             for batch in batches:
                 self.pipeline.mark_policy_use(batch)
         candidates = [

@@ -315,6 +315,9 @@ class SearchEngine:
         self._warmup_rng = np.random.default_rng(config.seed + 1)
         self._tape_totals: Dict[str, int] = {}
         self._worker_loss_total = 0
+        # (groups, per-group live loss) a training score stage built for
+        # the weight-update stage of the same step; see score_shard.
+        self._held_losses: Optional[Tuple[List[List[int]], List[Any]]] = None
         # Remote backends (processes, distributed) score against a
         # supernet each worker rehydrates once; publishing happens here,
         # lazily, only when the weights actually changed since the last
@@ -387,7 +390,7 @@ class SearchEngine:
         if tape_stats is None:
             return
         stats = tape_stats()
-        for key in ("hits", "misses", "evictions"):
+        for key in ("hits", "misses", "compiles", "evictions"):
             total = int(stats.get(key, 0))
             delta = total - self._tape_totals.get(key, 0)
             if delta > 0:
@@ -588,6 +591,7 @@ class SearchEngine:
         drawn: Sequence[DrawnCandidate],
         batches: Sequence[Batch],
         groups: Optional[List[List[int]]],
+        trains_on_shard: bool = False,
     ) -> List[float]:
         """Stage *score*: per-core qualities, each core on its own batch.
 
@@ -599,6 +603,17 @@ class SearchEngine:
         Everything else scores serially, in core order, so stochastic
         quality signals consume their rng streams exactly as the
         sequential implementation did.
+
+        ``trains_on_shard`` is the strategy saying its weight-update
+        stage will call :meth:`accumulate_shard_gradient` on this same
+        shard with the weights untouched in between.  A grouped pass
+        that runs in this process then serves both stages: the
+        supernet's ``quality_and_loss_many`` builds each group's loss
+        graph once, the qualities come off its logits, and the live
+        losses are held for the weight-update stage, which only runs
+        their ``backward``.  Remote backends keep worker-side
+        ``quality_many`` and engine-side ``loss_many`` — activations do
+        not cross a process boundary.
         """
         if getattr(self.supernet, "quality_split", None) is not None:
             streams = self.backend.rng_streams(len(drawn))
@@ -610,9 +625,16 @@ class SearchEngine:
                 self.supernet.quality(arch, batch.inputs, batch.labels)
                 for batch, (arch, _) in zip(batches, drawn)
             ]
-        per_group = self._score(
-            "quality_many", quality_many_payloads(drawn, batches, groups)
-        )
+        payloads = quality_many_payloads(drawn, batches, groups)
+        one_pass = getattr(self.supernet, "quality_and_loss_many", None)
+        if trains_on_shard and one_pass is not None and not self._remote_active():
+            passes = self._fan_out(
+                STAGE_SCORE, lambda payload: one_pass(*payload), payloads
+            )
+            self._held_losses = (groups, [loss for _, loss in passes])
+            per_group = [values for values, _ in passes]
+        else:
+            per_group = self._score("quality_many", payloads)
         qualities: List[float] = [0.0] * len(drawn)
         for positions, values in zip(groups, per_group):
             for position, value in zip(positions, values):
@@ -697,9 +719,16 @@ class SearchEngine:
         weights), while every ``backward`` — which accumulates into the
         shared parameter gradients — runs on the engine thread in group
         order, so the float accumulation order matches serial execution
-        exactly.
+        exactly.  When the score stage already built these groups' losses
+        (``score_shard(..., trains_on_shard=True)``), only the backwards
+        are left to run.
         """
         num_cores = self.config.num_cores
+        held, self._held_losses = self._held_losses, None
+        if held is not None and held[0] is groups:
+            for positions, loss in zip(groups, held[1]):
+                loss.backward(np.asarray(len(positions) / num_cores))
+            return
         if groups is None or not isinstance(self.supernet, StackedScoring):
             for batch, (arch, _) in zip(batches, drawn):
                 loss = self.supernet.loss(arch, batch.inputs, batch.labels)

@@ -87,9 +87,11 @@ class SingleStepSearch(SearchEngine):
         groups = group_unique_architectures(drawn) if cfg.group_unique else None
         # Stage 3: score the shard with the shared weights on its fresh
         # batches (the policy consumes the batches first) — grouped
-        # passes fan out across the backend's workers.
+        # passes fan out across the backend's workers.  Stage 7 trains
+        # on these same batches with the same weights, so an in-process
+        # pass also builds the loss it will backprop.
         with runtime.timed(STAGE_SCORE):
-            qualities = self.score_shard(drawn, batches, groups)
+            qualities = self.score_shard(drawn, batches, groups, trains_on_shard=True)
             for batch in batches:
                 self.pipeline.mark_policy_use(batch)
         # Stage 4: price the whole shard through the memoized runtime in
@@ -105,7 +107,8 @@ class SingleStepSearch(SearchEngine):
         if not warming_up:
             with runtime.timed(STAGE_POLICY_UPDATE):
                 self.policy_update(samples)
-        # Stage 7: cross-shard weight update on the same batches.
+        # Stage 7: cross-shard weight update on the same batches — after
+        # the policy has used them, whichever stage ran the forward.
         with runtime.timed(STAGE_WEIGHT_UPDATE):
             self.supernet.zero_grad()
             self.accumulate_shard_gradient(drawn, batches, groups)

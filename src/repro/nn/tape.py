@@ -94,11 +94,19 @@ def _grad_topo(root: Tensor) -> List[Tensor]:
 class CompiledGraph:
     """One traced forward (and its backward) bound to input buffers."""
 
-    __slots__ = ("output", "buffers", "_nodes", "_grad_order", "_lock")
+    __slots__ = ("output", "buffers", "taps", "_nodes", "_grad_order", "_lock")
 
-    def __init__(self, output: Tensor, buffers: Mapping[str, np.ndarray]):
+    def __init__(
+        self,
+        output: Tensor,
+        buffers: Mapping[str, np.ndarray],
+        taps: Optional[Mapping[str, Tensor]] = None,
+    ):
         self.output = output
         self.buffers = dict(buffers)
+        #: named interior nodes a caller reads after a replay (e.g. the
+        #: logits under a loss); refreshed by every ``run`` like any node
+        self.taps = dict(taps or {})
         walk = _walk_retained(output)
         # Interior nodes in forward order; leaves carry no recompute.
         self._nodes = [n for n in walk if n._recompute is not None]
@@ -159,6 +167,7 @@ class CompiledGraph:
 def compile_graph(
     build: Callable[[Dict[str, np.ndarray]], Tensor],
     arrays: Mapping[str, np.ndarray],
+    taps: Optional[Dict[str, Tensor]] = None,
 ) -> CompiledGraph:
     """Trace ``build`` over buffered copies of ``arrays``.
 
@@ -166,7 +175,8 @@ def compile_graph(
     inputs, int64 for integer ones — the dtypes ``Tensor`` and
     ``gather_rows`` normalize to, so tracing wraps the buffers
     themselves rather than converted copies) and must construct the
-    output tensor from them.
+    output tensor from them.  A ``taps`` dict that ``build`` fills with
+    interior nodes while tracing becomes :attr:`CompiledGraph.taps`.
     """
     buffers: Dict[str, np.ndarray] = {}
     for name, value in arrays.items():
@@ -175,31 +185,50 @@ def compile_graph(
         buffers[name] = np.array(value, dtype=dtype, copy=True)
     with trace_graph():
         output = build(buffers)
-    return CompiledGraph(output, buffers)
+    return CompiledGraph(output, buffers, taps)
 
 
 class TapeCache:
-    """LRU of :class:`CompiledGraph` keyed by (arch, kind, shapes).
+    """LRU of :class:`CompiledGraph` keyed by (arch, kind, shapes),
+    admitting a key on its **second** sight.
+
+    Tracing and compiling a graph costs more than one eager pass and a
+    replay saves only a fraction of one (DESIGN.md §11), so a graph
+    that is never replayed is a net loss — and an exploring search
+    samples a new architecture nearly every time.  The first lookup of
+    a key therefore returns ``None`` ("run eagerly") and remembers only
+    the key, in a bounded recent-keys set; the second lookup compiles;
+    later lookups replay.
 
     Counters are plain ints: incrementing them from backend workers is
     tolerable (they feed telemetry, not control flow) and reading them
-    from the engine thread needs no lock.  Graph construction itself is
+    from the engine thread needs no lock.  ``misses`` counts lookups
+    that did not replay (first sights and compiles alike); ``compiles``
+    counts the graphs actually built.  Graph construction itself is
     serialized so concurrent misses on one key build a single graph.
     """
+
+    #: recent-keys bound as a multiple of ``capacity``: keys are a few
+    #: hundred bytes against a graph's megabytes, so remembering several
+    #: generations of them is free.
+    _SEEN_PER_SLOT = 4
 
     def __init__(self, capacity: int = 64):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._graphs: "OrderedDict[Hashable, CompiledGraph]" = OrderedDict()
+        self._seen: "OrderedDict[Hashable, None]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        self.compiles = 0
         self.evictions = 0
 
     def get_or_build(
         self, key: Hashable, factory: Callable[[], CompiledGraph]
-    ) -> CompiledGraph:
+    ) -> Optional[CompiledGraph]:
+        """The graph to replay for ``key``, or ``None`` on first sight."""
         with self._lock:
             graph = self._graphs.get(key)
             if graph is not None:
@@ -207,7 +236,14 @@ class TapeCache:
                 self.hits += 1
                 return graph
             self.misses += 1
+            if key not in self._seen:
+                self._seen[key] = None
+                if len(self._seen) > self._SEEN_PER_SLOT * self.capacity:
+                    self._seen.popitem(last=False)
+                return None
+            del self._seen[key]
             graph = factory()
+            self.compiles += 1
             self._graphs[key] = graph
             while len(self._graphs) > self.capacity:
                 self._graphs.popitem(last=False)
@@ -220,11 +256,23 @@ class TapeCache:
     def clear(self) -> None:
         with self._lock:
             self._graphs.clear()
+            self._seen.clear()
 
     def stats(self) -> Dict[str, int]:
         return {
             "hits": self.hits,
             "misses": self.misses,
+            "compiles": self.compiles,
             "evictions": self.evictions,
             "size": len(self._graphs),
         }
+
+
+#: What a host's ``tape_stats()`` reports before its cache exists.
+EMPTY_TAPE_STATS: Mapping[str, int] = {
+    "hits": 0,
+    "misses": 0,
+    "compiles": 0,
+    "evictions": 0,
+    "size": 0,
+}

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..nn import MLP, Tensor, mse
-from ..nn.tape import TapeCache, compile_graph, tape_enabled
+from ..nn.tape import EMPTY_TAPE_STATS, TapeCache, compile_graph, tape_enabled
 from ..searchspace.base import Architecture
 from .features import ArchitectureEncoder
 
@@ -68,9 +68,11 @@ class PerformanceModel:
         """MSE of the MLP against normalized log-time ``targets``.
 
         The model's topology is fixed, so the forward+loss graph is
-        compiled once per ``(features, targets)`` shape pair and
-        replayed with fresh minibatches — the same tape reuse the
-        super-networks get, applied to the trainer's epoch loop.
+        compiled once per ``(features, targets)`` shape pair — on the
+        pair's second minibatch; the first runs eagerly, the cache's
+        admission rule — and replayed with fresh minibatches: the same
+        tape reuse the super-networks get, applied to the trainer's
+        epoch loop.
         """
         if not tape_enabled():
             return mse(self.forward(features), targets)
@@ -89,13 +91,16 @@ class PerformanceModel:
 
             return compile_graph(build, arrays)
 
-        return cache.get_or_build(key, factory).run(arrays)
+        graph = cache.get_or_build(key, factory)
+        if graph is None:
+            return mse(self.forward(features), targets)
+        return graph.run(arrays)
 
     def tape_stats(self) -> Dict[str, int]:
         """Counters of the compiled-graph cache (zeros before first use)."""
         cache = getattr(self, "_tapes", None)
         if cache is None:
-            return {"hits": 0, "misses": 0, "evictions": 0, "size": 0}
+            return dict(EMPTY_TAPE_STATS)
         return cache.stats()
 
     def predict_log_times(self, archs: Sequence[Architecture]) -> np.ndarray:

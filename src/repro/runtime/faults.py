@@ -85,7 +85,15 @@ class FiredFault:
 
 
 class _MidShardCrash:
-    """Supernet proxy that dies after a set number of scoring calls."""
+    """Supernet proxy that dies after a set number of scoring calls.
+
+    Everything is forwarded to the wrapped supernet, so capability
+    checks (``hasattr``, the ``StackedScoring`` protocol) see exactly
+    what it offers; the calls the score stage makes are counted first.
+    """
+
+    #: the supernet entry points of the engine's score stage
+    SCORING_CALLS = ("quality", "quality_many", "quality_and_loss_many")
 
     def __init__(self, supernet: Any, after_calls: int, on_fire: Callable[[], None]):
         self._supernet = supernet
@@ -98,18 +106,16 @@ class _MidShardCrash:
             self._on_fire()
             raise InjectedCrash("injected mid-shard crash during scoring")
 
-    def quality(self, *args: Any, **kwargs: Any):
-        self._tick()
-        return self._supernet.quality(*args, **kwargs)
-
-    def quality_many(self, *args: Any, **kwargs: Any):
-        if not hasattr(self._supernet, "quality_many"):
-            raise AttributeError("quality_many")
-        self._tick()
-        return self._supernet.quality_many(*args, **kwargs)
-
     def __getattr__(self, name: str) -> Any:
-        return getattr(self._supernet, name)
+        attribute = getattr(self._supernet, name)
+        if name not in self.SCORING_CALLS:
+            return attribute
+
+        def counted(*args: Any, **kwargs: Any) -> Any:
+            self._tick()
+            return attribute(*args, **kwargs)
+
+        return counted
 
 
 class FaultInjector:

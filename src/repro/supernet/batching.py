@@ -30,13 +30,21 @@ import numpy as np
 
 from ..nn import Tensor, stack_mean
 from ..nn import layers as nn_layers
-from ..nn.tape import CompiledGraph, TapeCache, compile_graph, tape_enabled
+from ..nn.tape import (
+    EMPTY_TAPE_STATS,
+    CompiledGraph,
+    TapeCache,
+    compile_graph,
+    tape_enabled,
+)
 from ..searchspace.base import Architecture
 
 NamedInputs = Dict[str, np.ndarray]
 
 #: Key under which labels ride in a compiled graph's input buffers.
 _LABELS_KEY = "__labels__"
+#: Tap under which a compiled loss graph exposes its logits node.
+_LOGITS_TAP = "logits"
 
 
 @runtime_checkable
@@ -86,6 +94,24 @@ def stack_named_inputs(inputs_seq: Sequence[NamedInputs]) -> NamedInputs:
     }
 
 
+def _stacked_group(
+    inputs_seq: Sequence[NamedInputs], labels_seq: Sequence[np.ndarray]
+) -> Optional[Tuple[NamedInputs, np.ndarray]]:
+    """One group's batches as a single ``(inputs, labels)`` batch, or
+    ``None`` when they differ in size: a stacked mean would then weight
+    examples, not batches."""
+    if len(inputs_seq) != len(labels_seq):
+        raise ValueError("inputs and labels sequences must align")
+    if len(inputs_seq) == 1:
+        return inputs_seq[0], labels_seq[0]
+    if len({int(np.asarray(labels).shape[0]) for labels in labels_seq}) != 1:
+        return None
+    stacked_labels = np.concatenate(
+        [np.asarray(labels) for labels in labels_seq], axis=0
+    )
+    return stack_named_inputs(inputs_seq), stacked_labels
+
+
 class StackedScoringMixin:
     """Batched ``quality_many`` / ``loss_many`` over one architecture.
 
@@ -94,8 +120,13 @@ class StackedScoringMixin:
     the mixin derives ``loss`` / ``quality`` from them and routes both
     through per-``(kind, arch, shapes)`` compiled graphs (see
     :mod:`repro.nn.tape`) when the host opts in via ``tape_compatible``.
-    Replay is bit-identical to the eager build, so the search trajectory
-    does not depend on cache hits.
+    A key is compiled only once it repeats (first sight runs eagerly),
+    and replay is bit-identical to the eager build, so the search
+    trajectory does not depend on cache state.
+
+    :meth:`quality_and_loss_many` is the training-step form: one pass
+    that yields both the per-batch qualities and the stacked loss, for
+    callers that score and then train on the same batches.
     """
 
     #: Hosts whose ``forward`` is replay-safe (fused layers only, no
@@ -103,9 +134,12 @@ class StackedScoringMixin:
     #: reuse.  Defaults off so unknown subclasses stay eager.
     tape_compatible: bool = False
 
-    #: LRU capacity of the per-instance graph cache.  Sized like the
-    #: engine's ``ArchMetricsCache``: a converged single-step search
-    #: revisits a handful of architectures per generation.
+    #: LRU capacity of the per-instance graph cache.  Only keys that
+    #: repeated are admitted (DESIGN.md §11): the benchmark's 150-step
+    #: quickstart searches repeat none of their ~600 sampled
+    #: architectures (policy entropy still ~19 nats) and hold 0 graphs;
+    #: a converged policy's cores revisit a handful, which 64 slots hold
+    #: with room to spare.
     tape_capacity: int = 64
 
     def quality_from_logits(self, logits: Tensor, labels: np.ndarray) -> float:
@@ -137,10 +171,12 @@ class StackedScoringMixin:
     ) -> Optional[Tuple[CompiledGraph, Dict[str, np.ndarray]]]:
         """Compiled graph for ``(kind, arch, shapes)`` plus bound arrays.
 
-        Returns ``None`` when tape reuse is off — callers then run the
-        eager path.  Labels travel through the graph's input buffers
-        (under :data:`_LABELS_KEY`) so loss graphs replay against fresh
-        targets, not the targets seen at trace time.
+        Returns ``None`` when tape reuse is off or the key has not
+        repeated yet — callers then run the eager path.  Labels travel
+        through the graph's input buffers (under :data:`_LABELS_KEY`) so
+        loss graphs replay against fresh targets, not the targets seen
+        at trace time; a loss graph taps its logits node for
+        :meth:`quality_and_loss_many`.
         """
         if not self._tape_active():
             return None
@@ -156,16 +192,20 @@ class StackedScoringMixin:
         input_names = [name for name in arrays if name != _LABELS_KEY]
 
         def factory() -> CompiledGraph:
+            taps: Dict[str, Tensor] = {}
+
             def build(buffers: Dict[str, np.ndarray]) -> Tensor:
                 feed = {name: buffers[name] for name in input_names}
                 logits = self.forward(arch, feed)
                 if kind == "loss":
+                    taps[_LOGITS_TAP] = logits
                     return self.loss_from_logits(logits, buffers[_LABELS_KEY])
                 return logits
 
-            return compile_graph(build, arrays)
+            return compile_graph(build, arrays, taps)
 
-        return self._tape_cache().get_or_build(key, factory), arrays
+        graph = self._tape_cache().get_or_build(key, factory)
+        return None if graph is None else (graph, arrays)
 
     def worker_spec(self) -> Tuple:
         """How a process-pool worker rebuilds this supernet.
@@ -189,7 +229,7 @@ class StackedScoringMixin:
         """Process-lifetime counters of the instance's graph cache."""
         cache = self.__dict__.get("_tapes")
         if cache is None:
-            return {"hits": 0, "misses": 0, "evictions": 0, "size": 0}
+            return dict(EMPTY_TAPE_STATS)
         return cache.stats()
 
     # -- single-batch scoring ------------------------------------------
@@ -246,23 +286,29 @@ class StackedScoringMixin:
         if len(inputs_seq) == 1:
             return [self.quality(arch, inputs_seq[0], labels_seq[0])]
         stacked = stack_named_inputs(inputs_seq)
-
-        def slice_qualities(logits: Tensor) -> List[float]:
-            qualities: List[float] = []
-            start = 0
-            for labels in labels_seq:
-                end = start + int(np.asarray(labels).shape[0])
-                qualities.append(
-                    self.quality_from_logits(Tensor(logits.data[start:end]), labels)
-                )
-                start = end
-            return qualities
-
         bound = self._compiled("forward", arch, stacked)
         if bound is None:
-            return slice_qualities(self.forward(arch, stacked))
+            return self._sliced_qualities(self.forward(arch, stacked), labels_seq)
         graph, arrays = bound
-        return graph.call(arrays, slice_qualities)
+        return graph.call(
+            arrays, lambda logits: self._sliced_qualities(logits, labels_seq)
+        )
+
+    def _sliced_qualities(
+        self, logits: Tensor, labels_seq: Sequence[np.ndarray]
+    ) -> List[float]:
+        """Per-batch qualities from the logits of one (stacked) pass."""
+        if len(labels_seq) == 1:
+            return [self.quality_from_logits(logits, labels_seq[0])]
+        qualities: List[float] = []
+        start = 0
+        for labels in labels_seq:
+            end = start + int(np.asarray(labels).shape[0])
+            qualities.append(
+                self.quality_from_logits(Tensor(logits.data[start:end]), labels)
+            )
+            start = end
+        return qualities
 
     def loss_many(
         self,
@@ -281,18 +327,54 @@ class StackedScoringMixin:
         accumulation matches the old ``(a + b + ...) * (1/n)`` chain
         bit-for-bit.
         """
-        if len(inputs_seq) != len(labels_seq):
-            raise ValueError("inputs and labels sequences must align")
-        if len(inputs_seq) == 1:
-            return self.loss(arch, inputs_seq[0], labels_seq[0])
-        sizes = {int(np.asarray(labels).shape[0]) for labels in labels_seq}
-        if len(sizes) == 1:
-            stacked_labels = np.concatenate(
-                [np.asarray(labels) for labels in labels_seq], axis=0
-            )
-            return self.loss(arch, stack_named_inputs(inputs_seq), stacked_labels)
+        stacked = _stacked_group(inputs_seq, labels_seq)
+        if stacked is not None:
+            return self.loss(arch, *stacked)
         losses = [
             self._loss_uncompiled(arch, inputs, labels)
             for inputs, labels in zip(inputs_seq, labels_seq)
         ]
         return stack_mean(losses)
+
+    def quality_and_loss_many(
+        self,
+        arch: Architecture,
+        inputs_seq: Sequence[NamedInputs],
+        labels_seq: Sequence[np.ndarray],
+    ) -> Tuple[List[float], Tensor]:
+        """:meth:`quality_many` and :meth:`loss_many` from one pass.
+
+        A training step that scores a group and then trains on the same
+        batches with unchanged weights needs one forward, not two: the
+        qualities are read off the logits node under the stacked loss.
+        The pass is :meth:`loss_many`'s own — same ``"loss"`` graph key,
+        same eager expressions — so both results are bit-identical to
+        the two separate calls.  The returned loss is live (a compiled
+        graph's output node once the key has repeated): call
+        ``backward`` on it before passing this architecture again.
+
+        Groups :meth:`loss_many` cannot stack (unequal batch sizes) and
+        hosts that override ``loss`` or ``quality`` take the two
+        separate passes.
+        """
+        cls = type(self)
+        derived = (
+            cls.loss is StackedScoringMixin.loss
+            and cls.quality is StackedScoringMixin.quality
+        )
+        stacked = _stacked_group(inputs_seq, labels_seq) if derived else None
+        if stacked is None:
+            return (
+                self.quality_many(arch, inputs_seq, labels_seq),
+                self.loss_many(arch, inputs_seq, labels_seq),
+            )
+        inputs, labels = stacked
+        bound = self._compiled("loss", arch, inputs, labels)
+        if bound is None:
+            logits = self.forward(arch, inputs)
+            loss = self.loss_from_logits(logits, labels)
+        else:
+            graph, arrays = bound
+            loss = graph.run(arrays)
+            logits = graph.taps[_LOGITS_TAP]
+        return self._sliced_qualities(logits, labels_seq), loss

@@ -18,7 +18,13 @@ from repro.core import (
     SingleStepSearch,
     relu_reward,
 )
-from repro.data import CtrTaskConfig, CtrTeacher, SingleStepPipeline
+from repro.data import (
+    CtrTaskConfig,
+    CtrTeacher,
+    SequenceTaskConfig,
+    SequenceTeacher,
+    SingleStepPipeline,
+)
 from repro.nn import (
     Adam,
     CosineSchedule,
@@ -29,10 +35,16 @@ from repro.nn import (
     mse,
     tape_enabled,
 )
-from repro.nn.tape import TAPE_ENV, CompiledGraph
+from repro.nn.tape import EMPTY_TAPE_STATS, TAPE_ENV, CompiledGraph
 from repro.searchspace import DlrmSpaceConfig, dlrm_search_space
 from repro.searchspace.cnn import CnnSpaceConfig, cnn_search_space
-from repro.supernet import DlrmSuperNetwork, DlrmSupernetConfig
+from repro.searchspace.vit import VitSpaceConfig, vit_search_space
+from repro.supernet import (
+    DlrmSuperNetwork,
+    DlrmSupernetConfig,
+    TransformerSuperNetwork,
+    TransformerSupernetConfig,
+)
 from repro.supernet.vision import VisionSuperNetwork
 
 NUM_TABLES = 2
@@ -132,7 +144,7 @@ class TestCompiledGraphPrimitives:
         arch = build_space().sample(np.random.default_rng(0))
         batch = ctr_batches(1)[0]
         net.loss(arch, batch.inputs, batch.labels)
-        assert net.tape_stats() == {"hits": 0, "misses": 0, "evictions": 0, "size": 0}
+        assert net.tape_stats() == EMPTY_TAPE_STATS
 
 
 class TestTapeCache:
@@ -150,13 +162,43 @@ class TestTapeCache:
 
             return build
 
-        cache.get_or_build("a", factory("a"))
-        cache.get_or_build("a", factory("a2"))
-        cache.get_or_build("b", factory("b"))
-        cache.get_or_build("c", factory("c"))  # evicts "a"
-        cache.get_or_build("a", factory("a3"))  # rebuild
+        def admit(key, tag):
+            # First sight is declined (run eagerly); second sight builds.
+            assert cache.get_or_build(key, factory(tag + "-first")) is None
+            return cache.get_or_build(key, factory(tag))
+
+        graph = admit("a", "a")
+        assert cache.get_or_build("a", factory("a2")) is graph  # hit
+        admit("b", "b")
+        admit("c", "c")  # evicts "a"
+        admit("a", "a3")  # an evicted key starts over: sight, then rebuild
         assert made == ["a", "b", "c", "a3"]
-        assert cache.stats() == {"hits": 1, "misses": 4, "evictions": 2, "size": 2}
+        assert cache.stats() == {
+            "hits": 1,
+            "misses": 8,
+            "compiles": 4,
+            "evictions": 2,
+            "size": 2,
+        }
+
+    def test_unrepeated_keys_build_nothing(self):
+        cache = TapeCache(capacity=2)
+
+        def factory():
+            raise AssertionError("a key seen once must not compile")
+
+        for key in range(100):
+            assert cache.get_or_build(key, factory) is None
+        assert cache.stats() == {
+            "hits": 0,
+            "misses": 100,
+            "compiles": 0,
+            "evictions": 0,
+            "size": 0,
+        }
+        # Only a bounded window of recent keys is remembered.
+        assert len(cache._seen) == TapeCache._SEEN_PER_SLOT * cache.capacity
+        assert cache.get_or_build(0, factory) is None  # forgotten: first sight again
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -185,8 +227,9 @@ class TestSupernetTapeEquivalence:
         ]
 
         stats = tape_net.tape_stats()
-        assert stats["misses"] == 6  # one loss + one forward graph per arch
-        assert stats["hits"] > 0
+        assert stats["compiles"] == 6  # one loss + one forward graph per arch
+        assert stats["misses"] == 12  # each: first sight, then the compile
+        assert stats["hits"] == 6  # each graph's third batch replays
         for (el, eq, ep), (tl, tq, tp) in zip(eager, taped):
             assert el == tl
             assert eq == tq
@@ -258,8 +301,15 @@ class TestSupernetTapeEquivalence:
         b1, b2 = ctr_batches(2)
         net.loss_many(arch, [b1.inputs, b2.inputs], [b1.labels, b2.labels])
         net.loss_many(arch, [b1.inputs, b2.inputs], [b2.labels, b1.labels])
+        net.loss_many(arch, [b2.inputs, b1.inputs], [b2.labels, b1.labels])
         stats = net.tape_stats()
-        assert stats == {"hits": 1, "misses": 1, "evictions": 0, "size": 1}
+        assert stats == {
+            "hits": 1,
+            "misses": 2,
+            "compiles": 1,
+            "evictions": 0,
+            "size": 1,
+        }
 
     def test_quality_many_slices_match_per_batch(self):
         space = build_space()
@@ -275,6 +325,197 @@ class TestSupernetTapeEquivalence:
         assert stacked == singles
 
 
+class TestAdmissionOnSecondSight:
+    """A key compiles only once it repeats; results never depend on it."""
+
+    def test_unrepeated_architectures_compile_nothing(self, monkeypatch):
+        def no_graph(self, *args, **kwargs):
+            raise AssertionError("an architecture seen once must not compile")
+
+        monkeypatch.setattr(CompiledGraph, "__init__", no_graph)
+        space = build_space()
+        rng = np.random.default_rng(5)
+        net = DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES))
+        seen = set()
+        for batch in ctr_batches(12):
+            arch = space.sample(rng)
+            while arch in seen:
+                arch = space.sample(rng)
+            seen.add(arch)
+            net.zero_grad()
+            qualities, loss = net.quality_and_loss_many(
+                arch, [batch.inputs], [batch.labels]
+            )
+            loss.backward()
+            net.quality(arch, batch.inputs, batch.labels)
+        stats = net.tape_stats()
+        assert stats["size"] == 0 and stats["compiles"] == 0
+        assert stats["hits"] == 0 and stats["misses"] == 24
+
+    def test_eager_then_compile_then_hit_all_bit_identical(self, monkeypatch):
+        arch = build_space().sample(np.random.default_rng(4))
+        batches = ctr_batches(3)
+
+        def run(net):
+            trace = []
+            for batch in batches:
+                net.zero_grad()
+                loss = net.loss(arch, batch.inputs, batch.labels)
+                loss.backward(np.asarray(0.5))
+                trace.append((loss.item(), snapshot_grads(net), net.tape_stats()))
+            return trace
+
+        monkeypatch.setenv(TAPE_ENV, "0")
+        eager = run(DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES)))
+        monkeypatch.setenv(TAPE_ENV, "1")
+        taped = run(DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES)))
+
+        progress = [
+            (stats["hits"], stats["misses"], stats["compiles"], stats["size"])
+            for _, _, stats in taped
+        ]
+        assert progress == [(0, 1, 0, 0), (0, 2, 1, 1), (1, 2, 1, 1)]
+        for (eager_loss, eager_grads, _), (tape_loss, tape_grads, _) in zip(
+            eager, taped
+        ):
+            assert eager_loss == tape_loss
+            assert_grads_equal(eager_grads, tape_grads)
+
+
+def assert_grads_equal(expected, actual):
+    assert len(expected) == len(actual)
+    for want, got in zip(expected, actual):
+        assert (want is None) == (got is None)
+        if want is not None:
+            np.testing.assert_array_equal(want, got)
+
+
+def recording(calls, name, fn):
+    """``fn``, noting each call in ``calls`` (instance-attribute spy)."""
+
+    def spy(*args):
+        calls.append(name)
+        return fn(*args)
+
+    return spy
+
+
+def dlrm_case():
+    arch = build_space().sample(np.random.default_rng(9))
+
+    def batches(sizes):
+        made = [ctr_batches(1, batch_size=n, seed=i)[0] for i, n in enumerate(sizes)]
+        return [b.inputs for b in made], [b.labels for b in made]
+
+    return (
+        lambda: DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES)),
+        arch,
+        batches,
+    )
+
+
+def vision_case():
+    arch = cnn_search_space(CnnSpaceConfig(num_blocks=2)).sample(
+        np.random.default_rng(3)
+    )
+
+    def batches(sizes):
+        rng = np.random.default_rng(11)
+        return (
+            [{"x": rng.normal(size=(n, 16))} for n in sizes],
+            [rng.integers(0, 4, size=n) for n in sizes],
+        )
+
+    return VisionSuperNetwork, arch, batches
+
+
+def transformer_case():
+    arch = vit_search_space(VitSpaceConfig(num_tfm_blocks=1)).sample(
+        np.random.default_rng(2)
+    )
+
+    def batches(sizes):
+        made = [
+            SequenceTeacher(
+                SequenceTaskConfig(seq_len=8, batch_size=n, seed=i)
+            ).next_batch()
+            for i, n in enumerate(sizes)
+        ]
+        return [b.inputs for b in made], [b.labels for b in made]
+
+    return (
+        lambda: TransformerSuperNetwork(TransformerSupernetConfig(num_blocks=1)),
+        arch,
+        batches,
+    )
+
+
+class TestQualityAndLossMany:
+    """The one-pass training form equals the two separate passes."""
+
+    @pytest.mark.parametrize("warm_passes", [0, 1, 2], ids=["first", "compile", "hit"])
+    @pytest.mark.parametrize(
+        "sizes", [(16,), (16, 16, 16), (8, 16, 16)], ids=["one", "three", "unequal"]
+    )
+    @pytest.mark.parametrize("case", [dlrm_case, vision_case, transformer_case])
+    def test_equals_quality_many_plus_loss_many(
+        self, monkeypatch, case, sizes, warm_passes
+    ):
+        make_net, arch, make_batches = case()
+        inputs_seq, labels_seq = make_batches(sizes)
+        scale = np.asarray(len(sizes) / 4)
+
+        monkeypatch.setenv(TAPE_ENV, "0")
+        reference = make_net()
+        want_qualities = reference.quality_many(arch, inputs_seq, labels_seq)
+        want_loss = reference.loss_many(arch, inputs_seq, labels_seq)
+        reference.zero_grad()
+        want_loss.backward(scale)
+
+        monkeypatch.setenv(TAPE_ENV, "1")
+        net = make_net()
+        for _ in range(warm_passes):  # walk the loss key through admission
+            net.loss_many(arch, inputs_seq, labels_seq)
+        calls = []
+        for name in ("quality_many", "loss_many"):
+            setattr(net, name, recording(calls, name, getattr(net, name)))
+        qualities, loss = net.quality_and_loss_many(arch, inputs_seq, labels_seq)
+        net.zero_grad()
+        loss.backward(scale)
+
+        assert qualities == want_qualities
+        assert loss.item() == want_loss.item()
+        assert_grads_equal(snapshot_grads(reference), snapshot_grads(net))
+        stats = net.tape_stats()
+        if len(set(sizes)) > 1:
+            # Unequal batches cannot share a stacked mean: two passes.
+            assert calls == ["quality_many", "loss_many"]
+            assert stats["compiles"] == 0  # one forward-key sight, eager losses
+        else:
+            assert calls == []
+            assert (stats["hits"], stats["compiles"]) == {
+                0: (0, 0),
+                1: (0, 1),
+                2: (1, 1),
+            }[warm_passes]
+
+    def test_host_overriding_loss_takes_the_two_passes(self):
+        from repro.supernet.mixture import MixtureSuperNetwork, mixture_search_space
+
+        net = MixtureSuperNetwork()
+        arch = mixture_search_space(net.config).sample(np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        inputs_seq = [
+            {"x": rng.normal(size=(8, net.config.num_features))} for _ in range(2)
+        ]
+        labels_seq = [
+            rng.integers(0, net.config.num_classes, size=8) for _ in range(2)
+        ]
+        qualities, loss = net.quality_and_loss_many(arch, inputs_seq, labels_seq)
+        assert qualities == net.quality_many(arch, inputs_seq, labels_seq)
+        assert loss.item() == net.loss_many(arch, inputs_seq, labels_seq).item()
+
+
 def capacity_cost(arch):
     cost = 1.0
     for t in range(NUM_TABLES):
@@ -282,7 +523,7 @@ def capacity_cost(arch):
     return {"step_time": max(0.1, cost)}
 
 
-def build_search(backend, seed=0):
+def build_search(backend, seed=0, telemetry=None):
     teacher = CtrTeacher(
         CtrTaskConfig(num_tables=NUM_TABLES, batch_size=16, seed=seed)
     )
@@ -295,7 +536,12 @@ def build_search(backend, seed=0):
         reward_fn=relu_reward([PerformanceObjective("step_time", 1.0, -0.5)]),
         performance_fn=capacity_cost,
         config=SearchConfig(
-            steps=6, num_cores=4, warmup_steps=2, seed=seed, backend=backend
+            steps=6,
+            num_cores=4,
+            warmup_steps=2,
+            seed=seed,
+            backend=backend,
+            telemetry=telemetry,
         ),
     )
 
@@ -318,8 +564,47 @@ class TestSearchLevelEquivalence:
         taped = result_fingerprint(search.run())
         assert eager == taped
         # A short search samples mostly-unique architectures; what must
-        # hold is that the compiled path was exercised at all.
+        # hold is that the tape was consulted at all.
         assert search.supernet.tape_stats()["misses"] > 0
+
+    def test_converged_shard_walks_admission_in_one_pass_per_step(self, monkeypatch):
+        """All four cores on one architecture: step 0 runs the group's
+        pass eagerly, step 1 compiles it, later steps replay — one pass
+        per step each way, and the same trajectory as with no tape."""
+        from repro.telemetry import Telemetry
+
+        def run(telemetry=None):
+            search = build_search("serial", telemetry=telemetry)
+            arch = search.space.sample(np.random.default_rng(8))
+            shard = [(arch, search.space.indices_of(arch))] * 4
+            search.sample_shard = lambda count, warming_up: shard
+            calls = []
+            for name in ("quality_many", "loss_many", "quality_and_loss_many"):
+                setattr(
+                    search.supernet,
+                    name,
+                    recording(calls, name, getattr(search.supernet, name)),
+                )
+            return search, result_fingerprint(search.run()), calls
+
+        monkeypatch.setenv(TAPE_ENV, "0")
+        _, eager, _ = run()
+        monkeypatch.setenv(TAPE_ENV, "1")
+        telemetry = Telemetry()
+        search, taped, calls = run(telemetry)
+
+        assert taped == eager
+        assert calls == ["quality_and_loss_many"] * 6
+        assert search.supernet.tape_stats() == {
+            "hits": 4,
+            "misses": 2,
+            "compiles": 1,
+            "evictions": 0,
+            "size": 1,
+        }
+        for key in ("hits", "misses", "compiles"):
+            counted = telemetry.counter(f"nn.tape.{key}").value()
+            assert counted == search.supernet.tape_stats()[key]
 
     def test_serial_vs_threads_with_tape(self):
         assert tape_enabled()
@@ -401,7 +686,7 @@ class TestPerformanceModelTape:
         def losses(model):
             out = []
             optimizer = Adam(model.parameters(), lr=1e-3)
-            for start in (0, 4, 8):
+            for start in (0, 4, 8, 0):
                 optimizer.zero_grad()
                 loss = model.training_loss(
                     features[start : start + 4], targets[start : start + 4]
@@ -417,4 +702,11 @@ class TestPerformanceModelTape:
         model = PerformanceModel(encoder, hidden_sizes=(16,))
         taped = losses(model)
         assert eager == taped
-        assert model.tape_stats()["hits"] == 2
+        # One key: first minibatch eager, second compiles, the rest replay.
+        assert model.tape_stats() == {
+            "hits": 2,
+            "misses": 2,
+            "compiles": 1,
+            "evictions": 0,
+            "size": 1,
+        }
