@@ -38,6 +38,7 @@ Run ``python -m repro <subcommand> --help`` for options.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
@@ -174,83 +175,84 @@ def _make_telemetry(args: argparse.Namespace):
     return Telemetry(telemetry_dir)
 
 
-def cmd_search(args: argparse.Namespace) -> str:
-    from .runtime import GracefulShutdown, SearchInterrupted
+@contextlib.contextmanager
+def _search_session(args: argparse.Namespace):
+    """What the search verbs share around their run.
+
+    Yields ``(telemetry, store, should_stop, hint)``: the run's telemetry
+    (``--telemetry-dir``), its checkpoint store (``--checkpoint-dir``),
+    the graceful-shutdown poll, and the line that tells the user where
+    the telemetry went (empty without any).  A SIGINT/SIGTERM stop
+    leaves as exit 130; telemetry is closed either way.
+    """
+    from .runtime import CheckpointStore, GracefulShutdown, SearchInterrupted
 
     telemetry = _make_telemetry(args)
-    space, factory = dlrm_search_builder(
-        args.steps, args.seed, args.cache, telemetry=telemetry,
-        backend=args.backend, workers=args.workers,
+    hint = "" if telemetry is None else (
+        f"\ntelemetry written to {args.telemetry_dir} "
+        f"(view with: python -m repro report telemetry {args.telemetry_dir})"
     )
-    nas = factory()
     try:
-        with GracefulShutdown() as shutdown:
-            result = nas.search(
-                checkpoint_dir=args.checkpoint_dir,
-                checkpoint_every=args.checkpoint_every,
-                resume=args.resume,
-                should_stop=shutdown.should_stop,
+        store = None
+        if args.checkpoint_dir is not None:
+            store = CheckpointStore(
+                args.checkpoint_dir, keep_last=args.keep_last, telemetry=telemetry
             )
+        with GracefulShutdown() as shutdown:
+            yield telemetry, store, shutdown.should_stop, hint
     except SearchInterrupted as stop:
         raise CliError(str(stop), EXIT_INTERRUPTED) from None
     finally:
         if telemetry is not None:
             telemetry.close()
+
+
+def cmd_search(args: argparse.Namespace) -> str:
+    from .runtime import run_with_checkpoints
+
+    with _search_session(args) as (telemetry, store, should_stop, hint):
+        space, factory = dlrm_search_builder(
+            args.steps, args.seed, args.cache, telemetry=telemetry,
+            backend=args.backend, workers=args.workers,
+        )
+        result = run_with_checkpoints(
+            factory().search_algorithm,
+            store,
+            checkpoint_every=args.checkpoint_every,
+            resume=args.resume,
+            should_stop=should_stop,
+        ).result
     out = format_report(space, result)
     if result.eval_stats is not None:
         out += f"\neval runtime: {result.eval_stats.summary()}"
-    if telemetry is not None:
-        out += (
-            f"\ntelemetry written to {args.telemetry_dir} "
-            f"(view with: python -m repro report telemetry {args.telemetry_dir})"
-        )
-    return out
+    return out + hint
 
 
 def cmd_supervise(args: argparse.Namespace) -> str:
-    from .runtime import (
-        CheckpointStore,
-        FaultInjector,
-        FaultSpec,
-        GracefulShutdown,
-        SearchInterrupted,
-        SearchSupervisor,
-        SupervisorConfig,
-    )
+    from .runtime import FaultInjector, FaultSpec, SearchSupervisor, SupervisorConfig
 
-    telemetry = _make_telemetry(args)
-    space, factory = dlrm_search_builder(
-        args.steps, args.seed, args.cache, telemetry=telemetry,
-        backend=args.backend, workers=args.workers,
-    )
-    store = CheckpointStore(
-        args.checkpoint_dir, keep_last=args.keep_last, telemetry=telemetry
-    )
     injector = None
     if args.inject_crash_at:
         injector = FaultInjector(
             [FaultSpec("crash", step=k) for k in args.inject_crash_at],
             seed=args.seed,
         )
-    try:
-        with GracefulShutdown() as shutdown:
-            supervisor = SearchSupervisor(
-                lambda: factory().search_algorithm,
-                store,
-                config=SupervisorConfig(
-                    checkpoint_every=args.checkpoint_every,
-                    max_restarts=args.max_restarts,
-                    backoff_base_s=args.backoff_base_s,
-                ),
-                injector=injector,
-                should_stop=shutdown.should_stop,
-            )
-            supervised = supervisor.run()
-    except SearchInterrupted as stop:
-        raise CliError(str(stop), EXIT_INTERRUPTED) from None
-    finally:
-        if telemetry is not None:
-            telemetry.close()
+    with _search_session(args) as (telemetry, store, should_stop, hint):
+        space, factory = dlrm_search_builder(
+            args.steps, args.seed, args.cache, telemetry=telemetry,
+            backend=args.backend, workers=args.workers,
+        )
+        supervised = SearchSupervisor(
+            lambda: factory().search_algorithm,
+            store,
+            config=SupervisorConfig(
+                checkpoint_every=args.checkpoint_every,
+                max_restarts=args.max_restarts,
+                backoff_base_s=args.backoff_base_s,
+            ),
+            injector=injector,
+            should_stop=should_stop,
+        ).run()
     out = format_report(space, supervised.result)
     out += "\n" + format_table(
         ["attempt", "start step", "steps", "outcome", "backoff s"],
@@ -271,48 +273,25 @@ def cmd_supervise(args: argparse.Namespace) -> str:
         f"  steps replayed: {supervised.steps_replayed}"
         f"  snapshots (final attempt): {supervised.snapshots_written}"
     )
-    if telemetry is not None:
-        out += (
-            f"\ntelemetry written to {args.telemetry_dir} "
-            f"(view with: python -m repro report telemetry {args.telemetry_dir})"
-        )
-    return out
+    return out + hint
 
 
 def cmd_elastic_train(args: argparse.Namespace) -> str:
-    from .runtime import (
-        CheckpointStore,
-        GracefulShutdown,
-        SearchInterrupted,
-        run_with_checkpoints,
-        save_elastic_artifact,
-    )
+    from .runtime import run_with_checkpoints, save_elastic_artifact
 
-    telemetry = _make_telemetry(args)
-    space, schedule, factory = elastic_training_builder(
-        args.steps, args.seed, args.cache, telemetry=telemetry,
-        backend=args.backend, workers=args.workers,
-    )
-    engine = factory()
-    store = None
-    if args.checkpoint_dir is not None:
-        store = CheckpointStore(
-            args.checkpoint_dir, keep_last=args.keep_last, telemetry=telemetry
+    with _search_session(args) as (telemetry, store, should_stop, hint):
+        space, schedule, factory = elastic_training_builder(
+            args.steps, args.seed, args.cache, telemetry=telemetry,
+            backend=args.backend, workers=args.workers,
         )
-    try:
-        with GracefulShutdown() as shutdown:
-            run = run_with_checkpoints(
-                engine,
-                store,
-                checkpoint_every=args.checkpoint_every,
-                resume=args.resume,
-                should_stop=shutdown.should_stop,
-            )
-    except SearchInterrupted as stop:
-        raise CliError(str(stop), EXIT_INTERRUPTED) from None
-    finally:
-        if telemetry is not None:
-            telemetry.close()
+        engine = factory()
+        run = run_with_checkpoints(
+            engine,
+            store,
+            checkpoint_every=args.checkpoint_every,
+            resume=args.resume,
+            should_stop=should_stop,
+        )
     artifact = save_elastic_artifact(
         args.artifact_dir,
         engine.supernet,
@@ -340,48 +319,24 @@ def cmd_elastic_train(args: argparse.Namespace) -> str:
         "specialize with: python -m repro specialize "
         f"--artifact {artifact.directory} --platform <name>",
     ]
-    if telemetry is not None:
-        lines.append(
-            f"telemetry written to {args.telemetry_dir} "
-            f"(view with: python -m repro report telemetry {args.telemetry_dir})"
-        )
-    return "\n".join(lines)
+    return "\n".join(lines) + hint
 
 
 def cmd_specialize(args: argparse.Namespace) -> str:
-    from .runtime import (
-        CheckpointStore,
-        GracefulShutdown,
-        SearchInterrupted,
-        run_with_checkpoints,
-    )
+    from .runtime import run_with_checkpoints
 
-    telemetry = _make_telemetry(args)
-    space, factory = specialization_builder(
-        args.artifact, args.platform, args.steps, args.seed, args.cache,
-        telemetry=telemetry, backend=args.backend, workers=args.workers,
-    )
-    engine = factory()
-    store = None
-    if args.checkpoint_dir is not None:
-        store = CheckpointStore(
-            args.checkpoint_dir, keep_last=args.keep_last, telemetry=telemetry
+    with _search_session(args) as (telemetry, store, should_stop, hint):
+        space, factory = specialization_builder(
+            args.artifact, args.platform, args.steps, args.seed, args.cache,
+            telemetry=telemetry, backend=args.backend, workers=args.workers,
         )
-    try:
-        with GracefulShutdown() as shutdown:
-            run = run_with_checkpoints(
-                engine,
-                store,
-                checkpoint_every=args.checkpoint_every,
-                resume=args.resume,
-                should_stop=shutdown.should_stop,
-            )
-    except SearchInterrupted as stop:
-        raise CliError(str(stop), EXIT_INTERRUPTED) from None
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    result = run.result
+        result = run_with_checkpoints(
+            factory(),
+            store,
+            checkpoint_every=args.checkpoint_every,
+            resume=args.resume,
+            should_stop=should_stop,
+        ).result
     out = format_report(space, result)
     harness, performance_fn, _ = platform_performance_fn(space, args.platform)
     metrics = performance_fn(result.final_architecture)
@@ -391,12 +346,7 @@ def cmd_specialize(args: argparse.Namespace) -> str:
         f"train step {metrics['train_step_time'] * 1e3:.3f}ms  "
         f"model size {metrics['model_size'] / 1e6:.1f}MB"
     )
-    if telemetry is not None:
-        out += (
-            f"\ntelemetry written to {args.telemetry_dir} "
-            f"(view with: python -m repro report telemetry {args.telemetry_dir})"
-        )
-    return out
+    return out + hint
 
 
 def cmd_fleet(args: argparse.Namespace) -> str:

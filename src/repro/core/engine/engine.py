@@ -15,8 +15,7 @@ which order, on which data stream (TuNAS alternates a weight step on the
 train split with a policy step on the validation split; the H2O
 single-step strategy runs one unified step on fresh production traffic).
 
-Per-core work — shard scoring, per-core weight-gradient computation,
-cache-miss pricing — fans out through an
+Per-core work — shard scoring, cache-miss pricing — fans out through an
 :class:`~repro.core.engine.backends.ExecutionBackend`.  Three rules keep
 every backend bit-identical to serial execution:
 
@@ -28,9 +27,10 @@ every backend bit-identical to serial execution:
   shard order, so means, REINFORCE updates, and gradient accumulation
   see the same operand order regardless of completion order;
 * everything stateful that is *not* scheduling-independent (stochastic
-  quality signals without split-rng support, autograd ``backward`` into
-  shared parameters, pipeline bookkeeping, the controller) stays on the
-  engine thread in strict shard order.
+  quality signals without split-rng support, the weight-update stage's
+  loss graphs and their ``backward`` into shared parameters, pipeline
+  bookkeeping, the controller) stays on the engine thread in strict
+  shard order.
 
 The engine also owns the stepwise checkpoint protocol (``step()`` /
 ``build_result()`` / ``state_dict()``) that the fault-tolerant runtime
@@ -71,7 +71,6 @@ from ..eval_runtime import (
     STAGE_REWARD,
     STAGE_SAMPLE,
     STAGE_SCORE,
-    STAGE_WEIGHT_UPDATE,
     ArchKey,
     EvalRuntime,
     EvalRuntimeStats,
@@ -84,7 +83,6 @@ from .worker import (
     execute_stage_kind,
     payload_nbytes,
     quality_many_payloads,
-    quality_payloads,
     quality_split_payloads,
     run_stage_task,
 )
@@ -442,9 +440,7 @@ class SearchEngine:
         self._warmup_rng.bit_generator.state = state["warmup_rng"]
         self.pipeline.load_state_dict(state["pipeline"])
         self.runtime.import_state(state["runtime"])
-        backend_state = state.get("backend")
-        if backend_state is not None:  # absent in pre-engine snapshots
-            self.backend.load_state_dict(backend_state)
+        self.backend.load_state_dict(state["backend"])
         # The restored weights must reach workers before the next remote
         # fan-out (the backend's own load may have fast-forwarded the
         # shared segment already; one extra publish is cheap and safe).
@@ -658,7 +654,9 @@ class SearchEngine:
                 quality_split_payloads(drawn, [batch] * len(drawn), streams),
             )
         if isinstance(self.supernet, StackedScoring):
-            return self._score("quality", quality_payloads(drawn, batch))
+            singletons = [[position] for position in range(len(drawn))]
+            payloads = quality_many_payloads(drawn, [batch] * len(drawn), singletons)
+            return [values[0] for values in self._score("quality_many", payloads)]
         return [
             self.supernet.quality(cand, batch.inputs, batch.labels)
             for cand, _ in drawn
@@ -714,12 +712,12 @@ class SearchEngine:
         The sequential path backprops ``loss_i / num_cores`` per core;
         the grouped path backprops ``loss_many * (group_size /
         num_cores)`` per unique architecture — the same gradient in
-        ``len(groups)`` supernet passes.  With a parallel backend the
-        *forward* graphs build concurrently (pure reads of the shared
-        weights), while every ``backward`` — which accumulates into the
-        shared parameter gradients — runs on the engine thread in group
-        order, so the float accumulation order matches serial execution
-        exactly.  When the score stage already built these groups' losses
+        ``len(groups)`` supernet passes.  Forward and ``backward`` both
+        run here, on the engine thread in group order: a live autograd
+        graph does not cross a process boundary, and ``backward``
+        accumulates into the shared parameter gradients, so group order
+        is the float accumulation order on every backend.  When the
+        score stage already built these groups' losses
         (``score_shard(..., trains_on_shard=True)``), only the backwards
         are left to run.
         """
@@ -740,21 +738,13 @@ class SearchEngine:
                 # graph's cached gradient order applies.
                 loss.backward(np.asarray(1.0 / num_cores))
             return
-        loss_many = self.supernet.loss_many
-
-        def build_group_loss(positions: List[int]):
-            arch = drawn[positions[0]][0]
-            loss = loss_many(
-                arch,
+        for positions in groups:
+            loss = self.supernet.loss_many(
+                drawn[positions[0]][0],
                 [batches[i].inputs for i in positions],
                 [batches[i].labels for i in positions],
             )
-            return loss, len(positions) / num_cores
-
-        for loss, scale in self._fan_out(
-            STAGE_WEIGHT_UPDATE, build_group_loss, groups
-        ):
-            loss.backward(np.asarray(scale))
+            loss.backward(np.asarray(len(positions) / num_cores))
 
     def optimizer_step(self) -> None:
         """Apply the accumulated weight gradients.

@@ -66,22 +66,16 @@ class ResumableLoop:
     def _restore_latest(self, store: Any) -> bool:
         """Restore from the store's newest good snapshot, if any.
 
-        Returns whether a snapshot was restored.  A snapshot taken by a
-        different algorithm raises rather than silently loading a
-        lookalike state dictionary.
+        Returns whether a snapshot was restored.  A snapshot in another
+        format or taken by a different algorithm raises.
         """
-        from ...runtime.checkpoint import CheckpointError
+        from ...runtime.checkpoint import check_header
         from ...runtime.recovery import resume_latest
 
         loaded = resume_latest(store)
         if loaded is None:
             return False
-        algorithm = loaded.state.get("algorithm")
-        if algorithm != type(self).__name__:
-            raise CheckpointError(
-                f"checkpoint was taken by {algorithm!r}, cannot "
-                f"restore into {type(self).__name__}"
-            )
+        check_header(loaded.state, type(self).__name__)
         self.load_state_dict(loaded.state["search"])
         return True
 

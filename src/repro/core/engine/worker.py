@@ -34,7 +34,7 @@ import numpy as np
 from .shm import SharedWeights, shared_memory_available, weight_layout
 
 #: Stage-task kinds the worker knows how to run.
-TASK_KINDS = ("quality_many", "quality", "quality_split")
+TASK_KINDS = ("quality_many", "quality_split")
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,6 @@ def execute_stage_kind(supernet: Any, kind: str, payload: Tuple[Any, ...]) -> An
     if kind == "quality_many":
         arch, inputs_seq, labels_seq = payload
         return [float(v) for v in supernet.quality_many(arch, inputs_seq, labels_seq)]
-    if kind == "quality":
-        arch, inputs, labels = payload
-        return float(supernet.quality(arch, inputs, labels))
     if kind == "quality_split":
         arch, inputs, labels, rng = payload
         return float(supernet.quality_split(arch, inputs, labels, rng))
@@ -184,13 +181,6 @@ def quality_many_payloads(
         )
         for positions in groups
     ]
-
-
-def quality_payloads(
-    drawn: Sequence[Tuple[Any, Sequence[int]]], batch: Any
-) -> List[Tuple[Any, ...]]:
-    """One shared-batch scoring payload per candidate."""
-    return [(arch, batch.inputs, batch.labels) for arch, _ in drawn]
 
 
 def quality_split_payloads(

@@ -226,23 +226,9 @@ class EvalRuntimeStats:
         calls = self.stage_calls.get(stage, 0)
         return self.stage_seconds.get(stage, 0.0) / calls if calls else 0.0
 
-    @property
-    def unknown_stages(self) -> Tuple[str, ...]:
-        """Timing buckets outside :data:`STAGES` (legacy imported state).
-
-        ``timed()`` rejects unknown stage names, so these can only come
-        from a checkpoint written before validation existed; surfacing
-        them keeps their wall time from vanishing from the summary.
-        """
-        return tuple(sorted(s for s in self.stage_seconds if s not in STAGES))
-
     def summary(self) -> str:
-        """One-line human-readable view for reports and the CLI.
-
-        Every timing bucket is rendered — canonical stages in pipeline
-        order first, then any unknown (legacy) buckets flagged with
-        ``!``, so no recorded wall time is ever silently dropped.
-        """
+        """One-line human-readable view for reports and the CLI, stages
+        in pipeline order."""
         if self.cache_enabled:
             cache = (
                 f"cache {self.cache_hits}/{self.cache_hits + self.cache_misses} hits "
@@ -252,12 +238,11 @@ class EvalRuntimeStats:
             cache = f"cache off, {self.evaluations} evaluations"
         if self.price_throughput > 0:
             cache += f", {self.price_throughput:.0f} candidates/s priced"
-        ordered = [s for s in STAGES if s in self.stage_seconds]
-        ordered += [f"!{s}" for s in self.unknown_stages]
         stages = ", ".join(
-            f"{label}={self.stage_seconds[label.lstrip('!')] * 1e3:.1f}ms"
-            f" ({self.stage_mean_seconds(label.lstrip('!')) * 1e3:.2f}ms/call)"
-            for label in ordered
+            f"{stage}={self.stage_seconds[stage] * 1e3:.1f}ms"
+            f" ({self.stage_mean_seconds(stage) * 1e3:.2f}ms/call)"
+            for stage in STAGES
+            if stage in self.stage_seconds
         )
         return f"{cache}; {stages}" if stages else cache
 
@@ -530,6 +515,14 @@ class EvalRuntime:
             raise ValueError(
                 "checkpoint cache state does not match this runtime's "
                 "use_cache setting"
+            )
+        unknown = sorted(
+            {*state["stage_seconds"], *state["stage_calls"]} - set(STAGES)
+        )
+        if unknown:
+            raise ValueError(
+                f"checkpoint times unknown stage(s) {unknown}; expected "
+                f"only {STAGES}"
             )
         if self.cache is not None and cache_state is not None:
             self.cache.import_state(cache_state)

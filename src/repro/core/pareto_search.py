@@ -127,17 +127,13 @@ def trace_front(
     finals: List[Architecture] = []
     start_index = 0
     if checkpoint_store is not None:
-        from ..runtime.checkpoint import CHECKPOINT_FORMAT, CheckpointError
+        from ..runtime.checkpoint import CHECKPOINT_FORMAT, check_header
         from ..runtime.recovery import resume_latest
 
         loaded = resume_latest(checkpoint_store)
         if loaded is not None:
             state = loaded.state
-            if state.get("algorithm") != "trace_front":
-                raise CheckpointError(
-                    f"checkpoint was taken by {state.get('algorithm')!r}, "
-                    "cannot restore into trace_front"
-                )
+            check_header(state, "trace_front")
             start_index = int(state["next_scale_index"])
             finals = [
                 space.architecture_from_indices(indices)

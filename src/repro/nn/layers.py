@@ -13,13 +13,17 @@ super-networks (Section 5) and of the MLP performance model
   is maskable (point (4) in Figure 3).
 * :class:`MaskedEmbedding` — one table at the maximum width; narrower
   candidates mask all but the first D columns (point (1) in Figure 3).
+
+Each of the four is one autograd node from :mod:`repro.nn.fused`: a
+prefix mask is a BLAS call on the active sub-matrix, and a node with no
+derived arrays baked into closures is what tape replay needs.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Mapping as AbcMapping
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -28,14 +32,6 @@ from .fused import dense_act, masked_gather
 from .tensor import Tensor
 
 Activation = Callable[[Tensor], Tensor]
-
-#: Module-level switch for the fused single-node layer kernels.  The
-#: composed (multi-node) path is kept for the ``bench_nn.py`` baseline
-#: and as a differential-testing oracle; production code leaves this on.
-#: Note tape compilation requires the fused path — composed layers bake
-#: derived index/shift arrays into closures that would go stale on
-#: replay.
-FUSED_KERNELS = True
 
 ACTIVATIONS: Dict[str, Activation] = {
     "linear": lambda x: x,
@@ -162,16 +158,11 @@ class Dense(Module):
         self.bias: Optional[Tensor] = None
         if use_bias:
             self.bias = Tensor(np.zeros(out_features), requires_grad=True, name="dense.bias")
+        activation(activation_name)  # reject unknown names at construction
         self._activation_name = activation_name
-        self._activation = activation(activation_name)
 
     def forward(self, x: Tensor) -> Tensor:
-        if FUSED_KERNELS:
-            return dense_act(x, self.weight, self.bias, self._activation_name)
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return self._activation(out)
+        return dense_act(x, self.weight, self.bias, self._activation_name)
 
 
 class MaskedDense(Module):
@@ -203,23 +194,8 @@ class MaskedDense(Module):
         self.bias: Optional[Tensor] = None
         if use_bias:
             self.bias = Tensor(np.zeros(max_out), requires_grad=True, name="masked_dense.bias")
+        activation(activation_name)  # reject unknown names at construction
         self._activation_name = activation_name
-        self._activation = activation(activation_name)
-        # Active-width masks are pure functions of (active_in, active_out)
-        # and the layer shape; cache them so the hot path stops
-        # allocating and refilling a (max_in, max_out) array every call.
-        self._mask_cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-
-    def _masks(self, active_in: int, active_out: int) -> Tuple[np.ndarray, np.ndarray]:
-        key = (active_in, active_out)
-        masks = self._mask_cache.get(key)
-        if masks is None:
-            weight_mask = np.zeros((self.max_in, self.max_out))
-            weight_mask[:active_in, :active_out] = 1.0
-            bias_mask = np.zeros(self.max_out)
-            bias_mask[:active_out] = 1.0
-            masks = self._mask_cache[key] = (weight_mask, bias_mask)
-        return masks
 
     def forward(self, x: Tensor, active_in: Optional[int] = None, active_out: Optional[int] = None) -> Tensor:
         """Apply the layer using only the ``active_in`` x ``active_out`` block.
@@ -234,19 +210,13 @@ class MaskedDense(Module):
             raise ValueError(f"active_in {active_in} outside (0, {self.max_in}]")
         if not (0 < active_out <= self.max_out):
             raise ValueError(f"active_out {active_out} outside (0, {self.max_out}]")
-        if FUSED_KERNELS:
-            return dense_act(
-                x,
-                self.weight,
-                self.bias,
-                self._activation_name,
-                active=(active_in, active_out),
-            )
-        weight_mask, bias_mask = self._masks(active_in, active_out)
-        out = x @ self.weight.mask(weight_mask)
-        if self.bias is not None:
-            out = out + self.bias.mask(bias_mask)
-        return self._activation(out)
+        return dense_act(
+            x,
+            self.weight,
+            self.bias,
+            self._activation_name,
+            active=(active_in, active_out),
+        )
 
 
 class LowRankDense(Module):
@@ -281,26 +251,8 @@ class LowRankDense(Module):
             name="lowrank.v",
         )
         self.bias = Tensor(np.zeros(max_out), requires_grad=True, name="lowrank.bias")
+        activation(activation_name)  # reject unknown names at construction
         self._activation_name = activation_name
-        self._activation = activation(activation_name)
-        self._mask_cache: Dict[
-            Tuple[int, int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
-
-    def _masks(
-        self, active_in: int, active_out: int, active_rank: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        key = (active_in, active_out, active_rank)
-        masks = self._mask_cache.get(key)
-        if masks is None:
-            u_mask = np.zeros((self.max_in, self.max_rank))
-            u_mask[:active_in, :active_rank] = 1.0
-            v_mask = np.zeros((self.max_rank, self.max_out))
-            v_mask[:active_rank, :active_out] = 1.0
-            bias_mask = np.zeros(self.max_out)
-            bias_mask[:active_out] = 1.0
-            masks = self._mask_cache[key] = (u_mask, v_mask, bias_mask)
-        return masks
 
     def forward(
         self,
@@ -314,21 +266,16 @@ class LowRankDense(Module):
         active_rank = self.max_rank if active_rank is None else active_rank
         if not (0 < active_rank <= self.max_rank):
             raise ValueError(f"active_rank {active_rank} outside (0, {self.max_rank}]")
-        if FUSED_KERNELS:
-            hidden = dense_act(
-                x, self.factor_u, None, "linear", active=(active_in, active_rank)
-            )
-            return dense_act(
-                hidden,
-                self.factor_v,
-                self.bias,
-                self._activation_name,
-                active=(active_rank, active_out),
-            )
-        u_mask, v_mask, bias_mask = self._masks(active_in, active_out, active_rank)
-        hidden = x @ self.factor_u.mask(u_mask)
-        out = hidden @ self.factor_v.mask(v_mask)
-        return self._activation(out + self.bias.mask(bias_mask))
+        hidden = dense_act(
+            x, self.factor_u, None, "linear", active=(active_in, active_rank)
+        )
+        return dense_act(
+            hidden,
+            self.factor_v,
+            self.bias,
+            self._activation_name,
+            active=(active_rank, active_out),
+        )
 
 
 class MaskedEmbedding(Module):
@@ -349,15 +296,6 @@ class MaskedEmbedding(Module):
             requires_grad=True,
             name="embedding.table",
         )
-        self._mask_cache: Dict[int, np.ndarray] = {}
-
-    def _col_mask(self, active_width: int) -> np.ndarray:
-        mask = self._mask_cache.get(active_width)
-        if mask is None:
-            mask = np.zeros(self.max_width)
-            mask[:active_width] = 1.0
-            self._mask_cache[active_width] = mask
-        return mask
 
     def forward(
         self,
@@ -379,12 +317,9 @@ class MaskedEmbedding(Module):
         modulus = self.vocab_size if wrap is None else min(int(wrap), self.vocab_size)
         if modulus < 1:
             raise ValueError(f"wrap {wrap} must be >= 1")
-        if FUSED_KERNELS:
-            return masked_gather(
-                self.table, indices, None, modulus, active_width=active_width
-            )
-        col_mask = self._col_mask(active_width)
-        return self.table.mask(col_mask).gather_rows(np.asarray(indices) % modulus)
+        return masked_gather(
+            self.table, indices, None, modulus, active_width=active_width
+        )
 
 
 class LayerNorm(Module):

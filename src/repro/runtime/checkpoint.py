@@ -53,8 +53,10 @@ from .atomic import atomic_write_json, file_sha256
 
 PathLike = Union[str, pathlib.Path]
 
-#: Version of the on-disk snapshot payload layout.
-CHECKPOINT_FORMAT = 1
+#: Version of the on-disk snapshot payload layout.  2: every search
+#: snapshot carries its backend's state and times only the canonical
+#: ``STAGES``; older payloads are rejected by :func:`check_header`.
+CHECKPOINT_FORMAT = 2
 
 
 class CheckpointError(RuntimeError):
@@ -430,6 +432,18 @@ def decode_history(space: SearchSpace, payload: Sequence[dict]) -> List[StepReco
     ]
 
 
+def check_header(payload: Mapping[str, Any], algorithm: str) -> None:
+    """Refuse a snapshot payload ``algorithm`` cannot restore from: one
+    in another payload format, or one another algorithm took (a
+    lookalike state dictionary must not load silently)."""
+    found = (payload.get("format"), payload.get("algorithm"))
+    if found != (CHECKPOINT_FORMAT, algorithm):
+        raise CheckpointError(
+            f"checkpoint has format {found[0]!r} and was taken by {found[1]!r}; "
+            f"expected format {CHECKPOINT_FORMAT} taken by {algorithm!r}"
+        )
+
+
 def search_checkpoint_payload(
     search: Any, next_step: int, history: Sequence[StepRecord]
 ) -> dict:
@@ -449,16 +463,7 @@ def restore_search(search: Any, payload: Mapping[str, Any]) -> Tuple[int, List[S
     Returns ``(next_step, history)``: the step index to resume from and
     the step records completed before the snapshot.
     """
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"unsupported checkpoint format {payload.get('format')!r}"
-        )
-    algorithm = payload.get("algorithm")
-    if algorithm != type(search).__name__:
-        raise CheckpointError(
-            f"checkpoint was taken by {algorithm!r}, cannot restore into "
-            f"{type(search).__name__}"
-        )
+    check_header(payload, type(search).__name__)
     search.load_state_dict(payload["search"])
     return int(payload["next_step"]), decode_history(search.space, payload["history"])
 

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_chec
 import numpy as np
 
 from ..nn import Tensor, stack_mean
-from ..nn import layers as nn_layers
 from ..nn.tape import (
     EMPTY_TAPE_STATS,
     CompiledGraph,
@@ -94,22 +93,10 @@ def stack_named_inputs(inputs_seq: Sequence[NamedInputs]) -> NamedInputs:
     }
 
 
-def _stacked_group(
-    inputs_seq: Sequence[NamedInputs], labels_seq: Sequence[np.ndarray]
-) -> Optional[Tuple[NamedInputs, np.ndarray]]:
-    """One group's batches as a single ``(inputs, labels)`` batch, or
-    ``None`` when they differ in size: a stacked mean would then weight
-    examples, not batches."""
-    if len(inputs_seq) != len(labels_seq):
-        raise ValueError("inputs and labels sequences must align")
-    if len(inputs_seq) == 1:
-        return inputs_seq[0], labels_seq[0]
-    if len({int(np.asarray(labels).shape[0]) for labels in labels_seq}) != 1:
-        return None
-    stacked_labels = np.concatenate(
-        [np.asarray(labels) for labels in labels_seq], axis=0
-    )
-    return stack_named_inputs(inputs_seq), stacked_labels
+def _equal_sized(labels_seq: Sequence[np.ndarray]) -> bool:
+    """Whether a group's batches can share a stacked mean loss: with
+    unequal sizes it would weight examples, not batches."""
+    return len({int(np.asarray(labels).shape[0]) for labels in labels_seq}) <= 1
 
 
 class StackedScoringMixin:
@@ -117,8 +104,8 @@ class StackedScoringMixin:
 
     Hosts must provide ``forward(arch, inputs) -> Tensor`` of per-example
     logits plus :meth:`quality_from_logits` and :meth:`loss_from_logits`;
-    the mixin derives ``loss`` / ``quality`` from them and routes both
-    through per-``(kind, arch, shapes)`` compiled graphs (see
+    every scoring method here is a view of one :meth:`_group_pass` over
+    them, which runs per-``(kind, arch, shapes)`` compiled graphs (see
     :mod:`repro.nn.tape`) when the host opts in via ``tape_compatible``.
     A key is compiled only once it repeats (first sight runs eagerly),
     and replay is bit-identical to the eager build, so the search
@@ -129,7 +116,7 @@ class StackedScoringMixin:
     callers that score and then train on the same batches.
     """
 
-    #: Hosts whose ``forward`` is replay-safe (fused layers only, no
+    #: Hosts whose ``forward`` is replay-safe (``repro.nn`` layers, no
     #: Python control flow on input *values*) flip this on to get tape
     #: reuse.  Defaults off so unknown subclasses stay eager.
     tape_compatible: bool = False
@@ -157,11 +144,6 @@ class StackedScoringMixin:
             cache = self.__dict__["_tapes"] = TapeCache(self.tape_capacity)
         return cache
 
-    def _tape_active(self) -> bool:
-        return (
-            self.tape_compatible and nn_layers.FUSED_KERNELS and tape_enabled()
-        )
-
     def _compiled(
         self,
         kind: str,
@@ -172,13 +154,13 @@ class StackedScoringMixin:
         """Compiled graph for ``(kind, arch, shapes)`` plus bound arrays.
 
         Returns ``None`` when tape reuse is off or the key has not
-        repeated yet — callers then run the eager path.  Labels travel
-        through the graph's input buffers (under :data:`_LABELS_KEY`) so
-        loss graphs replay against fresh targets, not the targets seen
-        at trace time; a loss graph taps its logits node for
-        :meth:`quality_and_loss_many`.
+        repeated yet — the caller then runs the eager path.  Labels
+        travel through the graph's input buffers (under
+        :data:`_LABELS_KEY`) so loss graphs replay against fresh
+        targets, not the targets seen at trace time; every graph taps
+        its logits node.
         """
-        if not self._tape_active():
+        if not (self.tape_compatible and tape_enabled()):
             return None
         arrays: Dict[str, np.ndarray] = {
             name: np.asarray(value) for name, value in inputs.items()
@@ -196,9 +178,8 @@ class StackedScoringMixin:
 
             def build(buffers: Dict[str, np.ndarray]) -> Tensor:
                 feed = {name: buffers[name] for name in input_names}
-                logits = self.forward(arch, feed)
+                logits = taps[_LOGITS_TAP] = self.forward(arch, feed)
                 if kind == "loss":
-                    taps[_LOGITS_TAP] = logits
                     return self.loss_from_logits(logits, buffers[_LABELS_KEY])
                 return logits
 
@@ -232,66 +213,52 @@ class StackedScoringMixin:
             return dict(EMPTY_TAPE_STATS)
         return cache.stats()
 
-    # -- single-batch scoring ------------------------------------------
-    def loss(
-        self, arch: Architecture, inputs: NamedInputs, labels: np.ndarray
-    ) -> Tensor:
-        """Mean training loss of ``arch`` on one batch (compiled when
-        the host is tape-compatible)."""
-        bound = self._compiled("loss", arch, inputs, labels)
-        if bound is None:
-            return self.loss_from_logits(self.forward(arch, inputs), labels)
-        graph, arrays = bound
-        return graph.run(arrays)
-
-    def quality(
-        self, arch: Architecture, inputs: NamedInputs, labels: np.ndarray
-    ) -> float:
-        """Per-batch quality of ``arch`` on one batch.
-
-        The metric is extracted under the graph lock: the engine's
-        score stage fans duplicate candidates out across workers, and
-        two workers replaying one graph must not interleave bind /
-        read."""
-        bound = self._compiled("forward", arch, inputs)
-        if bound is None:
-            return self.quality_from_logits(self.forward(arch, inputs), labels)
-        graph, arrays = bound
-        return graph.call(
-            arrays, lambda logits: self.quality_from_logits(logits, labels)
-        )
-
-    def _loss_uncompiled(
-        self, arch: Architecture, inputs: NamedInputs, labels: np.ndarray
-    ) -> Tensor:
-        """Per-batch loss that never shares a compiled graph.
-
-        The unequal-size ``loss_many`` fallback keeps several loss
-        tensors alive at once; replaying one compiled graph for two
-        batches would alias them onto a single output node.  Hosts that
-        override ``loss`` keep their override."""
-        if type(self).loss is not StackedScoringMixin.loss:
-            return self.loss(arch, inputs, labels)
-        return self.loss_from_logits(self.forward(arch, inputs), labels)
-
-    def quality_many(
+    # -- scoring ---------------------------------------------------------
+    def _group_pass(
         self,
         arch: Architecture,
         inputs_seq: Sequence[NamedInputs],
         labels_seq: Sequence[np.ndarray],
-    ) -> List[float]:
-        """Per-batch qualities of ``arch`` from one stacked forward."""
+        *,
+        score: bool,
+        train: bool,
+    ) -> Tuple[Optional[List[float]], Optional[Tensor]]:
+        """One pass of ``arch`` over a group's batches stacked into one,
+        and the only place that picks a compiled graph or an eager build.
+
+        Returns the per-batch qualities when ``score`` and the stacked
+        mean loss when ``train`` (``None`` otherwise).  A training pass
+        is keyed ``"loss"`` and needs equal batch sizes (see
+        :func:`_equal_sized`); a forward-only pass is keyed
+        ``"forward"``.  Qualities are read under the graph lock — the
+        score stage may hand one architecture to several workers, and
+        two of them replaying one graph must not interleave bind and
+        read.  A returned loss is live (a compiled graph's output node
+        once the key has repeated): call ``backward`` on it before
+        passing this architecture and these shapes again.
+        """
         if len(inputs_seq) != len(labels_seq):
             raise ValueError("inputs and labels sequences must align")
-        if len(inputs_seq) == 1:
-            return [self.quality(arch, inputs_seq[0], labels_seq[0])]
-        stacked = stack_named_inputs(inputs_seq)
-        bound = self._compiled("forward", arch, stacked)
+        single = len(inputs_seq) == 1
+        inputs = inputs_seq[0] if single else stack_named_inputs(inputs_seq)
+        labels = None
+        if train:
+            labels = labels_seq[0] if single else np.concatenate(
+                [np.asarray(batch_labels) for batch_labels in labels_seq], axis=0
+            )
+
+        def read(logits: Tensor, loss: Optional[Tensor]):
+            qualities = self._sliced_qualities(logits, labels_seq) if score else None
+            return qualities, loss
+
+        bound = self._compiled("loss" if train else "forward", arch, inputs, labels)
         if bound is None:
-            return self._sliced_qualities(self.forward(arch, stacked), labels_seq)
+            logits = self.forward(arch, inputs)
+            return read(logits, self.loss_from_logits(logits, labels) if train else None)
         graph, arrays = bound
         return graph.call(
-            arrays, lambda logits: self._sliced_qualities(logits, labels_seq)
+            arrays,
+            lambda output: read(graph.taps[_LOGITS_TAP], output if train else None),
         )
 
     def _sliced_qualities(
@@ -310,6 +277,31 @@ class StackedScoringMixin:
             start = end
         return qualities
 
+    def loss(
+        self, arch: Architecture, inputs: NamedInputs, labels: np.ndarray
+    ) -> Tensor:
+        """Mean training loss of ``arch`` on one batch."""
+        return self._group_pass(arch, [inputs], [labels], score=False, train=True)[1]
+
+    def quality(
+        self, arch: Architecture, inputs: NamedInputs, labels: np.ndarray
+    ) -> float:
+        """Per-batch quality of ``arch`` on one batch."""
+        return self._group_pass(
+            arch, [inputs], [labels], score=True, train=False
+        )[0][0]
+
+    def quality_many(
+        self,
+        arch: Architecture,
+        inputs_seq: Sequence[NamedInputs],
+        labels_seq: Sequence[np.ndarray],
+    ) -> List[float]:
+        """Per-batch qualities of ``arch`` from one stacked forward."""
+        return self._group_pass(
+            arch, inputs_seq, labels_seq, score=True, train=False
+        )[0]
+
     def loss_many(
         self,
         arch: Architecture,
@@ -318,23 +310,26 @@ class StackedScoringMixin:
     ) -> Tensor:
         """Mean of the per-batch mean losses, as one stacked pass.
 
-        Batches of unequal size cannot share a stacked mean (it would
-        weight examples, not batches), so they fall back to per-batch
-        passes combined into the same mean.  The fallback builds each
-        per-batch loss eagerly — replaying one compiled graph would
-        alias the live loss tensors — and combines them with the
-        single-node :func:`repro.nn.stack_mean`, whose left-fold
+        Batches of unequal size fall back to per-batch passes combined
+        into the same mean.  The fallback builds each per-batch loss
+        eagerly — replaying one compiled graph would alias the live
+        loss tensors onto a single output node — and combines them with
+        the single-node :func:`repro.nn.stack_mean`, whose left-fold
         accumulation matches the old ``(a + b + ...) * (1/n)`` chain
         bit-for-bit.
         """
-        stacked = _stacked_group(inputs_seq, labels_seq)
-        if stacked is not None:
-            return self.loss(arch, *stacked)
-        losses = [
-            self._loss_uncompiled(arch, inputs, labels)
-            for inputs, labels in zip(inputs_seq, labels_seq)
-        ]
-        return stack_mean(losses)
+        if _equal_sized(labels_seq):
+            return self._group_pass(
+                arch, inputs_seq, labels_seq, score=False, train=True
+            )[1]
+        if len(inputs_seq) != len(labels_seq):
+            raise ValueError("inputs and labels sequences must align")
+        return stack_mean(
+            [
+                self.loss_from_logits(self.forward(arch, inputs), labels)
+                for inputs, labels in zip(inputs_seq, labels_seq)
+            ]
+        )
 
     def quality_and_loss_many(
         self,
@@ -349,32 +344,14 @@ class StackedScoringMixin:
         qualities are read off the logits node under the stacked loss.
         The pass is :meth:`loss_many`'s own — same ``"loss"`` graph key,
         same eager expressions — so both results are bit-identical to
-        the two separate calls.  The returned loss is live (a compiled
-        graph's output node once the key has repeated): call
-        ``backward`` on it before passing this architecture again.
-
-        Groups :meth:`loss_many` cannot stack (unequal batch sizes) and
-        hosts that override ``loss`` or ``quality`` take the two
-        separate passes.
+        the two separate calls.  Groups :meth:`loss_many` cannot stack
+        (unequal batch sizes) take the two separate passes.
         """
-        cls = type(self)
-        derived = (
-            cls.loss is StackedScoringMixin.loss
-            and cls.quality is StackedScoringMixin.quality
-        )
-        stacked = _stacked_group(inputs_seq, labels_seq) if derived else None
-        if stacked is None:
-            return (
-                self.quality_many(arch, inputs_seq, labels_seq),
-                self.loss_many(arch, inputs_seq, labels_seq),
+        if _equal_sized(labels_seq):
+            return self._group_pass(
+                arch, inputs_seq, labels_seq, score=True, train=True
             )
-        inputs, labels = stacked
-        bound = self._compiled("loss", arch, inputs, labels)
-        if bound is None:
-            logits = self.forward(arch, inputs)
-            loss = self.loss_from_logits(logits, labels)
-        else:
-            graph, arrays = bound
-            loss = graph.run(arrays)
-            logits = graph.taps[_LOGITS_TAP]
-        return self._sliced_qualities(logits, labels_seq), loss
+        return (
+            self.quality_many(arch, inputs_seq, labels_seq),
+            self.loss_many(arch, inputs_seq, labels_seq),
+        )

@@ -107,11 +107,8 @@ class MixtureSuperNetwork(StackedScoringMixin, Module):
             in_width = width
         return self.head(x)
 
-    def loss(self, arch, inputs, labels) -> Tensor:
-        return softmax_cross_entropy(self.forward(arch, inputs), labels)
-
-    def quality(self, arch, inputs, labels) -> float:
-        return accuracy(self.forward(arch, inputs), labels)
+    def loss_from_logits(self, logits: Tensor, labels: np.ndarray) -> Tensor:
+        return softmax_cross_entropy(logits, labels)
 
     def quality_from_logits(self, logits: Tensor, labels: np.ndarray) -> float:
         return accuracy(logits, labels)

@@ -42,6 +42,7 @@ from repro.core import (
 )
 from repro.core.engine import (
     BACKEND_ENV_VAR,
+    BACKEND_NAMES,
     WORKERS_ENV_VAR,
     ExecutionBackend,
     RemoteContextRef,
@@ -447,12 +448,6 @@ class TestBackendEquivalence:
         fresh.load_state_dict(state)
         assert fresh.backend.state_dict()["rng_spawns"] == 1
 
-    def test_pre_engine_snapshots_without_backend_state_load(self):
-        search = build_single(backend="serial")
-        state = search.state_dict()
-        del state["backend"]  # a snapshot written before backends existed
-        build_single(backend="serial").load_state_dict(state)
-
 
 class TestParallelSafePricing:
     def test_parallel_safe_fn_fans_out_identically(self):
@@ -725,12 +720,17 @@ class TestStageTaskPickling:
         self._assert_round_trip(tasks)
 
     def test_quality_tasks_round_trip(self):
+        # The shared-batch form score_on_batch ships (the TuNAS policy
+        # step): one singleton group per candidate, all on one batch.
         search = build_single(backend="serial")
         drawn, batches = self._shard(search)
         ref = self._local_ref(search.supernet)
+        payloads = worker_mod.quality_many_payloads(
+            drawn, [batches[0]] * len(drawn), [[i] for i in range(len(drawn))]
+        )
         tasks = [
-            StageTask(stage="score", kind="quality", context=ref, payload=p)
-            for p in worker_mod.quality_payloads(drawn, batches[0])
+            StageTask(stage="score", kind="quality_many", context=ref, payload=p)
+            for p in payloads
         ]
         self._assert_round_trip(tasks)
 
@@ -764,11 +764,14 @@ class TestStageTaskPickling:
         assert clone.flag_path == "/tmp/flag"
 
     def test_unknown_task_kind_rejected(self):
+        # "quality" was a kind once; it is quality_many on a group of one.
+        assert worker_mod.TASK_KINDS == ("quality_many", "quality_split")
         search = build_single(backend="serial")
         ref = self._local_ref(search.supernet)
-        task = StageTask(stage="score", kind="mystery", context=ref, payload=())
-        with pytest.raises(ValueError):
-            run_stage_task(task)
+        for kind in ("mystery", "quality"):
+            task = StageTask(stage="score", kind=kind, context=ref, payload=())
+            with pytest.raises(ValueError):
+                run_stage_task(task)
 
 
 class TestProcessEquivalence:
@@ -888,16 +891,22 @@ class TestEngineTelemetry:
         assert telemetry.gauge("engine.workers").value(backend="threads") == 2
         tasks = telemetry.counter("engine.tasks")
         assert tasks.value(stage="score", backend="threads") > 0
-        # In-process the score stage's grouped pass also builds the loss
-        # graphs, so the weight-update stage fans nothing out: it only
-        # runs their backwards on the engine thread.
-        assert tasks.value(stage="weight_update", backend="threads") == 0
         stats = telemetry.trace.span_stats(
             "worker", stage="score", backend="threads"
         )
         assert stats is not None and stats["count"] == tasks.value(
             stage="score", backend="threads"
         )
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_weight_update_fans_nothing_out(self, backend):
+        # Loss graphs and their backwards stay on the engine thread:
+        # held from the score stage in-process, built in a plain loop
+        # when scoring went remote.
+        telemetry = Telemetry()
+        build_single(backend=backend, workers=2, telemetry=telemetry).run()
+        stages = {dict(key)["stage"] for key in telemetry.counter("engine.tasks").series()}
+        assert stages == {"score"}
 
 
 class TestDistributedContract:

@@ -33,7 +33,6 @@ from repro.nn import (
     softmax_cross_entropy,
     stack_mean,
 )
-from repro.nn import layers as nn_layers
 from repro.nn.fused import ACT_KERNELS
 
 
@@ -382,15 +381,6 @@ class TestLayers:
         mlp = MLP(3, [5], 2, rng)
         x = Tensor(rand(4, 3))
         self._param_gradcheck(mlp, lambda: mlp(x) * rand(4, 2, seed=9))
-
-    def test_composed_path_still_checks(self, monkeypatch):
-        monkeypatch.setattr(nn_layers, "FUSED_KERNELS", False)
-        rng = np.random.default_rng(0)
-        layer = MaskedDense(4, 6, rng, activation_name="relu")
-        x = Tensor(rand(5, 4))
-        self._param_gradcheck(
-            layer, lambda: layer(x, active_in=3, active_out=4)
-        )
 
 
 class TestModuleCollect:

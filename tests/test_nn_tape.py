@@ -283,8 +283,8 @@ class TestSupernetTapeEquivalence:
             [small.inputs, large.inputs],
             [small.labels, large.labels],
         )
-        loss_a = net._loss_uncompiled(arch, small.inputs, small.labels)
-        loss_b = net._loss_uncompiled(arch, large.inputs, large.labels)
+        loss_a = net.loss_from_logits(net.forward(arch, small.inputs), small.labels)
+        loss_b = net.loss_from_logits(net.forward(arch, large.inputs), large.labels)
         # stack_mean's left-fold matches the old (a + b) * 0.5 chain.
         expected = (loss_a + loss_b) * 0.5
         assert combined.item() == expected.item()
@@ -499,10 +499,12 @@ class TestQualityAndLossMany:
                 2: (1, 1),
             }[warm_passes]
 
-    def test_host_overriding_loss_takes_the_two_passes(self):
+    def test_eager_host_matches_the_two_passes_in_one_forward(self):
         from repro.supernet.mixture import MixtureSuperNetwork, mixture_search_space
 
         net = MixtureSuperNetwork()
+        forwards = []
+        net.forward = recording(forwards, "forward", net.forward)
         arch = mixture_search_space(net.config).sample(np.random.default_rng(0))
         rng = np.random.default_rng(1)
         inputs_seq = [
@@ -512,6 +514,7 @@ class TestQualityAndLossMany:
             rng.integers(0, net.config.num_classes, size=8) for _ in range(2)
         ]
         qualities, loss = net.quality_and_loss_many(arch, inputs_seq, labels_seq)
+        assert forwards == ["forward"]
         assert qualities == net.quality_many(arch, inputs_seq, labels_seq)
         assert loss.item() == net.loss_many(arch, inputs_seq, labels_seq).item()
 

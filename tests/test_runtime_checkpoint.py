@@ -650,3 +650,29 @@ class TestTraceFrontResume:
             assert ref_point.quality == pytest.approx(res_point.quality)
         assert reference.eval_stats.cache_hits == resumed.eval_stats.cache_hits
         assert reference.eval_stats.cache_misses == resumed.eval_stats.cache_misses
+
+
+# ----------------------------------------------------------------------
+# Snapshot header
+# ----------------------------------------------------------------------
+
+
+class TestSnapshotHeader:
+    @pytest.mark.parametrize(
+        "algorithm", ["SingleStepSearch", "RandomSearch", "trace_front"]
+    )
+    def test_format_1_snapshot_rejected_by_every_driver(self, tmp_path, algorithm):
+        store = CheckpointStore(tmp_path)
+        store.save(1, {"format": 1, "algorithm": algorithm})
+        space, evaluate, reward = trial_problem()
+        resume = {
+            "SingleStepSearch": lambda: run_with_checkpoints(build_search(), store),
+            "RandomSearch": lambda: RandomSearch(
+                space, evaluate, reward, num_trials=8
+            ).run(store=store),
+            "trace_front": lambda: trace_front(
+                *TestTraceFrontResume().make_problem(), checkpoint_store=store
+            ),
+        }[algorithm]
+        with pytest.raises(CheckpointError, match="format 1 .*expected format 2"):
+            resume()

@@ -201,22 +201,21 @@ class TestTimedStageValidation:
             with runtime.timed(stage):
                 pass
         stats = runtime.stats()
-        assert stats.unknown_stages == ()
         for stage in STAGES:
             assert stats.stage_calls[stage] == 1
             assert telemetry.trace.span_stats(stage)["count"] == 1
 
-    def test_summary_flags_legacy_unknown_buckets(self):
+    def test_import_rejects_unknown_stage_buckets(self):
         runtime = EvalRuntime(lambda arch: {"t": 1.0})
         state = runtime.export_state()
-        # A checkpoint written before stage validation existed.
         state["stage_seconds"] = {"price": 0.5, "scoring": 0.25}
         state["stage_calls"] = {"price": 5, "scoring": 2}
+        with pytest.raises(ValueError, match="unknown stage.*'scoring'"):
+            runtime.import_state(state)
+        assert runtime.stats().stage_seconds == {}
+        del state["stage_seconds"]["scoring"], state["stage_calls"]["scoring"]
         runtime.import_state(state)
-        stats = runtime.stats()
-        assert stats.unknown_stages == ("scoring",)
-        assert "!scoring=250.0ms" in stats.summary()
-        assert "price=500.0ms" in stats.summary()
+        assert "price=500.0ms" in runtime.stats().summary()
 
 
 class TestEvalRuntimeTelemetry:
