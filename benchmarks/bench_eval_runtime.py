@@ -9,9 +9,18 @@ pricing by canonical index key; this benchmark measures the resulting
 candidate-pricing throughput (candidates priced per second of
 price-stage wall time) on a converged-policy workload and asserts the
 cache delivers at least a 2x improvement.
+
+What a miss costs is the other half: lowering the candidate to an op
+graph and walking it once.  That walk must stay linear in graph size —
+a chain of 4N ops may cost at most 6x a chain of N to build and
+simulate (the networkx-backed IR, which re-proved acyclicity on every
+``add``, read 13.7x here).
 """
 
 from __future__ import annotations
+
+import statistics
+import time
 
 import pytest
 
@@ -24,6 +33,8 @@ from repro.core import (
     PerformanceObjective,
 )
 from repro.data import NullSource, SingleStepPipeline
+from repro.graph import OpGraph, ops
+from repro.hardware import TPU_V4, simulate
 from repro.models import baseline_production_dlrm
 from repro.models.timing import DlrmTimingHarness
 from repro.searchspace import DlrmSpaceConfig, dlrm_search_space
@@ -36,6 +47,8 @@ NUM_TABLES = 3
 STEPS = 60
 CORES = 8
 CONVERGED_LOGIT = 7.0  # sharply peaks every decision, as late in a search
+CHAIN_OPS = 200  # N of the scaling contract
+CHAIN_MAX_RATIO = 6.0  # cost(4N) / cost(N); 4.0 is perfectly linear
 
 
 def build_search(use_cache):
@@ -78,6 +91,22 @@ def price_throughput(stats):
     return priced / max(stats.stage_seconds["price"], 1e-12)
 
 
+def chain_price_ms(num_ops):
+    """Median of 5: build a chain of ``num_ops`` dense ops and simulate it."""
+    samples = []
+    for _ in range(5):
+        start = time.perf_counter()
+        graph = OpGraph("chain")
+        graph.chain(ops.dense(f"fc{i}", 64, 256, 256) for i in range(num_ops))
+        simulate(graph, TPU_V4)
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples) * 1e3
+
+
+def ms_per_simulator_call(stats):
+    return stats.stage_seconds["price"] * 1e3 / max(stats.evaluations, 1)
+
+
 def run():
     cached = build_search(use_cache=True).run().eval_stats
     uncached = build_search(use_cache=False).run().eval_stats
@@ -88,6 +117,7 @@ def run():
             f"{price_throughput(cached):.0f}",
             f"{cached.stage_seconds['price'] * 1e3:.1f}",
             cached.evaluations,
+            f"{ms_per_simulator_call(cached):.2f}",
             f"{cached.hit_rate:.1%}",
         ],
         [
@@ -95,14 +125,27 @@ def run():
             f"{price_throughput(uncached):.0f}",
             f"{uncached.stage_seconds['price'] * 1e3:.1f}",
             uncached.evaluations,
+            f"{ms_per_simulator_call(uncached):.2f}",
             "-",
         ],
     ]
     table = format_table(
-        ["runtime", "candidates/s (price)", "price ms", "simulator calls", "hit rate"],
+        [
+            "runtime",
+            "candidates/s (price)",
+            "price ms",
+            "simulator calls",
+            "ms per simulator call",
+            "hit rate",
+        ],
         rows,
     )
     table += f"\n\nprice-stage throughput speedup: {speedup:.1f}x"
+    small, large = chain_price_ms(CHAIN_OPS), chain_price_ms(4 * CHAIN_OPS)
+    table += (
+        f"\n\nbuild + simulate a chain of {CHAIN_OPS} ops: {small:.2f} ms, "
+        f"of {4 * CHAIN_OPS} ops: {large:.2f} ms ({large / small:.1f}x for 4x the ops)"
+    )
     table += "\n\nper-stage wall time, cache on (ms):\n" + format_table(
         ["stage", "ms", "calls"],
         [
@@ -120,6 +163,8 @@ def run():
             "uncached_throughput": price_throughput(uncached),
             "speedup": speedup,
             "hit_rate": cached.hit_rate,
+            "ms_per_simulator_call_uncached": ms_per_simulator_call(uncached),
+            "chain_ms": {str(CHAIN_OPS): small, str(4 * CHAIN_OPS): large},
             "simulator_calls_cached": cached.evaluations,
             "simulator_calls_uncached": uncached.evaluations,
             "stage_seconds_cached": dict(cached.stage_seconds),
@@ -138,3 +183,12 @@ def test_eval_runtime_cache(benchmark):
     assert cached.evaluations < uncached.evaluations
     # Acceptance criterion: >= 2x candidate-pricing throughput.
     assert speedup >= 2.0, f"cache speedup only {speedup:.2f}x"
+
+
+def test_pricing_cost_is_linear_in_graph_size():
+    chain_price_ms(CHAIN_OPS)  # warm imports and allocator
+    small, large = chain_price_ms(CHAIN_OPS), chain_price_ms(4 * CHAIN_OPS)
+    assert large <= CHAIN_MAX_RATIO * small, (
+        f"{4 * CHAIN_OPS} ops cost {large:.2f} ms, {large / small:.1f}x "
+        f"the {small:.2f} ms of {CHAIN_OPS}"
+    )

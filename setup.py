@@ -5,6 +5,6 @@ setup(
     version="1.0.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy", "scipy", "networkx"],
+    install_requires=["numpy", "scipy"],
     python_requires=">=3.9",
 )

@@ -14,9 +14,7 @@ to these graphs; :mod:`repro.hardware.simulator` walks them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Execution units an op can be bound to.
 UNIT_MXU = "mxu"  # matrix/tensor unit (systolic array / tensor cores)
@@ -77,27 +75,39 @@ class OpNode:
 
 
 class OpGraph:
-    """A DAG of :class:`OpNode` with explicit dependency edges."""
+    """A DAG of :class:`OpNode` with explicit dependency edges.
+
+    Acyclic by construction: :meth:`add` accepts only a *new* name whose
+    dependencies already exist, so no edge can point backwards.
+    """
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self._graph = nx.DiGraph()
+        self._ops: Dict[str, OpNode] = {}
+        self._preds: Dict[str, List[str]] = {}
+        self._succs: Dict[str, List[str]] = {}
+        self._order: Optional[List[OpNode]] = None  # cached; ``add`` resets it
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add(self, node: OpNode, deps: Iterable[str] = ()) -> OpNode:
-        """Add ``node``, depending on the named predecessor ops."""
-        if node.name in self._graph:
+        """Add ``node``, depending on the named predecessor ops.
+
+        A refused add leaves the graph exactly as it was.
+        """
+        if node.name in self._ops:
             raise ValueError(f"duplicate op name {node.name!r}")
-        self._graph.add_node(node.name, op=node)
-        for dep in deps:
-            if dep not in self._graph:
+        preds = list(dict.fromkeys(deps))  # repeated entries are one edge
+        for dep in preds:
+            if dep not in self._ops:  # the node itself included
                 raise KeyError(f"dependency {dep!r} not in graph")
-            self._graph.add_edge(dep, node.name)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_node(node.name)
-            raise ValueError(f"adding op {node.name!r} would create a cycle")
+        self._ops[node.name] = node
+        self._preds[node.name] = preds
+        self._succs[node.name] = []
+        for dep in preds:
+            self._succs[dep].append(node.name)
+        self._order = None
         return node
 
     def chain(self, nodes: Iterable[OpNode], after: Optional[str] = None) -> Optional[str]:
@@ -116,27 +126,38 @@ class OpGraph:
     # Access
     # ------------------------------------------------------------------
     def __contains__(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._ops
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._ops)
 
     def node(self, name: str) -> OpNode:
-        return self._graph.nodes[name]["op"]
+        return self._ops[name]
 
     def nodes(self) -> List[OpNode]:
-        """All ops in a topological order."""
-        return [self._graph.nodes[n]["op"] for n in nx.topological_sort(self._graph)]
+        """All ops in topological order: Kahn's algorithm by generations,
+        the roots in insertion order, then each generation in the order
+        its ops become ready (DESIGN.md section 2).  Every float sum the
+        simulator reports is taken in this order.
+        """
+        if self._order is None:
+            waiting = {name: len(preds) for name, preds in self._preds.items()}
+            order = [name for name, count in waiting.items() if count == 0]
+            for name in order:  # grows as ops become ready
+                for succ in self._succs[name]:
+                    waiting[succ] -= 1
+                    if waiting[succ] == 0:
+                        order.append(succ)
+            self._order = [self._ops[name] for name in order]
+        return list(self._order)
 
-    def successors(self, name: str) -> List[str]:
-        return list(self._graph.successors(name))
+    def successors(self, name: str) -> Sequence[str]:
+        """Ops depending on ``name``, in the order added (read-only)."""
+        return self._succs[name]
 
-    def predecessors(self, name: str) -> List[str]:
-        return list(self._graph.predecessors(name))
-
-    def networkx(self) -> nx.DiGraph:
-        """The underlying networkx graph (treat as read-only)."""
-        return self._graph
+    def predecessors(self, name: str) -> Sequence[str]:
+        """Dependencies of ``name``, in the order given (read-only)."""
+        return self._preds[name]
 
     # ------------------------------------------------------------------
     # Aggregate statistics
@@ -159,24 +180,19 @@ class OpGraph:
         ``weights`` maps op name -> execution time.  Parallel branches
         (e.g. the embedding pipeline vs. the bottom MLP of a DLRM)
         contribute only their slower arm, matching the paper's
-        ``MAX(embedding time, DNN time)`` step-time accounting.
+        ``MAX(embedding time, DNN time)`` step-time accounting.  Ties
+        go to the first predecessor, and to the earliest tail.
         """
         best_cost: Dict[str, float] = {}
         best_pred: Dict[str, Optional[str]] = {}
-        order = list(nx.topological_sort(self._graph))
-        for name in order:
-            preds = list(self._graph.predecessors(name))
-            if preds:
-                pred = max(preds, key=lambda p: best_cost[p])
-                base = best_cost[pred]
-            else:
-                pred, base = None, 0.0
-            best_cost[name] = base + weights[name]
-            best_pred[name] = pred
-        if not order:
+        for op in self.nodes():
+            preds = self._preds[op.name]
+            pred = max(preds, key=best_cost.__getitem__) if preds else None
+            best_cost[op.name] = (best_cost[pred] if preds else 0.0) + weights[op.name]
+            best_pred[op.name] = pred
+        if not best_cost:
             return []
-        tail = max(order, key=lambda n: best_cost[n])
-        path = [tail]
+        path = [max(best_cost, key=best_cost.__getitem__)]
         while best_pred[path[-1]] is not None:
             path.append(best_pred[path[-1]])
         return list(reversed(path))

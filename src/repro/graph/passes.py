@@ -38,32 +38,20 @@ def _rebuild(graph: OpGraph, drop: Set[str], rewrite: Dict[str, OpNode]) -> OpGr
     successors).
     """
     out = OpGraph(graph.name)
-    # Map every node to its surviving ancestor set.
+    #: dropped node -> the surviving ancestors that stand in for it
     resolved: Dict[str, List[str]] = {}
-
-    def surviving_deps(name: str) -> List[str]:
+    for op in graph.nodes():
         deps: List[str] = []
-        for pred in graph.predecessors(name):
+        for pred in graph.predecessors(op.name):
             if pred in drop:
                 deps.extend(resolved[pred])
             else:
                 deps.append(pred)
-        # Preserve order, drop duplicates.
-        seen: Set[str] = set()
-        unique = []
-        for dep in deps:
-            if dep not in seen:
-                seen.add(dep)
-                unique.append(dep)
-        return unique
-
-    for op in graph.nodes():
-        deps = surviving_deps(op.name)
+        deps = list(dict.fromkeys(deps))  # spliced diamonds repeat an ancestor
         if op.name in drop:
             resolved[op.name] = deps
-            continue
-        node = rewrite.get(op.name, op)
-        out.add(node, deps=deps)
+        else:
+            out.add(rewrite.get(op.name, op), deps=deps)
     return out
 
 

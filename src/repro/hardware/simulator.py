@@ -49,15 +49,15 @@ class SimulationResult:
 
     graph_name: str
     hardware: str
-    total_time_s: float
-    serial_time_s: float
-    total_flops: float
-    hbm_bytes: float
-    cmem_bytes: float
-    network_bytes: float
-    param_bytes: float
-    mxu_busy_s: float
-    vpu_busy_s: float
+    total_time_s: float = 0.0
+    serial_time_s: float = 0.0
+    total_flops: float = 0.0
+    hbm_bytes: float = 0.0
+    cmem_bytes: float = 0.0
+    network_bytes: float = 0.0
+    param_bytes: float = 0.0
+    mxu_busy_s: float = 0.0
+    vpu_busy_s: float = 0.0
     critical_path: List[str] = field(default_factory=list)
     op_timings: Dict[str, OpTiming] = field(default_factory=dict)
 
@@ -179,33 +179,27 @@ class PerformanceSimulator:
             from ..graph.passes import optimize
 
             graph = optimize(graph)
-        timings: Dict[str, OpTiming] = {}
-        mxu_busy = vpu_busy = 0.0
+        # One walk in graph order, each total accumulated with ``+=``, not
+        # ``sum()``: Python 3.12's ``sum`` compensates float rounding, and
+        # the pinned results are plain left-to-right additions.
+        result = SimulationResult(graph_name=graph.name, hardware=self.hw.name)
         for op in graph.nodes():
-            timing = self.time_op(op)
-            timings[op.name] = timing
+            timing = result.op_timings[op.name] = self.time_op(op)
+            result.serial_time_s += timing.time_s
+            result.total_flops += timing.flops
+            result.hbm_bytes += timing.hbm_bytes
+            result.cmem_bytes += timing.cmem_bytes
+            result.network_bytes += op.network_bytes
+            result.param_bytes += op.param_bytes
             if op.unit == UNIT_MXU:
-                mxu_busy += timing.compute_time_s
+                result.mxu_busy_s += timing.compute_time_s
             elif op.unit not in (UNIT_MEMORY, UNIT_NETWORK):
-                vpu_busy += timing.compute_time_s
-        weights = {name: t.time_s for name, t in timings.items()}
-        path = graph.critical_path(weights)
-        total_time = sum(weights[name] for name in path)
-        return SimulationResult(
-            graph_name=graph.name,
-            hardware=self.hw.name,
-            total_time_s=total_time,
-            serial_time_s=sum(weights.values()),
-            total_flops=sum(t.flops for t in timings.values()),
-            hbm_bytes=sum(t.hbm_bytes for t in timings.values()),
-            cmem_bytes=sum(t.cmem_bytes for t in timings.values()),
-            network_bytes=sum(op.network_bytes for op in graph.nodes()),
-            param_bytes=graph.total_param_bytes,
-            mxu_busy_s=mxu_busy,
-            vpu_busy_s=vpu_busy,
-            critical_path=path,
-            op_timings=timings,
-        )
+                result.vpu_busy_s += timing.compute_time_s
+        weights = {name: timing.time_s for name, timing in result.op_timings.items()}
+        result.critical_path = graph.critical_path(weights)
+        for name in result.critical_path:
+            result.total_time_s += weights[name]
+        return result
 
 
 def simulate(graph: OpGraph, hw: HardwareConfig) -> SimulationResult:

@@ -48,8 +48,7 @@ class DlrmTimingHarness:
         """Lower an architecture to a concrete model spec."""
         return apply_architecture(self.baseline, arch)
 
-    def _graphs(self, arch: Architecture) -> Tuple[OpGraph, OpGraph]:
-        spec = self.spec_of(arch)
+    def _graphs(self, spec: DlrmModelSpec) -> Tuple[OpGraph, OpGraph]:
         serving_spec = replace(
             spec,
             name=spec.name + "_serving",
@@ -61,7 +60,10 @@ class DlrmTimingHarness:
     # ------------------------------------------------------------------
     def simulate(self, arch: Architecture) -> Tuple[float, float]:
         """(train_step_time, serving_latency) from the clean simulator."""
-        train_graph, serve_graph = self._graphs(arch)
+        return self._simulate_spec(self.spec_of(arch))
+
+    def _simulate_spec(self, spec: DlrmModelSpec) -> Tuple[float, float]:
+        train_graph, serve_graph = self._graphs(spec)
         return (
             self._train_sim.simulate(train_graph).total_time_s,
             self._serve_sim.simulate(serve_graph).total_time_s,
@@ -74,7 +76,7 @@ class DlrmTimingHarness:
         retries spent on flaky attempts accumulate on
         :attr:`measurement_retries`.
         """
-        train_graph, serve_graph = self._graphs(arch)
+        train_graph, serve_graph = self._graphs(self.spec_of(arch))
         return (
             self._train_bed.measure(train_graph).time_s,
             self._serve_bed.measure(serve_graph).time_s,
@@ -92,7 +94,7 @@ class DlrmTimingHarness:
 
     def measure_deterministic(self, arch: Architecture) -> Tuple[float, float]:
         """Noise-free testbed times (for evaluation sweeps)."""
-        train_graph, serve_graph = self._graphs(arch)
+        train_graph, serve_graph = self._graphs(self.spec_of(arch))
         return (
             self._train_bed.deterministic_time(train_graph),
             self._serve_bed.deterministic_time(serve_graph),
@@ -105,9 +107,10 @@ class DlrmTimingHarness:
     # ------------------------------------------------------------------
     def metrics_from_simulator(self, arch: Architecture) -> Dict[str, float]:
         """A performance_fn for searches, backed by the simulator."""
-        train_time, serve_time = self.simulate(arch)
+        spec = self.spec_of(arch)  # lowered once for both timing and size
+        train_time, serve_time = self._simulate_spec(spec)
         return {
             "train_step_time": train_time,
             "serving_latency": serve_time,
-            "model_size": self.model_size(arch),
+            "model_size": num_params(spec) * EMBEDDING_DTYPE_BYTES,
         }

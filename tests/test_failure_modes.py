@@ -91,12 +91,47 @@ class TestPipelineMisuse:
 
 
 class TestGraphGuards:
-    def test_cycle_rejected(self):
-        graph = OpGraph("cyclic")
+    @staticmethod
+    def two_op_graph():
+        graph = OpGraph("guarded")
         graph.add(OpNode("a", "dense", flops=1.0))
         graph.add(OpNode("b", "dense", flops=1.0), deps=["a"])
+        return graph
+
+    def test_duplicate_name_is_value_error(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            self.two_op_graph().add(OpNode("a", "dense"), deps=["b"])
+
+    def test_unknown_dependency_is_key_error(self):
+        with pytest.raises(KeyError, match="missing"):
+            self.two_op_graph().add(OpNode("c", "dense"), deps=["a", "missing"])
+
+    def test_self_dependency_refused(self):
+        """The only edge that could close a cycle.  A node is not in the
+        graph while it is being added, so it is an unknown dependency."""
+        with pytest.raises(KeyError, match="'c'"):
+            self.two_op_graph().add(OpNode("c", "dense"), deps=["a", "c"])
+
+    @pytest.mark.parametrize(
+        "name, deps", [("a", ["b"]), ("c", ["a", "missing"]), ("c", ["a", "c"])]
+    )
+    def test_refused_add_leaves_graph_unchanged(self, name, deps):
+        graph = self.two_op_graph()
+
+        def state():
+            names = [op.name for op in graph.nodes()]
+            return (
+                len(graph),
+                names,
+                {n: list(graph.predecessors(n)) for n in names},
+                {n: list(graph.successors(n)) for n in names},
+            )
+
+        before = state()
         with pytest.raises((ValueError, KeyError)):
-            graph.add(OpNode("a", "dense"), deps=["b"])  # duplicate/cycle
+            graph.add(OpNode(name, "dense"), deps=deps)
+        assert state() == before
+        assert "c" not in graph
 
     def test_simulating_empty_graph_is_zero_time(self):
         result = simulate(OpGraph("empty"), TPU_V4)

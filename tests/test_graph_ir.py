@@ -80,6 +80,117 @@ class TestOpGraph:
         assert g.predecessors("b") == ["a"]
 
 
+def random_dag(seed, max_nodes=40):
+    """A seeded random DAG: random fan-in <= 4 with repeated ``deps``
+    entries, added in an order unrelated to depth.  Returns the graph and
+    the (name, deduplicated deps) list in insertion order."""
+    rng = np.random.default_rng(seed)
+    graph, added = OpGraph(f"dag{seed}"), []
+    for i in range(int(rng.integers(1, max_nodes + 1))):
+        fan_in = int(rng.integers(0, min(4, len(added)) + 1))
+        deps = [added[j][0] for j in rng.integers(0, len(added), size=fan_in)] if added else []
+        if deps and rng.random() < 0.3:
+            deps.append(deps[0])  # a repeated entry is one edge
+        graph.add(OpNode(f"n{i}", "dense", flops=1.0), deps=deps)
+        added.append((f"n{i}", list(dict.fromkeys(deps))))
+    return graph, added
+
+
+def reference_kahn(added):
+    """Kahn by generations, written out: roots in insertion order, then
+    each generation in the order its ops become ready while the previous
+    one is walked, successors in the order they were added."""
+    waiting = {name: len(deps) for name, deps in added}
+    generation = [name for name, deps in added if not deps]
+    order = []
+    while generation:
+        order += generation
+        ready = []
+        for done in generation:
+            for name, deps in added:
+                if done in deps:
+                    waiting[name] -= 1
+                    if waiting[name] == 0:
+                        ready.append(name)
+        generation = ready
+    return order
+
+
+class TestOpGraphOrder:
+    """The invariant DESIGN.md section 2 states: acyclic by construction,
+    and ``nodes()`` is generations x insertion order (the order every
+    float sum in ``SimulationResult`` is taken in)."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_nodes_is_the_reference_topological_order(self, seed):
+        graph, added = random_dag(seed)
+        order = [op.name for op in graph.nodes()]
+        position = {name: i for i, name in enumerate(order)}
+        assert sorted(order) == sorted(name for name, _ in added)
+        for name, deps in added:
+            assert graph.predecessors(name) == deps
+            assert all(position[dep] < position[name] for dep in deps)
+        assert order == reference_kahn(added)
+
+    def test_order_is_not_plain_insertion_order(self):
+        """A generation is ordered by readiness: ``d`` is released by
+        ``a`` before ``c`` is released by ``b``."""
+        g = OpGraph()
+        g.add(OpNode("a", "x"))
+        g.add(OpNode("b", "x"))
+        g.add(OpNode("c", "x"), deps=["b"])
+        g.add(OpNode("d", "x"), deps=["a"])
+        assert [op.name for op in g.nodes()] == ["a", "b", "d", "c"]
+
+    def test_add_after_nodes_refreshes_the_order(self):
+        g = OpGraph()
+        g.chain([OpNode("a", "x"), OpNode("b", "x")])
+        assert [op.name for op in g.nodes()] == ["a", "b"]
+        g.add(OpNode("c", "x"))
+        assert [op.name for op in g.nodes()] == ["a", "c", "b"]
+
+    def test_nodes_returns_a_fresh_list(self):
+        g = OpGraph()
+        g.chain([OpNode("a", "x"), OpNode("b", "x")])
+        g.nodes().clear()
+        assert len(g.nodes()) == 2
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_critical_path_is_the_brute_force_longest_path(self, seed):
+        graph, added = random_dag(seed, max_nodes=10)
+        rng = np.random.default_rng(1000 + seed)
+        weights = {name: float(rng.integers(1, 6)) for name, _ in added}
+        deps_of = dict(added)
+
+        def longest_ending_at(name):
+            return weights[name] + max(
+                (longest_ending_at(dep) for dep in deps_of[name]), default=0.0
+            )
+
+        path = graph.critical_path(weights)
+        assert sum(weights[name] for name in path) == max(
+            longest_ending_at(name) for name in deps_of
+        )
+        assert not deps_of[path[0]]
+        for earlier, later in zip(path, path[1:]):
+            assert earlier in deps_of[later]
+
+    def test_critical_path_ties_take_the_first_predecessor(self):
+        g = OpGraph()
+        g.add(OpNode("src", "concat"))
+        g.add(OpNode("left", "dense"), deps=["src"])
+        g.add(OpNode("right", "dense"), deps=["src"])
+        g.add(OpNode("join", "concat"), deps=["right", "left"])
+        weights = {"src": 1.0, "left": 2.0, "right": 2.0, "join": 1.0}
+        assert g.critical_path(weights) == ["src", "right", "join"]
+
+    def test_critical_path_ties_take_the_earliest_tail(self):
+        g = OpGraph()
+        g.add(OpNode("a", "dense"))
+        g.add(OpNode("b", "dense"))
+        assert g.critical_path({"a": 3.0, "b": 3.0}) == ["a"]
+
+
 class TestOpConstructors:
     def test_conv2d_flops(self):
         op = ops.conv2d("c", height=32, width=32, cin=16, cout=32, kernel=3, stride=1)

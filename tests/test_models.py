@@ -273,6 +273,27 @@ class TestDlrmTimingHarness:
         assert set(metrics) == {"train_step_time", "serving_latency", "model_size"}
         assert all(v > 0 for v in metrics.values())
 
+    def test_metrics_lower_the_architecture_once(self, monkeypatch):
+        """Pricing a candidate is one lowering feeding both the timing and
+        the size, and the numbers are those of the separate calls."""
+        harness, space = self.make()
+        arch = space.sample(np.random.default_rng(2))
+        lowered = []
+
+        def counting_spec_of(a):
+            lowered.append(a)
+            return DlrmTimingHarness.spec_of(harness, a)
+
+        monkeypatch.setattr(harness, "spec_of", counting_spec_of)
+        metrics = harness.metrics_from_simulator(arch)
+        assert len(lowered) == 1
+        train_time, serve_time = harness.simulate(arch)
+        assert metrics == {
+            "train_step_time": train_time,
+            "serving_latency": serve_time,
+            "model_size": harness.model_size(arch),
+        }
+
     def test_deterministic_measure_stable(self):
         harness, space = self.make()
         arch = space.default_architecture()
