@@ -18,7 +18,7 @@ import json
 import os
 import pathlib
 import tempfile
-from typing import Any, Union
+from typing import Any, Iterable, Union
 
 PathLike = Union[str, pathlib.Path]
 
@@ -55,8 +55,23 @@ def atomic_write_json(path: PathLike, payload: Any, **dumps_kwargs: Any) -> path
     return atomic_write_text(path, json.dumps(payload, **dumps_kwargs))
 
 
+def write_hashed(path: PathLike, chunks: Iterable[Any]) -> str:
+    """Write bytes-like ``chunks`` to a new file at ``path``, flush it
+    to stable storage, and return the hex SHA-256 of what was written —
+    hashed on the way out, so the file is never read back."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as handle:
+        for chunk in chunks:
+            handle.write(chunk)
+            digest.update(chunk)
+        handle.flush()
+        os.fsync(handle.fileno())
+    return digest.hexdigest()
+
+
 def file_sha256(path: PathLike) -> str:
-    """Hex SHA-256 digest of a file's content (checkpoint checksums)."""
+    """Hex SHA-256 digest of a file's content (verifying a checkpoint
+    on load; writers hash as they write, see :func:`write_hashed`)."""
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):

@@ -22,10 +22,11 @@ Snapshots live in a manifest-indexed directory::
 
 Search state holds hundreds of small parameter arrays; writing each as
 its own archive member costs more in bookkeeping than in data.  The
-store therefore concatenates all arrays of one dtype into a single
-buffer, streams each buffer as a raw ``.npy`` segment into
-``arrays.bin``, and keeps the (buffer, offset, shape) index in
-``state.json``.
+store therefore streams all arrays of one dtype back to back under a
+single raw ``.npy`` header into ``arrays.bin`` (one flat buffer per
+dtype on disk, never assembled in memory), and keeps the (buffer,
+offset, shape) index in ``state.json``.  Both files are hashed as they
+are written; only the verifying load path reads them back.
 
 A snapshot becomes visible only when the manifest names it, and the
 manifest itself is replaced atomically (see :mod:`repro.runtime.atomic`),
@@ -37,6 +38,7 @@ and falls back to the previous one on mismatch.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import pathlib
@@ -49,7 +51,7 @@ import numpy as np
 
 from ..core.search import CandidateRecord, StepRecord
 from ..searchspace.base import SearchSpace
-from .atomic import atomic_write_json, file_sha256
+from .atomic import atomic_write_json, file_sha256, write_hashed
 
 PathLike = Union[str, pathlib.Path]
 
@@ -242,45 +244,51 @@ class CheckpointStore:
         staging.mkdir(parents=True)
 
         tree, arrays = pack_state(state)
-        buffer_names: List[str] = []
-        buffer_ids: Dict[str, int] = {}
-        buffer_chunks: Dict[str, List[np.ndarray]] = {}
-        buffer_sizes: Dict[str, int] = {}
+        #: dtype -> its arrays, flattened, in table order; a dtype's
+        #: buffer id is its position here
+        buffers: Dict[str, List[np.ndarray]] = {}
+        sizes: Dict[str, int] = {}
         index: List[dict] = []
         for array in arrays:
+            if array.dtype.hasobject:
+                raise ValueError("Object arrays cannot be checkpointed")
             dtype_name = array.dtype.str
-            if dtype_name not in buffer_ids:
-                buffer_ids[dtype_name] = len(buffer_names)
-                buffer_names.append(dtype_name)
-                buffer_chunks[dtype_name] = []
-                buffer_sizes[dtype_name] = 0
+            chunks = buffers.setdefault(dtype_name, [])
+            offset = sizes.get(dtype_name, 0)
             index.append(
                 {
-                    "buffer": buffer_ids[dtype_name],
-                    "offset": buffer_sizes[dtype_name],
+                    "buffer": list(buffers).index(dtype_name),
+                    "offset": offset,
                     "shape": list(array.shape),
                 }
             )
-            buffer_chunks[dtype_name].append(np.ascontiguousarray(array).ravel())
-            buffer_sizes[dtype_name] += array.size
-        document = {"tree": tree, "buffers": buffer_names, "arrays": index}
-        state_path = staging / self.STATE_NAME
-        arrays_path = staging / self.ARRAYS_NAME
-        with open(state_path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, separators=(",", ":"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        with open(arrays_path, "wb") as handle:
-            for name in buffer_names:
-                chunks = buffer_chunks[name]
-                merged = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-                np.lib.format.write_array(handle, merged, allow_pickle=False)
-            handle.flush()
-            os.fsync(handle.fileno())
+            chunks.append(np.ascontiguousarray(array).reshape(-1))
+            sizes[dtype_name] = offset + array.size
+        document = {"tree": tree, "buffers": list(buffers), "arrays": index}
+
+        def segments():
+            # One 1-d ``.npy`` segment per dtype, its arrays streamed
+            # back to back under a single header.
+            for name, chunks in buffers.items():
+                header = io.BytesIO()
+                np.lib.format.write_array_header_1_0(
+                    header,
+                    {
+                        "descr": np.lib.format.dtype_to_descr(chunks[0].dtype),
+                        "fortran_order": False,
+                        "shape": (sizes[name],),
+                    },
+                )
+                yield header.getvalue()
+                for chunk in chunks:
+                    yield chunk.view(np.uint8)
 
         files = {
-            self.STATE_NAME: file_sha256(state_path),
-            self.ARRAYS_NAME: file_sha256(arrays_path),
+            self.STATE_NAME: write_hashed(
+                staging / self.STATE_NAME,
+                [json.dumps(document, separators=(",", ":")).encode("utf-8")],
+            ),
+            self.ARRAYS_NAME: write_hashed(staging / self.ARRAYS_NAME, segments()),
         }
         if final_dir.exists():  # stray dir from a dead run; never manifest-visible
             shutil.rmtree(final_dir)

@@ -7,6 +7,20 @@ never leaves a torn record: restart sees either the previous state or
 the new one.  The queue is therefore *the* source of truth; the
 in-memory index is just a cache rebuilt by scanning the spool.
 
+What is durable when: every state edge (submit, claim, finish, cancel,
+drain, recovery) is an fsynced atomic write before the call returns.
+``progress`` between edges is live in memory on every step (``status``
+and ``list`` read it there) and written through only when the job's
+snapshot is (:meth:`JobQueue.update` with ``durable=False`` otherwise):
+recovery resumes from the checkpoint store and never reads it, so
+nothing a restarted daemon does depends on a fresher value.
+
+The dispatcher polls the queue every few milliseconds and a spool keeps
+every job it ever ran, so nothing on that path may cost time in the
+spool's history: the next sequence number, the per-state counts (global
+and per tenant) and the seq-ordered index of queued jobs are maintained
+on every edge instead of recomputed by scanning the records.
+
 States move ``queued -> running -> done | failed | cancelled``, with
 one extra durable edge for crash recovery and draining:
 ``running -> queued`` (:meth:`JobQueue.recover_running`, and the
@@ -22,11 +36,13 @@ holds the job's checkpoint store, its private telemetry stream
 
 from __future__ import annotations
 
+import bisect
+import json
 import pathlib
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..runtime.atomic import atomic_write_json
 from .protocol import JobStateError, UnknownJobError
@@ -51,6 +67,10 @@ _TRANSITIONS = {
 
 JOBS_DIRNAME = "jobs"
 RUNS_DIRNAME = "runs"
+
+
+def _no_jobs() -> Dict[str, int]:
+    return dict.fromkeys(JOB_STATES, 0)
 
 
 @dataclass
@@ -106,12 +126,31 @@ class JobQueue:
         self._clock = clock
         self._lock = threading.RLock()
         self._records: Dict[str, JobRecord] = {}
+        self._next_seq = 0
+        #: jobs per state: ``None`` for the whole spool, else per tenant
+        self._counts: Dict[Optional[str], Dict[str, int]] = {None: _no_jobs()}
+        #: ``(seq, job_id)`` of every queued job, oldest first (a job
+        #: drained or recovered back to ``queued`` keeps its place)
+        self._queued: List[Tuple[int, str]] = []
         self._load()
+
+    # -- the derived indexes --------------------------------------------
+    def _reindex(self, record: JobRecord, was: Optional[str]) -> None:
+        """Account for ``record`` having moved from state ``was``
+        (``None``: it is new) to ``record.state``."""
+        tenant = self._counts.setdefault(record.tenant, _no_jobs())
+        for counts in (self._counts[None], tenant):
+            if was is not None:
+                counts[was] -= 1
+            counts[record.state] += 1
+        key = (record.seq, record.job_id)
+        if was == "queued":
+            self._queued.remove(key)  # bounded by the admission quota
+        if record.state == "queued":
+            bisect.insort(self._queued, key)
 
     # -- persistence ----------------------------------------------------
     def _load(self) -> None:
-        import json
-
         for path in sorted(self.jobs_dir.glob("job-*.json")):
             try:
                 record = JobRecord.from_dict(json.loads(path.read_text()))
@@ -121,6 +160,8 @@ class JobQueue:
                 # the whole spool down.
                 continue
             self._records[record.job_id] = record
+            self._next_seq = max(self._next_seq, record.seq + 1)
+            self._reindex(record, None)
 
     def _persist(self, record: JobRecord) -> None:
         atomic_write_json(
@@ -142,7 +183,8 @@ class JobQueue:
         if not tenant or not isinstance(tenant, str):
             raise ValueError("tenant must be a non-empty string")
         with self._lock:
-            seq = 1 + max((r.seq for r in self._records.values()), default=-1)
+            seq = self._next_seq
+            self._next_seq += 1
             record = JobRecord(
                 job_id=f"job-{seq:06d}",
                 seq=seq,
@@ -153,6 +195,7 @@ class JobQueue:
             )
             record.history.append(["queued", record.submitted_at])
             self._records[record.job_id] = record
+            self._reindex(record, None)
             self._persist(record)
             return JobRecord.from_dict(record.to_dict())
 
@@ -180,12 +223,8 @@ class JobQueue:
 
     def counts(self, tenant: Optional[str] = None) -> Dict[str, int]:
         """Jobs per state, optionally restricted to one tenant."""
-        out = {state: 0 for state in JOB_STATES}
         with self._lock:
-            for record in self._records.values():
-                if tenant is None or record.tenant == tenant:
-                    out[record.state] += 1
-        return out
+            return dict(self._counts.get(tenant) or _no_jobs())
 
     # -- state machine --------------------------------------------------
     def transition(self, job_id: str, state: str, **changes: Any) -> JobRecord:
@@ -205,7 +244,8 @@ class JobQueue:
                     f"{job_id} is {record.state}; cannot move to {state}"
                 )
             now = self._clock()
-            record.state = state
+            was, record.state = record.state, state
+            self._reindex(record, was)
             record.history.append([state, now])
             if state == "running":
                 record.started_at = now
@@ -219,8 +259,14 @@ class JobQueue:
             self._persist(record)
             return JobRecord.from_dict(record.to_dict())
 
-    def update(self, job_id: str, **changes: Any) -> JobRecord:
-        """Patch record fields without a state change (persisted)."""
+    def update(self, job_id: str, durable: bool = True, **changes: Any) -> JobRecord:
+        """Patch record fields without a state change.
+
+        Readers see the patch at once; it reaches the spool now when
+        ``durable``, else with the record's next durable write.
+        """
+        if changes.keys() & {"state", "tenant", "seq"}:
+            raise ValueError("the indexed fields change only through transition()")
         with self._lock:
             record = self._records.get(job_id)
             if record is None:
@@ -229,7 +275,8 @@ class JobQueue:
                 if not hasattr(record, key):
                     raise AttributeError(f"JobRecord has no field {key!r}")
                 setattr(record, key, value)
-            self._persist(record)
+            if durable:
+                self._persist(record)
             return JobRecord.from_dict(record.to_dict())
 
     def claim_next(
@@ -242,12 +289,9 @@ class JobQueue:
         on restart and re-queues it via :meth:`recover_running`.
         """
         with self._lock:
-            for record in sorted(self._records.values(), key=lambda r: r.seq):
-                if record.state != "queued":
-                    continue
-                if eligible is not None and not eligible(record):
-                    continue
-                return self.transition(record.job_id, "running")
+            for _, job_id in self._queued:
+                if eligible is None or eligible(self._records[job_id]):
+                    return self.transition(job_id, "running")
         return None
 
     def recover_running(self) -> List[JobRecord]:

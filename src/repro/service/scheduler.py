@@ -236,13 +236,22 @@ class JobScheduler:
         def should_stop() -> bool:
             return handle.cancel.is_set() or self._drain.is_set()
 
-        def on_step(step: int) -> None:
-            # Progress is durable and absolute (resumed jobs report the
-            # true step index): a restarted daemon shows how far a
-            # recovered job had come, and operators watch it via status.
-            self.queue.update(job_id, progress=step + 1)
-
         try:
+            spec = JobSpec.from_dict(record.spec)
+
+            def on_step(step: int) -> None:
+                # Progress is absolute (resumed jobs report the true step
+                # index).  Every step updates it in memory, where
+                # ``status`` reads it; it is written through when the
+                # snapshot it describes is — recovery resumes from the
+                # snapshot and never reads this value.
+                done = step + 1
+                self.queue.update(
+                    job_id,
+                    durable=done % spec.checkpoint_every == 0 and done < spec.steps,
+                    progress=done,
+                )
+
             self._runner(
                 record,
                 self.queue.run_dir(job_id),
@@ -273,9 +282,7 @@ class JobScheduler:
             self._count("service.finished", state="failed")
             self._event("service.job_failed", job_id=job_id, error=str(error))
         else:
-            final = self.queue.transition(
-                job_id, "done", progress=JobSpec.from_dict(record.spec).steps
-            )
+            final = self.queue.transition(job_id, "done", progress=spec.steps)
             self._count("service.finished", state="done")
             self._event(
                 "service.job_done", job_id=job_id, attempts=final.attempts

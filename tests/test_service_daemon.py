@@ -279,3 +279,53 @@ class TestDaemonSubprocess:
                 restarted.communicate()
         assert got_running == one_shot_payload(JobSpec(**slow), backend="serial")
         assert got_queued == one_shot_payload(JobSpec(**fast), backend="serial")
+
+    def test_sigkill_mid_interval_leaves_progress_at_a_snapshot(self, tmp_path):
+        """Between snapshots ``status`` runs ahead of the spool: what a
+        SIGKILL leaves on disk is the progress of a snapshot that exists,
+        never more than the restarted job resumes from."""
+        from repro.runtime import CheckpointStore
+        from repro.telemetry import read_events
+
+        spool = tmp_path / "spool"
+        spec = {"steps": 14, "seed": 5, "step_sleep_s": 0.1, "checkpoint_every": 5}
+        proc = start_daemon_subprocess(spool)
+        try:
+            client = ServiceClient(spool / "daemon.sock")
+            client.wait_ready(timeout=30.0)
+            job_id = client.submit("alice", spec)["job_id"]
+            deadline = time.monotonic() + 60.0
+            while (live := client.status(job_id)["progress"]) < 6:
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            proc.kill()
+            proc.communicate(timeout=30.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+
+        on_disk = json.loads((spool / "jobs" / f"{job_id}.json").read_text())
+        store = CheckpointStore(spool / "runs" / job_id / "checkpoints")
+        assert on_disk["state"] == "running"
+        assert on_disk["progress"] == 5 < live
+        assert on_disk["progress"] in [info.step for info in store.snapshots()]
+
+        restarted = start_daemon_subprocess(spool)
+        try:
+            client = ServiceClient(spool / "daemon.sock")
+            client.wait_ready(timeout=30.0)
+            payload = client.wait_results(job_id, timeout=120.0)
+            client.drain()
+            restarted.communicate(timeout=30.0)
+        finally:
+            if restarted.poll() is None:
+                restarted.kill()
+                restarted.communicate()
+        resumed = [
+            event["step"]
+            for event in read_events(spool / "runs" / job_id / "telemetry" / "events")
+            if event["kind"] == "recovery.resumed"
+        ]
+        assert resumed == [5] and on_disk["progress"] <= resumed[0]
+        assert payload == one_shot_payload(JobSpec(**spec), backend="serial")

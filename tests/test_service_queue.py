@@ -1,6 +1,7 @@
 """Durable job-queue tests: atomic records, state machine, recovery."""
 
 import json
+import time
 
 import pytest
 
@@ -143,3 +144,89 @@ class TestClaiming:
         queue.submit("alice", {})
         queue.claim_next()
         assert make_queue(tmp_path).get("job-000000").state == "running"
+
+    def test_requeued_job_keeps_its_place_in_line(self, tmp_path):
+        queue = make_queue(tmp_path)
+        for tenant in ("alice", "bob", "carol"):
+            queue.submit(tenant, {})
+        assert queue.claim_next().job_id == "job-000000"
+        queue.transition("job-000000", "queued")  # drained back
+        assert queue.claim_next().job_id == "job-000000"  # not behind bob
+        # ... and a reopened spool lines them up the same way.
+        queue.transition("job-000000", "queued")
+        assert make_queue(tmp_path).claim_next().job_id == "job-000000"
+
+
+class TestIndexes:
+    """``counts``, the next id and the queued line are maintained on every
+    edge; a scan of the records must always agree with them."""
+
+    @staticmethod
+    def scanned(queue, tenant=None):
+        out = dict.fromkeys(JOB_STATES, 0)
+        for record in queue.list(tenant=tenant):
+            out[record.state] += 1
+        return out
+
+    def test_counts_follow_every_edge_and_survive_reopening(self, tmp_path):
+        queue = make_queue(tmp_path)
+        for tenant in ("alice", "bob", "alice", "alice", "bob"):
+            queue.submit(tenant, {})
+        queue.claim_next()
+        queue.transition("job-000000", "done")
+        queue.claim_next()
+        queue.transition("job-000001", "failed", error="boom")
+        queue.transition("job-000002", "cancelled")
+        queue.claim_next()
+        queue.transition("job-000003", "queued")
+        queue.claim_next(eligible=lambda r: r.tenant == "bob")
+        for subject in (queue, make_queue(tmp_path)):
+            assert subject.counts() == self.scanned(subject)
+            for tenant in ("alice", "bob", "nobody"):
+                assert subject.counts(tenant) == self.scanned(subject, tenant)
+        assert queue.counts("alice") == {
+            "queued": 1, "running": 0, "done": 1, "failed": 0, "cancelled": 1
+        }
+        with pytest.raises(ValueError, match="transition"):
+            queue.update("job-000003", state="done")
+
+    def test_update_is_live_at_once_and_durable_on_request(self, tmp_path):
+        queue = make_queue(tmp_path)
+        queue.submit("alice", {})
+        path = tmp_path / "spool" / "jobs" / "job-000000.json"
+        assert queue.update("job-000000", durable=False, progress=4).progress == 4
+        assert queue.get("job-000000").progress == 4
+        assert json.loads(path.read_text())["progress"] == 0
+        queue.update("job-000000", progress=5)
+        assert json.loads(path.read_text())["progress"] == 5
+        # A later edge writes whatever is live.
+        queue.update("job-000000", durable=False, progress=6)
+        queue.claim_next()
+        assert json.loads(path.read_text())["progress"] == 6
+
+    def test_dispatch_cost_does_not_grow_with_spool_history(self, tmp_path):
+        """The dispatcher claims every 20 ms and a spool keeps every job
+        it ever ran: submit + claim + the admission counts with 5,000
+        finished jobs behind them cost what they cost with 50 (<= 3x;
+        scanning and sorting the records read 24x)."""
+
+        def cost(history):
+            queue = JobQueue(tmp_path / f"spool-{history}")
+            queue._persist = lambda record: None  # time the queue, not the disk
+            for _ in range(history):
+                queue.submit("old", {})
+                queue.transition(queue.claim_next().job_id, "done")
+            best = float("inf")
+            for _ in range(5):
+                started = time.perf_counter()
+                for _ in range(20):
+                    queue.counts()
+                    queue.counts("alice")
+                    queue.submit("alice", {})
+                    assert queue.claim_next() is not None
+                    assert queue.claim_next() is None  # an idle dispatcher tick
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        small = cost(50)
+        assert cost(5000) <= 3.0 * small

@@ -5,6 +5,7 @@ the scheduling layer (fast, deterministic); the end-to-end path with
 real searches is covered in ``test_service_daemon.py``.
 """
 
+import json
 import threading
 import time
 
@@ -207,3 +208,67 @@ class TestCancelAndDrain:
             assert queue.get("job-000000").recoveries == 1
         finally:
             scheduler.drain()
+
+
+def on_disk(queue, job_id):
+    return json.loads((queue.jobs_dir / f"{job_id}.json").read_text())
+
+
+class TestProgressDurability:
+    """Live progress moves every step; the spool gets it when the
+    snapshot it describes is written, and exactly at every state edge."""
+
+    def test_live_every_step_durable_on_the_snapshot_cadence(self, tmp_path):
+        seen = []
+
+        def runner(record, run_dir, should_stop, on_step, backend=None, workers=None):
+            for step in range(record.spec["steps"]):
+                on_step(step)
+                seen.append(
+                    (
+                        queue.get(record.job_id).progress,
+                        on_disk(queue, record.job_id)["progress"],
+                    )
+                )
+            return {}
+
+        queue, scheduler = make_scheduler(tmp_path, runner)
+        scheduler.start()
+        try:
+            scheduler.submit("alice", {"steps": 9, "checkpoint_every": 3})
+            wait_until(lambda: queue.get("job-000000").state == "done")
+        finally:
+            scheduler.drain()
+        # Steps 3 and 6 carry a snapshot; step 9 ends the run, which
+        # writes none — the ``done`` edge records it.
+        assert seen == [
+            (1, 0), (2, 0), (3, 3), (4, 3), (5, 3), (6, 6), (7, 6), (8, 6), (9, 6)
+        ]
+        final = on_disk(queue, "job-000000")
+        assert (final["state"], final["progress"]) == ("done", 9)
+
+    @pytest.mark.parametrize("stop, state", [("cancel", "cancelled"), ("drain", "queued")])
+    def test_stop_edges_persist_the_exact_stop_step(self, tmp_path, stop, state):
+        stepped = threading.Event()
+
+        def runner(record, run_dir, should_stop, on_step, backend=None, workers=None):
+            for step in range(4):
+                on_step(step)
+            stepped.set()
+            while not should_stop():
+                time.sleep(0.002)
+            raise SearchInterrupted(step=4, checkpoint_written=True)
+
+        queue, scheduler = make_scheduler(tmp_path, runner)
+        scheduler.start()
+        try:
+            scheduler.submit("alice", {"steps": 20, "checkpoint_every": 3})
+            assert stepped.wait(10.0)
+            assert on_disk(queue, "job-000000")["progress"] == 3
+            if stop == "cancel":
+                scheduler.cancel("job-000000")
+                wait_until(lambda: queue.get("job-000000").state == "cancelled")
+        finally:
+            scheduler.drain()
+        final = on_disk(queue, "job-000000")
+        assert (final["state"], final["progress"]) == (state, 4)
