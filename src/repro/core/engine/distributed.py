@@ -60,7 +60,7 @@ from .backends import (
     process_start_method,
 )
 from ...service.protocol import ProtocolError
-from .shm import SharedWeights, WeightLayout, weight_layout
+from .shm import SharedGradients, SharedWeights, WeightLayout, weight_layout
 from .transport import (
     DEFAULT_BIND,
     TRANSPORT_VERSION,
@@ -75,6 +75,7 @@ from .worker import (
     StageTask,
     build_remote_context,
     build_supernet_from_spec,
+    drain_pending_releases,
     execute_stage_kind,
     mark_worker_process,
     run_stage_task,
@@ -121,11 +122,15 @@ def _picklable_error(error: BaseException) -> BaseException:
 class _HostContext:
     """One rehydrated supernet plus its last-applied weight version.
     Weights arrive as pushed bytes (:meth:`apply`) or, given the name of
-    the controller's shared ``segment``, by :meth:`copy_in`."""
+    the controller's shared ``segment``, by :meth:`copy_in`; ``gradients``
+    is its gradient image's ``(slots, name)``.  Parameters are walked once."""
 
-    def __init__(self, supernet: Any, layout: WeightLayout, segment: Optional[str] = None):
+    def __init__(
+        self, supernet: Any, layout: WeightLayout, segment: Optional[str] = None, gradients=None
+    ):
         self.supernet = supernet
-        self.param_arrays = [p.data for p in supernet.parameters()]
+        self.params = list(supernet.parameters())
+        self.param_arrays = [p.data for p in self.params]
         self.layout = [
             (tuple(shape), int(offset), int(size)) for shape, offset, size in layout
         ]
@@ -137,6 +142,7 @@ class _HostContext:
                 f"published layout {expected}"
             )
         self.shared = SharedWeights.attach(segment, self.layout) if segment else None
+        self.gradients = SharedGradients(self.layout, *gradients) if gradients else None
         self.applied_version = 0
 
     def apply(self, version: int, data: bytes) -> None:
@@ -152,8 +158,9 @@ class _HostContext:
         self.applied_version = self.shared.copy_into(self.param_arrays)
 
     def close(self) -> None:
-        if self.shared is not None:
-            self.shared.release()
+        for segment in (self.shared, self.gradients):
+            if segment is not None:
+                segment.release()
 
 
 class WorkerHost:
@@ -271,7 +278,7 @@ class WorkerHost:
         try:
             supernet = build_supernet_from_spec(pickle.loads(message["spec"]))
             ctx: Union[_HostContext, Exception] = _HostContext(
-                supernet, message["layout"], message.get("segment")
+                supernet, message["layout"], message.get("segment"), message.get("gradients")
             )
             if message.get("weights") is not None:
                 ctx.apply(message["version"], message["weights"])
@@ -342,7 +349,9 @@ class WorkerHost:
             else:
                 task: StageTask = message["task"]
                 ctx = self._context_for_task(task.context)
-                value = execute_stage_kind(ctx.supernet, task.kind, task.payload)
+                value = execute_stage_kind(
+                    ctx.supernet, task.kind, task.payload, ctx.params, ctx.gradients
+                )
             seconds = time.perf_counter() - start
         except ConnectionError:
             return False
@@ -691,8 +700,9 @@ class _Cluster:
 
     # -- context / weight state ----------------------------------------
     # A context's state is its ``context`` message: spec, layout, version
-    # and the weight carrier — ``segment`` names the shared segment when
-    # this cluster spawned its workers (they share its memory), ``weights``
+    # and the carriers — ``segment`` names the shared weights segment and
+    # ``gradients`` is the gradient image's ``(slots, name)`` when this
+    # cluster spawned its workers (they share its memory), ``weights``
     # holds the current bytes when workers dial in over TCP.
     def _pushed_weights(self, arrays: Sequence[np.ndarray]) -> Optional[bytes]:
         """A weight version as a TCP worker needs it (``None`` when none
@@ -715,7 +725,9 @@ class _Cluster:
         version: int,
         segment: Optional[str],
         arrays: Sequence[np.ndarray],
+        gradients: Optional[Tuple[int, str]] = None,
     ) -> None:
+        drain_pending_releases()
         state = {
             "type": "context",
             "context_id": context_id,
@@ -723,6 +735,7 @@ class _Cluster:
             "layout": tuple(weight_layout(arrays)),
             "version": int(version),
             "segment": segment,
+            "gradients": gradients,
             "weights": self._pushed_weights(arrays),
         }
         with self._lock:
@@ -766,6 +779,7 @@ class _Cluster:
     ) -> List[Tuple[Any, float, Union[int, str]]]:
         """Fan ``messages`` out, gather ``(value, seconds, worker)``
         in submission order; resubmit orphans of lost workers."""
+        drain_pending_releases()
         run = _MapRun(len(messages), max_retries)
         records: List[_TaskRecord] = []
         with self._cond:
@@ -944,6 +958,7 @@ class _Cluster:
 
     # -- shutdown -------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
+        drain_pending_releases()
         with self._cond:
             if self._closed:
                 return
@@ -1059,11 +1074,14 @@ class _ClusterBackend(ExecutionBackend):
         return self._active_cluster.host_count
 
     # -- supernet context ----------------------------------------------
-    def register_context(self, supernet: Any) -> Optional[RemoteShardContext]:
+    def register_context(
+        self, supernet: Any, gradient_slots: int = 0
+    ) -> Optional[RemoteShardContext]:
         """Publish ``supernet`` to the cluster's workers.
 
         Returns the :class:`~.worker.RemoteShardContext` handle (the
-        engine drives `publish()` / `ref()` through it), or ``None``
+        engine drives `publish()` / `ref()` through it; ``gradient_slots``
+        is the most training tasks it will ship at once), or ``None``
         when the supernet cannot travel — unpicklable spec, parameter
         mismatch on rebuild, non-float64 parameters, or a single-worker
         pool where remote execution buys nothing.  ``None`` keeps every
@@ -1073,7 +1091,7 @@ class _ClusterBackend(ExecutionBackend):
             return None
         if self._context is not None:
             self._context.release()
-        self._context = build_remote_context(supernet, self._cluster)
+        self._context = build_remote_context(supernet, self._cluster, gradient_slots)
         return self._context
 
     # -- execution ------------------------------------------------------

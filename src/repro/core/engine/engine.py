@@ -27,10 +27,9 @@ every backend bit-identical to serial execution:
   shard order, so means, REINFORCE updates, and gradient accumulation
   see the same operand order regardless of completion order;
 * everything stateful that is *not* scheduling-independent (stochastic
-  quality signals without split-rng support, the weight-update stage's
-  loss graphs and their ``backward`` into shared parameters, pipeline
-  bookkeeping, the controller) stays on the engine thread in strict
-  shard order.
+  quality signals without split-rng support, the accumulation of the
+  shard's gradient into the shared parameters, pipeline bookkeeping,
+  the controller) stays on the engine thread in strict shard order.
 
 The engine also owns the stepwise checkpoint protocol (``step()`` /
 ``build_result()`` / ``state_dict()``) that the fault-tolerant runtime
@@ -85,6 +84,7 @@ from .worker import (
     quality_many_payloads,
     quality_split_payloads,
     run_stage_task,
+    train_many_payloads,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
@@ -313,9 +313,10 @@ class SearchEngine:
         self._warmup_rng = np.random.default_rng(config.seed + 1)
         self._tape_totals: Dict[str, int] = {}
         self._worker_loss_total = 0
-        # (groups, per-group live loss) a training score stage built for
-        # the weight-update stage of the same step; see score_shard.
-        self._held_losses: Optional[Tuple[List[List[int]], List[Any]]] = None
+        # What a training score stage held for the weight-update stage of
+        # the same step: (groups, live losses, None) from in-process passes,
+        # (groups, None, (active, gradients) pairs) from train tasks.
+        self._held: Optional[Tuple[List[List[int]], Any, Any]] = None
         # Remote backends (processes, distributed) score against a
         # supernet each worker rehydrates once; publishing happens here,
         # lazily, only when the weights actually changed since the last
@@ -325,10 +326,12 @@ class SearchEngine:
         self._weights_dirty = False
         register_context = getattr(self.backend, "register_context", None)
         if register_context is not None:
-            ctx = register_context(supernet)
+            ctx = register_context(supernet, config.num_cores)
             if ctx is not None:
                 self._remote_ctx = ctx
-                weakref.finalize(self, ctx.release)
+                # Garbage collection may run this under a lock release()
+                # needs: queue the release, never perform it.
+                weakref.finalize(self, ctx.release_later)
 
     # ------------------------------------------------------------------
     # Stepwise driver protocol (checkpointed execution)
@@ -520,7 +523,7 @@ class SearchEngine:
         task carries the resulting version so no worker scores against
         stale parameters.  Workers time themselves and report who they
         are; accounting happens here on the engine thread, including the
-        pickled-batch IPC volume estimate.
+        IPC volume: batch arrays out, ``train_many`` gradients back.
         """
         self._sync_remote_weights()
         ref = self._remote_ctx.ref()
@@ -534,9 +537,11 @@ class SearchEngine:
             telemetry.counter("engine.tasks").inc(
                 len(tasks), stage=stage, backend=self.backend.name
             )
-            telemetry.counter("engine.ipc.bytes").inc(
-                payload_nbytes(tasks), backend=self.backend.name
-            )
+            moved = payload_nbytes(tasks)
+            if kind == "train_many":
+                arrays = self._remote_ctx.param_arrays
+                moved += sum(arrays[i].nbytes for value, _, _ in results for i in value[1])
+            telemetry.counter("engine.ipc.bytes").inc(moved, backend=self.backend.name)
             for _, seconds, worker in results:
                 # Process workers report their pid (int); distributed
                 # workers report a host-qualified worker id (str), so
@@ -602,14 +607,15 @@ class SearchEngine:
 
         ``trains_on_shard`` is the strategy saying its weight-update
         stage will call :meth:`accumulate_shard_gradient` on this same
-        shard with the weights untouched in between.  A grouped pass
-        that runs in this process then serves both stages: the
-        supernet's ``quality_and_loss_many`` builds each group's loss
-        graph once, the qualities come off its logits, and the live
-        losses are held for the weight-update stage, which only runs
-        their ``backward``.  Remote backends keep worker-side
-        ``quality_many`` and engine-side ``loss_many`` — activations do
-        not cross a process boundary.
+        shard with the weights untouched in between.  One grouped pass,
+        the supernet's ``quality_and_loss_many``, then serves both
+        stages: the qualities come off the logits under each group's
+        loss.  In this process the live losses are held and the
+        weight-update stage only runs their ``backward``.  On a remote
+        backend each group is one ``train_many`` task: the worker runs
+        forward *and* backward and what comes back is the group's
+        gradient (through the context's gradient image, or in the result
+        frame over TCP), held for the weight-update stage to reduce.
         """
         if getattr(self.supernet, "quality_split", None) is not None:
             streams = self.backend.rng_streams(len(drawn))
@@ -623,14 +629,22 @@ class SearchEngine:
             ]
         payloads = quality_many_payloads(drawn, batches, groups)
         one_pass = getattr(self.supernet, "quality_and_loss_many", None)
-        if trains_on_shard and one_pass is not None and not self._remote_active():
+        if not trains_on_shard or one_pass is None:
+            per_group = self._score("quality_many", payloads)
+        elif self._remote_active() and len({batch.size for batch in batches}) == 1:
+            # (Unequal batches take ``loss_many``'s per-batch fallback:
+            # several contributions per parameter per group, which the
+            # reduce in accumulate_shard_gradient cannot reproduce.)
+            payloads = train_many_payloads(payloads, groups, self.config.num_cores)
+            results = self._fan_out_tasks(STAGE_SCORE, "train_many", payloads)
+            per_group = [values for values, _, _ in results]
+            self._held = (groups, None, [held for _, *held in results])
+        else:
             passes = self._fan_out(
                 STAGE_SCORE, lambda payload: one_pass(*payload), payloads
             )
-            self._held_losses = (groups, [loss for _, loss in passes])
             per_group = [values for values, _ in passes]
-        else:
-            per_group = self._score("quality_many", payloads)
+            self._held = (groups, [loss for _, loss in passes], None)
         qualities: List[float] = [0.0] * len(drawn)
         for positions, values in zip(groups, per_group):
             for position, value in zip(positions, values):
@@ -712,20 +726,30 @@ class SearchEngine:
         The sequential path backprops ``loss_i / num_cores`` per core;
         the grouped path backprops ``loss_many * (group_size /
         num_cores)`` per unique architecture — the same gradient in
-        ``len(groups)`` supernet passes.  Forward and ``backward`` both
-        run here, on the engine thread in group order: a live autograd
-        graph does not cross a process boundary, and ``backward``
-        accumulates into the shared parameter gradients, so group order
-        is the float accumulation order on every backend.  When the
-        score stage already built these groups' losses
-        (``score_shard(..., trains_on_shard=True)``), only the backwards
-        are left to run.
+        ``len(groups)`` supernet passes.  Accumulation into the shared
+        parameter gradients happens here, on the engine thread in group
+        order — the float accumulation order on every backend.  When
+        ``score_shard(..., trains_on_shard=True)`` held these groups'
+        losses only their backwards are left to run; when it held their
+        *gradients* (each computed from zero in a worker) they are
+        reduced as ``backward`` would have: the first group's copied,
+        the rest added — bit-identical because every parameter receives
+        one contribution per group pass (DESIGN.md §10).
         """
         num_cores = self.config.num_cores
-        held, self._held_losses = self._held_losses, None
+        held, self._held = self._held, None
         if held is not None and held[0] is groups:
-            for positions, loss in zip(groups, held[1]):
-                loss.backward(np.asarray(len(positions) / num_cores))
+            _, losses, gradients = held
+            if losses is not None:
+                for positions, loss in zip(groups, losses):
+                    loss.backward(np.asarray(len(positions) / num_cores))
+                return
+            ctx = self._remote_ctx
+            for slot, (active, arrays) in enumerate(gradients):
+                if arrays is None:  # in the image, not in the result
+                    arrays = [ctx.gradients.views[slot][i] for i in active]
+                for i, array in zip(active, arrays):
+                    ctx.params[i]._accumulate(array)
             return
         if groups is None or not isinstance(self.supernet, StackedScoring):
             for batch, (arch, _) in zip(batches, drawn):

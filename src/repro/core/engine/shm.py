@@ -20,9 +20,11 @@ raced a write and must be retried.  (In the engine's step loop the
 publisher only writes between fan-outs, so retries are a correctness
 backstop, not a steady-state cost.)
 
-One segment flavor lives here, :class:`SharedWeights`: the flat float64
-parameter image plus its ``(shape, offset, size)`` layout
-(:func:`weight_layout`, which the TCP byte push shares).
+Two segment flavors live here, both flat float64 images of one
+``(shape, offset, size)`` layout (:func:`weight_layout`, which the TCP
+byte push shares): :class:`SharedWeights`, the parameters going out, and
+:class:`SharedGradients`, its mirror — one image per task of a training
+fan-out, written by the workers and read by the engine.
 
 Every segment this process creates is tracked and unlinked at exit, so
 crashed or interrupted runs do not leak ``/dev/shm`` entries.
@@ -128,40 +130,23 @@ def _attach_segment(name: str) -> Any:
         resource_tracker.register = original_register
 
 
-class SharedWeights:
-    """One shared, versioned copy of a supernet's parameter arrays.
+class _Segment:
+    """This process's mapping of one segment: a new one of ``nbytes``
+    that it owns (tracked, unlinked on release or at exit), or the
+    existing one ``name``d.  Views die with :meth:`release`."""
 
-    The publisher (engine process) calls :meth:`publish` after every
-    cross-shard weight update; readers (workers) call :meth:`copy_into`
-    before scoring.  The seqlock version makes a torn read impossible:
-    readers retry until they observe the same even version before and
-    after their copy.
-    """
-
-    def __init__(self, segment: Any, layout: WeightLayout, owner: bool):
-        self._segment = segment
-        self._owner = owner
+    def __init__(self, nbytes: int, name: Optional[str] = None):
+        self._owner = name is None
         self._closed = False
-        self.layout = [
-            (tuple(shape), int(offset), int(size))
-            for shape, offset, size in layout
-        ]
-        total = sum(size for _, _, size in self.layout)
-        self._header = np.ndarray(
-            (HEADER_SLOTS,), dtype=np.int64, buffer=segment.buf
-        )
-        self._data = np.ndarray(
-            (total,), dtype=np.float64, buffer=segment.buf, offset=HEADER_BYTES
-        )
+        if name is not None:
+            self._segment = _attach_segment(name)
+        else:
+            self._segment = shared_memory.SharedMemory(create=True, size=max(nbytes, 8))
+            _track(self._segment)
 
     @property
     def name(self) -> str:
         return self._segment.name
-
-    @property
-    def version(self) -> int:
-        """Latest published version (even; odd means write in progress)."""
-        return int(self._header[0])
 
     def release(self) -> None:
         """Drop this process's mapping; the creator also unlinks the
@@ -177,17 +162,39 @@ class SharedWeights:
         except Exception:  # pragma: no cover - already gone
             pass
 
+
+class SharedWeights(_Segment):
+    """One shared, versioned copy of a supernet's parameter arrays.
+
+    The publisher (engine process) calls :meth:`publish` after every
+    cross-shard weight update; readers (workers) call :meth:`copy_into`
+    before scoring.  The seqlock version makes a torn read impossible:
+    readers retry until they observe the same even version before and
+    after their copy.
+    """
+
+    def __init__(self, layout: WeightLayout, name: Optional[str] = None):
+        self.layout = [
+            (tuple(shape), int(offset), int(size))
+            for shape, offset, size in layout
+        ]
+        total = sum(size for _, _, size in self.layout)
+        super().__init__(HEADER_BYTES + total * 8, name)
+        self._header = np.ndarray((HEADER_SLOTS,), dtype=np.int64, buffer=self._segment.buf)
+        self._data = np.ndarray(
+            (total,), dtype=np.float64, buffer=self._segment.buf, offset=HEADER_BYTES
+        )
+
+    @property
+    def version(self) -> int:
+        """Latest published version (even; odd means write in progress)."""
+        return int(self._header[0])
+
     # ------------------------------------------------------------------
     @classmethod
     def create(cls, arrays: Sequence[np.ndarray]) -> "SharedWeights":
         """Create a segment sized for ``arrays`` and publish them as v2."""
-        layout = weight_layout(arrays)
-        total = sum(size for _, _, size in layout)
-        segment = shared_memory.SharedMemory(
-            create=True, size=HEADER_BYTES + max(total, 1) * 8
-        )
-        _track(segment)
-        weights = cls(segment, layout, owner=True)
+        weights = cls(weight_layout(arrays))
         weights._header[:] = 0
         weights.publish(arrays)
         return weights
@@ -195,7 +202,7 @@ class SharedWeights:
     @classmethod
     def attach(cls, name: str, layout: WeightLayout) -> "SharedWeights":
         """Worker-side view of an existing segment (read-only by use)."""
-        return cls(_attach_segment(name), layout, owner=False)
+        return cls(layout, name)
 
     # ------------------------------------------------------------------
     def publish(
@@ -243,3 +250,29 @@ class SharedWeights:
             if self.version == before:
                 return before
             time.sleep(0.0002)
+
+
+class SharedGradients(_Segment):
+    """The mirror of :class:`SharedWeights`: ``slots`` gradient images of
+    one layout, written by workers and read by the engine.
+
+    Slot ``k`` belongs to task ``k`` of a training fan-out.  No seqlock:
+    the worker writes its slot and *then* sends the task's ``result``
+    frame, the happens-before edge for the engine's read, and a lost
+    worker is reaped before its orphan is re-run into the same slot.
+    Pages nobody wrote cost no memory.
+    """
+
+    def __init__(self, layout: WeightLayout, slots: int, name: Optional[str] = None):
+        total = sum(size for _, _, size in layout)
+        super().__init__(slots * total * 8, name)
+        flat = np.ndarray((slots, total), dtype=np.float64, buffer=self._segment.buf)
+        #: ``views[slot][i]``: parameter ``i``'s gradient in that slot
+        self.views: List[List[np.ndarray]] = [
+            [flat[slot, offset : offset + size].reshape(shape) for shape, offset, size in layout]
+            for slot in range(slots)
+        ]
+
+    def release(self) -> None:
+        self.views = []  # a view outliving the mapping would be a wild pointer
+        super().release()

@@ -10,8 +10,10 @@ runs one loop (:class:`~.distributed.WorkerHost`): it rehydrates the
 supernet once per context from the spec the ``context`` message
 carries, validates its parameter shapes against the published layout,
 and refreshes its weights whenever a task's ``version`` is newer than
-the one it last applied.  The engine's side of that contract is the
-:class:`RemoteShardContext` handle :func:`build_remote_context` returns.
+the one it last applied (a ``train_many`` task also runs the group's
+backward there and hands the gradient back).  The engine's side of that
+contract is the :class:`RemoteShardContext` handle
+:func:`build_remote_context` returns.
 
 When :func:`run_stage_task` runs on the *engine* thread — remote
 backends degrade to a serial loop for single-task maps or unpicklable
@@ -26,15 +28,16 @@ import itertools
 import os
 import pickle
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .shm import SharedWeights, shared_memory_available, weight_layout
+from .shm import SharedGradients, SharedWeights, shared_memory_available, weight_layout
 
 #: Stage-task kinds the worker knows how to run.
-TASK_KINDS = ("quality_many", "quality_split")
+TASK_KINDS = ("quality_many", "quality_split", "train_many")
 
 
 @dataclass(frozen=True)
@@ -134,13 +137,18 @@ def next_context_id() -> str:
 # ----------------------------------------------------------------------
 # Task execution
 # ----------------------------------------------------------------------
-def execute_stage_kind(supernet: Any, kind: str, payload: Tuple[Any, ...]) -> Any:
+def execute_stage_kind(
+    supernet: Any, kind: str, payload: Tuple[Any, ...], params=None, image=None
+) -> Any:
     """Run one stage-task kind against ``supernet``.
 
     The single kind dispatch shared by every executor: worker hosts
-    call it against their rehydrated supernet, the engine calls it
-    in-process (directly, or through :func:`run_stage_task`).
+    call it against their rehydrated supernet (with the parameter list
+    and gradient image they hold, for :func:`_train_many`), the engine
+    calls it in-process (directly, or through :func:`run_stage_task`).
     """
+    if kind == "train_many":
+        return _train_many(supernet, payload, params, image)
     if kind == "quality_many":
         arch, inputs_seq, labels_seq = payload
         return [float(v) for v in supernet.quality_many(arch, inputs_seq, labels_seq)]
@@ -148,6 +156,31 @@ def execute_stage_kind(supernet: Any, kind: str, payload: Tuple[Any, ...]) -> An
         arch, inputs, labels, rng = payload
         return float(supernet.quality_split(arch, inputs, labels, rng))
     raise ValueError(f"unknown stage-task kind {kind!r}")
+
+
+def _train_many(
+    supernet: Any, payload: Tuple[Any, ...], params: Optional[list], image: Optional[SharedGradients]
+) -> Tuple[List[float], List[int], Optional[List[np.ndarray]]]:
+    """One group's qualities *and* gradient, computed from zero.
+
+    Returns ``(qualities, active, gradients)``: ``active`` indexes the
+    parameters that received a gradient.  The gradients land in slot
+    ``slot`` of ``image`` (``gradients`` is then ``None``) or come back
+    as copies — the next group this supernet runs reuses the buffers.
+    """
+    arch, inputs_seq, labels_seq, scale, slot = payload
+    params = supernet.parameters() if params is None else params
+    for param in params:
+        param.grad = None
+    qualities, loss = supernet.quality_and_loss_many(arch, inputs_seq, labels_seq)
+    loss.backward(np.asarray(scale))
+    active = [i for i, param in enumerate(params) if param.grad is not None]
+    qualities = [float(quality) for quality in qualities]
+    if image is None:
+        return qualities, active, [params[i].grad.copy() for i in active]
+    for i in active:
+        np.copyto(image.views[slot][i], params[i].grad)
+    return qualities, active, None
 
 
 def run_stage_task(task: StageTask) -> Tuple[Any, float, int]:
@@ -180,6 +213,15 @@ def quality_many_payloads(
             [batches[i].labels for i in positions],
         )
         for positions in groups
+    ]
+
+
+def train_many_payloads(payloads, groups, num_cores: int) -> List[Tuple[Any, ...]]:
+    """:func:`quality_many_payloads` extended, per group, with the seed
+    of its backward (its share of the shard) and the gradient slot it owns."""
+    return [
+        (*payload, len(positions) / num_cores, slot)
+        for slot, (payload, positions) in enumerate(zip(payloads, groups))
     ]
 
 
@@ -245,14 +287,32 @@ def worker_spec_for(supernet: Any) -> Tuple[Any, ...]:
     return ("pickle", supernet)
 
 
+#: Contexts whose engine was garbage-collected unreleased.  A finaliser
+#: may run at any allocation — under a cluster lock, mid-``send`` — so
+#: it only appends here (``RemoteShardContext.release_later``).
+_PENDING_RELEASES: "deque[RemoteShardContext]" = deque()
+
+
+def drain_pending_releases() -> None:
+    """Release what finalisers queued; the cluster calls this from
+    ``run_map`` / ``register_context`` / ``shutdown``, holding no lock."""
+    while _PENDING_RELEASES:
+        try:
+            context = _PENDING_RELEASES.popleft()
+        except IndexError:  # another thread got there first
+            return
+        context.release()
+
+
 class RemoteShardContext:
     """Engine-side handle on one supernet published to workers.
 
-    Owns the weights segment (when the workers share this machine's
-    memory), tracks the published version — the one monotonic counter
-    tasks are stamped with — and registers the live supernet for the
-    serial-fallback path.  Built through :func:`build_remote_context`,
-    which validates the whole round trip before any worker sees a task.
+    Owns the weights segment and the gradient image (when the workers
+    share this machine's memory), tracks the published version — the
+    one monotonic counter tasks are stamped with — and registers the
+    live supernet for the serial-fallback path.  Built through
+    :func:`build_remote_context`, which validates the whole round trip
+    before any worker sees a task.
     """
 
     def __init__(
@@ -261,10 +321,13 @@ class RemoteShardContext:
         spec_bytes: bytes,
         weights: Optional[SharedWeights],
         cluster: Optional[Any],
+        gradients: Optional[SharedGradients] = None,
     ):
         self.supernet = supernet
-        self.param_arrays = [p.data for p in supernet.parameters()]
+        self.params = list(supernet.parameters())
+        self.param_arrays = [p.data for p in self.params]
         self.weights = weights
+        self.gradients = gradients
         self.cluster = cluster
         self.context_id = next_context_id()
         self.version = weights.version if weights is not None else 1
@@ -277,6 +340,7 @@ class RemoteShardContext:
                 self.version,
                 weights.name if weights is not None else None,
                 self.param_arrays,
+                gradients and (len(gradients.views), gradients.name),
             )
 
     def ref(self) -> RemoteContextRef:
@@ -305,7 +369,7 @@ class RemoteShardContext:
         return self.version
 
     def release(self) -> None:
-        """Tear down the segment, the workers' copies and the local
+        """Tear down the segments, the workers' copies and the local
         registration (idempotent)."""
         if self._released:
             return
@@ -313,12 +377,19 @@ class RemoteShardContext:
         unregister_local_context(self.context_id)
         if self.cluster is not None:
             self.cluster.release_context(self.context_id)
-        if self.weights is not None:
-            self.weights.release()
+        for segment in (self.weights, self.gradients):
+            if segment is not None:
+                segment.release()
+
+    def release_later(self) -> None:
+        """Queue :meth:`release` (it takes locks; a finaliser must not)."""
+        _PENDING_RELEASES.append(self)
 
 
 def build_remote_context(
-    supernet: Any, cluster_factory: Optional[Callable[[], Any]] = None
+    supernet: Any,
+    cluster_factory: Optional[Callable[[], Any]] = None,
+    gradient_slots: int = 0,
 ) -> Optional[RemoteShardContext]:
     """Publish ``supernet`` for remote workers, or ``None`` if it
     cannot travel.
@@ -331,9 +402,10 @@ def build_remote_context(
     (both weight carriers assume it).  Any failure keeps the search on
     the always-correct in-process path — and skips cluster startup
     entirely.  Without a ``cluster_factory`` the handle still owns a
-    weights segment: publishing needs no workers.
+    weights segment: publishing needs no workers.  ``gradient_slots``
+    (the most ``train_many`` tasks one fan-out ships) sizes its mirror.
     """
-    weights = None
+    weights = gradients = None
     try:
         arrays = [p.data for p in supernet.parameters()]
         weight_layout(arrays)  # float64 or TypeError
@@ -350,8 +422,11 @@ def build_remote_context(
             if not shared_memory_available():
                 return None
             weights = SharedWeights.create(arrays)
-        return RemoteShardContext(supernet, spec_bytes, weights, cluster)
+            if gradient_slots:
+                gradients = SharedGradients(weights.layout, gradient_slots)
+        return RemoteShardContext(supernet, spec_bytes, weights, cluster, gradients)
     except Exception:
-        if weights is not None:
-            weights.release()
+        for segment in (weights, gradients):
+            if segment is not None:
+                segment.release()
         return None

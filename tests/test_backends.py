@@ -12,6 +12,8 @@ map, per-task rng splitting, checkpointable split counter) and of the
 """
 
 import collections
+import dataclasses
+import gc
 import os
 import pickle
 import signal
@@ -57,6 +59,7 @@ from repro.data import CtrTaskConfig, CtrTeacher, SingleStepPipeline, TwoStreamP
 from repro.runtime import CheckpointStore, FaultInjector, FaultSpec, run_with_checkpoints
 from repro.runtime.faults import InjectedCrash, _MidShardCrash
 from repro.searchspace import DlrmSpaceConfig, dlrm_search_space
+from repro.service.jobs import dlrm_search_builder, elastic_training_builder, result_payload
 from repro.supernet import DlrmSuperNetwork, DlrmSupernetConfig, StackedScoring
 from repro.telemetry import Telemetry
 
@@ -765,7 +768,7 @@ class TestStageTaskPickling:
 
     def test_unknown_task_kind_rejected(self):
         # "quality" was a kind once; it is quality_many on a group of one.
-        assert worker_mod.TASK_KINDS == ("quality_many", "quality_split")
+        assert worker_mod.TASK_KINDS == ("quality_many", "quality_split", "train_many")
         search = build_single(backend="serial")
         ref = self._local_ref(search.supernet)
         for kind in ("mystery", "quality"):
@@ -879,6 +882,255 @@ class TestProcessEquivalence:
             and "pid" in entry
             for entry in labels
         )
+
+
+@dataclasses.dataclass(frozen=True)
+class KillOnceSupernetConfig(DlrmSupernetConfig):
+    flag_path: str = ""
+
+
+class KillOnceSupernet(DlrmSuperNetwork):
+    """SIGKILLs the first worker to run a training pass, after the
+    forward and before the backward: mid ``train_many`` task.  The flag
+    path rides in the config, so it reaches the worker's rebuilt copy."""
+
+    def quality_and_loss_many(self, arch, inputs_seq, labels_seq):
+        passed = super().quality_and_loss_many(arch, inputs_seq, labels_seq)
+        _kill_this_worker_once(self.config.flag_path)
+        return passed
+
+
+def quickstart(strategy, backend, seed=3, workers=2, steps=9):
+    """``(space, engine)`` of the quickstart DLRM search or elastic
+    training (batch 64, four cores): what the benchmark and the service
+    run, and what ``result_payload`` fingerprints."""
+    if strategy == "elastic":
+        space, _, factory = elastic_training_builder(
+            steps, seed, backend=backend, workers=workers
+        )
+        return space, factory()
+    space, factory = dlrm_search_builder(steps, seed, True, backend=backend, workers=workers)
+    return space, factory().search_algorithm
+
+
+def fingerprint(space, result):
+    return result_payload(space, result)["fingerprint"]
+
+
+def spy_on_shipped_kinds(search):
+    """Record the kind of every stage-task fan-out ``search`` ships."""
+    kinds = []
+    inner = search._fan_out_tasks
+
+    def fan_out_tasks(stage, kind, payloads):
+        kinds.append(kind)
+        return inner(stage, kind, payloads)
+
+    search._fan_out_tasks = fan_out_tasks
+    return kinds
+
+
+REMOTE_BACKENDS = ("processes", "distributed")
+
+
+class TestRemoteTraining:
+    """Training strategies ship ``train_many`` tasks: forward *and*
+    backward run in the workers and the gradients come back (through the
+    gradient image on spawned links, in the result frame over TCP)."""
+
+    @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
+    @pytest.mark.parametrize("strategy", ["single_step", "elastic"])
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_fingerprint_matches_serial(self, strategy, backend, seed):
+        space, serial = quickstart(strategy, "serial", seed)
+        space, remote = quickstart(strategy, backend, seed)
+        assert remote._remote_active()
+        kinds = spy_on_shipped_kinds(remote)
+        controller_passes = []
+        for name in ("loss_many", "quality_many"):
+            setattr(remote.supernet, name, lambda *a, _n=name: controller_passes.append(_n))
+        assert fingerprint(space, remote.run()) == fingerprint(space, serial.run())
+        # One path: every step's shard went out as train tasks, and the
+        # controller ran no forward of its own beside them.
+        assert kinds == ["train_many"] * remote.config.steps
+        assert controller_passes == []
+        image = remote._remote_ctx.gradients
+        assert (image is not None) == (backend == "processes")
+
+    @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
+    def test_elastic_crash_resume_matches_serial(self, tmp_path, backend):
+        space, serial = quickstart("elastic", "serial")
+        store = CheckpointStore(tmp_path, keep_last=2)
+        injector = FaultInjector([FaultSpec("crash", step=5)])
+        _, dying = quickstart("elastic", backend)
+        injector.arm(dying, store)
+        with pytest.raises(InjectedCrash):
+            run_with_checkpoints(dying, store=store, checkpoint_every=2, injector=injector)
+        del dying
+        _, fresh = quickstart("elastic", backend)
+        resumed = run_with_checkpoints(fresh, store=store, checkpoint_every=2)
+        assert resumed.resume.resumed
+        assert fingerprint(space, resumed.result) == fingerprint(space, serial.run())
+
+    def test_worker_killed_mid_train_task_reruns_into_its_slot(self, tmp_path):
+        # The dying worker's group is re-run, into the same slot of the
+        # image, by the survivor — after the dead process was reaped.
+        def run(backend):
+            teacher = CtrTeacher(CtrTaskConfig(num_tables=NUM_TABLES, batch_size=16, seed=0))
+            config = KillOnceSupernetConfig(
+                num_tables=NUM_TABLES, flag_path=str(tmp_path / "killed")
+            )
+            return SingleStepSearch(
+                space=build_space(),
+                supernet=KillOnceSupernet(config),
+                pipeline=SingleStepPipeline(teacher.next_batch),
+                reward_fn=relu_reward([PerformanceObjective("step_time", 1.0, -0.5)]),
+                performance_fn=capacity_cost,
+                config=SearchConfig(
+                    steps=STEPS, num_cores=4, warmup_steps=2, seed=0, backend=backend
+                ),
+            ).run()
+
+        serial = run("serial")
+        assert not (tmp_path / "killed").exists()  # the engine never dies
+        backend = ProcessPoolBackend(workers=2, shared=False)
+        try:
+            result = run(backend)
+            assert (tmp_path / "killed").exists()
+            assert backend.worker_losses == 1
+            assert fingerprint(build_space(), result) == fingerprint(build_space(), serial)
+        finally:
+            backend.close()
+
+    def test_converged_shard_trains_on_the_engine_thread(self):
+        # One group: the map runs its single task in this process,
+        # against the live supernet, and the gradients still fold right.
+        def run(backend):
+            search = build_single(backend=backend, workers=2)
+            arch = search.space.sample(np.random.default_rng(8))
+            shard = [(arch, search.space.indices_of(arch))] * 4
+            search.sample_shard = lambda count, warming_up: shard
+            return search
+
+        remote = run("processes")
+        kinds = spy_on_shipped_kinds(remote)
+        ran_in = set()
+        inner_map = remote.backend.map
+
+        def traced_map(fn, items):
+            results = inner_map(fn, items)
+            if fn is run_stage_task:
+                ran_in.update(pid for _, _, pid in results)
+            return results
+
+        remote.backend.map = traced_map
+        assert_results_identical(run("serial").run(), remote.run(), build_space())
+        assert kinds == ["train_many"] * STEPS
+        assert ran_in == {os.getpid()}
+
+    @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
+    def test_single_worker_pool_trains_in_process(self, backend):
+        search = build_single(backend=backend, workers=1)
+        assert search._remote_ctx is None and not search._remote_active()
+        assert_results_identical(
+            build_single(backend="serial").run(), search.run(), build_space()
+        )
+
+    def test_unequal_batches_train_in_process(self):
+        # A group of unequal batches backprops one contribution per
+        # *batch*; reduced per group that is another float order, so
+        # such a shard keeps its backward on the engine thread.
+        def gradients(backend):
+            search = build_single(backend=backend, workers=2)
+            drawn = search.sample_shard(4, warming_up=True)
+            batches = [
+                CtrTeacher(
+                    CtrTaskConfig(num_tables=NUM_TABLES, batch_size=size, seed=i)
+                ).next_batch()
+                for i, size in enumerate((8, 16, 16, 16))
+            ]
+            groups = [[0, 1], [2, 3]]
+            drawn = [drawn[0], drawn[0], drawn[2], drawn[2]]
+            kinds = spy_on_shipped_kinds(search)
+            qualities = search.score_shard(drawn, batches, groups, trains_on_shard=True)
+            search.supernet.zero_grad()
+            search.accumulate_shard_gradient(drawn, batches, groups)
+            return qualities, kinds, [p.grad for p in search.supernet.parameters()]
+
+        want_qualities, _, want = gradients("serial")
+        qualities, kinds, got = gradients("processes")
+        assert kinds == [] and qualities == want_qualities
+        for expected, actual in zip(want, got):
+            assert (expected is None) == (actual is None)
+            if expected is not None:
+                np.testing.assert_array_equal(expected, actual)
+
+    def test_gradients_really_come_through_the_image(self):
+        # Positive control: wipe one slot between gather and reduce and
+        # the search must come out different.
+        space, serial = quickstart("single_step", "serial")
+        space, remote = quickstart("single_step", "processes")
+        reduce = remote.accumulate_shard_gradient
+
+        def wiped_reduce(drawn, batches, groups):
+            _, losses, held = remote._held
+            assert losses is None and all(arrays is None for _, arrays in held)
+            for view in remote._remote_ctx.gradients.views[0]:
+                view[...] = 0.0
+            reduce(drawn, batches, groups)
+
+        remote.accumulate_shard_gradient = wiped_reduce
+        assert fingerprint(space, remote.run()) != fingerprint(space, serial.run())
+
+    def test_ipc_bytes_count_the_gradients_coming_back(self):
+        telemetry = Telemetry()
+        search = build_single(backend="processes", workers=2, telemetry=telemetry)
+        batch = search.pipeline.next_batch()
+        batch_bytes = batch.labels.nbytes + sum(a.nbytes for a in batch.inputs.values())
+        result = search.run()
+        moved = telemetry.counter("engine.ipc.bytes").value(backend="processes")
+        batches_out = (result.batches_used - 1) * batch_bytes
+        smallest = min(p.data.nbytes for p in search.supernet.parameters())
+        assert moved >= batches_out + STEPS * smallest
+
+
+class TestFinaliserNeverBlocks:
+    """An engine dropped inside a reference cycle is finalised by the
+    cyclic collector at an arbitrary allocation — possibly while this
+    thread holds a worker link's send lock, which releasing the
+    engine's context needs.  The finaliser therefore only queues."""
+
+    def test_collection_inside_send_does_not_deadlock(self, monkeypatch):
+        from repro.core.engine import distributed as distributed_mod
+
+        gc.collect()
+        gc.disable()
+        try:
+            doomed = build_single(backend="processes", workers=2)
+            context = doomed._remote_ctx
+            doomed.step(0)  # its context is live on both workers
+            doomed.cycle = doomed
+            del doomed
+
+            real_send = distributed_mod.send_message
+            released_under_lock = []
+
+            def collecting_send(sock, message):
+                gc.collect()  # the collector strikes under link._send_lock
+                released_under_lock.append(context._released)
+                real_send(sock, message)
+
+            monkeypatch.setattr(distributed_mod, "send_message", collecting_send)
+            survivor = build_single(backend="processes", workers=2)
+            stepped = threading.Thread(target=survivor.step, args=(0,), daemon=True)
+            stepped.start()
+            stepped.join(timeout=60.0)
+            assert not stepped.is_alive()  # (hangs here with a releasing finaliser)
+            # Queued by the finaliser, released by the cluster's next map.
+            assert released_under_lock[0] is False
+            assert context._released
+        finally:
+            gc.enable()
 
 
 class TestEngineTelemetry:

@@ -519,6 +519,98 @@ class TestQualityAndLossMany:
         assert loss.item() == net.loss_many(arch, inputs_seq, labels_seq).item()
 
 
+def _mixture_space():
+    from repro.supernet.mixture import MixtureSupernetConfig, mixture_search_space
+
+    return mixture_search_space(MixtureSupernetConfig())
+
+
+def mixture_case():
+    from repro.supernet.mixture import MixtureSuperNetwork, MixtureSupernetConfig
+
+    config = MixtureSupernetConfig()
+    arch = _mixture_space().sample(np.random.default_rng(0))
+
+    def batches(sizes):
+        rng = np.random.default_rng(1)
+        return (
+            [{"x": rng.normal(size=(n, config.num_features))} for n in sizes],
+            [rng.integers(0, config.num_classes, size=n) for n in sizes],
+        )
+
+    return MixtureSuperNetwork, arch, batches
+
+
+#: the space each case samples from, for shards of several architectures
+CASE_SPACES = {
+    dlrm_case: build_space,
+    vision_case: lambda: cnn_search_space(CnnSpaceConfig(num_blocks=2)),
+    transformer_case: lambda: vit_search_space(VitSpaceConfig(num_tfm_blocks=1)),
+    mixture_case: _mixture_space,
+}
+
+
+class TestGroupGradientReduce:
+    """The contract remote training rests on (DESIGN.md §10): each
+    group's gradient computed *from zero* — what a ``train_many`` task
+    returns — and reduced in group order equals, bit for bit, the serial
+    engine's accumulation of every group's backward into one buffer.
+    It holds because every parameter receives one contribution per group
+    pass; a supernet that ties a weight across two uses would break it
+    here first."""
+
+    @pytest.mark.parametrize("warm_passes", [0, 1, 2], ids=["first", "compile", "hit"])
+    @pytest.mark.parametrize(
+        "group_sizes", [(1, 1, 1), (3, 3, 3), (1, 3, 2)], ids=["one", "three", "unequal"]
+    )
+    @pytest.mark.parametrize(
+        "case", [dlrm_case, vision_case, transformer_case, mixture_case]
+    )
+    def test_reduce_in_group_order_equals_serial_accumulation(
+        self, case, group_sizes, warm_passes
+    ):
+        from repro.core.engine.worker import execute_stage_kind
+
+        make_net, first_arch, make_batches = case()
+        space = CASE_SPACES[case]()
+        archs = [first_arch]
+        rng = np.random.default_rng(21)
+        while len(archs) < len(group_sizes):
+            arch = space.sample(rng)
+            if arch not in archs:
+                archs.append(arch)
+        inputs_seq, labels_seq = make_batches([16] * sum(group_sizes))
+        shard, start = [], 0
+        for slot, (arch, size) in enumerate(zip(archs, group_sizes)):
+            span = slice(start, start + size)
+            shard.append((arch, inputs_seq[span], labels_seq[span], size / 6, slot))
+            start += size
+
+        serial = make_net()
+        serial.zero_grad()
+        want_qualities = []
+        for arch, inputs, labels, scale, _ in shard:
+            qualities, loss = serial.quality_and_loss_many(arch, inputs, labels)
+            loss.backward(np.asarray(scale))
+            want_qualities.append(qualities)
+
+        net = make_net()
+        for _ in range(warm_passes):  # walk every group's key through admission
+            for arch, inputs, labels, _, _ in shard:
+                net.loss_many(arch, inputs, labels)
+        held = [execute_stage_kind(net, "train_many", payload) for payload in shard]
+        params = net.parameters()
+        net.zero_grad()
+        for _, active, gradients in held:
+            assert active == sorted(set(active))  # one gradient per parameter
+            for i, gradient in zip(active, gradients):
+                params[i]._accumulate(gradient)
+
+        assert [qualities for qualities, _, _ in held] == want_qualities
+        assert any(grad is not None for grad in snapshot_grads(net))
+        assert_grads_equal(snapshot_grads(serial), snapshot_grads(net))
+
+
 def capacity_cost(arch):
     cost = 1.0
     for t in range(NUM_TABLES):
