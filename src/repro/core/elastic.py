@@ -39,25 +39,8 @@ from typing import Any, List, Mapping, Optional
 
 from ..searchspace.base import Architecture, SearchSpace
 from ..supernet.elastic import ShrinkSchedule
-from .engine import (
-    CandidateRecord,
-    DrawnCandidate,
-    SearchConfig,
-    SearchEngine,
-    StepRecord,
-    SuperNetwork,
-    group_unique_architectures,
-)
-from .eval_runtime import (
-    STAGE_FETCH_SHARD,
-    STAGE_POLICY_UPDATE,
-    STAGE_PRICE,
-    STAGE_REWARD,
-    STAGE_SAMPLE,
-    STAGE_SCORE,
-    STAGE_WEIGHT_UPDATE,
-)
-from .reward import RewardFunction, relu_reward
+from .engine import DrawnCandidate, SearchConfig, SearchEngine, StepRecord, SuperNetwork
+from .reward import relu_reward
 
 __all__ = ["ElasticTraining", "SpecializationSearch"]
 
@@ -74,9 +57,9 @@ class ElasticTraining(SearchEngine):
     One step = uniform candidates from the current shrink phase's
     sub-space, scored on fresh single-use batches (quality is recorded
     for monitoring only), then one cross-shard weight update on the same
-    batches.  The policy stages never run; the reward is the identity
-    (:func:`~repro.core.reward.relu_reward` with no objectives) purely
-    so step records stay comparable with search histories.
+    batches.  The policy half never runs (``_shard_step(policy=False)``):
+    each record's reward is its quality, purely so step records stay
+    comparable with search histories.
     """
 
     def __init__(
@@ -88,7 +71,6 @@ class ElasticTraining(SearchEngine):
         config: Optional[SearchConfig] = None,
         eval_runtime: Optional[Any] = None,
     ):
-        config = config if config is not None else SearchConfig()
         super().__init__(
             space,
             supernet,
@@ -98,10 +80,7 @@ class ElasticTraining(SearchEngine):
             config=config,
             eval_runtime=eval_runtime,
         )
-        self.schedule = schedule or ShrinkSchedule.default(config.steps)
-
-    def _batches_used(self) -> int:
-        return self.pipeline.batches_issued
+        self.schedule = schedule or ShrinkSchedule.default(self.config.steps)
 
     # ------------------------------------------------------------------
     def sample_phase_shard(self, step: int, count: int) -> List[DrawnCandidate]:
@@ -114,36 +93,15 @@ class ElasticTraining(SearchEngine):
         bit-identity rests on.  Index vectors come from the *full* space
         so downstream encodings are phase-independent.
         """
-        restricted = self.schedule.space_at(step, self.space)
-        drawn: List[DrawnCandidate] = []
-        for _ in range(count):
-            arch = restricted.sample(self._warmup_rng)
-            drawn.append((arch, self.space.indices_of(arch)))
-        return drawn
+        return self._uniform_shard(self.schedule.space_at(step, self.space), count)
 
     def _step(self, step: int) -> StepRecord:
-        cfg = self.config
-        runtime = self.runtime
-        with runtime.timed(STAGE_SAMPLE):
-            drawn = self.sample_phase_shard(step, cfg.num_cores)
-        with runtime.timed(STAGE_FETCH_SHARD):
-            batches = self.pipeline.next_shard(cfg.num_cores)
-        groups = group_unique_architectures(drawn) if cfg.group_unique else None
-        with runtime.timed(STAGE_SCORE):
-            qualities = self.score_shard(drawn, batches, groups, trains_on_shard=True)
-            for batch in batches:
-                self.pipeline.mark_policy_use(batch)
-        candidates = [
-            CandidateRecord(arch, float(q), {}, float(q))
-            for (arch, _), q in zip(drawn, qualities)
-        ]
-        with runtime.timed(STAGE_WEIGHT_UPDATE):
-            self.supernet.zero_grad()
-            self.accumulate_shard_gradient(drawn, batches, groups)
-            for batch in batches:
-                self.pipeline.mark_weight_use(batch)
-            self.optimizer_step()
-        return self.make_record(step, candidates)
+        return self._shard_step(
+            step,
+            lambda: self.sample_phase_shard(step, self.config.num_cores),
+            policy=False,
+            weights=True,
+        )
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
@@ -176,51 +134,5 @@ class SpecializationSearch(SearchEngine):
     backend scores against one never-republished weight snapshot.
     """
 
-    def __init__(
-        self,
-        space: SearchSpace,
-        supernet: SuperNetwork,
-        pipeline: Any,
-        reward_fn: RewardFunction,
-        performance_fn: Any,
-        config: Optional[SearchConfig] = None,
-        eval_runtime: Optional[Any] = None,
-    ):
-        super().__init__(
-            space,
-            supernet,
-            pipeline,
-            reward_fn=reward_fn,
-            performance_fn=performance_fn,
-            config=config,
-            eval_runtime=eval_runtime,
-        )
-
-    def _batches_used(self) -> int:
-        return self.pipeline.batches_issued
-
     def _step(self, step: int) -> StepRecord:
-        cfg = self.config
-        runtime = self.runtime
-        warming_up = step < cfg.warmup_steps
-        with runtime.timed(STAGE_SAMPLE):
-            drawn = self.sample_shard(cfg.num_cores, warming_up)
-        with runtime.timed(STAGE_FETCH_SHARD):
-            batches = self.pipeline.next_shard(cfg.num_cores)
-        groups = group_unique_architectures(drawn) if cfg.group_unique else None
-        with runtime.timed(STAGE_SCORE):
-            qualities = self.score_shard(drawn, batches, groups)
-            for batch in batches:
-                self.pipeline.mark_policy_use(batch)
-                # Frozen weights: the batch will never be trained on.
-                self.pipeline.release(batch)
-        with runtime.timed(STAGE_PRICE):
-            all_metrics = self.price_shard(drawn)
-        with runtime.timed(STAGE_REWARD):
-            candidates, samples = self.assemble_candidates(
-                drawn, qualities, all_metrics
-            )
-        if not warming_up:
-            with runtime.timed(STAGE_POLICY_UPDATE):
-                self.policy_update(samples)
-        return self.make_record(step, candidates)
+        return self._shard_step(step, policy=True, weights=False)

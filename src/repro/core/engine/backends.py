@@ -302,16 +302,6 @@ _REGISTRY: Dict[str, Callable[[Optional[int], int], ExecutionBackend]] = {
     "distributed": _remote_backend("DistributedBackend"),
 }
 
-_ALIASES: Dict[str, str] = {
-    "thread": "threads",
-    "threadpool": "threads",
-    "process": "processes",
-    "procs": "processes",
-    "processpool": "processes",
-    "mp": "processes",
-    "dist": "distributed",
-}
-
 #: Spec names accepted by :func:`resolve_backend` — derived from the
 #: registry, so a new backend shows up everywhere (CLI choices, error
 #: messages) by registration alone.
@@ -328,7 +318,7 @@ def resolve_backend(
     """Build the execution backend a search asked for.
 
     ``spec`` may be an :class:`ExecutionBackend` instance (returned as
-    is), a name from :data:`BACKEND_NAMES` (or an alias), or ``None`` —
+    is), a name from :data:`BACKEND_NAMES`, or ``None`` —
     in which case the :envvar:`REPRO_BACKEND` environment variable
     decides, defaulting to serial.  ``workers`` falls back to
     :envvar:`REPRO_WORKERS`, then to :func:`default_worker_count`.
@@ -355,8 +345,7 @@ def resolve_backend(
                     f"${WORKERS_ENV_VAR} must be an integer worker count, "
                     f"got {env_workers!r}"
                 ) from None
-    name = str(spec).lower()
-    factory = _REGISTRY.get(_ALIASES.get(name, name))
+    factory = _REGISTRY.get(str(spec).lower())
     if factory is None:
         raise ValueError(
             f"unknown execution backend {spec!r} (from {source}); "

@@ -72,11 +72,9 @@ from .transport import (
 from .worker import (
     RemoteContextRef,
     RemoteShardContext,
-    StageTask,
     build_remote_context,
     build_supernet_from_spec,
     drain_pending_releases,
-    execute_stage_kind,
     mark_worker_process,
     run_stage_task,
 )
@@ -343,16 +341,10 @@ class WorkerHost:
         """Execute one task/call and reply; ``False`` if the link died."""
         task_id = message["task_id"]
         try:
-            start = time.perf_counter()
-            if message["type"] == "call":
-                value = message["fn"](message["item"])
+            if message["type"] == "call":  # its caller reads no timing
+                value, seconds = message["fn"](message["item"]), 0.0
             else:
-                task: StageTask = message["task"]
-                ctx = self._context_for_task(task.context)
-                value = execute_stage_kind(
-                    ctx.supernet, task.kind, task.payload, ctx.params, ctx.gradients
-                )
-            seconds = time.perf_counter() - start
+                value, seconds = run_stage_task(message["task"], self._context_for_task)
         except ConnectionError:
             return False
         except Exception as error:  # deterministic task failure: report it
@@ -1012,12 +1004,12 @@ class _ClusterBackend(ExecutionBackend):
       :class:`~.worker.StageTask` payloads that a worker executes
       against a supernet it rehydrated once (see
       :meth:`register_context`), so per-task pickles carry batch arrays
-      only;
-    * **functions that cannot travel run locally** — an opaque ``fn``
-      (a pricing function) is probed for picklability and quietly
-      degrades to the in-process serial loop, which is always correct;
-      stage tasks skip the probe: registration proved their context
-      travels;
+      only.  Whether to send them is the engine's decision
+      (:meth:`SearchEngine._remote_active`): a stage-task map ships;
+    * **opaque functions run locally when they must** — any other
+      ``fn`` (a pricing function) that does not pickle, has one item or
+      nobody linked to run it takes the in-process serial loop, which
+      is always correct;
     * **worker loss is survivable** — see the module docstring.  Tasks
       are pure by the determinism contract, so resubmission is
       idempotent and the retried results are bit-identical.
@@ -1027,7 +1019,7 @@ class _ClusterBackend(ExecutionBackend):
 
     #: per-task resubmissions tolerated before the map gives up
     max_task_retries = 2
-    #: how long a map waits for a first worker to dial in
+    #: how long the first ask for a worker waits for one to dial in
     worker_timeout = 30.0
 
     def __init__(self, workers: Optional[int], seed: int, shared: bool):
@@ -1039,6 +1031,7 @@ class _ClusterBackend(ExecutionBackend):
         self._active_cluster: Optional[_Cluster] = None
         self._losses_before = 0
         self._context: Optional[RemoteShardContext] = None
+        self._waited = False
 
     # -- cluster lifecycle ----------------------------------------------
     def _cluster(self) -> _Cluster:
@@ -1079,13 +1072,12 @@ class _ClusterBackend(ExecutionBackend):
     ) -> Optional[RemoteShardContext]:
         """Publish ``supernet`` to the cluster's workers.
 
-        Returns the :class:`~.worker.RemoteShardContext` handle (the
-        engine drives `publish()` / `ref()` through it; ``gradient_slots``
-        is the most training tasks it will ship at once), or ``None``
-        when the supernet cannot travel — unpicklable spec, parameter
-        mismatch on rebuild, non-float64 parameters, or a single-worker
-        pool where remote execution buys nothing.  ``None`` keeps every
-        stage on the in-process path.
+        Returns the :class:`~.worker.RemoteShardContext` handle the
+        engine publishes and stamps tasks through (``gradient_slots`` is
+        the most training tasks it will ship at once), or ``None`` — no
+        fan-out of this search will ship — when the supernet cannot
+        travel (:func:`~.worker.build_remote_context`) or the pool has
+        a single worker, where remote execution buys nothing.
         """
         if self.workers <= 1:
             return None
@@ -1095,34 +1087,41 @@ class _ClusterBackend(ExecutionBackend):
         return self._context
 
     # -- execution ------------------------------------------------------
+    def wait_for_workers(
+        self, count: Optional[int] = None, timeout: Optional[float] = None
+    ) -> int:
+        """Block until ``count`` (default: all) workers are linked;
+        returns how many are (a spawning cluster tops itself up first).
+
+        Without a ``timeout`` the backend spends its ``worker_timeout``
+        once and only looks from then on: a search bound for external
+        workers that nobody dialled into stalls one time, not on every
+        map, and goes remote as soon as a worker links.
+        """
+        if timeout is None:
+            timeout = 0.0 if self._waited else self.worker_timeout
+            self._waited = True
+        return self._cluster().wait_for_workers(
+            count if count is not None else self.workers, timeout
+        )
+
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         items = list(items)
-        if len(items) <= 1 or self.workers == 1:
-            return [fn(item) for item in items]
-        if fn is run_stage_task and all(isinstance(i, StageTask) for i in items):
-            ctx = self._context
-            if ctx is None or any(
-                t.context.context_id != ctx.context_id for t in items  # type: ignore[attr-defined]
-            ):
-                return [fn(item) for item in items]
+        if fn is run_stage_task:
+            # Placed by the engine: (value, seconds, worker) per task,
+            # worker a spawned one's pid or a dialled-in one's id.
             messages = [{"type": "task", "task": task} for task in items]
-            unwrap = False
-        elif _can_ship(fn, items):
-            messages = [{"type": "call", "fn": fn, "item": item} for item in items]
-            unwrap = True
-        else:
+            return self._cluster().run_map(messages, self.max_task_retries)  # type: ignore[return-value]
+        if (
+            len(items) <= 1
+            or self.workers == 1
+            or not _can_ship(fn, items)
+            or self.wait_for_workers(1) < 1
+        ):
             return [fn(item) for item in items]
-        cluster = self._cluster()
-        if cluster.wait_for_workers(1, self.worker_timeout) < 1:
-            # Nobody ever connected: the in-process path is always right.
-            return [fn(item) for item in items]
-        results = cluster.run_map(messages, self.max_task_retries)
-        if unwrap:
-            return [value for value, _, _ in results]
-        # Stage tasks keep the (value, seconds, worker) triple — the
-        # same contract run_stage_task has, with a dialled-in worker's
-        # id replacing the pid so spans are labelled per host.
-        return results  # type: ignore[return-value]
+        messages = [{"type": "call", "fn": fn, "item": item} for item in items]
+        results = self._cluster().run_map(messages, self.max_task_retries)
+        return [value for value, _, _ in results]
 
     # -- checkpoint state ----------------------------------------------
     def state_dict(self) -> dict:
@@ -1222,13 +1221,6 @@ class DistributedBackend(_ClusterBackend):
     def address(self) -> str:
         """``host:port`` external workers connect to (binds lazily)."""
         return format_address(self._cluster().address)
-
-    def wait_for_workers(self, count: Optional[int] = None, timeout: Optional[float] = None) -> int:
-        """Block until ``count`` (default: all) workers are connected."""
-        return self._cluster().wait_for_workers(
-            count if count is not None else self.workers,
-            timeout if timeout is not None else self.worker_timeout,
-        )
 
 
 __all__ = [

@@ -1,19 +1,17 @@
-"""The shared search-step engine behind both RL search strategies.
+"""The shared search-step engine behind every RL search strategy.
 
-Historically :class:`~repro.core.search.SingleStepSearch` and
-:class:`~repro.core.search.TunasSearch` were two ~250-line monoliths
-that each re-implemented the same pipeline — sampling, shard scoring,
-pricing, reward assembly, policy and weight updates — with small,
-easy-to-diverge differences.  This module factors that pipeline into a
-:class:`SearchEngine` base class of explicit, individually-timed stages
+:class:`SearchEngine` holds the pipeline every strategy shares as
+explicit, individually-timed stages
 
     ``sample -> fetch_shard -> score -> price -> reward ->
     policy_update -> weight_update``
 
-so a strategy is reduced to *stage configuration*: which stages run, in
-which order, on which data stream (TuNAS alternates a weight step on the
-train split with a policy step on the validation split; the H2O
-single-step strategy runs one unified step on fresh production traffic).
+and the paper's unified step over them, written once
+(:meth:`SearchEngine._shard_step`), so a strategy is reduced to *stage
+configuration*: its sampler and which halves of that step run (the H2O
+single-step search, elastic training, per-target specialization), or
+its own order of the same stages (TuNAS alternates a weight step on the
+train split with a policy step on the validation split).
 
 Per-core work — shard scoring, cache-miss pricing — fans out through an
 :class:`~repro.core.engine.backends.ExecutionBackend`.  Three rules keep
@@ -70,6 +68,7 @@ from ..eval_runtime import (
     STAGE_REWARD,
     STAGE_SAMPLE,
     STAGE_SCORE,
+    STAGE_WEIGHT_UPDATE,
     ArchKey,
     EvalRuntime,
     EvalRuntimeStats,
@@ -255,10 +254,10 @@ def _record_step_telemetry(
 class SearchEngine:
     """Composable step pipeline shared by every RL search strategy.
 
-    Subclasses implement :meth:`_step` by composing the stage primitives
-    below and :meth:`_batches_used` for result accounting; everything
-    else — construction, telemetry wiring, the stepwise checkpoint
-    protocol, and the backend fan-out discipline — is shared here.
+    Subclasses implement :meth:`_step` — the halves of
+    :meth:`_shard_step` they run, or their own order of the stage
+    primitives below; construction, telemetry wiring, the stepwise
+    checkpoint protocol and fan-out placement are shared here.
     """
 
     def __init__(
@@ -319,19 +318,17 @@ class SearchEngine:
         self._held: Optional[Tuple[List[List[int]], Any, Any]] = None
         # Remote backends (processes, distributed) score against a
         # supernet each worker rehydrates once; publishing happens here,
-        # lazily, only when the weights actually changed since the last
-        # fan-out.  Backends that cannot host this supernet remotely
-        # return None and every stage stays on the in-process path.
+        # lazily, when a fan-out ships and the weights changed since the
+        # last one that did.  Backends that cannot host this supernet
+        # remotely return None and every stage stays in this process.
         self._remote_ctx = None
         self._weights_dirty = False
-        register_context = getattr(self.backend, "register_context", None)
-        if register_context is not None:
-            ctx = register_context(supernet, config.num_cores)
-            if ctx is not None:
-                self._remote_ctx = ctx
-                # Garbage collection may run this under a lock release()
-                # needs: queue the release, never perform it.
-                weakref.finalize(self, ctx.release_later)
+        if self.backend.remote:
+            self._remote_ctx = self.backend.register_context(supernet, config.num_cores)
+        if self._remote_ctx is not None:
+            # Garbage collection may run this under a lock release()
+            # needs: queue the release, never perform it.
+            weakref.finalize(self, self._remote_ctx.release_later)
 
     # ------------------------------------------------------------------
     # Stepwise driver protocol (checkpointed execution)
@@ -360,17 +357,15 @@ class SearchEngine:
         must keep counting across a crash/resume rather than roll back
         with the snapshot.
         """
-        hosts = getattr(self.backend, "host_count", None)
-        if hosts is not None:
-            # Connected worker hosts is live membership, not replayable
-            # state: a gauge, refreshed every step (hosts join and drop
-            # at any time under the distributed backend).
-            self.telemetry.gauge("engine.hosts").set(
-                float(hosts), backend=self.backend.name
-            )
-        losses = getattr(self.backend, "worker_losses", None)
-        if losses is None:
+        if not self.backend.remote:
             return
+        # Connected worker hosts is live membership, not replayable
+        # state: a gauge, refreshed every step (hosts join and drop at
+        # any time under the distributed backend).
+        self.telemetry.gauge("engine.hosts").set(
+            float(self.backend.host_count), backend=self.backend.name
+        )
+        losses = self.backend.worker_losses
         delta = int(losses) - self._worker_loss_total
         if delta > 0:
             self.telemetry.counter("supervisor.worker_losses").inc(
@@ -412,7 +407,64 @@ class SearchEngine:
         raise NotImplementedError
 
     def _batches_used(self) -> int:
-        raise NotImplementedError
+        return self.pipeline.batches_issued
+
+    def _shard_step(
+        self,
+        step: int,
+        sample: Optional[Callable[[], List[DrawnCandidate]]] = None,
+        *,
+        policy: bool,
+        weights: bool,
+    ) -> StepRecord:
+        """The unified step (Figure 2, right): every stage on one fresh shard.
+
+        ``sample`` draws the strategy's shard (default: the policy's,
+        uniform during warmup); ``policy`` is the price/reward/
+        policy-update half, ``weights`` the weight update on the same
+        batches.  A half that is off opens no stage timer:
+        without ``policy`` the reward is the quality, without
+        ``weights`` the scored batches go back to the pipeline (frozen
+        weights never train on them).
+        """
+        cfg = self.config
+        runtime = self.runtime
+        pipeline = self.pipeline
+        warming_up = step < cfg.warmup_steps  # weight-only steps
+        with runtime.timed(STAGE_SAMPLE):
+            drawn = sample() if sample else self.sample_shard(cfg.num_cores, warming_up)
+        with runtime.timed(STAGE_FETCH_SHARD):
+            batches = pipeline.next_shard(cfg.num_cores)
+        groups = group_unique_architectures(drawn) if cfg.group_unique else None
+        # The policy consumes the batches first.  A step that will train
+        # on them scores and builds the loss in one pass per group.
+        with runtime.timed(STAGE_SCORE):
+            qualities = self.score_shard(drawn, batches, groups, trains_on_shard=weights)
+            for batch in batches:
+                pipeline.mark_policy_use(batch)
+                if not weights:
+                    pipeline.release(batch)
+        if policy:
+            with runtime.timed(STAGE_PRICE):
+                all_metrics = self.price_shard(drawn)
+            with runtime.timed(STAGE_REWARD):
+                candidates, samples = self.assemble_candidates(drawn, qualities, all_metrics)
+            if not warming_up:
+                with runtime.timed(STAGE_POLICY_UPDATE):
+                    self.policy_update(samples)
+        else:
+            candidates = [
+                CandidateRecord(arch, float(q), {}, float(q))
+                for (arch, _), q in zip(drawn, qualities)
+            ]
+        if weights:
+            with runtime.timed(STAGE_WEIGHT_UPDATE):
+                self.supernet.zero_grad()
+                self.accumulate_shard_gradient(drawn, batches, groups)
+                for batch in batches:
+                    pipeline.mark_weight_use(batch)
+                self.optimizer_step()
+        return self.make_record(step, candidates)
 
     # ------------------------------------------------------------------
     # Checkpoint state
@@ -493,26 +545,25 @@ class SearchEngine:
     # ------------------------------------------------------------------
     # Remote (cross-process) fan-out
     # ------------------------------------------------------------------
-    def _remote_active(self) -> bool:
-        """Whether score stages should ship tasks to worker processes.
+    def _remote_active(self, tasks: int = 2) -> bool:
+        """The placement rule (DESIGN.md §12): whether a fan-out of
+        ``tasks`` stage tasks ships to workers.  Decided here only.
 
-        Demands an exact identity match between the registered context's
-        supernet and the engine's current one: anything that swapped the
-        supernet after construction (fault-injection proxies, test
-        doubles) silently falls back to the in-process path, which
-        executes whatever object is live.
+        It ships iff a context is registered for *this* supernet (one
+        swapped in after construction — a fault-injection proxy — is not
+        what the workers rehydrated), the backend is remote, there are
+        two tasks or more and a worker is linked (the first ask waits
+        for one, later asks only look).  Everything else runs in this
+        process against the live supernet, and publishes nothing.
         """
         ctx = self._remote_ctx
         return (
-            ctx is not None
-            and getattr(self.backend, "remote", False)
+            tasks >= 2
+            and ctx is not None
             and ctx.supernet is self.supernet
+            and self.backend.remote
+            and self.backend.wait_for_workers(1) >= 1
         )
-
-    def _sync_remote_weights(self) -> None:
-        if self._weights_dirty:
-            self._remote_ctx.publish()
-            self._weights_dirty = False
 
     def _fan_out_tasks(
         self, stage: str, kind: str, payloads: Sequence[Tuple[Any, ...]]
@@ -525,7 +576,9 @@ class SearchEngine:
         are; accounting happens here on the engine thread, including the
         IPC volume: batch arrays out, ``train_many`` gradients back.
         """
-        self._sync_remote_weights()
+        if self._weights_dirty:
+            self._remote_ctx.publish()
+            self._weights_dirty = False
         ref = self._remote_ctx.ref()
         tasks = [
             StageTask(stage=stage, kind=kind, context=ref, payload=payload)
@@ -557,10 +610,10 @@ class SearchEngine:
         return [value for value, _, _ in results]
 
     def _score(self, kind: str, payloads: Sequence[Tuple[Any, ...]]) -> List[Any]:
-        """One score fan-out: ``kind`` payloads shipped as stage tasks
-        when the supernet is hosted remotely, else run in-process — the
-        same :func:`~.worker.execute_stage_kind` dispatch either way."""
-        if self._remote_active():
+        """One score fan-out: ``kind`` payloads shipped as stage tasks,
+        or run in-process — the same :func:`~.worker.execute_stage_kind`
+        dispatch either way."""
+        if self._remote_active(len(payloads)):
             return self._fan_out_tasks(STAGE_SCORE, kind, payloads)
         return self._fan_out(
             STAGE_SCORE,
@@ -580,12 +633,13 @@ class SearchEngine:
         so sampling is identical across backends.
         """
         if warming_up:
-            drawn = []
-            for _ in range(count):
-                arch = self.space.sample(self._warmup_rng)
-                drawn.append((arch, self.space.indices_of(arch)))
-            return drawn
+            return self._uniform_shard(self.space, count)
         return self.controller.sample_many(count)
+
+    def _uniform_shard(self, space: SearchSpace, count: int) -> List[DrawnCandidate]:
+        """``count`` uniform draws from ``space``, indexed in the full space."""
+        archs = [space.sample(self._warmup_rng) for _ in range(count)]
+        return [(arch, self.space.indices_of(arch)) for arch in archs]
 
     def score_shard(
         self,
@@ -611,9 +665,10 @@ class SearchEngine:
         the supernet's ``quality_and_loss_many``, then serves both
         stages: the qualities come off the logits under each group's
         loss.  In this process the live losses are held and the
-        weight-update stage only runs their ``backward``.  On a remote
-        backend each group is one ``train_many`` task: the worker runs
-        forward *and* backward and what comes back is the group's
+        weight-update stage only runs their ``backward``.  When the
+        fan-out ships (:meth:`_remote_active`: two groups or more) each
+        group is one ``train_many`` task: the worker runs forward *and*
+        backward and what comes back is the group's
         gradient (through the context's gradient image, or in the result
         frame over TCP), held for the weight-update stage to reduce.
         """
@@ -628,10 +683,12 @@ class SearchEngine:
                 for batch, (arch, _) in zip(batches, drawn)
             ]
         payloads = quality_many_payloads(drawn, batches, groups)
-        one_pass = getattr(self.supernet, "quality_and_loss_many", None)
-        if not trains_on_shard or one_pass is None:
+        if not trains_on_shard:
             per_group = self._score("quality_many", payloads)
-        elif self._remote_active() and len({batch.size for batch in batches}) == 1:
+        elif (
+            len({batch.size for batch in batches}) == 1
+            and self._remote_active(len(groups))
+        ):
             # (Unequal batches take ``loss_many``'s per-batch fallback:
             # several contributions per parameter per group, which the
             # reduce in accumulate_shard_gradient cannot reproduce.)
@@ -641,7 +698,9 @@ class SearchEngine:
             self._held = (groups, None, [held for _, *held in results])
         else:
             passes = self._fan_out(
-                STAGE_SCORE, lambda payload: one_pass(*payload), payloads
+                STAGE_SCORE,
+                lambda payload: self.supernet.quality_and_loss_many(*payload),
+                payloads,
             )
             per_group = [values for values, _ in passes]
             self._held = (groups, [loss for _, loss in passes], None)
@@ -657,24 +716,11 @@ class SearchEngine:
         """Stage *score*, shared-batch variant: every candidate on one
         validation batch (the TuNAS policy step).
 
-        Deterministic supernets fan out one task per candidate;
-        split-rng supernets get per-task streams; stochastic supernets
-        without split support stay serial in shard order.
+        :meth:`score_shard` with every core on the same batch and each
+        candidate a group of its own.
         """
-        if getattr(self.supernet, "quality_split", None) is not None:
-            streams = self.backend.rng_streams(len(drawn))
-            return self._score(
-                "quality_split",
-                quality_split_payloads(drawn, [batch] * len(drawn), streams),
-            )
-        if isinstance(self.supernet, StackedScoring):
-            singletons = [[position] for position in range(len(drawn))]
-            payloads = quality_many_payloads(drawn, [batch] * len(drawn), singletons)
-            return [values[0] for values in self._score("quality_many", payloads)]
-        return [
-            self.supernet.quality(cand, batch.inputs, batch.labels)
-            for cand, _ in drawn
-        ]
+        singletons = [[position] for position in range(len(drawn))]
+        return self.score_shard(drawn, [batch] * len(drawn), singletons)
 
     def price_shard(
         self, drawn: Sequence[DrawnCandidate]
@@ -754,12 +800,9 @@ class SearchEngine:
         if groups is None or not isinstance(self.supernet, StackedScoring):
             for batch, (arch, _) in zip(batches, drawn):
                 loss = self.supernet.loss(arch, batch.inputs, batch.labels)
-                # Seeding backward with the scale replaces the old
-                # ``(loss * scale).backward()``: the scale node's
-                # backward multiplied the unit seed by the same float,
-                # so the seeded gradient is bit-identical — and the
-                # backward stays on the loss node, where a compiled
-                # graph's cached gradient order applies.
+                # The scale seeds the backward (the same floats as a
+                # ``loss * scale`` node's), which so stays on the loss
+                # node, where a compiled graph's gradient order applies.
                 loss.backward(np.asarray(1.0 / num_cores))
             return
         for positions in groups:

@@ -1,8 +1,7 @@
 """Serializable stage tasks and the engine-side context handle.
 
-The engine's score stages historically captured live search objects in
-closures — fine for threads, impossible for processes.  This module is
-the picklable boundary: a :class:`StageTask` carries only plain data
+This module is the picklable boundary between the engine and its
+remote workers: a :class:`StageTask` carries only plain data
 (architectures, batch arrays, rng generators) plus a
 :class:`RemoteContextRef` naming the scoring context a worker must hold
 and the weight version it must score against.  Every remote worker
@@ -15,11 +14,11 @@ backward there and hands the gradient back).  The engine's side of that
 contract is the :class:`RemoteShardContext` handle
 :func:`build_remote_context` returns.
 
-When :func:`run_stage_task` runs on the *engine* thread — remote
-backends degrade to a serial loop for single-task maps or unpicklable
-supernets — the context ref resolves to the live supernet registered at
-context creation, so no copy and no segment attachment happens and
-results are trivially identical.
+Where a fan-out runs is the engine's decision alone
+(:meth:`SearchEngine._remote_active`): what it ships goes to workers,
+what it keeps it runs against its live supernet through the same
+:func:`execute_stage_kind` dispatch — no task ever comes back to the
+engine thread to be executed.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import pickle
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,24 +66,14 @@ class StageTask:
 # Per-process state
 # ----------------------------------------------------------------------
 _IS_WORKER = False
-#: engine-side live contexts, for the serial-fallback path
-_LOCAL: Dict[str, Any] = {}
 
 _CONTEXT_COUNTER = itertools.count()
 
 
 def mark_worker_process() -> None:
-    """First call in a controller-spawned worker: mark this process.
-
-    Under the ``fork`` start method the child inherits the parent's
-    module state — including live engine-side contexts whose supernets
-    must NOT be scored against (their weights stop tracking the engine's
-    the moment the fork happens).  Everything is dropped; contexts are
-    rebuilt from the ``context`` messages the controller sends.
-    """
+    """First call in a controller-spawned worker: mark this process."""
     global _IS_WORKER
     _IS_WORKER = True
-    _LOCAL.clear()
 
 
 def in_worker() -> bool:
@@ -110,30 +99,6 @@ def build_supernet_from_spec(spec: Tuple[Any, ...]) -> Any:
     raise ValueError(f"unknown supernet spec kind {kind!r}")
 
 
-def _context_for(ref: RemoteContextRef) -> Any:
-    """The live supernet registered engine-side under ``ref``."""
-    supernet = _LOCAL.get(ref.context_id)
-    if supernet is None:
-        raise RuntimeError(
-            f"stage task references unknown local context {ref.context_id!r}"
-        )
-    return supernet
-
-
-def register_local_context(context_id: str, supernet: Any) -> None:
-    """Engine-side registration backing the serial-fallback path."""
-    _LOCAL[context_id] = supernet
-
-
-def unregister_local_context(context_id: str) -> None:
-    _LOCAL.pop(context_id, None)
-
-
-def next_context_id() -> str:
-    """A context id unique across processes and engine instances."""
-    return f"{os.getpid()}-{next(_CONTEXT_COUNTER)}"
-
-
 # ----------------------------------------------------------------------
 # Task execution
 # ----------------------------------------------------------------------
@@ -143,9 +108,9 @@ def execute_stage_kind(
     """Run one stage-task kind against ``supernet``.
 
     The single kind dispatch shared by every executor: worker hosts
-    call it against their rehydrated supernet (with the parameter list
-    and gradient image they hold, for :func:`_train_many`), the engine
-    calls it in-process (directly, or through :func:`run_stage_task`).
+    call it (through :func:`run_stage_task`) against their rehydrated
+    supernet, with the parameter list and gradient image they hold for
+    ``train_many``; the engine calls it in-process for the scoring kinds.
     """
     if kind == "train_many":
         return _train_many(supernet, payload, params, image)
@@ -159,7 +124,7 @@ def execute_stage_kind(
 
 
 def _train_many(
-    supernet: Any, payload: Tuple[Any, ...], params: Optional[list], image: Optional[SharedGradients]
+    supernet: Any, payload: Tuple[Any, ...], params: list, image: Optional[SharedGradients]
 ) -> Tuple[List[float], List[int], Optional[List[np.ndarray]]]:
     """One group's qualities *and* gradient, computed from zero.
 
@@ -169,7 +134,6 @@ def _train_many(
     as copies — the next group this supernet runs reuses the buffers.
     """
     arch, inputs_seq, labels_seq, scale, slot = payload
-    params = supernet.parameters() if params is None else params
     for param in params:
         param.grad = None
     qualities, loss = supernet.quality_and_loss_many(arch, inputs_seq, labels_seq)
@@ -183,18 +147,23 @@ def _train_many(
     return qualities, active, None
 
 
-def run_stage_task(task: StageTask) -> Tuple[Any, float, int]:
-    """Execute one stage task; returns ``(value, seconds, pid)``.
+def run_stage_task(
+    task: StageTask, context_for: Callable[[RemoteContextRef], Any]
+) -> Tuple[Any, float]:
+    """Execute one stage task in a worker; returns ``(value, seconds)``.
 
-    The in-process form of what a worker host replies with: the wall
-    time is measured next to the execution, so the engine can account
-    ``span.worker`` durations without workers ever touching the metrics
-    registry.
+    What a :class:`~.distributed.WorkerHost` runs per ``task`` message
+    (``context_for`` resolves the rehydrated context, weights refreshed
+    to the task's version) and the ``fn`` the engine hands
+    ``backend.map`` with the tasks it ships.  Timed next to the
+    execution, so workers never touch the metrics registry.
     """
     start = time.perf_counter()
-    supernet = _context_for(task.context)
-    value = execute_stage_kind(supernet, task.kind, task.payload)
-    return value, time.perf_counter() - start, os.getpid()
+    ctx = context_for(task.context)
+    value = execute_stage_kind(
+        ctx.supernet, task.kind, task.payload, ctx.params, ctx.gradients
+    )
+    return value, time.perf_counter() - start
 
 
 # ----------------------------------------------------------------------
@@ -308,9 +277,8 @@ class RemoteShardContext:
     """Engine-side handle on one supernet published to workers.
 
     Owns the weights segment and the gradient image (when the workers
-    share this machine's memory), tracks the published version — the
-    one monotonic counter tasks are stamped with — and registers the
-    live supernet for the serial-fallback path.  Built through
+    share this machine's memory) and tracks the published version — the
+    one monotonic counter tasks are stamped with.  Built through
     :func:`build_remote_context`, which validates the whole round trip
     before any worker sees a task.
     """
@@ -329,10 +297,10 @@ class RemoteShardContext:
         self.weights = weights
         self.gradients = gradients
         self.cluster = cluster
-        self.context_id = next_context_id()
+        # unique across processes and engine instances
+        self.context_id = f"{os.getpid()}-{next(_CONTEXT_COUNTER)}"
         self.version = weights.version if weights is not None else 1
         self._released = False
-        register_local_context(self.context_id, supernet)
         if cluster is not None:
             cluster.register_context(
                 self.context_id,
@@ -369,12 +337,10 @@ class RemoteShardContext:
         return self.version
 
     def release(self) -> None:
-        """Tear down the segments, the workers' copies and the local
-        registration (idempotent)."""
+        """Tear down the segments and the workers' copies (idempotent)."""
         if self._released:
             return
         self._released = True
-        unregister_local_context(self.context_id)
         if self.cluster is not None:
             self.cluster.release_context(self.context_id)
         for segment in (self.weights, self.gradients):

@@ -67,55 +67,13 @@ class SingleStepSearch(SearchEngine):
     """H2O-NAS massively parallel unified single-step search.
 
     One step = one pass over the full stage graph, every stage on the
-    same shard of fresh, single-use batches.
+    same shard of fresh, single-use batches: one vectorized policy draw
+    (uniform draws during weight-only warmup), both halves of
+    :meth:`~SearchEngine._shard_step`.
     """
 
-    def _batches_used(self) -> int:
-        return self.pipeline.batches_issued
-
     def _step(self, step: int) -> StepRecord:
-        cfg = self.config
-        runtime = self.runtime
-        warming_up = step < cfg.warmup_steps
-        # Stage 1: the shard's candidates — one vectorized policy draw
-        # (or uniform draws during weight-only warmup).
-        with runtime.timed(STAGE_SAMPLE):
-            drawn = self.sample_shard(cfg.num_cores, warming_up)
-        # Stage 2: every core draws a fresh batch from the stream.
-        with runtime.timed(STAGE_FETCH_SHARD):
-            batches = self.pipeline.next_shard(cfg.num_cores)
-        groups = group_unique_architectures(drawn) if cfg.group_unique else None
-        # Stage 3: score the shard with the shared weights on its fresh
-        # batches (the policy consumes the batches first) — grouped
-        # passes fan out across the backend's workers.  Stage 7 trains
-        # on these same batches with the same weights, so an in-process
-        # pass also builds the loss it will backprop.
-        with runtime.timed(STAGE_SCORE):
-            qualities = self.score_shard(drawn, batches, groups, trains_on_shard=True)
-            for batch in batches:
-                self.pipeline.mark_policy_use(batch)
-        # Stage 4: price the whole shard through the memoized runtime in
-        # one batched call.
-        with runtime.timed(STAGE_PRICE):
-            all_metrics = self.price_shard(drawn)
-        # Stage 5: fold qualities and hardware metrics into rewards.
-        with runtime.timed(STAGE_REWARD):
-            candidates, samples = self.assemble_candidates(
-                drawn, qualities, all_metrics
-            )
-        # Stage 6: cross-shard policy update (skipped during warmup).
-        if not warming_up:
-            with runtime.timed(STAGE_POLICY_UPDATE):
-                self.policy_update(samples)
-        # Stage 7: cross-shard weight update on the same batches — after
-        # the policy has used them, whichever stage ran the forward.
-        with runtime.timed(STAGE_WEIGHT_UPDATE):
-            self.supernet.zero_grad()
-            self.accumulate_shard_gradient(drawn, batches, groups)
-            for batch in batches:
-                self.pipeline.mark_weight_use(batch)
-            self.optimizer_step()
-        return self.make_record(step, candidates)
+        return self._shard_step(step, policy=True, weights=True)
 
 
 class TunasSearch(SearchEngine):

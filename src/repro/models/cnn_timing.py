@@ -19,14 +19,14 @@ Tensor reshaping follows the search space's hardware intent:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from functools import partial
+from typing import Dict, Tuple
 
 from ..graph.ir import OpGraph
 from ..graph import ops
-from ..hardware.config import GPU_V100, HardwareConfig, TPU_V4, TPU_V4I
-from ..hardware.simulator import PerformanceSimulator
-from ..hardware.testbed import HardwareTestbed
+from ..hardware.config import HardwareConfig, TPU_V4, TPU_V4I
 from ..searchspace.base import Architecture
+from .timing import TimingHarness, batched_graphs
 from .mbconv import MbconvSpec, add_mbconv, block_params
 
 #: Channel quantum of the width deltas (the model-dependent X of Table 5).
@@ -161,7 +161,7 @@ def num_params(baseline: CnnBaseline, arch: Architecture) -> float:
     return float(total)
 
 
-class CnnTimingHarness:
+class CnnTimingHarness(TimingHarness):
     """Times CNN-space candidates for training and serving."""
 
     def __init__(
@@ -176,47 +176,11 @@ class CnnTimingHarness:
         self.baseline = baseline
         self.train_batch = train_batch
         self.serve_batch = serve_batch
-        self._train_sim = PerformanceSimulator(train_hw)
-        self._serve_sim = PerformanceSimulator(serve_hw)
-        self._train_bed = HardwareTestbed(train_hw, seed=seed)
-        self._serve_bed = HardwareTestbed(serve_hw, seed=seed + 1)
-
-    def simulate(self, arch: Architecture) -> Tuple[float, float]:
-        """(train_step_time, serving_latency) from the clean simulator."""
-        train = build_cnn_graph(self.baseline, arch, batch=self.train_batch)
-        serve = build_cnn_graph(self.baseline, arch, batch=self.serve_batch)
-        return (
-            self._train_sim.simulate(train).total_time_s,
-            self._serve_sim.simulate(serve).total_time_s,
+        super().__init__(
+            partial(batched_graphs, build_cnn_graph, baseline, train_batch, serve_batch),
+            partial(num_params, baseline),
+            DTYPE_BYTES,
+            train_hw,
+            serve_hw,
+            seed,
         )
-
-    def measure(self, arch: Architecture) -> Tuple[float, float]:
-        """(train_step_time, serving_latency) from the hardware testbed."""
-        train = build_cnn_graph(self.baseline, arch, batch=self.train_batch)
-        serve = build_cnn_graph(self.baseline, arch, batch=self.serve_batch)
-        return (
-            self._train_bed.measure_time(train),
-            self._serve_bed.measure_time(serve),
-        )
-
-    def measure_deterministic(self, arch: Architecture) -> Tuple[float, float]:
-        """Noise-free testbed times (for evaluation sweeps)."""
-        train = build_cnn_graph(self.baseline, arch, batch=self.train_batch)
-        serve = build_cnn_graph(self.baseline, arch, batch=self.serve_batch)
-        return (
-            self._train_bed.deterministic_time(train),
-            self._serve_bed.deterministic_time(serve),
-        )
-
-    def model_size(self, arch: Architecture) -> float:
-        """Serving memory footprint in bytes."""
-        return num_params(self.baseline, arch) * DTYPE_BYTES
-
-    def metrics_from_simulator(self, arch: Architecture) -> Dict[str, float]:
-        """A performance_fn for searches, backed by the simulator."""
-        train_time, serve_time = self.simulate(arch)
-        return {
-            "train_step_time": train_time,
-            "serving_latency": serve_time,
-            "model_size": self.model_size(arch),
-        }

@@ -19,14 +19,14 @@ hardware simulator:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from functools import partial
+from typing import Tuple
 
 from ..graph.ir import OpGraph
 from ..graph import ops
 from ..hardware.config import HardwareConfig, TPU_V4, TPU_V4I
-from ..hardware.simulator import PerformanceSimulator
-from ..hardware.testbed import HardwareTestbed
 from ..searchspace.base import Architecture
+from .timing import TimingHarness, batched_graphs
 from .mbconv import MbconvSpec, add_mbconv
 
 HEAD_DIM = 64
@@ -214,7 +214,7 @@ def num_params(baseline: VitBaseline, arch: Architecture) -> float:
     return total
 
 
-class VitTimingHarness:
+class VitTimingHarness(TimingHarness):
     """Times ViT-space candidates for training and serving."""
 
     def __init__(
@@ -229,47 +229,11 @@ class VitTimingHarness:
         self.baseline = baseline
         self.train_batch = train_batch
         self.serve_batch = serve_batch
-        self._train_sim = PerformanceSimulator(train_hw)
-        self._serve_sim = PerformanceSimulator(serve_hw)
-        self._train_bed = HardwareTestbed(train_hw, seed=seed)
-        self._serve_bed = HardwareTestbed(serve_hw, seed=seed + 1)
-
-    def simulate(self, arch: Architecture) -> Tuple[float, float]:
-        """(train_step_time, serving_latency) from the clean simulator."""
-        train = build_vit_graph(self.baseline, arch, batch=self.train_batch)
-        serve = build_vit_graph(self.baseline, arch, batch=self.serve_batch)
-        return (
-            self._train_sim.simulate(train).total_time_s,
-            self._serve_sim.simulate(serve).total_time_s,
+        super().__init__(
+            partial(batched_graphs, build_vit_graph, baseline, train_batch, serve_batch),
+            partial(num_params, baseline),
+            DTYPE_BYTES,
+            train_hw,
+            serve_hw,
+            seed,
         )
-
-    def measure(self, arch: Architecture) -> Tuple[float, float]:
-        """(train_step_time, serving_latency) from the hardware testbed."""
-        train = build_vit_graph(self.baseline, arch, batch=self.train_batch)
-        serve = build_vit_graph(self.baseline, arch, batch=self.serve_batch)
-        return (
-            self._train_bed.measure_time(train),
-            self._serve_bed.measure_time(serve),
-        )
-
-    def measure_deterministic(self, arch: Architecture) -> Tuple[float, float]:
-        """Noise-free testbed times (for evaluation sweeps)."""
-        train = build_vit_graph(self.baseline, arch, batch=self.train_batch)
-        serve = build_vit_graph(self.baseline, arch, batch=self.serve_batch)
-        return (
-            self._train_bed.deterministic_time(train),
-            self._serve_bed.deterministic_time(serve),
-        )
-
-    def model_size(self, arch: Architecture) -> float:
-        """Serving memory footprint in bytes."""
-        return num_params(self.baseline, arch) * DTYPE_BYTES
-
-    def metrics_from_simulator(self, arch: Architecture) -> Dict[str, float]:
-        """A performance_fn for searches, backed by the simulator."""
-        train_time, serve_time = self.simulate(arch)
-        return {
-            "train_step_time": train_time,
-            "serving_latency": serve_time,
-            "model_size": self.model_size(arch),
-        }

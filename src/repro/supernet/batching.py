@@ -50,12 +50,11 @@ _LOGITS_TAP = "logits"
 class StackedScoring(Protocol):
     """The stacked-scoring capability, as a checkable contract.
 
-    The search engine used to sniff for ``quality_many`` with
-    ``getattr`` duck-typing; this Protocol makes the contract explicit
-    and ``isinstance``-checkable: a supernet that can score *and* train
-    over several same-architecture batches in one stacked pass.
-    :class:`StackedScoringMixin` is the stock implementation; any
-    structurally-conforming supernet qualifies.
+    A supernet that can score *and* train over several
+    same-architecture batches in one stacked pass — and, for a step that
+    does both on the same batches, in the same pass
+    (``quality_and_loss_many``).  :class:`StackedScoringMixin` is the
+    stock implementation; any structurally-conforming supernet qualifies.
 
     ``runtime_checkable`` Protocols check method *presence*, not
     signatures — which is exactly right for proxy wrappers (e.g. the
@@ -77,6 +76,13 @@ class StackedScoring(Protocol):
         inputs_seq: Sequence[NamedInputs],
         labels_seq: Sequence[np.ndarray],
     ) -> Tensor: ...
+
+    def quality_and_loss_many(
+        self,
+        arch: Architecture,
+        inputs_seq: Sequence[NamedInputs],
+        labels_seq: Sequence[np.ndarray],
+    ) -> Tuple[List[float], Tensor]: ...
 
 
 def stack_named_inputs(inputs_seq: Sequence[NamedInputs]) -> NamedInputs:

@@ -51,9 +51,11 @@ from repro.core.engine import (
     StageTask,
     in_worker,
     run_stage_task,
+    run_worker,
 )
 from repro.core.engine import backends as backends_mod
 from repro.core.engine import worker as worker_mod
+from repro.core.engine.worker import execute_stage_kind
 from repro.core.eval_runtime import EvalRuntime
 from repro.data import CtrTaskConfig, CtrTeacher, SingleStepPipeline, TwoStreamPipeline
 from repro.runtime import CheckpointStore, FaultInjector, FaultSpec, run_with_checkpoints
@@ -540,10 +542,12 @@ class TestProcessBackendContract:
         ProcessPoolBackend(workers=2).load_state_dict(state)
 
     def test_resolve_backend_processes_and_aliases(self):
-        for spec in ("processes", "process", "procs", "processpool", "mp"):
-            backend = resolve_backend(spec, workers=2)
-            assert isinstance(backend, ProcessPoolBackend)
-            assert backend.workers == 2
+        backend = resolve_backend("processes", workers=2)
+        assert isinstance(backend, ProcessPoolBackend) and backend.workers == 2
+        # The registry names are the only spellings (as on the CLI).
+        for alias in ("process", "procs", "processpool", "mp", "thread", "threadpool"):
+            with pytest.raises(ValueError, match="unknown execution backend"):
+                resolve_backend(alias)
 
     def test_bad_workers_env_names_the_variable(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "four")
@@ -688,54 +692,50 @@ class TestStageTaskPickling:
     """Every engine stage task must survive pickle.
 
     The regression this pins is a closure capture sneaking back into
-    the remote score path: the process backend silently degrades to
-    in-process execution for unpicklable functions, so a capture would
-    not fail loudly — it would quietly serialize the whole CI leg.
+    a stage task: tasks are what the engine ships, so what they carry
+    must be plain data.  Workers execute them through
+    ``execute_stage_kind``; so do these tests, on both sides of pickle.
     """
 
-    def _local_ref(self, supernet):
-        context_id = worker_mod.next_context_id()
-        worker_mod.register_local_context(context_id, supernet)
-        return RemoteContextRef(context_id=context_id, version=0)
+    REF = RemoteContextRef(context_id="ctx-pickling", version=0)
 
     def _shard(self, search, count=4):
         drawn = search.sample_shard(count, warming_up=True)
         batches = [search.pipeline.next_batch() for _ in range(count)]
         return drawn, batches
 
-    def _assert_round_trip(self, tasks):
+    def _assert_round_trip(self, supernet, tasks):
         for task in tasks:
             clone = pickle.loads(pickle.dumps(task))
             assert clone.stage == task.stage and clone.kind == task.kind
-            direct, _, _ = run_stage_task(task)
-            cloned, _, _ = run_stage_task(clone)
+            assert clone.context == task.context
+            direct = execute_stage_kind(supernet, task.kind, task.payload)
+            cloned = execute_stage_kind(supernet, clone.kind, clone.payload)
             assert direct == cloned
 
     def test_quality_many_tasks_round_trip(self):
         search = build_single(backend="serial")
         drawn, batches = self._shard(search)
         groups = group_unique_architectures(drawn)
-        ref = self._local_ref(search.supernet)
         tasks = [
-            StageTask(stage="score", kind="quality_many", context=ref, payload=p)
+            StageTask(stage="score", kind="quality_many", context=self.REF, payload=p)
             for p in worker_mod.quality_many_payloads(drawn, batches, groups)
         ]
-        self._assert_round_trip(tasks)
+        self._assert_round_trip(search.supernet, tasks)
 
     def test_quality_tasks_round_trip(self):
         # The shared-batch form score_on_batch ships (the TuNAS policy
         # step): one singleton group per candidate, all on one batch.
         search = build_single(backend="serial")
         drawn, batches = self._shard(search)
-        ref = self._local_ref(search.supernet)
         payloads = worker_mod.quality_many_payloads(
             drawn, [batches[0]] * len(drawn), [[i] for i in range(len(drawn))]
         )
         tasks = [
-            StageTask(stage="score", kind="quality_many", context=ref, payload=p)
+            StageTask(stage="score", kind="quality_many", context=self.REF, payload=p)
             for p in payloads
         ]
-        self._assert_round_trip(tasks)
+        self._assert_round_trip(search.supernet, tasks)
 
     def test_quality_split_tasks_round_trip(self):
         # Generators pickle with their exact bit-generator state: the
@@ -745,19 +745,19 @@ class TestStageTaskPickling:
         )
         search = build_single(backend="serial")
         drawn, batches = self._shard(search)
-        ref = self._local_ref(supernet)
 
         def make_tasks():
             streams = SerialBackend(seed=3).rng_streams(len(drawn))
             return [
-                StageTask(stage="score", kind="quality_split", context=ref, payload=p)
+                StageTask(stage="score", kind="quality_split", context=self.REF, payload=p)
                 for p in worker_mod.quality_split_payloads(drawn, batches, streams)
             ]
 
-        live = [run_stage_task(t)[0] for t in make_tasks()]
-        pickled = [
-            run_stage_task(pickle.loads(pickle.dumps(t)))[0] for t in make_tasks()
-        ]
+        def run(task):
+            return execute_stage_kind(supernet, task.kind, task.payload)
+
+        live = [run(t) for t in make_tasks()]
+        pickled = [run(pickle.loads(pickle.dumps(t))) for t in make_tasks()]
         assert live == pickled
 
     def test_task_entry_point_and_pricing_fns_pickle(self):
@@ -770,11 +770,9 @@ class TestStageTaskPickling:
         # "quality" was a kind once; it is quality_many on a group of one.
         assert worker_mod.TASK_KINDS == ("quality_many", "quality_split", "train_many")
         search = build_single(backend="serial")
-        ref = self._local_ref(search.supernet)
         for kind in ("mystery", "quality"):
-            task = StageTask(stage="score", kind=kind, context=ref, payload=())
             with pytest.raises(ValueError):
-                run_stage_task(task)
+                execute_stage_kind(search.supernet, kind, ())
 
 
 class TestProcessEquivalence:
@@ -950,9 +948,11 @@ class TestRemoteTraining:
         for name in ("loss_many", "quality_many"):
             setattr(remote.supernet, name, lambda *a, _n=name: controller_passes.append(_n))
         assert fingerprint(space, remote.run()) == fingerprint(space, serial.run())
-        # One path: every step's shard went out as train tasks, and the
-        # controller ran no forward of its own beside them.
-        assert kinds == ["train_many"] * remote.config.steps
+        # One path: every shard of two groups or more went out as train
+        # tasks (elastic's baseline-only first phase, three steps, is one
+        # group), and the controller ran no forward of its own beside them.
+        shipped = remote.config.steps - (3 if strategy == "elastic" else 0)
+        assert kinds == ["train_many"] * shipped
         assert controller_passes == []
         image = remote._remote_ctx.gradients
         assert (image is not None) == (backend == "processes")
@@ -1002,31 +1002,78 @@ class TestRemoteTraining:
         finally:
             backend.close()
 
-    def test_converged_shard_trains_on_the_engine_thread(self):
-        # One group: the map runs its single task in this process,
-        # against the live supernet, and the gradients still fold right.
+    @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
+    @pytest.mark.parametrize("unique", [1, 4])
+    def test_a_shard_ships_only_with_two_groups_or_more(self, backend, unique):
+        # The placement rule, both ways.  A converged shard (one group)
+        # has nothing to overlap with: it trains in this process, ships
+        # no task and publishes no weight version.  Four groups are four
+        # ``train_many`` tasks a step, and one publish per weight update.
         def run(backend):
             search = build_single(backend=backend, workers=2)
-            arch = search.space.sample(np.random.default_rng(8))
-            shard = [(arch, search.space.indices_of(arch))] * 4
+            rng = np.random.default_rng(8)
+            archs = [search.space.sample(rng) for _ in range(unique)]
+            shard = [(arch, search.space.indices_of(arch)) for arch in archs]
+            shard = shard * (4 // unique)
+            assert len(group_unique_architectures(shard)) == unique
             search.sample_shard = lambda count, warming_up: shard
             return search
 
-        remote = run("processes")
-        kinds = spy_on_shipped_kinds(remote)
-        ran_in = set()
+        remote = run(backend)
+        assert remote._remote_active()
+        shipped = []
         inner_map = remote.backend.map
 
         def traced_map(fn, items):
-            results = inner_map(fn, items)
             if fn is run_stage_task:
-                ran_in.update(pid for _, _, pid in results)
-            return results
+                shipped.append([task.kind for task in items])
+            return inner_map(fn, items)
 
         remote.backend.map = traced_map
+        context = remote._remote_ctx
+        built_at, publish, published = context.version, context.publish, []
+        context.publish = lambda *args: published.append(publish(*args))
         assert_results_identical(run("serial").run(), remote.run(), build_space())
-        assert kinds == ["train_many"] * STEPS
-        assert ran_in == {os.getpid()}
+        if unique == 1:
+            assert shipped == [] and published == [] and context.version == built_at
+        else:
+            assert shipped == [["train_many"] * 4] * STEPS
+            assert len(published) == STEPS - 1  # step 0 ships what was built
+
+    def test_a_search_nobody_dialled_into_waits_once(self):
+        # Bound for external workers, none came: the first ask for one
+        # spends the backend's worker_timeout, every later ask only
+        # looks, and the search runs in process — until a worker links.
+        serial = build_single(backend="serial").run()
+        backend = DistributedBackend(
+            workers=2, seed=0, spawn_local=False, shared=False, worker_timeout=0.2
+        )
+        try:
+            search = build_single(backend=backend)
+            assert search._remote_ctx is not None
+            cluster = backend._cluster()
+            waits = []
+            inner_wait = cluster.wait_for_workers
+
+            def traced_wait(count, timeout):
+                waits.append(timeout)
+                return inner_wait(count, timeout)
+
+            cluster.wait_for_workers = traced_wait
+            assert_results_identical(serial, search.run(), build_space())
+            assert len(waits) >= STEPS and sorted(waits)[-2:] == [0.0, 0.2]
+            assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]  # opaque maps too
+            assert sorted(waits)[-2:] == [0.0, 0.2]
+            worker = threading.Thread(
+                target=run_worker, args=(backend.address,), daemon=True
+            )
+            worker.start()
+            assert backend.wait_for_workers(1, timeout=30.0) == 1
+            assert search._remote_active()
+        finally:
+            backend.close()
+        worker.join(timeout=30.0)
+        assert not worker.is_alive()
 
     @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
     def test_single_worker_pool_trains_in_process(self, backend):
@@ -1211,10 +1258,10 @@ class TestDistributedContract:
         DistributedBackend(workers=2).load_state_dict(state)
 
     def test_resolve_backend_distributed_and_alias(self):
-        for spec in ("distributed", "dist"):
-            backend = resolve_backend(spec, workers=2)
-            assert isinstance(backend, DistributedBackend)
-            assert backend.workers == 2
+        backend = resolve_backend("distributed", workers=2)
+        assert isinstance(backend, DistributedBackend) and backend.workers == 2
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            resolve_backend("dist")
 
     def test_owned_cluster_released_on_close(self):
         backend = DistributedBackend(workers=2, seed=0, shared=False)

@@ -598,8 +598,10 @@ class TestGroupGradientReduce:
         for _ in range(warm_passes):  # walk every group's key through admission
             for arch, inputs, labels, _, _ in shard:
                 net.loss_many(arch, inputs, labels)
-        held = [execute_stage_kind(net, "train_many", payload) for payload in shard]
-        params = net.parameters()
+        params = net.parameters()  # a worker host walks them once, too
+        held = [
+            execute_stage_kind(net, "train_many", payload, params) for payload in shard
+        ]
         net.zero_grad()
         for _, active, gradients in held:
             assert active == sorted(set(active))  # one gradient per parameter

@@ -233,3 +233,23 @@ class TestVitTimingHarness:
         arch = space.sample(np.random.default_rng(seed))
         train, serve = harness.simulate(arch)
         assert train > 0 and serve > 0
+
+
+@pytest.mark.parametrize(
+    "setup, build", [(cnn_setup, build_cnn_graph), (vit_setup, build_vit_graph)]
+)
+def test_measure_goes_through_the_testbed_retry_policy(setup, build):
+    """One harness for every space: CNN and ViT measure through
+    ``HardwareTestbed.measure`` like DLRM — the value of one
+    ``measure_time`` draw under the default policy — and report what
+    the policy spent."""
+    from repro.hardware import TPU_V4, TPU_V4I, HardwareTestbed
+
+    space, baseline, harness = setup()
+    arch = space.default_architecture()
+    want = (
+        HardwareTestbed(TPU_V4, seed=0).measure_time(build(baseline, arch, batch=64)),
+        HardwareTestbed(TPU_V4I, seed=1).measure_time(build(baseline, arch, batch=8)),
+    )
+    assert harness.measure(arch) == want
+    assert harness.measurement_retries == 0 and harness.measurement_timeouts == 0
