@@ -8,7 +8,6 @@ contract.
 from .backends import (
     BACKEND_ENV_VAR,
     BACKEND_NAMES,
-    MP_CONTEXT_ENV_VAR,
     WORKERS_ENV_VAR,
     BackendSpec,
     ExecutionBackend,
@@ -63,7 +62,6 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "BACKEND_NAMES",
     "DIST_BIND_ENV_VAR",
-    "MP_CONTEXT_ENV_VAR",
     "WORKERS_ENV_VAR",
     "BackendSpec",
     "CandidateRecord",

@@ -69,11 +69,6 @@ R = TypeVar("R")
 #: backend equivalence at scale.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 WORKERS_ENV_VAR = "REPRO_WORKERS"
-#: Start-method override for the process backend (``fork`` / ``spawn``
-#: / ``forkserver``).  Defaults to ``fork`` where the platform offers
-#: it: workers inherit the imported modules instead of re-importing
-#: them, which keeps worker startup in the milliseconds.
-MP_CONTEXT_ENV_VAR = "REPRO_MP_CONTEXT"
 
 
 def default_worker_count() -> int:
@@ -223,10 +218,10 @@ def _thread_pool_factory(workers: int) -> Callable[[], Executor]:
 
 
 def process_start_method() -> str:
-    """The start method process pools use (``$REPRO_MP_CONTEXT`` wins)."""
-    override = os.environ.get(MP_CONTEXT_ENV_VAR)
-    if override:
-        return override
+    """The start method process pools use: ``fork`` where the platform
+    offers it (workers inherit the imported modules instead of
+    re-importing them, which keeps worker startup in the milliseconds),
+    else the platform default."""
     if "fork" in multiprocessing.get_all_start_methods():
         return "fork"
     return multiprocessing.get_start_method()

@@ -185,16 +185,11 @@ class SearchConfig:
     seed: int = 0
     use_cache: bool = True  # memoize performance_fn by decision indices
     cache_size: int = 4096  # LRU capacity of the metrics cache
-    #: run one supernet pass per *unique* sampled architecture by
-    #: stacking same-arch core batches (needs a supernet implementing
-    #: the StackedScoring protocol, e.g. via StackedScoringMixin; other
-    #: supernets keep the per-core path)
-    group_unique: bool = True
     #: execution backend for per-core fan-out: an
     #: :class:`ExecutionBackend` instance, a name (``"serial"`` /
-    #: ``"threads"`` / ``"processes"``), or ``None`` to consult
-    #: ``$REPRO_BACKEND`` and default to serial.  All backends are
-    #: bit-identical by contract.
+    #: ``"threads"`` / ``"processes"`` / ``"distributed"``), or
+    #: ``None`` to consult ``$REPRO_BACKEND`` and default to serial.
+    #: All backends are bit-identical by contract.
     backend: Optional[Union[str, ExecutionBackend]] = field(
         default=None, compare=False
     )
@@ -435,7 +430,7 @@ class SearchEngine:
             drawn = sample() if sample else self.sample_shard(cfg.num_cores, warming_up)
         with runtime.timed(STAGE_FETCH_SHARD):
             batches = pipeline.next_shard(cfg.num_cores)
-        groups = group_unique_architectures(drawn) if cfg.group_unique else None
+        groups = group_unique_architectures(drawn)
         # The policy consumes the batches first.  A step that will train
         # on them scores and builds the loss in one pass per group.
         with runtime.timed(STAGE_SCORE):
@@ -645,7 +640,7 @@ class SearchEngine:
         self,
         drawn: Sequence[DrawnCandidate],
         batches: Sequence[Batch],
-        groups: Optional[List[List[int]]],
+        groups: List[List[int]],
         trains_on_shard: bool = False,
     ) -> List[float]:
         """Stage *score*: per-core qualities, each core on its own batch.
@@ -677,7 +672,7 @@ class SearchEngine:
             return self._score(
                 "quality_split", quality_split_payloads(drawn, batches, streams)
             )
-        if groups is None or not isinstance(self.supernet, StackedScoring):
+        if not isinstance(self.supernet, StackedScoring):
             return [
                 self.supernet.quality(arch, batch.inputs, batch.labels)
                 for batch, (arch, _) in zip(batches, drawn)
@@ -765,22 +760,25 @@ class SearchEngine:
         self,
         drawn: Sequence[DrawnCandidate],
         batches: Sequence[Batch],
-        groups: Optional[List[List[int]]],
+        groups: List[List[int]],
     ) -> None:
         """Stage *weight_update* (gradient half): cross-shard gradients.
 
-        The sequential path backprops ``loss_i / num_cores`` per core;
-        the grouped path backprops ``loss_many * (group_size /
-        num_cores)`` per unique architecture — the same gradient in
-        ``len(groups)`` supernet passes.  Accumulation into the shared
-        parameter gradients happens here, on the engine thread in group
-        order — the float accumulation order on every backend.  When
-        ``score_shard(..., trains_on_shard=True)`` held these groups'
-        losses only their backwards are left to run; when it held their
-        *gradients* (each computed from zero in a worker) they are
-        reduced as ``backward`` would have: the first group's copied,
-        the rest added — bit-identical because every parameter receives
-        one contribution per group pass (DESIGN.md §10).
+        The per-core path (supernets without
+        :class:`~repro.supernet.StackedScoring`) backprops ``loss_i /
+        num_cores`` per core; the grouped path backprops ``loss_many *
+        (group_size / num_cores)`` per unique architecture — the same
+        gradient in ``len(groups)`` supernet passes.  Accumulation into
+        the shared parameter gradients happens here, on the engine
+        thread in group order — the float accumulation order on every
+        backend.  The grouped path only finishes what
+        ``score_shard(..., trains_on_shard=True)`` held for these
+        ``groups`` (nothing held is a ``RuntimeError``): held losses
+        have only their backwards left to run; held *gradients* (each
+        computed from zero in a worker) are reduced as ``backward``
+        would have: the first group's copied, the rest added —
+        bit-identical because every parameter receives one contribution
+        per group pass (DESIGN.md §10).
         """
         num_cores = self.config.num_cores
         held, self._held = self._held, None
@@ -797,21 +795,17 @@ class SearchEngine:
                 for i, array in zip(active, arrays):
                     ctx.params[i]._accumulate(array)
             return
-        if groups is None or not isinstance(self.supernet, StackedScoring):
-            for batch, (arch, _) in zip(batches, drawn):
-                loss = self.supernet.loss(arch, batch.inputs, batch.labels)
-                # The scale seeds the backward (the same floats as a
-                # ``loss * scale`` node's), which so stays on the loss
-                # node, where a compiled graph's gradient order applies.
-                loss.backward(np.asarray(1.0 / num_cores))
-            return
-        for positions in groups:
-            loss = self.supernet.loss_many(
-                drawn[positions[0]][0],
-                [batches[i].inputs for i in positions],
-                [batches[i].labels for i in positions],
+        if isinstance(self.supernet, StackedScoring):
+            raise RuntimeError(
+                "accumulate_shard_gradient: nothing held for these groups; "
+                "score them first with score_shard(..., trains_on_shard=True)"
             )
-            loss.backward(np.asarray(len(positions) / num_cores))
+        for batch, (arch, _) in zip(batches, drawn):
+            loss = self.supernet.loss(arch, batch.inputs, batch.labels)
+            # The scale seeds the backward (the same floats as a
+            # ``loss * scale`` node's), which so stays on the loss
+            # node, where a compiled graph's gradient order applies.
+            loss.backward(np.asarray(1.0 / num_cores))
 
     def optimizer_step(self) -> None:
         """Apply the accumulated weight gradients.

@@ -1,13 +1,14 @@
 """Resumable unit loops: the shared checkpoint-driven driver.
 
-The multi-trial baselines and the per-scale Pareto sweep each grew
-their own copy of the same scaffolding — "resume from the newest good
-snapshot if its algorithm matches mine, then advance one unit at a
-time, snapshotting every ``k`` completed units".  :class:`ResumableLoop`
-is that scaffolding once, parameterized over what a *unit* is (a trial,
-a sweep point); subclasses supply the unit semantics and the state
-dictionary, the loop supplies resume, periodic snapshots, and the
-algorithm-mismatch guard.
+The multi-trial baselines share one piece of scaffolding — "resume
+from the newest good snapshot if its algorithm matches mine, then
+advance one unit at a time, snapshotting every ``k`` completed units".
+:class:`ResumableLoop` is that scaffolding once, parameterized over
+what a *unit* is (a trial); subclasses supply the unit semantics and
+the state dictionary, the loop supplies resume, periodic snapshots, and
+the algorithm-mismatch guard.  (The per-scale Pareto sweep,
+:func:`repro.core.pareto_search.trace_front`, does not run on it: it
+carries its own inline resume-and-snapshot-per-target loop.)
 
 (The RL searches use the richer stepwise protocol in
 :func:`repro.runtime.supervisor.run_with_checkpoints` instead, because

@@ -243,13 +243,15 @@ def payload_nbytes(tasks: Sequence[StageTask]) -> int:
 def worker_spec_for(supernet: Any) -> Tuple[Any, ...]:
     """The serialized-rebuild spec of ``supernet``.
 
-    Preference order: an explicit ``worker_spec()`` hook, then the
-    ``(class, config)`` factory convention, then whole-object pickling
-    as a last resort.
+    A supernet that follows the ``cls(config)`` constructor convention
+    ships as ``("factory", cls, (config,), {})``: workers reconstruct
+    the module graph from the (tiny) config and then overwrite every
+    parameter from the shared-weights segment, so the instance itself
+    never needs to pickle.  That matters: a populated tape cache holds
+    per-graph locks, which makes whole-object pickling of a warmed-up
+    supernet impossible.  One without a ``config`` falls back to
+    whole-object pickling, ``("pickle", supernet)``.
     """
-    hook = getattr(supernet, "worker_spec", None)
-    if hook is not None:
-        return hook()
     config = getattr(supernet, "config", None)
     if config is not None:
         return ("factory", type(supernet), (config,), {})

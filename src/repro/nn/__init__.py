@@ -2,7 +2,7 @@
 
 from .tensor import Tensor, as_tensor, concatenate, stack_mean, trace_graph
 from .fused import ACT_KERNELS, dense_act, masked_gather
-from .tape import CompiledGraph, TapeCache, compile_graph, tape_enabled
+from .tape import CompiledGraph, TapeCache, compile_graph
 from .layers import (
     ACTIVATIONS,
     Dense,
@@ -51,6 +51,5 @@ __all__ = [
     "mse",
     "softmax_cross_entropy",
     "stack_mean",
-    "tape_enabled",
     "trace_graph",
 ]

@@ -31,7 +31,6 @@ thread and cheap to bump from worker threads.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
@@ -39,16 +38,6 @@ from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .tensor import Tensor, trace_graph
-
-#: Environment kill-switch: set ``REPRO_TAPE=0`` to disable graph reuse
-#: (every pass rebuilds eagerly, the pre-reuse behavior).
-TAPE_ENV = "REPRO_TAPE"
-
-
-def tape_enabled() -> bool:
-    """Whether tape reuse is enabled for this process (default: yes)."""
-    return os.environ.get(TAPE_ENV, "1").lower() not in ("0", "false", "off")
-
 
 def _walk_retained(root: Tensor) -> List[Tensor]:
     """All reachable nodes with retained parents, parents-first."""

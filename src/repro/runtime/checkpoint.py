@@ -477,37 +477,20 @@ def restore_search(search: Any, payload: Mapping[str, Any]) -> Tuple[int, List[S
 
 
 def supernet_state(supernet: Any) -> dict:
-    """Weight snapshot of any SuperNetwork-protocol object.
-
-    Supernets exposing ``state_dict`` (every :class:`repro.nn.Module`,
-    plus :class:`repro.core.SurrogateSuperNetwork`) round-trip through
-    it; anything else falls back to a positional parameter dump.
-    """
+    """Weight snapshot of a supernet, through its ``state_dict``
+    (every :class:`repro.nn.Module`, plus
+    :class:`repro.core.SurrogateSuperNetwork`)."""
     state_dict = getattr(supernet, "state_dict", None)
-    if callable(state_dict):
-        return {"kind": "state_dict", "state": dict(state_dict())}
-    return {
-        "kind": "params",
-        "params": [param.data.copy() for param in supernet.parameters()],
-    }
+    if not callable(state_dict):
+        raise CheckpointError(
+            f"{type(supernet).__name__} has no state_dict(); a supernet is "
+            "checkpointed through state_dict()/load_state_dict()"
+        )
+    return {"kind": "state_dict", "state": dict(state_dict())}
 
 
 def restore_supernet_state(supernet: Any, state: Mapping[str, Any]) -> None:
     """Inverse of :func:`supernet_state`."""
-    if state["kind"] == "state_dict":
-        supernet.load_state_dict(state["state"])
-        return
-    params = supernet.parameters()
-    saved = state["params"]
-    if len(saved) != len(params):
-        raise CheckpointError(
-            f"checkpoint has {len(saved)} parameters, supernet has {len(params)}"
-        )
-    for param, value in zip(params, saved):
-        value = np.asarray(value)
-        if value.shape != param.data.shape:
-            raise CheckpointError(
-                f"parameter shape {value.shape} does not match supernet "
-                f"{param.data.shape}"
-            )
-        param.data[:] = value
+    if state["kind"] != "state_dict":
+        raise CheckpointError(f"unknown supernet state kind {state['kind']!r}")
+    supernet.load_state_dict(state["state"])

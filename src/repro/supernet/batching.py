@@ -34,7 +34,6 @@ from ..nn.tape import (
     CompiledGraph,
     TapeCache,
     compile_graph,
-    tape_enabled,
 )
 from ..searchspace.base import Architecture
 
@@ -159,14 +158,14 @@ class StackedScoringMixin:
     ) -> Optional[Tuple[CompiledGraph, Dict[str, np.ndarray]]]:
         """Compiled graph for ``(kind, arch, shapes)`` plus bound arrays.
 
-        Returns ``None`` when tape reuse is off or the key has not
-        repeated yet — the caller then runs the eager path.  Labels
-        travel through the graph's input buffers (under
+        Returns ``None`` when the host is not ``tape_compatible`` or the
+        key has not repeated yet — the caller then runs the eager path.
+        Labels travel through the graph's input buffers (under
         :data:`_LABELS_KEY`) so loss graphs replay against fresh
         targets, not the targets seen at trace time; every graph taps
         its logits node.
         """
-        if not (self.tape_compatible and tape_enabled()):
+        if not self.tape_compatible:
             return None
         arrays: Dict[str, np.ndarray] = {
             name: np.asarray(value) for name, value in inputs.items()
@@ -193,24 +192,6 @@ class StackedScoringMixin:
 
         graph = self._tape_cache().get_or_build(key, factory)
         return None if graph is None else (graph, arrays)
-
-    def worker_spec(self) -> Tuple:
-        """How a process-pool worker rebuilds this supernet.
-
-        Returns a ``("factory", cls, args, kwargs)`` spec when the host
-        follows the ``cls(config)`` constructor convention — workers
-        reconstruct the module graph from the (tiny) config and then
-        overwrite every parameter from the shared-weights segment, so
-        the instance itself never needs to pickle.  That matters here:
-        a populated tape cache holds per-graph locks, which makes
-        whole-object pickling of a warmed-up supernet impossible.
-        Hosts without a ``config`` fall back to whole-object pickling,
-        and hosts with richer constructors should override this hook.
-        """
-        config = getattr(self, "config", None)
-        if config is not None:
-            return ("factory", type(self), (config,), {})
-        return ("pickle", self)
 
     def tape_stats(self) -> Dict[str, int]:
         """Process-lifetime counters of the instance's graph cache."""

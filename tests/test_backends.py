@@ -11,10 +11,12 @@ map, per-task rng splitting, checkpointable split counter) and of the
 ``getattr`` duck-typing.
 """
 
+import ast
 import collections
 import dataclasses
 import gc
 import os
+import pathlib
 import pickle
 import signal
 import socket
@@ -64,6 +66,8 @@ from repro.searchspace import DlrmSpaceConfig, dlrm_search_space
 from repro.service.jobs import dlrm_search_builder, elastic_training_builder, result_payload
 from repro.supernet import DlrmSuperNetwork, DlrmSupernetConfig, StackedScoring
 from repro.telemetry import Telemetry
+
+from .test_batched_exec import PerCoreOnly
 
 NUM_TABLES = 2
 STEPS = 8
@@ -326,6 +330,35 @@ class TestBackendContract:
         # An explicit spec still wins over the environment.
         assert isinstance(resolve_backend("serial"), SerialBackend)
 
+    def test_the_product_reads_exactly_three_environment_variables(self):
+        """A new kill switch fails here, not in a later review."""
+        read, mentions = [], 0
+        for path in pathlib.Path(backends_mod.__file__).parents[2].rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            constants = {
+                target.id: node.value.value
+                for node in tree.body
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    mentions += ast.unparse(node) in ("os.environ", "os.getenv")
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                    "os.environ.get",
+                    "os.getenv",
+                ):
+                    key = node.args[0]
+                elif isinstance(node, ast.Subscript) and ast.unparse(node.value) == "os.environ":
+                    key = node.slice
+                else:
+                    continue
+                read.append(key.value if isinstance(key, ast.Constant) else constants[key.id])
+        # Every mention of the environment is a read of a name known here.
+        assert mentions == len(read)
+        assert sorted(read) == ["REPRO_BACKEND", "REPRO_DIST_BIND", "REPRO_WORKERS"]
+
 
 class TestStackedScoringProtocol:
     def test_dlrm_supernet_is_stacked_scoring(self):
@@ -387,7 +420,7 @@ class TestBackendEquivalence:
     def test_threaded_matches_serial_without_grouping(self, strategy):
         def run(backend):
             search = BUILDERS[strategy](backend=backend)
-            object.__setattr__(search.config, "group_unique", False)
+            search.supernet = PerCoreOnly(search.supernet)
             return search.run()
 
         assert_results_identical(

@@ -289,7 +289,24 @@ class TestStackedScoring:
         assert mixed.item() == pytest.approx(expected, rel=1e-9)
 
 
-def dlrm_search(group_unique, steps=6, seed=0):
+class PerCoreOnly:
+    """The per-core half of a supernet's protocol and nothing else: not
+    a ``StackedScoring``, so the engine scores and trains it one core at
+    a time — the reference the grouped passes must reproduce."""
+
+    def __init__(self, supernet):
+        for name in (
+            "quality",
+            "loss",
+            "parameters",
+            "zero_grad",
+            "state_dict",
+            "load_state_dict",
+        ):
+            setattr(self, name, getattr(supernet, name))
+
+
+def dlrm_search(per_core, steps=6, seed=0):
     num_tables = 2
     space = dlrm_search_space(
         DlrmSpaceConfig(num_tables=num_tables, num_dense_stacks=2)
@@ -301,9 +318,10 @@ def dlrm_search(group_unique, steps=6, seed=0):
     def performance_fn(arch):
         return {"step_time": 1.0 + 0.05 * arch["emb0/width_delta"]}
 
+    supernet = DlrmSuperNetwork(DlrmSupernetConfig(num_tables=num_tables, seed=seed))
     return SingleStepSearch(
         space=space,
-        supernet=DlrmSuperNetwork(DlrmSupernetConfig(num_tables=num_tables, seed=seed)),
+        supernet=PerCoreOnly(supernet) if per_core else supernet,
         pipeline=SingleStepPipeline(teacher.next_batch),
         reward_fn=relu_reward([PerformanceObjective("step_time", 1.0, -0.5)]),
         performance_fn=performance_fn,
@@ -312,7 +330,6 @@ def dlrm_search(group_unique, steps=6, seed=0):
             num_cores=4,
             warmup_steps=2,
             seed=seed,
-            group_unique=group_unique,
         ),
     ).run()
 
@@ -320,8 +337,8 @@ def dlrm_search(group_unique, steps=6, seed=0):
 class TestGroupedSearchEquivalence:
     def test_grouped_and_ungrouped_searches_agree(self):
         """Grouping is a pure execution strategy: same StepRecords."""
-        grouped = dlrm_search(group_unique=True)
-        ungrouped = dlrm_search(group_unique=False)
+        grouped = dlrm_search(per_core=False)
+        ungrouped = dlrm_search(per_core=True)
         assert grouped.final_architecture == ungrouped.final_architecture
         np.testing.assert_allclose(
             [r.mean_quality for r in grouped.history],
@@ -341,36 +358,35 @@ class TestGroupedSearchEquivalence:
 
     def test_fallback_supernet_keeps_exact_rng_stream(self):
         """Without quality_many the per-core order (and its noise rng
-        stream) must be untouched: both settings are bit-identical."""
+        stream) must be untouched: every candidate's quality is the draw
+        a surrogate scoring them one after another, in core order, makes."""
 
-        def run(group_unique):
-            space = small_space()
-            return SingleStepSearch(
-                space=space,
-                supernet=SurrogateSuperNetwork(
-                    lambda arch: 0.4 + 0.1 * arch["a"], noise_sigma=0.05, seed=0
-                ),
-                pipeline=SingleStepPipeline(NullSource().next_batch),
-                reward_fn=relu_reward(
-                    [PerformanceObjective("step_time", 1.0, -0.5)]
-                ),
-                performance_fn=CountingPerformanceFn(),
-                config=SearchConfig(
-                    steps=10,
-                    num_cores=4,
-                    warmup_steps=2,
-                    seed=0,
-                    group_unique=group_unique,
-                ),
-            ).run()
+        def surrogate():
+            return SurrogateSuperNetwork(
+                lambda arch: 0.4 + 0.1 * arch["a"], noise_sigma=0.05, seed=0
+            )
 
-        on, off = run(True), run(False)
-        assert on.final_architecture == off.final_architecture
-        assert [r.mean_quality for r in on.history] == [
-            r.mean_quality for r in off.history
+        reward_fn = relu_reward([PerformanceObjective("step_time", 1.0, -0.5)])
+        result = SingleStepSearch(
+            space=small_space(),
+            supernet=surrogate(),
+            pipeline=SingleStepPipeline(NullSource().next_batch),
+            reward_fn=reward_fn,
+            performance_fn=CountingPerformanceFn(),
+            config=SearchConfig(steps=10, num_cores=4, warmup_steps=2, seed=0),
+        ).run()
+
+        sequential = surrogate()
+        qualities = [
+            [sequential.quality(c.architecture, None, None) for c in r.candidates]
+            for r in result.history
         ]
-        assert [r.mean_reward for r in on.history] == [
-            r.mean_reward for r in off.history
+        assert [r.mean_quality for r in result.history] == [
+            float(np.mean(step)) for step in qualities
+        ]
+        assert [r.mean_reward for r in result.history] == [
+            float(np.mean([reward_fn(q, c.metrics) for q, c in zip(step, r.candidates)]))
+            for step, r in zip(qualities, result.history)
         ]
 
 

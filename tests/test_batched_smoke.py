@@ -1,6 +1,6 @@
-"""Tiny end-to-end smoke run of the batched-execution benchmark paths.
+"""Tiny end-to-end smoke run of the batched-pricing benchmark path.
 
-Runs ``benchmarks/bench_batched_exec.py``'s measurement functions at a
+Runs ``benchmarks/bench_eval_runtime.py``'s ``run_pricing`` at a
 configuration small enough for the tier-1 budget, asserting structure
 (not speedups — those belong to the full benchmark run, which needs
 realistic sizes to be meaningful).  Nothing is written under
@@ -9,7 +9,7 @@ realistic sizes to be meaningful).  Nothing is written under
 
 import pytest
 
-from benchmarks.bench_batched_exec import run_grouping, run_pricing
+from benchmarks.bench_eval_runtime import run_pricing
 
 pytestmark = pytest.mark.slow
 
@@ -20,13 +20,3 @@ def test_pricing_smoke():
     assert pricing["batched_throughput"] > 0
     assert pricing["sequential_throughput"] > 0
     assert pricing["speedup"] > 0
-
-
-def test_grouping_smoke():
-    grouping = run_grouping(steps=4, cores=4)
-    assert grouping["grouped_supernet_seconds"] > 0
-    assert grouping["ungrouped_supernet_seconds"] > 0
-    # run_grouping already asserted the two trajectories agree.
-    assert set(grouping["grouped_stage_seconds"]) == set(
-        grouping["ungrouped_stage_seconds"]
-    )

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import ElasticTraining, SearchConfig, SpecializationSearch
+from repro.core.engine.worker import worker_spec_for
 from repro.data import (
     CtrTaskConfig,
     CtrTeacher,
@@ -252,7 +253,7 @@ class TestTransformerStackedScoring:
         np.testing.assert_allclose(float(stacked.data), np.mean(singles))
 
     def test_worker_spec_round_trips(self):
-        kind, cls, cls_args, cls_kwargs = self.net.worker_spec()
+        kind, cls, cls_args, cls_kwargs = worker_spec_for(self.net)
         assert kind == "factory" and cls is TransformerSuperNetwork
         rebuilt = cls(*cls_args, **cls_kwargs)
         arch = self.space.default_architecture()

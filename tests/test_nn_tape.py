@@ -33,9 +33,8 @@ from repro.nn import (
     Tensor,
     compile_graph,
     mse,
-    tape_enabled,
 )
-from repro.nn.tape import EMPTY_TAPE_STATS, TAPE_ENV, CompiledGraph
+from repro.nn.tape import EMPTY_TAPE_STATS, CompiledGraph
 from repro.searchspace import DlrmSpaceConfig, dlrm_search_space
 from repro.searchspace.cnn import CnnSpaceConfig, cnn_search_space
 from repro.searchspace.vit import VitSpaceConfig, vit_search_space
@@ -59,6 +58,13 @@ def ctr_batches(count, batch_size=16, seed=0):
         CtrTaskConfig(num_tables=NUM_TABLES, batch_size=batch_size, seed=seed)
     )
     return [teacher.next_batch() for _ in range(count)]
+
+
+def eager(net):
+    """``net`` with tape reuse off for this instance: every pass builds
+    its graph afresh — the reference the replayed numbers must equal."""
+    net.tape_compatible = False
+    return net
 
 
 def snapshot_grads(net):
@@ -137,13 +143,12 @@ class TestCompiledGraphPrimitives:
         assert w.grad is first_buf  # same preallocated array, new values
         np.testing.assert_array_equal(w.grad, [[6.0], [6.0]])
 
-    def test_kill_switch(self, monkeypatch):
-        monkeypatch.setenv(TAPE_ENV, "0")
-        assert not tape_enabled()
-        net = DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES))
+    def test_tape_incompatible_host_never_consults_the_cache(self):
+        net = eager(DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES)))
         arch = build_space().sample(np.random.default_rng(0))
         batch = ctr_batches(1)[0]
-        net.loss(arch, batch.inputs, batch.labels)
+        for _ in range(3):  # a repeating key would compile on second sight
+            net.loss(arch, batch.inputs, batch.labels)
         assert net.tape_stats() == EMPTY_TAPE_STATS
 
 
@@ -206,20 +211,18 @@ class TestTapeCache:
 
 
 class TestSupernetTapeEquivalence:
-    def test_dlrm_train_trace_bit_identical(self, monkeypatch):
+    def test_dlrm_train_trace_bit_identical(self):
         space = build_space()
         rng = np.random.default_rng(7)
         archs = [space.sample(rng) for _ in range(3)]
         batches = ctr_batches(9)
 
-        monkeypatch.setenv(TAPE_ENV, "0")
-        eager_net = DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES))
-        eager = [
+        eager_net = eager(DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES)))
+        untaped = [
             train_trace(eager_net, arch, batches[i::3], seed_grad=0.25)
             for i, arch in enumerate(archs)
         ]
 
-        monkeypatch.setenv(TAPE_ENV, "1")
         tape_net = DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES))
         taped = [
             train_trace(tape_net, arch, batches[i::3], seed_grad=0.25)
@@ -230,13 +233,13 @@ class TestSupernetTapeEquivalence:
         assert stats["compiles"] == 6  # one loss + one forward graph per arch
         assert stats["misses"] == 12  # each: first sight, then the compile
         assert stats["hits"] == 6  # each graph's third batch replays
-        for (el, eq, ep), (tl, tq, tp) in zip(eager, taped):
+        for (el, eq, ep), (tl, tq, tp) in zip(untaped, taped):
             assert el == tl
             assert eq == tq
             for a, b in zip(ep, tp):
                 np.testing.assert_array_equal(a, b)
 
-    def test_vision_train_trace_bit_identical(self, monkeypatch):
+    def test_vision_train_trace_bit_identical(self):
         space = cnn_search_space(CnnSpaceConfig(num_blocks=2))
         arch = space.sample(np.random.default_rng(3))
         rng = np.random.default_rng(11)
@@ -260,9 +263,7 @@ class TestSupernetTapeEquivalence:
                 losses.append(net.quality(arch, inputs, labels))
             return losses, [p.data.copy() for p in net.parameters()]
 
-        monkeypatch.setenv(TAPE_ENV, "0")
-        eager_vals, eager_params = run(VisionSuperNetwork())
-        monkeypatch.setenv(TAPE_ENV, "1")
+        eager_vals, eager_params = run(eager(VisionSuperNetwork()))
         tape_net = VisionSuperNetwork()
         tape_vals, tape_params = run(tape_net)
 
@@ -352,7 +353,7 @@ class TestAdmissionOnSecondSight:
         assert stats["size"] == 0 and stats["compiles"] == 0
         assert stats["hits"] == 0 and stats["misses"] == 24
 
-    def test_eager_then_compile_then_hit_all_bit_identical(self, monkeypatch):
+    def test_eager_then_compile_then_hit_all_bit_identical(self):
         arch = build_space().sample(np.random.default_rng(4))
         batches = ctr_batches(3)
 
@@ -365,9 +366,7 @@ class TestAdmissionOnSecondSight:
                 trace.append((loss.item(), snapshot_grads(net), net.tape_stats()))
             return trace
 
-        monkeypatch.setenv(TAPE_ENV, "0")
-        eager = run(DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES)))
-        monkeypatch.setenv(TAPE_ENV, "1")
+        untaped = run(eager(DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES))))
         taped = run(DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES)))
 
         progress = [
@@ -376,7 +375,7 @@ class TestAdmissionOnSecondSight:
         ]
         assert progress == [(0, 1, 0, 0), (0, 2, 1, 1), (1, 2, 1, 1)]
         for (eager_loss, eager_grads, _), (tape_loss, tape_grads, _) in zip(
-            eager, taped
+            untaped, taped
         ):
             assert eager_loss == tape_loss
             assert_grads_equal(eager_grads, tape_grads)
@@ -458,21 +457,17 @@ class TestQualityAndLossMany:
         "sizes", [(16,), (16, 16, 16), (8, 16, 16)], ids=["one", "three", "unequal"]
     )
     @pytest.mark.parametrize("case", [dlrm_case, vision_case, transformer_case])
-    def test_equals_quality_many_plus_loss_many(
-        self, monkeypatch, case, sizes, warm_passes
-    ):
+    def test_equals_quality_many_plus_loss_many(self, case, sizes, warm_passes):
         make_net, arch, make_batches = case()
         inputs_seq, labels_seq = make_batches(sizes)
         scale = np.asarray(len(sizes) / 4)
 
-        monkeypatch.setenv(TAPE_ENV, "0")
-        reference = make_net()
+        reference = eager(make_net())
         want_qualities = reference.quality_many(arch, inputs_seq, labels_seq)
         want_loss = reference.loss_many(arch, inputs_seq, labels_seq)
         reference.zero_grad()
         want_loss.backward(scale)
 
-        monkeypatch.setenv(TAPE_ENV, "1")
         net = make_net()
         for _ in range(warm_passes):  # walk the loss key through admission
             net.loss_many(arch, inputs_seq, labels_seq)
@@ -653,25 +648,27 @@ def result_fingerprint(result):
 
 
 class TestSearchLevelEquivalence:
-    def test_tape_vs_eager_search_identical(self, monkeypatch):
-        monkeypatch.setenv(TAPE_ENV, "0")
-        eager = result_fingerprint(build_search("serial").run())
-        monkeypatch.setenv(TAPE_ENV, "1")
+    def test_tape_vs_eager_search_identical(self):
+        reference = build_search("serial")
+        eager(reference.supernet)
+        untaped = result_fingerprint(reference.run())
         search = build_search("serial")
         taped = result_fingerprint(search.run())
-        assert eager == taped
+        assert untaped == taped
+        assert reference.supernet.tape_stats() == EMPTY_TAPE_STATS
         # A short search samples mostly-unique architectures; what must
         # hold is that the tape was consulted at all.
         assert search.supernet.tape_stats()["misses"] > 0
 
-    def test_converged_shard_walks_admission_in_one_pass_per_step(self, monkeypatch):
+    def test_converged_shard_walks_admission_in_one_pass_per_step(self):
         """All four cores on one architecture: step 0 runs the group's
         pass eagerly, step 1 compiles it, later steps replay — one pass
         per step each way, and the same trajectory as with no tape."""
         from repro.telemetry import Telemetry
 
-        def run(telemetry=None):
+        def run(telemetry=None, taped=True):
             search = build_search("serial", telemetry=telemetry)
+            search.supernet.tape_compatible = taped
             arch = search.space.sample(np.random.default_rng(8))
             shard = [(arch, search.space.indices_of(arch))] * 4
             search.sample_shard = lambda count, warming_up: shard
@@ -684,13 +681,11 @@ class TestSearchLevelEquivalence:
                 )
             return search, result_fingerprint(search.run()), calls
 
-        monkeypatch.setenv(TAPE_ENV, "0")
-        _, eager, _ = run()
-        monkeypatch.setenv(TAPE_ENV, "1")
+        _, untaped, _ = run(taped=False)
         telemetry = Telemetry()
         search, taped, calls = run(telemetry)
 
-        assert taped == eager
+        assert taped == untaped
         assert calls == ["quality_and_loss_many"] * 6
         assert search.supernet.tape_stats() == {
             "hits": 4,
@@ -704,8 +699,9 @@ class TestSearchLevelEquivalence:
             assert counted == search.supernet.tape_stats()[key]
 
     def test_serial_vs_threads_with_tape(self):
-        assert tape_enabled()
-        serial = result_fingerprint(build_search("serial").run())
+        search = build_search("serial")
+        assert search.supernet.tape_compatible
+        serial = result_fingerprint(search.run())
         threaded = result_fingerprint(build_search("threads").run())
         assert serial == threaded
 
@@ -770,7 +766,7 @@ class TestScheduledOptimizerInEngine:
 
 
 class TestPerformanceModelTape:
-    def test_training_loss_compiled_and_identical(self, monkeypatch):
+    def test_training_loss_compiled_and_identical(self):
         from repro.perfmodel.features import ArchitectureEncoder
         from repro.perfmodel.model import PerformanceModel
 
@@ -780,12 +776,12 @@ class TestPerformanceModelTape:
         features = rng.normal(size=(12, encoder.num_features))
         targets = rng.normal(size=(12, 2))
 
-        def losses(model):
+        def losses(model, training_loss):
             out = []
             optimizer = Adam(model.parameters(), lr=1e-3)
             for start in (0, 4, 8, 0):
                 optimizer.zero_grad()
-                loss = model.training_loss(
+                loss = training_loss(
                     features[start : start + 4], targets[start : start + 4]
                 )
                 loss.backward()
@@ -793,12 +789,12 @@ class TestPerformanceModelTape:
                 out.append(loss.item())
             return out
 
-        monkeypatch.setenv(TAPE_ENV, "0")
-        eager = losses(PerformanceModel(encoder, hidden_sizes=(16,)))
-        monkeypatch.setenv(TAPE_ENV, "1")
+        reference = PerformanceModel(encoder, hidden_sizes=(16,))
+        untaped = losses(reference, lambda f, t: mse(reference.forward(f), t))
         model = PerformanceModel(encoder, hidden_sizes=(16,))
-        taped = losses(model)
-        assert eager == taped
+        taped = losses(model, model.training_loss)
+        assert untaped == taped
+        assert reference.tape_stats() == EMPTY_TAPE_STATS
         # One key: first minibatch eager, second compiles, the rest replay.
         assert model.tape_stats() == {
             "hits": 2,

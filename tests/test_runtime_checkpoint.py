@@ -676,3 +676,13 @@ class TestSnapshotHeader:
         }[algorithm]
         with pytest.raises(CheckpointError, match="format 1 .*expected format 2"):
             resume()
+
+    def test_supernet_without_state_dict_names_the_missing_method(self):
+        from repro.runtime.checkpoint import supernet_state
+
+        class Bare:
+            def parameters(self):
+                return []
+
+        with pytest.raises(CheckpointError, match=r"Bare has no state_dict\(\)"):
+            supernet_state(Bare())

@@ -123,3 +123,15 @@ def test_each_strategy_opens_the_timers_it_always_did(strategy):
 def test_score_on_batch_is_score_shard_on_singleton_groups(kind):
     assert _shared_batch_qualities(kind) == SHARED_BATCH_QUALITIES[kind]
 
+
+
+def test_grouped_weight_update_needs_what_the_score_stage_held():
+    search = _build("single_step")
+    drawn = search.controller.sample_many(4)
+    batches = search.pipeline.next_shard(4)
+    groups = [[0], [1], [2], [3]]
+    with pytest.raises(RuntimeError, match="nothing held"):
+        search.accumulate_shard_gradient(drawn, batches, groups)
+    search.score_shard(drawn, batches, groups, trains_on_shard=True)
+    search.accumulate_shard_gradient(drawn, batches, groups)
+    assert any(p.grad is not None for p in search.supernet.parameters())
