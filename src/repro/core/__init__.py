@@ -4,7 +4,6 @@ from .controller import BaselineTracker, CategoricalPolicy, ReinforceController
 from .cost import NasCostModel
 from .engine import (
     ExecutionBackend,
-    ResumableLoop,
     SearchEngine,
     SerialBackend,
     ThreadPoolBackend,
@@ -86,7 +85,6 @@ __all__ = [
     "MemoizedEvaluate",
     "ProcessPoolBackend",
     "run_worker",
-    "ResumableLoop",
     "SearchEngine",
     "SerialBackend",
     "ThreadPoolBackend",

@@ -35,7 +35,6 @@ from .engine import (
     SuperNetwork,
     group_unique_architectures,
 )
-from .loop import ResumableLoop
 
 #: Remote-backend names resolved lazily (PEP 562): importing
 #: .distributed eagerly would pull the socket transport — and through it
@@ -71,7 +70,6 @@ __all__ = [
     "PerformanceFn",
     "ProcessPoolBackend",
     "RemoteContextRef",
-    "ResumableLoop",
     "SearchConfig",
     "SearchEngine",
     "SearchResult",

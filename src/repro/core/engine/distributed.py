@@ -23,8 +23,9 @@ worker shares this machine's memory: its ``context`` message names the
 :class:`~.shm.SharedWeights` segment and a task stamped with a newer
 version triggers the seqlock copy-in.  A worker that dialled in over TCP
 gets the same versions as a *push*: every ``optimizer_step()`` republish
-broadcasts a versioned weight message, and a worker holding older
-weights re-fetches before scoring.  The determinism contract is
+broadcasts a versioned weight message, and a link is primed with every
+registered context before it can be assigned work (:meth:`_Cluster._admit`),
+so a worker never has to ask.  The determinism contract is
 unchanged — per-task ``SeedSequence`` streams ride inside the pickled
 payloads and the gather is order-preserving — so a remote search is
 bit-identical to a serial one.
@@ -47,7 +48,6 @@ import socket
 import threading
 import time
 import weakref
-from collections import deque
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
@@ -164,13 +164,12 @@ class _HostContext:
 class WorkerHost:
     """One worker's connection to a controller: the ``repro worker`` loop.
 
-    Single-threaded by design: one socket, one message at a time, with a
-    small backlog deque for messages that arrive while the worker is
-    blocked waiting for a context or weight version it asked for.  The
-    same loop runs as an external process (``repro worker``), as the
-    cluster's loopback worker threads and — handed its connected socket
-    instead of an address to dial — as a spawned ``processes`` worker:
-    one code path, tested each way.
+    Single-threaded by design: one socket, one message at a time, and
+    after its ``hello`` it only answers (one ``result`` or ``error`` per
+    task).  The same loop runs as an external process (``repro worker``),
+    as the cluster's loopback worker threads and — handed its connected
+    socket instead of an address to dial — as a spawned ``processes``
+    worker: one code path, tested each way.
     """
 
     def __init__(
@@ -194,7 +193,6 @@ class WorkerHost:
         self.connect_timeout = connect_timeout
         self.executed = 0
         self._contexts: Dict[str, Union[_HostContext, Exception]] = {}
-        self._backlog: "deque[Dict[str, Any]]" = deque()
         self._sock: Optional[socket.socket] = None
 
     # -- lifecycle ------------------------------------------------------
@@ -225,20 +223,13 @@ class WorkerHost:
             sock.close()
         return self.executed
 
-    def _next_message(self) -> Optional[Dict[str, Any]]:
-        if self._backlog:
-            return self._backlog.popleft()
-        try:
-            return recv_message(self._sock)
-        except (ProtocolError, OSError):
-            return None
-
     def _serve(self) -> None:
         while True:
-            message = self._next_message()
-            if message is None:
+            try:
+                message = recv_message(self._sock)
+            except (ProtocolError, OSError):
                 return
-            kind = message["type"]
+            kind = "shutdown" if message is None else message["type"]  # EOF
             if kind == "shutdown":
                 return
             if kind in ("context", "weights", "release"):
@@ -268,11 +259,6 @@ class WorkerHost:
             return
         # context: build the supernet once; a failure is remembered and
         # reported per-task rather than killing the worker.
-        if message.get("missing"):
-            self._contexts[context_id] = RuntimeError(
-                f"controller has no context {context_id!r} (already released?)"
-            )
-            return
         try:
             supernet = build_supernet_from_spec(pickle.loads(message["spec"]))
             ctx: Union[_HostContext, Exception] = _HostContext(
@@ -284,78 +270,42 @@ class WorkerHost:
             ctx = error
         self._contexts[context_id] = ctx
 
-    def _await(self, predicate: Callable[[], bool]) -> bool:
-        """Drain messages until ``predicate`` holds, backlogging work.
-
-        Control messages apply immediately (they may be exactly what the
-        predicate waits for); tasks and shutdown go to the backlog in
-        arrival order.  ``False`` means the connection died first.
-        """
-        while not predicate():
-            try:
-                message = recv_message(self._sock)
-            except (ProtocolError, OSError):
-                return False
-            if message is None:
-                return False
-            if message["type"] in ("context", "weights", "release"):
-                self._apply_control(message)
-            else:
-                self._backlog.append(message)
-        return True
-
     # -- work messages --------------------------------------------------
     def _context_for_task(self, ref: RemoteContextRef) -> _HostContext:
-        context_id = ref.context_id
-        if context_id not in self._contexts:
-            # The task overtook the context broadcast (we joined while a
-            # search was mid-flight); ask for it and wait.
-            send_message(
-                self._sock, {"type": "fetch_context", "context_id": context_id}
+        """The context ``ref`` names, at its version or newer.  A link
+        is primed before it is assigned work and frames arrive in order,
+        so a task naming what never came (a released context, a
+        controller out of order) fails as a task: a worker never asks."""
+        ctx = self._contexts.get(ref.context_id)
+        if ctx is None:
+            raise RuntimeError(
+                f"worker {self.worker_id} holds no context {ref.context_id!r} "
+                f"(released, or never sent on this link)"
             )
-            if not self._await(lambda: context_id in self._contexts):
-                raise ConnectionError("controller went away during fetch_context")
-        ctx = self._contexts[context_id]
         if isinstance(ctx, Exception):
             raise ctx
-        if ctx.applied_version < ref.version and ctx.shared is not None:
+        if ctx.applied_version < ref.version:
+            if ctx.shared is None:
+                raise RuntimeError(
+                    f"task stamped weight version {ref.version} of context "
+                    f"{ref.context_id!r} reached worker {self.worker_id} "
+                    f"before the push: it holds version {ctx.applied_version}"
+                )
             ctx.copy_in()
-        elif ctx.applied_version < ref.version:
-            # Stale weights: this task was stamped after a publish whose
-            # broadcast we have not seen (reconnect races, lost frames
-            # are impossible but joins are not) — re-fetch before
-            # scoring, exactly like the shm copy-in on version mismatch.
-            send_message(
-                self._sock,
-                {
-                    "type": "fetch_weights",
-                    "context_id": context_id,
-                    "version": ref.version,
-                },
-            )
-            if not self._await(lambda: ctx.applied_version >= ref.version):
-                raise ConnectionError("controller went away during fetch_weights")
         return ctx
 
     def _handle_work(self, message: Dict[str, Any]) -> bool:
         """Execute one task/call and reply; ``False`` if the link died."""
-        task_id = message["task_id"]
         try:
             if message["type"] == "call":  # its caller reads no timing
                 value, seconds = message["fn"](message["item"]), 0.0
             else:
                 value, seconds = run_stage_task(message["task"], self._context_for_task)
-        except ConnectionError:
-            return False
+            reply = {"type": "result", "value": value, "seconds": seconds}
         except Exception as error:  # deterministic task failure: report it
-            self.executed += 1
-            return self._send(
-                {"type": "error", "task_id": task_id, "error": _picklable_error(error)}
-            )
+            reply = {"type": "error", "error": _picklable_error(error)}
         self.executed += 1
-        return self._send(
-            {"type": "result", "task_id": task_id, "value": value, "seconds": seconds}
-        )
+        return self._send({**reply, "task_id": message["task_id"]})
 
     def _send(self, message: Dict[str, Any]) -> bool:
         try:
@@ -475,6 +425,8 @@ class _WorkerLink:
         self.process = process
         self.alive = True
         self.outstanding: Dict[int, _TaskRecord] = {}
+        #: orders the frames on this link; may be taken before the
+        #: cluster's ``_cond``, never while holding it
         self._send_lock = threading.Lock()
 
     def send(self, message: Dict[str, Any]) -> None:
@@ -637,20 +589,25 @@ class _Cluster:
             int(hello.get("pid") or 0),
             process,
         )
-        with self._cond:
-            if self._closed:
-                self._reject(conn, process)
-                return
-            base, n = link.worker_id, 1
-            while link.worker_id in self._links:
-                n += 1
-                link.worker_id = f"{base}#{n}"
-            self._links[link.worker_id] = link
-            contexts = [dict(state) for state in self._contexts.values()]
-            self._cond.notify_all()
+        # Primed before assignable: the send lock is held from before the
+        # link can be picked until its last context frame is written, so
+        # every task, push and orphan bound for it queues behind contexts
+        # snapshotted under the lock that registers and republishes them.
         try:
-            for state in contexts:
-                link.send(state)
+            with link._send_lock:
+                with self._cond:
+                    if self._closed:
+                        self._reject(conn, process)
+                        return
+                    base, n = link.worker_id, 1
+                    while link.worker_id in self._links:
+                        n += 1
+                        link.worker_id = f"{base}#{n}"
+                    self._links[link.worker_id] = link
+                    contexts = [dict(state) for state in self._contexts.values()]
+                    self._cond.notify_all()
+                for state in contexts:
+                    send_message(conn, state)
         except (OSError, ProtocolError):
             self._handle_link_loss(link)
             return
@@ -701,15 +658,6 @@ class _Cluster:
         can exist: nobody dials into a cluster that does not listen)."""
         return _snapshot_weights(arrays) if self._listener is not None else None
 
-    @staticmethod
-    def _weights_message(state: Dict[str, Any]) -> Dict[str, Any]:
-        return {
-            "type": "weights",
-            "context_id": state["context_id"],
-            "version": state["version"],
-            "data": state["weights"],
-        }
-
     def register_context(
         self,
         context_id: str,
@@ -745,12 +693,14 @@ class _Cluster:
                 return
             state["version"] = int(version)
             state["weights"] = weights
-            message = self._weights_message(state)
             links = list(self._links.values())
         # Spawned workers copy in from the segment when a task's version
         # stamp says so; only dialled-in ones are pushed to.
         if weights is not None:
-            self._broadcast(links, message)
+            self._broadcast(
+                links,
+                {"type": "weights", "context_id": context_id, "version": int(version), "data": weights},
+            )
 
     def release_context(self, context_id: str) -> None:
         with self._lock:
@@ -839,27 +789,9 @@ class _Cluster:
                     )
                 elif kind == "error":
                     self._fail_task(link, message["task_id"], message["error"])
-                elif kind == "fetch_weights":
-                    self._serve_fetch(link, message["context_id"], weights_only=True)
-                elif kind == "fetch_context":
-                    self._serve_fetch(link, message["context_id"], weights_only=False)
         except (ProtocolError, OSError):
             pass
         finally:
-            self._handle_link_loss(link)
-
-    def _serve_fetch(self, link: _WorkerLink, context_id: str, weights_only: bool) -> None:
-        with self._lock:
-            state = self._contexts.get(context_id)
-            state = dict(state) if state is not None else None
-        try:
-            if state is None:
-                link.send({"type": "context", "context_id": context_id, "missing": True})
-            elif weights_only:
-                link.send(self._weights_message(state))
-            else:
-                link.send(state)
-        except (OSError, ProtocolError):
             self._handle_link_loss(link)
 
     def _complete(
@@ -1007,9 +939,8 @@ class _ClusterBackend(ExecutionBackend):
       only.  Whether to send them is the engine's decision
       (:meth:`SearchEngine._remote_active`): a stage-task map ships;
     * **opaque functions run locally when they must** — any other
-      ``fn`` (a pricing function) that does not pickle, has one item or
-      nobody linked to run it takes the in-process serial loop, which
-      is always correct;
+      ``fn`` that does not pickle, has one item or nobody linked to run
+      it takes the in-process serial loop, which is always correct;
     * **worker loss is survivable** — see the module docstring.  Tasks
       are pure by the determinism contract, so resubmission is
       idempotent and the retried results are bit-identical.
@@ -1185,8 +1116,8 @@ class DistributedBackend(_ClusterBackend):
     domain.  Key differences from the process pool:
 
     * **weights are pushed, not shared** — ``publish()`` broadcasts a
-      versioned weight message; a worker scoring a task stamped with a
-      newer version re-fetches first (the shm seqlock, generalized);
+      versioned weight message ahead of the tasks stamped with it, and a
+      late joiner is primed with the current one before it is assignable;
     * **membership is open** — workers may join at any time (``repro
       worker --connect``); by default the cluster also spawns loopback
       worker threads so the backend works standalone.

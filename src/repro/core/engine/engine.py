@@ -282,7 +282,6 @@ class SearchEngine:
             use_cache=config.use_cache,
             cache_capacity=config.cache_size,
         )
-        self.runtime.attach_backend(self.backend)
         if self.telemetry is not None:
             self.runtime.attach_telemetry(self.telemetry)
             self.pipeline.attach_telemetry(self.telemetry)
@@ -723,8 +722,7 @@ class SearchEngine:
         """Stage *price*: the whole shard through the memoized runtime.
 
         Cache misses share one vectorized evaluation when the
-        performance fn is batchable, or fan out across the backend's
-        workers when it declares itself ``parallel_safe``.
+        performance fn is batchable.
         """
         return self.runtime.price_many(drawn)
 

@@ -44,8 +44,8 @@ class RemoteContextRef:
     """Names one scoring context and the weight state a task needs.
 
     ``version`` stamps the weight state this task must score against — a
-    worker whose applied version is older refreshes (from the shared
-    segment, or by re-fetching from the controller) before scoring.
+    spawned worker whose applied version is older copies in from the
+    shared segment first; a dialled-in one was pushed it ahead of the task.
     """
 
     context_id: str

@@ -286,28 +286,11 @@ class EvalRuntime:
         #: shared :class:`repro.telemetry.Telemetry`; cache/pricing
         #: counters and stage spans mirror into it when attached
         self.telemetry = telemetry
-        #: execution backend for fanning out per-architecture cache-miss
-        #: evaluations (see :meth:`attach_backend`)
-        self.backend: Optional[Any] = None
 
     def attach_telemetry(self, telemetry: Any) -> None:
         """Attach a telemetry handle unless one is already set."""
         if self.telemetry is None:
             self.telemetry = telemetry
-
-    def attach_backend(self, backend: Any) -> None:
-        """Attach the search engine's execution backend.
-
-        With a multi-worker backend attached, :meth:`_evaluate_batch`'s
-        per-architecture fallback fans out across workers — but only
-        for performance functions that declare ``parallel_safe = True``:
-        pricing backends are frequently stateful (simulators, testbed
-        clients, counting test doubles), and racing those would break
-        both their bookkeeping and the backend-equivalence contract.
-        Vectorized ``price_batch`` functions are unaffected; they
-        already amortize the shard in one call.
-        """
-        self.backend = backend
 
     def _pricing_marks(self) -> Tuple[int, int, int, int]:
         cache = self.cache
@@ -347,10 +330,8 @@ class EvalRuntime:
     ) -> List[Dict[str, float]]:
         """Evaluate ``archs`` in one vectorized call when possible.
 
-        Order of preference: the fn's own ``price_batch`` (one
-        vectorized call), then a worker fan-out through the attached
-        backend for ``parallel_safe`` functions, then a sequential
-        per-architecture loop.
+        The fn's own ``price_batch`` (one vectorized call) when it has
+        one, a sequential per-architecture loop otherwise.
         """
         self.evaluations += len(archs)
         if self.batch_fn is not None:
@@ -361,14 +342,6 @@ class EvalRuntime:
                     f"{len(archs)} architectures"
                 )
             return metrics_list
-        backend = self.backend
-        if (
-            backend is not None
-            and backend.workers > 1
-            and len(archs) > 1
-            and getattr(self.performance_fn, "parallel_safe", False)
-        ):
-            return [dict(m) for m in backend.map(self.performance_fn, list(archs))]
         return [dict(self.performance_fn(a)) for a in archs]
 
     # ------------------------------------------------------------------
@@ -411,10 +384,9 @@ class EvalRuntime:
         including re-evaluations of a duplicate whose first occurrence
         was evicted mid-shard under eviction pressure.  Those positions
         are evaluated together (one :class:`BatchPerformanceFn` call
-        when the fn is batchable, a worker fan-out for ``parallel_safe``
-        fns, a sequential loop otherwise), and then a *replay* pass
-        applies the shard to the real cache in sequential order,
-        splicing in the precomputed metrics.  Returned metrics, cache
+        when the fn is batchable, a sequential loop otherwise), and then
+        a *replay* pass applies the shard to the real cache in sequential
+        order, splicing in the precomputed metrics.  Returned metrics, cache
         counters, evaluation counts, and final LRU contents are
         bit-identical to the sequential loop in every regime, eviction
         pressure included — pinned by

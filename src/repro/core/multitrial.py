@@ -21,7 +21,6 @@ from typing import Callable, Deque, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..searchspace.base import Architecture, SearchSpace
-from .engine import ResumableLoop
 from .eval_runtime import MemoizedEvaluate
 from .reward import RewardFunction
 
@@ -83,14 +82,17 @@ class MultiTrialResult:
         return np.maximum.accumulate(self.rewards())
 
 
-class _ResumableTrialLoop(ResumableLoop):
+class _ResumableTrialLoop:
     """Shared stepwise/checkpoint machinery of the multi-trial searches.
 
     Trials accumulate on ``self.trials``; ``step()`` runs one trial, so
-    the driver (:meth:`ResumableLoop.run_resumable` via ``run``, or an
-    external supervisor) can snapshot at any trial boundary.  The rng
-    and the memoized-evaluation cache are part of the state, so a
-    resumed search replays the remaining trials bit-identically.
+    the driver (:meth:`run`, or an external supervisor) can snapshot at
+    any trial boundary.  The rng and the memoized-evaluation cache are
+    part of the state, so a resumed search replays the remaining trials
+    bit-identically.  (The RL searches use the richer stepwise protocol
+    in :func:`repro.runtime.supervisor.run_with_checkpoints`; the payload
+    shape and algorithm check are the same ones, via
+    :mod:`repro.runtime.checkpoint`.)
     """
 
     def _target_trials(self) -> int:
@@ -99,21 +101,36 @@ class _ResumableTrialLoop(ResumableLoop):
     def step(self) -> Trial:
         raise NotImplementedError
 
-    # -- ResumableLoop unit semantics: one unit = one trial -------------
-    def _completed_units(self) -> int:
-        return len(self.trials)
+    def _checkpoint_payload(self) -> dict:
+        from ..runtime.checkpoint import CHECKPOINT_FORMAT
 
-    def _target_units(self) -> int:
-        return self._target_trials()
-
-    def _advance(self) -> None:
-        self.step()
+        return {
+            "format": CHECKPOINT_FORMAT,
+            "algorithm": type(self).__name__,
+            "search": self.state_dict(),
+        }
 
     def run(self, store=None, checkpoint_every: int = 25, resume: bool = True) -> MultiTrialResult:
-        """Run to the trial budget, optionally checkpointing to ``store``."""
-        return self.run_resumable(
-            store=store, checkpoint_every=checkpoint_every, resume=resume
-        )
+        """Run to the trial budget, optionally checkpointing to ``store``:
+        resume from its newest good snapshot (one in another format or
+        taken by a different algorithm raises), then snapshot every
+        ``checkpoint_every`` completed trials."""
+        from ..runtime.checkpoint import check_header
+        from ..runtime.recovery import resume_latest
+
+        if checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
+        loaded = resume_latest(store) if store is not None and resume else None
+        if loaded is not None:
+            check_header(loaded.state, type(self).__name__)
+            self.load_state_dict(loaded.state["search"])
+        target = self._target_trials()
+        while len(self.trials) < target:
+            self.step()
+            done = len(self.trials)
+            if store is not None and done % checkpoint_every == 0 and done < target:
+                store.save(done, self._checkpoint_payload())
+        return self.build_result()
 
     def build_result(self) -> MultiTrialResult:
         return _result(list(self.trials), self._evaluate)

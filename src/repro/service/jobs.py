@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import pathlib
 import time
 from dataclasses import dataclass
@@ -64,6 +65,37 @@ def dlrm_step_time(num_tables: int):
     return step_time
 
 
+#: embedding tables of the quickstart DLRM
+_NUM_TABLES = 2
+
+
+def _quickstart_space():
+    """The quickstart DLRM search space."""
+    from ..searchspace import DlrmSpaceConfig, dlrm_search_space
+
+    return dlrm_search_space(DlrmSpaceConfig(num_tables=_NUM_TABLES, num_dense_stacks=2))
+
+
+def _quickstart_parts(seed: int):
+    """A fresh ``(batch source, supernet)`` pair of the quickstart workload."""
+    from ..data import CtrTaskConfig, CtrTeacher
+    from ..supernet import DlrmSuperNetwork, DlrmSupernetConfig
+
+    teacher = CtrTeacher(CtrTaskConfig(num_tables=_NUM_TABLES, batch_size=64, seed=seed))
+    supernet = DlrmSuperNetwork(DlrmSupernetConfig(num_tables=_NUM_TABLES, seed=seed))
+    return teacher.next_batch, supernet
+
+
+def _quickstart_config(steps, seed, warmup_steps, use_cache, telemetry, backend, workers):
+    """The quickstart shape (four cores) around a builder's own arguments."""
+    from ..core import SearchConfig
+
+    return SearchConfig(
+        steps=steps, num_cores=4, warmup_steps=warmup_steps, seed=seed,
+        use_cache=use_cache, telemetry=telemetry, backend=backend, workers=workers,
+    )
+
+
 def dlrm_search_builder(
     steps: int,
     seed: int,
@@ -80,30 +112,20 @@ def dlrm_search_builder(
     how churn counters span attempts while run-scoped ones roll back
     with the checkpoint.
     """
-    from ..core import H2ONas, PerformanceObjective, SearchConfig
-    from ..data import CtrTaskConfig, CtrTeacher
-    from ..searchspace import DlrmSpaceConfig, dlrm_search_space
-    from ..supernet import DlrmSuperNetwork, DlrmSupernetConfig
+    from ..core import H2ONas, PerformanceObjective
 
-    num_tables = 2
-    space = dlrm_search_space(DlrmSpaceConfig(num_tables=num_tables, num_dense_stacks=2))
+    space = _quickstart_space()
 
     def factory() -> "H2ONas":
-        teacher = CtrTeacher(
-            CtrTaskConfig(num_tables=num_tables, batch_size=64, seed=seed)
-        )
+        batch_source, supernet = _quickstart_parts(seed)
         return H2ONas(
             space=space,
-            supernet=DlrmSuperNetwork(
-                DlrmSupernetConfig(num_tables=num_tables, seed=seed)
-            ),
-            batch_source=teacher.next_batch,
-            performance_fn=dlrm_step_time(num_tables),
+            supernet=supernet,
+            batch_source=batch_source,
+            performance_fn=dlrm_step_time(_NUM_TABLES),
             objectives=[PerformanceObjective("step_time", 1.0, beta=-0.5)],
-            config=SearchConfig(
-                steps=steps, num_cores=4, warmup_steps=10, seed=seed,
-                use_cache=use_cache, telemetry=telemetry,
-                backend=backend, workers=workers,
+            config=_quickstart_config(
+                steps, seed, 10, use_cache, telemetry, backend, workers
             ),
         )
 
@@ -129,31 +151,22 @@ def elastic_training_builder(
     progressive-shrinking ``schedule`` (default: the stock three-phase
     schedule over ``steps``), weight updates only, no policy.
     """
-    from ..core import SearchConfig
     from ..core.elastic import ElasticTraining
-    from ..data import CtrTaskConfig, CtrTeacher, SingleStepPipeline
-    from ..searchspace import DlrmSpaceConfig, dlrm_search_space
-    from ..supernet import DlrmSuperNetwork, DlrmSupernetConfig, ShrinkSchedule
+    from ..data import SingleStepPipeline
+    from ..supernet import ShrinkSchedule
 
-    num_tables = 2
-    space = dlrm_search_space(
-        DlrmSpaceConfig(num_tables=num_tables, num_dense_stacks=2)
-    )
+    space = _quickstart_space()
     schedule = schedule or ShrinkSchedule.default(steps)
 
     def factory() -> "ElasticTraining":
-        teacher = CtrTeacher(
-            CtrTaskConfig(num_tables=num_tables, batch_size=64, seed=seed)
-        )
+        batch_source, supernet = _quickstart_parts(seed)
         return ElasticTraining(
             space,
-            DlrmSuperNetwork(DlrmSupernetConfig(num_tables=num_tables, seed=seed)),
-            SingleStepPipeline(teacher.next_batch),
+            supernet,
+            SingleStepPipeline(batch_source),
             schedule=schedule,
-            config=SearchConfig(
-                steps=steps, num_cores=4, warmup_steps=0, seed=seed,
-                use_cache=use_cache, telemetry=telemetry,
-                backend=backend, workers=workers,
+            config=_quickstart_config(
+                steps, seed, 0, use_cache, telemetry, backend, workers
             ),
         )
 
@@ -175,7 +188,7 @@ def platform_performance_fn(space, platform_name):
 
     hw = platform(platform_name)
     harness = DlrmTimingHarness(
-        baseline_production_dlrm(num_tables=2), train_hw=hw, serve_hw=hw, seed=0
+        baseline_production_dlrm(num_tables=_NUM_TABLES), train_hw=hw, serve_hw=hw, seed=0
     )
     baseline_metrics = harness.metrics_from_simulator(space.default_architecture())
     objectives = [
@@ -187,6 +200,38 @@ def platform_performance_fn(space, platform_name):
         ),
     ]
     return harness, harness.metrics_from_simulator, objectives
+
+
+def _specialization(
+    artifact_dir, platform_name, steps, seed, use_cache, telemetry, backend, workers
+):
+    """:func:`specialization_builder` plus the target's timing harness,
+    as ``(space, harness, factory)``."""
+    from ..core import relu_reward
+    from ..core.elastic import SpecializationSearch
+    from ..data import SingleStepPipeline
+    from ..runtime import restore_elastic_supernet
+
+    space = _quickstart_space()
+    harness, performance_fn, objectives = platform_performance_fn(
+        space, platform_name
+    )
+
+    def factory() -> "SpecializationSearch":
+        batch_source, supernet = _quickstart_parts(seed)
+        restore_elastic_supernet(artifact_dir, supernet, space)
+        return SpecializationSearch(
+            space,
+            supernet,
+            SingleStepPipeline(batch_source),
+            reward_fn=relu_reward(objectives),
+            performance_fn=performance_fn,
+            config=_quickstart_config(
+                steps, seed, 0, use_cache, telemetry, backend, workers
+            ),
+        )
+
+    return space, harness, factory
 
 
 def specialization_builder(
@@ -206,42 +251,9 @@ def specialization_builder(
     so remote backends publish the trained weights (never republished —
     the optimizer never steps) and the run stays cache-hot.
     """
-    from ..core import SearchConfig, relu_reward
-    from ..core.elastic import SpecializationSearch
-    from ..data import CtrTaskConfig, CtrTeacher, SingleStepPipeline
-    from ..runtime import restore_elastic_supernet
-    from ..searchspace import DlrmSpaceConfig, dlrm_search_space
-    from ..supernet import DlrmSuperNetwork, DlrmSupernetConfig
-
-    num_tables = 2
-    space = dlrm_search_space(
-        DlrmSpaceConfig(num_tables=num_tables, num_dense_stacks=2)
+    space, _, factory = _specialization(
+        artifact_dir, platform_name, steps, seed, use_cache, telemetry, backend, workers
     )
-    harness, performance_fn, objectives = platform_performance_fn(
-        space, platform_name
-    )
-
-    def factory() -> "SpecializationSearch":
-        teacher = CtrTeacher(
-            CtrTaskConfig(num_tables=num_tables, batch_size=64, seed=seed)
-        )
-        supernet = DlrmSuperNetwork(
-            DlrmSupernetConfig(num_tables=num_tables, seed=seed)
-        )
-        restore_elastic_supernet(artifact_dir, supernet, space)
-        return SpecializationSearch(
-            space,
-            supernet,
-            SingleStepPipeline(teacher.next_batch),
-            reward_fn=relu_reward(objectives),
-            performance_fn=performance_fn,
-            config=SearchConfig(
-                steps=steps, num_cores=4, warmup_steps=0, seed=seed,
-                use_cache=use_cache, telemetry=telemetry,
-                backend=backend, workers=workers,
-            ),
-        )
-
     return space, factory
 
 
@@ -266,21 +278,19 @@ def fleet_sweep(
     from dataclasses import replace
 
     from ..analysis import FleetEntry, mark_pareto
-    from ..hardware import ClusterModel, PLATFORMS, bottleneck, platform
+    from ..hardware import ClusterModel, PLATFORMS, bottleneck
     from ..models.dlrm import build_graph
 
     names = list(platforms) if platforms is not None else list(PLATFORMS)
     entries = []
     for name in names:
-        hw = platform(name)
-        space, factory = specialization_builder(
-            artifact_dir, name, steps, seed,
-            use_cache=use_cache, backend=backend, workers=workers,
+        space, harness, factory = _specialization(
+            artifact_dir, name, steps, seed, use_cache, None, backend, workers
         )
+        hw = harness.serve_hw
         result = factory().run()
         final = result.final_architecture
-        harness, performance_fn, _ = platform_performance_fn(space, name)
-        metrics = performance_fn(final)
+        metrics = harness.metrics_from_simulator(final)
         spec = harness.spec_of(final)
         train_graph = build_graph(spec)
         step = ClusterModel(
@@ -310,6 +320,11 @@ def fleet_sweep(
 # ----------------------------------------------------------------------
 # Job spec
 # ----------------------------------------------------------------------
+def _is_int(value: Any) -> bool:
+    """An ``int`` that is not a ``bool`` (JSON ``true`` is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """Validated search parameters a client may submit."""
@@ -332,14 +347,16 @@ class JobSpec:
             raise JobSpecError(
                 f"unknown job kind {self.kind!r}; expected one of {JOB_KINDS}"
             )
-        if not isinstance(self.steps, int) or self.steps < 1:
+        if not _is_int(self.steps) or self.steps < 1:
             raise JobSpecError("spec.steps must be an integer >= 1")
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise JobSpecError("spec.seed must be an integer")
-        if not isinstance(self.checkpoint_every, int) or self.checkpoint_every < 1:
+        if not isinstance(self.cache, bool):
+            raise JobSpecError("spec.cache must be true or false")
+        if not _is_int(self.checkpoint_every) or self.checkpoint_every < 1:
             raise JobSpecError("spec.checkpoint_every must be an integer >= 1")
-        if self.step_sleep_s < 0:
-            raise JobSpecError("spec.step_sleep_s must be >= 0")
+        if not 0 <= self.step_sleep_s < math.inf:  # NaN compares false
+            raise JobSpecError("spec.step_sleep_s must be a finite number >= 0")
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "JobSpec":

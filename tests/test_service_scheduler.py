@@ -69,6 +69,23 @@ class TestAdmission:
             scheduler.submit("alice", {"steps": 0})
         assert queue.list() == []
 
+    @pytest.mark.parametrize(
+        "wire, field",
+        [
+            ('{"cache": "no"}', "cache"),  # a truthy string would mean "on"
+            ('{"cache": 0}', "cache"),
+            ('{"steps": true}', "steps"),  # bool is an int to isinstance
+            ('{"seed": false}', "seed"),
+            ('{"step_sleep_s": NaN}', "step_sleep_s"),  # json.loads takes both
+            ('{"step_sleep_s": Infinity}', "step_sleep_s"),
+        ],
+    )
+    def test_values_of_the_wrong_kind_are_refused_at_submit(self, tmp_path, wire, field):
+        queue, scheduler = make_scheduler(tmp_path, StubRunner())
+        with pytest.raises(JobSpecError, match=field):
+            scheduler.submit("alice", json.loads(wire))
+        assert queue.list() == []
+
     def test_global_queue_depth_enforced(self, tmp_path):
         _, scheduler = make_scheduler(tmp_path, StubRunner(), max_queue_depth=2)
         scheduler.submit("a", {})
