@@ -16,8 +16,7 @@ Subcommands:
 * ``fleet`` — specialize the same artifact for every registered
   platform and print the per-device Pareto table;
 * ``report telemetry`` — summarize a telemetry directory;
-* ``perfmodel`` — two-phase performance-model training on a DLRM slice
-  (``--jobs`` parallelizes the simulator sweep);
+* ``perfmodel`` — two-phase performance-model training on a DLRM slice;
 * ``serve`` — the persistent NAS service daemon (durable job queue,
   per-tenant quotas, shared worker pool; see :mod:`repro.service`);
 * ``submit`` / ``status`` / ``results`` / ``cancel`` / ``jobs`` /
@@ -338,8 +337,9 @@ def cmd_specialize(args: argparse.Namespace) -> str:
             should_stop=should_stop,
         ).result
     out = format_report(space, result)
-    harness, performance_fn, _ = platform_performance_fn(space, args.platform)
-    metrics = performance_fn(result.final_architecture)
+    harness, _, _ = platform_performance_fn(space, args.platform)
+    # all three heads, not the two the search's own pricing callable reads
+    metrics = harness.metrics_from_simulator(result.final_architecture)
     out += (
         f"\non {harness.serve_hw.name}: "
         f"serving latency {metrics['serving_latency'] * 1e3:.3f}ms  "
@@ -414,7 +414,6 @@ def cmd_perfmodel(args: argparse.Namespace) -> str:
             pretrain_epochs=args.epochs,
             finetune_epochs=100,
             finetune_lr=5e-5,
-            num_workers=args.jobs,
         ),
         seed=args.seed,
     )
@@ -425,7 +424,7 @@ def cmd_perfmodel(args: argparse.Namespace) -> str:
     return format_table(
         ["row", "value"],
         [
-            ["simulator samples (jobs)", f"{args.samples} ({args.jobs})"],
+            ["simulator samples", args.samples],
             ["NRMSE on pretraining samples", f"{pre_report.nrmse_train_head:.2%}"],
             ["NRMSE of pretrained model on hw", f"{pretrain_on_hw[0]:.2%}"],
             ["NRMSE of finetuned model on hw", f"{finetuned_on_hw[0]:.2%}"],
@@ -754,13 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
     perfmodel.add_argument("--tables", type=positive_int, default=4)
     perfmodel.add_argument("--epochs", type=positive_int, default=30)
     perfmodel.add_argument("--seed", type=int, default=0)
-    perfmodel.add_argument(
-        "--jobs",
-        type=positive_int,
-        default=1,
-        help="worker threads for the simulator sweep (1 = serial; the "
-        "sweep is order-preserving, so results match at any count)",
-    )
     perfmodel.set_defaults(handler=cmd_perfmodel)
 
     # -- service ---------------------------------------------------------

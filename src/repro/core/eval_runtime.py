@@ -151,28 +151,42 @@ class ArchMetricsCache:
         """Hit/miss outcome of a sequential get/put pass over ``keys``.
 
         Simulates the LRU discipline (recency promotion on hit,
-        insertion plus oldest-entry eviction on miss) against a
-        keys-only copy of the current contents, without touching the
-        real entries or counters.  This is what lets
+        insertion plus oldest-entry eviction on miss) without touching
+        the real entries or counters, in time proportional to the shard
+        and not to the cache: the simulated cache is the real entries
+        nobody has ``moved`` yet, in their real order, followed by the
+        keys this shard ``touched``, in recency order.  This is what lets
         :meth:`EvalRuntime.price_many` know, *before* evaluating
         anything, exactly which shard positions a sequential
         ``price()`` loop would have had to evaluate — including a
         duplicate whose first occurrence gets evicted mid-shard and so
         misses twice.
         """
-        simulated: "OrderedDict[ArchKey, None]" = OrderedDict(
-            (key, None) for key in self._entries
-        )
+        entries = self._entries
+        touched: "OrderedDict[ArchKey, None]" = OrderedDict()
+        moved = set()  # real entries promoted into ``touched`` or evicted
+        oldest = iter(entries)  # the real entries from the LRU end, walked once
+        size = len(entries)
         outcomes: List[bool] = []
         for key in keys:
-            if key in simulated:
-                simulated.move_to_end(key)
+            if key in touched:
+                touched.move_to_end(key)
                 outcomes.append(True)
+                continue
+            hit = key in entries and key not in moved
+            touched[key] = None
+            outcomes.append(hit)
+            if hit:
+                moved.add(key)
+            elif size >= self.capacity:  # evict the oldest entry left
+                for victim in oldest:
+                    if victim not in moved:
+                        moved.add(victim)
+                        break
+                else:
+                    touched.popitem(last=False)
             else:
-                simulated[key] = None
-                if len(simulated) > self.capacity:
-                    simulated.popitem(last=False)
-                outcomes.append(False)
+                size += 1
         return outcomes
 
     def export_state(self) -> dict:

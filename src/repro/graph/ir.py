@@ -58,9 +58,11 @@ class OpNode:
     def __post_init__(self) -> None:
         if self.unit not in VALID_UNITS:
             raise ValueError(f"unknown unit {self.unit!r} for op {self.name!r}")
-        for label in ("flops", "bytes_in", "bytes_out", "param_bytes", "network_bytes"):
-            if getattr(self, label) < 0:
-                raise ValueError(f"{label} of op {self.name!r} must be non-negative")
+        if (self.flops < 0 or self.bytes_in < 0 or self.bytes_out < 0
+                or self.param_bytes < 0 or self.network_bytes < 0):  # fmt: skip
+            for label in ("flops", "bytes_in", "bytes_out", "param_bytes", "network_bytes"):
+                if getattr(self, label) < 0:
+                    raise ValueError(f"{label} of op {self.name!r} must be non-negative")
 
     @property
     def total_bytes(self) -> float:
@@ -98,7 +100,9 @@ class OpGraph:
         """
         if node.name in self._ops:
             raise ValueError(f"duplicate op name {node.name!r}")
-        preds = list(dict.fromkeys(deps))  # repeated entries are one edge
+        preds = list(deps)
+        if len(preds) > 1:
+            preds = list(dict.fromkeys(preds))  # repeated entries are one edge
         for dep in preds:
             if dep not in self._ops:  # the node itself included
                 raise KeyError(f"dependency {dep!r} not in graph")
@@ -185,9 +189,10 @@ class OpGraph:
         """
         best_cost: Dict[str, float] = {}
         best_pred: Dict[str, Optional[str]] = {}
+        cost = best_cost.__getitem__
         for op in self.nodes():
-            preds = self._preds[op.name]
-            pred = max(preds, key=best_cost.__getitem__) if preds else None
+            preds = self._preds[op.name]  # most ops sit on a chain: one, no ``max``
+            pred = max(preds, key=cost) if len(preds) > 1 else (preds or [None])[0]
             best_cost[op.name] = (best_cost[pred] if preds else 0.0) + weights[op.name]
             best_pred[op.name] = pred
         if not best_cost:

@@ -10,42 +10,48 @@ paper's search spaces are designed around.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
+
+import numpy as np
 
 from ..graph.ir import OpNode, UNIT_MXU
 from .config import HardwareConfig
 
 
-def tile_efficiency(dim: int, tile: int) -> float:
+def tile_efficiency(dim, tile):
     """Fraction of a ``tile``-wide unit kept busy by a ``dim``-long axis.
 
     A systolic array processes axes in multiples of its tile edge; a
     dimension of 100 on a 128-wide MXU wastes 28/128 of the lanes.
+    ``dim`` is a number or a column of them, as for every expression
+    here: the simulator evaluates all ops of a batch of graphs at once.
     """
-    if dim <= 0:
+    if np.min(dim) <= 0:
         raise ValueError("dimension must be positive")
-    padded = math.ceil(dim / tile) * tile
-    return dim / padded
+    return dim / (np.ceil(dim / tile) * tile)
 
 
-def mxu_efficiency(dims: Sequence[int], hw: HardwareConfig) -> float:
+def mxu_efficiency(dims: Sequence, hw: HardwareConfig):
     """Combined padding efficiency of an (m, k, n) matmul view."""
-    if not dims:
-        return 1.0
     tiles = (hw.batch_tile,) + (hw.mxu_tile,) * (len(dims) - 1)
     eff = 1.0
-    for dim, tile in zip(dims, tiles):
-        eff *= tile_efficiency(dim, tile)
+    for dim, tile in zip(dims, tiles):  # multiplied left to right
+        eff = eff * tile_efficiency(dim, tile)
     return eff
+
+
+def compute_rate(on_mxu, dims: Sequence, hw: HardwareConfig):
+    """Attainable FLOP/s ignoring memory (the flat roof): the padded
+    matrix peak where ``on_mxu``, the vector peak elsewhere."""
+    matrix_rate = hw.peak_matrix_flops * mxu_efficiency(dims, hw)
+    return np.where(on_mxu, matrix_rate, hw.peak_vector_flops)
 
 
 def peak_compute_rate(op: OpNode, hw: HardwareConfig) -> float:
     """Attainable FLOP/s for ``op`` ignoring memory (the flat roof)."""
-    if op.unit == UNIT_MXU:
-        return hw.peak_matrix_flops * mxu_efficiency(op.dims, hw)
-    return hw.peak_vector_flops
+    on_mxu = op.unit == UNIT_MXU  # only a matrix op's dims are read
+    return float(compute_rate(on_mxu, op.dims if on_mxu else (), hw))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Analytical ML performance simulator.
 
 This is the reproduction's stand-in for the paper's in-house simulator
-(Section 6.2.3): it walks an :class:`~repro.graph.ir.OpGraph`, computes
-each operator's run-time from the hardware roofline (matrix unit,
-vector unit, HBM, on-chip CMEM, and interconnect), and sums the
-critical path.  It also keeps the counters the paper's hardware
-analysis uses (Figure 7): total FLOPs, achieved FLOP/s, HBM traffic,
-CMEM traffic, and per-unit busy time.
+(Section 6.2.3): it stacks the ops of a batch of
+:class:`~repro.graph.ir.OpGraph` into columns, computes every op's time
+from the hardware roofline (matrix unit, vector unit, HBM, on-chip CMEM,
+and interconnect) as one array program, and sums each graph's critical
+path.  It also keeps the counters the paper's hardware analysis uses
+(Figure 7): total FLOPs, achieved FLOP/s, HBM and CMEM traffic, busy time.
 
 Memory placement model: parameters always stream from HBM; activation
 tensors stay in CMEM when they fit in half the scratchpad (the
@@ -17,14 +17,23 @@ gathers always hit HBM (tables are far larger than CMEM).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from operator import attrgetter
+from typing import Dict, List, Sequence
+
+import numpy as np
 
 from ..graph.ir import OpGraph, OpNode, UNIT_MEMORY, UNIT_MXU, UNIT_NETWORK
+from ..graph.passes import optimize
 from .config import HardwareConfig
-from .roofline import peak_compute_rate
+from .roofline import compute_rate
 
 #: Fraction of CMEM usable for activations (rest is double-buffering slack).
 CMEM_USABLE_FRACTION = 0.5
+
+#: The leading rows of the program's table: the ``SimulationResult`` totals.
+TOTALS = ("serial_time_s", "total_flops", "hbm_bytes", "cmem_bytes",
+          "network_bytes", "param_bytes", "mxu_busy_s", "vpu_busy_s")  # fmt: skip
+_FOOTPRINT = [attrgetter(f) for f in ("flops", "bytes_in", "bytes_out", "param_bytes", "network_bytes")]
 
 
 @dataclass
@@ -43,6 +52,35 @@ class OpTiming:
     bound: str  # "compute" | "memory" | "network" | "overhead"
 
 
+class _LazyOpTimings:
+    """The ``op_timings`` field of a result: per-op outcomes in ``nodes()``
+    order, built from the program's columns when first read (a search
+    reads totals only and never builds one)."""
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None  # the dataclass default: not built yet
+        timings = result.__dict__["op_timings"]
+        if timings is None:
+            timings = result.__dict__["op_timings"] = {}
+            ops, table, overhead = result._columns or ((), np.empty((12, 0)), 0.0)
+            for op, row in zip(ops, table.T.tolist()):
+                time, _, hbm, cmem, _, _, _, _, compute, memory, network, body = row
+                if body <= overhead:
+                    bound = "overhead"
+                elif body == compute:
+                    bound = "compute"
+                else:
+                    bound = "memory" if body == memory else "network"
+                timings[op.name] = OpTiming(
+                    op.name, op.op_type, time, compute, memory, network, op.flops, hbm, cmem, bound
+                )
+        return timings
+
+    def __set__(self, result, value) -> None:
+        result.__dict__["op_timings"] = value
+
+
 @dataclass
 class SimulationResult:
     """Whole-graph simulation outcome with hardware counters."""
@@ -59,7 +97,9 @@ class SimulationResult:
     mxu_busy_s: float = 0.0
     vpu_busy_s: float = 0.0
     critical_path: List[str] = field(default_factory=list)
-    op_timings: Dict[str, OpTiming] = field(default_factory=dict)
+    op_timings: Dict[str, OpTiming] = _LazyOpTimings()
+    #: not a field: (the graph's ops, their table columns, the op overhead)
+    _columns = None
 
     @property
     def achieved_flops(self) -> float:
@@ -92,9 +132,10 @@ class SimulationResult:
         """Fraction of serial time spent in ops limited by ``bound``."""
         if self.serial_time_s <= 0:
             return 0.0
-        limited = sum(
-            t.time_s for t in self.op_timings.values() if t.bound == bound
-        )
+        limited = 0
+        for timing in self.op_timings.values():
+            if timing.bound == bound:
+                limited += timing.time_s
         return limited / self.serial_time_s
 
 
@@ -112,94 +153,89 @@ class PerformanceSimulator:
         self.hw = hw
         self.run_compiler_passes = run_compiler_passes
 
-    # ------------------------------------------------------------------
-    def _memory_split(self, op: OpNode) -> Dict[str, float]:
-        """Split an op's traffic between CMEM and HBM."""
+    def _table(self, ops: Sequence[OpNode]) -> np.ndarray:
+        """The roofline of ``ops``, a float64 row per quantity: rows 0-7 are
+        :data:`TOTALS`, 8-11 the compute, memory, network times and their max."""
         hw = self.hw
-        cmem_budget = hw.cmem_capacity_bytes * CMEM_USABLE_FRACTION
-        hbm = op.param_bytes
-        cmem = 0.0
-        if op.op_type == "embedding_lookup":
-            # Tables exceed CMEM by orders of magnitude: all HBM.
-            hbm += op.bytes_in + op.bytes_out
-        elif op.attrs.get("cmem_resident"):
-            # Compiler-fused intermediates (e.g. attention scores) are
-            # blocked through the on-chip scratchpad and never touch HBM.
-            cmem += op.bytes_in + op.bytes_out
-        else:
-            for chunk in (op.bytes_in, op.bytes_out):
-                if chunk <= cmem_budget:
-                    cmem += chunk
-                else:
-                    hbm += chunk
-        return {"hbm": hbm, "cmem": cmem}
+        # a flat list per column: tuples per op are garbage the collector walks
+        flops, bytes_in, bytes_out, params, network = np.array(
+            [list(map(column, ops)) for column in _FOOTPRINT], dtype=np.float64
+        )
+        flags = [
+            [op.unit == UNIT_MXU for op in ops],
+            [op.unit not in (UNIT_MXU, UNIT_MEMORY, UNIT_NETWORK) for op in ops],
+            [op.op_type == "embedding_lookup" for op in ops],  # tables dwarf CMEM: all HBM
+            [bool(op.attrs.get("cmem_resident")) for op in ops],  # fused: never leaves the chip
+        ]
+        on_mxu, on_vpu, gather, resident = np.array(flags, dtype=bool)
+        # Only a matrix op that computes has its dims read.  A short view
+        # is padded with a multiple of both tiles: efficiency exactly 1.0.
+        dims = [op.dims if op.unit == UNIT_MXU and op.flops > 0 else () for op in ops]
+        fill = hw.batch_tile * hw.mxu_tile
+        axes = [
+            [view[axis] if len(view) > axis else fill for view in dims]
+            for axis in range(max(map(len, dims), default=0))
+        ]
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero rate: infinite time
+            rate = compute_rate(on_mxu, np.array(axes, dtype=np.float64), hw)
+            compute = np.where(flops > 0, flops / np.maximum(rate, 0.0), 0.0)
+        budget = hw.cmem_capacity_bytes * CMEM_USABLE_FRACTION
+        in_cmem = ~gather & (resident | (bytes_in <= budget))
+        out_cmem = ~gather & (resident | (bytes_out <= budget))
+        cmem = np.where(in_cmem, bytes_in, 0.0) + np.where(out_cmem, bytes_out, 0.0)
+        spilled = params + np.where(in_cmem, 0.0, bytes_in) + np.where(out_cmem, 0.0, bytes_out)
+        hbm = np.where(gather, params + (bytes_in + bytes_out), spilled)
+        memory = hbm / hw.hbm_bandwidth + cmem / hw.cmem_bandwidth
+        wire = network / hw.ici_bandwidth
+        body = np.maximum(np.maximum(compute, memory), wire)
+        return np.array([
+            body + hw.op_overhead_s, flops, hbm, cmem, network, params,
+            np.where(on_mxu, compute, 0.0), np.where(on_vpu, compute, 0.0),
+            compute, memory, wire, body,
+        ])  # fmt: skip
 
     def time_op(self, op: OpNode) -> OpTiming:
         """Roofline time for a single operator."""
-        hw = self.hw
-        compute_time = 0.0
-        if op.flops > 0:
-            rate = peak_compute_rate(op, hw)
-            compute_time = op.flops / rate if rate > 0 else float("inf")
-        split = self._memory_split(op)
-        memory_time = split["hbm"] / hw.hbm_bandwidth + split["cmem"] / hw.cmem_bandwidth
-        network_time = op.network_bytes / hw.ici_bandwidth if op.network_bytes else 0.0
-        body = max(compute_time, memory_time, network_time)
-        total = body + hw.op_overhead_s
-        if body <= hw.op_overhead_s:
-            bound = "overhead"
-        elif body == compute_time:
-            bound = "compute"
-        elif body == memory_time:
-            bound = "memory"
-        else:
-            bound = "network"
-        return OpTiming(
-            name=op.name,
-            op_type=op.op_type,
-            time_s=total,
-            compute_time_s=compute_time,
-            memory_time_s=memory_time,
-            network_time_s=network_time,
-            flops=op.flops,
-            hbm_bytes=split["hbm"],
-            cmem_bytes=split["cmem"],
-            bound=bound,
-        )
+        result = SimulationResult(op.name, self.hw.name)
+        result._columns = ([op], self._table([op]), self.hw.op_overhead_s)
+        return result.op_timings[op.name]
 
-    def simulate(self, graph: OpGraph) -> SimulationResult:
-        """Simulate ``graph`` end to end.
+    def simulate_many(self, graphs: Sequence[OpGraph]) -> List[SimulationResult]:
+        """Simulate every graph of ``graphs`` in one array program.
 
-        ``total_time_s`` is the critical-path time (parallel branches
-        overlap — e.g. a DLRM's embedding pipeline vs. its bottom MLP);
-        ``serial_time_s`` is the sum of all op times, an upper bound
-        used for utilization bookkeeping.
+        The ops of all graphs, each in its ``nodes()`` order, are the
+        columns of one table (:meth:`_table`).  A graph's totals are
+        running sums over its own columns: ``accumulate`` adds left to
+        right where ``np.sum`` adds pairwise, so every float is the one
+        a per-op ``+=`` walk gives, whatever else shares the program.
+        ``total_time_s`` is the critical path (parallel branches overlap,
+        e.g. a DLRM's embedding pipeline vs. its bottom MLP);
+        ``serial_time_s`` sums all op times, for utilization bookkeeping.
         """
         if self.run_compiler_passes:
-            from ..graph.passes import optimize
+            graphs = [optimize(graph) for graph in graphs]
+        orders = [graph.nodes() for graph in graphs]
+        table = self._table([op for order in orders for op in order])
+        results, stop = [], 0
+        for graph, order in zip(graphs, orders):
+            start, stop = stop, stop + len(order)
+            result = SimulationResult(graph_name=graph.name, hardware=self.hw.name)
+            results.append(result)
+            if order:  # an empty graph keeps its zeros
+                columns = table[:, start:stop]
+                totals = np.add.accumulate(columns[: len(TOTALS)], axis=1)[:, -1]
+                for label, total in zip(TOTALS, totals.tolist()):
+                    setattr(result, label, total)
+                weights = dict(zip([op.name for op in order], columns[0].tolist()))
+                result.critical_path = graph.critical_path(weights)
+                for name in result.critical_path:
+                    result.total_time_s += weights[name]
+                result._columns = (order, columns, self.hw.op_overhead_s)
+        return results
 
-            graph = optimize(graph)
-        # One walk in graph order, each total accumulated with ``+=``, not
-        # ``sum()``: Python 3.12's ``sum`` compensates float rounding, and
-        # the pinned results are plain left-to-right additions.
-        result = SimulationResult(graph_name=graph.name, hardware=self.hw.name)
-        for op in graph.nodes():
-            timing = result.op_timings[op.name] = self.time_op(op)
-            result.serial_time_s += timing.time_s
-            result.total_flops += timing.flops
-            result.hbm_bytes += timing.hbm_bytes
-            result.cmem_bytes += timing.cmem_bytes
-            result.network_bytes += op.network_bytes
-            result.param_bytes += op.param_bytes
-            if op.unit == UNIT_MXU:
-                result.mxu_busy_s += timing.compute_time_s
-            elif op.unit not in (UNIT_MEMORY, UNIT_NETWORK):
-                result.vpu_busy_s += timing.compute_time_s
-        weights = {name: timing.time_s for name, timing in result.op_timings.items()}
-        result.critical_path = graph.critical_path(weights)
-        for name in result.critical_path:
-            result.total_time_s += weights[name]
-        return result
+    def simulate(self, graph: OpGraph) -> SimulationResult:
+        """Simulate ``graph`` end to end."""
+        return self.simulate_many([graph])[0]
 
 
 def simulate(graph: OpGraph, hw: HardwareConfig) -> SimulationResult:

@@ -53,13 +53,8 @@ class ResourceSensitivity:
         return (self.speedup - 1.0) / (self.scale - 1.0)
 
 
-def resource_sensitivity(
-    graph: OpGraph,
-    hw: HardwareConfig,
-    resource: str,
-    scale: float = 2.0,
-) -> ResourceSensitivity:
-    """Step-time response of ``graph`` to scaling one ``resource``."""
+def _scaled_time(graph: OpGraph, hw: HardwareConfig, resource: str, scale: float) -> float:
+    """Step time of ``graph`` on ``hw`` with one ``resource`` scaled."""
     try:
         field = RESOURCE_FIELDS[resource]
     except KeyError:
@@ -68,15 +63,18 @@ def resource_sensitivity(
         ) from None
     if scale <= 0:
         raise ValueError("scale must be positive")
-    baseline_time = PerformanceSimulator(hw).simulate(graph).total_time_s
     scaled_hw = hw.with_overrides(**{field: getattr(hw, field) * scale})
-    scaled_time = PerformanceSimulator(scaled_hw).simulate(graph).total_time_s
-    return ResourceSensitivity(
-        resource=resource,
-        scale=scale,
-        baseline_time_s=baseline_time,
-        scaled_time_s=scaled_time,
-    )
+    return PerformanceSimulator(scaled_hw).simulate(graph).total_time_s
+
+
+def resource_sensitivity(
+    graph: OpGraph,
+    hw: HardwareConfig,
+    resource: str,
+    scale: float = 2.0,
+) -> ResourceSensitivity:
+    """Step-time response of ``graph`` to scaling one ``resource``."""
+    return sensitivity_profile(graph, hw, (resource,), scale)[resource]
 
 
 def sensitivity_profile(
@@ -86,8 +84,15 @@ def sensitivity_profile(
     scale: float = 2.0,
 ) -> Dict[str, ResourceSensitivity]:
     """Elasticity of every resource for one model (its bottleneck map)."""
+    # the unscaled run is the same for every resource: taken once
+    baseline = PerformanceSimulator(hw).simulate(graph).total_time_s
     return {
-        resource: resource_sensitivity(graph, hw, resource, scale)
+        resource: ResourceSensitivity(
+            resource=resource,
+            scale=scale,
+            baseline_time_s=baseline,
+            scaled_time_s=_scaled_time(graph, hw, resource, scale),
+        )
         for resource in resources
     }
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..graph.ir import OpGraph
 from ..hardware.config import HardwareConfig, TPU_V4, TPU_V4I
@@ -23,7 +23,33 @@ from .dlrm import DlrmModelSpec, apply_architecture, build_graph, num_params
 EMBEDDING_DTYPE_BYTES = 4.0
 SERVING_BATCH = 128
 
-Graphs = Tuple[OpGraph, OpGraph]
+#: The metrics a harness prices, one head each: the training graph on
+#: the training hardware, the serving graph on the serving hardware,
+#: and the analytic parameter footprint.
+HEADS = ("train_step_time", "serving_latency", "model_size")
+TRAIN, SERVE, SIZE = HEADS
+
+
+class SimulatorPricing:
+    """A search's ``performance_fn`` over exactly ``metrics`` of a harness.
+
+    Implements :class:`~repro.core.eval_runtime.BatchPerformanceFn`, so
+    the evaluation runtime prices a whole shard's misses in one
+    :meth:`TimingHarness.price` call.
+    """
+
+    def __init__(self, harness: "TimingHarness", metrics: Sequence[str]):
+        unknown = sorted(set(metrics) - set(HEADS))
+        if unknown:
+            raise ValueError(f"unknown metric(s) {unknown}; a harness prices {HEADS}")
+        self.harness = harness
+        self.metrics = tuple(metrics)
+
+    def __call__(self, arch: Architecture) -> Dict[str, float]:
+        return self.harness.price([arch], self.metrics)[0]
+
+    def price_batch(self, archs: Sequence[Architecture]) -> List[Dict[str, float]]:
+        return self.harness.price(archs, self.metrics)
 
 
 class TimingHarness:
@@ -31,16 +57,17 @@ class TimingHarness:
 
     A space plugs in its lowering — :meth:`spec_of` (architecture to
     concrete candidate; the architecture itself where the graph builder
-    reads decisions directly) and ``graphs`` (candidate to its
-    ``(training, serving)`` op graphs) — and a ``num_params`` over the
-    same candidate.  Every method lowers its candidate once.  The
-    callables are module-level functions or ``partial``s of them, so a
-    harness pickles.
+    reads decisions directly), ``train_graph`` and ``serve_graph``
+    (candidate to the op graph of that head) — and a ``num_params`` over
+    the same candidate.  Every method lowers its candidate once and
+    builds only the graphs it times.  The callables are module-level
+    functions or ``partial``s of them, so a harness pickles.
     """
 
     def __init__(
         self,
-        graphs: Callable[[Any], Graphs],
+        train_graph: Callable[[Any], OpGraph],
+        serve_graph: Callable[[Any], OpGraph],
         num_params: Callable[[Any], float],
         dtype_bytes: float,
         train_hw: HardwareConfig = TPU_V4,
@@ -49,11 +76,13 @@ class TimingHarness:
     ):
         self.train_hw = train_hw
         self.serve_hw = serve_hw
-        self._graphs = graphs
+        #: timing head -> (candidate's graph of that head, its simulator)
+        self._timed = {
+            TRAIN: (train_graph, PerformanceSimulator(train_hw)),
+            SERVE: (serve_graph, PerformanceSimulator(serve_hw)),
+        }
         self._num_params = num_params
         self._dtype_bytes = dtype_bytes
-        self._train_sim = PerformanceSimulator(train_hw)
-        self._serve_sim = PerformanceSimulator(serve_hw)
         self._train_bed = HardwareTestbed(train_hw, seed=seed)
         self._serve_bed = HardwareTestbed(serve_hw, seed=seed + 1)
 
@@ -62,17 +91,46 @@ class TimingHarness:
         """Lower an architecture to its concrete candidate."""
         return arch
 
-    def _simulate_spec(self, spec: Any) -> Tuple[float, float]:
-        train_graph, serve_graph = self._graphs(spec)
-        return (
-            self._train_sim.simulate(train_graph).total_time_s,
-            self._serve_sim.simulate(serve_graph).total_time_s,
-        )
+    def price(
+        self, archs: Sequence[Architecture], metrics: Sequence[str] = HEADS
+    ) -> List[Dict[str, float]]:
+        """``metrics`` (of :data:`HEADS`) of every architecture, from the
+        clean simulator; each architecture is lowered once."""
+        return self.price_lowered([self.spec_of(arch) for arch in archs], metrics)
+
+    def price_lowered(
+        self, specs: Sequence[Any], metrics: Sequence[str] = HEADS
+    ) -> List[Dict[str, float]]:
+        """:meth:`price` of candidates :meth:`spec_of` has lowered already.
+
+        Only the graphs the asked-for heads read are built, and a timing
+        head is one array program over all the candidates
+        (``PerformanceSimulator.simulate_many``).
+        """
+        columns: Dict[str, List[float]] = {}
+        for head in HEADS:
+            if head not in metrics:
+                continue
+            if head == SIZE:
+                columns[head] = [self._num_params(spec) * self._dtype_bytes for spec in specs]
+            else:
+                build, simulator = self._timed[head]
+                results = simulator.simulate_many([build(spec) for spec in specs])
+                columns[head] = [result.total_time_s for result in results]
+        return [
+            {head: column[i] for head, column in columns.items()}
+            for i in range(len(specs))
+        ]
+
+    def _graphs(self, arch: Architecture) -> Tuple[OpGraph, OpGraph]:
+        spec = self.spec_of(arch)
+        return self._timed[TRAIN][0](spec), self._timed[SERVE][0](spec)
 
     # ------------------------------------------------------------------
     def simulate(self, arch: Architecture) -> Tuple[float, float]:
         """(train_step_time, serving_latency) from the clean simulator."""
-        return self._simulate_spec(self.spec_of(arch))
+        metrics = self.price([arch], (TRAIN, SERVE))[0]
+        return metrics[TRAIN], metrics[SERVE]
 
     def measure(self, arch: Architecture) -> Tuple[float, float]:
         """(train_step_time, serving_latency) from the hardware testbed.
@@ -81,7 +139,7 @@ class TimingHarness:
         retries spent on flaky attempts accumulate on
         :attr:`measurement_retries`.
         """
-        train_graph, serve_graph = self._graphs(self.spec_of(arch))
+        train_graph, serve_graph = self._graphs(arch)
         return (
             self._train_bed.measure(train_graph).time_s,
             self._serve_bed.measure(serve_graph).time_s,
@@ -99,7 +157,7 @@ class TimingHarness:
 
     def measure_deterministic(self, arch: Architecture) -> Tuple[float, float]:
         """Noise-free testbed times (for evaluation sweeps)."""
-        train_graph, serve_graph = self._graphs(self.spec_of(arch))
+        train_graph, serve_graph = self._graphs(arch)
         return (
             self._train_bed.deterministic_time(train_graph),
             self._serve_bed.deterministic_time(serve_graph),
@@ -107,40 +165,24 @@ class TimingHarness:
 
     def model_size(self, arch: Architecture) -> float:
         """Serving memory footprint in bytes (the analytical size head)."""
-        return self._num_params(self.spec_of(arch)) * self._dtype_bytes
+        return self.price([arch], (SIZE,))[0][SIZE]
 
     # ------------------------------------------------------------------
+    def pricing(self, metrics: Sequence[str] = HEADS) -> SimulatorPricing:
+        """A ``performance_fn`` for a search whose objectives read only
+        ``metrics``; a name no head prices is a ``ValueError`` here."""
+        return SimulatorPricing(self, metrics)
+
     def metrics_from_simulator(self, arch: Architecture) -> Dict[str, float]:
-        """A performance_fn for searches, backed by the simulator."""
-        spec = self.spec_of(arch)  # lowered once for both timing and size
-        train_time, serve_time = self._simulate_spec(spec)
-        return {
-            "train_step_time": train_time,
-            "serving_latency": serve_time,
-            "model_size": self._num_params(spec) * self._dtype_bytes,
-        }
+        """A performance_fn for searches, backed by the simulator: all
+        three heads of one candidate."""
+        return self.price([arch])[0]
 
 
-def batched_graphs(
-    build: Callable[..., OpGraph],
-    baseline: Any,
-    train_batch: int,
-    serve_batch: int,
-    arch: Architecture,
-) -> Graphs:
-    """``graphs`` of a space whose builder reads the architecture
-    directly and whose two graphs differ in batch size only."""
-    return (
-        build(baseline, arch, batch=train_batch),
-        build(baseline, arch, batch=serve_batch),
+def _dlrm_serving_graph(serving_batch: int, spec: DlrmModelSpec) -> OpGraph:
+    return build_graph(
+        replace(spec, name=spec.name + "_serving", batch=serving_batch, distributed=False)
     )
-
-
-def _dlrm_graphs(serving_batch: int, spec: DlrmModelSpec) -> Graphs:
-    serving_spec = replace(
-        spec, name=spec.name + "_serving", batch=serving_batch, distributed=False
-    )
-    return build_graph(spec), build_graph(serving_spec)
 
 
 class DlrmTimingHarness(TimingHarness):
@@ -157,7 +199,8 @@ class DlrmTimingHarness(TimingHarness):
         self.baseline = baseline
         self.serving_batch = serving_batch
         super().__init__(
-            partial(_dlrm_graphs, serving_batch),
+            build_graph,
+            partial(_dlrm_serving_graph, serving_batch),
             num_params,
             EMBEDDING_DTYPE_BYTES,
             train_hw,

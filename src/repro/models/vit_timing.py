@@ -26,7 +26,7 @@ from ..graph.ir import OpGraph
 from ..graph import ops
 from ..hardware.config import HardwareConfig, TPU_V4, TPU_V4I
 from ..searchspace.base import Architecture
-from .timing import TimingHarness, batched_graphs
+from .timing import TimingHarness
 from .mbconv import MbconvSpec, add_mbconv
 
 HEAD_DIM = 64
@@ -230,7 +230,8 @@ class VitTimingHarness(TimingHarness):
         self.train_batch = train_batch
         self.serve_batch = serve_batch
         super().__init__(
-            partial(batched_graphs, build_vit_graph, baseline, train_batch, serve_batch),
+            partial(build_vit_graph, baseline, batch=train_batch),
+            partial(build_vit_graph, baseline, batch=serve_batch),
             partial(num_params, baseline),
             DTYPE_BYTES,
             train_hw,

@@ -12,7 +12,6 @@ fine-tuning, 1.05%-3.08% after).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -26,29 +25,6 @@ from .model import PerformanceModel
 #: (train_time_s, serve_time_s) of one architecture.
 TimePair = Tuple[float, float]
 TimingFn = Callable[[Architecture], TimePair]
-
-
-def _sweep_timings(
-    archs: Sequence[Architecture], timing_fn: TimingFn, num_workers: int
-) -> List[TimePair]:
-    """Run ``timing_fn`` over ``archs``, optionally on a thread pool.
-
-    The parallel path splits the sweep into ``num_workers`` contiguous
-    chunks and concatenates the chunk results, so the output order is
-    the input order regardless of thread scheduling.
-    """
-    if num_workers <= 1 or len(archs) <= 1:
-        return [timing_fn(a) for a in archs]
-    workers = min(num_workers, len(archs))
-    chunk_size = (len(archs) + workers - 1) // workers
-    chunks = [archs[i : i + chunk_size] for i in range(0, len(archs), chunk_size)]
-
-    def run_chunk(chunk: Sequence[Architecture]) -> List[TimePair]:
-        return [timing_fn(a) for a in chunk]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_chunk, chunks))
-    return [pair for chunk_result in results for pair in chunk_result]
 
 
 @dataclass
@@ -76,19 +52,12 @@ class TwoPhaseConfig:
     pretrain_batch: int = 256
     finetune_epochs: int = 200
     finetune_lr: float = 1e-4
-    #: worker threads for the pre-training simulator sweep (1 = serial).
-    #: Only the simulator phase parallelizes: ``simulate`` is a pure
-    #: function of the architecture, so the sweep is order-preserving
-    #: and deterministic at any worker count.
-    num_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.pretrain_epochs < 1 or self.finetune_epochs < 1:
             raise ValueError("epoch counts must be >= 1")
         if self.pretrain_lr <= 0 or self.finetune_lr <= 0:
             raise ValueError("learning rates must be positive")
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
 
 
 class TwoPhaseTrainer:
@@ -112,27 +81,16 @@ class TwoPhaseTrainer:
 
     # ------------------------------------------------------------------
     def sample_dataset(
-        self, count: int, timing_fn: TimingFn, num_workers: int = 1
+        self, count: int, timing_fn: TimingFn
     ) -> Tuple[List[Architecture], np.ndarray]:
-        """Sample ``count`` architectures and collect their timings.
-
-        With ``num_workers > 1`` the timing sweep runs on a thread pool
-        in contiguous chunks, one chunk per worker, and reassembles the
-        results in sample order — bit-identical to the serial sweep for
-        any pure ``timing_fn``.  Sampling itself stays serial so the rng
-        stream is independent of the worker count.
-        """
+        """Sample ``count`` architectures and collect their timings."""
         archs = [self.space.sample(self._rng) for _ in range(count)]
-        times = np.array(
-            _sweep_timings(archs, timing_fn, num_workers), dtype=np.float64
-        )
+        times = np.array([timing_fn(arch) for arch in archs], dtype=np.float64)
         return archs, times
 
     def pretrain(self, num_samples: int) -> PhaseReport:
         """Phase 1: fit the MLP to simulator timings."""
-        archs, times = self.sample_dataset(
-            num_samples, self.simulate_fn, num_workers=self.config.num_workers
-        )
+        archs, times = self.sample_dataset(num_samples, self.simulate_fn)
         log_times = np.log(times)
         self.model.set_normalization(log_times.mean(axis=0), log_times.std(axis=0))
         return self._fit(

@@ -178,9 +178,11 @@ def platform_performance_fn(space, platform_name):
 
     Returns ``(harness, performance_fn, objectives)``: the timing
     harness pointed at the target platform for both training and
-    serving, plus self-normalized latency/size objectives (targets are
+    serving, self-normalized latency/size objectives (targets are
     the *baseline* architecture's metrics on that platform, so every
-    target prices candidates against its own roofline).
+    target prices candidates against its own roofline), and a pricing
+    callable for exactly the metrics those objectives read — a
+    specialization never lowers the training graph.
     """
     from ..core import PerformanceObjective
     from ..hardware import platform
@@ -199,7 +201,7 @@ def platform_performance_fn(space, platform_name):
             "model_size", baseline_metrics["model_size"], beta=-0.5
         ),
     ]
-    return harness, harness.metrics_from_simulator, objectives
+    return harness, harness.pricing([o.metric for o in objectives]), objectives
 
 
 def _specialization(
@@ -278,7 +280,7 @@ def fleet_sweep(
     from dataclasses import replace
 
     from ..analysis import FleetEntry, mark_pareto
-    from ..hardware import ClusterModel, PLATFORMS, bottleneck
+    from ..hardware import ClusterModel, PLATFORMS, bottleneck, simulate
     from ..models.dlrm import build_graph
 
     names = list(platforms) if platforms is not None else list(PLATFORMS)
@@ -290,9 +292,12 @@ def fleet_sweep(
         hw = harness.serve_hw
         result = factory().run()
         final = result.final_architecture
-        metrics = harness.metrics_from_simulator(final)
+        # lowered once: the spec and its training graph feed the timing,
+        # the bottleneck and the cluster model
         spec = harness.spec_of(final)
         train_graph = build_graph(spec)
+        metrics = harness.price_lowered([spec], ("serving_latency", "model_size"))[0]
+        metrics["train_step_time"] = simulate(train_graph, hw).total_time_s
         step = ClusterModel(
             hw, lambda per_chip, _spec=spec: build_graph(replace(_spec, batch=per_chip))
         ).step(cluster_chips, cluster_chips * spec.batch)

@@ -3,8 +3,7 @@
 Every batched path must be indistinguishable from the sequential path
 it replaces: ``price_many`` vs. looped ``price`` (metrics *and* cache
 state), grouped supernet passes vs. per-core passes (values, gradients,
-and whole-search trajectories), and the parallel simulator sweep vs.
-the serial one (same dataset, same order, same rng stream).
+and whole-search trajectories).
 """
 
 import numpy as np
@@ -21,7 +20,7 @@ from repro.core import (
     relu_reward,
 )
 from repro.data import CtrTaskConfig, CtrTeacher, NullSource, SingleStepPipeline
-from repro.perfmodel import ArchitectureEncoder, PerformanceModel, TwoPhaseConfig, TwoPhaseTrainer
+from repro.perfmodel import ArchitectureEncoder, PerformanceModel
 from repro.searchspace import Decision, SearchSpace, DlrmSpaceConfig, dlrm_search_space
 from repro.supernet import DlrmSuperNetwork, DlrmSupernetConfig
 
@@ -390,66 +389,6 @@ class TestGroupedSearchEquivalence:
         ]
 
 
-def numeric_space():
-    return SearchSpace(
-        "numeric",
-        [Decision("a", (1, 2, 3)), Decision("b", (10, 20)), Decision("c", (4, 8))],
-    )
-
-
-def pure_timing_fn(arch):
-    return (1.0 + 0.1 * arch["a"], 2.0 + 0.05 * arch["c"])
-
-
-def make_trainer(num_workers=1, seed=0):
-    space = numeric_space()
-    model = PerformanceModel(ArchitectureEncoder(space), hidden_sizes=(8,), seed=seed)
-    return TwoPhaseTrainer(
-        model,
-        space,
-        simulate_fn=pure_timing_fn,
-        measure_fn=pure_timing_fn,
-        config=TwoPhaseConfig(
-            pretrain_epochs=2, finetune_epochs=2, num_workers=num_workers
-        ),
-        seed=seed,
-    )
-
-
-class TestParallelSweep:
-    def test_parallel_sweep_equals_serial_sweep(self):
-        """--jobs N reproduces the serial dataset exactly, in order."""
-        serial_archs, serial_times = make_trainer().sample_dataset(
-            37, pure_timing_fn, num_workers=1
-        )
-        parallel_archs, parallel_times = make_trainer().sample_dataset(
-            37, pure_timing_fn, num_workers=4
-        )
-        assert serial_archs == parallel_archs
-        np.testing.assert_array_equal(serial_times, parallel_times)
-        for arch, row in zip(parallel_archs, parallel_times):
-            np.testing.assert_array_equal(row, pure_timing_fn(arch))
-
-    def test_worker_count_does_not_touch_rng_stream(self):
-        """Sampling stays serial, so later draws are worker-independent."""
-        serial = make_trainer()
-        parallel = make_trainer()
-        serial.sample_dataset(10, pure_timing_fn, num_workers=1)
-        parallel.sample_dataset(10, pure_timing_fn, num_workers=3)
-        after_serial, _ = serial.sample_dataset(5, pure_timing_fn)
-        after_parallel, _ = parallel.sample_dataset(5, pure_timing_fn)
-        assert after_serial == after_parallel
-
-    def test_pretrain_reports_identical_across_worker_counts(self):
-        serial_report = make_trainer(num_workers=1).pretrain(24)
-        parallel_report = make_trainer(num_workers=4).pretrain(24)
-        assert serial_report == parallel_report
-
-    def test_num_workers_validated(self):
-        with pytest.raises(ValueError, match="num_workers"):
-            TwoPhaseConfig(num_workers=0)
-
-
 class TestCliPerfmodel:
     def test_perfmodel_command_runs(self, capsys):
         from repro.cli import main
@@ -463,8 +402,6 @@ class TestCliPerfmodel:
                     "--tables",
                     "2",
                     "--epochs",
-                    "2",
-                    "--jobs",
                     "2",
                 ]
             )

@@ -1,5 +1,10 @@
 """Tests for the memoized candidate-evaluation runtime."""
 
+import random
+import statistics
+import time
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -81,6 +86,60 @@ class TestArchMetricsCache:
         cache.get((0,))
         cache.get((1,))
         assert cache.hit_rate == pytest.approx(0.5)
+
+
+def copying_plan(cache, keys):
+    """``ArchMetricsCache.plan`` as it was while it copied the whole LRU
+    per shard: the reference the O(shard) plan must agree with."""
+    simulated = OrderedDict((key, None) for key in cache._entries)
+    outcomes = []
+    for key in keys:
+        if key in simulated:
+            simulated.move_to_end(key)
+            outcomes.append(True)
+        else:
+            simulated[key] = None
+            if len(simulated) > cache.capacity:
+                simulated.popitem(last=False)
+            outcomes.append(False)
+    return outcomes
+
+
+class TestPlanIsExactAndProportionalToTheShard:
+    def test_agrees_with_the_copying_plan_on_random_cases(self):
+        rng = random.Random(22)
+        for case in range(3000):
+            capacity = rng.randint(1, 8)
+            universe = rng.randint(1, 12)
+            cache = ArchMetricsCache(capacity)
+            for _ in range(rng.randint(0, 24)):  # fills, hits and evictions
+                key = (rng.randrange(universe),)
+                if cache.get(key) is None:
+                    cache.put(key, {})
+            if case % 10 == 0:  # a cache holding more than it now may
+                cache.capacity = max(1, capacity - rng.randint(0, 3))
+            keys = [(rng.randrange(universe),) for _ in range(rng.randint(0, 16))]
+            before = cache.export_state()
+            assert cache.plan(keys) == copying_plan(cache, keys), (case, before, keys)
+            assert cache.export_state() == before  # a pure simulation
+
+    def test_cost_does_not_grow_with_the_cache(self):
+        shard = [(-1 - i,) for i in range(4)]  # four new keys: four evictions when full
+
+        def median_seconds(entries):
+            cache = ArchMetricsCache(4096)
+            for i in range(entries):
+                cache.put((i,), {})
+            samples = []
+            for _ in range(5):
+                start = time.perf_counter()
+                for _ in range(200):
+                    cache.plan(shard)
+                samples.append(time.perf_counter() - start)
+            return statistics.median(samples)
+
+        small, full = median_seconds(64), median_seconds(4096)
+        assert full <= 3 * small, (small, full)
 
 
 class TestEvalRuntime:

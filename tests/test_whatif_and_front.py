@@ -69,6 +69,24 @@ class TestResourceSensitivity:
             "interconnect",
         }
 
+    def test_profile_takes_the_unscaled_baseline_once(self, monkeypatch):
+        """One unscaled simulation plus one per resource, and each entry
+        is what ``resource_sensitivity`` returns on its own."""
+        from repro.hardware import PerformanceSimulator
+
+        simulated = []
+        simulate = PerformanceSimulator.simulate
+        monkeypatch.setattr(
+            PerformanceSimulator,
+            "simulate",
+            lambda self, graph: simulated.append(self.hw) or simulate(self, graph),
+        )
+        graph = memory_bound_graph()
+        profile = sensitivity_profile(graph, TPU_V4)
+        assert len(simulated) == 6 and simulated.count(TPU_V4) == 1
+        for resource, sens in profile.items():
+            assert sens == resource_sensitivity(graph, TPU_V4, resource)
+
     def test_speedup_never_negative(self):
         for graph in (compute_bound_graph(), memory_bound_graph()):
             for sens in sensitivity_profile(graph, TPU_V4).values():
