@@ -8,7 +8,6 @@ from .report import (
     decision_drift,
     format_report,
     summarize,
-    top_candidates,
 )
 from .pareto import (
     BucketStat,
@@ -17,7 +16,7 @@ from .pareto import (
     hypervolume_2d,
     pareto_front,
 )
-from .tables import format_series, format_table
+from .tables import format_table
 
 __all__ = [
     "BucketStat",
@@ -32,9 +31,7 @@ __all__ = [
     "decision_drift",
     "format_report",
     "summarize",
-    "top_candidates",
     "bucketize",
-    "format_series",
     "format_table",
     "geometric_mean",
     "hypervolume_2d",

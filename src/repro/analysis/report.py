@@ -2,18 +2,17 @@
 
 Production searches are monitored, not babysat; these helpers condense
 a :class:`~repro.core.search.SearchResult` into the quantities an
-operator checks — reward trend, entropy decay, the top candidates seen,
-and which decisions the policy actually moved away from the baseline.
+operator checks — reward trend, entropy decay, and which decisions the policy actually moved away from the baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from ..core.search import CandidateRecord, SearchResult
+from ..core.search import SearchResult
 from ..searchspace.base import Architecture, SearchSpace
 from .tables import format_table
 
@@ -61,13 +60,6 @@ def summarize(result: SearchResult, window: int = 10) -> ConvergenceSummary:
         initial_entropy=float(entropies[0]),
         final_entropy=float(entropies[-1]),
     )
-
-
-def top_candidates(result: SearchResult, k: int = 5) -> List[CandidateRecord]:
-    """The ``k`` best candidates evaluated anywhere in the search."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return sorted(result.all_candidates, key=lambda c: c.reward, reverse=True)[:k]
 
 
 def decision_drift(

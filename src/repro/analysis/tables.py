@@ -26,14 +26,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     return "\n".join(lines)
 
 
-def format_series(name: str, pairs: Iterable[Sequence[float]]) -> str:
-    """Render an (x, y) series as one labelled line per point."""
-    lines = [f"series: {name}"]
-    for x, y in pairs:
-        lines.append(f"  x={_cell(x)}  y={_cell(y)}")
-    return "\n".join(lines)
-
-
 def _cell(value: object) -> str:
     if isinstance(value, float):
         if value == 0:

@@ -34,20 +34,6 @@ from .reward import (
     absolute_reward,
     relu_reward,
 )
-from .serialize import (
-    load_performance_model,
-    load_policy,
-    policy_from_dict,
-    policy_to_dict,
-    save_performance_model,
-    save_policy,
-)
-from .pareto_search import (
-    FrontPoint,
-    FrontResult,
-    FrontSearchConfig,
-    trace_front,
-)
 from .surrogate import SurrogateSuperNetwork
 from .search import (
     CandidateRecord,
@@ -98,9 +84,6 @@ __all__ = [
     "NasCostModel",
     "RandomSearch",
     "Trial",
-    "FrontPoint",
-    "FrontResult",
-    "FrontSearchConfig",
     "DartsConfig",
     "DartsResult",
     "DartsSearch",
@@ -116,12 +99,5 @@ __all__ = [
     "SurrogateSuperNetwork",
     "TunasSearch",
     "absolute_reward",
-    "load_performance_model",
-    "load_policy",
-    "policy_from_dict",
-    "policy_to_dict",
-    "save_performance_model",
-    "save_policy",
-    "trace_front",
     "relu_reward",
 ]

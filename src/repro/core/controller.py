@@ -235,18 +235,3 @@ class ReinforceController:
         value = state["baseline_value"]
         self.baseline.value = None if value is None else float(value)
         self._rng.bit_generator.state = state["rng"]
-
-    def warm_start(self, policy: CategoricalPolicy) -> None:
-        """Resume from a previously trained policy (same search space).
-
-        Production searches checkpoint their policies (see
-        :mod:`repro.core.serialize`); warm-starting a new controller
-        from a checkpoint continues the search rather than restarting
-        from uniform.
-        """
-        if len(policy.logits) != len(self.policy.logits):
-            raise ValueError("policy comes from a different search space")
-        for mine, theirs in zip(self.policy.logits, policy.logits):
-            if mine.shape != theirs.shape:
-                raise ValueError("policy comes from a different search space")
-            mine[:] = theirs

@@ -69,7 +69,6 @@ class ElasticTraining(SearchEngine):
         pipeline: Any,
         schedule: Optional[ShrinkSchedule] = None,
         config: Optional[SearchConfig] = None,
-        eval_runtime: Optional[Any] = None,
     ):
         super().__init__(
             space,
@@ -78,7 +77,6 @@ class ElasticTraining(SearchEngine):
             reward_fn=relu_reward([]),
             performance_fn=_no_metrics,
             config=config,
-            eval_runtime=eval_runtime,
         )
         self.schedule = schedule or ShrinkSchedule.default(self.config.steps)
 

@@ -21,7 +21,6 @@ from .backends import (
 from .worker import (
     RemoteContextRef,
     StageTask,
-    in_worker,
     run_stage_task,
 )
 from .engine import (
@@ -81,7 +80,6 @@ __all__ = [
     "WorkerHost",
     "default_worker_count",
     "group_unique_architectures",
-    "in_worker",
     "process_start_method",
     "resolve_backend",
     "run_stage_task",

@@ -29,18 +29,10 @@ The last two are one controller/worker substrate configured twice
 (:mod:`.distributed`: spawned processes over socketpairs, or a TCP
 listener); both are registered here lazily.
 
-**Determinism contract.**  A backend may only be handed tasks whose
-outputs are independent of scheduling: pure functions of their inputs,
-or functions whose randomness comes from :meth:`rng_streams`.  Streams
-are split per *task* (not per worker) from a counter-stamped
-:class:`numpy.random.SeedSequence`, so task ``i`` of split ``k`` draws
-the same stream no matter how many workers exist or which thread or
-process runs it.  The split counter is part of :meth:`state_dict`,
-rides in search checkpoints, and restores on resume — crash-resumed
-runs replay the same streams an uninterrupted run would have drawn.
-Order-preserving reduction (results come back in task order, never
-completion order) closes the contract: parallelism changes wall-clock,
-never numerics.
+**Determinism contract.**  Tasks are pure, and the gather is ordered:
+a backend is only handed tasks whose outputs are functions of their
+inputs alone, and results come back in task order, never completion
+order.  Parallelism changes wall-clock, never numerics.
 """
 
 from __future__ import annotations
@@ -52,8 +44,6 @@ import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import Executor, ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
-
-import numpy as np
 
 # Imported for its atexit hook, which must be registered before ours
 # below: atexit runs LIFO, and worker pools have to shut down before the
@@ -77,7 +67,7 @@ def default_worker_count() -> int:
 
 
 class ExecutionBackend(ABC):
-    """Order-preserving task executor with deterministic rng splitting."""
+    """Order-preserving executor of pure tasks."""
 
     #: short name used in CLI flags, telemetry labels, and snapshots
     name: str = "abstract"
@@ -86,14 +76,10 @@ class ExecutionBackend(ABC):
     #: closures when this is set
     remote: bool = False
 
-    def __init__(self, seed: int = 0, workers: int = 1):
+    def __init__(self, workers: int = 1):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self._seed = int(seed)
-        #: how many stream splits this backend has handed out; part of
-        #: the checkpoint state so resumed runs continue the sequence
-        self._rng_spawns = 0
 
     # ------------------------------------------------------------------
     @abstractmethod
@@ -105,40 +91,18 @@ class ExecutionBackend(ABC):
         first.  Exceptions raised by any task propagate to the caller.
         """
 
-    def rng_streams(self, count: int) -> List[np.random.Generator]:
-        """``count`` independent generators for one fan-out, split
-        deterministically.
-
-        Stream ``i`` depends only on ``(seed, split_counter, i)`` — not
-        on worker count, thread identity, or scheduling — so serial and
-        pooled execution consume identical randomness.  Each call
-        advances the split counter (a new fan-out must not reuse the
-        previous fan-out's streams).
-        """
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        sequence = np.random.SeedSequence(entropy=(self._seed, self._rng_spawns))
-        self._rng_spawns += 1
-        return [np.random.default_rng(child) for child in sequence.spawn(count)]
-
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Snapshot of the backend's replayable state.
+        """Snapshot of the backend, for a search checkpoint.
 
-        ``name``/``workers`` are recorded for observability only — the
+        ``name``/``workers`` are recorded for observability only: the
         equivalence contract makes backends interchangeable across a
-        resume — while ``rng_spawns`` must be restored for the stream
-        sequence to continue bit-identically.
+        resume.
         """
-        return {
-            "name": self.name,
-            "workers": int(self.workers),
-            "rng_spawns": int(self._rng_spawns),
-        }
+        return {"name": self.name, "workers": int(self.workers)}
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Restore :meth:`state_dict` output (the split counter)."""
-        self._rng_spawns = int(state["rng_spawns"])
+        """Restore :meth:`state_dict` output (nothing to replay here)."""
 
     def close(self) -> None:
         """Release resources this backend *owns* (shared pools stay up)."""
@@ -153,8 +117,8 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def __init__(self, seed: int = 0):
-        super().__init__(seed=seed, workers=1)
+    def __init__(self):
+        super().__init__(workers=1)
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         return [fn(item) for item in items]
@@ -241,15 +205,9 @@ class ThreadPoolBackend(ExecutionBackend):
 
     name = "threads"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        seed: int = 0,
-        shared: bool = True,
-    ):
+    def __init__(self, workers: Optional[int] = None, shared: bool = True):
         super().__init__(
-            seed=seed,
-            workers=workers if workers is not None else default_worker_count(),
+            workers=workers if workers is not None else default_worker_count()
         )
         self._shared = shared
         self._owned_pool: Optional[Executor] = None
@@ -278,21 +236,21 @@ class ThreadPoolBackend(ExecutionBackend):
 # ----------------------------------------------------------------------
 # Backend resolution
 # ----------------------------------------------------------------------
-def _remote_backend(name: str) -> Callable[[Optional[int], int], ExecutionBackend]:
-    def factory(workers: Optional[int], seed: int) -> ExecutionBackend:
+def _remote_backend(name: str) -> Callable[[Optional[int]], ExecutionBackend]:
+    def factory(workers: Optional[int]) -> ExecutionBackend:
         # Imported lazily: distributed.py pulls in the socket transport
         # (which shares framing with repro.service) and imports this
         # module back — registry construction must not trigger that cycle.
         from . import distributed
 
-        return getattr(distributed, name)(workers=workers, seed=seed)
+        return getattr(distributed, name)(workers=workers)
 
     return factory
 
 
-_REGISTRY: Dict[str, Callable[[Optional[int], int], ExecutionBackend]] = {
-    "serial": lambda workers, seed: SerialBackend(seed=seed),
-    "threads": lambda workers, seed: ThreadPoolBackend(workers=workers, seed=seed),
+_REGISTRY: Dict[str, Callable[[Optional[int]], ExecutionBackend]] = {
+    "serial": lambda workers: SerialBackend(),
+    "threads": lambda workers: ThreadPoolBackend(workers=workers),
     "processes": _remote_backend("ProcessPoolBackend"),
     "distributed": _remote_backend("DistributedBackend"),
 }
@@ -306,9 +264,7 @@ BackendSpec = Union[None, str, ExecutionBackend]
 
 
 def resolve_backend(
-    spec: BackendSpec = None,
-    workers: Optional[int] = None,
-    seed: int = 0,
+    spec: BackendSpec = None, workers: Optional[int] = None
 ) -> ExecutionBackend:
     """Build the execution backend a search asked for.
 
@@ -346,4 +302,4 @@ def resolve_backend(
             f"unknown execution backend {spec!r} (from {source}); "
             f"expected one of {BACKEND_NAMES}"
         )
-    return factory(workers, seed)
+    return factory(workers)

@@ -75,7 +75,6 @@ from .worker import (
     build_remote_context,
     build_supernet_from_spec,
     drain_pending_releases,
-    mark_worker_process,
     run_stage_task,
 )
 
@@ -234,7 +233,7 @@ class WorkerHost:
                 return
             if kind in ("context", "weights", "release"):
                 self._apply_control(message)
-            elif kind in ("task", "call"):
+            elif kind == "task":
                 if not self._handle_work(message):
                     return
                 if self.max_tasks is not None and self.executed >= self.max_tasks:
@@ -295,12 +294,9 @@ class WorkerHost:
         return ctx
 
     def _handle_work(self, message: Dict[str, Any]) -> bool:
-        """Execute one task/call and reply; ``False`` if the link died."""
+        """Execute one task and reply; ``False`` if the link died."""
         try:
-            if message["type"] == "call":  # its caller reads no timing
-                value, seconds = message["fn"](message["item"]), 0.0
-            else:
-                value, seconds = run_stage_task(message["task"], self._context_for_task)
+            value, seconds = run_stage_task(message["task"], self._context_for_task)
             reply = {"type": "result", "value": value, "seconds": seconds}
         except Exception as error:  # deterministic task failure: report it
             reply = {"type": "error", "error": _picklable_error(error)}
@@ -367,7 +363,6 @@ def _spawned_worker_main(
     open: a worker must see EOF, and exit, the moment its controller
     dies, which any worker's copy of the controller's end would prevent.
     """
-    mark_worker_process()
     for controller_end in controller_ends:
         controller_end.close()
     for cluster in list(_LIVE_CLUSTERS):
@@ -839,7 +834,8 @@ class _Cluster:
             self._links.pop(link.worker_id, None)
             orphans = list(link.outstanding.values())
             link.outstanding.clear()
-            if not self._closed:
+            closed = self._closed
+            if not closed:
                 self.worker_losses += 1
             for record in orphans:
                 if record.task_id not in self._pending:
@@ -872,7 +868,10 @@ class _Cluster:
             link.sock.close()
         except OSError:
             pass
-        if link.process is not None:
+        # A worker told to shut down closes its end on the way out: that
+        # EOF is no loss, and ``shutdown`` joins the process before it
+        # reaps whatever is left.
+        if link.process is not None and not closed:
             self._reap(link.process)
         for target, record in resubmissions:
             try:
@@ -917,17 +916,6 @@ class _Cluster:
 # ----------------------------------------------------------------------
 # The backends
 # ----------------------------------------------------------------------
-def _can_ship(fn: Callable, items: Sequence) -> bool:
-    """Whether an opaque ``fn`` and a representative item pickle."""
-    try:
-        pickle.dumps(fn)
-        if items:
-            pickle.dumps(items[0])
-        return True
-    except Exception:
-        return False
-
-
 class _ClusterBackend(ExecutionBackend):
     """What ``processes`` and ``distributed`` share: everything but the
     cluster's configuration (``_cluster_key`` / ``_new_cluster()``).
@@ -937,10 +925,9 @@ class _ClusterBackend(ExecutionBackend):
       against a supernet it rehydrated once (see
       :meth:`register_context`), so per-task pickles carry batch arrays
       only.  Whether to send them is the engine's decision
-      (:meth:`SearchEngine._remote_active`): a stage-task map ships;
-    * **opaque functions run locally when they must** — any other
-      ``fn`` that does not pickle, has one item or nobody linked to run
-      it takes the in-process serial loop, which is always correct;
+      (:meth:`SearchEngine._remote_active`): a stage-task map ships, and
+      any other ``fn`` — the engine's closures over its live supernet —
+      runs the in-process serial loop;
     * **worker loss is survivable** — see the module docstring.  Tasks
       are pure by the determinism contract, so resubmission is
       idempotent and the retried results are bit-identical.
@@ -953,10 +940,9 @@ class _ClusterBackend(ExecutionBackend):
     #: how long the first ask for a worker waits for one to dial in
     worker_timeout = 30.0
 
-    def __init__(self, workers: Optional[int], seed: int, shared: bool):
+    def __init__(self, workers: Optional[int], shared: bool):
         super().__init__(
-            seed=seed,
-            workers=workers if workers is not None else default_worker_count(),
+            workers=workers if workers is not None else default_worker_count()
         )
         self._shared = shared
         self._active_cluster: Optional[_Cluster] = None
@@ -1037,22 +1023,12 @@ class _ClusterBackend(ExecutionBackend):
         )
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        items = list(items)
-        if fn is run_stage_task:
-            # Placed by the engine: (value, seconds, worker) per task,
-            # worker a spawned one's pid or a dialled-in one's id.
-            messages = [{"type": "task", "task": task} for task in items]
-            return self._cluster().run_map(messages, self.max_task_retries)  # type: ignore[return-value]
-        if (
-            len(items) <= 1
-            or self.workers == 1
-            or not _can_ship(fn, items)
-            or self.wait_for_workers(1) < 1
-        ):
+        if fn is not run_stage_task:
             return [fn(item) for item in items]
-        messages = [{"type": "call", "fn": fn, "item": item} for item in items]
-        results = self._cluster().run_map(messages, self.max_task_retries)
-        return [value for value, _, _ in results]
+        # Placed by the engine: (value, seconds, worker) per task, worker
+        # a spawned one's pid or a dialled-in one's id.
+        messages = [{"type": "task", "task": task} for task in items]
+        return self._cluster().run_map(messages, self.max_task_retries)  # type: ignore[return-value]
 
     # -- checkpoint state ----------------------------------------------
     def state_dict(self) -> dict:
@@ -1096,11 +1072,10 @@ class ProcessPoolBackend(_ClusterBackend):
     def __init__(
         self,
         workers: Optional[int] = None,
-        seed: int = 0,
         shared: bool = True,
         start_method: Optional[str] = None,
     ):
-        super().__init__(workers, seed, shared)
+        super().__init__(workers, shared)
         self._method = start_method or process_start_method()
         self._cluster_key = ("processes", self.workers, self._method)
 
@@ -1128,13 +1103,12 @@ class DistributedBackend(_ClusterBackend):
     def __init__(
         self,
         workers: Optional[int] = None,
-        seed: int = 0,
         bind: Optional[str] = None,
         spawn_local: Optional[bool] = None,
         shared: bool = True,
         worker_timeout: float = 30.0,
     ):
-        super().__init__(workers, seed, shared)
+        super().__init__(workers, shared)
         env_bind = os.environ.get(DIST_BIND_ENV_VAR)
         self._bind = bind if bind is not None else (env_bind or DEFAULT_BIND)
         # An explicit bind (flag or env) implies external workers will

@@ -13,25 +13,23 @@ single-step search, elastic training, per-target specialization), or
 its own order of the same stages (TuNAS alternates a weight step on the
 train split with a policy step on the validation split).
 
-Per-core work — shard scoring, cache-miss pricing — fans out through an
+Per-core work — shard scoring — fans out through an
 :class:`~repro.core.engine.backends.ExecutionBackend`.  Three rules keep
 every backend bit-identical to serial execution:
 
-* only scheduling-independent tasks are fanned out: deterministic pure
-  functions (stacked supernet passes, parallel-safe performance
-  functions) or tasks drawing from deterministically split rng streams
-  (:meth:`ExecutionBackend.rng_streams`);
+* only pure tasks are fanned out: stacked supernet passes, deterministic
+  functions of their payloads;
 * reductions are order-preserving — per-core results are gathered in
   shard order, so means, REINFORCE updates, and gradient accumulation
   see the same operand order regardless of completion order;
-* everything stateful that is *not* scheduling-independent (stochastic
-  quality signals without split-rng support, the accumulation of the
-  shard's gradient into the shared parameters, pipeline bookkeeping,
-  the controller) stays on the engine thread in strict shard order.
+* everything stateful (stochastic quality signals, the accumulation of
+  the shard's gradient into the shared parameters, pipeline
+  bookkeeping, the controller) stays on the engine thread in strict
+  shard order.
 
 The engine also owns the stepwise checkpoint protocol (``step()`` /
 ``build_result()`` / ``state_dict()``) that the fault-tolerant runtime
-drives; backend worker/rng-split state rides in every snapshot so a
+drives; the published weight version rides in every snapshot so a
 crash-resumed run keeps its bit-identity guarantee.
 """
 
@@ -81,7 +79,6 @@ from .worker import (
     execute_stage_kind,
     payload_nbytes,
     quality_many_payloads,
-    quality_split_payloads,
     run_stage_task,
     train_many_payloads,
 )
@@ -184,7 +181,6 @@ class SearchConfig:
     record_candidates: bool = True
     seed: int = 0
     use_cache: bool = True  # memoize performance_fn by decision indices
-    cache_size: int = 4096  # LRU capacity of the metrics cache
     #: execution backend for per-core fan-out: an
     #: :class:`ExecutionBackend` instance, a name (``"serial"`` /
     #: ``"threads"`` / ``"processes"`` / ``"distributed"``), or
@@ -196,12 +192,6 @@ class SearchConfig:
     #: worker count for pooled backends (``None``: ``$REPRO_WORKERS``,
     #: then min(4, cores))
     workers: Optional[int] = None
-    #: optional learning-rate schedule for the weight optimizer (any
-    #: object with ``multiplier(step)``, e.g.
-    #: :class:`repro.nn.CosineSchedule`).  When set, the engine wraps
-    #: its Adam in a :class:`repro.nn.ScheduledOptimizer`, whose
-    #: schedule position rides in every checkpoint snapshot.
-    weight_schedule: Optional[Any] = field(default=None, compare=False)
     #: shared :class:`repro.telemetry.Telemetry` handle; when set, the
     #: search records per-step spans, reward/entropy/penalty gauges and
     #: step events, attaches it to its eval runtime and pipeline, and
@@ -215,8 +205,6 @@ class SearchConfig:
             raise ValueError("steps and num_cores must be >= 1")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be >= 0")
-        if self.cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -263,7 +251,6 @@ class SearchEngine:
         reward_fn: RewardFunction,
         performance_fn: PerformanceFn,
         config: Optional[SearchConfig] = None,
-        eval_runtime: Optional[EvalRuntime] = None,
     ):
         config = config if config is not None else SearchConfig()
         self.space = space
@@ -273,15 +260,8 @@ class SearchEngine:
         self.performance_fn = performance_fn
         self.config = config
         self.telemetry = config.telemetry
-        self.backend = resolve_backend(
-            config.backend, workers=config.workers, seed=config.seed
-        )
-        self.runtime = eval_runtime or EvalRuntime(
-            performance_fn,
-            space=space,
-            use_cache=config.use_cache,
-            cache_capacity=config.cache_size,
-        )
+        self.backend = resolve_backend(config.backend, workers=config.workers)
+        self.runtime = EvalRuntime(performance_fn, space=space, use_cache=config.use_cache)
         if self.telemetry is not None:
             self.runtime.attach_telemetry(self.telemetry)
             self.pipeline.attach_telemetry(self.telemetry)
@@ -294,15 +274,9 @@ class SearchEngine:
             entropy_coef=config.policy_entropy_coef,
             seed=config.seed,
         )
-        from ...nn import Adam, ScheduledOptimizer
+        from ...nn import Adam
 
-        self._optimizer: "Optimizer" = Adam(
-            supernet.parameters(), lr=config.weight_lr
-        )
-        if config.weight_schedule is not None:
-            self._optimizer = ScheduledOptimizer(
-                self._optimizer, config.weight_schedule
-            )
+        self._optimizer: "Optimizer" = Adam(supernet.parameters(), lr=config.weight_lr)
         self._warmup_rng = np.random.default_rng(config.seed + 1)
         self._tape_totals: Dict[str, int] = {}
         self._worker_loss_total = 0
@@ -646,12 +620,9 @@ class SearchEngine:
 
         Supernets implementing :class:`~repro.supernet.StackedScoring`
         run one deterministic stacked pass per unique architecture,
-        fanned out across the backend's workers.  Supernets exposing
-        ``quality_split`` (stochastic signals with split-rng support)
-        fan out per core with deterministic per-task rng streams.
-        Everything else scores serially, in core order, so stochastic
-        quality signals consume their rng streams exactly as the
-        sequential implementation did.
+        fanned out across the backend's workers.  Everything else scores
+        serially, in core order, so stochastic quality signals consume
+        their rng streams exactly as the sequential implementation did.
 
         ``trains_on_shard`` is the strategy saying its weight-update
         stage will call :meth:`accumulate_shard_gradient` on this same
@@ -666,11 +637,6 @@ class SearchEngine:
         gradient (through the context's gradient image, or in the result
         frame over TCP), held for the weight-update stage to reduce.
         """
-        if getattr(self.supernet, "quality_split", None) is not None:
-            streams = self.backend.rng_streams(len(drawn))
-            return self._score(
-                "quality_split", quality_split_payloads(drawn, batches, streams)
-            )
         if not isinstance(self.supernet, StackedScoring):
             return [
                 self.supernet.quality(arch, batch.inputs, batch.labels)

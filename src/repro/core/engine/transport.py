@@ -29,7 +29,7 @@ from ...service.protocol import ProtocolError, read_frame, write_frame
 
 #: Stamped into the worker's hello message; a controller refuses a
 #: worker speaking another version instead of failing mid-shard.
-TRANSPORT_VERSION = 1
+TRANSPORT_VERSION = 2
 
 #: Largest frame either side will accept — weight broadcasts for big
 #: supernets dominate, and 1 GiB is far above any real payload while

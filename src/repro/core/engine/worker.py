@@ -2,7 +2,7 @@
 
 This module is the picklable boundary between the engine and its
 remote workers: a :class:`StageTask` carries only plain data
-(architectures, batch arrays, rng generators) plus a
+(architectures, batch arrays, a gradient scale and slot) plus a
 :class:`RemoteContextRef` naming the scoring context a worker must hold
 and the weight version it must score against.  Every remote worker
 runs one loop (:class:`~.distributed.WorkerHost`): it rehydrates the
@@ -33,10 +33,11 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...supernet.batching import StackedScoring
 from .shm import SharedGradients, SharedWeights, shared_memory_available, weight_layout
 
 #: Stage-task kinds the worker knows how to run.
-TASK_KINDS = ("quality_many", "quality_split", "train_many")
+TASK_KINDS = ("quality_many", "train_many")
 
 
 @dataclass(frozen=True)
@@ -62,41 +63,17 @@ class StageTask:
     payload: Tuple[Any, ...]
 
 
-# ----------------------------------------------------------------------
-# Per-process state
-# ----------------------------------------------------------------------
-_IS_WORKER = False
-
 _CONTEXT_COUNTER = itertools.count()
 
 
-def mark_worker_process() -> None:
-    """First call in a controller-spawned worker: mark this process."""
-    global _IS_WORKER
-    _IS_WORKER = True
+def build_supernet_from_spec(spec: Tuple[type, Any]) -> Any:
+    """Rebuild a supernet from its ``(cls, config)`` spec.
 
-
-def in_worker() -> bool:
-    """Whether this process is a spawned worker (vs the engine process)."""
-    return _IS_WORKER
-
-
-def build_supernet_from_spec(spec: Tuple[Any, ...]) -> Any:
-    """Instantiate a supernet from its serialized spec.
-
-    Specs come in two flavors: ``("factory", cls, args, kwargs)`` —
-    rebuild by calling the class (the normal path; config objects are
-    tiny and the constructor re-creates every parameter array, which
-    the shared weights then overwrite) — and ``("pickle", supernet)``
-    for hosts without a usable constructor spec.
+    The constructor re-creates every parameter array from the (tiny)
+    config; the published weights then overwrite their values.
     """
-    kind = spec[0]
-    if kind == "factory":
-        _, cls, args, kwargs = spec
-        return cls(*args, **kwargs)
-    if kind == "pickle":
-        return spec[1]
-    raise ValueError(f"unknown supernet spec kind {kind!r}")
+    cls, config = spec
+    return cls(config)
 
 
 # ----------------------------------------------------------------------
@@ -117,9 +94,6 @@ def execute_stage_kind(
     if kind == "quality_many":
         arch, inputs_seq, labels_seq = payload
         return [float(v) for v in supernet.quality_many(arch, inputs_seq, labels_seq)]
-    if kind == "quality_split":
-        arch, inputs, labels, rng = payload
-        return float(supernet.quality_split(arch, inputs, labels, rng))
     raise ValueError(f"unknown stage-task kind {kind!r}")
 
 
@@ -194,24 +168,6 @@ def train_many_payloads(payloads, groups, num_cores: int) -> List[Tuple[Any, ...
     ]
 
 
-def quality_split_payloads(
-    drawn: Sequence[Tuple[Any, Sequence[int]]],
-    batches: Sequence[Any],
-    streams: Sequence[np.random.Generator],
-) -> List[Tuple[Any, ...]]:
-    """One split-rng scoring payload per candidate.
-
-    ``batches`` aligns with ``drawn`` — pass ``[batch] * len(drawn)``
-    for the shared-batch variant.  Generators pickle with their exact
-    bit-generator state, so a worker draws the same stream the engine
-    thread would have.
-    """
-    return [
-        (arch, batch.inputs, batch.labels, stream)
-        for (arch, _), batch, stream in zip(drawn, batches, streams)
-    ]
-
-
 def payload_nbytes(tasks: Sequence[StageTask]) -> int:
     """Approximate pickled payload volume of a fan-out, for telemetry.
 
@@ -240,22 +196,20 @@ def payload_nbytes(tasks: Sequence[StageTask]) -> int:
 # ----------------------------------------------------------------------
 # Engine-side context construction
 # ----------------------------------------------------------------------
-def worker_spec_for(supernet: Any) -> Tuple[Any, ...]:
-    """The serialized-rebuild spec of ``supernet``.
+def worker_spec_for(supernet: Any) -> Optional[Tuple[type, Any]]:
+    """The ``(cls, config)`` spec a worker rebuilds ``supernet`` from, or
+    ``None`` when it cannot ship.
 
-    A supernet that follows the ``cls(config)`` constructor convention
-    ships as ``("factory", cls, (config,), {})``: workers reconstruct
-    the module graph from the (tiny) config and then overwrite every
-    parameter from the shared-weights segment, so the instance itself
-    never needs to pickle.  That matters: a populated tape cache holds
-    per-graph locks, which makes whole-object pickling of a warmed-up
-    supernet impossible.  One without a ``config`` falls back to
-    whole-object pickling, ``("pickle", supernet)``.
+    Only a :class:`~repro.supernet.StackedScoring` supernet runs stage
+    tasks, and only the ``cls(config)`` constructor convention lets a
+    worker rebuild it without pickling the instance (a populated tape
+    cache holds per-graph locks, which never pickle).  Every host in
+    :mod:`repro.supernet` follows it.
     """
     config = getattr(supernet, "config", None)
-    if config is not None:
-        return ("factory", type(supernet), (config,), {})
-    return ("pickle", supernet)
+    if config is None or not isinstance(supernet, StackedScoring):
+        return None
+    return type(supernet), config
 
 
 #: Contexts whose engine was garbage-collected unreleased.  A finaliser
@@ -362,22 +316,27 @@ def build_remote_context(
     """Publish ``supernet`` for remote workers, or ``None`` if it
     cannot travel.
 
-    The probe is strict so failures surface *here*, at registration,
-    rather than as a crashed worker mid-step: the spec must survive a
-    pickle round trip and rebuild into a supernet whose parameter
-    shapes and dtypes match the live one exactly (published weights
-    overwrite values, not structure), and parameters must be float64
-    (both weight carriers assume it).  Any failure keeps the search on
+    A supernet with no spec (:func:`worker_spec_for`) registers nothing
+    and starts no cluster.  The probe is strict so failures surface
+    *here*, at registration, rather than as a crashed worker mid-step:
+    the spec must survive a pickle round trip and rebuild into a
+    supernet whose parameter shapes and dtypes match the live one
+    exactly (published weights overwrite values, not structure), and
+    parameters must be float64 (both weight carriers assume it).  Any
+    failure keeps the search on
     the always-correct in-process path — and skips cluster startup
     entirely.  Without a ``cluster_factory`` the handle still owns a
     weights segment: publishing needs no workers.  ``gradient_slots``
     (the most ``train_many`` tasks one fan-out ships) sizes its mirror.
     """
+    spec = worker_spec_for(supernet)
+    if spec is None:
+        return None
     weights = gradients = None
     try:
         arrays = [p.data for p in supernet.parameters()]
         weight_layout(arrays)  # float64 or TypeError
-        spec_bytes = pickle.dumps(worker_spec_for(supernet))
+        spec_bytes = pickle.dumps(spec)
         rebuilt = build_supernet_from_spec(pickle.loads(spec_bytes))
         rebuilt_arrays = [p.data for p in rebuilt.parameters()]
         if [(a.shape, a.dtype) for a in rebuilt_arrays] != [

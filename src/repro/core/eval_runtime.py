@@ -269,10 +269,6 @@ class EvalRuntime:
     :meth:`price_many` (a whole shard, batched); searches wrap their
     stages in :meth:`timed` so :meth:`stats` can report where wall time
     goes.
-
-    One runtime may be shared across several searches (e.g. every sweep
-    point of :func:`repro.core.pareto_search.trace_front`) so repeated
-    candidates are priced once for the whole campaign.
     """
 
     def __init__(

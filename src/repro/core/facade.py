@@ -54,7 +54,7 @@ class H2ONas:
             config=config,
         )
         #: the memoized candidate-evaluation runtime (cache + timers);
-        #: controlled by ``config.use_cache`` / ``config.cache_size``.
+        #: controlled by ``config.use_cache``.
         self.eval_runtime = self.search_algorithm.runtime
 
     def search(

@@ -182,7 +182,6 @@ class RandomSearch(_ResumableTrialLoop):
         num_trials: int = 100,
         seed: int = 0,
         use_cache: bool = True,
-        cache_size: int = 4096,
     ):
         if num_trials < 1:
             raise ValueError("num_trials must be >= 1")
@@ -193,7 +192,7 @@ class RandomSearch(_ResumableTrialLoop):
         self.trials: List[Trial] = []
         self._rng = np.random.default_rng(seed)
         self._evaluate = (
-            MemoizedEvaluate(space, evaluate_fn, cache_size) if use_cache else evaluate_fn
+            MemoizedEvaluate(space, evaluate_fn) if use_cache else evaluate_fn
         )
 
     def _target_trials(self) -> int:
@@ -252,7 +251,6 @@ class EvolutionarySearch(_ResumableTrialLoop):
         config: Optional[EvolutionConfig] = None,
         seed: int = 0,
         use_cache: bool = True,
-        cache_size: int = 4096,
     ):
         self.space = space
         self.evaluate_fn = evaluate_fn
@@ -262,7 +260,7 @@ class EvolutionarySearch(_ResumableTrialLoop):
         self._population: Deque[int] = deque()
         self._rng = np.random.default_rng(seed)
         self._evaluate = (
-            MemoizedEvaluate(space, evaluate_fn, cache_size) if use_cache else evaluate_fn
+            MemoizedEvaluate(space, evaluate_fn) if use_cache else evaluate_fn
         )
 
     def _target_trials(self) -> int:

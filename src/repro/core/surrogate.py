@@ -33,7 +33,6 @@ class SurrogateSuperNetwork:
         quality_fn: QualityFn,
         noise_sigma: float = 0.0,
         seed: int = 0,
-        split_noise: bool = False,
     ):
         if noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
@@ -42,28 +41,11 @@ class SurrogateSuperNetwork:
         self._rng = np.random.default_rng(seed)
         # One dummy parameter so optimizers have something to hold.
         self._dummy = Tensor(np.zeros(1), requires_grad=True, name="surrogate.dummy")
-        if split_noise:
-            # Opt into the engine's split-rng scoring path: noise comes
-            # from deterministically split per-task streams instead of
-            # this instance's sequential stream, so scoring may fan out
-            # across backend workers while staying bit-identical to
-            # serial execution.  Exposed as an instance attribute so the
-            # engine's getattr probe only sees it when enabled.
-            self.quality_split = self._quality_split
 
     def quality(self, arch: Architecture, inputs, labels) -> float:
         value = float(self._quality_fn(arch))
         if self._noise_sigma > 0:
             value += float(self._rng.normal(0.0, self._noise_sigma))
-        return value
-
-    def _quality_split(
-        self, arch: Architecture, inputs, labels, rng: np.random.Generator
-    ) -> float:
-        """Quality with observation noise drawn from a caller-split rng."""
-        value = float(self._quality_fn(arch))
-        if self._noise_sigma > 0:
-            value += float(rng.normal(0.0, self._noise_sigma))
         return value
 
     def loss(self, arch: Architecture, inputs, labels) -> Tensor:

@@ -7,7 +7,6 @@ from .pipeline import (
     SingleStepPipeline,
     TwoStreamPipeline,
 )
-from .sharded import ShardedSource
 from .synthetic import (
     CtrTaskConfig,
     CtrTeacher,
@@ -31,7 +30,6 @@ __all__ = [
     "PipelineProtocolError",
     "SequenceTaskConfig",
     "SequenceTeacher",
-    "ShardedSource",
     "SingleStepPipeline",
     "TwoStreamPipeline",
     "VisionTaskConfig",

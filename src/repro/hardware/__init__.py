@@ -14,7 +14,6 @@ from .config import (
 from .power import PowerReport, power_report, utilizations
 from .roofline import (
     RooflinePoint,
-    graph_roofline,
     mxu_efficiency,
     peak_compute_rate,
     roofline_point,
@@ -67,7 +66,6 @@ __all__ = [
     "TPU_V4",
     "TPU_V4I",
     "TestbedCalibration",
-    "graph_roofline",
     "measure_serving_point",
     "mxu_efficiency",
     "optimize_serving_throughput",

@@ -11,7 +11,7 @@ paper's search spaces are designed around.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -80,19 +80,3 @@ def roofline_point(op: OpNode, hw: HardwareConfig) -> RooflinePoint:
         attained_flops=attained,
         compute_bound=bool(intensity > 0 and roof <= memory_rate),
     )
-
-
-def graph_roofline(
-    flops: float, total_bytes: float, hw: HardwareConfig
-) -> Tuple[float, bool]:
-    """Roofline bound for an aggregate (whole-model) workload.
-
-    Returns ``(attained_flops, compute_bound)``.
-    """
-    if total_bytes <= 0:
-        return (hw.peak_matrix_flops, True)
-    intensity = flops / total_bytes
-    memory_rate = intensity * hw.hbm_bandwidth
-    if memory_rate >= hw.peak_matrix_flops:
-        return (hw.peak_matrix_flops, True)
-    return (memory_rate, False)

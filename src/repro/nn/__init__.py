@@ -17,14 +17,12 @@ from .layers import (
 )
 from .losses import accuracy, bce_with_logits, binary_accuracy, mse, softmax_cross_entropy
 from .optim import Adam, Optimizer, SGD
-from .schedules import CosineSchedule, ScheduledOptimizer, StepDecaySchedule
 
 __all__ = [
     "ACTIVATIONS",
     "ACT_KERNELS",
     "Adam",
     "CompiledGraph",
-    "CosineSchedule",
     "Dense",
     "LayerNorm",
     "LowRankDense",
@@ -34,8 +32,6 @@ __all__ = [
     "Module",
     "Optimizer",
     "SGD",
-    "ScheduledOptimizer",
-    "StepDecaySchedule",
     "Sequential",
     "TapeCache",
     "Tensor",

@@ -1,7 +1,7 @@
 """Two-phase hybrid performance model (Section 6.2 of the paper)."""
 
 from .features import ArchitectureEncoder
-from .metrics import mean_relative_error, nrmse, rmse
+from .metrics import nrmse, rmse
 from .model import PerformanceModel
 from .training import PhaseReport, TwoPhaseConfig, TwoPhaseTrainer
 
@@ -11,7 +11,6 @@ __all__ = [
     "PhaseReport",
     "TwoPhaseConfig",
     "TwoPhaseTrainer",
-    "mean_relative_error",
     "nrmse",
     "rmse",
 ]

@@ -22,12 +22,3 @@ def nrmse(predictions: np.ndarray, targets: np.ndarray) -> float:
     if denom == 0:
         raise ValueError("targets have zero mean magnitude")
     return rmse(predictions, targets) / denom
-
-
-def mean_relative_error(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Mean of |pred - target| / |target| (per-sample relative error)."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if np.any(targets == 0):
-        raise ValueError("targets must be nonzero")
-    return float(np.mean(np.abs(predictions - targets) / np.abs(targets)))

@@ -5,8 +5,7 @@ cores; surviving preemption and hardware failure without losing (or
 perturbing) the search is part of the system design.  This package
 reproduces that layer at benchmark scale:
 
-* :mod:`repro.runtime.atomic` — crash-safe write primitives shared with
-  :mod:`repro.core.serialize`;
+* :mod:`repro.runtime.atomic` — crash-safe write primitives;
 * :mod:`repro.runtime.checkpoint` — versioned, checksummed snapshots of
   the *complete* search state (policy + optimizer moments, supernet
   weights, eval-cache contents, rng bit-generator streams, counters);

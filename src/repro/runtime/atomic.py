@@ -1,8 +1,7 @@
 """Crash-safe filesystem primitives for the fault-tolerant runtime.
 
-Every artifact the reproduction persists — policy/perf-model snapshots
-(:mod:`repro.core.serialize`), checkpoint shards, the checkpoint
-manifest — goes through the same write protocol: write the full payload
+Every artifact the reproduction persists — checkpoint shards, the
+checkpoint manifest, the elastic artifact, job records — goes through the same write protocol: write the full payload
 to a temporary file in the destination directory, flush it to stable
 storage, then :func:`os.replace` it over the final name.  POSIX renames
 within one filesystem are atomic, so a reader (including a recovering

@@ -29,7 +29,7 @@ killed and restarted underneath it.
 """
 
 from .client import ServiceClient
-from .daemon import DaemonConfig, ServiceDaemon, serve
+from .daemon import DaemonConfig, ServiceDaemon
 from .jobs import JobSpec, dlrm_search_builder, one_shot_payload, result_payload, run_job
 from .protocol import (
     AdmissionClosedError,
@@ -71,5 +71,4 @@ __all__ = [
     "one_shot_payload",
     "result_payload",
     "run_job",
-    "serve",
 ]

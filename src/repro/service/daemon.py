@@ -268,24 +268,9 @@ class ServiceDaemon:
         return job_id
 
 
-def serve(
-    spool: PathLike,
-    socket_path: Optional[PathLike] = None,
-    scheduler: Optional[SchedulerConfig] = None,
-) -> Dict[str, Any]:
-    """Convenience entry: build a daemon from parts and run it."""
-    config = DaemonConfig(
-        spool=spool,
-        socket_path=socket_path,
-        scheduler=scheduler if scheduler is not None else SchedulerConfig(),
-    )
-    return ServiceDaemon(config).serve()
-
-
 __all__ = [
     "DaemonConfig",
     "ServiceDaemon",
     "SOCKET_NAME",
     "TERMINAL_STATES",
-    "serve",
 ]

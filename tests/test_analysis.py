@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     bucketize,
-    format_series,
     format_table,
     geometric_mean,
     hypervolume_2d,
@@ -140,11 +139,6 @@ class TestFormatting:
     def test_scientific_for_extremes(self):
         out = format_table(["v"], [[1.5e12]])
         assert "e+12" in out
-
-    def test_series(self):
-        out = format_series("latency", [(1, 2.0), (2, 4.0)])
-        assert "series: latency" in out
-        assert out.count("x=") == 2
 
 
 class TestAsciiScatter:

@@ -6,7 +6,8 @@ A search run on :class:`ThreadPoolBackend` must produce a
 same final architecture, same cache counters — including when the
 threaded run is crashed and resumed through ``run_with_checkpoints``.
 Plus unit coverage of the backend contract itself (order-preserving
-map, per-task rng splitting, checkpointable split counter) and of the
+map of pure tasks; on the remote backends, of stage tasks against a
+supernet each worker rebuilt as ``cls(config)``) and of the
 :class:`~repro.supernet.StackedScoring` protocol that replaced the old
 ``getattr`` duck-typing.
 """
@@ -16,6 +17,7 @@ import collections
 import dataclasses
 import gc
 import itertools
+import multiprocessing.util
 import os
 import pathlib
 import pickle
@@ -52,19 +54,32 @@ from repro.core.engine import (
     ExecutionBackend,
     RemoteContextRef,
     StageTask,
-    in_worker,
     run_stage_task,
     run_worker,
 )
 from repro.core.engine import backends as backends_mod
 from repro.core.engine import worker as worker_mod
+from repro.core.engine.shm import SharedWeights
+from repro.core.engine.transport import TRANSPORT_VERSION, parse_address, recv_message
 from repro.core.engine.worker import execute_stage_kind
 from repro.data import CtrTaskConfig, CtrTeacher, SingleStepPipeline, TwoStreamPipeline
+from repro.nn import Tensor
 from repro.runtime import CheckpointStore, FaultInjector, FaultSpec, run_with_checkpoints
 from repro.runtime.faults import InjectedCrash, _MidShardCrash
 from repro.searchspace import DlrmSpaceConfig, dlrm_search_space
 from repro.service.jobs import dlrm_search_builder, elastic_training_builder, result_payload
-from repro.supernet import DlrmSuperNetwork, DlrmSupernetConfig, StackedScoring
+from repro.service.protocol import write_frame
+from repro.supernet import (
+    DlrmSuperNetwork,
+    DlrmSupernetConfig,
+    MixtureSuperNetwork,
+    MixtureSupernetConfig,
+    StackedScoring,
+    TransformerSuperNetwork,
+    TransformerSupernetConfig,
+    VisionSuperNetwork,
+    VisionSupernetConfig,
+)
 from repro.telemetry import Telemetry
 
 from .test_batched_exec import PerCoreOnly
@@ -102,11 +117,11 @@ def build_single(backend, seed=0, telemetry=None, workers=None):
     )
 
 
-def build_tunas(backend, seed=0, telemetry=None, workers=None):
+def build_tunas(backend, seed=0, telemetry=None, workers=None, supernet_cls=DlrmSuperNetwork):
     teacher = CtrTeacher(CtrTaskConfig(num_tables=NUM_TABLES, batch_size=16, seed=seed))
     return TunasSearch(
         space=build_space(),
-        supernet=DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES, seed=seed)),
+        supernet=supernet_cls(DlrmSupernetConfig(num_tables=NUM_TABLES, seed=seed)),
         pipeline=TwoStreamPipeline(teacher.next_batch, train_batches=6, valid_batches=4),
         reward_fn=relu_reward([PerformanceObjective("step_time", 1.0, -0.5)]),
         performance_fn=capacity_cost,
@@ -117,18 +132,20 @@ def build_tunas(backend, seed=0, telemetry=None, workers=None):
     )
 
 
-def build_split_noise(backend, supernet_cls=SurrogateSuperNetwork):
-    """A search whose stochastic quality signal draws from per-task
-    streams: the ``quality_split`` fan-out, one task per candidate."""
+BUILDERS = {"single_step": build_single, "tunas": build_tunas}
+
+
+def _surrogate_quality(arch):
+    return 1.0 - 0.01 * arch["emb0/width_delta"]
+
+
+def build_surrogate(backend):
+    """A search on a supernet that is not :class:`StackedScoring`: it
+    scores candidate by candidate, on the engine thread."""
     teacher = CtrTeacher(CtrTaskConfig(num_tables=NUM_TABLES, batch_size=8, seed=0))
     return SingleStepSearch(
         space=build_space(),
-        supernet=supernet_cls(
-            lambda a: 1.0 - 0.01 * a["emb0/width_delta"],
-            noise_sigma=0.05,
-            seed=11,
-            split_noise=True,
-        ),
+        supernet=SurrogateSuperNetwork(_surrogate_quality, noise_sigma=0.05, seed=11),
         pipeline=SingleStepPipeline(teacher.next_batch),
         reward_fn=relu_reward([PerformanceObjective("step_time", 1.0, -0.5)]),
         performance_fn=capacity_cost,
@@ -136,27 +153,18 @@ def build_split_noise(backend, supernet_cls=SurrogateSuperNetwork):
     )
 
 
-BUILDERS = {"single_step": build_single, "tunas": build_tunas}
-
-
-# Module level so they pickle — the process backend's whole point is
-# that its tasks travel by qualified name, not by closure.
 def _square(x):
     return x * x
 
 
-def _reciprocal(x):
-    return 1 // x
-
-
-def _kill_this_worker_once(flag_path):
-    """SIGKILL the calling process if it is a worker and the first to ask.
+def _kill_this_worker_once(flag_path, engine_pid):
+    """SIGKILL the calling process unless it is the engine's, if it is
+    the first to ask.
 
     The flag file (O_EXCL-created) makes the kill fire exactly once
-    across all workers and all resubmissions; the engine process is
-    never killed.
+    across all workers and all resubmissions.
     """
-    if not in_worker():
+    if os.getpid() == engine_pid:
         return
     try:
         fd = os.open(flag_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -166,34 +174,82 @@ def _kill_this_worker_once(flag_path):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-class LoggedKillOnce:
-    """Picklable fn that logs every execution of every item to a file.
+@dataclasses.dataclass(frozen=True)
+class ItemConfig:
+    """What an :class:`ItemSupernet` does per item.  It rides in the
+    config, so a worker's rebuilt copy does the same."""
 
-    With a ``victim`` item it also SIGKILLs the worker running that item
-    (once, see :func:`_kill_this_worker_once`) — after the log line, so
-    the victim is the one item a per-task retry policy may run twice.
-    """
-
-    def __init__(self, log_path, flag_path=None, victim=None):
-        self.log_path = str(log_path)
-        self.flag_path = str(flag_path)
-        self.victim = victim
-
-    def __call__(self, item):
-        with open(self.log_path, "a") as log:  # O_APPEND: one line, one write
-            log.write(f"{item}\n")
-        if item == self.victim:
-            _kill_this_worker_once(self.flag_path)
-        time.sleep(0.03)  # keep both maps in flight while the worker dies
-        return item * item
-
-    def executions(self):
-        with open(self.log_path) as log:
-            return collections.Counter(int(line) for line in log)
+    log_path: str = ""
+    flag_path: str = ""
+    victim: int = -1
+    exit_path: str = ""
+    engine_pid: int = dataclasses.field(default_factory=os.getpid)
 
 
-def _in_worker(_item):
-    return in_worker()
+def _flush_at_exit(path):
+    time.sleep(0.2)  # an exit path that takes a while: a reaper would win the race
+    pathlib.Path(f"{path}.{os.getpid()}").touch()
+
+
+class ItemSupernet:
+    """The smallest supernet a worker can host, ``cls(config)``: its
+    "architecture" is an integer item, scored as the item squared (item
+    0 raises, a typed task error).  Each execution is logged to
+    ``log_path`` (O_APPEND: one line, one write); the ``victim`` item
+    SIGKILLs its worker once, after the log line, so the victim is the
+    one item a per-task retry policy may run twice.  With an
+    ``exit_path``, a worker that rebuilt it leaves ``exit_path.<pid>``
+    behind from its exit path (a ``multiprocessing`` finaliser)."""
+
+    def __init__(self, config):
+        self.config = config
+        self.weight = Tensor(np.zeros(1), requires_grad=True)
+        if config.exit_path and os.getpid() != config.engine_pid:
+            multiprocessing.util.Finalize(
+                None, _flush_at_exit, args=(config.exit_path,), exitpriority=0
+            )
+
+    def parameters(self):
+        return [self.weight]
+
+    def quality_many(self, arch, inputs_seq, labels_seq):
+        config = self.config
+        if config.log_path:
+            with open(config.log_path, "a") as log:
+                log.write(f"{arch}\n")
+            time.sleep(0.03)  # keep concurrent maps in flight while a worker dies
+        if arch == config.victim:
+            _kill_this_worker_once(config.flag_path, config.engine_pid)
+        if arch == 0:
+            raise ZeroDivisionError("item 0")
+        return [float(arch * arch)]
+
+    def loss_many(self, arch, inputs_seq, labels_seq):
+        raise NotImplementedError("scores only")
+
+    quality_and_loss_many = loss_many
+
+
+def stage_map(backend, items, config=None):
+    """Map one ``quality_many`` stage task per item through ``backend``,
+    scored by an :class:`ItemSupernet` each worker rebuilt from its spec:
+    the path production runs."""
+    context = backend.register_context(ItemSupernet(config or ItemConfig()))
+    assert backend.wait_for_workers(1) >= 1  # what the engine's placement asks first
+    tasks = [
+        StageTask(stage="score", kind="quality_many", context=context.ref(), payload=(item, [], []))
+        for item in items
+    ]
+    return [value[0] for value, _, _ in backend.map(run_stage_task, tasks)]
+
+
+def executions(log_path):
+    with open(log_path) as log:
+        return collections.Counter(int(line) for line in log)
+
+
+def _shm_segments():
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
 
 
 def _listening_sockets():
@@ -266,34 +322,6 @@ class TestBackendContract:
         backend = ThreadPoolBackend(workers=2)
         with pytest.raises(ZeroDivisionError):
             backend.map(lambda x: 1 // x, [1, 2, 0, 3])
-
-    def test_rng_streams_identical_across_backends(self):
-        serial = SerialBackend(seed=7)
-        threaded = ThreadPoolBackend(workers=4, seed=7)
-        for _ in range(3):  # several fan-outs advance the split counter
-            a = [rng.standard_normal(4) for rng in serial.rng_streams(5)]
-            b = [rng.standard_normal(4) for rng in threaded.rng_streams(5)]
-            for x, y in zip(a, b):
-                np.testing.assert_array_equal(x, y)
-
-    def test_rng_streams_differ_between_fanouts_and_tasks(self):
-        backend = SerialBackend(seed=7)
-        first = [rng.standard_normal(4) for rng in backend.rng_streams(2)]
-        second = [rng.standard_normal(4) for rng in backend.rng_streams(2)]
-        assert not np.array_equal(first[0], first[1])  # per-task split
-        assert not np.array_equal(first[0], second[0])  # per-fan-out split
-
-    def test_split_counter_rides_in_state_dict(self):
-        backend = SerialBackend(seed=7)
-        backend.rng_streams(3)
-        state = backend.state_dict()
-        assert state == {"name": "serial", "workers": 1, "rng_spawns": 1}
-        resumed = SerialBackend(seed=7)
-        resumed.load_state_dict(state)
-        a = [rng.standard_normal(4) for rng in backend.rng_streams(2)]
-        b = [rng.standard_normal(4) for rng in resumed.rng_streams(2)]
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -416,26 +444,19 @@ class TestBackendEquivalence:
             run("serial"), run(ThreadPoolBackend(workers=3)), build_space()
         )
 
-    def test_split_noise_surrogate_matches_across_backends(self):
-        # A stochastic quality signal with split-rng support fans out
-        # per task; the per-task streams make every backend identical.
-        assert_results_identical(
-            build_split_noise("serial").run(),
-            build_split_noise(ThreadPoolBackend(workers=4)).run(),
-            build_space(),
-        )
-
     def test_threads_overlap_a_sleep_bound_shard(self):
         # The one speedup contract any box can run (a sleep needs no
-        # core): four candidates a step each waiting on a "device", four
-        # threads, >= 1.5x the serial wall clock — and the same search.
-        class SleepBound(SurrogateSuperNetwork):
-            def _quality_split(self, arch, inputs, labels, rng):
-                time.sleep(0.01)
-                return super()._quality_split(arch, inputs, labels, rng)
+        # core): TuNAS's policy step scores four candidates on one batch,
+        # four singleton groups that cannot collapse, each pass waiting
+        # on a "device"; four threads, >= 1.5x the serial wall clock —
+        # and the same search.
+        class SleepBound(DlrmSuperNetwork):
+            def quality_many(self, arch, inputs_seq, labels_seq):
+                time.sleep(0.02)
+                return super().quality_many(arch, inputs_seq, labels_seq)
 
         def timed(backend):
-            search = build_split_noise(backend, SleepBound)
+            search = build_tunas(backend, supernet_cls=SleepBound)
             started = time.perf_counter()
             return search.run(), time.perf_counter() - started
 
@@ -469,32 +490,26 @@ class TestBackendEquivalence:
         assert_results_identical(reference, resumed.result, build_space())
 
     def test_backend_state_rides_in_snapshots(self):
-        search = build_single(backend="threads", workers=2)
-        search.backend.rng_streams(1)
-        state = search.state_dict()
-        assert state["backend"] == {"name": "threads", "workers": 2, "rng_spawns": 1}
-        fresh = build_single(backend="threads", workers=2)
-        fresh.load_state_dict(state)
-        assert fresh.backend.state_dict()["rng_spawns"] == 1
-
-
-def _surrogate_quality(arch):
-    return 1.0 - 0.01 * arch["emb0/width_delta"]
+        state = build_single(backend="threads", workers=2).state_dict()
+        assert state["backend"] == {"name": "threads", "workers": 2}
+        build_single(backend="threads", workers=2).load_state_dict(state)
 
 
 class TestProcessBackendContract:
     def test_map_preserves_order(self):
         backend = ProcessPoolBackend(workers=2)
-        items = list(range(16))
-        assert backend.map(_square, items) == [i * i for i in items]
+        items = list(range(1, 17))
+        assert stage_map(backend, items) == [i * i for i in items]
 
     def test_map_propagates_task_exceptions(self):
         backend = ProcessPoolBackend(workers=2)
         with pytest.raises(ZeroDivisionError):
-            backend.map(_reciprocal, [1, 2, 0, 3])
+            stage_map(backend, [1, 2, 0, 3])
 
     def test_unpicklable_fn_degrades_to_local_map(self):
-        backend = ProcessPoolBackend(workers=2)
+        # Only stage tasks ship: any other fn, picklable or not, runs the
+        # in-process loop, and starts no worker.
+        backend = ProcessPoolBackend(workers=2, shared=False)
         calls = []
 
         def fn(x):  # closure: cannot travel to a worker process
@@ -502,16 +517,9 @@ class TestProcessBackendContract:
             return x + 1
 
         assert backend.map(fn, [1, 2, 3]) == [2, 3, 4]
+        assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
         assert calls == [1, 2, 3]  # ran in this process, in order
-
-    def test_rng_streams_identical_to_serial(self):
-        serial = SerialBackend(seed=7)
-        procs = ProcessPoolBackend(workers=2, seed=7)
-        for _ in range(3):
-            a = [rng.standard_normal(4) for rng in serial.rng_streams(5)]
-            b = [rng.standard_normal(4) for rng in procs.rng_streams(5)]
-            for x, y in zip(a, b):
-                np.testing.assert_array_equal(x, y)
+        assert backend._active_cluster is None
 
     def test_state_dict_carries_weights_version(self):
         backend = ProcessPoolBackend(workers=2)
@@ -553,10 +561,26 @@ class TestPoolLifecycle:
 
     def test_owned_process_pool_released_on_close(self):
         backend = ProcessPoolBackend(workers=2, shared=False)
-        assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert stage_map(backend, [1, 2, 3]) == [1, 4, 9]
         assert backend._active_cluster is not None
         backend.close()
         assert backend._active_cluster is None
+
+    @pytest.mark.parametrize("release", ["close", "shutdown_pools"])
+    def test_spawned_workers_exit_cleanly(self, tmp_path, release):
+        # A worker told to shut down leaves its loop and closes its end;
+        # that EOF is no loss, and the worker is joined, not SIGKILLed:
+        # it runs its whole exit path, and exits 0.
+        backend = ProcessPoolBackend(workers=2, shared=release != "close")
+        exit_path = tmp_path / "flushed"
+        assert stage_map(backend, [1, 2, 3], ItemConfig(exit_path=str(exit_path))) == [1, 4, 9]
+        processes = [link.process for link in backend._active_cluster._links.values()]
+        assert len(processes) == 2
+        backend.close() if release == "close" else shutdown_pools()
+        assert [process.exitcode for process in processes] == [0, 0]
+        assert sorted(tmp_path.iterdir()) == sorted(
+            pathlib.Path(f"{exit_path}.{process.pid}") for process in processes
+        )
 
     def test_shutdown_pools_clears_shared_registry(self):
         backend = ThreadPoolBackend(workers=3)
@@ -576,45 +600,40 @@ class TestSpawnedWorkers:
         # case); a worker dies under one of them.  Only the orphaned
         # items may run again: the victim (logged, then killed) twice,
         # every other item of either map exactly once.
-        items = list(range(10))
-        killer = LoggedKillOnce(tmp_path / "a.log", tmp_path / "killed", victim=5)
-        bystander = LoggedKillOnce(tmp_path / "b.log")
+        items = list(range(1, 11))
+        killer = ItemConfig(str(tmp_path / "a.log"), str(tmp_path / "killed"), victim=5)
+        bystander = ItemConfig(str(tmp_path / "b.log"))
         first = ProcessPoolBackend(workers=2)
         second = ProcessPoolBackend(workers=2)
-        assert first.map(_square, [1, 2]) == [1, 4]  # both workers are up
+        assert stage_map(first, [1, 2]) == [1, 4]  # both workers are up
         outcome = {}
         thread = threading.Thread(
-            target=lambda: outcome.update(values=second.map(bystander, items))
+            target=lambda: outcome.update(values=stage_map(second, items, bystander))
         )
         thread.start()
-        values = first.map(killer, items)
+        values = stage_map(first, items, killer)
         thread.join(timeout=60.0)
         assert not thread.is_alive()
         assert (tmp_path / "killed").exists()  # a worker really died mid-map
         assert values == outcome["values"] == [i * i for i in items]
         assert first.worker_losses == 1
         expected = {item: 1 for item in items}
-        assert bystander.executions() == expected
-        assert killer.executions() == {**expected, 5: 2}
+        assert executions(bystander.log_path) == expected
+        assert executions(killer.log_path) == {**expected, 5: 2}
         # ...and the lost worker is replaced before the next map.
-        assert first.map(_square, [3, 4]) == [9, 16]
+        assert stage_map(first, [3, 4]) == [9, 16]
         assert first.host_count == 2
-
-    def test_spawned_workers_know_they_are_workers(self):
-        backend = ProcessPoolBackend(workers=2)
-        assert backend.map(_in_worker, [0, 1, 2, 3]) == [True] * 4
-        assert not in_worker()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
     def test_processes_never_listen(self):
         before = _listening_sockets()
         backend = ProcessPoolBackend(workers=2, shared=False)
-        assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert stage_map(backend, [1, 2, 3]) == [1, 4, 9]
         assert _listening_sockets() == before
         backend.close()
         # The probe does see a listener when there is one.
         listener = DistributedBackend(workers=2, shared=False)
-        assert listener.map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert stage_map(listener, [1, 2, 3]) == [1, 4, 9]
         assert len(_listening_sockets() - before) == 1
         listener.close()
         assert _listening_sockets() == before
@@ -716,36 +735,13 @@ class TestStageTaskPickling:
         ]
         self._assert_round_trip(search.supernet, tasks)
 
-    def test_quality_split_tasks_round_trip(self):
-        # Generators pickle with their exact bit-generator state: the
-        # pickled task must draw the same noise the live one would.
-        supernet = SurrogateSuperNetwork(
-            _surrogate_quality, noise_sigma=0.05, seed=11, split_noise=True
-        )
-        search = build_single(backend="serial")
-        drawn, batches = self._shard(search)
-
-        def make_tasks():
-            streams = SerialBackend(seed=3).rng_streams(len(drawn))
-            return [
-                StageTask(stage="score", kind="quality_split", context=self.REF, payload=p)
-                for p in worker_mod.quality_split_payloads(drawn, batches, streams)
-            ]
-
-        def run(task):
-            return execute_stage_kind(supernet, task.kind, task.payload)
-
-        live = [run(t) for t in make_tasks()]
-        pickled = [run(pickle.loads(pickle.dumps(t))) for t in make_tasks()]
-        assert live == pickled
-
     def test_task_entry_point_and_pricing_fns_pickle(self):
         assert pickle.loads(pickle.dumps(run_stage_task)) is run_stage_task
         assert pickle.loads(pickle.dumps(capacity_cost)) is capacity_cost
 
     def test_unknown_task_kind_rejected(self):
         # "quality" was a kind once; it is quality_many on a group of one.
-        assert worker_mod.TASK_KINDS == ("quality_many", "quality_split", "train_many")
+        assert worker_mod.TASK_KINDS == ("quality_many", "train_many")
         search = build_single(backend="serial")
         for kind in ("mystery", "quality"):
             with pytest.raises(ValueError):
@@ -783,19 +779,6 @@ class TestProcessEquivalence:
         )
         assert resumed.resume.resumed
         assert_results_identical(reference, resumed.result, build_space())
-
-    def test_unpicklable_supernet_stays_in_process(self):
-        # A lambda quality fn cannot travel; registration must probe
-        # that and keep every stage on the (always correct) local path.
-        def run(backend):
-            search = build_split_noise(backend)
-            if isinstance(backend, ProcessPoolBackend):
-                assert search._remote_ctx is None
-            return search.run()
-
-        assert_results_identical(
-            run("serial"), run(ProcessPoolBackend(workers=2)), build_space()
-        )
 
     def test_process_backend_state_rides_in_snapshots(self):
         search = build_single(backend="processes", workers=2)
@@ -835,6 +818,7 @@ class TestProcessEquivalence:
 @dataclasses.dataclass(frozen=True)
 class KillOnceSupernetConfig(DlrmSupernetConfig):
     flag_path: str = ""
+    engine_pid: int = dataclasses.field(default_factory=os.getpid)
 
 
 class KillOnceSupernet(DlrmSuperNetwork):
@@ -844,7 +828,7 @@ class KillOnceSupernet(DlrmSuperNetwork):
 
     def quality_and_loss_many(self, arch, inputs_seq, labels_seq):
         passed = super().quality_and_loss_many(arch, inputs_seq, labels_seq)
-        _kill_this_worker_once(self.config.flag_path)
+        _kill_this_worker_once(self.config.flag_path, self.config.engine_pid)
         return passed
 
 
@@ -996,7 +980,7 @@ class TestRemoteTraining:
         # looks, and the search runs in process — until a worker links.
         serial = build_single(backend="serial").run()
         backend = DistributedBackend(
-            workers=2, seed=0, spawn_local=False, shared=False, worker_timeout=0.2
+            workers=2, spawn_local=False, shared=False, worker_timeout=0.2
         )
         try:
             search = build_single(backend=backend)
@@ -1012,8 +996,6 @@ class TestRemoteTraining:
             cluster.wait_for_workers = traced_wait
             assert_results_identical(serial, search.run(), build_space())
             assert len(waits) >= STEPS and sorted(waits)[-2:] == [0.0, 0.2]
-            assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]  # opaque maps too
-            assert sorted(waits)[-2:] == [0.0, 0.2]
             worker = threading.Thread(
                 target=run_worker, args=(backend.address,), daemon=True
             )
@@ -1024,6 +1006,28 @@ class TestRemoteTraining:
             backend.close()
         worker.join(timeout=30.0)
         assert not worker.is_alive()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+    @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
+    def test_a_supernet_that_cannot_ship_starts_no_cluster(self, backend):
+        # Only a StackedScoring supernet with a config runs stage tasks.
+        # Anything else registers no context: no cluster, no weights
+        # segment, and its search runs in this process.  Positive
+        # control: the DLRM search starts both.
+        backend_cls = {"processes": ProcessPoolBackend, "distributed": DistributedBackend}[backend]
+        for build, ships in ((build_surrogate, False), (build_single, True)):
+            remote = backend_cls(workers=2, shared=False)
+            try:
+                before = _shm_segments()
+                search = build(remote)
+                result = search.run()
+                assert (search._remote_ctx is not None) == ships
+                assert (remote._active_cluster is not None) == ships
+                mapped = bool(_shm_segments() - before)
+                assert mapped == (ships and backend == "processes")
+                assert_results_identical(build("serial").run(), result, build_space())
+            finally:
+                remote.close()
 
     @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
     def test_single_worker_pool_trains_in_process(self, backend):
@@ -1162,21 +1166,21 @@ class TestDistributedContract:
     """Generic map contract of the TCP backend (loopback workers)."""
 
     def test_map_preserves_order(self):
-        backend = DistributedBackend(workers=2, seed=0)
-        items = list(range(16))
-        assert backend.map(_square, items) == [i * i for i in items]
+        backend = DistributedBackend(workers=2)
+        items = list(range(1, 17))
+        assert stage_map(backend, items) == [i * i for i in items]
 
     def test_map_propagates_task_exceptions(self):
         # A deterministic task failure travels back as a typed error
         # message and re-raises controller-side — never a retry, never
         # a WorkerCrashError.
-        backend = DistributedBackend(workers=2, seed=0)
+        backend = DistributedBackend(workers=2)
         with pytest.raises(ZeroDivisionError):
-            backend.map(_reciprocal, [1, 2, 0, 3])
+            stage_map(backend, [1, 2, 0, 3])
         assert backend.worker_losses == 0
 
     def test_unpicklable_fn_degrades_to_local_map(self):
-        backend = DistributedBackend(workers=2, seed=0)
+        backend = DistributedBackend(workers=2)
         calls = []
 
         def fn(x):  # closure: cannot travel over the wire
@@ -1187,21 +1191,12 @@ class TestDistributedContract:
         assert calls == [1, 2, 3]
 
     def test_single_worker_never_starts_a_cluster(self):
-        backend = DistributedBackend(workers=1, seed=0)
-        assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
+        backend = DistributedBackend(workers=1)
+        assert backend.register_context(ItemSupernet(ItemConfig())) is None
         assert backend._active_cluster is None
 
-    def test_rng_streams_identical_to_serial(self):
-        serial = SerialBackend(seed=7)
-        dist = DistributedBackend(workers=2, seed=7)
-        for _ in range(3):
-            a = [rng.standard_normal(4) for rng in serial.rng_streams(5)]
-            b = [rng.standard_normal(4) for rng in dist.rng_streams(5)]
-            for x, y in zip(a, b):
-                np.testing.assert_array_equal(x, y)
-
     def test_state_dict_carries_weights_version(self):
-        backend = DistributedBackend(workers=2, seed=0)
+        backend = DistributedBackend(workers=2)
         state = backend.state_dict()
         assert state["name"] == "distributed"
         assert state["weights_version"] == 0  # no supernet registered
@@ -1214,8 +1209,8 @@ class TestDistributedContract:
             resolve_backend("dist")
 
     def test_owned_cluster_released_on_close(self):
-        backend = DistributedBackend(workers=2, seed=0, shared=False)
-        assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
+        backend = DistributedBackend(workers=2, shared=False)
+        assert stage_map(backend, [1, 2, 3]) == [1, 4, 9]
         assert backend._active_cluster is not None
         backend.close()
         assert backend._active_cluster is None
@@ -1225,7 +1220,7 @@ class TestWorkerWireProtocol:
     """A link is primed before it is assignable, so a worker never asks:
     after ``hello`` it sends one ``result`` or ``error`` per task."""
 
-    TYPES = {"hello", "context", "weights", "release", "task", "call",
+    TYPES = {"hello", "context", "weights", "release", "task",
              "result", "error", "shutdown"}  # fmt: skip
 
     def _shard_payloads(self, search, count):
@@ -1352,7 +1347,7 @@ class TestWorkerWireProtocol:
         joins, live = 50, 3
         # Three searches share the cluster; the maps are for the context
         # registered — so sent to a joiner — last.
-        backends = [DistributedBackend(workers=3, seed=0, spawn_local=False) for _ in range(3)]
+        backends = [DistributedBackend(workers=3, spawn_local=False) for _ in range(3)]
         searches = [build_single(backend=backend) for backend in backends]
         backend, map_once = backends[-1], self._mapper(searches[-1], 8)
         hosts, threads, served = collections.deque(), [], set()
@@ -1417,7 +1412,7 @@ class TestWorkerWireProtocol:
         assert "result" in controller_frames and controller_frames <= {"result", "error"}
 
     def test_the_protocol_has_exactly_these_message_types(self):
-        """A tenth type fails here: what distributed.py sends, what it
+        """A ninth type fails here: what distributed.py sends, what it
         dispatches on, and DESIGN.md's message table are one set."""
         from repro.core.engine import distributed as distributed_mod
 
@@ -1444,6 +1439,140 @@ class TestWorkerWireProtocol:
         cells = [line.split("|")[1] for line in table.splitlines()[2:]]
         documented = [name.strip(" `") for cell in cells for name in cell.split("/")]
         assert sorted(documented) == sorted(self.TYPES)
+
+
+class TestTransportHandshake:
+    """A worker that does not open with this build's ``hello`` is refused
+    at once: closed, never linked, never assigned a task."""
+
+    def _dial(self, backend, frame):
+        sock = socket.create_connection(parse_address(backend.address), timeout=30.0)
+        write_frame(sock, frame)
+        return sock
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            pickle.dumps({"type": "hello", "transport": 1, "worker_id": "old"}),
+            pickle.dumps({"type": "hello", "worker_id": "unversioned"}),
+            pickle.dumps({"type": "result", "transport": TRANSPORT_VERSION}),
+            b"not a pickle",
+        ],
+        ids=["older_build", "no_version", "not_hello", "garbage"],
+    )
+    def test_a_worker_without_this_builds_hello_is_refused(self, frame):
+        backend = DistributedBackend(workers=2, spawn_local=False, shared=False)
+        try:
+            with self._dial(backend, frame) as sock:
+                assert recv_message(sock) is None  # closed on us, nothing sent
+            assert backend.host_count == 0
+        finally:
+            backend.close()
+
+    def test_this_builds_hello_is_admitted(self):
+        # Positive control: the same dial with the current version links,
+        # and the link is told to shut down when the backend closes.
+        backend = DistributedBackend(workers=2, spawn_local=False, shared=False)
+        hello = {"type": "hello", "transport": TRANSPORT_VERSION, "worker_id": "scripted"}
+        try:
+            sock = self._dial(backend, pickle.dumps(hello))
+            assert backend.wait_for_workers(1, timeout=30.0) == 1
+        finally:
+            backend.close()
+        with sock:
+            assert recv_message(sock) == {"type": "shutdown"}
+
+
+SHIPPING_HOSTS = {
+    "dlrm": lambda: DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES)),
+    "mixture": lambda: MixtureSuperNetwork(MixtureSupernetConfig()),
+    "transformer": lambda: TransformerSuperNetwork(TransformerSupernetConfig(num_blocks=1)),
+    "vision": lambda: VisionSuperNetwork(VisionSupernetConfig()),
+}
+
+
+def _per_core_with_config():
+    # A config, but not StackedScoring: it could be rebuilt, not scored.
+    dlrm = SHIPPING_HOSTS["dlrm"]()
+    proxy = PerCoreOnly(dlrm)
+    proxy.config = dlrm.config
+    return proxy
+
+
+def _configless():
+    item = ItemSupernet(ItemConfig())
+    item.config = None
+    return item
+
+
+def _float32_item():
+    item = ItemSupernet(ItemConfig())
+    item.weight = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+    return item
+
+
+def _grown_item():
+    item = ItemSupernet(ItemConfig())
+    item.weight = Tensor(np.zeros(3), requires_grad=True)  # cls(config) builds one
+    return item
+
+
+UNSHIPPABLE = {
+    "not_stacked": lambda: SurrogateSuperNetwork(_surrogate_quality),
+    "per_core_with_config": _per_core_with_config,
+    "no_config": _configless,
+    "float32": _float32_item,
+    "layout_mismatch": _grown_item,
+}
+
+
+class TestWorkerSpec:
+    """One spec form: a worker rebuilds a supernet as ``cls(config)``."""
+
+    @pytest.mark.parametrize("host", sorted(SHIPPING_HOSTS))
+    def test_every_host_ships_as_cls_config(self, host):
+        supernet = SHIPPING_HOSTS[host]()
+        spec = worker_mod.worker_spec_for(supernet)
+        assert spec == (type(supernet), supernet.config)
+        rebuilt = worker_mod.build_supernet_from_spec(pickle.loads(pickle.dumps(spec)))
+        assert type(rebuilt) is type(supernet)
+        assert [(p.data.shape, p.data.dtype) for p in rebuilt.parameters()] == [
+            (p.data.shape, p.data.dtype) for p in supernet.parameters()
+        ]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+    @pytest.mark.parametrize("host", sorted(SHIPPING_HOSTS))
+    def test_a_rebuilt_host_reads_the_published_weights(self, host):
+        # What a spawned worker does with a context: rebuild, attach the
+        # segment, copy in at the stamped version.
+        supernet = SHIPPING_HOSTS[host]()
+        context = worker_mod.build_remote_context(supernet)
+        assert context is not None and context.cluster is None
+        rebuilt = worker_mod.build_supernet_from_spec(worker_mod.worker_spec_for(supernet))
+        mine = [p.data for p in rebuilt.parameters()]
+        attached = SharedWeights.attach(context.weights.name, context.weights.layout)
+        try:
+            for _ in range(2):
+                assert attached.copy_into(mine) == context.version
+                for got, want in zip(mine, context.param_arrays):
+                    np.testing.assert_array_equal(got, want)
+                for array in context.param_arrays:
+                    array += 0.5
+                context.publish()
+        finally:
+            attached.release()
+            context.release()
+        assert context.weights.name.lstrip("/") not in os.listdir("/dev/shm")
+
+    @pytest.mark.parametrize("kind", sorted(UNSHIPPABLE))
+    def test_what_cannot_ship_registers_nothing(self, kind):
+        def no_cluster():
+            raise AssertionError("a cluster was started for a supernet that cannot ship")
+
+        supernet = UNSHIPPABLE[kind]()
+        ships_a_spec = kind in ("float32", "layout_mismatch")
+        assert (worker_mod.worker_spec_for(supernet) is not None) == ships_a_spec
+        assert worker_mod.build_remote_context(supernet, no_cluster, gradient_slots=4) is None
 
 
 class TestDistributedEquivalence:
@@ -1487,7 +1616,7 @@ class TestDistributedEquivalence:
         # survivor and the result must stay bit-identical to serial.
         serial = build_single(backend="serial").run()
         backend = DistributedBackend(
-            workers=2, seed=0, spawn_local=False, shared=False
+            workers=2, spawn_local=False, shared=False
         )
         env = dict(
             os.environ,
@@ -1539,17 +1668,6 @@ class TestDistributedEquivalence:
         assert (
             fresh.backend.state_dict()["weights_version"]
             > backend_state["weights_version"]
-        )
-
-    def test_distributed_unpicklable_supernet_stays_in_process(self):
-        def run(backend):
-            search = build_split_noise(backend)
-            if isinstance(backend, DistributedBackend):
-                assert search._remote_ctx is None
-            return search.run()
-
-        assert_results_identical(
-            run("serial"), run(DistributedBackend(workers=2, seed=0)), build_space()
         )
 
     def test_distributed_engine_telemetry(self):

@@ -1,69 +1,8 @@
-"""Tests for the CLI and the sharded data stream."""
+"""Tests for the CLI."""
 
-import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.data import CtrTaskConfig, CtrTeacher, ShardedSource, SingleStepPipeline
-
-
-class TestShardedSource:
-    def make(self, shards=4):
-        teacher = CtrTeacher(CtrTaskConfig(batch_size=4))
-        return ShardedSource(teacher.next_batch, num_shards=shards)
-
-    def test_global_single_use(self):
-        sharded = self.make(4)
-        seen = set()
-        for shard in range(4):
-            for _ in range(5):
-                batch = sharded.next_batch(shard)
-                assert batch.batch_id not in seen
-                seen.add(batch.batch_id)
-        assert len(seen) == 20
-
-    def test_per_shard_ordering(self):
-        sharded = self.make(3)
-        ids = [sharded.next_batch(1).batch_id for _ in range(5)]
-        assert ids == sorted(ids)
-
-    def test_round_robin_dispatch(self):
-        sharded = self.make(2)
-        a = sharded.next_batch(0)
-        b = sharded.next_batch(1)
-        assert {a.batch_id, b.batch_id} == {0, 1}
-
-    def test_backlog_accounting(self):
-        sharded = self.make(2)
-        sharded.next_batch(1)  # dispatches batch 0 to shard 0 (buffered)
-        assert sharded.backlog(0) == 1
-        assert sharded.backlog(1) == 0
-
-    def test_shard_source_plugs_into_pipeline(self):
-        sharded = self.make(2)
-        pipelines = [
-            SingleStepPipeline(sharded.shard_source(i)) for i in range(2)
-        ]
-        batch0 = pipelines[0].next_batch()
-        batch1 = pipelines[1].next_batch()
-        assert batch0.batch_id != batch1.batch_id
-        pipelines[0].mark_policy_use(batch0)
-        pipelines[0].mark_weight_use(batch0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShardedSource(lambda: None, num_shards=0)
-        sharded = self.make(2)
-        with pytest.raises(ValueError):
-            sharded.next_batch(2)
-        with pytest.raises(ValueError):
-            sharded.backlog(-1)
-
-    def test_dispatched_counter(self):
-        sharded = self.make(3)
-        for shard in range(3):
-            sharded.next_batch(shard)
-        assert sharded.batches_dispatched == 3
 
 
 class TestCli:

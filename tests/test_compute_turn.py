@@ -28,6 +28,7 @@ from repro.service.jobs import run_job
 from repro.telemetry import Telemetry
 from repro.telemetry.report import render_report
 
+from .test_backends import stage_map
 from .test_crash_resume import build_single
 from .test_service_scheduler import wait_until
 
@@ -222,10 +223,6 @@ def test_turn_wait_is_in_the_jobs_telemetry_and_its_report(tmp_path):
     assert alone.histogram("service.turn_wait_seconds").stats()["max"] < 0.01
 
 
-def _square(x):
-    return x * x
-
-
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
 )
@@ -236,6 +233,6 @@ def test_worker_forked_while_the_turn_is_held_still_serves():
     backend = ProcessPoolBackend(workers=2, shared=False, start_method="fork")
     try:
         with COMPUTE_TURN:
-            assert backend.map(_square, list(range(8))) == [i * i for i in range(8)]
+            assert stage_map(backend, range(1, 9)) == [i * i for i in range(1, 9)]
     finally:
         backend.close()

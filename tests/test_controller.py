@@ -141,24 +141,94 @@ class TestReinforceController:
         assert controller.entropy() == pytest.approx(np.log(3) + np.log(2))
 
 
-class TestWarmStart:
+def trained_controller(seed=0, steps=30):
+    controller = ReinforceController(small_space(), learning_rate=0.4, seed=seed)
+    for _ in range(steps):
+        samples = []
+        for _ in range(4):
+            arch, idx = controller.sample()
+            samples.append((idx, float(arch["a"] == 2) + float(arch["b"] == "y")))
+        controller.update(samples)
+    return controller
+
+
+class TestPolicyState:
+    """A policy persists as its ``state_dict``, inside checkpoint snapshots."""
+
+    def test_roundtrip_preserves_logits(self):
+        policy = trained_controller().policy
+        restored = CategoricalPolicy(small_space())
+        restored.load_state_dict(policy.state_dict())
+        for original, loaded in zip(policy.logits, restored.logits):
+            np.testing.assert_array_equal(original, loaded)
+
+    def test_roundtrip_preserves_argmax(self):
+        policy = trained_controller().policy
+        restored = CategoricalPolicy(small_space())
+        restored.load_state_dict(policy.state_dict())
+        assert restored.most_probable_architecture() == policy.most_probable_architecture()
+
+    def test_state_is_a_copy_both_ways(self):
+        policy = trained_controller().policy
+        state = policy.state_dict()
+        before = [logit.copy() for logit in policy.logits]
+        state["logits"][0][:] = 99.0  # the snapshot does not alias the policy
+        restored = CategoricalPolicy(small_space())
+        restored.load_state_dict(policy.state_dict())
+        restored.logits[1][:] = -99.0  # ...and a restored policy does not alias it
+        for original, kept in zip(policy.logits, before):
+            np.testing.assert_array_equal(original, kept)
+
+    def test_space_mismatch_rejected(self):
+        other = SearchSpace("other", [Decision("z", (0, 1, 2))])
+        with pytest.raises(ValueError, match="different search space"):
+            CategoricalPolicy(other).load_state_dict(trained_controller().policy.state_dict())
+
+    def test_wrong_shape_rejected(self):
+        state = trained_controller().policy.state_dict()
+        state["logits"][0] = np.zeros(2)  # "a" has three choices
+        with pytest.raises(ValueError, match="different search space"):
+            CategoricalPolicy(small_space()).load_state_dict(state)
+
+
+class TestControllerState:
     def test_resume_continues_from_checkpoint(self):
-        space = small_space()
-        first = ReinforceController(space, learning_rate=0.4, seed=0)
-        target = {"a": 2, "b": "y"}
-        for _ in range(80):
-            samples = []
-            for _ in range(4):
-                arch, idx = first.sample()
-                samples.append((idx, sum(float(arch[k] == v) for k, v in target.items())))
-            first.update(samples)
-        resumed = ReinforceController(space, learning_rate=0.4, seed=1)
-        resumed.warm_start(first.policy)
+        first = trained_controller(seed=0)
+        resumed = ReinforceController(small_space(), learning_rate=0.4, seed=1)
+        resumed.load_state_dict(first.state_dict())
         assert resumed.best_architecture() == first.best_architecture()
-        assert resumed.entropy() == pytest.approx(first.entropy())
+        assert resumed.entropy() == first.entropy()
+        # The rng stream rides along: both draw, and learn, the same from here.
+        for _ in range(5):
+            drawn = [first.sample_many(4), resumed.sample_many(4)]
+            assert [a for a, _ in drawn[0]] == [a for a, _ in drawn[1]]
+            for controller, samples in zip((first, resumed), drawn):
+                controller.update([(idx, float(arch["a"])) for arch, idx in samples])
+        for mine, theirs in zip(first.policy.logits, resumed.policy.logits):
+            np.testing.assert_array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_baseline_restored(self, steps):
+        saved = trained_controller(steps=steps)
+        resumed = ReinforceController(small_space())
+        resumed.baseline.value = 123.0
+        resumed.load_state_dict(saved.state_dict())
+        assert resumed.baseline.value == saved.baseline.value
+        assert (saved.baseline.value is None) == (steps == 0)
 
     def test_wrong_space_rejected(self):
         other = SearchSpace("other", [Decision("z", (0, 1, 2, 3))])
         controller = ReinforceController(small_space())
         with pytest.raises(ValueError, match="different search space"):
-            controller.warm_start(CategoricalPolicy(other))
+            controller.load_state_dict(ReinforceController(other).state_dict())
+
+    def test_state_survives_a_checkpoint_snapshot(self, tmp_path):
+        from repro.runtime import CheckpointStore
+
+        saved = trained_controller()
+        store = CheckpointStore(tmp_path)
+        store.save(1, {"controller": saved.state_dict()})
+        resumed = ReinforceController(small_space(), learning_rate=0.4, seed=5)
+        resumed.load_state_dict(store.load(store.latest())["controller"])
+        assert resumed.state_dict()["baseline_value"] == saved.baseline.value
+        assert [a for a, _ in resumed.sample_many(6)] == [a for a, _ in saved.sample_many(6)]

@@ -233,6 +233,64 @@ class TestSingleStepPipeline:
         assert pipe.batches_issued == 4
 
 
+class TestNextShard:
+    """The per-core split of one stream: a step's batches, one per core."""
+
+    def make(self, max_batches=None, seed=0):
+        teacher = CtrTeacher(CtrTaskConfig(batch_size=4, seed=seed))
+        return SingleStepPipeline(teacher.next_batch, max_batches=max_batches)
+
+    def test_global_single_use(self):
+        pipe = self.make()
+        ids = [batch.batch_id for _ in range(5) for batch in pipe.next_shard(4)]
+        assert len(set(ids)) == 20
+
+    def test_cores_are_served_in_stream_order(self):
+        pipe = self.make()
+        shards = [[batch.batch_id for batch in pipe.next_shard(3)] for _ in range(4)]
+        flat = [batch_id for shard in shards for batch_id in shard]
+        assert flat == sorted(flat)
+
+    def test_every_core_batch_is_counted_and_outstanding(self):
+        pipe = self.make()
+        for _ in range(3):
+            pipe.next_shard(4)
+        assert pipe.batches_issued == 12
+        assert pipe.outstanding_batches == pipe.peak_outstanding == 12
+
+    def test_each_core_batch_obeys_policy_before_weights(self):
+        pipe = self.make()
+        shard = pipe.next_shard(3)
+        with pytest.raises(PipelineProtocolError, match="policy-before-weights"):
+            pipe.mark_weight_use(shard[1])
+        for batch in shard:
+            pipe.mark_policy_use(batch)
+        for batch in shard:
+            pipe.mark_weight_use(batch)
+        assert pipe.outstanding_batches == 0
+
+    def test_exhaustion_mid_shard_is_loud(self):
+        pipe = self.make(max_batches=6)
+        assert len(pipe.next_shard(4)) == 4
+        with pytest.raises(PipelineExhausted):
+            pipe.next_shard(4)
+        assert pipe.batches_issued == 6
+
+    def test_resumed_stream_hands_out_the_same_next_shard(self):
+        pipe = self.make(seed=3)
+        for _ in range(2):
+            for batch in pipe.next_shard(4):
+                pipe.mark_policy_use(batch)
+                pipe.mark_weight_use(batch)
+        resumed = self.make(seed=3)
+        resumed.load_state_dict(pipe.state_dict())
+        for want, got in zip(pipe.next_shard(4), resumed.next_shard(4)):
+            assert want.batch_id == got.batch_id
+            np.testing.assert_array_equal(want.labels, got.labels)
+            for name in want.inputs:
+                np.testing.assert_array_equal(want.inputs[name], got.inputs[name])
+
+
 class TestTwoStreamPipeline:
     def make(self, train=3, valid=2):
         teacher = CtrTeacher(CtrTaskConfig(batch_size=4))

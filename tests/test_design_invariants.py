@@ -1,9 +1,12 @@
-"""DESIGN.md's invariants table names the tests that pin each row.
+"""DESIGN.md's tables that name things in the code must keep naming them.
 
-A row whose test was renamed or deleted would keep promising something
-nothing checks any more: every node id in the table must still collect.
+A row of the invariants table (§16) whose test was renamed or deleted
+would keep promising something nothing checks any more: every node id
+in it must still collect.  The reachability ledger (§17) must classify
+every public name, so a new one is counted before it lands.
 """
 
+import importlib
 import os
 import pathlib
 import re
@@ -39,3 +42,29 @@ def test_every_invariant_names_a_test_that_collects():
     assert collected.returncode == 0, collected.stdout[-2000:] + collected.stderr[-2000:]
     for node_id in node_ids:  # parametrized ids print as ``node_id[param]``
         assert re.search(re.escape(node_id) + r"(\[|$)", collected.stdout, re.M), node_id
+
+
+def ledger_classified():
+    """``(package, name)`` pairs §17 lists, reached by product or not."""
+    text = (ROOT / "DESIGN.md").read_text()
+    section = text.split("\n## 17. Appendix: the reachability ledger\n", 1)[1]
+    reached, _, table = section.partition("### Public names product traffic does not reach")
+    classified = set(re.findall(r"^\| `([\w.]+)` \| `(\w+)` \|", table, re.M))
+    for package, names in re.findall(r"^- `([\w.]+)` \(\d+\): (.*(?:\n  .*)*)", reached, re.M):
+        classified.update((package, name) for name in re.findall(r"`(\w+)`", names))
+    return classified
+
+
+def test_every_public_name_is_classified_by_the_ledger():
+    """Adding a name to a package's ``__all__`` means running
+    ``python tools/ledger.py``, which classifies it (and, if product
+    traffic does not reach it, asks for a line naming its user)."""
+    classified = ledger_classified()
+    assert len(classified) >= 300
+    unclassified = []
+    for init in sorted((ROOT / "src" / "repro").rglob("__init__.py")):
+        package = ".".join(init.parent.relative_to(ROOT / "src").parts)
+        for name in importlib.import_module(package).__all__:
+            if (package, name) not in classified:
+                unclassified.append(f"{package}.{name}")
+    assert not unclassified, f"not in DESIGN.md §17: {unclassified}"

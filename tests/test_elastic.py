@@ -253,9 +253,9 @@ class TestTransformerStackedScoring:
         np.testing.assert_allclose(float(stacked.data), np.mean(singles))
 
     def test_worker_spec_round_trips(self):
-        kind, cls, cls_args, cls_kwargs = worker_spec_for(self.net)
-        assert kind == "factory" and cls is TransformerSuperNetwork
-        rebuilt = cls(*cls_args, **cls_kwargs)
+        cls, config = worker_spec_for(self.net)
+        assert cls is TransformerSuperNetwork
+        rebuilt = cls(config)
         arch = self.space.default_architecture()
         batch = self.batches[0]
         rebuilt.load_state_dict(self.net.state_dict())

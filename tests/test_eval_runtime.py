@@ -20,10 +20,8 @@ from repro.core import (
     SurrogateSuperNetwork,
     arch_key,
     relu_reward,
-    trace_front,
 )
 from repro.core.controller import CategoricalPolicy
-from repro.core.pareto_search import FrontSearchConfig
 from repro.data import NullSource, SingleStepPipeline
 from repro.searchspace import Decision, SearchSpace
 
@@ -354,20 +352,6 @@ class TestSearchWithRuntime:
         for stage in ("sample", "score", "price", "policy_update", "weight_update"):
             assert stage in result.eval_stats.stage_seconds
             assert result.eval_stats.stage_calls[stage] > 0
-
-    def test_trace_front_shares_cache_across_sweep(self):
-        fn = CountingPerformanceFn()
-        config = FrontSearchConfig(
-            primary_metric="step_time",
-            target_scales=(0.9, 1.1),
-            search=SearchConfig(
-                steps=15, num_cores=4, warmup_steps=2, record_candidates=False, seed=0
-            ),
-        )
-        result = trace_front(small_space(), flat_quality, fn, config)
-        assert result.eval_stats is not None
-        assert fn.calls <= 12  # whole sweep priced from one shared cache
-        assert result.eval_stats.cache_hits > 0
 
 
 class TestMemoizedEvaluate:

@@ -14,7 +14,6 @@ from repro.hardware import (
     TPU_V4,
     TPU_V4I,
     TestbedCalibration,
-    graph_roofline,
     mxu_efficiency,
     peak_compute_rate,
     platform,
@@ -89,15 +88,6 @@ class TestRoofline:
         op = ops.dense("fc", batch=4096, nin=4096, nout=4096)
         pt = roofline_point(op, TPU_V4)
         assert pt.compute_bound
-
-    def test_graph_roofline_compute_bound(self):
-        attained, bound = graph_roofline(flops=1e15, total_bytes=1e9, hw=TPU_V4)
-        assert bound and attained == TPU_V4.peak_matrix_flops
-
-    def test_graph_roofline_memory_bound(self):
-        attained, bound = graph_roofline(flops=1e9, total_bytes=1e9, hw=TPU_V4)
-        assert not bound
-        assert attained == pytest.approx(TPU_V4.hbm_bandwidth)
 
 
 def simple_graph(batch=128, nin=1024, nout=1024, layers=3):

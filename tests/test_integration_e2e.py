@@ -3,8 +3,9 @@
 Strings together every pillar the way a production run would:
 performance-model pretraining and fine-tuning, the single-step search
 with the ReLU multi-objective reward using the model's predictions,
-policy serialization and reload, final-candidate lowering to hardware,
-and the serving-throughput check under a P99 target.
+the policy's reload from a checkpoint snapshot, final-candidate
+lowering to hardware, and the serving-throughput check under a P99
+target.
 """
 
 import numpy as np
@@ -12,12 +13,11 @@ import pytest
 
 from repro.core import (
     PerformanceObjective,
+    ReinforceController,
     SearchConfig,
     SingleStepSearch,
     SurrogateSuperNetwork,
-    load_policy,
     relu_reward,
-    save_policy,
 )
 from repro.analysis import summarize
 from repro.data import NullSource, SingleStepPipeline
@@ -32,6 +32,7 @@ from repro.perfmodel import (
     TwoPhaseTrainer,
 )
 from repro.quality import DlrmQualityModel
+from repro.runtime import CheckpointStore
 from repro.searchspace import DlrmSpaceConfig, dlrm_search_space
 
 NUM_TABLES = 3
@@ -126,15 +127,12 @@ class TestEndToEnd:
         q_base = deployment["quality_model"].quality(deployment["baseline"])
         assert q_best > q_base - 0.25
 
-    def test_policy_roundtrips_through_disk(self, deployment, tmp_path):
-        search = deployment["search"]
-        path = tmp_path / "policy.json"
-        save_policy(search.controller.policy, path)
-        restored = load_policy(deployment["space"], path)
-        assert (
-            restored.most_probable_architecture()
-            == deployment["result"].final_architecture
-        )
+    def test_policy_roundtrips_through_a_checkpoint(self, deployment, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.save(1, deployment["search"].state_dict())
+        restored = ReinforceController(deployment["space"])
+        restored.load_state_dict(store.load(store.latest())["controller"])
+        assert restored.best_architecture() == deployment["result"].final_architecture
 
     def test_searched_model_serves_under_slo(self, deployment):
         import dataclasses

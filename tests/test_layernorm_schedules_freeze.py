@@ -1,19 +1,11 @@
-"""Tests for LayerNorm, LR schedules, and search-space freezing."""
+"""Tests for LayerNorm and search-space freezing."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import (
-    Adam,
-    CosineSchedule,
-    LayerNorm,
-    ScheduledOptimizer,
-    SGD,
-    StepDecaySchedule,
-    Tensor,
-)
+from repro.nn import LayerNorm, Tensor
 from repro.searchspace import Decision, SearchSpace, VitSpaceConfig, vit_search_space
 
 
@@ -84,74 +76,6 @@ class TestLayerNorm:
 
     def test_parameters_registered(self):
         assert len(LayerNorm(4).parameters()) == 2
-
-
-class TestCosineSchedule:
-    def test_warmup_ramps_linearly(self):
-        schedule = CosineSchedule(total_steps=100, warmup_steps=10)
-        assert schedule.multiplier(0) == pytest.approx(0.1)
-        assert schedule.multiplier(9) == pytest.approx(1.0)
-
-    def test_decays_to_final_fraction(self):
-        schedule = CosineSchedule(total_steps=100, final_fraction=0.1)
-        assert schedule.multiplier(0) == pytest.approx(1.0)
-        assert schedule.multiplier(99) == pytest.approx(0.1, abs=0.01)
-        assert schedule.multiplier(500) == pytest.approx(0.1, abs=1e-9)
-
-    def test_monotone_after_warmup(self):
-        schedule = CosineSchedule(total_steps=50, warmup_steps=5)
-        values = [schedule.multiplier(s) for s in range(5, 50)]
-        assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CosineSchedule(total_steps=0)
-        with pytest.raises(ValueError):
-            CosineSchedule(total_steps=10, warmup_steps=10)
-        with pytest.raises(ValueError):
-            CosineSchedule(total_steps=10, final_fraction=1.5)
-        with pytest.raises(ValueError):
-            CosineSchedule(total_steps=10).multiplier(-1)
-
-
-class TestStepDecay:
-    def test_halves_every_period(self):
-        schedule = StepDecaySchedule(step_size=10, gamma=0.5)
-        assert schedule.multiplier(0) == 1.0
-        assert schedule.multiplier(10) == 0.5
-        assert schedule.multiplier(25) == 0.25
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StepDecaySchedule(step_size=0)
-        with pytest.raises(ValueError):
-            StepDecaySchedule(step_size=5, gamma=0.0)
-
-
-class TestScheduledOptimizer:
-    def test_lr_follows_schedule(self):
-        w = Tensor(np.array([1.0]), requires_grad=True)
-        optimizer = ScheduledOptimizer(
-            SGD([w], lr=1.0), StepDecaySchedule(step_size=1, gamma=0.5)
-        )
-        lrs = []
-        for _ in range(3):
-            optimizer.zero_grad()
-            (w * 1.0).sum().backward()
-            lrs.append(optimizer.current_lr)
-            optimizer.step()
-        assert lrs == [1.0, 0.5, 0.25]
-
-    def test_training_still_converges(self):
-        w = Tensor(np.array([5.0]), requires_grad=True)
-        optimizer = ScheduledOptimizer(
-            Adam([w], lr=0.2), CosineSchedule(total_steps=200, warmup_steps=10)
-        )
-        for _ in range(200):
-            optimizer.zero_grad()
-            (w * w).sum().backward()
-            optimizer.step()
-        assert abs(w.item()) < 0.1
 
 
 class TestFrozenSpace:

@@ -12,6 +12,7 @@ from repro.nn import (
     MLP,
     MaskedDense,
     MaskedEmbedding,
+    Module,
     SGD,
     Sequential,
     Tensor,
@@ -274,3 +275,119 @@ class TestOptimizers:
     def test_lr_must_be_positive(self):
         with pytest.raises(ValueError):
             SGD([], lr=0.0)
+
+
+class TestModuleState:
+    """Parameters persist as ``state_dict`` copies keyed by traversal index."""
+
+    def test_round_trip_reproduces_outputs(self):
+        x = Tensor(np.random.default_rng(0).normal(size=(4, 5)))
+        net = MLP(5, [8, 8], 2, np.random.default_rng(1))
+        fresh = MLP(5, [8, 8], 2, np.random.default_rng(2))
+        assert not np.array_equal(net(x).data, fresh(x).data)
+        fresh.load_state_dict(net.state_dict())
+        np.testing.assert_array_equal(net(x).data, fresh(x).data)
+
+    def test_state_is_a_copy_both_ways(self):
+        net = MLP(3, [4], 1, rng())
+        state = net.state_dict()
+        kept = [p.data.copy() for p in net.parameters()]
+        state["param_0"][...] = 7.0
+        fresh = MLP(3, [4], 1, np.random.default_rng(9))
+        fresh.load_state_dict(net.state_dict())
+        fresh.parameters()[1].data[...] = -7.0
+        for param, value in zip(net.parameters(), kept):
+            np.testing.assert_array_equal(param.data, value)
+
+    def test_parameters_held_in_a_dict_are_included(self):
+        class Tables(Module):
+            def __init__(self, seed):
+                gen = np.random.default_rng(seed)
+                self.tables = {
+                    name: Tensor(gen.normal(size=(3, 2)), requires_grad=True)
+                    for name in ("small", "large")
+                }
+
+        saved, fresh = Tables(0), Tables(1)
+        assert list(saved.state_dict()) == ["param_0", "param_1"]
+        fresh.load_state_dict(saved.state_dict())
+        for name in ("small", "large"):
+            np.testing.assert_array_equal(fresh.tables[name].data, saved.tables[name].data)
+
+    def test_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="state has 4 parameters, module has 6"):
+            MLP(3, [4, 4], 1, rng()).load_state_dict(MLP(3, [4], 1, rng()).state_dict())
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="different architecture"):
+            MLP(3, [5], 1, rng()).load_state_dict(MLP(3, [4], 1, rng()).state_dict())
+
+    def test_missing_key_rejected(self):
+        state = MLP(3, [4], 1, rng()).state_dict()
+        state["weights"] = state.pop("param_2")
+        with pytest.raises(ValueError, match="missing 'param_2'"):
+            MLP(3, [4], 1, rng()).load_state_dict(state)
+
+
+OPTIMIZERS = {
+    "sgd": lambda params: SGD(params, lr=0.05),
+    "momentum": lambda params: SGD(params, lr=0.05, momentum=0.9),
+    "adam": lambda params: Adam(params, lr=0.05),
+}
+
+
+class TestOptimizerState:
+    """What a resumed search needs of its optimizer: the same next steps."""
+
+    @staticmethod
+    def descend(optimizer, steps):
+        # The last parameter never receives a gradient: its slot stays empty.
+        live = optimizer.params[:-1]
+        for step in range(steps):
+            optimizer.zero_grad()
+            for i, param in enumerate(live):
+                param.grad = np.sin(param.data + step) * (i + 1)
+            optimizer.step()
+
+    @staticmethod
+    def params(seed):
+        gen = np.random.default_rng(seed)
+        return [Tensor(gen.normal(size=shape), requires_grad=True) for shape in ((3,), (2, 2), (1,))]
+
+    @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+    def test_resumed_optimizer_continues_identically(self, name):
+        original = OPTIMIZERS[name](self.params(0))
+        self.descend(original, 5)
+        resumed = OPTIMIZERS[name](self.params(1))
+        for mine, theirs in zip(resumed.params, original.params):
+            mine.data[...] = theirs.data
+        resumed.load_state_dict(original.state_dict())
+        self.descend(original, 5)
+        self.descend(resumed, 5)
+        for mine, theirs in zip(resumed.params, original.params):
+            np.testing.assert_array_equal(mine.data, theirs.data)
+
+    @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+    def test_state_is_aligned_to_the_parameter_list(self, name):
+        optimizer = OPTIMIZERS[name](self.params(0))
+        self.descend(optimizer, 2)
+        state = optimizer.state_dict()
+        slots = {key: value for key, value in state.items() if isinstance(value, list)}
+        assert sorted(slots) == (["m", "v"] if name == "adam" else ["velocity"])
+        # Plain SGD keeps no velocity at all; the others one per live parameter.
+        shapes = [None, None, None] if name == "sgd" else [(3,), (2, 2), None]
+        for slot in slots.values():
+            assert [None if s is None else s.shape for s in slot] == shapes
+
+    def test_slot_count_mismatch_rejected(self):
+        state = OPTIMIZERS["adam"](self.params(0)).state_dict()
+        with pytest.raises(ValueError, match="m: state has 3 slots for 2 parameters"):
+            OPTIMIZERS["adam"](self.params(0)[:2]).load_state_dict(state)
+
+    def test_slot_shape_mismatch_rejected(self):
+        optimizer = OPTIMIZERS["momentum"](self.params(0))
+        self.descend(optimizer, 1)
+        state = optimizer.state_dict()
+        state["velocity"][1] = np.zeros(4)
+        with pytest.raises(ValueError, match=r"velocity: slot shape \(4,\)"):
+            OPTIMIZERS["momentum"](self.params(0)).load_state_dict(state)

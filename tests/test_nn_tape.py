@@ -27,8 +27,6 @@ from repro.data import (
 )
 from repro.nn import (
     Adam,
-    CosineSchedule,
-    ScheduledOptimizer,
     TapeCache,
     Tensor,
     compile_graph,
@@ -704,65 +702,6 @@ class TestSearchLevelEquivalence:
         serial = result_fingerprint(search.run())
         threaded = result_fingerprint(build_search("threads").run())
         assert serial == threaded
-
-
-class TestScheduledOptimizerInEngine:
-    def test_state_dict_round_trip(self):
-        params = [Tensor(np.ones(3), requires_grad=True)]
-        sched = ScheduledOptimizer(
-            Adam(params, lr=0.1),
-            CosineSchedule(total_steps=10, warmup_steps=2),
-        )
-        for _ in range(4):
-            params[0].grad = np.ones(3)
-            sched.step()
-        state = sched.state_dict()
-
-        fresh_params = [Tensor(np.ones(3), requires_grad=True)]
-        fresh = ScheduledOptimizer(
-            Adam(fresh_params, lr=0.1),
-            CosineSchedule(total_steps=10, warmup_steps=2),
-        )
-        fresh.load_state_dict(state)
-        assert fresh._step == 4
-        assert fresh.current_lr == sched.current_lr
-        assert fresh.optimizer._t == sched.optimizer._t
-
-    def test_search_with_weight_schedule_checkpoints_schedule_position(self):
-        schedule = CosineSchedule(total_steps=20, warmup_steps=4)
-        teacher = CtrTeacher(CtrTaskConfig(num_tables=NUM_TABLES, batch_size=16))
-        search = SingleStepSearch(
-            space=build_space(),
-            supernet=DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES)),
-            pipeline=SingleStepPipeline(teacher.next_batch),
-            reward_fn=relu_reward([PerformanceObjective("step_time", 1.0, -0.5)]),
-            performance_fn=capacity_cost,
-            config=SearchConfig(
-                steps=4, num_cores=2, warmup_steps=1, weight_schedule=schedule
-            ),
-        )
-        for step in range(3):
-            search.step(step)
-        state = search.state_dict()
-        assert state["optimizer"]["step"] == search._optimizer._step > 0
-
-        teacher2 = CtrTeacher(CtrTaskConfig(num_tables=NUM_TABLES, batch_size=16))
-        resumed = SingleStepSearch(
-            space=build_space(),
-            supernet=DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES)),
-            pipeline=SingleStepPipeline(teacher2.next_batch),
-            reward_fn=relu_reward([PerformanceObjective("step_time", 1.0, -0.5)]),
-            performance_fn=capacity_cost,
-            config=SearchConfig(
-                steps=4, num_cores=2, warmup_steps=1, weight_schedule=schedule
-            ),
-        )
-        resumed.load_state_dict(state)
-        assert resumed._optimizer._step == search._optimizer._step
-        assert resumed._optimizer.current_lr == search._optimizer.current_lr
-        a = search.step(3)
-        b = resumed.step(3)
-        assert (a.mean_reward, a.mean_quality) == (b.mean_reward, b.mean_quality)
 
 
 class TestPerformanceModelTape:

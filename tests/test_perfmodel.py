@@ -10,7 +10,6 @@ from repro.perfmodel import (
     PerformanceModel,
     TwoPhaseConfig,
     TwoPhaseTrainer,
-    mean_relative_error,
     nrmse,
     rmse,
 )
@@ -44,9 +43,6 @@ class TestMetrics:
     def test_nrmse_zero_targets(self):
         with pytest.raises(ValueError):
             nrmse(np.array([1.0]), np.array([0.0]))
-
-    def test_mean_relative_error(self):
-        assert mean_relative_error(np.array([1.1, 0.9]), np.array([1.0, 1.0])) == pytest.approx(0.1)
 
 
 class TestArchitectureEncoder:

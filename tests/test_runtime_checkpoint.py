@@ -3,7 +3,7 @@
 Covers the atomic write primitives, the state packing, the checkpoint
 store (save/load/retention/corruption), recovery fallback, fault
 injection, the supervisor's restart policy, measurement retries, and
-the resumable multi-trial / front-sweep drivers.  The end-to-end
+the resumable multi-trial loops.  The end-to-end
 crash/resume bit-identity property lives in ``test_crash_resume.py``.
 """
 
@@ -15,18 +15,14 @@ import pytest
 from repro.core import (
     EvolutionConfig,
     EvolutionarySearch,
-    FrontSearchConfig,
     PerformanceObjective,
     RandomSearch,
     SearchConfig,
     SingleStepSearch,
-    load_policy,
+    TunasSearch,
     relu_reward,
-    save_policy,
-    trace_front,
 )
-from repro.core.controller import CategoricalPolicy
-from repro.data import CtrTaskConfig, CtrTeacher, SingleStepPipeline
+from repro.data import CtrTaskConfig, CtrTeacher, SingleStepPipeline, TwoStreamPipeline
 from repro.graph import OpGraph, ops
 from repro.hardware import (
     HardwareTestbed,
@@ -485,25 +481,6 @@ class TestMeasurementRetry:
 
 
 # ----------------------------------------------------------------------
-# Atomic serialization (core.serialize)
-# ----------------------------------------------------------------------
-
-
-class TestAtomicSerialize:
-    def test_save_policy_atomic_round_trip(self, tmp_path):
-        space = build_space()
-        policy = CategoricalPolicy(space)
-        policy.logits[0][:] = np.linspace(-1, 1, policy.logits[0].size)
-        path = tmp_path / "policy.json"
-        save_policy(policy, path)
-        save_policy(policy, path)  # overwrite goes through replace, not append
-        restored = load_policy(space, path)
-        for a, b in zip(policy.logits, restored.logits):
-            np.testing.assert_array_equal(a, b)
-        assert list(tmp_path.glob(".*.tmp")) == []
-
-
-# ----------------------------------------------------------------------
 # Resumable multi-trial baselines
 # ----------------------------------------------------------------------
 
@@ -586,80 +563,26 @@ class TestMultiTrialResume:
 
 
 # ----------------------------------------------------------------------
-# Resumable front sweep
-# ----------------------------------------------------------------------
-
-
-class TestTraceFrontResume:
-    def make_problem(self):
-        space = build_space()
-
-        def quality_fn(arch):
-            return 1.0 - 0.003 * float(sum(space.indices_of(arch)))
-
-        def perf_fn(arch):
-            return {"train_step_time": capacity_cost(arch)["step_time"]}
-
-        config = FrontSearchConfig(
-            target_scales=(0.8, 1.2),
-            search=SearchConfig(
-                steps=15,
-                num_cores=2,
-                warmup_steps=3,
-                record_candidates=False,
-                seed=0,
-            ),
-        )
-        return space, quality_fn, perf_fn, config
-
-    def test_resume_at_scale_boundary_matches_uninterrupted(self, tmp_path):
-        space, quality_fn, perf_fn, config = self.make_problem()
-        reference = trace_front(space, quality_fn, perf_fn, config)
-
-        # Measure how many quality calls the first scale consumes, then
-        # crash a checkpointed sweep a few calls into the second scale.
-        counting = {"n": 0}
-
-        def counted(arch):
-            counting["n"] += 1
-            return quality_fn(arch)
-
-        single = FrontSearchConfig(target_scales=(0.8,), search=config.search)
-        trace_front(space, counted, perf_fn, single)
-        scale_one_calls = counting["n"]
-
-        store = CheckpointStore(tmp_path)
-        calls = {"n": 0}
-
-        def crashing(arch):
-            calls["n"] += 1
-            if calls["n"] > scale_one_calls + 2:
-                raise InjectedCrash("injected mid-sweep crash")
-            return quality_fn(arch)
-
-        with pytest.raises(InjectedCrash):
-            trace_front(space, crashing, perf_fn, config, checkpoint_store=store)
-        assert store.latest() is not None and store.latest().step == 1
-
-        resumed = trace_front(space, quality_fn, perf_fn, config, checkpoint_store=store)
-        assert len(resumed.points) == len(reference.points)
-        for ref_point, res_point in zip(reference.points, resumed.points):
-            assert list(space.indices_of(ref_point.architecture)) == list(
-                space.indices_of(res_point.architecture)
-            )
-            assert ref_point.quality == pytest.approx(res_point.quality)
-        assert reference.eval_stats.cache_hits == resumed.eval_stats.cache_hits
-        assert reference.eval_stats.cache_misses == resumed.eval_stats.cache_misses
-
-
-# ----------------------------------------------------------------------
 # Snapshot header
 # ----------------------------------------------------------------------
 
 
+def build_tunas_search():
+    teacher = CtrTeacher(CtrTaskConfig(num_tables=NUM_TABLES, batch_size=16))
+    return TunasSearch(
+        space=build_space(),
+        supernet=DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES)),
+        pipeline=TwoStreamPipeline(teacher.next_batch, train_batches=4, valid_batches=2),
+        reward_fn=relu_reward([PerformanceObjective("step_time", 1.0, -0.5)]),
+        performance_fn=capacity_cost,
+        config=SearchConfig(steps=4, num_cores=2, warmup_steps=1),
+    )
+
+
 class TestSnapshotHeader:
     @pytest.mark.parametrize(
-        "algorithm", ["SingleStepSearch", "RandomSearch", "trace_front"]
+        "algorithm",
+        ["SingleStepSearch", "RandomSearch", "TunasSearch", "EvolutionarySearch"],
     )
     def test_format_1_snapshot_rejected_by_every_driver(self, tmp_path, algorithm):
         store = CheckpointStore(tmp_path)
@@ -670,9 +593,13 @@ class TestSnapshotHeader:
             "RandomSearch": lambda: RandomSearch(
                 space, evaluate, reward, num_trials=8
             ).run(store=store),
-            "trace_front": lambda: trace_front(
-                *TestTraceFrontResume().make_problem(), checkpoint_store=store
-            ),
+            "TunasSearch": lambda: run_with_checkpoints(build_tunas_search(), store),
+            "EvolutionarySearch": lambda: EvolutionarySearch(
+                space,
+                evaluate,
+                reward,
+                config=EvolutionConfig(population_size=2, tournament_size=2, num_trials=8),
+            ).run(store=store),
         }[algorithm]
         with pytest.raises(CheckpointError, match="format 1 .*expected format 2"):
             resume()

@@ -90,9 +90,6 @@ STAGE_CALLS = {
 SUPERNETS = {
     "dlrm": _dlrm,
     "surrogate": lambda: SurrogateSuperNetwork(_quality, noise_sigma=0.05, seed=11),
-    "split_noise": lambda: SurrogateSuperNetwork(
-        _quality, noise_sigma=0.05, seed=11, split_noise=True
-    ),
 }
 
 #: ``TunasSearch.score_on_batch`` on one policy draw and one batch.
@@ -100,9 +97,6 @@ SHARED_BATCH_QUALITIES = {
     "dlrm": [0.625, 0.4375, 0.625, 0.5625],
     "surrogate": [
         0.9917096383626592, 1.0479873770154982, 1.0612360539292967, 0.9644846461606166,
-    ],
-    "split_noise": [
-        1.0621845477349063, 1.0202544736187118, 1.04710495018888, 0.9381429219920976,
     ],
 }
 

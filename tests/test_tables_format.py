@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import format_series, format_table
+from repro.analysis import format_table
 from repro.analysis.tables import _cell
 
 
@@ -38,7 +38,3 @@ class TestTableEdges:
         out = format_table(["h"], [["a-very-long-cell"]])
         header, sep, row = out.splitlines()
         assert len(sep) == len("a-very-long-cell")
-
-    def test_series_empty(self):
-        out = format_series("empty", [])
-        assert out == "series: empty"

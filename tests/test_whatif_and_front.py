@@ -1,14 +1,7 @@
-"""Tests for hardware what-if analysis and Pareto-front tracing."""
+"""Tests for hardware what-if analysis."""
 
-import numpy as np
 import pytest
 
-from repro.core import (
-    FrontSearchConfig,
-    PerformanceObjective,
-    SearchConfig,
-    trace_front,
-)
 from repro.graph import OpGraph, ops
 from repro.hardware import (
     TPU_V4,
@@ -16,11 +9,6 @@ from repro.hardware import (
     resource_sensitivity,
     sensitivity_profile,
 )
-from repro.models import baseline_production_dlrm
-from repro.models.dlrm import apply_architecture
-from repro.models.timing import DlrmTimingHarness
-from repro.quality import DlrmQualityModel
-from repro.searchspace import DlrmSpaceConfig, dlrm_search_space
 
 
 def compute_bound_graph():
@@ -97,87 +85,3 @@ class TestResourceSensitivity:
             resource_sensitivity(compute_bound_graph(), TPU_V4, "quantum_unit")
         with pytest.raises(ValueError):
             resource_sensitivity(compute_bound_graph(), TPU_V4, "matrix_unit", scale=0)
-
-
-class TestTraceFront:
-    def make_problem(self):
-        space = dlrm_search_space(DlrmSpaceConfig(num_tables=2, num_dense_stacks=2))
-        baseline = baseline_production_dlrm(num_tables=2)
-        harness = DlrmTimingHarness(baseline, seed=0)
-        quality_model = DlrmQualityModel(baseline)
-        cache = {}
-
-        def perf_fn(arch):
-            if arch not in cache:
-                cache[arch] = {"train_step_time": harness.simulate(arch)[0]}
-            return cache[arch]
-
-        def quality_fn(arch):
-            return quality_model.quality(apply_architecture(baseline, arch))
-
-        return space, quality_fn, perf_fn
-
-    def test_sweep_produces_one_point_per_target(self):
-        space, quality_fn, perf_fn = self.make_problem()
-        config = FrontSearchConfig(
-            target_scales=(0.8, 1.2),
-            search=SearchConfig(
-                steps=40, num_cores=4, warmup_steps=5, policy_lr=0.15,
-                policy_entropy_coef=0.1, record_candidates=False, seed=0,
-            ),
-        )
-        result = trace_front(space, quality_fn, perf_fn, config)
-        assert len(result.points) == 2
-        assert {p.target_scale for p in result.points} == {0.8, 1.2}
-        for point in result.points:
-            space.validate(point.architecture)
-            assert point.metrics["train_step_time"] > 0
-
-    def test_front_is_nondominated(self):
-        space, quality_fn, perf_fn = self.make_problem()
-        config = FrontSearchConfig(
-            target_scales=(0.75, 1.0, 1.5),
-            search=SearchConfig(
-                steps=60, num_cores=4, warmup_steps=5, policy_lr=0.15,
-                policy_entropy_coef=0.1, record_candidates=False, seed=1,
-            ),
-        )
-        result = trace_front(space, quality_fn, perf_fn, config)
-        front = result.front()
-        assert 1 <= len(front) <= len(result.points)
-        for a in front:
-            for b in front:
-                if a is b:
-                    continue
-                dominates = (
-                    b.quality >= a.quality
-                    and b.metrics["train_step_time"] <= a.metrics["train_step_time"]
-                    and (
-                        b.quality > a.quality
-                        or b.metrics["train_step_time"] < a.metrics["train_step_time"]
-                    )
-                )
-                assert not dominates
-
-    def test_helpers(self):
-        space, quality_fn, perf_fn = self.make_problem()
-        config = FrontSearchConfig(
-            target_scales=(0.8, 1.5),
-            search=SearchConfig(
-                steps=40, num_cores=4, warmup_steps=5, record_candidates=False, seed=2
-            ),
-        )
-        result = trace_front(space, quality_fn, perf_fn, config)
-        assert result.best_quality().quality >= result.fastest().quality - 1e-9
-        assert (
-            result.fastest().metrics["train_step_time"]
-            <= result.best_quality().metrics["train_step_time"] + 1e-12
-        )
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FrontSearchConfig(target_scales=())
-        with pytest.raises(ValueError):
-            FrontSearchConfig(target_scales=(0.0,))
-        with pytest.raises(ValueError):
-            FrontSearchConfig(quality_weight=0.0)
