@@ -11,9 +11,8 @@ tasks, and this module supplies the things that map runs on:
   other on the calling thread.  The semantics every other backend must
   reproduce bit-for-bit.
 * :class:`ThreadPoolBackend` — fans tasks out across a shared worker
-  pool.  Cheap (no serialization) but the GIL caps it on CPU-bound
-  scoring; best when tasks are latency-bound or release the GIL in
-  NumPy kernels.
+  pool.  Cheap (no serialization), but the GIL caps it: the scoring
+  passes it overlaps hold the interpreter between NumPy kernels.
 * :class:`~.distributed.ProcessPoolBackend` — fans *picklable* tasks
   out across worker processes: true multi-core execution for the
   compute-dominated scoring path.  Supernet weights travel through one
@@ -54,9 +53,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: Environment variables consulted when a search does not pin a backend
-#: explicitly — the CI matrix runs the whole test suite under
-#: ``REPRO_BACKEND=threads`` / ``REPRO_BACKEND=processes`` to prove
-#: backend equivalence at scale.
+#: explicitly (a flag or a config field always wins).
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
@@ -194,13 +191,14 @@ def process_start_method() -> str:
 class ThreadPoolBackend(ExecutionBackend):
     """Fan tasks out across a thread pool, gathering in order.
 
-    NumPy releases the GIL inside its kernels and candidate pricing is
-    frequently latency- rather than compute-bound (simulator calls,
-    testbed measurements), so threads buy real step-time parallelism
-    without the serialization cost a process pool adds for shard-sized
-    payloads.  ``Executor.map`` yields results in submission order,
-    which is what keeps reductions (and therefore policy and weight
-    updates) bit-identical to :class:`SerialBackend`.
+    What it fans out is the in-process score stage: one grouped
+    ``quality_many`` / ``quality_and_loss_many`` pass per unique
+    architecture.  Those passes are Python autograd that holds the GIL
+    between NumPy kernels, so threads overlap only the time spent inside
+    the kernels (or waiting on a device), with no serialization cost.
+    ``Executor.map`` yields results in submission order, which is what
+    keeps reductions (and therefore policy and weight updates)
+    bit-identical to :class:`SerialBackend`.
     """
 
     name = "threads"

@@ -26,9 +26,9 @@ gets the same versions as a *push*: every ``optimizer_step()`` republish
 broadcasts a versioned weight message, and a link is primed with every
 registered context before it can be assigned work (:meth:`_Cluster._admit`),
 so a worker never has to ask.  The determinism contract is
-unchanged — per-task ``SeedSequence`` streams ride inside the pickled
-payloads and the gather is order-preserving — so a remote search is
-bit-identical to a serial one.
+unchanged — a stage task is a pure function of its payload (batches
+and architectures; no rng travels) and the gather is order-preserving —
+so a remote search is bit-identical to a serial one.
 
 Fault tolerance is *per-task* resubmission: a lost worker (connection
 drop, SIGKILL) orphans only the tasks assigned to it, which are re-sent
@@ -571,19 +571,20 @@ class _Cluster:
             ):
                 self._reject(conn, process)
                 return
+            link = _WorkerLink(
+                conn,
+                str(hello.get("worker_id") or "unknown/0"),
+                str(hello.get("host") or "unknown"),
+                int(hello.get("pid") or 0),
+                process,
+            )
             conn.settimeout(None)
             if conn.family != socket.AF_UNIX:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except (ProtocolError, OSError):
+        except (ProtocolError, OSError, ValueError, TypeError, OverflowError):
+            # A malformed field is refused like a wrong version: closed.
             self._reject(conn, process)
             return
-        link = _WorkerLink(
-            conn,
-            str(hello.get("worker_id") or "unknown/0"),
-            str(hello.get("host") or "unknown"),
-            int(hello.get("pid") or 0),
-            process,
-        )
         # Primed before assignable: the send lock is held from before the
         # link can be picked until its last context frame is written, so
         # every task, push and orphan bound for it queues behind contexts

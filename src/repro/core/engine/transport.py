@@ -5,7 +5,7 @@ framed by the same 8-byte length prefix the service protocol exposes
 (:func:`repro.service.protocol.read_frame` / ``write_frame``) — one
 framing layer, two consumers.  NDJSON stays the right shape for the
 human-debuggable service verbs; stage traffic carries numpy batch
-arrays and pickled generators, so it rides binary frames instead.
+arrays, weight bytes and gradients, so it rides binary frames instead.
 
 Every message is a dict with a ``"type"`` key; the set of types and
 their fields is defined where they are produced and consumed

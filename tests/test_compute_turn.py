@@ -29,8 +29,8 @@ from repro.telemetry import Telemetry
 from repro.telemetry.report import render_report
 
 from .test_backends import stage_map
-from .test_crash_resume import build_single
 from .test_service_scheduler import wait_until
+from .test_sweep import build_single
 
 JOIN_S = 60.0
 
@@ -165,7 +165,7 @@ def test_short_job_is_not_starved_by_a_long_one():
 
 def test_crashing_step_releases_the_turn():
     """A mid-shard crash unwinds out of ``search.step`` itself."""
-    crashing = build_single()
+    crashing = build_single("serial")
     injector = FaultInjector([FaultSpec("crash", step=2, phase="mid")])
     injector.arm(crashing, None)
     failures = []

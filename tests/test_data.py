@@ -245,6 +245,14 @@ class TestNextShard:
         ids = [batch.batch_id for _ in range(5) for batch in pipe.next_shard(4)]
         assert len(set(ids)) == 20
 
+    def test_a_shard_is_the_next_batches_of_the_stream(self):
+        sharded, sequential = self.make(seed=3), self.make(seed=3)
+        shard = [batch.batch_id for batch in sharded.next_shard(3)]
+        assert shard == [sequential.next_batch().batch_id for _ in range(3)]
+        assert sharded.batches_issued == sequential.batches_issued == 3
+        with pytest.raises(ValueError):
+            sharded.next_shard(0)
+
     def test_cores_are_served_in_stream_order(self):
         pipe = self.make()
         shards = [[batch.batch_id for batch in pipe.next_shard(3)] for _ in range(4)]

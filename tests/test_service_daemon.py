@@ -6,10 +6,10 @@ jobs must reach ``done`` with results bit-identical to uninterrupted
 one-shot runs of the same specs (the same fingerprint contract the
 crash/resume tests established for the supervisor).
 
-Daemon subprocesses pin ``--backend serial``: the CI matrix re-runs
-this file under threads/processes backends, and results are
-backend-invariant anyway (``test_backends.py`` proves that), so the
-service tests need not fork pools from a threaded daemon.
+Every daemon here pins ``--backend serial``.  Two jobs sharing one
+scheduler, and so one worker cluster, on every backend are the
+``service`` cells of ``test_sweep.py``; these tests need not fork pools
+from a threaded daemon.
 """
 
 import json
