@@ -2,34 +2,38 @@
 
 Subcommands:
 
-* ``spaces`` — the Table 5 search spaces and their sizes;
-* ``platforms`` — the built-in hardware configurations;
+* ``spaces`` / ``platforms`` — the Table 5 search spaces and the
+  built-in hardware configurations;
 * ``roofline`` — place an MBConv / fused-MBConv block on a platform's
   roofline (the Figure 4 study for one block);
 * ``cost`` — the Section 7.3 cost accounting for a training budget;
-* ``search`` — a small end-to-end DLRM search (the quickstart);
+* ``search`` (the quickstart DLRM search), ``elastic-train`` (a
+  once-for-all elastic supernet, saved as a versioned artifact) and
+  ``specialize`` (a policy-only search against that artifact for one
+  hardware target) — one job kind each (:mod:`repro.service.jobs`):
+  flags -> :class:`~repro.service.jobs.JobSpec` -> the one executor,
+  ``run_spec`` -> the verb's report; ``search supervise`` restarts the
+  same spec's engine under the fault-tolerant supervisor;
   ``--telemetry-dir`` records metrics and an event log;
-* ``elastic-train`` — train a once-for-all elastic supernet under the
-  progressive-shrinking schedule, saved as a versioned artifact;
-* ``specialize`` — policy-only search against a trained artifact for
-  one hardware target (no weight updates, cache-hot);
-* ``fleet`` — specialize the same artifact for every registered
-  platform and print the per-device Pareto table;
+* ``fleet`` — one ``specialize`` spec per registered platform, all
+  validated before the first runs, and the per-device Pareto table;
 * ``report telemetry`` — summarize a telemetry directory;
 * ``perfmodel`` — two-phase performance-model training on a DLRM slice;
 * ``serve`` — the persistent NAS service daemon (durable job queue,
   per-tenant quotas, shared worker pool; see :mod:`repro.service`);
-* ``submit`` / ``status`` / ``results`` / ``cancel`` / ``jobs`` /
-  ``drain`` — clients of a running daemon, JSON on stdout;
+* ``submit`` (every ``JobSpec`` field a flag, declared once in
+  :data:`SPEC_FLAGS` as for the search verbs, ``--kind`` included) /
+  ``status`` / ``results`` / ``cancel`` / ``jobs`` / ``drain`` —
+  clients of a running daemon, JSON on stdout;
 * ``worker`` — join a ``--backend distributed`` controller as a worker
   host (``--connect HOST:PORT``).
 
 Conventions: errors go to **stderr** with a non-zero exit code (1 for
-runtime/service failures, 2 for usage, 130 after a graceful SIGINT/
-SIGTERM stop); stdout carries only results.  SIGTERM/SIGINT during
-``search``/``search supervise`` finish the in-flight step, write a
-final checkpoint, and exit cleanly — rerun with ``--resume`` (or the
-supervisor) to continue.
+runtime/service failures, 2 for usage — a spec ``JobSpec`` refuses
+included, 130 after a graceful SIGINT/SIGTERM stop); stdout carries
+only results.  SIGTERM/SIGINT during a search verb finish the in-flight
+step, write a final checkpoint, and exit cleanly — rerun with
+``--resume`` (or the supervisor) to continue.
 
 Run ``python -m repro <subcommand> --help`` for options.
 """
@@ -41,25 +45,25 @@ import contextlib
 import json
 import pathlib
 import sys
+from dataclasses import fields
 from typing import List, Optional
 
-import numpy as np
-
 from .analysis import format_report, format_table
-from .core import H2ONas, NasCostModel, PerformanceObjective, SearchConfig
+from .core import NasCostModel
 from .core.engine import BACKEND_NAMES
 from .hardware import PLATFORMS, platform, simulate
 from .models import MbconvSpec, single_block_graph
 from .searchspace import per_block_cardinalities, table5_size_rows
 from .searchspace import DlrmSpaceConfig, dlrm_search_space
 from .service.jobs import (
-    dlrm_search_builder,
-    elastic_training_builder,
+    JOB_KINDS,
+    JobSpec,
+    build_job,
     fleet_sweep,
     platform_performance_fn,
-    specialization_builder,
+    run_spec,
 )
-from .service.protocol import ServiceError
+from .service.protocol import JobSpecError, ServiceError
 
 # Exit codes (stable, documented above): success / failure / usage /
 # graceful interrupt (128 + SIGINT, the shell convention).
@@ -77,26 +81,60 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def positive_int(text: str) -> int:
-    """Argparse type: an integer >= 1, rejected at parse time (exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """Argparse type: an integer >= ``low``, rejected at parse time (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
-def nonnegative_int(text: str) -> int:
-    """Argparse type: an integer >= 0, rejected at parse time (exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+positive_int, nonnegative_int = _int_at_least(1), _int_at_least(0)
+
+
+#: Each :class:`JobSpec` field's flag, declared once.  A verb takes the
+#: fields it runs with, at the defaults it names (``JobSpec``'s if none).
+SPEC_FLAGS = {
+    "--kind": dict(choices=JOB_KINDS, help="what the job runs"),
+    "--steps": dict(type=positive_int),
+    "--seed": dict(type=int),
+    "--cache": dict(action=argparse.BooleanOptionalAction, help="memoize candidate "
+                    "pricing by decision indices (--no-cache to disable)"),
+    "--checkpoint-every": dict(type=positive_int, help="steps between snapshots"),
+    "--step-sleep-s": dict(type=float, help="artificial per-step latency (testing/benchmarks)"),
+    "--artifact": dict(help="elastic artifact directory written by elastic-train"),
+    "--platform": dict(help=f"hardware target ({', '.join(sorted(PLATFORMS))}; "
+                       "common aliases accepted)"),
+}
+
+
+def add_spec_args(parser, *flags: str, required: bool = False, **defaults) -> None:
+    for flag in flags:
+        name = flag[2:].replace("-", "_")
+        default = defaults.get(name, getattr(JobSpec, name))
+        parser.add_argument(flag, default=default, required=required, **SPEC_FLAGS[flag])
+
+
+def add_backend_args(parser) -> None:
+    parser.add_argument(
+        "--backend", choices=list(BACKEND_NAMES), default=None,
+        help="execution backend for per-core shard work "
+        "(default: $REPRO_BACKEND, then serial); all backends "
+        "produce bit-identical results — processes runs GIL-free "
+        "across cores with supernet weights in shared memory",
+    )
+    parser.add_argument(
+        "--workers", type=positive_int, default=None,
+        help="worker count for --backend threads/processes/distributed "
+        "(default: $REPRO_WORKERS, then min(4, cpu cores)); must be >= 1",
+    )
 
 
 def cmd_spaces(_args: argparse.Namespace) -> str:
@@ -164,33 +202,19 @@ def cmd_cost(args: argparse.Namespace) -> str:
     )
 
 
-def _make_telemetry(args: argparse.Namespace):
-    """The run's shared Telemetry, if ``--telemetry-dir`` was given."""
-    telemetry_dir = getattr(args, "telemetry_dir", None)
-    if telemetry_dir is None:
-        return None
-    from .telemetry import Telemetry
-
-    return Telemetry(telemetry_dir)
-
-
 @contextlib.contextmanager
 def _search_session(args: argparse.Namespace):
     """What the search verbs share around their run.
 
-    Yields ``(telemetry, store, should_stop, hint)``: the run's telemetry
-    (``--telemetry-dir``), its checkpoint store (``--checkpoint-dir``),
-    the graceful-shutdown poll, and the line that tells the user where
-    the telemetry went (empty without any).  A SIGINT/SIGTERM stop
-    leaves as exit 130; telemetry is closed either way.
+    Yields ``(telemetry, store, should_stop)``: the run's telemetry
+    (``--telemetry-dir``), its checkpoint store (``--checkpoint-dir``)
+    and the graceful-shutdown poll.  A SIGINT/SIGTERM stop leaves as
+    exit 130; telemetry is closed either way.
     """
     from .runtime import CheckpointStore, GracefulShutdown, SearchInterrupted
+    from .telemetry import Telemetry
 
-    telemetry = _make_telemetry(args)
-    hint = "" if telemetry is None else (
-        f"\ntelemetry written to {args.telemetry_dir} "
-        f"(view with: python -m repro report telemetry {args.telemetry_dir})"
-    )
+    telemetry = None if args.telemetry_dir is None else Telemetry(args.telemetry_dir)
     try:
         store = None
         if args.checkpoint_dir is not None:
@@ -198,7 +222,7 @@ def _search_session(args: argparse.Namespace):
                 args.checkpoint_dir, keep_last=args.keep_last, telemetry=telemetry
             )
         with GracefulShutdown() as shutdown:
-            yield telemetry, store, shutdown.should_stop, hint
+            yield telemetry, store, shutdown.should_stop
     except SearchInterrupted as stop:
         raise CliError(str(stop), EXIT_INTERRUPTED) from None
     finally:
@@ -206,46 +230,58 @@ def _search_session(args: argparse.Namespace):
             telemetry.close()
 
 
-def cmd_search(args: argparse.Namespace) -> str:
-    from .runtime import run_with_checkpoints
+def _telemetry_hint(args: argparse.Namespace) -> str:
+    """The line that tells the user where the telemetry went (or none)."""
+    if args.telemetry_dir is None:
+        return ""
+    return (
+        f"\ntelemetry written to {args.telemetry_dir} "
+        f"(view with: python -m repro report telemetry {args.telemetry_dir})"
+    )
 
-    with _search_session(args) as (telemetry, store, should_stop, hint):
-        space, factory = dlrm_search_builder(
-            args.steps, args.seed, args.cache, telemetry=telemetry,
+
+def _spec(args: argparse.Namespace) -> JobSpec:
+    """The :class:`JobSpec` a verb's flags describe (its ``kind`` included)."""
+    values = {f.name: getattr(args, f.name) for f in fields(JobSpec) if hasattr(args, f.name)}
+    return JobSpec(**values)
+
+
+def _run(args: argparse.Namespace):
+    """Flags -> :class:`JobSpec` -> the one executor: ``(space, engine, result)``."""
+    spec = _spec(args)
+    with _search_session(args) as (telemetry, store, should_stop):
+        return run_spec(
+            spec, store, telemetry, resume=args.resume, should_stop=should_stop,
             backend=args.backend, workers=args.workers,
+            artifact_dir=getattr(args, "artifact_dir", None),
         )
-        result = run_with_checkpoints(
-            factory().search_algorithm,
-            store,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
-            should_stop=should_stop,
-        ).result
+
+
+def cmd_search(args: argparse.Namespace) -> str:
+    space, _, result = _run(args)
     out = format_report(space, result)
     if result.eval_stats is not None:
         out += f"\neval runtime: {result.eval_stats.summary()}"
-    return out + hint
+    return out + _telemetry_hint(args)
 
 
 def cmd_supervise(args: argparse.Namespace) -> str:
     from .runtime import FaultInjector, FaultSpec, SearchSupervisor, SupervisorConfig
 
+    spec = _spec(args)
     injector = None
     if args.inject_crash_at:
         injector = FaultInjector(
             [FaultSpec("crash", step=k) for k in args.inject_crash_at],
             seed=args.seed,
         )
-    with _search_session(args) as (telemetry, store, should_stop, hint):
-        space, factory = dlrm_search_builder(
-            args.steps, args.seed, args.cache, telemetry=telemetry,
-            backend=args.backend, workers=args.workers,
-        )
+    with _search_session(args) as (telemetry, store, should_stop):
+        space, factory = build_job(spec, telemetry, args.backend, args.workers)
         supervised = SearchSupervisor(
-            lambda: factory().search_algorithm,
+            factory,
             store,
             config=SupervisorConfig(
-                checkpoint_every=args.checkpoint_every,
+                checkpoint_every=spec.checkpoint_every,
                 max_restarts=args.max_restarts,
                 backoff_base_s=args.backoff_base_s,
             ),
@@ -272,35 +308,15 @@ def cmd_supervise(args: argparse.Namespace) -> str:
         f"  steps replayed: {supervised.steps_replayed}"
         f"  snapshots (final attempt): {supervised.snapshots_written}"
     )
-    return out + hint
+    return out + _telemetry_hint(args)
 
 
 def cmd_elastic_train(args: argparse.Namespace) -> str:
-    from .runtime import run_with_checkpoints, save_elastic_artifact
+    from .runtime import load_elastic_artifact
 
-    with _search_session(args) as (telemetry, store, should_stop, hint):
-        space, schedule, factory = elastic_training_builder(
-            args.steps, args.seed, args.cache, telemetry=telemetry,
-            backend=args.backend, workers=args.workers,
-        )
-        engine = factory()
-        run = run_with_checkpoints(
-            engine,
-            store,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
-            should_stop=should_stop,
-        )
-    artifact = save_elastic_artifact(
-        args.artifact_dir,
-        engine.supernet,
-        space,
-        schedule,
-        trained_steps=args.steps,
-        seed=args.seed,
-        metadata={"workload": "dlrm_quickstart"},
-    )
-    history = run.result.history
+    space, engine, result = _run(args)
+    artifact = load_elastic_artifact(args.artifact_dir)
+    schedule, history = engine.schedule, result.history
     lines = [
         f"elastic training: {len(history)} steps over {space.name} "
         f"({schedule!r})",
@@ -318,24 +334,11 @@ def cmd_elastic_train(args: argparse.Namespace) -> str:
         "specialize with: python -m repro specialize "
         f"--artifact {artifact.directory} --platform <name>",
     ]
-    return "\n".join(lines) + hint
+    return "\n".join(lines) + _telemetry_hint(args)
 
 
 def cmd_specialize(args: argparse.Namespace) -> str:
-    from .runtime import run_with_checkpoints
-
-    with _search_session(args) as (telemetry, store, should_stop, hint):
-        space, factory = specialization_builder(
-            args.artifact, args.platform, args.steps, args.seed, args.cache,
-            telemetry=telemetry, backend=args.backend, workers=args.workers,
-        )
-        result = run_with_checkpoints(
-            factory(),
-            store,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
-            should_stop=should_stop,
-        ).result
+    space, _, result = _run(args)
     out = format_report(space, result)
     harness, _, _ = platform_performance_fn(space, args.platform)
     # all three heads, not the two the search's own pricing callable reads
@@ -346,7 +349,7 @@ def cmd_specialize(args: argparse.Namespace) -> str:
         f"train step {metrics['train_step_time'] * 1e3:.3f}ms  "
         f"model size {metrics['model_size'] / 1e6:.1f}MB"
     )
-    return out + hint
+    return out + _telemetry_hint(args)
 
 
 def cmd_fleet(args: argparse.Namespace) -> str:
@@ -355,13 +358,8 @@ def cmd_fleet(args: argparse.Namespace) -> str:
 
     artifact = load_elastic_artifact(args.artifact)
     entries = fleet_sweep(
-        args.artifact,
-        args.steps,
-        args.seed,
-        platforms=args.platforms or None,
-        use_cache=args.cache,
-        backend=args.backend,
-        workers=args.workers,
+        args.artifact, args.steps, args.seed, platforms=args.platforms or None,
+        use_cache=args.cache, backend=args.backend, workers=args.workers,
     )
     out = (
         f"fleet sweep from {artifact.directory} "
@@ -483,16 +481,9 @@ def cmd_serve(args: argparse.Namespace) -> str:
 
 
 def cmd_submit(args: argparse.Namespace) -> str:
+    spec = _spec(args)  # an invalid spec is refused here, before any socket
     client = _client(args)
-    spec = {
-        "kind": "dlrm_quickstart",
-        "steps": args.steps,
-        "seed": args.seed,
-        "cache": args.cache,
-        "checkpoint_every": args.checkpoint_every,
-        "step_sleep_s": args.step_sleep_s,
-    }
-    record = client.submit(args.tenant, spec)
+    record = client.submit(args.tenant, spec.to_dict())
     if args.wait:
         record = client.wait(record["job_id"], timeout=args.timeout)
         if record["state"] != "done":
@@ -504,16 +495,10 @@ def cmd_submit(args: argparse.Namespace) -> str:
     return json.dumps(record, indent=2, sort_keys=True)
 
 
-def cmd_status(args: argparse.Namespace) -> str:
-    return json.dumps(_client(args).status(args.job_id), indent=2, sort_keys=True)
-
-
-def cmd_results(args: argparse.Namespace) -> str:
-    return json.dumps(_client(args).results(args.job_id), indent=2, sort_keys=True)
-
-
-def cmd_cancel(args: argparse.Namespace) -> str:
-    return json.dumps(_client(args).cancel(args.job_id), indent=2, sort_keys=True)
+def cmd_job(args: argparse.Namespace) -> str:
+    """``status`` / ``results`` / ``cancel``: the client call of that name."""
+    reply = getattr(_client(args), args.command)(args.job_id)
+    return json.dumps(reply, indent=2, sort_keys=True)
 
 
 def cmd_jobs(args: argparse.Namespace) -> str:
@@ -575,64 +560,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     search = sub.add_parser("search", help="small end-to-end DLRM search")
 
-    def add_search_args(p, checkpoint_dir_required: bool) -> None:
-        p.add_argument("--steps", type=positive_int, default=60)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--cache",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="memoize candidate pricing by decision indices (--no-cache to disable)",
+    def add_search_args(p, supervised: bool = False) -> None:
+        add_spec_args(
+            p, "--steps", "--seed", "--cache", "--checkpoint-every",
+            steps=60, checkpoint_every=10,
         )
-        p.add_argument(
-            "--checkpoint-dir",
-            default=None,
-            required=checkpoint_dir_required,
-            help="snapshot full search state into this directory",
-        )
-        p.add_argument(
-            "--checkpoint-every",
-            type=positive_int,
-            default=10,
-            help="steps between snapshots",
-        )
-        p.add_argument(
-            "--keep-last",
-            type=positive_int,
-            default=3,
-            help="snapshots retained in the checkpoint directory",
-        )
-        p.add_argument(
-            "--telemetry-dir",
-            default=None,
-            help="record run telemetry (metrics summary + event log) "
-            "into this directory; view with 'report telemetry'",
-        )
-        p.add_argument(
-            "--backend",
-            choices=list(BACKEND_NAMES),
-            default=None,
-            help="execution backend for per-core shard work "
-            "(default: $REPRO_BACKEND, then serial); all backends "
-            "produce bit-identical results — processes runs GIL-free "
-            "across cores with supernet weights in shared memory",
-        )
-        p.add_argument(
-            "--workers",
-            type=positive_int,
-            default=None,
-            help="worker count for --backend threads/processes/distributed "
-            "(default: $REPRO_WORKERS, then min(4, cpu cores)); must be >= 1",
-        )
+        p.add_argument("--checkpoint-dir", default=None, required=supervised,
+                       help="snapshot full search state into this directory")
+        p.add_argument("--keep-last", type=positive_int, default=3,
+                       help="snapshots retained in the checkpoint directory")
+        p.add_argument("--telemetry-dir", default=None,
+                       help="record run telemetry (metrics summary + event log) "
+                       "into this directory; view with 'report telemetry'")
+        add_backend_args(p)
+        if not supervised:
+            p.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True,
+                           help="resume from the newest good snapshot in --checkpoint-dir")
 
-    add_search_args(search, checkpoint_dir_required=False)
-    search.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="resume from the newest good snapshot in --checkpoint-dir",
-    )
-    search.set_defaults(handler=cmd_search)
+    add_search_args(search)
+    search.set_defaults(handler=cmd_search, kind="dlrm_quickstart")
 
     search_sub = search.add_subparsers(dest="search_command")
     supervise = search_sub.add_parser(
@@ -640,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the search under the fault-tolerant supervisor "
         "(bounded restarts, resume from checkpoints)",
     )
-    add_search_args(supervise, checkpoint_dir_required=True)
+    add_search_args(supervise, supervised=True)
     supervise.add_argument(
         "--max-restarts",
         type=nonnegative_int,
@@ -655,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     supervise.add_argument(
         "--inject-crash-at",
-        type=int,
+        type=nonnegative_int,
         nargs="*",
         default=[],
         metavar="STEP",
@@ -668,57 +614,30 @@ def build_parser() -> argparse.ArgumentParser:
         "elastic-train",
         help="train a once-for-all elastic supernet, save it as an artifact",
     )
-    add_search_args(elastic_train, checkpoint_dir_required=False)
+    add_search_args(elastic_train)
     elastic_train.add_argument(
         "--artifact-dir",
         required=True,
         help="write the trained elastic artifact (weights + manifest) here",
     )
-    elastic_train.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="resume from the newest good snapshot in --checkpoint-dir",
-    )
-    elastic_train.set_defaults(handler=cmd_elastic_train)
+    elastic_train.set_defaults(handler=cmd_elastic_train, kind="elastic_train")
 
     specialize = sub.add_parser(
         "specialize",
         help="policy-only search against a trained elastic artifact "
         "for one hardware target",
     )
-    add_search_args(specialize, checkpoint_dir_required=False)
-    specialize.add_argument(
-        "--artifact",
-        required=True,
-        help="elastic artifact directory written by elastic-train",
-    )
-    specialize.add_argument(
-        "--platform",
-        required=True,
-        help=f"hardware target ({', '.join(sorted(PLATFORMS))}; "
-        "common aliases accepted)",
-    )
-    specialize.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="resume from the newest good snapshot in --checkpoint-dir",
-    )
-    specialize.set_defaults(handler=cmd_specialize)
+    add_search_args(specialize)
+    add_spec_args(specialize, "--artifact", "--platform", required=True)
+    specialize.set_defaults(handler=cmd_specialize, kind="specialize")
 
     fleet = sub.add_parser(
         "fleet",
         help="specialize one trained artifact for every fleet platform "
         "and print the per-device Pareto table",
     )
-    fleet.add_argument(
-        "--artifact",
-        required=True,
-        help="elastic artifact directory written by elastic-train",
-    )
-    fleet.add_argument("--steps", type=positive_int, default=20)
-    fleet.add_argument("--seed", type=int, default=0)
+    add_spec_args(fleet, "--artifact", required=True)
+    add_spec_args(fleet, "--steps", "--seed", "--cache")
     fleet.add_argument(
         "--platforms",
         nargs="*",
@@ -726,11 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="subset of platforms to sweep (default: all registered)",
     )
-    fleet.add_argument(
-        "--cache", action=argparse.BooleanOptionalAction, default=True
-    )
-    fleet.add_argument("--backend", choices=list(BACKEND_NAMES), default=None)
-    fleet.add_argument("--workers", type=positive_int, default=None)
+    add_backend_args(fleet)
     fleet.set_defaults(handler=cmd_fleet)
 
     report = sub.add_parser(
@@ -779,15 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="running jobs one tenant may hold")
     serve.add_argument("--tenant-max-queued", type=positive_int, default=8,
                        help="queued jobs one tenant may hold")
-    serve.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default=None,
-        help="execution backend for shard fan-out inside each job "
-        "(default: $REPRO_BACKEND, then serial)",
-    )
-    serve.add_argument("--workers", type=positive_int, default=None,
-                       help="worker-pool size for pooled backends; must be >= 1")
+    add_backend_args(serve)
     serve.set_defaults(handler=cmd_serve)
 
     def add_client_args(p) -> None:
@@ -802,38 +709,21 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser("submit", help="submit a search job to the daemon")
     add_client_args(submit)
     submit.add_argument("--tenant", default="default", help="tenant the job bills to")
-    submit.add_argument("--steps", type=positive_int, default=20)
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument(
-        "--cache", action=argparse.BooleanOptionalAction, default=True,
-        help="memoize candidate pricing (--no-cache to disable)",
-    )
-    submit.add_argument("--checkpoint-every", type=positive_int, default=1,
-                        help="steps between the job's durable snapshots")
-    submit.add_argument("--step-sleep-s", type=float, default=0.0,
-                        help="artificial per-step latency (testing/benchmarks)")
+    add_spec_args(submit, *SPEC_FLAGS)
     submit.add_argument("--wait", action="store_true",
                         help="poll until the job reaches a terminal state")
     submit.set_defaults(handler=cmd_submit)
 
-    status = sub.add_parser("status", help="show one job's record")
-    add_client_args(status)
-    status.add_argument("job_id")
-    status.set_defaults(handler=cmd_status)
-
-    results = sub.add_parser("results", help="fetch a done job's results payload")
-    add_client_args(results)
-    results.add_argument("job_id")
-    results.set_defaults(handler=cmd_results)
-
-    cancel = sub.add_parser(
-        "cancel",
-        help="cancel a job (queued: now; running: at its next step "
-        "boundary, after a final checkpoint)",
-    )
-    add_client_args(cancel)
-    cancel.add_argument("job_id")
-    cancel.set_defaults(handler=cmd_cancel)
+    for verb, help_text in (
+        ("status", "show one job's record"),
+        ("results", "fetch a done job's results payload"),
+        ("cancel", "cancel a job (queued: now; running: at its next step "
+         "boundary, after a final checkpoint)"),
+    ):
+        one_job = sub.add_parser(verb, help=help_text)
+        add_client_args(one_job)
+        one_job.add_argument("job_id")
+        one_job.set_defaults(handler=cmd_job)
 
     jobs = sub.add_parser("jobs", help="list jobs (optionally filtered)")
     add_client_args(jobs)
@@ -896,7 +786,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return error.exit_code
     except ServiceError as error:
         print(f"error: {error}", file=sys.stderr)
-        return EXIT_FAILURE
+        # a spec the flags describe that JobSpec refuses is a usage error
+        return EXIT_USAGE if isinstance(error, JobSpecError) else EXIT_FAILURE
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

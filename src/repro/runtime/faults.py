@@ -20,6 +20,7 @@ predecessor without re-tripping the same fault.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence
@@ -90,6 +91,8 @@ class _MidShardCrash:
     Everything is forwarded to the wrapped supernet, so capability
     checks (``hasattr``, the ``StackedScoring`` protocol) see exactly
     what it offers; the calls the score stage makes are counted first.
+    Every call past the limit raises, but the death is recorded once,
+    however many calls were in flight on a thread pool.
     """
 
     #: the supernet entry points of the engine's score stage
@@ -99,11 +102,15 @@ class _MidShardCrash:
         self._supernet = supernet
         self._remaining = after_calls
         self._on_fire = on_fire
+        self._lock = threading.Lock()
 
     def _tick(self) -> None:
-        self._remaining -= 1
-        if self._remaining < 0:
+        with self._lock:
+            self._remaining -= 1
+            remaining = self._remaining
+        if remaining == -1:
             self._on_fire()
+        if remaining < 0:
             raise InjectedCrash("injected mid-shard crash during scoring")
 
     def __getattr__(self, name: str) -> Any:

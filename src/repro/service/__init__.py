@@ -10,8 +10,10 @@ the shared execution-backend pools — into that production surface:
 
 * :mod:`repro.service.queue` — durable FIFO job queue, one atomic JSON
   record per job under a spool directory; SIGKILL-safe by construction;
-* :mod:`repro.service.jobs` — validated job specs, per-job execution
-  with private checkpoint/telemetry dirs, fingerprinted results;
+* :mod:`repro.service.jobs` — validated job specs of three kinds
+  (quickstart search, elastic training, specialization), the one
+  executor the daemon and the CLI share, per-job execution with
+  private checkpoint/telemetry dirs, fingerprinted results;
 * :mod:`repro.service.scheduler` — admission control, per-tenant
   quotas, N concurrent searches over one shared worker pool,
   graceful cancel/drain at step boundaries;

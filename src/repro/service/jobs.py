@@ -1,13 +1,25 @@
-"""Job specs and job execution: what one queue entry actually runs.
+"""Job specs and the one executor: what a queue entry, and every search verb, runs.
 
-A job is a parameterized search: a validated :class:`JobSpec` (the
-dict a client submits), a factory building the search from it, and
-:func:`run_job`, which drives the search under
-:func:`~repro.runtime.supervisor.run_with_checkpoints` inside the
-job's private run directory::
+A run is a validated :class:`JobSpec` — the dict a client submits, or
+what a CLI search verb builds from its flags.  Its ``kind`` names one
+of three runs of the quickstart DLRM workload, each from its builder:
+
+* ``dlrm_quickstart`` (the default) — the single-step search,
+  :func:`dlrm_search_builder`;
+* ``elastic_train`` — once-for-all elastic training,
+  :func:`elastic_training_builder`, whose artifact goes where the
+  caller says (a daemon job's: its run directory);
+* ``specialize`` — a policy-only search against a trained ``artifact``
+  for one hardware ``platform``, :func:`specialization_builder`.
+
+:func:`run_spec` is the one executor: it maps the kind to its builder
+and drives the engine under
+:func:`~repro.runtime.supervisor.run_with_checkpoints`.  :func:`run_job`
+runs a queued job through it inside the job's private run directory::
 
     <spool>/runs/<job_id>/checkpoints/   resumable snapshots
     <spool>/runs/<job_id>/telemetry/     per-job metrics + event stream
+    <spool>/runs/<job_id>/artifact/      an elastic_train job's artifact
     <spool>/runs/<job_id>/results.json   final payload, atomic write
 
 Results carry a canonical SHA-256 ``fingerprint`` over the
@@ -16,10 +28,6 @@ cache counters).  Because checkpointed, resumed, and backend-pooled
 runs are all bit-identical to a one-shot serial run, a service job's
 fingerprint must equal :func:`one_shot_payload` of the same spec — the
 property the durability test and the service benchmark assert.
-
-The quickstart DLRM builder lives here (not in the CLI) so the daemon,
-the CLI's ``search``/``supervise`` commands, and the benchmarks share
-one definition of the workload.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import json
 import math
 import pathlib
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Optional
 
 from ..runtime.atomic import atomic_write_json
@@ -38,14 +46,10 @@ from .protocol import JobSpecError
 RESULTS_NAME = "results.json"
 CHECKPOINTS_DIRNAME = "checkpoints"
 TELEMETRY_DIRNAME = "telemetry"
+ARTIFACT_DIRNAME = "artifact"
 
 #: Result payload layout version.
 RESULTS_SCHEMA = 1
-
-#: Known job kinds -> builder. One kind today; the registry is the
-#: extension point for new workloads (LM serving space, Pareto sweeps).
-JOB_KINDS = ("dlrm_quickstart",)
-
 
 # ----------------------------------------------------------------------
 # The quickstart DLRM workload (shared with the CLI)
@@ -204,38 +208,6 @@ def platform_performance_fn(space, platform_name):
     return harness, harness.pricing([o.metric for o in objectives]), objectives
 
 
-def _specialization(
-    artifact_dir, platform_name, steps, seed, use_cache, telemetry, backend, workers
-):
-    """:func:`specialization_builder` plus the target's timing harness,
-    as ``(space, harness, factory)``."""
-    from ..core import relu_reward
-    from ..core.elastic import SpecializationSearch
-    from ..data import SingleStepPipeline
-    from ..runtime import restore_elastic_supernet
-
-    space = _quickstart_space()
-    harness, performance_fn, objectives = platform_performance_fn(
-        space, platform_name
-    )
-
-    def factory() -> "SpecializationSearch":
-        batch_source, supernet = _quickstart_parts(seed)
-        restore_elastic_supernet(artifact_dir, supernet, space)
-        return SpecializationSearch(
-            space,
-            supernet,
-            SingleStepPipeline(batch_source),
-            reward_fn=relu_reward(objectives),
-            performance_fn=performance_fn,
-            config=_quickstart_config(
-                steps, seed, 0, use_cache, telemetry, backend, workers
-            ),
-        )
-
-    return space, harness, factory
-
-
 def specialization_builder(
     artifact_dir,
     platform_name: str,
@@ -253,9 +225,28 @@ def specialization_builder(
     so remote backends publish the trained weights (never republished —
     the optimizer never steps) and the run stays cache-hot.
     """
-    space, _, factory = _specialization(
-        artifact_dir, platform_name, steps, seed, use_cache, telemetry, backend, workers
-    )
+    from ..core import relu_reward
+    from ..core.elastic import SpecializationSearch
+    from ..data import SingleStepPipeline
+    from ..runtime import restore_elastic_supernet
+
+    space = _quickstart_space()
+    _, performance_fn, objectives = platform_performance_fn(space, platform_name)
+
+    def factory() -> "SpecializationSearch":
+        batch_source, supernet = _quickstart_parts(seed)
+        restore_elastic_supernet(artifact_dir, supernet, space)
+        return SpecializationSearch(
+            space,
+            supernet,
+            SingleStepPipeline(batch_source),
+            reward_fn=relu_reward(objectives),
+            performance_fn=performance_fn,
+            config=_quickstart_config(
+                steps, seed, 0, use_cache, telemetry, backend, workers
+            ),
+        )
+
     return space, factory
 
 
@@ -271,11 +262,13 @@ def fleet_sweep(
 ):
     """Specialize one trained artifact for every fleet target.
 
-    Runs one :func:`specialization_builder` search per platform (all
-    against the same frozen weights) and returns the marked-Pareto
-    :class:`~repro.analysis.fleet.FleetEntry` rows: per-device final
-    architecture, quality/reward, simulated timing on that device, its
-    scaling bottleneck, and data-parallel cluster throughput.
+    Runs one ``specialize`` :class:`JobSpec` per platform (all against
+    the same frozen weights) through :func:`run_spec`, and returns the
+    marked-Pareto :class:`~repro.analysis.fleet.FleetEntry` rows:
+    per-device final architecture, quality/reward, simulated timing on
+    that device, its scaling bottleneck, and data-parallel cluster
+    throughput.  Every spec is built, so every platform validated,
+    before the first search runs.
     """
     from dataclasses import replace
 
@@ -283,14 +276,18 @@ def fleet_sweep(
     from ..hardware import ClusterModel, PLATFORMS, bottleneck, simulate
     from ..models.dlrm import build_graph
 
-    names = list(platforms) if platforms is not None else list(PLATFORMS)
-    entries = []
-    for name in names:
-        space, harness, factory = _specialization(
-            artifact_dir, name, steps, seed, use_cache, None, backend, workers
+    specs = [
+        JobSpec(
+            kind="specialize", steps=steps, seed=seed, cache=use_cache,
+            artifact=str(artifact_dir), platform=name,
         )
+        for name in (PLATFORMS if platforms is None else platforms)
+    ]
+    entries = []
+    for spec in specs:
+        space, _, result = run_spec(spec, backend=backend, workers=workers)
+        harness, _, _ = platform_performance_fn(space, spec.platform)
         hw = harness.serve_hw
-        result = factory().run()
         final = result.final_architecture
         # lowered once: the spec and its training graph feed the timing,
         # the bottleneck and the cluster model
@@ -325,6 +322,27 @@ def fleet_sweep(
 # ----------------------------------------------------------------------
 # Job spec
 # ----------------------------------------------------------------------
+def _quickstart_job(spec, *run):
+    space, factory = dlrm_search_builder(*run)
+    return space, lambda: factory().search_algorithm
+
+
+def _elastic_job(spec, *run):
+    space, _, factory = elastic_training_builder(*run)
+    return space, factory
+
+
+#: job kind -> its builder, as ``(spec, *run) -> (space, factory)``, the
+#: factory building a fresh engine; ``run`` is ``(steps, seed, cache,
+#: telemetry, backend, workers)``, every builder's leading arguments
+_BUILDERS = {
+    "dlrm_quickstart": _quickstart_job,
+    "elastic_train": _elastic_job,
+    "specialize": lambda spec, *run: specialization_builder(spec.artifact, spec.platform, *run),
+}
+JOB_KINDS = tuple(_BUILDERS)
+
+
 def _is_int(value: Any) -> bool:
     """An ``int`` that is not a ``bool`` (JSON ``true`` is not a count)."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -332,7 +350,8 @@ def _is_int(value: Any) -> bool:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """Validated search parameters a client may submit."""
+    """Validated parameters of one run: what a client submits, and what
+    each CLI search verb builds from its flags."""
 
     kind: str = "dlrm_quickstart"
     steps: int = 20
@@ -346,6 +365,10 @@ class JobSpec:
     #: attached-accelerator or testbed wait; also what lets tests hold a
     #: job in ``running`` long enough to kill the daemon under it.
     step_sleep_s: float = 0.0
+    #: ``specialize`` only, and required there: the trained elastic
+    #: artifact's directory and the hardware target to specialize for
+    artifact: Optional[str] = None
+    platform: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.kind not in JOB_KINDS:
@@ -362,6 +385,31 @@ class JobSpec:
             raise JobSpecError("spec.checkpoint_every must be an integer >= 1")
         if not 0 <= self.step_sleep_s < math.inf:  # NaN compares false
             raise JobSpecError("spec.step_sleep_s must be a finite number >= 0")
+        if self.kind == "specialize":
+            self._check_target()
+        elif self.artifact is not None or self.platform is not None:
+            raise JobSpecError(
+                f"spec.artifact and spec.platform are for kind 'specialize', "
+                f"not {self.kind!r}"
+            )
+
+    def _check_target(self) -> None:
+        """A ``specialize`` spec names a known platform and a loadable artifact."""
+        from ..hardware import platform
+        from ..runtime import CheckpointError, load_elastic_artifact
+
+        if not isinstance(self.artifact, str) or not isinstance(self.platform, str):
+            raise JobSpecError(
+                "a specialize job needs spec.artifact and spec.platform (strings)"
+            )
+        try:
+            platform(self.platform)
+        except ValueError as error:
+            raise JobSpecError(f"spec.platform: {error}") from None
+        try:
+            load_elastic_artifact(self.artifact)
+        except (CheckpointError, LookupError, TypeError, ValueError) as error:
+            raise JobSpecError(f"spec.artifact: {error}") from None
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "JobSpec":
@@ -379,14 +427,8 @@ class JobSpec:
             raise JobSpecError(f"bad spec: {error}") from None
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "steps": self.steps,
-            "seed": self.seed,
-            "cache": self.cache,
-            "checkpoint_every": self.checkpoint_every,
-            "step_sleep_s": self.step_sleep_s,
-        }
+        """The spec as JSON; unset ``specialize`` fields are left out."""
+        return {name: value for name, value in asdict(self).items() if value is not None}
 
 
 # ----------------------------------------------------------------------
@@ -432,15 +474,57 @@ def one_shot_payload(spec: JobSpec, backend: Optional[str] = None) -> Dict[str, 
     possibly killed and resumed, possibly pooled over shared workers —
     must fingerprint-match this.
     """
-    space, factory = dlrm_search_builder(
-        spec.steps, spec.seed, spec.cache, backend=backend
-    )
-    return result_payload(space, factory().search())
+    space, _, result = run_spec(spec, backend=backend)
+    return result_payload(space, result)
 
 
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
+def build_job(spec: JobSpec, telemetry=None, backend=None, workers=None):
+    """``(space, fresh-engine factory)`` of ``spec``'s kind — what
+    :func:`run_spec` runs once and a supervisor rebuilds on a restart."""
+    run = (spec.steps, spec.seed, spec.cache, telemetry, backend, workers)
+    return _BUILDERS[spec.kind](spec, *run)
+
+
+def run_spec(
+    spec: JobSpec,
+    store: Any = None,
+    telemetry: Any = None,
+    *,
+    resume: bool = True,
+    should_stop: Optional[Callable[[], bool]] = None,
+    on_step: Optional[Callable[[int], None]] = None,
+    backend: Optional[str] = None,
+    workers: Optional[int] = None,
+    artifact_dir: Any = None,
+):
+    """Run ``spec`` to completion (or a graceful stop): the one executor.
+
+    Builds the engine of ``spec.kind`` and drives it under
+    :func:`~repro.runtime.supervisor.run_with_checkpoints`, snapshotting
+    into ``store`` (none: one shot); an ``elastic_train`` run then saves
+    its trained supernet as an artifact in ``artifact_dir``, when one is
+    given (other kinds ignore it).  Returns ``(space, engine, result)``.
+    """
+    from ..runtime import run_with_checkpoints, save_elastic_artifact
+
+    space, factory = build_job(spec, telemetry, backend, workers)
+    engine = factory()
+    result = run_with_checkpoints(
+        engine, store, checkpoint_every=spec.checkpoint_every, resume=resume,
+        on_step=on_step, should_stop=should_stop,
+    ).result
+    if spec.kind == "elastic_train" and artifact_dir is not None:
+        save_elastic_artifact(
+            artifact_dir, engine.supernet, space, engine.schedule,
+            trained_steps=spec.steps, seed=spec.seed,
+            metadata={"workload": "dlrm_quickstart"},
+        )
+    return space, engine, result
+
+
 def run_job(
     record: Any,
     run_dir: pathlib.Path,
@@ -459,39 +543,26 @@ def run_job(
     returns the fingerprinted results payload (also written atomically
     to ``results.json``) on completion.
     """
-    from ..runtime import CheckpointStore, run_with_checkpoints
+    from ..runtime import CheckpointStore
     from ..telemetry import Telemetry
 
     spec = JobSpec.from_dict(record.spec)
     run_dir = pathlib.Path(run_dir)
+
+    def step_cb(step: int) -> None:
+        if spec.step_sleep_s:
+            sleep_fn(spec.step_sleep_s)
+        if on_step is not None:
+            on_step(step)
+
     telemetry = Telemetry(run_dir / TELEMETRY_DIRNAME)
     try:
-        space, factory = dlrm_search_builder(
-            spec.steps,
-            spec.seed,
-            spec.cache,
-            telemetry=telemetry,
-            backend=backend,
-            workers=workers,
-        )
-        search = factory().search_algorithm
         store = CheckpointStore(run_dir / CHECKPOINTS_DIRNAME, telemetry=telemetry)
-
-        def step_cb(step: int) -> None:
-            if spec.step_sleep_s:
-                sleep_fn(spec.step_sleep_s)
-            if on_step is not None:
-                on_step(step)
-
-        run = run_with_checkpoints(
-            search,
-            store=store,
-            checkpoint_every=spec.checkpoint_every,
-            resume=True,
-            on_step=step_cb,
-            should_stop=should_stop,
+        space, _, result = run_spec(
+            spec, store, telemetry, on_step=step_cb, should_stop=should_stop,
+            backend=backend, workers=workers, artifact_dir=run_dir / ARTIFACT_DIRNAME,
         )
-        payload = result_payload(space, run.result)
+        payload = result_payload(space, result)
         atomic_write_json(run_dir / RESULTS_NAME, payload, indent=2, sort_keys=True)
         return payload
     finally:

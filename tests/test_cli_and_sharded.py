@@ -63,6 +63,24 @@ class TestCliExitCodes:
             main(["search", "--steps", "0"])
         assert excinfo.value.code == 2
 
+    def test_negative_crash_step_rejected_at_parse_time(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "supervise", "--checkpoint-dir", "x", "--inject-crash-at", "-1"])
+        assert excinfo.value.code == 2
+        assert "must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [(["--step-sleep-s", "nan"], "step_sleep_s"), (["--kind", "specialize"], "platform")],
+    )
+    def test_submit_refuses_an_invalid_spec_before_dialing(self, tmp_path, capsys, flags, field):
+        # a dialed socket that is not there would be exit 1, "no daemon reachable"
+        assert main(["submit", "--socket", str(tmp_path / "nope.sock"), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and field in captured.err
+        assert "no daemon reachable" not in captured.err
+
     def test_client_without_socket_or_spool_is_usage_error(self, capsys):
         assert main(["status", "job-000000"]) == 2
         captured = capsys.readouterr()

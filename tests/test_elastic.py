@@ -513,6 +513,33 @@ class TestEndToEndWorkflow:
             assert entry.model_size > 0
             assert len(entry.indices) == len(build_space().decisions)
 
+    def test_fleet_validates_every_platform_before_searching(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import main
+
+        training = build_training(steps=3)
+        training.run()
+        art = tmp_path / "artifact"
+        save_elastic_artifact(
+            art, training.supernet, build_space(), training.schedule,
+            trained_steps=3, seed=0,
+        )
+        built = []
+        construct = SpecializationSearch.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpecializationSearch, "__init__", counting_init)
+        assert main([
+            "fleet", "--artifact", str(art), "--steps", "2",
+            "--platforms", "tpu_v4", "gpu_v100", "bogus",
+        ]) == 2
+        assert built == []  # refused before the first search was built
+        assert "'bogus'" in capsys.readouterr().err
+
     def test_unknown_platform_enumerates_registry(self):
         with pytest.raises(ValueError) as err:
             platform("hal9000")

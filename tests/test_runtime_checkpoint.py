@@ -8,6 +8,8 @@ crash/resume bit-identity property lives in ``test_crash_resume.py``.
 """
 
 import json
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.core import (
     RandomSearch,
     SearchConfig,
     SingleStepSearch,
+    ThreadPoolBackend,
     TunasSearch,
     relu_reward,
 )
@@ -281,6 +284,35 @@ class TestFaultInjector:
         injector.before_step(1)  # the step itself runs
         with pytest.raises(InjectedCrash):
             injector.after_step(1)
+
+    def test_mid_shard_crash_is_recorded_once_with_calls_in_flight(self):
+        """Four scoring calls in flight on a thread pool: the first one
+        scores, the other three find the worker dead, one fault fires."""
+        in_flight = threading.Barrier(4, timeout=10.0)
+
+        class Supernet:
+            def quality_many(self, item):
+                return item
+
+        search = SimpleNamespace(supernet=Supernet())
+        injector = FaultInjector([FaultSpec("crash", step=0, phase="mid")])
+        injector.arm(search=search, store=None)
+        injector.before_step(0)
+
+        def score(item):
+            in_flight.wait()
+            try:
+                return search.supernet.quality_many(item)
+            except InjectedCrash:
+                return None
+
+        backend = ThreadPoolBackend(workers=4, shared=False)
+        try:
+            scored = backend.map(score, range(4))
+        finally:
+            backend.close()
+        assert sum(value is not None for value in scored) == 1
+        assert [(f.spec.phase, f.step) for f in injector.fired] == [("mid", 0)]
 
     def test_straggler_sleeps_without_failing(self):
         delays = []

@@ -1,10 +1,11 @@
 """Daemon tests: wire protocol, end-to-end jobs, kill-the-daemon durability.
 
 The load-bearing acceptance test lives here: SIGKILL a daemon with one
-job running and one queued, restart it over the same spool, and both
-jobs must reach ``done`` with results bit-identical to uninterrupted
-one-shot runs of the same specs (the same fingerprint contract the
-crash/resume tests established for the supervisor).
+job running and two queued, one of each job kind, restart it over the
+same spool, and all three jobs must reach ``done`` with results
+bit-identical to uninterrupted one-shot runs of the same specs (the
+same fingerprint contract the crash/resume tests established for the
+supervisor).
 
 Every daemon here pins ``--backend serial``.  Two jobs sharing one
 scheduler, and so one worker cluster, on every backend are the
@@ -23,6 +24,7 @@ import time
 
 import pytest
 
+from repro.runtime import load_elastic_artifact
 from repro.service import (
     DaemonConfig,
     JobSpec,
@@ -31,6 +33,7 @@ from repro.service import (
     ServiceDaemon,
     one_shot_payload,
 )
+from repro.service.jobs import run_spec
 from repro.service.protocol import (
     ProtocolError,
     QuotaExceededError,
@@ -234,25 +237,30 @@ class TestDaemonSubprocess:
         assert on_disk["progress"] >= 1
 
     def test_sigkill_durability_bit_identical(self, tmp_path):
-        """The acceptance criterion: SIGKILL with a running and a queued
-        job; a restarted daemon finishes both; results are bit-identical
-        to uninterrupted one-shot runs."""
+        """The acceptance criterion: SIGKILL with a running job and two
+        queued ones, a job of each kind; a restarted daemon finishes all
+        three; results are bit-identical to uninterrupted one-shot runs."""
         spool = tmp_path / "spool"
-        slow = {"steps": 6, "seed": 5, "step_sleep_s": 0.25, "checkpoint_every": 1}
-        fast = {"steps": 3, "seed": 9}
+        artifact = tmp_path / "artifact"
+        run_spec(JobSpec(kind="elastic_train", steps=4), artifact_dir=artifact)
+        slow = {
+            "kind": "specialize", "steps": 6, "seed": 5, "step_sleep_s": 0.25,
+            "checkpoint_every": 1, "artifact": str(artifact), "platform": "tpu_v4",
+        }
+        fast = [{"steps": 3, "seed": 9}, {"kind": "elastic_train", "steps": 3, "seed": 2}]
         proc = start_daemon_subprocess(spool, max_concurrent=1)
         try:
             client = ServiceClient(spool / "daemon.sock")
             client.wait_ready(timeout=30.0)
             running = client.submit("alice", slow)
-            queued = client.submit("alice", fast)
+            queued = [client.submit("alice", spec) for spec in fast]
             # Let the first job make real progress (checkpoints on disk),
-            # while the second sits queued behind max_concurrent=1.
+            # while the others sit queued behind max_concurrent=1.
             deadline = time.monotonic() + 60.0
             while client.status(running["job_id"])["progress"] < 2:
                 assert time.monotonic() < deadline
                 time.sleep(0.02)
-            assert client.status(queued["job_id"])["state"] == "queued"
+            assert [client.status(job["job_id"])["state"] for job in queued] == ["queued"] * 2
             proc.kill()  # SIGKILL: no drain, no cleanup
             proc.communicate(timeout=30.0)
         finally:
@@ -268,7 +276,7 @@ class TestDaemonSubprocess:
             client = ServiceClient(spool / "daemon.sock")
             client.wait_ready(timeout=30.0)
             got_running = client.wait_results(running["job_id"], timeout=120.0)
-            got_queued = client.wait_results(queued["job_id"], timeout=120.0)
+            got_queued = [client.wait_results(job["job_id"], timeout=120.0) for job in queued]
             after = client.status(running["job_id"])
             assert after["recoveries"] == 1
             client.drain()
@@ -278,7 +286,10 @@ class TestDaemonSubprocess:
                 restarted.kill()
                 restarted.communicate()
         assert got_running == one_shot_payload(JobSpec(**slow), backend="serial")
-        assert got_queued == one_shot_payload(JobSpec(**fast), backend="serial")
+        assert got_queued == [one_shot_payload(JobSpec(**spec), backend="serial") for spec in fast]
+        # the elastic_train job's artifact sits in its run directory
+        trained = load_elastic_artifact(spool / "runs" / queued[1]["job_id"] / "artifact")
+        assert trained.trained_steps == 3
 
     def test_sigkill_mid_interval_leaves_progress_at_a_snapshot(self, tmp_path):
         """Between snapshots ``status`` runs ahead of the spool: what a

@@ -86,6 +86,35 @@ class TestAdmission:
             scheduler.submit("alice", json.loads(wire))
         assert queue.list() == []
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "specialize", "platform": "tpu_v4"}, "needs spec.artifact"),
+            ({"kind": "specialize", "artifact": "art", "platform": "hal9000"}, "spec.platform"),
+            ({"kind": "specialize", "artifact": "missing", "platform": "v4"}, "spec.artifact"),
+            ({"kind": "specialize", "artifact": "torn", "platform": "v4"}, "spec.artifact"),
+            ({"kind": "elastic_train", "platform": "tpu_v4"}, "for kind 'specialize'"),
+            ({"artifact": "art"}, "for kind 'specialize'"),
+            ({"kind": "lm_serving"}, "unknown job kind"),
+        ],
+    )
+    def test_kind_fields_are_checked_at_submit(self, tmp_path, spec, message):
+        from repro.service.jobs import JobSpec, run_spec
+
+        run_spec(JobSpec(kind="elastic_train", steps=1), artifact_dir=tmp_path / "art")
+        # a manifest of the right format and kind that names nothing else
+        (tmp_path / "torn").mkdir()
+        (tmp_path / "torn" / "ARTIFACT.json").write_text(
+            json.dumps({"format": 1, "kind": "elastic_supernet"})
+        )
+        queue, scheduler = make_scheduler(tmp_path, StubRunner())
+        spec = {k: str(tmp_path / v) if k == "artifact" else v for k, v in spec.items()}
+        with pytest.raises(JobSpecError, match=message):
+            scheduler.submit("alice", spec)
+        assert queue.list() == []
+        specialize = {"kind": "specialize", "artifact": str(tmp_path / "art"), "platform": "v4"}
+        assert scheduler.submit("alice", specialize).spec.items() >= specialize.items()
+
     def test_global_queue_depth_enforced(self, tmp_path):
         _, scheduler = make_scheduler(tmp_path, StubRunner(), max_queue_depth=2)
         scheduler.submit("a", {})

@@ -16,8 +16,9 @@ The axes:
 * workloads — ``single_step`` (the quickstart DLRM search),
   ``tunas``, ``elastic`` (once-for-all training), ``specialize`` (a
   policy-only search against an artifact trained once per module) and
-  ``service`` (two concurrent jobs on one in-process scheduler, so on
-  one shared cluster);
+  ``service`` (one job of each kind — ``dlrm_quickstart``,
+  ``elastic_train``, ``specialize`` — on one in-process scheduler, so
+  on one shared cluster, each checked against ``one_shot_payload``);
 * backends — every name in ``BACKEND_NAMES``, always passed explicitly
   (``REPRO_BACKEND`` never decides a cell);
 * faults — ``none``; a ``crash`` ``before``, ``mid``-shard or ``after``
@@ -203,9 +204,15 @@ def specialize(steps, seed, backend):
 
 
 def service_specs(steps, seed):
-    """Two tenants' quickstart jobs, run side by side."""
+    """One job of each kind, run side by side: the quickstart search, an
+    elastic training and a specialization of the module's artifact."""
     return [
-        {"steps": steps, "seed": seed + offset, "checkpoint_every": 2} for offset in (0, 1)
+        {"steps": steps, "seed": seed, "checkpoint_every": 2},
+        {"kind": "elastic_train", "steps": steps, "seed": seed + 1, "checkpoint_every": 2},
+        {
+            "kind": "specialize", "steps": steps, "seed": seed + 2, "checkpoint_every": 2,
+            "artifact": str(artifact_dir()), "platform": "tpu_v4",
+        },
     ]
 
 
@@ -367,9 +374,8 @@ def run_cell(workload, backend, fault, step, seed):
                 injector=injector,
                 sleep_fn=lambda seconds: None,
             ).run()
-        # Every cell's fault really happened (a mid-shard crash on
-        # ``threads`` is logged once per scoring call already in flight).
-        assert list(dict.fromkeys(fired.spec for fired in injector.fired)) == specs
+        # Every cell's fault really happened, once.
+        assert [fired.spec for fired in injector.fired] == specs
         assert supervised.restarts == (1 if specs else 0)
         if owned is not None:
             assert owned.worker_losses == 1

@@ -273,6 +273,14 @@ def run_cli_verbs(traffic: Traffic) -> None:
         while not (spool / "daemon.sock").exists() and time.monotonic() < deadline:
             time.sleep(0.1)
         done = json.loads(repro("submit", "submit", "--spool", str(spool), "--steps", "4", "--wait"))
+        # train once, then specialize the job's own artifact, both as daemon jobs
+        trained = json.loads(
+            repro("submit --kind elastic_train", "submit", "--spool", str(spool),
+                  "--kind", "elastic_train", "--steps", "4", "--wait")
+        )
+        repro("submit --kind specialize", "submit", "--spool", str(spool), "--kind", "specialize",
+              "--artifact", str(spool / "runs" / trained["job_id"] / "artifact"),
+              "--platform", "tpu_v4", "--steps", "3", "--wait")
         slow = json.loads(
             repro("submit (to cancel)", "submit", "--spool", str(spool), "--steps", "50",
                   "--step-sleep-s", "0.05")
