@@ -132,7 +132,7 @@ def add_backend_args(parser) -> None:
     )
     parser.add_argument(
         "--workers", type=positive_int, default=None,
-        help="worker count for --backend threads/processes/distributed "
+        help="worker count for --backend processes/distributed "
         "(default: $REPRO_WORKERS, then min(4, cpu cores)); must be >= 1",
     )
 

@@ -6,7 +6,6 @@ from .engine import (
     ExecutionBackend,
     SearchEngine,
     SerialBackend,
-    ThreadPoolBackend,
     resolve_backend,
     shutdown_pools,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "run_worker",
     "SearchEngine",
     "SerialBackend",
-    "ThreadPoolBackend",
     "arch_key",
     "resolve_backend",
     "shutdown_pools",

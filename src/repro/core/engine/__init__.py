@@ -12,7 +12,6 @@ from .backends import (
     BackendSpec,
     ExecutionBackend,
     SerialBackend,
-    ThreadPoolBackend,
     default_worker_count,
     process_start_method,
     resolve_backend,
@@ -76,7 +75,6 @@ __all__ = [
     "StageTask",
     "StepRecord",
     "SuperNetwork",
-    "ThreadPoolBackend",
     "WorkerHost",
     "default_worker_count",
     "group_unique_architectures",

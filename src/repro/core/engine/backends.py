@@ -10,9 +10,6 @@ tasks, and this module supplies the things that map runs on:
 * :class:`SerialBackend` — the reference executor: one task after the
   other on the calling thread.  The semantics every other backend must
   reproduce bit-for-bit.
-* :class:`ThreadPoolBackend` — fans tasks out across a shared worker
-  pool.  Cheap (no serialization), but the GIL caps it: the scoring
-  passes it overlaps hold the interpreter between NumPy kernels.
 * :class:`~.distributed.ProcessPoolBackend` — fans *picklable* tasks
   out across worker processes: true multi-core execution for the
   compute-dominated scoring path.  Supernet weights travel through one
@@ -41,13 +38,17 @@ import multiprocessing
 import os
 import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import Executor, ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union,
+)
 
 # Imported for its atexit hook, which must be registered before ours
 # below: atexit runs LIFO, and worker pools have to shut down before the
 # shared-memory segments their workers read are unlinked.
 from . import shm  # noqa: F401
+
+if TYPE_CHECKING:
+    from .distributed import _Cluster
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -122,22 +123,20 @@ class SerialBackend(ExecutionBackend):
 
 
 # ----------------------------------------------------------------------
-# Executor-pool registry
+# Cluster registry
 # ----------------------------------------------------------------------
-# Worker pools are shared per (kind, configuration) across backend
+# Worker clusters are shared per (kind, configuration) across backend
 # instances: tests and sweeps construct hundreds of short-lived
-# searches, and spinning an executor up and down for each would
-# dominate their cost.  Shared pools live until `shutdown_pools()` —
-# registered with atexit so interpreter exit reaps them — while pools a
-# backend was asked to own (``shared=False``) are released by that
-# backend's `close()`.  Thread pools are executors; the remote backends
-# register their worker clusters here too (`shutdown(wait=...)` is the
-# whole interface).
-_POOLS: Dict[Tuple[Any, ...], Executor] = {}
+# searches, and spinning workers up and down for each would dominate
+# their cost.  Shared clusters live until `shutdown_pools()` —
+# registered with atexit so interpreter exit reaps them — while a
+# cluster a backend was asked to own (``shared=False``) is released by
+# that backend's `close()`.
+_POOLS: Dict[Tuple[Any, ...], "_Cluster"] = {}
 _POOLS_LOCK = threading.Lock()
 
 
-def _shared_pool(key: Tuple[Any, ...], factory: Callable[[], Executor]) -> Executor:
+def _shared_pool(key: Tuple[Any, ...], factory: Callable[[], "_Cluster"]) -> "_Cluster":
     with _POOLS_LOCK:
         pool = _POOLS.get(key)
         if pool is None:
@@ -145,7 +144,7 @@ def _shared_pool(key: Tuple[Any, ...], factory: Callable[[], Executor]) -> Execu
         return pool
 
 
-def _discard_shared_pool(key: Tuple[Any, ...], pool: Executor) -> None:
+def _discard_shared_pool(key: Tuple[Any, ...], pool: "_Cluster") -> None:
     """Drop ``pool`` from the registry (it broke or is being replaced)."""
     with _POOLS_LOCK:
         if _POOLS.get(key) is pool:
@@ -153,11 +152,11 @@ def _discard_shared_pool(key: Tuple[Any, ...], pool: Executor) -> None:
 
 
 def shutdown_pools(wait: bool = True) -> None:
-    """Shut down every shared executor pool.
+    """Shut down every shared worker cluster.
 
     Called automatically at interpreter exit; call it explicitly to
     reclaim workers mid-process (the next backend ``map`` transparently
-    builds fresh pools).
+    builds fresh clusters).
     """
     with _POOLS_LOCK:
         pools = list(_POOLS.values())
@@ -169,15 +168,6 @@ def shutdown_pools(wait: bool = True) -> None:
 atexit.register(shutdown_pools)
 
 
-def _thread_pool_factory(workers: int) -> Callable[[], Executor]:
-    def factory() -> Executor:
-        return ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix=f"repro-engine-{workers}"
-        )
-
-    return factory
-
-
 def process_start_method() -> str:
     """The start method process pools use: ``fork`` where the platform
     offers it (workers inherit the imported modules instead of
@@ -186,49 +176,6 @@ def process_start_method() -> str:
     if "fork" in multiprocessing.get_all_start_methods():
         return "fork"
     return multiprocessing.get_start_method()
-
-
-class ThreadPoolBackend(ExecutionBackend):
-    """Fan tasks out across a thread pool, gathering in order.
-
-    What it fans out is the in-process score stage: one grouped
-    ``quality_many`` / ``quality_and_loss_many`` pass per unique
-    architecture.  Those passes are Python autograd that holds the GIL
-    between NumPy kernels, so threads overlap only the time spent inside
-    the kernels (or waiting on a device), with no serialization cost.
-    ``Executor.map`` yields results in submission order, which is what
-    keeps reductions (and therefore policy and weight updates)
-    bit-identical to :class:`SerialBackend`.
-    """
-
-    name = "threads"
-
-    def __init__(self, workers: Optional[int] = None, shared: bool = True):
-        super().__init__(
-            workers=workers if workers is not None else default_worker_count()
-        )
-        self._shared = shared
-        self._owned_pool: Optional[Executor] = None
-
-    def _pool(self) -> Executor:
-        if self._shared:
-            return _shared_pool(
-                ("threads", self.workers), _thread_pool_factory(self.workers)
-            )
-        if self._owned_pool is None:
-            self._owned_pool = _thread_pool_factory(self.workers)()
-        return self._owned_pool
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        items = list(items)
-        if len(items) <= 1 or self.workers == 1:
-            return [fn(item) for item in items]
-        return list(self._pool().map(fn, items))
-
-    def close(self) -> None:
-        if self._owned_pool is not None:
-            self._owned_pool.shutdown(wait=True)
-            self._owned_pool = None
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +195,6 @@ def _remote_backend(name: str) -> Callable[[Optional[int]], ExecutionBackend]:
 
 _REGISTRY: Dict[str, Callable[[Optional[int]], ExecutionBackend]] = {
     "serial": lambda workers: SerialBackend(),
-    "threads": lambda workers: ThreadPoolBackend(workers=workers),
     "processes": _remote_backend("ProcessPoolBackend"),
     "distributed": _remote_backend("DistributedBackend"),
 }

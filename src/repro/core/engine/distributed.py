@@ -432,13 +432,13 @@ class _WorkerLink:
 class _Cluster:
     """Worker links + context state, shared across backends.
 
-    Registered in the executor-pool registry under the owning backend's
-    configuration key and duck-types ``shutdown(wait=...)``, so
-    ``shutdown_pools()`` (and interpreter exit) reaps it like any
-    executor.  One cluster serves every search in the process that picks
-    the same key — the point: tests and sweeps run hundreds of searches,
-    and workers rehydrate supernets per *context*, not per search
-    object, so connection churn is zero.
+    Registered in the cluster registry of :mod:`.backends` under the
+    owning backend's configuration key, so ``shutdown_pools()`` (and
+    interpreter exit) reaps it through ``shutdown(wait=...)``.  One
+    cluster serves every search in the process that picks the same key
+    — the point: tests and sweeps run hundreds of searches, and workers
+    rehydrate supernets per *context*, not per search object, so
+    connection churn is zero.
 
     With a ``start_method`` it spawns its ``workers`` as processes over
     socketpairs and never listens; without one it binds ``bind`` and
@@ -957,11 +957,11 @@ class _ClusterBackend(ExecutionBackend):
         if cluster is not None and not cluster._closed:
             return cluster
         if self._shared:
-            cluster = _shared_pool(self._cluster_key, self._new_cluster)  # type: ignore[arg-type]
+            cluster = _shared_pool(self._cluster_key, self._new_cluster)
             if cluster._closed:
                 # A shutdown_pools() happened since; replace the corpse.
-                _discard_shared_pool(self._cluster_key, cluster)  # type: ignore[arg-type]
-                cluster = _shared_pool(self._cluster_key, self._new_cluster)  # type: ignore[arg-type]
+                _discard_shared_pool(self._cluster_key, cluster)
+                cluster = _shared_pool(self._cluster_key, self._new_cluster)
         else:
             cluster = self._new_cluster()
         self._active_cluster = cluster

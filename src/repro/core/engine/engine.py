@@ -35,7 +35,6 @@ crash-resumed run keeps its bit-identity guarantee.
 
 from __future__ import annotations
 
-import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -183,8 +182,8 @@ class SearchConfig:
     use_cache: bool = True  # memoize performance_fn by decision indices
     #: execution backend for per-core fan-out: an
     #: :class:`ExecutionBackend` instance, a name (``"serial"`` /
-    #: ``"threads"`` / ``"processes"`` / ``"distributed"``), or
-    #: ``None`` to consult ``$REPRO_BACKEND`` and default to serial.
+    #: ``"processes"`` / ``"distributed"``), or ``None`` to consult
+    #: ``$REPRO_BACKEND`` and default to serial.
     #: All backends are bit-identical by contract.
     backend: Optional[Union[str, ExecutionBackend]] = field(
         default=None, compare=False
@@ -473,45 +472,7 @@ class SearchEngine:
             self.telemetry.import_state(telemetry_state)
 
     # ------------------------------------------------------------------
-    # Backend fan-out
-    # ------------------------------------------------------------------
-    def _fan_out(self, stage: str, fn: Callable[[Any], Any], items: Sequence) -> List:
-        """Run per-core tasks through the backend, order-preserving.
-
-        Tasks handed here must be scheduling-independent (see the module
-        docstring).  Per-task wall time is measured inside the worker
-        (an index-slotted write, safe under concurrent execution) and
-        accounted to the ``span.worker`` histogram after the gather, on
-        the engine thread — the metrics registry itself is not touched
-        from workers.
-        """
-        items = list(items)
-        if not items:
-            return []
-        telemetry = self.telemetry
-        if telemetry is None:
-            return self.backend.map(fn, items)
-        durations = [0.0] * len(items)
-
-        def timed_task(slot_item: Tuple[int, Any]) -> Any:
-            slot, item = slot_item
-            start = time.perf_counter()
-            result = fn(item)
-            durations[slot] = time.perf_counter() - start
-            return result
-
-        results = self.backend.map(timed_task, list(enumerate(items)))
-        telemetry.counter("engine.tasks").inc(
-            len(items), stage=stage, backend=self.backend.name
-        )
-        for seconds in durations:
-            telemetry.trace.record(
-                "worker", seconds, stage=stage, backend=self.backend.name
-            )
-        return results
-
-    # ------------------------------------------------------------------
-    # Remote (cross-process) fan-out
+    # Score fan-out
     # ------------------------------------------------------------------
     def _remote_active(self, tasks: int = 2) -> bool:
         """The placement rule (DESIGN.md §12): whether a fan-out of
@@ -580,13 +541,12 @@ class SearchEngine:
     def _score(self, kind: str, payloads: Sequence[Tuple[Any, ...]]) -> List[Any]:
         """One score fan-out: ``kind`` payloads shipped as stage tasks,
         or run in-process — the same :func:`~.worker.execute_stage_kind`
-        dispatch either way."""
+        dispatch either way.  In process nothing is a task: the score
+        stage's own timer covers the loop."""
         if self._remote_active(len(payloads)):
             return self._fan_out_tasks(STAGE_SCORE, kind, payloads)
-        return self._fan_out(
-            STAGE_SCORE,
-            lambda payload: execute_stage_kind(self.supernet, kind, payload),
-            payloads,
+        return self.backend.map(
+            lambda payload: execute_stage_kind(self.supernet, kind, payload), payloads
         )
 
     # ------------------------------------------------------------------
@@ -657,10 +617,8 @@ class SearchEngine:
             per_group = [values for values, _, _ in results]
             self._held = (groups, None, [held for _, *held in results])
         else:
-            passes = self._fan_out(
-                STAGE_SCORE,
-                lambda payload: self.supernet.quality_and_loss_many(*payload),
-                payloads,
+            passes = self.backend.map(
+                lambda payload: self.supernet.quality_and_loss_many(*payload), payloads
             )
             per_group = [values for values, _ in passes]
             self._held = (groups, [loss for _, loss in passes], None)

@@ -21,7 +21,7 @@ and differ exactly where the paper says they differ:
   when data is scarce.
 
 Per-core stages fan out across the engine's execution backend
-(``SearchConfig.backend`` / ``--backend threads``); results are
+(``SearchConfig.backend`` / ``--backend processes``); results are
 bit-identical to serial execution by the backend contract
 (:mod:`repro.core.engine.backends`).
 """

@@ -45,10 +45,10 @@ class ComputeTurn:
     steps and no I/O between them: a new 3-step job sat out 13-19 steps
     of a running one before its first, then ran its own back to back).
 
-    Taking it twice from one thread deadlocks.  Pool and cluster workers
-    never take it: they are other processes (a forked one inherits a
-    copy it never touches) or, on ``threads``, run inside a step whose
-    job thread already holds it.
+    Taking it twice from one thread deadlocks.  Cluster workers never
+    take it: they run stage tasks, never a step, in other processes (a
+    forked one inherits a copy it never touches) or on ``distributed``'s
+    loopback threads.
     """
 
     def __init__(self) -> None:

@@ -37,7 +37,6 @@ from repro.core import (
     SerialBackend,
     SingleStepSearch,
     SurrogateSuperNetwork,
-    ThreadPoolBackend,
     relu_reward,
     resolve_backend,
     shutdown_pools,
@@ -231,60 +230,57 @@ class TestBackendContract:
         backend = SerialBackend()
         assert backend.map(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
 
-    def test_threaded_map_preserves_order(self):
-        backend = ThreadPoolBackend(workers=4)
-        items = list(range(64))
-        # Uneven per-task work so completion order differs from
-        # submission order; results must still come back in item order.
-        assert backend.map(
-            lambda i: (i, sum(range((64 - i) * 50))), items
-        ) == [(i, sum(range((64 - i) * 50))) for i in items]
-
-    def test_threaded_map_propagates_exceptions(self):
-        backend = ThreadPoolBackend(workers=2)
+    def test_serial_map_propagates_exceptions(self):
         with pytest.raises(ZeroDivisionError):
-            backend.map(lambda x: 1 // x, [1, 2, 0, 3])
+            SerialBackend().map(lambda x: 1 // x, [1, 2, 0, 3])
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
-            ThreadPoolBackend(workers=0)
+            ProcessPoolBackend(workers=0)
 
     def test_resolve_backend(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         assert isinstance(resolve_backend(None), SerialBackend)
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        threaded = resolve_backend("threads", workers=3)
-        assert isinstance(threaded, ThreadPoolBackend) and threaded.workers == 3
         for name, cls in REMOTE.items():
             remote = resolve_backend(name, workers=2)
             assert isinstance(remote, cls) and remote.workers == 2
-        instance = ThreadPoolBackend(workers=2)
+        instance = ProcessPoolBackend(workers=2)
         assert resolve_backend(instance) is instance
         # The registry names are the only spellings (as on the CLI), and
-        # the error lists them.
-        aliases = ("process", "procs", "processpool", "mp", "thread", "threadpool", "dist")
-        for alias in ("gpu", *aliases):
-            with pytest.raises(ValueError, match="unknown execution backend.*processes"):
-                resolve_backend(alias)
+        # the error lists them; `threads` is a deleted backend's name.
+        assert BACKEND_NAMES == ("serial", "processes", "distributed")
+        refused = ("threads", "process", "procs", "processpool", "mp", "thread", "threadpool", "dist")
+        for spelling in ("gpu", *refused):
+            with pytest.raises(ValueError) as excinfo:
+                resolve_backend(spelling)
+            message = str(excinfo.value)
+            assert "unknown execution backend" in message and "from backend spec" in message
+            assert str(BACKEND_NAMES) in message
 
     def test_resolve_backend_env_fallbacks(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "threads")
+        # Construction is lazy: no worker starts until a map ships.
+        monkeypatch.setenv(BACKEND_ENV_VAR, "processes")
         monkeypatch.setenv(WORKERS_ENV_VAR, "2")
         backend = resolve_backend(None)
-        assert isinstance(backend, ThreadPoolBackend) and backend.workers == 2
+        assert isinstance(backend, ProcessPoolBackend) and backend.workers == 2
+        assert backend._active_cluster is None
         # An explicit spec still wins over the environment.
         assert isinstance(resolve_backend("serial"), SerialBackend)
 
     def test_bad_workers_env_names_the_variable(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "four")
         with pytest.raises(ValueError, match=r"REPRO_WORKERS.*'four'"):
-            resolve_backend("threads")
+            resolve_backend("processes")
 
     def test_env_sourced_bad_backend_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "gpu")
-        with pytest.raises(ValueError, match=r"REPRO_BACKEND"):
-            resolve_backend(None)
+        for spelling in ("gpu", "threads"):
+            monkeypatch.setenv(BACKEND_ENV_VAR, spelling)
+            with pytest.raises(ValueError) as excinfo:
+                resolve_backend(None)
+            assert f"from ${BACKEND_ENV_VAR}" in str(excinfo.value)
+            assert str(BACKEND_NAMES) in str(excinfo.value)
 
     def test_the_product_reads_exactly_three_environment_variables(self):
         """A new kill switch fails here, not in a later review."""
@@ -341,43 +337,21 @@ class TestStackedScoringProtocol:
 
 
 class TestBackendEquivalence:
-    """What the sweep does not cover on ``threads``: a supernet that
-    scores candidate by candidate, and the one speed contract."""
+    """What the sweep does not cover: a supernet that scores candidate
+    by candidate.  Swapped in after construction, it is not what the
+    workers rehydrated, so on a remote backend it scores in process."""
 
+    @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
     @pytest.mark.parametrize("strategy", ["single_step", "tunas"])
-    def test_threaded_matches_serial_without_grouping(self, strategy):
-        def run(backend):
-            search = {"single_step": build_single, "tunas": build_tunas}[strategy](backend)
+    def test_remote_matches_serial_without_grouping(self, strategy, backend):
+        def run(name):
+            search = {"single_step": build_single, "tunas": build_tunas}[strategy](
+                name, workers=2
+            )
             search.supernet = PerCoreOnly(search.supernet)
             return search.run()
 
-        assert_results_identical(
-            run("serial"), run(ThreadPoolBackend(workers=3)), build_space()
-        )
-
-    def test_threads_overlap_a_sleep_bound_shard(self):
-        # The one speedup contract any box can run (a sleep needs no
-        # core): TuNAS's policy step scores four candidates on one batch,
-        # four singleton groups that cannot collapse, each pass waiting
-        # on a "device"; four threads, >= 1.5x the serial wall clock —
-        # and the same search.
-        class SleepBound(DlrmSuperNetwork):
-            def quality_many(self, arch, inputs_seq, labels_seq):
-                time.sleep(0.02)
-                return super().quality_many(arch, inputs_seq, labels_seq)
-
-        def timed(backend):
-            search = build_tunas(backend, supernet_cls=SleepBound)
-            started = time.perf_counter()
-            return search.run(), time.perf_counter() - started
-
-        serial, serial_seconds = timed("serial")
-        threaded_seconds = []
-        for _ in range(3):  # a busy box only ever adds time: judge the best run
-            threaded, seconds = timed(ThreadPoolBackend(workers=4))
-            assert_results_identical(serial, threaded, build_space())
-            threaded_seconds.append(seconds)
-        assert serial_seconds >= 1.5 * min(threaded_seconds)
+        assert_results_identical(run("serial"), run(backend), build_space())
 
 
 @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
@@ -444,13 +418,6 @@ class TestRemoteContract:
 
 
 class TestPoolLifecycle:
-    def test_owned_thread_pool_released_on_close(self):
-        backend = ThreadPoolBackend(workers=2, shared=False)
-        assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
-        assert backend._owned_pool is not None
-        backend.close()
-        assert backend._owned_pool is None
-
     @pytest.mark.parametrize("release", ["close", "shutdown_pools"])
     def test_spawned_workers_exit_cleanly(self, tmp_path, release):
         # A worker told to shut down leaves its loop and closes its end;
@@ -468,13 +435,13 @@ class TestPoolLifecycle:
         )
 
     def test_shutdown_pools_clears_shared_registry(self):
-        backend = ThreadPoolBackend(workers=3)
-        assert backend.map(_square, [1, 2]) == [1, 4]
+        backend = ProcessPoolBackend(workers=2)
+        assert stage_map(backend, [1, 2]) == [1, 4]
         assert backends_mod._POOLS
         shutdown_pools()
         assert not backends_mod._POOLS
-        # Pools rebuild transparently on the next map.
-        assert backend.map(_square, [2, 3]) == [4, 9]
+        # Clusters rebuild transparently on the next map.
+        assert stage_map(backend, [2, 3]) == [4, 9]
 
 
 class TestSpawnedWorkers:
@@ -817,9 +784,7 @@ class TestFinaliserNeverBlocks:
 
 
 class TestEngineTelemetry:
-    @pytest.mark.parametrize(
-        "backend, worker", [("threads", None), ("processes", "pid"), ("distributed", "host")]
-    )
+    @pytest.mark.parametrize("backend, worker", [("processes", "pid"), ("distributed", "host")])
     def test_engine_metrics_recorded(self, backend, worker):
         telemetry = Telemetry()
         result = build_single(backend, workers=2, telemetry=telemetry).run()
@@ -835,19 +800,18 @@ class TestEngineTelemetry:
         assert tasks > 0 and sum(stats["count"] for _, stats in spans) == tasks
         for labels, _ in spans:
             assert labels["stage"] == "score" and labels["backend"] == backend
-            assert worker is None or worker in labels
-        if worker is not None:
-            assert telemetry.gauge("engine.hosts").value(backend=backend) == 2
+            assert worker in labels
+        assert telemetry.gauge("engine.hosts").value(backend=backend) == 2
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_weight_update_fans_nothing_out(self, backend):
         # Loss graphs and their backwards stay on the engine thread:
         # held from the score stage in-process, built in a plain loop
-        # when scoring went remote.
+        # when scoring went remote.  On serial nothing is a task at all.
         telemetry = Telemetry()
         build_single(backend=backend, workers=2, telemetry=telemetry).run()
         stages = {dict(key)["stage"] for key in telemetry.counter("engine.tasks").series()}
-        assert stages == {"score"}
+        assert stages == (set() if backend == "serial" else {"score"})
 
 
 class TestDistributedEquivalence:

@@ -58,6 +58,13 @@ class TestCliExitCodes:
         assert excinfo.value.code == 2
         assert "expected an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["search", "elastic-train", "specialize", "fleet", "serve"])
+    def test_deleted_threads_backend_rejected_at_parse_time(self, capsys, verb):
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "--backend", "threads"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'threads'" in capsys.readouterr().err
+
     def test_steps_zero_rejected_at_parse_time(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["search", "--steps", "0"])

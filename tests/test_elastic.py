@@ -3,8 +3,8 @@
 Covers the shared elastic substrate (:mod:`repro.supernet.elastic`), the
 progressive-shrinking schedule, the versioned elastic artifact, the
 policy-only batch release protocol, the two-phase engines
-(:class:`ElasticTraining` / :class:`SpecializationSearch`), backend
-bit-identity for both, and the tiny end-to-end
+(:class:`ElasticTraining` / :class:`SpecializationSearch`), their
+bit-identity on a worker pool, and the tiny end-to-end
 elastic-train -> specialize -> fleet smoke (the tier-1 half of the CI
 contract; the speedup half lives in ``benchmarks/bench_elastic.py``).
 """
@@ -409,9 +409,9 @@ class TestElasticTraining:
 
     def test_backend_bit_identity(self):
         serial = build_training(steps=4, backend="serial").run()
-        threads = build_training(steps=4, backend="threads", workers=2).run()
-        np.testing.assert_array_equal(serial.rewards(), threads.rewards())
-        assert serial.batches_used == threads.batches_used
+        pooled = build_training(steps=4, backend="processes", workers=2).run()
+        np.testing.assert_array_equal(serial.rewards(), pooled.rewards())
+        assert serial.batches_used == pooled.batches_used
 
 
 class TestSpecialization:
@@ -429,8 +429,7 @@ class TestSpecialization:
         from repro.service.jobs import specialization_builder
 
         space, factory = specialization_builder(
-            artifact_dir, "tpu_v4", steps, 0,
-            backend=backend, workers=workers,
+            artifact_dir, "tpu_v4", steps, 0, backend=backend, workers=workers
         )
         return space, factory()
 
@@ -458,8 +457,8 @@ class TestSpecialization:
 
     def test_backend_bit_identity(self, artifact_dir):
         _, serial = self._build(artifact_dir, backend="serial")
-        _, threads = self._build(artifact_dir, backend="threads", workers=2)
-        a, b = serial.run(), threads.run()
+        _, pooled = self._build(artifact_dir, backend="processes", workers=2)
+        a, b = serial.run(), pooled.run()
         np.testing.assert_array_equal(a.rewards(), b.rewards())
         assert list(a.final_architecture.values()) == list(
             b.final_architecture.values()

@@ -613,7 +613,7 @@ def capacity_cost(arch):
     return {"step_time": max(0.1, cost)}
 
 
-def build_search(backend, seed=0, telemetry=None):
+def build_search(backend, seed=0, telemetry=None, workers=None):
     teacher = CtrTeacher(
         CtrTaskConfig(num_tables=NUM_TABLES, batch_size=16, seed=seed)
     )
@@ -631,6 +631,7 @@ def build_search(backend, seed=0, telemetry=None):
             warmup_steps=2,
             seed=seed,
             backend=backend,
+            workers=workers,
             telemetry=telemetry,
         ),
     )
@@ -696,12 +697,13 @@ class TestSearchLevelEquivalence:
             counted = telemetry.counter(f"nn.tape.{key}").value()
             assert counted == search.supernet.tape_stats()[key]
 
-    def test_serial_vs_threads_with_tape(self):
+    @pytest.mark.parametrize("backend", ["processes", "distributed"])
+    def test_serial_vs_remote_with_tape(self, backend):
         search = build_search("serial")
         assert search.supernet.tape_compatible
         serial = result_fingerprint(search.run())
-        threaded = result_fingerprint(build_search("threads").run())
-        assert serial == threaded
+        remote = result_fingerprint(build_search(backend, workers=2).run())
+        assert serial == remote
 
 
 class TestPerformanceModelTape:

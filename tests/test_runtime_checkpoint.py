@@ -9,6 +9,7 @@ crash/resume bit-identity property lives in ``test_crash_resume.py``.
 
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +22,6 @@ from repro.core import (
     RandomSearch,
     SearchConfig,
     SingleStepSearch,
-    ThreadPoolBackend,
     TunasSearch,
     relu_reward,
 )
@@ -286,7 +286,7 @@ class TestFaultInjector:
             injector.after_step(1)
 
     def test_mid_shard_crash_is_recorded_once_with_calls_in_flight(self):
-        """Four scoring calls in flight on a thread pool: the first one
+        """Four scoring calls in flight on four threads: the first one
         scores, the other three find the worker dead, one fault fires."""
         in_flight = threading.Barrier(4, timeout=10.0)
 
@@ -306,11 +306,8 @@ class TestFaultInjector:
             except InjectedCrash:
                 return None
 
-        backend = ThreadPoolBackend(workers=4, shared=False)
-        try:
-            scored = backend.map(score, range(4))
-        finally:
-            backend.close()
+        with ThreadPoolExecutor(4) as pool:
+            scored = list(pool.map(score, range(4)))
         assert sum(value is not None for value in scored) == 1
         assert [(f.spec.phase, f.step) for f in injector.fired] == [("mid", 0)]
 
