@@ -277,7 +277,6 @@ class SearchEngine:
 
         self._optimizer: "Optimizer" = Adam(supernet.parameters(), lr=config.weight_lr)
         self._warmup_rng = np.random.default_rng(config.seed + 1)
-        self._tape_totals: Dict[str, int] = {}
         self._worker_loss_total = 0
         # What a training score stage held for the weight-update stage of
         # the same step: (groups, live losses, None) from in-process passes,
@@ -311,7 +310,6 @@ class SearchEngine:
         with self.telemetry.span("step"):
             record = self._step(step)
         _record_step_telemetry(self.telemetry, record)
-        self._record_tape_telemetry()
         self._record_backend_telemetry()
         return record
 
@@ -339,27 +337,6 @@ class SearchEngine:
                 delta, backend=self.backend.name
             )
         self._worker_loss_total = int(losses)
-
-    def _record_tape_telemetry(self) -> None:
-        """Mirror the supernet's tape-cache counters into telemetry.
-
-        The cache's counters are process-lifetime totals; the engine
-        publishes per-step deltas on the engine thread so workers never
-        touch the metrics registry.  The ``nn.`` prefix is churn-scoped
-        (the cache is rebuilt empty on restart), so these counters stay
-        out of checkpoint identity.
-        """
-        tape_stats = getattr(self.supernet, "tape_stats", None)
-        if tape_stats is None:
-            return
-        stats = tape_stats()
-        for key in ("hits", "misses", "compiles", "evictions"):
-            total = int(stats.get(key, 0))
-            delta = total - self._tape_totals.get(key, 0)
-            if delta > 0:
-                self.telemetry.counter(f"nn.tape.{key}").inc(delta)
-            self._tape_totals[key] = total
-        self.telemetry.gauge("nn.tape.size").set(float(stats.get("size", 0)))
 
     def build_result(self, history: Sequence[StepRecord]) -> SearchResult:
         """Assemble the result from externally-driven step records."""
@@ -724,9 +701,8 @@ class SearchEngine:
             )
         for batch, (arch, _) in zip(batches, drawn):
             loss = self.supernet.loss(arch, batch.inputs, batch.labels)
-            # The scale seeds the backward (the same floats as a
-            # ``loss * scale`` node's), which so stays on the loss
-            # node, where a compiled graph's gradient order applies.
+            # The scale seeds the backward: the same floats as a
+            # ``loss * scale`` node's, one node fewer.
             loss.backward(np.asarray(1.0 / num_cores))
 
     def optimizer_step(self) -> None:

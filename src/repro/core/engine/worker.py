@@ -202,8 +202,7 @@ def worker_spec_for(supernet: Any) -> Optional[Tuple[type, Any]]:
 
     Only a :class:`~repro.supernet.StackedScoring` supernet runs stage
     tasks, and only the ``cls(config)`` constructor convention lets a
-    worker rebuild it without pickling the instance (a populated tape
-    cache holds per-graph locks, which never pickle).  Every host in
+    worker rebuild it without pickling the instance.  Every host in
     :mod:`repro.supernet` follows it.
     """
     config = getattr(supernet, "config", None)

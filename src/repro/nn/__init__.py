@@ -1,8 +1,7 @@
 """NumPy-based neural-network substrate (autograd, layers, optimizers)."""
 
-from .tensor import Tensor, as_tensor, concatenate, stack_mean, trace_graph
+from .tensor import Tensor, as_tensor, concatenate, stack_mean
 from .fused import ACT_KERNELS, dense_act, masked_gather
-from .tape import CompiledGraph, TapeCache, compile_graph
 from .layers import (
     ACTIVATIONS,
     Dense,
@@ -22,7 +21,6 @@ __all__ = [
     "ACTIVATIONS",
     "ACT_KERNELS",
     "Adam",
-    "CompiledGraph",
     "Dense",
     "LayerNorm",
     "LowRankDense",
@@ -33,19 +31,16 @@ __all__ = [
     "Optimizer",
     "SGD",
     "Sequential",
-    "TapeCache",
     "Tensor",
     "accuracy",
     "activation",
     "as_tensor",
     "bce_with_logits",
     "binary_accuracy",
-    "compile_graph",
     "concatenate",
     "dense_act",
     "masked_gather",
     "mse",
     "softmax_cross_entropy",
     "stack_mean",
-    "trace_graph",
 ]

@@ -9,8 +9,7 @@ common patterns into one node each:
   node covering Dense, MaskedDense and each LowRankDense factor;
 * :func:`masked_gather` — embedding lookup with column masking and
   (for the fine vocab-sharing ablation) id wrap-around folded into the
-  node, so the index modulus is recomputed from the live index array on
-  every tape replay.
+  node.
 
 Supernet masks are always *prefix blocks* (``mask[:active_in,
 :active_out] = 1``), so both kernels accept the active extents directly
@@ -25,8 +24,7 @@ gradient ever reaches a masked-out parameter entry either way.
 Each kernel's backward applies the same NumPy expressions the composed
 graph applied, in the same order, so gradients agree with the composed
 path to float64 round-off (gradcheck pins them against central finite
-differences).  Every kernel records a ``recompute`` closure, which is
-what makes the layers traceable by :mod:`repro.nn.tape`.
+differences).
 """
 
 from __future__ import annotations
@@ -209,9 +207,7 @@ def dense_act(
                 gx[..., :active_in] = _unbroadcast(sub, gx[..., :active_in].shape)
                 x._accumulate(gx)
 
-        return Tensor(
-            compute_sliced(), parents=parents, backward=backward_sliced, recompute=compute_sliced
-        )
+        return Tensor(compute_sliced(), parents=parents, backward=backward_sliced)
 
     def compute() -> np.ndarray:
         w = weight.data if weight_mask is None else weight.data * weight_mask
@@ -238,7 +234,7 @@ def dense_act(
             gx = g_pre @ saved["w"].T
             x._accumulate(_unbroadcast(gx, x.data.shape))
 
-    return Tensor(compute(), parents=parents, backward=backward, recompute=compute)
+    return Tensor(compute(), parents=parents, backward=backward)
 
 
 def masked_gather(
@@ -252,9 +248,7 @@ def masked_gather(
 
     Equivalent to ``table.mask(col_mask).gather_rows(indices % modulus)``
     — the mask commutes with the row gather elementwise — but performs
-    one fancy-index read instead of materializing the masked table, and
-    recomputes ``indices % modulus`` from the live index array on every
-    replay (``indices`` may be a view of a tape input buffer).
+    one fancy-index read instead of materializing the masked table.
 
     ``active_width`` is the fast path for prefix masks: only the first
     ``active_width`` columns are read (and scattered into on backward),
@@ -282,9 +276,7 @@ def masked_gather(
             np.add.at(g[:, :active_width], saved["idx"], grad[..., :active_width])
             table._accumulate(g)
 
-        return Tensor(
-            compute_sliced(), parents=(table,), backward=backward_sliced, recompute=compute_sliced
-        )
+        return Tensor(compute_sliced(), parents=(table,), backward=backward_sliced)
 
     col_mask = np.asarray(col_mask, dtype=np.float64)
 
@@ -297,4 +289,4 @@ def masked_gather(
         np.add.at(g, saved["idx"], grad * col_mask)
         table._accumulate(g)
 
-    return Tensor(compute(), parents=(table,), backward=backward, recompute=compute)
+    return Tensor(compute(), parents=(table,), backward=backward)

@@ -15,8 +15,7 @@ super-networks (Section 5) and of the MLP performance model
   candidates mask all but the first D columns (point (1) in Figure 3).
 
 Each of the four is one autograd node from :mod:`repro.nn.fused`: a
-prefix mask is a BLAS call on the active sub-matrix, and a node with no
-derived arrays baked into closures is what tape replay needs.
+prefix mask is a BLAS call on the active sub-matrix.
 """
 
 from __future__ import annotations
@@ -307,9 +306,8 @@ class MaskedEmbedding(Module):
 
         ``wrap`` lets a caller address only the first ``wrap`` rows (the
         fine vocab-sharing ablation, where a smaller vocabulary wraps
-        its ids into a shared table).  The modulus is applied *inside*
-        the lookup node, so the raw index array can be a live view of a
-        tape input buffer.
+        its ids into a shared table).  The modulus is applied inside the
+        lookup node.
         """
         active_width = self.max_width if active_width is None else active_width
         if not (0 < active_width <= self.max_width):

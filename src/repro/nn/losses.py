@@ -7,9 +7,7 @@
 Each loss is a single fused graph node: the forward computes the scalar
 directly from the logits' data and the backward applies the closed-form
 gradient, so the loss adds one node to the graph instead of a chain of
-elementwise ops.  All label/target-derived values are recomputed inside
-the node, which keeps the losses replayable by :mod:`repro.nn.tape`
-(labels may be views of a tape input buffer).
+elementwise ops.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
         d = (sig - targets) * (np.asarray(grad) * inv)
         logits._accumulate(_unbroadcast(np.broadcast_to(d, out_shape), x.shape))
 
-    return Tensor(compute(), parents=(logits,), backward=backward, recompute=compute)
+    return Tensor(compute(), parents=(logits,), backward=backward)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -78,7 +76,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         d[np.arange(idx.shape[0]), idx] -= scale
         logits._accumulate(d)
 
-    return Tensor(compute(), parents=(logits,), backward=backward, recompute=compute)
+    return Tensor(compute(), parents=(logits,), backward=backward)
 
 
 def mse(predictions: Tensor, targets: np.ndarray) -> Tensor:
@@ -98,7 +96,7 @@ def mse(predictions: Tensor, targets: np.ndarray) -> Tensor:
             _unbroadcast(np.broadcast_to(d, out_shape), predictions.data.shape)
         )
 
-    return Tensor(compute(), parents=(predictions,), backward=backward, recompute=compute)
+    return Tensor(compute(), parents=(predictions,), backward=backward)
 
 
 def accuracy(logits: Tensor, labels: np.ndarray) -> float:

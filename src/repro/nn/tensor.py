@@ -12,47 +12,19 @@ The design is deliberately simple: each ``Tensor`` records its parents
 and a closure that accumulates gradients into them; ``backward`` runs a
 topological sort and applies the closures in reverse order.
 
-Two hot-path mechanisms live here (see DESIGN.md §11):
-
-* every op also records a ``recompute`` closure that re-evaluates its
-  forward value from its parents' current ``data``, which is what lets
-  :mod:`repro.nn.tape` replay a built graph with new inputs instead of
-  re-allocating the closure graph every step;
-* ``_accumulate`` keeps a per-node gradient buffer (``_buf``) that
-  survives ``zero_grad``, so steady-state training reuses one array per
-  node instead of allocating a fresh copy on every first touch.
+One hot-path mechanism lives here (see DESIGN.md §11): ``_accumulate``
+keeps a per-node gradient buffer (``_buf``) that survives
+``zero_grad``, so steady-state training reuses one array per node
+instead of allocating a fresh copy on every first touch.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
-
-#: Thread-local flag set while a graph is being traced for tape reuse.
-#: While active, tensors retain their parents and recompute closures
-#: even when no gradient flows through them, so constant sub-graphs
-#: (e.g. quality-only forwards) stay replayable.
-_TRACE_STATE = threading.local()
-
-
-def _tracing() -> bool:
-    return getattr(_TRACE_STATE, "active", False)
-
-
-class trace_graph:
-    """Context manager enabling graph tracing on the current thread."""
-
-    def __enter__(self) -> "trace_graph":
-        self._previous = _tracing()
-        _TRACE_STATE.active = True
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _TRACE_STATE.active = self._previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -84,9 +56,7 @@ class Tensor:
         "requires_grad",
         "_parents",
         "_backward",
-        "_recompute",
         "_buf",
-        "_tape",
         "name",
     )
 
@@ -97,27 +67,17 @@ class Tensor:
         parents: Tuple["Tensor", ...] = (),
         backward: Optional[Callable[[np.ndarray], None]] = None,
         name: Optional[str] = None,
-        recompute: Optional[Callable[[], np.ndarray]] = None,
     ):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self._buf: Optional[np.ndarray] = None
-        self._tape = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         if self.requires_grad:
             self._parents = parents
             self._backward = backward
-            self._recompute = recompute
-        elif parents and _tracing():
-            # Constant sub-graph inside a trace: keep the structure so
-            # tape replay can refresh it, but never run backward on it.
-            self._parents = parents
-            self._backward = None
-            self._recompute = recompute
         else:
             self._parents = ()
             self._backward = None
-            self._recompute = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -184,13 +144,6 @@ class Tensor:
             if self.data.size != 1:
                 raise RuntimeError("backward() without a gradient requires a scalar")
             grad = np.ones_like(self.data)
-        tape = self._tape
-        if tape is not None:
-            # Compiled-graph fast path: the reverse topological order was
-            # cached at compile time (it is a function of graph structure
-            # only), so replayed steps skip the sort entirely.
-            tape.run_backward(self, grad)
-            return
         topo: List[Tensor] = []
         seen: set[int] = set()
         stack: List[Tuple[Tensor, bool]] = [(self, False)]
@@ -226,7 +179,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(grad, other.data.shape))
 
-        return Tensor(compute(), parents=(self, other), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self, other), backward=backward)
 
     __radd__ = __add__
 
@@ -237,7 +190,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(-grad)
 
-        return Tensor(compute(), parents=(self,), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self,), backward=backward)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-as_tensor(other))
@@ -257,7 +210,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
 
-        return Tensor(compute(), parents=(self, other), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self, other), backward=backward)
 
     __rmul__ = __mul__
 
@@ -275,7 +228,7 @@ class Tensor:
                     _unbroadcast(-grad * self.data / (other.data**2), other.data.shape)
                 )
 
-        return Tensor(compute(), parents=(self, other), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self, other), backward=backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return as_tensor(other) / self
@@ -290,7 +243,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
-        return Tensor(compute(), parents=(self,), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self,), backward=backward)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = as_tensor(other)
@@ -333,7 +286,7 @@ class Tensor:
                     gb = np.swapaxes(a, -1, -2) @ g
                     other._accumulate(_unbroadcast(gb, b.shape))
 
-        return Tensor(compute(), parents=(self, other), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self, other), backward=backward)
 
     # ------------------------------------------------------------------
     # Activations and element-wise functions
@@ -348,7 +301,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * saved["mask"])
 
-        return Tensor(compute(), parents=(self,), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self,), backward=backward)
 
     def squared_relu(self) -> "Tensor":
         """``relu(x)**2`` — the activation H2O-NAS selects for CoAtNet-H."""
@@ -361,7 +314,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * 2.0 * saved["pos"])
 
-        return Tensor(compute(), parents=(self,), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self,), backward=backward)
 
     def sigmoid(self) -> "Tensor":
         saved = {}
@@ -374,7 +327,7 @@ class Tensor:
             out = saved["out"]
             self._accumulate(grad * out * (1.0 - out))
 
-        return Tensor(compute(), parents=(self,), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self,), backward=backward)
 
     def swish(self) -> "Tensor":
         """``x * sigmoid(x)`` (a.k.a. SiLU), used in the CNN search space."""
@@ -388,7 +341,7 @@ class Tensor:
             sig = saved["sig"]
             self._accumulate(grad * (sig + self.data * sig * (1.0 - sig)))
 
-        return Tensor(compute(), parents=(self,), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self,), backward=backward)
 
     def gelu(self) -> "Tensor":
         """Tanh approximation of GELU, used in the ViT search space."""
@@ -406,7 +359,7 @@ class Tensor:
             d_inner = c * (1.0 + 3 * 0.044715 * self.data**2)
             self._accumulate(grad * (0.5 * (1.0 + tanh) + 0.5 * self.data * sech2 * d_inner))
 
-        return Tensor(compute(), parents=(self,), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self,), backward=backward)
 
     def tanh(self) -> "Tensor":
         saved = {}
@@ -419,16 +372,16 @@ class Tensor:
             out = saved["out"]
             self._accumulate(grad * (1.0 - out**2))
 
-        return Tensor(compute(), parents=(self,), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self,), backward=backward)
 
     def softmax(self, axis: int = -1) -> "Tensor":
         """Numerically stable softmax along ``axis``, as one fused node.
 
         The stabilizing max-shift is a constant w.r.t. the gradient (its
-        contribution cancels exactly); fusing it into the node keeps it
-        fresh under tape replay, where a composed constant would go
-        stale.  The backward applies the exact shifted-exp/sum/div
-        chain rule the composed implementation produced.
+        contribution cancels exactly), so it is folded into the node
+        rather than composed from ops.  The backward applies the exact
+        shifted-exp/sum/div chain rule the composed implementation
+        produced.
         """
         saved = {}
 
@@ -447,7 +400,7 @@ class Tensor:
             d_exp += np.broadcast_to(d_total, exp.shape)
             self._accumulate(_unbroadcast(d_exp * exp, self.data.shape))
 
-        return Tensor(compute(), parents=(self,), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self,), backward=backward)
 
     def exp(self) -> "Tensor":
         saved = {}
@@ -459,7 +412,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * saved["out"])
 
-        return Tensor(compute(), parents=(self,), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self,), backward=backward)
 
     def log(self) -> "Tensor":
         def compute() -> np.ndarray:
@@ -468,7 +421,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad / self.data)
 
-        return Tensor(compute(), parents=(self,), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self,), backward=backward)
 
     # ------------------------------------------------------------------
     # Reductions and shape manipulation
@@ -486,7 +439,7 @@ class Tensor:
                     g = np.expand_dims(g, a)
             self._accumulate(np.broadcast_to(g, self.data.shape).copy())
 
-        return Tensor(compute(), parents=(self,), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self,), backward=backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -503,7 +456,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.reshape(self.data.shape))
 
-        return Tensor(compute(), parents=(self,), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self,), backward=backward)
 
     def transpose(self, *axes: int) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -517,15 +470,13 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.transpose(inverse))
 
-        return Tensor(compute(), parents=(self,), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self,), backward=backward)
 
     def gather_rows(self, indices: np.ndarray) -> "Tensor":
         """Select rows by integer index — the embedding-lookup primitive.
 
         ``indices`` has any shape; the output has shape
-        ``indices.shape + (row_width,)``.  The index array is read anew
-        on every recompute, so a replayed graph whose index array is a
-        bound input buffer sees fresh ids.
+        ``indices.shape + (row_width,)``.
         """
         indices = np.asarray(indices, dtype=np.int64)
         saved = {}
@@ -539,7 +490,7 @@ class Tensor:
             np.add.at(g, saved["idx"], grad)
             self._accumulate(g)
 
-        return Tensor(compute(), parents=(self,), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self,), backward=backward)
 
     def mask(self, mask_array: np.ndarray) -> "Tensor":
         """Multiply by a constant 0/1 mask (broadcastable).
@@ -556,7 +507,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(_unbroadcast(grad * mask_array, self.data.shape))
 
-        return Tensor(compute(), parents=(self,), backward=backward, recompute=compute)
+        return Tensor(compute(), parents=(self,), backward=backward)
 
     def clip_norm_value(self) -> float:
         """L2 norm of the data (convenience for diagnostics)."""
@@ -584,7 +535,7 @@ def concatenate(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
                 slicer[axis] = slice(start, stop)
                 tensor._accumulate(grad[tuple(slicer)])
 
-    return Tensor(compute(), parents=tuple(tensors), backward=backward, recompute=compute)
+    return Tensor(compute(), parents=tuple(tensors), backward=backward)
 
 
 def stack_mean(tensors: Sequence[Tensor]) -> Tensor:
@@ -612,4 +563,4 @@ def stack_mean(tensors: Sequence[Tensor]) -> Tensor:
             if tensor.requires_grad:
                 tensor._accumulate(_unbroadcast(g, tensor.data.shape))
 
-    return Tensor(compute(), parents=tuple(tensors), backward=backward, recompute=compute)
+    return Tensor(compute(), parents=tuple(tensors), backward=backward)

@@ -18,7 +18,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..nn import MLP, Tensor, mse
-from ..nn.tape import EMPTY_TAPE_STATS, TapeCache, compile_graph
 from ..searchspace.base import Architecture
 from .features import ArchitectureEncoder
 
@@ -65,41 +64,8 @@ class PerformanceModel:
         return self.mlp(Tensor(features))
 
     def training_loss(self, features: np.ndarray, targets: np.ndarray) -> Tensor:
-        """MSE of the MLP against normalized log-time ``targets``.
-
-        The model's topology is fixed, so the forward+loss graph is
-        compiled once per ``(features, targets)`` shape pair — on the
-        pair's second minibatch; the first runs eagerly, the cache's
-        admission rule — and replayed with fresh minibatches: the same
-        tape reuse the super-networks get, applied to the trainer's
-        epoch loop.
-        """
-        cache = getattr(self, "_tapes", None)
-        if cache is None:
-            cache = self._tapes = TapeCache(capacity=8)
-        arrays = {
-            "features": np.asarray(features),
-            "targets": np.asarray(targets),
-        }
-        key = (arrays["features"].shape, arrays["targets"].shape)
-
-        def factory():
-            def build(buffers):
-                return mse(self.forward(buffers["features"]), buffers["targets"])
-
-            return compile_graph(build, arrays)
-
-        graph = cache.get_or_build(key, factory)
-        if graph is None:
-            return mse(self.forward(features), targets)
-        return graph.run(arrays)
-
-    def tape_stats(self) -> Dict[str, int]:
-        """Counters of the compiled-graph cache (zeros before first use)."""
-        cache = getattr(self, "_tapes", None)
-        if cache is None:
-            return dict(EMPTY_TAPE_STATS)
-        return cache.stats()
+        """MSE of the MLP against normalized log-time ``targets``."""
+        return mse(self.forward(features), targets)
 
     def predict_log_times(self, archs: Sequence[Architecture]) -> np.ndarray:
         features = self.encoder.encode_batch(archs)

@@ -118,11 +118,6 @@ class DlrmSupernetConfig:
 class DlrmSuperNetwork(StackedScoringMixin, Module):
     """The hybrid fine/coarse weight-sharing DLRM super-network."""
 
-    #: The forward is pure fused-layer data flow per architecture
-    #: (decision-dependent control flow only), so compiled-graph replay
-    #: is safe.
-    tape_compatible = True
-
     def __init__(self, config: Optional[DlrmSupernetConfig] = None):
         self.config = config = config or DlrmSupernetConfig()
         rng = np.random.default_rng(config.seed)
@@ -185,8 +180,7 @@ class DlrmSuperNetwork(StackedScoringMixin, Module):
         parts.append(bottom_out)
         # Embedding lookups (coarse vocab table + fine width mask).  In
         # the fine-sharing ablation, a smaller vocabulary wraps ids into
-        # the first rows of the shared table; the wrap happens inside
-        # the lookup node so tape replays re-wrap the live id buffer.
+        # the first rows of the shared table, inside the lookup node.
         for t in range(cfg.num_tables):
             scale = float(arch[f"emb{t}/vocab_scale"])
             width = cfg.embedding_width(int(arch[f"emb{t}/width_delta"]))

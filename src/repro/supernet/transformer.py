@@ -151,12 +151,6 @@ def _slice_last(tensor: Tensor, start: int, stop: int, active: int) -> Tensor:
 class TransformerSuperNetwork(StackedScoringMixin, Module):
     """Proxy super-network consuming ViT-space architectures."""
 
-    #: Decision-dependent control flow only (widths/depths/pooling come
-    #: from the architecture, shapes from the shape signature), so
-    #: compiled-graph replay is safe — the transformer rides the same
-    #: grouped batching and tape reuse as the DLRM/vision spaces.
-    tape_compatible = True
-
     def __init__(self, config: Optional[TransformerSupernetConfig] = None):
         self.config = config = config or TransformerSupernetConfig()
         rng = np.random.default_rng(config.seed)

@@ -144,10 +144,6 @@ class _ProxyBlock(Module):
 class VisionSuperNetwork(StackedScoringMixin, Module):
     """Proxy super-network consuming CNN-space architectures."""
 
-    #: Per-architecture data flow only (no input-value control flow), so
-    #: compiled-graph replay is safe.
-    tape_compatible = True
-
     def __init__(self, config: Optional[VisionSupernetConfig] = None):
         self.config = config = config or VisionSupernetConfig()
         rng = np.random.default_rng(config.seed)

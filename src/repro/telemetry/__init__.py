@@ -63,9 +63,6 @@ CHURN_PREFIXES: Tuple[str, ...] = (
     "checkpoint.",
     "recovery.",
     "testbed.",
-    # Tape/graph-reuse counters describe this process's compiled-graph
-    # cache (rebuilt empty after every restart), not run progress.
-    "nn.",
     # Daemon-level accounting (submissions, recoveries, quota rejects)
     # records what really happened to the service, never rolls back
     # with any one job's checkpoint.

@@ -802,6 +802,8 @@ class TestEngineTelemetry:
             assert labels["stage"] == "score" and labels["backend"] == backend
             assert worker in labels
         assert telemetry.gauge("engine.hosts").value(backend=backend) == 2
+        # The autograd keeps no counters: nothing is recorded under ``nn.``.
+        assert [name for name in telemetry.registry.metrics() if name.startswith("nn.")] == []
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_weight_update_fans_nothing_out(self, backend):

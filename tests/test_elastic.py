@@ -224,9 +224,6 @@ class TestTransformerStackedScoring:
         teacher = SequenceTeacher(SequenceTaskConfig(seq_len=8, batch_size=16))
         self.batches = [teacher.next_batch() for _ in range(3)]
 
-    def test_tape_compatible(self):
-        assert TransformerSuperNetwork.tape_compatible is True
-
     def test_quality_many_matches_per_batch(self):
         arch = self.space.default_architecture()
         stacked = self.net.quality_many(
