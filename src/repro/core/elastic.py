@@ -46,8 +46,7 @@ __all__ = ["ElasticTraining", "SpecializationSearch"]
 
 
 def _no_metrics(arch: Architecture) -> Mapping[str, float]:
-    """Performance stand-in for weight-only training (module-level so
-    worker processes can unpickle engine state referencing it)."""
+    """Performance stand-in for weight-only training: nothing to price."""
     return {}
 
 

@@ -10,12 +10,12 @@ tasks, and this module supplies the things that map runs on:
 * :class:`SerialBackend` — the reference executor: one task after the
   other on the calling thread.  The semantics every other backend must
   reproduce bit-for-bit.
-* :class:`~.distributed.ProcessPoolBackend` — fans *picklable* tasks
-  out across worker processes: true multi-core execution for the
-  compute-dominated scoring path.  Supernet weights travel through one
-  shared-memory segment (see :mod:`.shm` / :mod:`.worker`), not through
-  task pickles, and a killed worker's tasks are resubmitted (bounded
-  per-task retries) without restarting the step.
+* :class:`~.distributed.ProcessPoolBackend` — fans stage tasks (plain
+  data, see :mod:`.worker`) out across worker processes: true
+  multi-core execution for the compute-dominated scoring path.
+  Supernet weights travel through one shared-memory segment (see
+  :mod:`.shm`), not in task frames, and a killed worker's tasks are
+  resubmitted (bounded per-task retries) without restarting the step.
 * :class:`~.distributed.DistributedBackend` — the cross-*host* leg:
   a TCP controller sharding the same stage tasks across worker
   processes that may live on other machines (``repro worker``), with

@@ -40,10 +40,10 @@ supervisor's checkpoint/restart path.
 
 from __future__ import annotations
 
+import builtins
 import itertools
 import multiprocessing
 import os
-import pickle
 import socket
 import threading
 import time
@@ -59,11 +59,13 @@ from .backends import (
     default_worker_count,
     process_start_method,
 )
-from ...service.protocol import ProtocolError
+from ...searchspace.base import Architecture
+from ...service.protocol import ProtocolError, write_frame
 from .shm import SharedGradients, SharedWeights, WeightLayout, weight_layout
 from .transport import (
     DEFAULT_BIND,
     TRANSPORT_VERSION,
+    encode_message,
     format_address,
     parse_address,
     recv_message,
@@ -72,6 +74,7 @@ from .transport import (
 from .worker import (
     RemoteContextRef,
     RemoteShardContext,
+    StageTask,
     build_remote_context,
     build_supernet_from_spec,
     drain_pending_releases,
@@ -92,25 +95,34 @@ def _crash_error(message: str) -> Exception:
     return WorkerCrashError(message)
 
 
-def _snapshot_weights(arrays: Sequence[np.ndarray]) -> bytes:
-    """The concatenated float64 bytes a weight broadcast carries."""
-    return b"".join(
-        np.ascontiguousarray(a, dtype=np.float64).tobytes() for a in arrays
-    )
+def _snapshot_weights(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The one float64 array a weight broadcast carries: every
+    parameter, flattened, in ``weight_layout`` order."""
+    return np.concatenate([np.ravel(a) for a in arrays])
 
 
-def _picklable_error(error: BaseException) -> BaseException:
-    """``error`` if it survives pickling, else a faithful stand-in.
+def _error_fields(error: BaseException) -> List[str]:
+    """A task's exception as it travels: the nearest builtin class in
+    its MRO, and ``"OrigType: message"``."""
+    builtin = next(c for c in type(error).__mro__ if c.__module__ == "builtins")
+    return [builtin.__name__, f"{type(error).__name__}: {error}"]
 
-    An unpicklable exception must not kill the worker's send path — that
-    would surface as a *host loss* and burn retries on a deterministic
-    failure the controller should just propagate.
-    """
-    try:
-        pickle.loads(pickle.dumps(error))
-        return error
-    except Exception:
-        return RuntimeError(f"{type(error).__name__}: {error}")
+
+def _error_from(fields: Any) -> Exception:
+    """Inverse of :func:`_error_fields`: that builtin ``Exception``
+    subclass (so ``is_retryable`` judges it as it would the original),
+    or ``RuntimeError`` for any other name."""
+    if not (isinstance(fields, list) and [type(f) for f in fields] == [str, str]):
+        raise ProtocolError(f"an error frame carries [type name, message], got {fields!r}")
+    name, text = fields
+    cls = getattr(builtins, name, None)
+    if isinstance(cls, type) and issubclass(cls, Exception):
+        for base in cls.__mro__:  # the nearest that takes a message alone
+            try:
+                return base(text)
+            except TypeError:  # e.g. UnicodeDecodeError wants five arguments
+                pass
+    return RuntimeError(text)
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +130,7 @@ def _picklable_error(error: BaseException) -> BaseException:
 # ----------------------------------------------------------------------
 class _HostContext:
     """One rehydrated supernet plus its last-applied weight version.
-    Weights arrive as pushed bytes (:meth:`apply`) or, given the name of
+    Weights arrive as a pushed array (:meth:`apply`) or, given the name of
     the controller's shared ``segment``, by :meth:`copy_in`; ``gradients``
     is its gradient image's ``(slots, name)``.  Parameters are walked once."""
 
@@ -142,10 +154,9 @@ class _HostContext:
         self.gradients = SharedGradients(self.layout, *gradients) if gradients else None
         self.applied_version = 0
 
-    def apply(self, version: int, data: bytes) -> None:
+    def apply(self, version: int, flat: np.ndarray) -> None:
         if version <= self.applied_version:
             return
-        flat = np.frombuffer(data, dtype=np.float64)
         for array, (shape, offset, size) in zip(self.param_arrays, self.layout):
             np.copyto(array, flat[offset : offset + size].reshape(shape))
         self.applied_version = int(version)
@@ -259,7 +270,7 @@ class WorkerHost:
         # context: build the supernet once; a failure is remembered and
         # reported per-task rather than killing the worker.
         try:
-            supernet = build_supernet_from_spec(pickle.loads(message["spec"]))
+            supernet = build_supernet_from_spec(message["spec"])
             ctx: Union[_HostContext, Exception] = _HostContext(
                 supernet, message["layout"], message.get("segment"), message.get("gradients")
             )
@@ -294,33 +305,30 @@ class WorkerHost:
         return ctx
 
     def _handle_work(self, message: Dict[str, Any]) -> bool:
-        """Execute one task and reply; ``False`` if the link died."""
+        """Execute one task and reply; ``False`` if the link died.  The
+        reply is encoded inside the ``try``: a result that cannot travel
+        comes back as the task's error, not as a dead worker."""
+        task_id = message["task_id"]
         try:
-            value, seconds = run_stage_task(message["task"], self._context_for_task)
-            reply = {"type": "result", "value": value, "seconds": seconds}
+            # An architecture travels as its {decision: value} dict.
+            arch, *rest = message["payload"]
+            arch = Architecture(arch) if isinstance(arch, dict) else arch
+            ref = RemoteContextRef(message["context_id"], message["version"])
+            task = StageTask(message["stage"], message["kind"], ref, (arch, *rest))
+            value, seconds = run_stage_task(task, self._context_for_task)
+            reply = encode_message(
+                {"type": "result", "task_id": task_id, "value": value, "seconds": seconds}
+            )
         except Exception as error:  # deterministic task failure: report it
-            reply = {"type": "error", "error": _picklable_error(error)}
+            reply = encode_message(
+                {"type": "error", "task_id": task_id, "error": _error_fields(error)}
+            )
         self.executed += 1
-        return self._send({**reply, "task_id": message["task_id"]})
-
-    def _send(self, message: Dict[str, Any]) -> bool:
         try:
-            send_message(self._sock, message)
+            write_frame(self._sock, reply)
             return True
-        except (OSError, ProtocolError):
+        except OSError:
             return False
-        except Exception as error:
-            # A result that cannot pickle must come back as a typed task
-            # error, not a dead worker.
-            error = _picklable_error(error)
-            try:
-                send_message(
-                    self._sock,
-                    {"type": "error", "task_id": message.get("task_id"), "error": error},
-                )
-                return True
-            except Exception:
-                return False
 
 
 def run_worker(
@@ -377,14 +385,14 @@ def _spawned_worker_main(
 # Controller side
 # ----------------------------------------------------------------------
 class _TaskRecord:
-    """One submitted task: its wire message, result slot, retry count."""
+    """One submitted task: its encoded frame, result slot, retry count."""
 
-    __slots__ = ("task_id", "index", "message", "retries", "link", "run")
+    __slots__ = ("task_id", "index", "frame", "retries", "link", "run")
 
-    def __init__(self, task_id: int, index: int, message: Dict[str, Any], run: "_MapRun"):
+    def __init__(self, task_id: int, index: int, frame: bytes, run: "_MapRun"):
         self.task_id = task_id
         self.index = index
-        self.message = message
+        self.frame = frame
         self.retries = 0
         self.link: Optional["_WorkerLink"] = None
         self.run = run
@@ -427,6 +435,11 @@ class _WorkerLink:
     def send(self, message: Dict[str, Any]) -> None:
         with self._send_lock:
             send_message(self.sock, message)
+
+    def send_frame(self, frame: bytes) -> None:
+        """Send a task frame :meth:`_Cluster.run_map` encoded up front."""
+        with self._send_lock:
+            write_frame(self.sock, frame)
 
 
 class _Cluster:
@@ -472,7 +485,8 @@ class _Cluster:
             self._fill_workers()
             return
         host, port = parse_address(bind)
-        self._listener = socket.create_server((host, port))
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server((host, port), family=family)
         self.address = self._listener.getsockname()[:2]
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-dist-accept", daemon=True
@@ -648,8 +662,8 @@ class _Cluster:
     # and the carriers — ``segment`` names the shared weights segment and
     # ``gradients`` is the gradient image's ``(slots, name)`` when this
     # cluster spawned its workers (they share its memory), ``weights``
-    # holds the current bytes when workers dial in over TCP.
-    def _pushed_weights(self, arrays: Sequence[np.ndarray]) -> Optional[bytes]:
+    # holds the current array when workers dial in over TCP.
+    def _pushed_weights(self, arrays: Sequence[np.ndarray]) -> Optional[np.ndarray]:
         """A weight version as a TCP worker needs it (``None`` when none
         can exist: nobody dials into a cluster that does not listen)."""
         return _snapshot_weights(arrays) if self._listener is not None else None
@@ -657,7 +671,7 @@ class _Cluster:
     def register_context(
         self,
         context_id: str,
-        spec: bytes,
+        spec: Dict[str, Any],
         version: int,
         segment: Optional[str],
         arrays: Sequence[np.ndarray],
@@ -719,24 +733,25 @@ class _Cluster:
         in submission order; resubmit orphans of lost workers."""
         drain_pending_releases()
         run = _MapRun(len(messages), max_retries)
+        # Encoded before any record is registered: a payload that cannot
+        # travel raises here and leaves nothing pending.
         records: List[_TaskRecord] = []
+        for index, message in enumerate(messages):
+            task_id = next(self._task_ids)
+            frame = encode_message({**message, "task_id": task_id})
+            records.append(_TaskRecord(task_id, index, frame, run))
         with self._cond:
             if self._closed:
                 raise _crash_error("worker cluster is shut down")
-            for index, message in enumerate(messages):
-                task_id = next(self._task_ids)
-                message = dict(message)
-                message["task_id"] = task_id
-                record = _TaskRecord(task_id, index, message, run)
-                records.append(record)
-                self._pending[task_id] = record
+            for record in records:
+                self._pending[record.task_id] = record
                 self._assign_locked(record)
         for record in records:
             link = record.link
             if link is None:
                 continue  # no worker was available; resolved below
             try:
-                link.send(record.message)
+                link.send_frame(record.frame)
             except (OSError, ProtocolError):
                 self._handle_link_loss(link)
         with self._cond:
@@ -776,15 +791,15 @@ class _Cluster:
                 if message is None:
                     break
                 kind = message["type"]
+                if kind not in ("result", "error"):
+                    continue
+                task_id, seconds = message.get("task_id"), message.get("seconds", 0.0)
+                if type(task_id) is not int or type(seconds) not in (int, float):
+                    raise ProtocolError(f"{kind} with task_id {task_id!r}, seconds {seconds!r}")
                 if kind == "result":
-                    self._complete(
-                        link,
-                        message["task_id"],
-                        message.get("value"),
-                        float(message.get("seconds", 0.0)),
-                    )
-                elif kind == "error":
-                    self._fail_task(link, message["task_id"], message["error"])
+                    self._complete(link, task_id, message.get("value"), float(seconds))
+                else:
+                    self._fail_task(link, task_id, _error_from(message.get("error")))
         except (ProtocolError, OSError):
             pass
         finally:
@@ -876,7 +891,7 @@ class _Cluster:
             self._reap(link.process)
         for target, record in resubmissions:
             try:
-                target.send(record.message)
+                target.send_frame(record.frame)
             except (OSError, ProtocolError):
                 self._handle_link_loss(target)
 
@@ -924,7 +939,7 @@ class _ClusterBackend(ExecutionBackend):
     * **tasks are data, not closures** — the engine sends
       :class:`~.worker.StageTask` payloads that a worker executes
       against a supernet it rehydrated once (see
-      :meth:`register_context`), so per-task pickles carry batch arrays
+      :meth:`register_context`), so per-task frames carry batch arrays
       only.  Whether to send them is the engine's decision
       (:meth:`SearchEngine._remote_active`): a stage-task map ships, and
       any other ``fn`` — the engine's closures over its live supernet —
@@ -1028,7 +1043,11 @@ class _ClusterBackend(ExecutionBackend):
             return [fn(item) for item in items]
         # Placed by the engine: (value, seconds, worker) per task, worker
         # a spawned one's pid or a dialled-in one's id.
-        messages = [{"type": "task", "task": task} for task in items]
+        messages = [
+            {"type": "task", "stage": task.stage, "kind": task.kind, "payload": task.payload,
+             "context_id": task.context.context_id, "version": task.context.version}
+            for task in items
+        ]
         return self._cluster().run_map(messages, self.max_task_retries)  # type: ignore[return-value]
 
     # -- checkpoint state ----------------------------------------------
@@ -1057,7 +1076,7 @@ class _ClusterBackend(ExecutionBackend):
 
 
 class ProcessPoolBackend(_ClusterBackend):
-    """Fan picklable tasks out across worker *processes* on this machine.
+    """Fan stage tasks out across worker *processes* on this machine.
 
     This is the GIL-free leg: CPU-bound scoring shards scale with the
     machine's cores.  The cluster spawns the workers itself (``fork``
@@ -1085,7 +1104,7 @@ class ProcessPoolBackend(_ClusterBackend):
 
 
 class DistributedBackend(_ClusterBackend):
-    """Fan picklable tasks out across worker *hosts* over TCP.
+    """Fan stage tasks out across worker *hosts* over TCP.
 
     The cross-host leg of the ladder: same determinism contract, same
     engine surface as :class:`ProcessPoolBackend`, different failure

@@ -63,7 +63,7 @@ def weight_layout(arrays: Sequence[np.ndarray]) -> WeightLayout:
     """``(shape, offset, size)`` per array, offsets in float64 elements.
 
     The one layout convention both weight carriers use: the shared
-    segment's payload and the bytes a TCP weight push concatenates.
+    segment's payload and the array a TCP weight push carries.
     """
     layout: WeightLayout = []
     offset = 0

@@ -1,35 +1,38 @@
-"""Socket message transport for the distributed execution backend.
+"""Socket message transport for the remote worker substrate.
 
-The controller and its workers exchange pickled message dicts over TCP,
-framed by the same 8-byte length prefix the service protocol exposes
-(:func:`repro.service.protocol.read_frame` / ``write_frame``) — one
-framing layer, two consumers.  NDJSON stays the right shape for the
-human-debuggable service verbs; stage traffic carries numpy batch
-arrays, weight bytes and gradients, so it rides binary frames instead.
+Message dicts travel in the 8-byte length-prefixed frames of the
+service protocol (:func:`repro.service.protocol.read_frame` /
+``write_frame``).  A frame's payload is the checkpoint store's format
+(:func:`repro.runtime.checkpoint.encode_state`) end to end:
+``[u32 header length][JSON header][raw buffers]``, the header being the
+document ``state.json`` holds and the buffers the per-dtype chunks of
+``arrays.bin`` without their ``.npy`` headers.  The message types are
+defined where they are produced and consumed
+(:mod:`repro.core.engine.distributed`); this module moves one message.
 
-Every message is a dict with a ``"type"`` key; the set of types and
-their fields is defined where they are produced and consumed
-(:mod:`repro.core.engine.distributed`).  This module only knows how to
-move one message: pickle, frame, unframe, unpickle.
-
-Trust model: the transport carries *pickles*, so a connection is as
-privileged as the process that accepted it.  Bind to loopback (the
-default) or an interface the cluster's network policy already treats as
-trusted, exactly like the multiprocessing ``Listener`` transports this
-replaces.
+Trust model: nothing a peer sends is executed.  A frame decodes to JSON
+values and arrays of kinds ``b i u f`` whose bytes are accounted for
+exactly, or it is a :class:`ProtocolError` and the link is dropped.
+Peers are not authenticated, though: bind to loopback (the default) or
+a network you control.
 """
 
 from __future__ import annotations
 
-import pickle
+import json
 import socket
+import struct
+import urllib.parse
 from typing import Any, Dict, Optional, Tuple
 
+import numpy as np
+
+from ...runtime.checkpoint import decode_state, encode_state
 from ...service.protocol import ProtocolError, read_frame, write_frame
 
 #: Stamped into the worker's hello message; a controller refuses a
 #: worker speaking another version instead of failing mid-shard.
-TRANSPORT_VERSION = 2
+TRANSPORT_VERSION = 3
 
 #: Largest frame either side will accept — weight broadcasts for big
 #: supernets dominate, and 1 GiB is far above any real payload while
@@ -40,37 +43,65 @@ MAX_FRAME_BYTES = 1 << 30
 #: port.  Cross-host deployments bind an explicit ``host:port``.
 DEFAULT_BIND = "127.0.0.1:0"
 
+_HEADER_LENGTH = struct.Struct(">I")
+
 
 def parse_address(spec: str) -> Tuple[str, int]:
-    """``"host:port"`` -> ``(host, port)``, with typed errors.
-
-    The port may be 0 (ephemeral, controller-side bind only).
+    """``"host:port"`` or ``"[v6 host]:port"`` -> ``(host, port)``, with
+    typed errors.  The port may be 0 (ephemeral, controller-side bind only).
     """
-    text = str(spec).strip()
-    host, sep, port_text = text.rpartition(":")
-    if not sep or not host:
-        raise ValueError(
-            f"address {spec!r} is not 'host:port' (e.g. '127.0.0.1:7077')"
-        )
     try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(
-            f"address {spec!r} has a non-integer port {port_text!r}"
-        ) from None
-    if not 0 <= port <= 65535:
-        raise ValueError(f"address {spec!r} port is out of range")
+        parts = urllib.parse.urlsplit(f"//{str(spec).strip()}")
+        host, port = parts.hostname, parts.port
+    except ValueError as error:  # a port that is no integer in 0..65535
+        raise ValueError(f"address {spec!r}: {error}") from None
+    if not host or port is None:
+        raise ValueError(f"address {spec!r} is not 'host:port' (e.g. '127.0.0.1:7077')")
     return host, port
 
 
 def format_address(address: Tuple[str, int]) -> str:
     host, port = address
-    return f"{host}:{port}"
+    return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+
+
+def encode_message(message: Dict[str, Any]) -> bytes:
+    """One message as a frame payload (the header space-padded so the
+    buffers start 8-byte aligned)."""
+    document, buffers = encode_state(message)
+    header = json.dumps(document, separators=(",", ":")).encode("utf-8")
+    header += b" " * (-(_HEADER_LENGTH.size + len(header)) % 8)
+    chunks = [chunk for buffer in buffers for chunk in buffer]
+    return b"".join([_HEADER_LENGTH.pack(len(header)), header, *chunks])
+
+
+def decode_message(payload: bytes) -> Dict[str, Any]:
+    """Inverse of :func:`encode_message`; every malformed payload raises
+    :class:`ProtocolError`."""
+    try:
+        (length,) = _HEADER_LENGTH.unpack_from(payload)
+        position = _HEADER_LENGTH.size + length
+        document = json.loads(payload[_HEADER_LENGTH.size : position])
+
+        def read_buffer(dtype: np.dtype, count: int) -> np.ndarray:
+            nonlocal position
+            flat = np.frombuffer(payload, dtype, count, position)
+            position += flat.nbytes
+            return flat
+
+        message = decode_state(document, read_buffer)
+        if position != len(payload):  # a header overrunning the frame, or trailing bytes
+            raise ValueError(f"header and buffers end at byte {position} of {len(payload)}")
+        if not isinstance(message, dict) or "type" not in message:
+            raise ValueError(f"not a dict with a 'type' key: {type(message).__name__}")
+    except Exception as error:
+        raise ProtocolError(f"malformed frame: {type(error).__name__}: {error}") from None
+    return message
 
 
 def send_message(sock: socket.socket, message: Dict[str, Any]) -> int:
-    """Pickle and frame one message; returns the payload byte count."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    """Encode and frame one message; returns the payload byte count."""
+    payload = encode_message(message)
     write_frame(sock, payload)
     return len(payload)
 
@@ -79,29 +110,18 @@ def recv_message(
     sock: socket.socket, max_bytes: int = MAX_FRAME_BYTES
 ) -> Optional[Dict[str, Any]]:
     """Read one message; ``None`` on clean EOF at a frame boundary.
-
-    Truncated or oversized frames, and frames that do not unpickle to a
-    ``{"type": ...}`` dict, raise :class:`ProtocolError` — the caller
-    treats the connection as lost, never as "empty result".
-    """
+    Truncated, oversized or malformed frames raise :class:`ProtocolError`:
+    the caller treats the connection as lost, never as "empty result"."""
     payload = read_frame(sock, max_bytes=max_bytes)
-    if payload is None:
-        return None
-    try:
-        message = pickle.loads(payload)
-    except Exception as error:
-        raise ProtocolError(f"frame does not unpickle: {error}") from None
-    if not isinstance(message, dict) or "type" not in message:
-        raise ProtocolError(
-            f"message must be a dict with a 'type' key, got {type(message).__name__}"
-        )
-    return message
+    return None if payload is None else decode_message(payload)
 
 
 __all__ = [
     "DEFAULT_BIND",
     "MAX_FRAME_BYTES",
     "TRANSPORT_VERSION",
+    "decode_message",
+    "encode_message",
     "format_address",
     "parse_address",
     "recv_message",

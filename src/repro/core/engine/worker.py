@@ -1,18 +1,19 @@
-"""Serializable stage tasks and the engine-side context handle.
+"""Stage tasks and the engine-side context handle.
 
-This module is the picklable boundary between the engine and its
-remote workers: a :class:`StageTask` carries only plain data
-(architectures, batch arrays, a gradient scale and slot) plus a
+This module is the data boundary between the engine and its remote
+workers: a :class:`StageTask` carries only plain data (architectures,
+batch arrays, a gradient scale and slot) plus a
 :class:`RemoteContextRef` naming the scoring context a worker must hold
-and the weight version it must score against.  Every remote worker
-runs one loop (:class:`~.distributed.WorkerHost`): it rehydrates the
-supernet once per context from the spec the ``context`` message
-carries, validates its parameter shapes against the published layout,
-and refreshes its weights whenever a task's ``version`` is newer than
-the one it last applied (a ``train_many`` task also runs the group's
-backward there and hands the gradient back).  The engine's side of that
-contract is the :class:`RemoteShardContext` handle
-:func:`build_remote_context` returns.
+and the weight version it must score against, flattened on the wire
+into a ``task`` message.  Every remote worker runs one loop
+(:class:`~.distributed.WorkerHost`): it rebuilds the supernet once per
+context from the spec the ``context`` message carries — a name in
+:data:`SUPERNETS` and its config as JSON — validates its parameter
+shapes against the published layout, and refreshes its weights whenever
+a task's ``version`` is newer than the one it last applied (a
+``train_many`` task also runs the group's backward there and hands the
+gradient back).  The engine's side of that contract is the
+:class:`RemoteShardContext` handle :func:`build_remote_context` returns.
 
 Where a fan-out runs is the engine's decision alone
 (:meth:`SearchEngine._remote_active`): what it ships goes to workers,
@@ -23,21 +24,31 @@ engine thread to be executed.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
-import pickle
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...supernet.batching import StackedScoring
+from ...supernet import dlrm, mixture, transformer, vision
 from .shm import SharedGradients, SharedWeights, shared_memory_available, weight_layout
 
 #: Stage-task kinds the worker knows how to run.
 TASK_KINDS = ("quality_many", "train_many")
+
+#: The supernets a worker can host: the name a ``context`` message's
+#: spec carries -> ``(class, config class)``.  Every one is
+#: :class:`~repro.supernet.StackedScoring` and is built as ``cls(config)``.
+SUPERNETS: Dict[str, Tuple[type, type]] = {
+    "dlrm": (dlrm.DlrmSuperNetwork, dlrm.DlrmSupernetConfig),
+    "mixture": (mixture.MixtureSuperNetwork, mixture.MixtureSupernetConfig),
+    "transformer": (transformer.TransformerSuperNetwork, transformer.TransformerSupernetConfig),
+    "vision": (vision.VisionSuperNetwork, vision.VisionSupernetConfig),
+}
 
 
 @dataclass(frozen=True)
@@ -66,14 +77,16 @@ class StageTask:
 _CONTEXT_COUNTER = itertools.count()
 
 
-def build_supernet_from_spec(spec: Tuple[type, Any]) -> Any:
-    """Rebuild a supernet from its ``(cls, config)`` spec.
+def build_supernet_from_spec(spec: Dict[str, Any]) -> Any:
+    """Rebuild a supernet from its ``{"supernet", "config"}`` spec.
 
     The constructor re-creates every parameter array from the (tiny)
-    config; the published weights then overwrite their values.
+    config; the published weights then overwrite their values.  JSON
+    has no tuples, so list fields become tuples again.
     """
-    cls, config = spec
-    return cls(config)
+    cls, config_cls = SUPERNETS[spec["supernet"]]
+    fields = {k: tuple(v) if isinstance(v, list) else v for k, v in spec["config"].items()}
+    return cls(config_cls(**fields))
 
 
 # ----------------------------------------------------------------------
@@ -169,46 +182,25 @@ def train_many_payloads(payloads, groups, num_cores: int) -> List[Tuple[Any, ...
 
 
 def payload_nbytes(tasks: Sequence[StageTask]) -> int:
-    """Approximate pickled payload volume of a fan-out, for telemetry.
+    """Array bytes a fan-out ships, for telemetry: what the shared
+    packer finds in the payloads (the JSON header is noise beside it)."""
+    from ...runtime.checkpoint import pack_state  # runtime imports this package
 
-    Counts ndarray bytes (the dominant term — batch arrays) found
-    anywhere in the payloads; container and spec overhead is noise by
-    comparison and not worth a pickle round-trip to measure.
-    """
-    total = 0
-
-    def walk(value: Any) -> None:
-        nonlocal total
-        if isinstance(value, np.ndarray):
-            total += value.nbytes
-        elif isinstance(value, dict):
-            for item in value.values():
-                walk(item)
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                walk(item)
-
-    for task in tasks:
-        walk(task.payload)
-    return total
+    return sum(array.nbytes for task in tasks for array in pack_state(task.payload)[1])
 
 
 # ----------------------------------------------------------------------
 # Engine-side context construction
 # ----------------------------------------------------------------------
-def worker_spec_for(supernet: Any) -> Optional[Tuple[type, Any]]:
-    """The ``(cls, config)`` spec a worker rebuilds ``supernet`` from, or
-    ``None`` when it cannot ship.
-
-    Only a :class:`~repro.supernet.StackedScoring` supernet runs stage
-    tasks, and only the ``cls(config)`` constructor convention lets a
-    worker rebuild it without pickling the instance.  Every host in
-    :mod:`repro.supernet` follows it.
-    """
+def worker_spec_for(supernet: Any) -> Optional[Dict[str, Any]]:
+    """The ``{"supernet": name, "config": fields}`` spec a worker
+    rebuilds ``supernet`` from, or ``None`` when its type is not in
+    :data:`SUPERNETS` (or it has no config)."""
     config = getattr(supernet, "config", None)
-    if config is None or not isinstance(supernet, StackedScoring):
-        return None
-    return type(supernet), config
+    for name, (cls, config_cls) in SUPERNETS.items():
+        if type(supernet) is cls and isinstance(config, config_cls):
+            return {"supernet": name, "config": dataclasses.asdict(config)}
+    return None
 
 
 #: Contexts whose engine was garbage-collected unreleased.  A finaliser
@@ -241,7 +233,7 @@ class RemoteShardContext:
     def __init__(
         self,
         supernet: Any,
-        spec_bytes: bytes,
+        spec: Dict[str, Any],
         weights: Optional[SharedWeights],
         cluster: Optional[Any],
         gradients: Optional[SharedGradients] = None,
@@ -259,7 +251,7 @@ class RemoteShardContext:
         if cluster is not None:
             cluster.register_context(
                 self.context_id,
-                spec_bytes,
+                spec,
                 self.version,
                 weights.name if weights is not None else None,
                 self.param_arrays,
@@ -267,7 +259,7 @@ class RemoteShardContext:
             )
 
     def ref(self) -> RemoteContextRef:
-        """A picklable reference stamped with the current version."""
+        """A reference stamped with the current version."""
         return RemoteContextRef(context_id=self.context_id, version=self.version)
 
     def publish(self, minimum_version: int = 0) -> int:
@@ -318,8 +310,7 @@ def build_remote_context(
     A supernet with no spec (:func:`worker_spec_for`) registers nothing
     and starts no cluster.  The probe is strict so failures surface
     *here*, at registration, rather than as a crashed worker mid-step:
-    the spec must survive a pickle round trip and rebuild into a
-    supernet whose parameter shapes and dtypes match the live one
+    the spec must rebuild into a supernet whose parameter shapes and dtypes match the live one
     exactly (published weights overwrite values, not structure), and
     parameters must be float64 (both weight carriers assume it).  Any
     failure keeps the search on
@@ -335,8 +326,7 @@ def build_remote_context(
     try:
         arrays = [p.data for p in supernet.parameters()]
         weight_layout(arrays)  # float64 or TypeError
-        spec_bytes = pickle.dumps(spec)
-        rebuilt = build_supernet_from_spec(pickle.loads(spec_bytes))
+        rebuilt = build_supernet_from_spec(spec)
         rebuilt_arrays = [p.data for p in rebuilt.parameters()]
         if [(a.shape, a.dtype) for a in rebuilt_arrays] != [
             (a.shape, a.dtype) for a in arrays
@@ -350,7 +340,7 @@ def build_remote_context(
             weights = SharedWeights.create(arrays)
             if gradient_slots:
                 gradients = SharedGradients(weights.layout, gradient_slots)
-        return RemoteShardContext(supernet, spec_bytes, weights, cluster, gradients)
+        return RemoteShardContext(supernet, spec, weights, cluster, gradients)
     except Exception:
         for segment in (weights, gradients):
             if segment is not None:

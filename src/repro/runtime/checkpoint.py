@@ -40,12 +40,13 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import pathlib
 import shutil
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,8 +81,8 @@ def pack_state(state: Any) -> Tuple[Any, List[np.ndarray]]:
     """Split a nested state tree into a JSON-safe tree plus its arrays.
 
     Every ``np.ndarray`` leaf is replaced by ``{"__ndarray__": i}`` and
-    collected into the returned array table (persisted as NPZ, which
-    round-trips dtype and shape exactly).  Numpy scalars collapse to
+    collected into the returned array table (:func:`encode_state` lays
+    it out as raw per-dtype buffers).  Numpy scalars collapse to
     Python scalars — an exact conversion for int64/float64, the only
     scalar types search state contains.
     """
@@ -93,7 +94,13 @@ def pack_state(state: Any) -> Tuple[Any, List[np.ndarray]]:
             return {_ARRAY_MARKER: len(arrays) - 1}
         if isinstance(node, np.generic):
             return node.item()
-        if isinstance(node, Mapping):
+        # Leaves and lists first: ``typing.Mapping``'s check is slow, and
+        # worker frames go through this walk on every task.
+        if node is None or isinstance(node, (bool, int, float, str)):
+            return node
+        if isinstance(node, (list, tuple)):
+            return [walk(item) for item in node]
+        if isinstance(node, (dict, Mapping)):
             packed = {}
             for key, value in node.items():
                 if not isinstance(key, str):
@@ -107,10 +114,6 @@ def pack_state(state: Any) -> Tuple[Any, List[np.ndarray]]:
                     )
                 packed[key] = walk(value)
             return packed
-        if isinstance(node, (list, tuple)):
-            return [walk(item) for item in node]
-        if node is None or isinstance(node, (bool, int, float, str)):
-            return node
         raise CheckpointError(
             f"cannot checkpoint value of type {type(node).__name__}: {node!r}"
         )
@@ -131,6 +134,57 @@ def unpack_state(tree: Any, arrays: Sequence[np.ndarray]) -> Any:
         return node
 
     return walk(tree)
+
+
+#: The array kinds a snapshot or a worker frame may hold (bool, int,
+#: unsigned, float); anything else is refused both ways.
+ARRAY_KINDS = "biuf"
+
+
+def encode_state(state: Any) -> Tuple[dict, List[List[np.ndarray]]]:
+    """``state`` as ``(document, buffers)``: the JSON document
+    ``state.json`` holds — ``{"tree", "buffers", "arrays"}``: the packed
+    tree, one dtype per buffer and a ``(buffer, offset, shape)`` entry
+    per array — and per buffer its arrays, flattened, in entry order."""
+    tree, arrays = pack_state(state)
+    buffers: Dict[str, List[np.ndarray]] = {}
+    sizes: Dict[str, int] = {}
+    index: List[dict] = []
+    for array in arrays:
+        name = array.dtype.str
+        if array.dtype.kind not in ARRAY_KINDS:
+            raise ValueError(f"Object arrays and other {name!r} arrays cannot be encoded")
+        chunks = buffers.setdefault(name, [])
+        offset = sizes.get(name, 0)
+        index.append(
+            {"buffer": list(buffers).index(name), "offset": offset, "shape": list(array.shape)}
+        )
+        chunks.append(np.ascontiguousarray(array).reshape(-1))
+        sizes[name] = offset + array.size
+    return {"tree": tree, "buffers": list(buffers), "arrays": index}, list(buffers.values())
+
+
+def decode_state(
+    document: Mapping[str, Any], read_buffer: Callable[[np.dtype, int], np.ndarray]
+) -> Any:
+    """Inverse of :func:`encode_state`; ``read_buffer(dtype, count)``
+    returns the next buffer as a 1-d array.  The index must account for
+    every element exactly: entries laid back to back from offset 0, no
+    negative extent, no buffer longer than its entries."""
+    dtypes = [np.dtype(name) for name in document["buffers"]]
+    if any(dtype.kind not in ARRAY_KINDS for dtype in dtypes):
+        raise ValueError(f"refusing buffer dtypes {document['buffers']}")
+    counts, index = [0] * len(dtypes), []
+    for entry in document["arrays"]:
+        buffer, offset = int(entry["buffer"]), int(entry["offset"])
+        shape = tuple(int(n) for n in entry["shape"])
+        if not 0 <= buffer < len(dtypes) or offset != counts[buffer] or min(shape, default=0) < 0:
+            raise ValueError(f"array entry {entry} does not follow its buffer's last one")
+        index.append((buffer, offset, shape))
+        counts[buffer] += math.prod(shape)
+    buffers = [read_buffer(dtype, count) for dtype, count in zip(dtypes, counts)]
+    arrays = [buffers[b][o : o + math.prod(shape)].reshape(shape) for b, o, shape in index]
+    return unpack_state(document["tree"], arrays)
 
 
 # ----------------------------------------------------------------------
@@ -243,40 +297,19 @@ class CheckpointStore:
             shutil.rmtree(staging)
         staging.mkdir(parents=True)
 
-        tree, arrays = pack_state(state)
-        #: dtype -> its arrays, flattened, in table order; a dtype's
-        #: buffer id is its position here
-        buffers: Dict[str, List[np.ndarray]] = {}
-        sizes: Dict[str, int] = {}
-        index: List[dict] = []
-        for array in arrays:
-            if array.dtype.hasobject:
-                raise ValueError("Object arrays cannot be checkpointed")
-            dtype_name = array.dtype.str
-            chunks = buffers.setdefault(dtype_name, [])
-            offset = sizes.get(dtype_name, 0)
-            index.append(
-                {
-                    "buffer": list(buffers).index(dtype_name),
-                    "offset": offset,
-                    "shape": list(array.shape),
-                }
-            )
-            chunks.append(np.ascontiguousarray(array).reshape(-1))
-            sizes[dtype_name] = offset + array.size
-        document = {"tree": tree, "buffers": list(buffers), "arrays": index}
+        document, buffers = encode_state(state)
 
         def segments():
             # One 1-d ``.npy`` segment per dtype, its arrays streamed
             # back to back under a single header.
-            for name, chunks in buffers.items():
+            for chunks in buffers:
                 header = io.BytesIO()
                 np.lib.format.write_array_header_1_0(
                     header,
                     {
                         "descr": np.lib.format.dtype_to_descr(chunks[0].dtype),
                         "fortran_order": False,
-                        "shape": (sizes[name],),
+                        "shape": (sum(chunk.size for chunk in chunks),),
                     },
                 )
                 yield header.getvalue()
@@ -372,23 +405,13 @@ class CheckpointStore:
         try:
             document = json.loads((directory / self.STATE_NAME).read_text())
             with open(directory / self.ARRAYS_NAME, "rb") as handle:
-                buffers = [
-                    np.lib.format.read_array(handle, allow_pickle=False)
-                    for _ in document["buffers"]
-                ]
-            arrays = []
-            for entry in document["arrays"]:
-                shape = tuple(int(n) for n in entry["shape"])
-                size = int(np.prod(shape)) if shape else 1
-                offset = int(entry["offset"])
-                flat = buffers[int(entry["buffer"])][offset : offset + size]
-                arrays.append(flat.reshape(shape))
-            tree = document["tree"]
+                return decode_state(
+                    document, lambda *_: np.lib.format.read_array(handle, allow_pickle=False)
+                )
         except Exception as error:
             raise CheckpointCorruptError(
                 f"snapshot {info.snapshot_id}: unreadable payload: {error}"
             ) from error
-        return unpack_state(tree, arrays)
 
 
 # ----------------------------------------------------------------------

@@ -50,6 +50,7 @@ from repro.core.engine import (
     run_worker,
 )
 from repro.core.engine import backends as backends_mod
+from repro.core.engine.worker import SUPERNETS
 from repro.data import CtrTaskConfig, CtrTeacher, SingleStepPipeline
 from repro.nn import Tensor
 from repro.runtime.faults import _MidShardCrash
@@ -165,6 +166,11 @@ class ItemSupernet:
         raise NotImplementedError("scores only")
 
     quality_and_loss_many = loss_many
+
+
+# Registered at import, not per test: a shared ``processes`` pool forks
+# its workers once and reuses them, so they must inherit the entry.
+SUPERNETS["item"] = (ItemSupernet, ItemConfig)
 
 
 def stage_map(backend, items, config=None):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import ElasticTraining, SearchConfig, SpecializationSearch
-from repro.core.engine.worker import worker_spec_for
+from repro.core.engine.worker import build_supernet_from_spec, worker_spec_for
 from repro.data import (
     CtrTaskConfig,
     CtrTeacher,
@@ -250,9 +250,8 @@ class TestTransformerStackedScoring:
         np.testing.assert_allclose(float(stacked.data), np.mean(singles))
 
     def test_worker_spec_round_trips(self):
-        cls, config = worker_spec_for(self.net)
-        assert cls is TransformerSuperNetwork
-        rebuilt = cls(config)
+        rebuilt = build_supernet_from_spec(worker_spec_for(self.net))
+        assert type(rebuilt) is TransformerSuperNetwork
         arch = self.space.default_architecture()
         batch = self.batches[0]
         rebuilt.load_state_dict(self.net.state_dict())
