@@ -108,7 +108,9 @@ def chain_price_ms(num_ops):
     for _ in range(5):
         start = time.perf_counter()
         graph = OpGraph("chain")
-        graph.chain(ops.dense(f"fc{i}", 64, 256, 256) for i in range(num_ops))
+        last = []
+        for i in range(num_ops):
+            last = [ops.dense(graph, f"fc{i}", 64, 256, 256, deps=last)]
         simulate(graph, TPU_V4)
         samples.append(time.perf_counter() - start)
     return statistics.median(samples) * 1e3

@@ -403,7 +403,7 @@ class SearchEngine:
             ]
         if weights:
             with runtime.timed(STAGE_WEIGHT_UPDATE):
-                self.supernet.zero_grad()
+                self._optimizer.zero_grad()  # its fixed list: no module-tree walk
                 self.accumulate_shard_gradient(drawn, batches, groups)
                 for batch in batches:
                     pipeline.mark_weight_use(batch)
@@ -719,7 +719,7 @@ class SearchEngine:
     def train_weights_on(self, arch: Architecture, batch: Batch) -> None:
         """Stage *weight_update*, single-candidate variant (TuNAS train
         split): one forward/backward plus an optimizer step."""
-        self.supernet.zero_grad()
+        self._optimizer.zero_grad()
         self.supernet.loss(arch, batch.inputs, batch.labels).backward()
         self.optimizer_step()
 

@@ -2,13 +2,14 @@
 
 The paper's in-house performance simulator consumes a TensorFlow/HLO
 graph of the target model.  Our equivalent is :class:`OpGraph` — a DAG
-of :class:`OpNode` objects, each carrying the quantities a roofline
-simulator needs: FLOPs, activation bytes in/out, parameter bytes, and
-which hardware unit executes the op (matrix unit, vector unit, memory
-system, or chip-to-chip network).
+of ops, each carrying the quantities a roofline simulator needs: FLOPs,
+activation bytes in/out, parameter bytes, and which hardware unit
+executes the op (matrix unit, vector unit, memory system, or
+chip-to-chip network).  The graph stores them as columns, one row per
+op; :class:`OpNode` is the one-op view of a row, for reporting.
 
 Model builders in :mod:`repro.models` lower architecture configurations
-to these graphs; :mod:`repro.hardware.simulator` walks them.
+to these graphs; :mod:`repro.hardware.simulator` prices their columns.
 """
 
 from __future__ import annotations
@@ -22,12 +23,38 @@ UNIT_VPU = "vpu"  # vector processing unit
 UNIT_MEMORY = "memory"  # pure data movement (e.g. embedding gather)
 UNIT_NETWORK = "network"  # inter-chip communication (all-to-all etc.)
 
-VALID_UNITS = frozenset({UNIT_MXU, UNIT_VPU, UNIT_MEMORY, UNIT_NETWORK})
+#: The ``units`` column holds an op's unit as its index here.
+UNITS = (UNIT_MXU, UNIT_VPU, UNIT_MEMORY, UNIT_NETWORK)
+VALID_UNITS = frozenset(UNITS)
+_UNIT_CODE = {unit: code for code, unit in enumerate(UNITS)}
+#: The float columns of a graph, in :class:`OpNode` field order.
+FOOTPRINT = ("flops", "bytes_in", "bytes_out", "param_bytes", "network_bytes")
+_INF = float("inf")
+
+
+def _unit_code(name, unit, dims, flops, bytes_in, bytes_out, params, network) -> int:
+    """The index of ``unit`` in :data:`UNITS`, or ``ValueError`` for an op the
+    simulator cannot price: an unknown unit, a negative or non-finite
+    footprint, or a matrix op that computes over a dimension that is not
+    positive."""
+    code = _UNIT_CODE.get(unit)
+    if code is None:
+        raise ValueError(f"unknown unit {unit!r} for op {name!r}")
+    # one chained test per op on the hot path; a NaN fails both comparisons
+    if not (0.0 <= flops < _INF and 0.0 <= bytes_in < _INF and 0.0 <= bytes_out < _INF
+            and 0.0 <= params < _INF and 0.0 <= network < _INF):  # fmt: skip
+        footprint = (flops, bytes_in, bytes_out, params, network)
+        for label, value in zip(FOOTPRINT, footprint):
+            if not 0.0 <= value < _INF:
+                raise ValueError(f"{label} of op {name!r} must be non-negative and finite")
+    if unit == UNIT_MXU and flops > 0 and dims and min(dims) <= 0:
+        raise ValueError(f"op {name!r}: dimension must be positive, got dims {tuple(dims)}")
+    return code
 
 
 @dataclass
 class OpNode:
-    """One operator with its resource footprint.
+    """One operator with its resource footprint: a row of an :class:`OpGraph`.
 
     Attributes:
         name: unique node id within its graph.
@@ -56,13 +83,10 @@ class OpNode:
     attrs: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.unit not in VALID_UNITS:
-            raise ValueError(f"unknown unit {self.unit!r} for op {self.name!r}")
-        if (self.flops < 0 or self.bytes_in < 0 or self.bytes_out < 0
-                or self.param_bytes < 0 or self.network_bytes < 0):  # fmt: skip
-            for label in ("flops", "bytes_in", "bytes_out", "param_bytes", "network_bytes"):
-                if getattr(self, label) < 0:
-                    raise ValueError(f"{label} of op {self.name!r} must be non-negative")
+        _unit_code(
+            self.name, self.unit, self.dims, self.flops, self.bytes_in,
+            self.bytes_out, self.param_bytes, self.network_bytes,
+        )  # fmt: skip
 
     @property
     def total_bytes(self) -> float:
@@ -77,48 +101,99 @@ class OpNode:
 
 
 class OpGraph:
-    """A DAG of :class:`OpNode` with explicit dependency edges.
+    """A DAG of ops stored as columns, one row per op, rows in the order
+    appended.
 
-    Acyclic by construction: :meth:`add` accepts only a *new* name whose
+    The columns are read-only outside :meth:`append`: ``names``,
+    ``op_types``, the float :data:`FOOTPRINT` columns (``flops`` ...
+    ``network_bytes``), ``units`` (an index into :data:`UNITS`), the
+    flags ``gather`` (an embedding gather: tables dwarf CMEM) and
+    ``resident`` (``cmem_resident``: fused, never leaves the chip),
+    ``dims``, and ``preds`` / ``succs`` (row indices).  ``attrs`` maps
+    the few rows that have attributes to them.
+
+    Acyclic by construction: :meth:`append` accepts only a *new* name whose
     dependencies already exist, so no edge can point backwards.
     """
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self._ops: Dict[str, OpNode] = {}
-        self._preds: Dict[str, List[str]] = {}
-        self._succs: Dict[str, List[str]] = {}
-        self._order: Optional[List[OpNode]] = None  # cached; ``add`` resets it
+        self._index: Dict[str, int] = {}
+        self.names: List[str] = []
+        self.op_types: List[str] = []
+        self.flops: List[float] = []
+        self.bytes_in: List[float] = []
+        self.bytes_out: List[float] = []
+        self.param_bytes: List[float] = []
+        self.network_bytes: List[float] = []
+        self.units: List[int] = []
+        self.gather: List[bool] = []
+        self.resident: List[bool] = []
+        self.dims: List[Tuple[int, ...]] = []
+        self.attrs: Dict[int, Dict[str, float]] = {}
+        self.preds: List[List[int]] = []
+        self.succs: List[List[int]] = []
+        self._order: Optional[List[int]] = None  # cached; ``append`` resets it
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def add(self, node: OpNode, deps: Iterable[str] = ()) -> OpNode:
-        """Add ``node``, depending on the named predecessor ops.
+    def append(
+        self, name: str, op_type: str, flops: float = 0.0, bytes_in: float = 0.0,
+        bytes_out: float = 0.0, param_bytes: float = 0.0, unit: str = UNIT_VPU,
+        dims: Tuple[int, ...] = (), network_bytes: float = 0.0,
+        attrs: Optional[Dict[str, float]] = None, deps: Iterable[str] = (),
+    ) -> str:  # fmt: skip
+        """Append one op (the :class:`OpNode` fields, in order) as a row,
+        depending on the named ops; returns ``name``.
 
-        A refused add leaves the graph exactly as it was.
+        A refused append leaves the graph exactly as it was.
         """
-        if node.name in self._ops:
-            raise ValueError(f"duplicate op name {node.name!r}")
-        preds = list(deps)
+        code = _unit_code(name, unit, dims, flops, bytes_in, bytes_out, param_bytes, network_bytes)
+        index = self._index
+        if name in index:
+            raise ValueError(f"duplicate op name {name!r}")
+        try:
+            preds = list(map(index.__getitem__, deps))  # the op itself included
+        except KeyError as missing:
+            raise KeyError(f"dependency {missing.args[0]!r} not in graph") from None
         if len(preds) > 1:
             preds = list(dict.fromkeys(preds))  # repeated entries are one edge
-        for dep in preds:
-            if dep not in self._ops:  # the node itself included
-                raise KeyError(f"dependency {dep!r} not in graph")
-        self._ops[node.name] = node
-        self._preds[node.name] = preds
-        self._succs[node.name] = []
-        for dep in preds:
-            self._succs[dep].append(node.name)
+        resident = bool(attrs and attrs.get("cmem_resident"))  # the last call that can raise
+        row = index[name] = len(self.names)
+        self.names.append(name)
+        self.op_types.append(op_type)
+        self.flops.append(flops)
+        self.bytes_in.append(bytes_in)
+        self.bytes_out.append(bytes_out)
+        self.param_bytes.append(param_bytes)
+        self.network_bytes.append(network_bytes)
+        self.units.append(code)
+        self.dims.append(dims)
+        self.preds.append(preds)
+        self.succs.append([])
+        for pred in preds:
+            self.succs[pred].append(row)
+        self.gather.append(op_type == "embedding_lookup")
+        self.resident.append(resident)
+        if attrs:
+            self.attrs[row] = attrs
         self._order = None
+        return name
+
+    def add(self, node: OpNode, deps: Iterable[str] = ()) -> OpNode:
+        """Append ``node`` as a row (see :meth:`append`); returns it."""
+        self.append(
+            node.name, node.op_type, node.flops, node.bytes_in, node.bytes_out,
+            node.param_bytes, node.unit, node.dims, node.network_bytes, node.attrs, deps,
+        )  # fmt: skip
         return node
 
     def chain(self, nodes: Iterable[OpNode], after: Optional[str] = None) -> Optional[str]:
         """Add ``nodes`` in sequence, each depending on the previous.
 
         Returns the name of the last node added (or ``after`` when
-        ``nodes`` is empty), convenient for threading builders.
+        ``nodes`` is empty).
         """
         last = after
         for node in nodes:
@@ -130,74 +205,95 @@ class OpGraph:
     # Access
     # ------------------------------------------------------------------
     def __contains__(self, name: str) -> bool:
-        return name in self._ops
+        return name in self._index
 
     def __len__(self) -> int:
-        return len(self._ops)
+        return len(self.names)
+
+    def _node(self, row: int) -> OpNode:
+        return OpNode(
+            self.names[row], self.op_types[row], self.flops[row], self.bytes_in[row],
+            self.bytes_out[row], self.param_bytes[row], UNITS[self.units[row]],
+            self.dims[row], self.network_bytes[row], dict(self.attrs.get(row, ())),
+        )  # fmt: skip
 
     def node(self, name: str) -> OpNode:
-        return self._ops[name]
+        """A fresh :class:`OpNode` view of the op called ``name``."""
+        return self._node(self._index[name])
 
-    def nodes(self) -> List[OpNode]:
-        """All ops in topological order: Kahn's algorithm by generations,
+    def order(self) -> List[int]:
+        """All rows in topological order: Kahn's algorithm by generations,
         the roots in insertion order, then each generation in the order
         its ops become ready (DESIGN.md section 2).  Every float sum the
-        simulator reports is taken in this order.
+        simulator reports is taken in this order.  Do not mutate.
         """
         if self._order is None:
-            waiting = {name: len(preds) for name, preds in self._preds.items()}
-            order = [name for name, count in waiting.items() if count == 0]
-            for name in order:  # grows as ops become ready
-                for succ in self._succs[name]:
+            waiting = [len(preds) for preds in self.preds]
+            order = [row for row, count in enumerate(waiting) if not count]
+            for row in order:  # grows as ops become ready
+                for succ in self.succs[row]:
                     waiting[succ] -= 1
-                    if waiting[succ] == 0:
+                    if not waiting[succ]:
                         order.append(succ)
-            self._order = [self._ops[name] for name in order]
-        return list(self._order)
+            self._order = order
+        return self._order
 
-    def successors(self, name: str) -> Sequence[str]:
-        """Ops depending on ``name``, in the order added (read-only)."""
-        return self._succs[name]
+    def nodes(self) -> List[OpNode]:
+        """:class:`OpNode` views of all ops, in :meth:`order`."""
+        return [self._node(row) for row in self.order()]
 
-    def predecessors(self, name: str) -> Sequence[str]:
-        """Dependencies of ``name``, in the order given (read-only)."""
-        return self._preds[name]
+    def successors(self, name: str) -> List[str]:
+        """Ops depending on ``name``, in the order added."""
+        return [self.names[row] for row in self.succs[self._index[name]]]
+
+    def predecessors(self, name: str) -> List[str]:
+        """Dependencies of ``name``, in the order given."""
+        return [self.names[row] for row in self.preds[self._index[name]]]
 
     # ------------------------------------------------------------------
     # Aggregate statistics
     # ------------------------------------------------------------------
     @property
     def total_flops(self) -> float:
-        return sum(op.flops for op in self.nodes())
+        return sum(self.flops[row] for row in self.order())
 
     @property
     def total_param_bytes(self) -> float:
-        return sum(op.param_bytes for op in self.nodes())
+        return sum(self.param_bytes[row] for row in self.order())
 
     @property
     def total_bytes(self) -> float:
-        return sum(op.total_bytes for op in self.nodes())
+        return sum(self.bytes_in[r] + self.bytes_out[r] + self.param_bytes[r] for r in self.order())
+
+    def longest_path(self, weights: Sequence[float]) -> Tuple[List[int], float]:
+        """Rows of the longest path under ``weights`` (one per op, in
+        :meth:`order`), and its length.
+
+        Parallel branches (e.g. the embedding pipeline vs. the bottom MLP
+        of a DLRM) contribute only their slower arm, matching the paper's
+        ``MAX(embedding time, DNN time)`` step-time accounting.  Ties go
+        to the first predecessor, and to the tail earliest in
+        :meth:`order`.  The length is summed from the root.
+        """
+        order = self.order()
+        if not order:
+            return [], 0.0
+        cost, best = [0.0] * len(order), [-1] * len(order)
+        at = cost.__getitem__
+        for row, weight in zip(order, weights):
+            preds = self.preds[row]  # most ops sit on a chain: one, no ``max``
+            if preds:
+                pred = best[row] = max(preds, key=at) if len(preds) > 1 else preds[0]
+                cost[row] = cost[pred] + weight
+            else:
+                cost[row] = 0.0 + weight
+        path = [max(order, key=at)]
+        while best[path[-1]] >= 0:
+            path.append(best[path[-1]])
+        path.reverse()
+        return path, cost[path[-1]]
 
     def critical_path(self, weights: Dict[str, float]) -> List[str]:
-        """Longest path through the DAG under per-node ``weights``.
-
-        ``weights`` maps op name -> execution time.  Parallel branches
-        (e.g. the embedding pipeline vs. the bottom MLP of a DLRM)
-        contribute only their slower arm, matching the paper's
-        ``MAX(embedding time, DNN time)`` step-time accounting.  Ties
-        go to the first predecessor, and to the earliest tail.
-        """
-        best_cost: Dict[str, float] = {}
-        best_pred: Dict[str, Optional[str]] = {}
-        cost = best_cost.__getitem__
-        for op in self.nodes():
-            preds = self._preds[op.name]  # most ops sit on a chain: one, no ``max``
-            pred = max(preds, key=cost) if len(preds) > 1 else (preds or [None])[0]
-            best_cost[op.name] = (best_cost[pred] if preds else 0.0) + weights[op.name]
-            best_pred[op.name] = pred
-        if not best_cost:
-            return []
-        path = [max(best_cost, key=best_cost.__getitem__)]
-        while best_pred[path[-1]] is not None:
-            path.append(best_pred[path[-1]])
-        return list(reversed(path))
+        """Names along :meth:`longest_path` under per-name ``weights``."""
+        path, _ = self.longest_path([weights[self.names[row]] for row in self.order()])
+        return [self.names[row] for row in path]

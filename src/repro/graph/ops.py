@@ -1,5 +1,9 @@
 """Constructors for common ML operators with their resource footprints.
 
+Each helper appends one op to a graph (:meth:`OpGraph.append`, its
+positional arguments in :class:`OpNode` field order) and returns its
+name, so a builder threads ``deps=[last]`` through a chain.
+
 FLOP and byte accounting conventions:
 
 * one multiply-accumulate = 2 FLOPs (the paper's convention — e.g. the
@@ -13,11 +17,14 @@ FLOP and byte accounting conventions:
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
-from .ir import OpNode, UNIT_MEMORY, UNIT_MXU, UNIT_NETWORK, UNIT_VPU
+from .ir import OpGraph, UNIT_MEMORY, UNIT_MXU, UNIT_NETWORK, UNIT_VPU
 
 DEFAULT_DTYPE_BYTES = 2.0
 EMBEDDING_DTYPE_BYTES = 4.0
+#: ``attrs`` of an op the compiler keeps on chip (one shared, never mutated)
+_RESIDENT = {"cmem_resident": 1.0}
 
 
 def _out_hw(size: int, stride: int) -> int:
@@ -25,6 +32,7 @@ def _out_hw(size: int, stride: int) -> int:
 
 
 def conv2d(
+    graph: OpGraph,
     name: str,
     height: int,
     width: int,
@@ -34,23 +42,22 @@ def conv2d(
     stride: int = 1,
     batch: int = 1,
     dtype_bytes: float = DEFAULT_DTYPE_BYTES,
-) -> OpNode:
+    *, deps: Iterable[str] = (),
+) -> str:
     """A standard 2-D convolution executed on the matrix unit."""
     out_h, out_w = _out_hw(height, stride), _out_hw(width, stride)
     flops = 2.0 * batch * out_h * out_w * cin * cout * kernel * kernel
-    return OpNode(
-        name=name,
-        op_type="conv2d",
-        flops=flops,
-        bytes_in=batch * height * width * cin * dtype_bytes,
-        bytes_out=batch * out_h * out_w * cout * dtype_bytes,
-        param_bytes=kernel * kernel * cin * cout * dtype_bytes,
-        unit=UNIT_MXU,
-        dims=(batch * out_h * out_w, kernel * kernel * cin, cout),
+    bytes_in = batch * height * width * cin * dtype_bytes
+    bytes_out = batch * out_h * out_w * cout * dtype_bytes
+    params = kernel * kernel * cin * cout * dtype_bytes
+    dims = (batch * out_h * out_w, kernel * kernel * cin, cout)
+    return graph.append(
+        name, "conv2d", flops, bytes_in, bytes_out, params, UNIT_MXU, dims, deps=deps
     )
 
 
 def depthwise_conv2d(
+    graph: OpGraph,
     name: str,
     height: int,
     width: int,
@@ -59,7 +66,8 @@ def depthwise_conv2d(
     stride: int = 1,
     batch: int = 1,
     dtype_bytes: float = DEFAULT_DTYPE_BYTES,
-) -> OpNode:
+    *, deps: Iterable[str] = (),
+) -> str:
     """Depthwise convolution: cheap in FLOPs but runs on the vector unit.
 
     Depthwise convolutions cannot fill a systolic matrix unit (each
@@ -69,39 +77,35 @@ def depthwise_conv2d(
     """
     out_h, out_w = _out_hw(height, stride), _out_hw(width, stride)
     flops = 2.0 * batch * out_h * out_w * channels * kernel * kernel
-    return OpNode(
-        name=name,
-        op_type="depthwise_conv2d",
-        flops=flops,
-        bytes_in=batch * height * width * channels * dtype_bytes,
-        bytes_out=batch * out_h * out_w * channels * dtype_bytes,
-        param_bytes=kernel * kernel * channels * dtype_bytes,
-        unit=UNIT_VPU,
-        dims=(batch * out_h * out_w, kernel * kernel, channels),
+    bytes_in = batch * height * width * channels * dtype_bytes
+    bytes_out = batch * out_h * out_w * channels * dtype_bytes
+    params = kernel * kernel * channels * dtype_bytes
+    dims = (batch * out_h * out_w, kernel * kernel, channels)
+    return graph.append(
+        name, "depthwise_conv2d", flops, bytes_in, bytes_out, params, UNIT_VPU, dims, deps=deps
     )
 
 
 def dense(
+    graph: OpGraph,
     name: str,
     batch: int,
     nin: int,
     nout: int,
     dtype_bytes: float = DEFAULT_DTYPE_BYTES,
-) -> OpNode:
+    *, deps: Iterable[str] = (),
+) -> str:
     """Fully-connected layer ``(batch, nin) @ (nin, nout)``."""
-    return OpNode(
-        name=name,
-        op_type="dense",
-        flops=2.0 * batch * nin * nout,
-        bytes_in=batch * nin * dtype_bytes,
-        bytes_out=batch * nout * dtype_bytes,
-        param_bytes=nin * nout * dtype_bytes,
-        unit=UNIT_MXU,
-        dims=(batch, nin, nout),
+    flops = 2.0 * batch * nin * nout
+    bytes_in, bytes_out = batch * nin * dtype_bytes, batch * nout * dtype_bytes
+    params = nin * nout * dtype_bytes
+    return graph.append(
+        name, "dense", flops, bytes_in, bytes_out, params, UNIT_MXU, (batch, nin, nout), deps=deps
     )
 
 
 def matmul(
+    graph: OpGraph,
     name: str,
     m: int,
     k: int,
@@ -109,33 +113,32 @@ def matmul(
     batch: int = 1,
     dtype_bytes: float = DEFAULT_DTYPE_BYTES,
     cmem_resident: bool = False,
-) -> OpNode:
+    *, deps: Iterable[str] = (),
+) -> str:
     """Activation-by-activation matmul (no parameters), e.g. QK^T / AV.
 
     ``cmem_resident`` marks intermediates the compiler keeps on-chip via
     fusion/blocking (attention score matrices never round-trip to HBM);
     the simulator then charges their traffic to CMEM bandwidth.
     """
-    return OpNode(
-        name=name,
-        op_type="matmul",
-        flops=2.0 * batch * m * k * n,
-        bytes_in=batch * (m * k + k * n) * dtype_bytes,
-        bytes_out=batch * m * n * dtype_bytes,
-        param_bytes=0.0,
-        unit=UNIT_MXU,
-        dims=(batch * m, k, n),
-        attrs={"cmem_resident": 1.0} if cmem_resident else {},
-    )
+    flops = 2.0 * batch * m * k * n
+    bytes_in = batch * (m * k + k * n) * dtype_bytes
+    bytes_out = batch * m * n * dtype_bytes
+    return graph.append(
+        name, "matmul", flops, bytes_in, bytes_out, 0.0, UNIT_MXU, (batch * m, k, n), 0.0,
+        _RESIDENT if cmem_resident else None, deps,
+    )  # fmt: skip
 
 
 def embedding_lookup(
+    graph: OpGraph,
     name: str,
     lookups: int,
     width: int,
     distributed: bool = True,
     dtype_bytes: float = EMBEDDING_DTYPE_BYTES,
-) -> OpNode:
+    *, deps: Iterable[str] = (),
+) -> str:
     """Sparse embedding gather (+ all-to-all when sharded across chips).
 
     Embedding layers never touch the matrix unit: they are memory-bound
@@ -143,57 +146,48 @@ def embedding_lookup(
     network-bound (Section 5.1 of the paper).
     """
     moved = lookups * width * dtype_bytes
-    return OpNode(
-        name=name,
-        op_type="embedding_lookup",
-        flops=0.0,
-        bytes_in=moved,
-        bytes_out=moved,
-        param_bytes=0.0,
-        unit=UNIT_MEMORY,
-        network_bytes=moved if distributed else 0.0,
+    network = moved if distributed else 0.0
+    return graph.append(
+        name, "embedding_lookup", 0.0, moved, moved, 0.0, UNIT_MEMORY, (), network, None, deps
     )
 
 
 def elementwise(
+    graph: OpGraph,
     name: str,
     elements: float,
     flops_per_element: float = 1.0,
     op_type: str = "elementwise",
     dtype_bytes: float = DEFAULT_DTYPE_BYTES,
-) -> OpNode:
+    *, deps: Iterable[str] = (),
+) -> str:
     """Pointwise op (activation, add, batch-norm apply, ...)."""
-    return OpNode(
-        name=name,
-        op_type=op_type,
-        flops=elements * flops_per_element,
-        bytes_in=elements * dtype_bytes,
-        bytes_out=elements * dtype_bytes,
-        unit=UNIT_VPU,
+    moved = elements * dtype_bytes
+    return graph.append(
+        name, op_type, elements * flops_per_element, moved, moved, 0.0, UNIT_VPU, deps=deps
     )
 
 
 def softmax(
+    graph: OpGraph,
     name: str,
     rows: int,
     row_length: int,
     dtype_bytes: float = DEFAULT_DTYPE_BYTES,
     cmem_resident: bool = False,
-) -> OpNode:
+    *, deps: Iterable[str] = (),
+) -> str:
     """Row-wise softmax: ~5 vector FLOPs per element (max/sub/exp/sum/div)."""
     elements = rows * row_length
-    return OpNode(
-        name=name,
-        op_type="softmax",
-        flops=5.0 * elements,
-        bytes_in=elements * dtype_bytes,
-        bytes_out=elements * dtype_bytes,
-        unit=UNIT_VPU,
-        attrs={"cmem_resident": 1.0} if cmem_resident else {},
-    )
+    moved = elements * dtype_bytes
+    return graph.append(
+        name, "softmax", 5.0 * elements, moved, moved, 0.0, UNIT_VPU, (), 0.0,
+        _RESIDENT if cmem_resident else None, deps,
+    )  # fmt: skip
 
 
 def pooling(
+    graph: OpGraph,
     name: str,
     height: int,
     width: int,
@@ -201,39 +195,32 @@ def pooling(
     window: int,
     batch: int = 1,
     dtype_bytes: float = DEFAULT_DTYPE_BYTES,
-) -> OpNode:
+    *, deps: Iterable[str] = (),
+) -> str:
     """Average/max pooling over ``window x window``."""
     out_elems = batch * _out_hw(height, window) * _out_hw(width, window) * channels
-    return OpNode(
-        name=name,
-        op_type="pooling",
-        flops=batch * height * width * channels,
-        bytes_in=batch * height * width * channels * dtype_bytes,
-        bytes_out=out_elems * dtype_bytes,
-        unit=UNIT_VPU,
-    )
+    elements = batch * height * width * channels  # one FLOP each
+    bytes_in, bytes_out = elements * dtype_bytes, out_elems * dtype_bytes
+    return graph.append(name, "pooling", elements, bytes_in, bytes_out, 0.0, UNIT_VPU, deps=deps)
 
 
-def concat(name: str, total_elements: float, dtype_bytes: float = DEFAULT_DTYPE_BYTES) -> OpNode:
-    """Concatenation — pure data movement."""
+def concat(
+    graph: OpGraph,
+    name: str,
+    total_elements: float,
+    dtype_bytes: float = DEFAULT_DTYPE_BYTES,
+    op_type: str = "concat",
+    *, deps: Iterable[str] = (),
+) -> str:
+    """Concatenation — pure data movement (also any other reshuffle,
+    under its own ``op_type``)."""
     moved = total_elements * dtype_bytes
-    return OpNode(
-        name=name,
-        op_type="concat",
-        flops=0.0,
-        bytes_in=moved,
-        bytes_out=moved,
-        unit=UNIT_MEMORY,
-    )
+    return graph.append(name, op_type, 0.0, moved, moved, 0.0, UNIT_MEMORY, deps=deps)
 
 
-def all_to_all(name: str, payload_bytes: float) -> OpNode:
+def all_to_all(graph: OpGraph, name: str, payload_bytes: float, *, deps: Iterable[str] = ()) -> str:
     """Cross-chip shuffle of ``payload_bytes`` over the interconnect."""
-    return OpNode(
-        name=name,
-        op_type="all_to_all",
-        bytes_in=payload_bytes,
-        bytes_out=payload_bytes,
-        network_bytes=payload_bytes,
-        unit=UNIT_NETWORK,
-    )
+    return graph.append(
+        name, "all_to_all", 0.0, payload_bytes, payload_bytes, 0.0, UNIT_NETWORK, (),
+        payload_bytes, None, deps,
+    )  # fmt: skip

@@ -16,13 +16,13 @@ gathers always hit HBM (tables are far larger than CMEM).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
+from itertools import chain, zip_longest
 from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..graph.ir import OpGraph, OpNode, UNIT_MEMORY, UNIT_MXU, UNIT_NETWORK
+from ..graph.ir import FOOTPRINT, UNITS, OpGraph, OpNode, UNIT_MXU, UNIT_VPU
 from ..graph.passes import optimize
 from .config import HardwareConfig
 from .roofline import compute_rate
@@ -33,7 +33,6 @@ CMEM_USABLE_FRACTION = 0.5
 #: The leading rows of the program's table: the ``SimulationResult`` totals.
 TOTALS = ("serial_time_s", "total_flops", "hbm_bytes", "cmem_bytes",
           "network_bytes", "param_bytes", "mxu_busy_s", "vpu_busy_s")  # fmt: skip
-_FOOTPRINT = [attrgetter(f) for f in ("flops", "bytes_in", "bytes_out", "param_bytes", "network_bytes")]
 
 
 @dataclass
@@ -52,33 +51,45 @@ class OpTiming:
     bound: str  # "compute" | "memory" | "network" | "overhead"
 
 
-class _LazyOpTimings:
-    """The ``op_timings`` field of a result: per-op outcomes in ``nodes()``
-    order, built from the program's columns when first read (a search
-    reads totals only and never builds one)."""
+def _op_timings(graph, order, table, overhead, path) -> Dict[str, OpTiming]:
+    timings = {}
+    for row, values in zip(order, table.T.tolist()):
+        time, _, hbm, cmem, _, _, _, _, compute, memory, network, body = values
+        if body <= overhead:
+            bound = "overhead"
+        elif body == compute:
+            bound = "compute"
+        else:
+            bound = "memory" if body == memory else "network"
+        name, flops = graph.names[row], graph.flops[row]
+        timings[name] = OpTiming(
+            name, graph.op_types[row], time, compute, memory, network, flops, hbm, cmem, bound
+        )
+    return timings
+
+
+class _Lazy:
+    """A result field built from the program's columns when first read
+    (a search reads totals only and never builds one)."""
+
+    def __init__(self, build, empty):
+        self.build, self.empty = build, empty
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, result, owner=None):
         if result is None:
             return None  # the dataclass default: not built yet
-        timings = result.__dict__["op_timings"]
-        if timings is None:
-            timings = result.__dict__["op_timings"] = {}
-            ops, table, overhead = result._columns or ((), np.empty((12, 0)), 0.0)
-            for op, row in zip(ops, table.T.tolist()):
-                time, _, hbm, cmem, _, _, _, _, compute, memory, network, body = row
-                if body <= overhead:
-                    bound = "overhead"
-                elif body == compute:
-                    bound = "compute"
-                else:
-                    bound = "memory" if body == memory else "network"
-                timings[op.name] = OpTiming(
-                    op.name, op.op_type, time, compute, memory, network, op.flops, hbm, cmem, bound
-                )
-        return timings
+        value = result.__dict__[self.name]
+        if value is None:
+            columns = result._columns
+            value = self.build(*columns) if columns else self.empty()
+            result.__dict__[self.name] = value
+        return value
 
     def __set__(self, result, value) -> None:
-        result.__dict__["op_timings"] = value
+        result.__dict__[self.name] = value
 
 
 @dataclass
@@ -96,9 +107,14 @@ class SimulationResult:
     param_bytes: float = 0.0
     mxu_busy_s: float = 0.0
     vpu_busy_s: float = 0.0
-    critical_path: List[str] = field(default_factory=list)
-    op_timings: Dict[str, OpTiming] = _LazyOpTimings()
-    #: not a field: (the graph's ops, their table columns, the op overhead)
+    #: names along the longest path (parallel branches overlap)
+    critical_path: List[str] = _Lazy(
+        lambda graph, order, table, overhead, path: [graph.names[row] for row in path], list
+    )
+    #: per-op outcomes in the graph's ``order()``
+    op_timings: Dict[str, OpTiming] = _Lazy(_op_timings, dict)
+    #: not a field: (graph, its ``order()``, its table columns in that
+    #: order, the op overhead, the longest path's rows)
     _columns = None
 
     @property
@@ -153,35 +169,35 @@ class PerformanceSimulator:
         self.hw = hw
         self.run_compiler_passes = run_compiler_passes
 
-    def _table(self, ops: Sequence[OpNode]) -> np.ndarray:
-        """The roofline of ``ops``, a float64 row per quantity: rows 0-7 are
-        :data:`TOTALS`, 8-11 the compute, memory, network times and their max."""
+    def _table(self, graphs: Sequence[OpGraph]) -> np.ndarray:
+        """The roofline of every op of ``graphs``, a column per op, graph
+        after graph, each in its rows' order: a float64 row per quantity,
+        rows 0-7 are :data:`TOTALS`, 8-11 the compute, memory, network
+        times and their max."""
         hw = self.hw
-        # a flat list per column: tuples per op are garbage the collector walks
+
+        def stacked(column):
+            return list(chain.from_iterable(getattr(graph, column) for graph in graphs))
+
         flops, bytes_in, bytes_out, params, network = np.array(
-            [list(map(column, ops)) for column in _FOOTPRINT], dtype=np.float64
+            [stacked(column) for column in FOOTPRINT], dtype=np.float64
         )
-        flags = [
-            [op.unit == UNIT_MXU for op in ops],
-            [op.unit not in (UNIT_MXU, UNIT_MEMORY, UNIT_NETWORK) for op in ops],
-            [op.op_type == "embedding_lookup" for op in ops],  # tables dwarf CMEM: all HBM
-            [bool(op.attrs.get("cmem_resident")) for op in ops],  # fused: never leaves the chip
-        ]
-        on_mxu, on_vpu, gather, resident = np.array(flags, dtype=bool)
+        units = np.array(stacked("units"), dtype=np.intp)
+        on_mxu, on_vpu = units == UNITS.index(UNIT_MXU), units == UNITS.index(UNIT_VPU)
+        gather, resident = np.array([stacked("gather"), stacked("resident")], dtype=bool)
         # Only a matrix op that computes has its dims read.  A short view
         # is padded with a multiple of both tiles: efficiency exactly 1.0.
-        dims = [op.dims if op.unit == UNIT_MXU and op.flops > 0 else () for op in ops]
         fill = hw.batch_tile * hw.mxu_tile
-        axes = [
-            [view[axis] if len(view) > axis else fill for view in dims]
-            for axis in range(max(map(len, dims), default=0))
-        ]
+        axes = list(zip_longest(*stacked("dims"), fillvalue=fill))  # a row per axis
+        axes = np.array(axes, dtype=np.float64).reshape(len(axes), len(flops))
+        axes[:, ~(on_mxu & (flops > 0))] = fill
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero rate: infinite time
-            rate = compute_rate(on_mxu, np.array(axes, dtype=np.float64), hw)
+            rate = compute_rate(on_mxu, axes, hw)
             compute = np.where(flops > 0, flops / np.maximum(rate, 0.0), 0.0)
         budget = hw.cmem_capacity_bytes * CMEM_USABLE_FRACTION
-        in_cmem = ~gather & (resident | (bytes_in <= budget))
-        out_cmem = ~gather & (resident | (bytes_out <= budget))
+        on_chip = ~gather
+        in_cmem = on_chip & (resident | (bytes_in <= budget))
+        out_cmem = on_chip & (resident | (bytes_out <= budget))
         cmem = np.where(in_cmem, bytes_in, 0.0) + np.where(out_cmem, bytes_out, 0.0)
         spilled = params + np.where(in_cmem, 0.0, bytes_in) + np.where(out_cmem, 0.0, bytes_out)
         hbm = np.where(gather, params + (bytes_in + bytes_out), spilled)
@@ -196,41 +212,44 @@ class PerformanceSimulator:
 
     def time_op(self, op: OpNode) -> OpTiming:
         """Roofline time for a single operator."""
-        result = SimulationResult(op.name, self.hw.name)
-        result._columns = ([op], self._table([op]), self.hw.op_overhead_s)
-        return result.op_timings[op.name]
+        graph = OpGraph(op.name)
+        graph.add(op)
+        return self.simulate(graph).op_timings[op.name]
 
     def simulate_many(self, graphs: Sequence[OpGraph]) -> List[SimulationResult]:
         """Simulate every graph of ``graphs`` in one array program.
 
-        The ops of all graphs, each in its ``nodes()`` order, are the
-        columns of one table (:meth:`_table`).  A graph's totals are
-        running sums over its own columns: ``accumulate`` adds left to
-        right where ``np.sum`` adds pairwise, so every float is the one
-        a per-op ``+=`` walk gives, whatever else shares the program.
-        ``total_time_s`` is the critical path (parallel branches overlap,
-        e.g. a DLRM's embedding pipeline vs. its bottom MLP);
-        ``serial_time_s`` sums all op times, for utilization bookkeeping.
+        The ops of all graphs are the columns of one table
+        (:meth:`_table`), computed on the graphs' own columns.  A graph's
+        totals are running sums over its table columns in its ``order()``:
+        ``accumulate`` adds left to right where ``np.sum`` adds pairwise,
+        so every float is the one a per-op ``+=`` walk gives, whatever
+        else shares the program.  ``total_time_s`` is the longest path
+        (parallel branches overlap, e.g. a DLRM's embedding pipeline vs.
+        its bottom MLP); ``serial_time_s`` sums all op times, for
+        utilization bookkeeping.
         """
         if self.run_compiler_passes:
             graphs = [optimize(graph) for graph in graphs]
-        orders = [graph.nodes() for graph in graphs]
-        table = self._table([op for order in orders for op in order])
-        results, stop = [], 0
-        for graph, order in zip(graphs, orders):
-            start, stop = stop, stop + len(order)
+        orders, starts = [graph.order() for graph in graphs], [0]
+        for graph in graphs:
+            starts.append(starts[-1] + len(graph))
+        # every graph's columns in its ``order()``, graph after graph
+        table = self._table(graphs)[
+            :, [start + row for start, order in zip(starts, orders) for row in order]
+        ]
+        weights = table[0].tolist()
+        results = []
+        for graph, order, start, stop in zip(graphs, orders, starts, starts[1:]):
             result = SimulationResult(graph_name=graph.name, hardware=self.hw.name)
             results.append(result)
-            if order:  # an empty graph keeps its zeros
+            if start < stop:  # an empty graph keeps its zeros
                 columns = table[:, start:stop]
                 totals = np.add.accumulate(columns[: len(TOTALS)], axis=1)[:, -1]
                 for label, total in zip(TOTALS, totals.tolist()):
                     setattr(result, label, total)
-                weights = dict(zip([op.name for op in order], columns[0].tolist()))
-                result.critical_path = graph.critical_path(weights)
-                for name in result.critical_path:
-                    result.total_time_s += weights[name]
-                result._columns = (order, columns, self.hw.op_overhead_s)
+                path, result.total_time_s = graph.longest_path(weights[start:stop])
+                result._columns = (graph, order, columns, self.hw.op_overhead_s, path)
         return results
 
     def simulate(self, graph: OpGraph) -> SimulationResult:

@@ -18,7 +18,7 @@ Tensor reshaping follows the search space's hardware intent:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Tuple
 
@@ -80,9 +80,7 @@ def build_cnn_graph(
     """Lower ``arch`` (over ``baseline``) to an operator graph."""
     graph = OpGraph(f"{baseline.name}_candidate")
     resolution = int(arch["resolution"]) if "resolution" in arch else 224
-    stem = ops.conv2d("stem", resolution, resolution, 3, baseline.stem_width, 3, 2, batch)
-    graph.add(stem)
-    last = stem.name
+    last = ops.conv2d(graph, "stem", resolution, resolution, 3, baseline.stem_width, 3, 2, batch)
     h = w = max(1, resolution // 2)
     cin = baseline.stem_width
     current_batch = batch
@@ -106,10 +104,8 @@ def build_cnn_graph(
                 graph, f"b{block}l{layer}", spec, h, w, current_batch, last
             )
         cin = stage["width"]
-    pool = ops.pooling("avg_pool", h, w, cin, max(h, 1), current_batch)
-    graph.add(pool, deps=[last])
-    head = ops.dense("classifier", current_batch, cin, baseline.num_classes)
-    graph.add(head, deps=["avg_pool"])
+    pool = ops.pooling(graph, "avg_pool", h, w, cin, max(h, 1), current_batch, deps=[last])
+    ops.dense(graph, "classifier", current_batch, cin, baseline.num_classes, deps=[pool])
     return graph
 
 
@@ -126,14 +122,11 @@ def _add_reshaping(
     """Emit the chosen tensor-reshaping op and update the dims."""
     if kind == "none" or h < 2 or w < 2:
         return last, h, w, channels, batch
-    moved = batch * h * w * channels * DTYPE_BYTES
-    node = ops.concat(name, batch * h * w * channels)
-    node = replace(node, name=name, op_type=f"reshape_{kind}")
-    graph.add(node, deps=[last])
+    last = ops.concat(graph, name, batch * h * w * channels, op_type=f"reshape_{kind}", deps=[last])
     if kind == "space_to_depth":
-        return node.name, h // 2, w // 2, channels * 4, batch
+        return last, h // 2, w // 2, channels * 4, batch
     if kind == "space_to_batch":
-        return node.name, h // 2, w // 2, channels, batch * 4
+        return last, h // 2, w // 2, channels, batch * 4
     raise ValueError(f"unknown reshaping {kind!r}")
 
 

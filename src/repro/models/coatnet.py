@@ -78,9 +78,7 @@ def build_graph(config: CoatNetConfig, batch: int = 1) -> OpGraph:
     """Lower ``config`` to an operator graph for the simulator."""
     graph = OpGraph(config.name)
     res = config.resolution
-    stem = ops.conv2d("stem", res, res, 3, STEM_WIDTH, 3, 2, batch)
-    graph.add(stem)
-    last = stem.name
+    last = ops.conv2d(graph, "stem", res, res, 3, STEM_WIDTH, 3, 2, batch)
     h = w = max(1, res // 2)
     cin = STEM_WIDTH
     # Convolutional stages (MBConv, expansion 4, stride 2 at stage entry).
@@ -100,18 +98,15 @@ def build_graph(config: CoatNetConfig, batch: int = 1) -> OpGraph:
     # Transformer stages at 1/8 and 1/16 of the input resolution.
     for s, (width, depth) in enumerate(zip(config.tfm_widths, config.tfm_depths)):
         seq = _seq_len(config.resolution, 8 * (2**s))
-        proj = ops.dense(f"t{s}/in_proj", batch * seq, cin, width)
-        graph.add(proj, deps=[last])
-        last = proj.name
+        last = ops.dense(graph, f"t{s}/in_proj", batch * seq, cin, width, deps=[last])
         for layer in range(depth):
             last = _add_transformer_layer(
                 graph, f"t{s}l{layer}", width, seq, batch, last
             )
         cin = width
-    pool = ops.pooling("seq_pool", 1, _seq_len(config.resolution, 16), cin, 1, batch)
-    graph.add(pool, deps=[last])
-    fc = ops.dense("classifier", batch, cin, NUM_CLASSES)
-    graph.add(fc, deps=["seq_pool"])
+    seq = _seq_len(config.resolution, 16)
+    last = ops.pooling(graph, "seq_pool", 1, seq, cin, 1, batch, deps=[last])
+    ops.dense(graph, "classifier", batch, cin, NUM_CLASSES, deps=[last])
     return graph
 
 
@@ -120,35 +115,26 @@ def _add_transformer_layer(
 ) -> str:
     """Self-attention + MLP with the usual op decomposition."""
     heads = max(1, width // HEAD_DIM)
-    qkv = ops.dense(f"{name}/qkv", batch * seq, width, 3 * width)
-    graph.add(qkv, deps=[last])
+    last = ops.dense(graph, f"{name}/qkv", batch * seq, width, 3 * width, deps=[last])
     # Per-head attention matmuls: the contracting dimension is the head
     # dim (64), which only half-fills a 128-wide matrix unit — one of
     # the efficiency cliffs the hardware-optimized search space is
     # designed around.
-    scores = ops.matmul(
-        f"{name}/qk", seq, HEAD_DIM, seq, batch * heads, cmem_resident=True
+    last = ops.matmul(
+        graph, f"{name}/qk", seq, HEAD_DIM, seq, batch * heads, cmem_resident=True, deps=[last]
     )
-    graph.add(scores, deps=[qkv.name])
-    softmax = ops.softmax(
-        f"{name}/softmax", batch * heads * seq, seq, cmem_resident=True
+    last = ops.softmax(
+        graph, f"{name}/softmax", batch * heads * seq, seq, cmem_resident=True, deps=[last]
     )
-    graph.add(softmax, deps=[scores.name])
-    context = ops.matmul(
-        f"{name}/av", seq, seq, HEAD_DIM, batch * heads, cmem_resident=True
+    last = ops.matmul(
+        graph, f"{name}/av", seq, seq, HEAD_DIM, batch * heads, cmem_resident=True, deps=[last]
     )
-    graph.add(context, deps=[softmax.name])
-    out = ops.dense(f"{name}/out_proj", batch * seq, width, width)
-    graph.add(out, deps=[context.name])
-    ffn1 = ops.dense(f"{name}/ffn1", batch * seq, width, MLP_RATIO * width)
-    graph.add(ffn1, deps=[out.name])
-    act = ops.elementwise(
-        f"{name}/act", batch * seq * MLP_RATIO * width, op_type="activation"
+    last = ops.dense(graph, f"{name}/out_proj", batch * seq, width, width, deps=[last])
+    last = ops.dense(graph, f"{name}/ffn1", batch * seq, width, MLP_RATIO * width, deps=[last])
+    last = ops.elementwise(
+        graph, f"{name}/act", batch * seq * MLP_RATIO * width, op_type="activation", deps=[last]
     )
-    graph.add(act, deps=[ffn1.name])
-    ffn2 = ops.dense(f"{name}/ffn2", batch * seq, MLP_RATIO * width, width)
-    graph.add(ffn2, deps=[act.name])
-    return ffn2.name
+    return ops.dense(graph, f"{name}/ffn2", batch * seq, MLP_RATIO * width, width, deps=[last])
 
 
 def num_params(config: CoatNetConfig) -> int:

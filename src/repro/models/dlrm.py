@@ -84,42 +84,28 @@ class DlrmModelSpec:
 def build_graph(spec: DlrmModelSpec) -> OpGraph:
     """Lower ``spec`` to an op graph with parallel embedding/DNN arms."""
     graph = OpGraph(spec.name)
-    source = ops.concat("input", spec.batch * spec.num_dense_features)
-    graph.add(source)
+    ops.concat(graph, "input", spec.batch * spec.num_dense_features)
     # --- Embedding pipeline (memory + network bound) -------------------
     # Tables are chained: their gathers and all-to-alls contend on the
     # same HBM and interconnect, so they serialize within the pipeline.
     last_emb = "input"
+    lookups = spec.batch * spec.lookups_per_table
     for i, table in enumerate(spec.tables):
         lookup = ops.embedding_lookup(
-            f"emb{i}/lookup",
-            lookups=spec.batch * spec.lookups_per_table,
-            width=table.width,
-            distributed=spec.distributed,
+            graph, f"emb{i}/lookup", lookups, table.width, spec.distributed, deps=[last_emb]
         )
-        graph.add(lookup, deps=[last_emb])
-        pool = ops.elementwise(
-            f"emb{i}/pool",
-            spec.batch * spec.lookups_per_table * table.width,
-            op_type="pooling_sum",
+        last_emb = ops.elementwise(
+            graph, f"emb{i}/pool", lookups * table.width, op_type="pooling_sum", deps=[lookup]
         )
-        graph.add(pool, deps=[lookup.name])
-        last_emb = pool.name
-    emb_join = ops.concat(
-        "emb_join", spec.batch * spec.total_embedding_width
-    )
-    graph.add(emb_join, deps=[last_emb])
+    ops.concat(graph, "emb_join", spec.batch * spec.total_embedding_width, deps=[last_emb])
     # --- Dense (DNN) pipeline (matrix-unit bound) -----------------------
     last = _add_mlp(graph, "bottom", spec.bottom, spec.num_dense_features, spec.batch, "input")
     interaction_width = spec.bottom.width + spec.total_embedding_width
-    interact = ops.concat("interact", spec.batch * interaction_width)
-    graph.add(interact, deps=[last])
+    ops.concat(graph, "interact", spec.batch * interaction_width, deps=[last])
     last = _add_mlp(graph, "top", spec.top, interaction_width, spec.batch, "interact")
-    head = ops.dense("head", spec.batch, spec.top.width, 1)
-    graph.add(head, deps=[last])
+    ops.dense(graph, "head", spec.batch, spec.top.width, 1, deps=[last])
     # --- Join: step completes when both pipelines have. ----------------
-    sink = ops.elementwise("sink", spec.batch, op_type="sigmoid")
-    graph.add(sink, deps=["head", "emb_join"])
+    ops.elementwise(graph, "sink", spec.batch, op_type="sigmoid", deps=["head", "emb_join"])
     return graph
 
 
@@ -136,20 +122,13 @@ def _add_mlp(
     for layer in range(stack.depth):
         if stack.low_rank < 1.0:
             rank = max(1, int(round(stack.low_rank * stack.width)))
-            down = ops.dense(f"{prefix}{layer}/lowrank_u", batch, nin, rank)
-            graph.add(down, deps=[last])
-            up = ops.dense(f"{prefix}{layer}/lowrank_v", batch, rank, stack.width)
-            graph.add(up, deps=[down.name])
-            last = up.name
+            down = ops.dense(graph, f"{prefix}{layer}/lowrank_u", batch, nin, rank, deps=[last])
+            last = ops.dense(graph, f"{prefix}{layer}/lowrank_v", batch, rank, stack.width, deps=[down])
         else:
-            fc = ops.dense(f"{prefix}{layer}/dense", batch, nin, stack.width)
-            graph.add(fc, deps=[last])
-            last = fc.name
-        act = ops.elementwise(
-            f"{prefix}{layer}/act", batch * stack.width, op_type="activation"
+            last = ops.dense(graph, f"{prefix}{layer}/dense", batch, nin, stack.width, deps=[last])
+        last = ops.elementwise(
+            graph, f"{prefix}{layer}/act", batch * stack.width, op_type="activation", deps=[last]
         )
-        graph.add(act, deps=[last])
-        last = act.name
         nin = stack.width
     return last
 

@@ -104,9 +104,7 @@ def build_graph(config: EfficientNetConfig, batch: int = 1) -> OpGraph:
     graph = OpGraph(config.name)
     res = config.resolution
     stem_width = _round_width(STEM_WIDTH * config.width_coef)
-    stem = ops.conv2d("stem", res, res, 3, stem_width, 3, 2, batch)
-    graph.add(stem)
-    last = stem.name
+    last = ops.conv2d(graph, "stem", res, res, 3, stem_width, 3, 2, batch)
     h = w = max(1, -(-res // 2))
     cin = stem_width
     for s, stage in enumerate(stage_specs(config)):
@@ -120,12 +118,9 @@ def build_graph(config: EfficientNetConfig, batch: int = 1) -> OpGraph:
             last, h, w = add_mbconv(graph, f"s{s}l{layer}", spec, h, w, batch, last)
         cin = stage.block.cout
     head_width = _round_width(HEAD_WIDTH * config.width_coef)
-    head = ops.conv2d("head", h, w, cin, head_width, 1, 1, batch)
-    graph.add(head, deps=[last])
-    pool = ops.pooling("avg_pool", h, w, head_width, max(h, 1), batch)
-    graph.add(pool, deps=["head"])
-    fc = ops.dense("classifier", batch, head_width, NUM_CLASSES)
-    graph.add(fc, deps=["avg_pool"])
+    last = ops.conv2d(graph, "head", h, w, cin, head_width, 1, 1, batch, deps=[last])
+    last = ops.pooling(graph, "avg_pool", h, w, head_width, max(h, 1), batch, deps=[last])
+    ops.dense(graph, "classifier", batch, head_width, NUM_CLASSES, deps=[last])
     return graph
 
 

@@ -56,57 +56,37 @@ def add_mbconv(
     last = after
     if spec.block_type == "mbconv":
         if spec.expansion > 1:
-            expand = ops.conv2d(
-                f"{name}/expand", height, width, spec.cin, hidden, 1, 1, batch
-            )
-            graph.add(expand, deps=[last] if last else [])
-            last = expand.name
+            last = ops.conv2d(
+                graph, f"{name}/expand", height, width, spec.cin, hidden, 1, 1, batch,
+                deps=[last] if last else [],
+            )  # fmt: skip
             dw_in = hidden
         else:
             dw_in = spec.cin
-        dw = ops.depthwise_conv2d(
-            f"{name}/depthwise", height, width, dw_in, spec.kernel, spec.stride, batch
-        )
-        graph.add(dw, deps=[last] if last else [])
-        last = dw.name
+        last = ops.depthwise_conv2d(
+            graph, f"{name}/depthwise", height, width, dw_in, spec.kernel, spec.stride, batch,
+            deps=[last] if last else [],
+        )  # fmt: skip
         last = _add_se(graph, name, spec, dw_in, out_h, out_w, batch, last)
-        project = ops.conv2d(
-            f"{name}/project", out_h, out_w, dw_in, spec.cout, 1, 1, batch
+        last = ops.conv2d(
+            graph, f"{name}/project", out_h, out_w, dw_in, spec.cout, 1, 1, batch, deps=[last]
         )
-        graph.add(project, deps=[last])
-        last = project.name
     else:
         # Fused: expansion and depthwise merged into one k x k convolution.
-        fused = ops.conv2d(
-            f"{name}/fused",
-            height,
-            width,
-            spec.cin,
-            hidden,
-            spec.kernel,
-            spec.stride,
-            batch,
-        )
-        graph.add(fused, deps=[last] if last else [])
-        last = fused.name
+        last = ops.conv2d(
+            graph, f"{name}/fused", height, width, spec.cin, hidden, spec.kernel, spec.stride,
+            batch, deps=[last] if last else [],
+        )  # fmt: skip
         last = _add_se(graph, name, spec, hidden, out_h, out_w, batch, last)
         if spec.expansion > 1:
-            project = ops.conv2d(
-                f"{name}/project", out_h, out_w, hidden, spec.cout, 1, 1, batch
-            )
-            graph.add(project, deps=[last])
-            last = project.name
-    act = ops.elementwise(
-        f"{name}/act", batch * out_h * out_w * spec.cout, op_type="activation"
-    )
-    graph.add(act, deps=[last])
-    last = act.name
+            last = ops.conv2d(
+                graph, f"{name}/project", out_h, out_w, hidden, spec.cout, 1, 1, batch,
+                deps=[last],
+            )  # fmt: skip
+    elements = batch * out_h * out_w * spec.cout
+    last = ops.elementwise(graph, f"{name}/act", elements, op_type="activation", deps=[last])
     if spec.skip == "identity" and spec.stride == 1 and spec.cin == spec.cout:
-        add = ops.elementwise(
-            f"{name}/skip_add", batch * out_h * out_w * spec.cout, op_type="add"
-        )
-        graph.add(add, deps=[last])
-        last = add.name
+        last = ops.elementwise(graph, f"{name}/skip_add", elements, op_type="add", deps=[last])
     return last, out_h, out_w
 
 
@@ -124,17 +104,14 @@ def _add_se(
     if spec.se_ratio <= 0:
         return last
     se_channels = max(1, int(round(channels * spec.se_ratio)))
-    pool = ops.pooling(f"{name}/se_pool", out_h, out_w, channels, max(out_h, 1), batch)
-    graph.add(pool, deps=[last])
-    reduce = ops.dense(f"{name}/se_reduce", batch, channels, se_channels)
-    graph.add(reduce, deps=[pool.name])
-    expand = ops.dense(f"{name}/se_expand", batch, se_channels, channels)
-    graph.add(expand, deps=[reduce.name])
-    scale = ops.elementwise(
-        f"{name}/se_scale", batch * out_h * out_w * channels, op_type="mul"
+    last = ops.pooling(
+        graph, f"{name}/se_pool", out_h, out_w, channels, max(out_h, 1), batch, deps=[last]
     )
-    graph.add(scale, deps=[expand.name])
-    return scale.name
+    last = ops.dense(graph, f"{name}/se_reduce", batch, channels, se_channels, deps=[last])
+    last = ops.dense(graph, f"{name}/se_expand", batch, se_channels, channels, deps=[last])
+    return ops.elementwise(
+        graph, f"{name}/se_scale", batch * out_h * out_w * channels, op_type="mul", deps=[last]
+    )
 
 
 def single_block_graph(

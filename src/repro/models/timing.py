@@ -39,9 +39,7 @@ class SimulatorPricing:
     """
 
     def __init__(self, harness: "TimingHarness", metrics: Sequence[str]):
-        unknown = sorted(set(metrics) - set(HEADS))
-        if unknown:
-            raise ValueError(f"unknown metric(s) {unknown}; a harness prices {HEADS}")
+        harness.price_lowered((), metrics)  # an unknown name fails here, not at a shard
         self.harness = harness
         self.metrics = tuple(metrics)
 
@@ -105,8 +103,12 @@ class TimingHarness:
 
         Only the graphs the asked-for heads read are built, and a timing
         head is one array program over all the candidates
-        (``PerformanceSimulator.simulate_many``).
+        (``PerformanceSimulator.simulate_many``).  A name no head prices
+        is a ``ValueError``.
         """
+        unknown = sorted(set(metrics) - set(HEADS))
+        if unknown:
+            raise ValueError(f"unknown metric(s) {unknown}; a harness prices {HEADS}")
         columns: Dict[str, List[float]] = {}
         for head in HEADS:
             if head not in metrics:

@@ -74,11 +74,7 @@ def build_vit_graph(
     stem_width = (
         HYBRID_CONV_WIDTHS[0] if "block0/type" in arch else first_width
     )
-    stem = ops.conv2d(
-        "patchify", resolution, resolution, 3, stem_width, patch, patch, batch
-    )
-    graph.add(stem)
-    last = stem.name
+    last = ops.conv2d(graph, "patchify", resolution, resolution, 3, stem_width, patch, patch, batch)
     width = stem_width
     # Hybrid space: convolutional blocks between the stem and the
     # transformer stages (the CoAtNet shape Table 5's hybrid row builds).
@@ -113,9 +109,7 @@ def build_vit_graph(
     for block in range(baseline.num_blocks):
         hidden = int(arch[f"tfm{block}/hidden_size"])
         if hidden != width:
-            proj = ops.dense(f"t{block}/in_proj", batch * seq, width, hidden)
-            graph.add(proj, deps=[last])
-            last = proj.name
+            last = ops.dense(graph, f"t{block}/in_proj", batch * seq, width, hidden, deps=[last])
             width = hidden
         depth = max(1, baseline.base_depth + int(arch[f"tfm{block}/depth_delta"]))
         rank_fraction = float(arch[f"tfm{block}/low_rank"])
@@ -126,12 +120,9 @@ def build_vit_graph(
                 rank_fraction=rank_fraction, primer=primer,
             )
         if bool(arch[f"tfm{block}/seq_pooling"]) and seq > 1:
-            pool = ops.pooling(f"t{block}/seq_pool", 1, seq, width, 2, batch)
-            graph.add(pool, deps=[last])
-            last = pool.name
+            last = ops.pooling(graph, f"t{block}/seq_pool", 1, seq, width, 2, batch, deps=[last])
             seq = max(1, seq // 2)
-    head = ops.dense("classifier", batch, width, baseline.num_classes)
-    graph.add(head, deps=[last])
+    ops.dense(graph, "classifier", batch, width, baseline.num_classes, deps=[last])
     return graph
 
 
@@ -148,44 +139,30 @@ def _add_layer(
     heads = max(1, width // HEAD_DIM)
     if rank_fraction < 1.0:
         rank = max(8, int(round(rank_fraction * width)))
-        down = ops.dense(f"{name}/qkv_u", batch * seq, width, rank)
-        graph.add(down, deps=[last])
-        up = ops.dense(f"{name}/qkv_v", batch * seq, rank, 3 * width)
-        graph.add(up, deps=[down.name])
-        last = up.name
+        last = ops.dense(graph, f"{name}/qkv_u", batch * seq, width, rank, deps=[last])
+        last = ops.dense(graph, f"{name}/qkv_v", batch * seq, rank, 3 * width, deps=[last])
     else:
-        qkv = ops.dense(f"{name}/qkv", batch * seq, width, 3 * width)
-        graph.add(qkv, deps=[last])
-        last = qkv.name
-    scores = ops.matmul(
-        f"{name}/qk", seq, HEAD_DIM, seq, batch * heads, cmem_resident=True
+        last = ops.dense(graph, f"{name}/qkv", batch * seq, width, 3 * width, deps=[last])
+    last = ops.matmul(
+        graph, f"{name}/qk", seq, HEAD_DIM, seq, batch * heads, cmem_resident=True, deps=[last]
     )
-    graph.add(scores, deps=[last])
-    softmax = ops.softmax(
-        f"{name}/softmax", batch * heads * seq, seq, cmem_resident=True
+    last = ops.softmax(
+        graph, f"{name}/softmax", batch * heads * seq, seq, cmem_resident=True, deps=[last]
     )
-    graph.add(softmax, deps=[scores.name])
-    context = ops.matmul(
-        f"{name}/av", seq, seq, HEAD_DIM, batch * heads, cmem_resident=True
+    last = ops.matmul(
+        graph, f"{name}/av", seq, seq, HEAD_DIM, batch * heads, cmem_resident=True, deps=[last]
     )
-    graph.add(context, deps=[softmax.name])
-    out = ops.dense(f"{name}/out_proj", batch * seq, width, width)
-    graph.add(out, deps=[context.name])
-    last = out.name
+    last = ops.dense(graph, f"{name}/out_proj", batch * seq, width, width, deps=[last])
     if primer:
         # Primer's channel-wise depthwise convolution over the sequence.
-        dw = ops.depthwise_conv2d(f"{name}/primer_dw", 1, seq, width, 3, 1, batch)
-        graph.add(dw, deps=[last])
-        last = dw.name
-    ffn1 = ops.dense(f"{name}/ffn1", batch * seq, width, FFN_RATIO * width)
-    graph.add(ffn1, deps=[last])
-    act = ops.elementwise(
-        f"{name}/act", batch * seq * FFN_RATIO * width, op_type="activation"
+        last = ops.depthwise_conv2d(
+            graph, f"{name}/primer_dw", 1, seq, width, 3, 1, batch, deps=[last]
+        )
+    last = ops.dense(graph, f"{name}/ffn1", batch * seq, width, FFN_RATIO * width, deps=[last])
+    last = ops.elementwise(
+        graph, f"{name}/act", batch * seq * FFN_RATIO * width, op_type="activation", deps=[last]
     )
-    graph.add(act, deps=[ffn1.name])
-    ffn2 = ops.dense(f"{name}/ffn2", batch * seq, FFN_RATIO * width, width)
-    graph.add(ffn2, deps=[act.name])
-    return ffn2.name
+    return ops.dense(graph, f"{name}/ffn2", batch * seq, FFN_RATIO * width, width, deps=[last])
 
 
 def num_params(baseline: VitBaseline, arch: Architecture) -> float:

@@ -20,11 +20,32 @@ instead of allocating a fresh copy on every first touch.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
+
+
+class _Tracking(threading.local):
+    enabled = True  # every thread starts tracked
+
+
+_TRACKING = _Tracking()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Inside the block, ops on this thread record no parents and no
+    backward: a forward-only pass builds no graph.  A tensor created with
+    ``requires_grad=True`` keeps it; other threads keep tracking."""
+    previous, _TRACKING.enabled = _TRACKING.enabled, False
+    try:
+        yield
+    finally:
+        _TRACKING.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -71,7 +92,9 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self._buf: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad or (
+            _TRACKING.enabled and any(p.requires_grad for p in parents)
+        )
         if self.requires_grad:
             self._parents = parents
             self._backward = backward

@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..nn import MLP, Tensor, mse
+from ..nn.tensor import no_grad
 from ..searchspace.base import Architecture
 from .features import ArchitectureEncoder
 
@@ -69,7 +70,8 @@ class PerformanceModel:
 
     def predict_log_times(self, archs: Sequence[Architecture]) -> np.ndarray:
         features = self.encoder.encode_batch(archs)
-        return self.forward(features).data * self.log_std + self.log_mean
+        with no_grad():
+            return self.forward(features).data * self.log_std + self.log_mean
 
     def predict(self, arch: Architecture) -> Dict[str, float]:
         """Performance metrics of one architecture.

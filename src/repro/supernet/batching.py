@@ -24,11 +24,13 @@ transparently.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
 from ..nn import Tensor, stack_mean
+from ..nn.tensor import no_grad
 from ..searchspace.base import Architecture
 
 NamedInputs = Dict[str, np.ndarray]
@@ -134,13 +136,15 @@ class StackedScoringMixin:
 
         Returns the per-batch qualities when ``score`` and the stacked
         mean loss when ``train`` (``None`` otherwise).  A training pass
-        needs equal batch sizes (see :func:`_equal_sized`).
+        needs equal batch sizes (see :func:`_equal_sized`); any other
+        pass builds no autograd graph.
         """
         if len(inputs_seq) != len(labels_seq):
             raise ValueError("inputs and labels sequences must align")
         single = len(inputs_seq) == 1
         inputs = inputs_seq[0] if single else stack_named_inputs(inputs_seq)
-        logits = self.forward(arch, inputs)
+        with nullcontext() if train else no_grad():
+            logits = self.forward(arch, inputs)
         qualities = self._sliced_qualities(logits, labels_seq) if score else None
         loss = None
         if train:

@@ -72,7 +72,9 @@ class TestTestbedAnchors:
         from repro.graph import OpGraph, ops
 
         graph = OpGraph("probe")
-        graph.chain([ops.dense(f"fc{i}", 256, 2048, 2048) for i in range(8)])
+        last = []
+        for i in range(8):
+            last = [ops.dense(graph, f"fc{i}", 256, 2048, 2048, deps=last)]
         bed = HardwareTestbed(TPU_V4)
         gap = bed.deterministic_time(graph) / bed.simulate(graph).total_time_s - 1.0
         assert 0.15 < gap < 0.45

@@ -112,26 +112,59 @@ class TestGraphGuards:
         with pytest.raises(KeyError, match="'c'"):
             self.two_op_graph().add(OpNode("c", "dense"), deps=["a", "c"])
 
+    @staticmethod
+    def state(graph):
+        names = [op.name for op in graph.nodes()]
+        return (
+            len(graph),
+            names,
+            {n: list(graph.predecessors(n)) for n in names},
+            {n: list(graph.successors(n)) for n in names},
+        )
+
     @pytest.mark.parametrize(
         "name, deps", [("a", ["b"]), ("c", ["a", "missing"]), ("c", ["a", "c"])]
     )
     def test_refused_add_leaves_graph_unchanged(self, name, deps):
         graph = self.two_op_graph()
-
-        def state():
-            names = [op.name for op in graph.nodes()]
-            return (
-                len(graph),
-                names,
-                {n: list(graph.predecessors(n)) for n in names},
-                {n: list(graph.successors(n)) for n in names},
-            )
-
-        before = state()
+        before = self.state(graph)
         with pytest.raises((ValueError, KeyError)):
             graph.add(OpNode(name, "dense"), deps=deps)
-        assert state() == before
+        assert self.state(graph) == before
         assert "c" not in graph
+
+    @pytest.mark.parametrize("field", ["flops", "bytes_in", "bytes_out", "param_bytes", "network_bytes"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_unpriceable_footprint_is_refused_on_append(self, field, value):
+        """A NaN once passed the ``< 0`` check and was priced as the bare
+        op overhead; a non-finite or negative footprint is refused, and
+        the refused append leaves the graph unchanged."""
+        graph = self.two_op_graph()
+        before = self.state(graph)
+        with pytest.raises(ValueError, match=f"{field} of op 'c'"):
+            graph.append("c", "dense", **{field: value}, deps=["b"])
+        with pytest.raises(ValueError, match=f"{field} of op 'c'"):
+            OpNode("c", "dense", **{field: value})
+        assert self.state(graph) == before and "c" not in graph
+        with pytest.raises(ValueError, match="flops of op 'n'"):
+            ops.elementwise(graph, "n", float("nan"), deps=["b"])
+        assert self.state(graph) == before
+
+    @pytest.mark.parametrize("dims", [(8, 0, 128), (0,), (8, 128, -1)])
+    def test_computing_matrix_op_needs_positive_dims(self, dims):
+        """``tile_efficiency`` raised on such an op inside ``simulate_many``
+        and failed the whole shard; the append refuses it instead."""
+        graph = self.two_op_graph()
+        before = self.state(graph)
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            graph.append("c", "dense", flops=1.0, unit="mxu", dims=dims, deps=["b"])
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            graph.add(OpNode("c", "dense", flops=1.0, unit="mxu", dims=dims), deps=["b"])
+        assert self.state(graph) == before and "c" not in graph
+        # dims nobody reads are not checked: no FLOPs, or not on the matrix unit
+        graph.append("idle", "dense", flops=0.0, unit="mxu", dims=dims, deps=["b"])
+        graph.append("vector", "x", flops=1.0, unit="vpu", dims=dims, deps=["idle"])
+        assert simulate(graph, TPU_V4).total_time_s > 0
 
     def test_simulating_empty_graph_is_zero_time(self):
         result = simulate(OpGraph("empty"), TPU_V4)

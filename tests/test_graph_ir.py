@@ -191,68 +191,75 @@ class TestOpGraphOrder:
         assert g.critical_path({"a": 3.0, "b": 3.0}) == ["a"]
 
 
+def built(helper, name, *args, **kwargs):
+    """The op a ``repro.graph.ops`` helper appends to a fresh graph."""
+    graph = OpGraph()
+    assert helper(graph, name, *args, **kwargs) == name
+    return graph.node(name)
+
+
 class TestOpConstructors:
     def test_conv2d_flops(self):
-        op = ops.conv2d("c", height=32, width=32, cin=16, cout=32, kernel=3, stride=1)
+        op = built(ops.conv2d, "c", height=32, width=32, cin=16, cout=32, kernel=3, stride=1)
         assert op.flops == 2 * 32 * 32 * 16 * 32 * 9
         assert op.unit == UNIT_MXU
         assert op.param_bytes == 9 * 16 * 32 * 2
 
     def test_conv2d_stride_shrinks_output(self):
-        s1 = ops.conv2d("a", 32, 32, 16, 16, 3, stride=1)
-        s2 = ops.conv2d("b", 32, 32, 16, 16, 3, stride=2)
+        s1 = built(ops.conv2d, "a", 32, 32, 16, 16, 3, stride=1)
+        s2 = built(ops.conv2d, "b", 32, 32, 16, 16, 3, stride=2)
         assert s2.flops == pytest.approx(s1.flops / 4)
         assert s2.bytes_out == pytest.approx(s1.bytes_out / 4)
 
     def test_depthwise_runs_on_vpu(self):
-        op = ops.depthwise_conv2d("d", 32, 32, 64, 3)
+        op = built(ops.depthwise_conv2d, "d", 32, 32, 64, 3)
         assert op.unit == UNIT_VPU
         assert op.flops == 2 * 32 * 32 * 64 * 9
 
     def test_depthwise_far_fewer_flops_than_dense_conv(self):
-        dw = ops.depthwise_conv2d("d", 32, 32, 64, 3)
-        full = ops.conv2d("c", 32, 32, 64, 64, 3)
+        dw = built(ops.depthwise_conv2d, "d", 32, 32, 64, 3)
+        full = built(ops.conv2d, "c", 32, 32, 64, 64, 3)
         assert full.flops == dw.flops * 64
 
     def test_dense_op(self):
-        op = ops.dense("fc", batch=8, nin=128, nout=256)
+        op = built(ops.dense, "fc", batch=8, nin=128, nout=256)
         assert op.flops == 2 * 8 * 128 * 256
         assert op.dims == (8, 128, 256)
 
     def test_matmul_no_params(self):
-        op = ops.matmul("qk", m=64, k=32, n=64, batch=4)
+        op = built(ops.matmul, "qk", m=64, k=32, n=64, batch=4)
         assert op.param_bytes == 0
         assert op.flops == 2 * 4 * 64 * 32 * 64
 
     def test_embedding_lookup_memory_and_network_bound(self):
-        op = ops.embedding_lookup("emb", lookups=1024, width=64)
+        op = built(ops.embedding_lookup, "emb", lookups=1024, width=64)
         assert op.unit == UNIT_MEMORY
         assert op.flops == 0
         assert op.network_bytes == 1024 * 64 * 4
 
     def test_embedding_lookup_local(self):
-        op = ops.embedding_lookup("emb", lookups=10, width=8, distributed=False)
+        op = built(ops.embedding_lookup, "emb", lookups=10, width=8, distributed=False)
         assert op.network_bytes == 0
 
     def test_elementwise_and_softmax(self):
-        act = ops.elementwise("relu", elements=1000)
+        act = built(ops.elementwise, "relu", elements=1000)
         assert act.flops == 1000
-        sm = ops.softmax("sm", rows=10, row_length=100)
+        sm = built(ops.softmax, "sm", rows=10, row_length=100)
         assert sm.flops == 5000
 
     def test_pooling_and_concat(self):
-        pool = ops.pooling("p", 32, 32, 8, window=2)
+        pool = built(ops.pooling, "p", 32, 32, 8, window=2)
         assert pool.bytes_out == 16 * 16 * 8 * 2
-        cat = ops.concat("c", total_elements=100)
+        cat = built(ops.concat, "c", total_elements=100)
         assert cat.flops == 0 and cat.unit == UNIT_MEMORY
 
     def test_all_to_all(self):
-        op = ops.all_to_all("a2a", payload_bytes=1e6)
+        op = built(ops.all_to_all, "a2a", payload_bytes=1e6)
         assert op.network_bytes == 1e6
 
     @given(st.integers(1, 64), st.integers(1, 64), st.integers(1, 7))
     @settings(max_examples=30, deadline=None)
     def test_conv_flops_nonnegative_and_monotone_in_cout(self, cin, cout, k):
-        a = ops.conv2d("a", 16, 16, cin, cout, k)
-        b = ops.conv2d("b", 16, 16, cin, cout + 1, k)
+        a = built(ops.conv2d, "a", 16, 16, cin, cout, k)
+        b = built(ops.conv2d, "b", 16, 16, cin, cout + 1, k)
         assert 0 <= a.flops < b.flops

@@ -15,9 +15,9 @@ from repro.models.coatnet import COATNET, build_graph as build_coatnet
 
 def conv_act_chain():
     graph = OpGraph("chain")
-    graph.add(ops.conv2d("conv", 28, 28, 32, 32, 3, batch=8))
-    graph.add(ops.elementwise("act", 8 * 28 * 28 * 32, op_type="activation"), deps=["conv"])
-    graph.add(ops.conv2d("conv2", 28, 28, 32, 32, 3, batch=8), deps=["act"])
+    ops.conv2d(graph, "conv", 28, 28, 32, 32, 3, batch=8)
+    ops.elementwise(graph, "act", 8 * 28 * 28 * 32, op_type="activation", deps=["conv"])
+    ops.conv2d(graph, "conv2", 28, 28, 32, 32, 3, batch=8, deps=["act"])
     return graph
 
 
@@ -46,33 +46,31 @@ class TestFuseElementwise:
 
     def test_multi_consumer_not_fused(self):
         graph = OpGraph("fanout")
-        graph.add(ops.conv2d("conv", 28, 28, 32, 32, 3))
-        graph.add(ops.elementwise("act", 28 * 28 * 32, op_type="activation"), deps=["conv"])
-        graph.add(ops.pooling("p", 28, 28, 32, 2), deps=["conv"])  # second consumer
+        ops.conv2d(graph, "conv", 28, 28, 32, 32, 3)
+        ops.elementwise(graph, "act", 28 * 28 * 32, op_type="activation", deps=["conv"])
+        ops.pooling(graph, "p", 28, 28, 32, 2, deps=["conv"])  # second consumer
         fused = passes.fuse_elementwise(graph)
         assert "act" in fused  # producer output reused: must materialize
 
     def test_multi_producer_not_fused(self):
         graph = OpGraph("join")
-        graph.add(ops.conv2d("a", 28, 28, 32, 32, 3))
-        graph.add(ops.conv2d("b", 28, 28, 32, 32, 3))
-        graph.add(ops.elementwise("add", 28 * 28 * 32, op_type="add"), deps=["a", "b"])
+        ops.conv2d(graph, "a", 28, 28, 32, 32, 3)
+        ops.conv2d(graph, "b", 28, 28, 32, 32, 3)
+        ops.elementwise(graph, "add", 28 * 28 * 32, op_type="add", deps=["a", "b"])
         fused = passes.fuse_elementwise(graph)
         assert "add" in fused
 
     def test_embedding_lookup_not_a_fusion_producer(self):
         graph = OpGraph("emb")
-        graph.add(ops.embedding_lookup("lookup", 1024, 32))
-        graph.add(
-            ops.elementwise("pool", 1024 * 32, op_type="pooling_sum"), deps=["lookup"]
-        )
+        ops.embedding_lookup(graph, "lookup", 1024, 32)
+        ops.elementwise(graph, "pool", 1024 * 32, op_type="pooling_sum", deps=["lookup"])
         fused = passes.fuse_elementwise(graph)
         assert "pool" in fused
 
     def test_matmul_not_fused_into_anything(self):
         graph = OpGraph("mm")
-        graph.add(ops.dense("fc1", 8, 64, 64))
-        graph.add(ops.dense("fc2", 8, 64, 64), deps=["fc1"])
+        ops.dense(graph, "fc1", 8, 64, 64)
+        ops.dense(graph, "fc2", 8, 64, 64, deps=["fc1"])
         fused = passes.fuse_elementwise(graph)
         assert len(fused) == 2
 
@@ -80,9 +78,9 @@ class TestFuseElementwise:
 class TestEliminateDeadOps:
     def test_zero_cost_op_removed(self):
         graph = OpGraph("dead")
-        graph.add(ops.dense("fc", 8, 64, 64))
+        ops.dense(graph, "fc", 8, 64, 64)
         graph.add(OpNode("noop", "reshape"), deps=["fc"])
-        graph.add(ops.dense("fc2", 8, 64, 64), deps=["noop"])
+        ops.dense(graph, "fc2", 8, 64, 64, deps=["noop"])
         cleaned = passes.eliminate_dead_ops(graph)
         assert "noop" not in cleaned
         assert cleaned.predecessors("fc2") == ["fc"]
@@ -152,7 +150,7 @@ class TestClusterModel:
 
         def weight_heavy(batch):
             graph = OpGraph("wide")
-            graph.add(ops.dense("fc", batch, 32768, 32768))
+            ops.dense(graph, "fc", batch, 32768, 32768)
             return graph
 
         step = ClusterModel(TPU_V4, weight_heavy).step(128, global_batch=128)

@@ -75,7 +75,8 @@ class TestRoofline:
         assert mxu_efficiency((8, 1, 1), TPU_V4) < 0.001
 
     def test_peak_rate_vpu_for_depthwise(self):
-        dw = ops.depthwise_conv2d("d", 32, 32, 128, 3)
+        graph = OpGraph()
+        dw = graph.node(ops.depthwise_conv2d(graph, "d", 32, 32, 128, 3))
         assert peak_compute_rate(dw, TPU_V4) == TPU_V4.peak_vector_flops
 
     def test_roofline_point_memory_bound_low_intensity(self):
@@ -85,15 +86,17 @@ class TestRoofline:
         assert pt.attained_flops == pytest.approx(op.operational_intensity * TPU_V4.hbm_bandwidth)
 
     def test_roofline_point_compute_bound_high_intensity(self):
-        op = ops.dense("fc", batch=4096, nin=4096, nout=4096)
+        graph = OpGraph()
+        op = graph.node(ops.dense(graph, "fc", batch=4096, nin=4096, nout=4096))
         pt = roofline_point(op, TPU_V4)
         assert pt.compute_bound
 
 
 def simple_graph(batch=128, nin=1024, nout=1024, layers=3):
     g = OpGraph("mlp")
-    nodes = [ops.dense(f"fc{i}", batch, nin, nout) for i in range(layers)]
-    g.chain(nodes)
+    last = []
+    for i in range(layers):
+        last = [ops.dense(g, f"fc{i}", batch, nin, nout, deps=last)]
     return g
 
 
@@ -106,10 +109,10 @@ class TestSimulator:
 
     def test_parallel_branches_overlap(self):
         g = OpGraph("par")
-        g.add(ops.dense("stem", 128, 256, 256))
-        g.add(ops.dense("a", 128, 4096, 4096), deps=["stem"])
-        g.add(ops.dense("b", 128, 256, 256), deps=["stem"])
-        g.add(ops.concat("join", 128 * (4096 + 256)), deps=["a", "b"])
+        ops.dense(g, "stem", 128, 256, 256)
+        ops.dense(g, "a", 128, 4096, 4096, deps=["stem"])
+        ops.dense(g, "b", 128, 256, 256, deps=["stem"])
+        ops.concat(g, "join", 128 * (4096 + 256), deps=["a", "b"])
         res = simulate(g, TPU_V4)
         assert res.total_time_s < res.serial_time_s
         assert "a" in res.critical_path and "b" not in res.critical_path
@@ -125,7 +128,7 @@ class TestSimulator:
 
     def test_embedding_is_memory_or_network_bound(self):
         g = OpGraph("emb")
-        g.add(ops.embedding_lookup("e", lookups=int(1e6), width=128))
+        ops.embedding_lookup(g, "e", lookups=int(1e6), width=128)
         res = simulate(g, TPU_V4)
         timing = res.op_timings["e"]
         assert timing.bound in ("memory", "network")
@@ -133,7 +136,7 @@ class TestSimulator:
 
     def test_small_activations_stay_in_cmem(self):
         g = OpGraph("tiny")
-        g.add(ops.dense("fc", batch=8, nin=64, nout=64))
+        ops.dense(g, "fc", batch=8, nin=64, nout=64)
         res = simulate(g, TPU_V4)
         t = res.op_timings["fc"]
         assert t.cmem_bytes > 0
@@ -141,15 +144,15 @@ class TestSimulator:
 
     def test_huge_activations_spill_to_hbm(self):
         g = OpGraph("big")
-        g.add(ops.dense("fc", batch=65536, nin=4096, nout=4096))
+        ops.dense(g, "fc", batch=65536, nin=4096, nout=4096)
         res = simulate(g, TPU_V4)
         assert res.op_timings["fc"].hbm_bytes > res.op_timings["fc"].cmem_bytes
 
     def test_depthwise_slower_per_flop_than_conv(self):
         """The Figure-4 effect: depthwise FLOPs run at VPU, not MXU, rate."""
         gd, gc = OpGraph("dw"), OpGraph("conv")
-        gd.add(ops.depthwise_conv2d("d", 64, 64, 128, 3, batch=64))
-        gc.add(ops.conv2d("c", 64, 64, 128, 128, 3, batch=64))
+        ops.depthwise_conv2d(gd, "d", 64, 64, 128, 3, batch=64)
+        ops.conv2d(gc, "c", 64, 64, 128, 128, 3, batch=64)
         rd, rc = simulate(gd, TPU_V4), simulate(gc, TPU_V4)
         # conv has 128x the FLOPs but takes far less than 128x the time
         assert rc.total_time_s < rd.total_time_s * 128 / 4
@@ -184,7 +187,7 @@ class TestPowerModel:
     def test_memory_bound_model_draws_less_power(self):
         """Low-utilization (memory-bound) models sit near idle power."""
         g = OpGraph("memb")
-        g.add(ops.embedding_lookup("e", lookups=int(1e6), width=64))
+        ops.embedding_lookup(g, "e", lookups=int(1e6), width=64)
         res = simulate(g, TPU_V4)
         report = power_report(res, TPU_V4)
         compute = simulate(simple_graph(batch=4096, nin=4096, nout=4096), TPU_V4)
@@ -246,11 +249,8 @@ class TestSimulatorCompilerPasses:
         from repro.hardware.simulator import PerformanceSimulator
 
         graph = OpGraph("with_act")
-        graph.add(graph_ops.dense("fc", 64, 1024, 1024))
-        graph.add(
-            graph_ops.elementwise("act", 64 * 1024, op_type="activation"),
-            deps=["fc"],
-        )
+        graph_ops.dense(graph, "fc", 64, 1024, 1024)
+        graph_ops.elementwise(graph, "act", 64 * 1024, op_type="activation", deps=["fc"])
         raw = PerformanceSimulator(TPU_V4).simulate(graph)
         fused = PerformanceSimulator(TPU_V4, run_compiler_passes=True).simulate(graph)
         assert fused.total_time_s <= raw.total_time_s
@@ -261,10 +261,8 @@ class TestSimulatorCompilerPasses:
         from repro.hardware.simulator import PerformanceSimulator
 
         graph = OpGraph("keep")
-        graph.add(graph_ops.dense("fc", 8, 64, 64))
-        graph.add(
-            graph_ops.elementwise("act", 8 * 64, op_type="activation"), deps=["fc"]
-        )
+        graph_ops.dense(graph, "fc", 8, 64, 64)
+        graph_ops.elementwise(graph, "act", 8 * 64, op_type="activation", deps=["fc"])
         PerformanceSimulator(TPU_V4, run_compiler_passes=True).simulate(graph)
         assert "act" in graph
 

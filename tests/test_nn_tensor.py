@@ -1,11 +1,14 @@
 """Unit tests for the autograd engine: gradients checked numerically."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Tensor, as_tensor, concatenate
+from repro.nn.tensor import no_grad
 
 
 def numerical_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -290,3 +293,55 @@ class TestStackMean:
     def test_clip_norm_value(self):
         t = Tensor(np.array([3.0, 4.0]))
         assert t.clip_norm_value() == pytest.approx(5.0)
+
+
+class TestNoGrad:
+    """Forward-only passes build no graph (``no_grad``)."""
+
+    def test_ops_record_no_parents_and_no_backward(self):
+        w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        with no_grad():
+            out = (w * 2.0).relu().sum()
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+        assert out.item() == (w * 2.0).relu().sum().item()
+
+    def test_parameters_keep_requires_grad(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with no_grad():
+            made_inside = Tensor(np.ones(2), requires_grad=True)
+            w * 3.0
+        assert w.requires_grad and made_inside.requires_grad
+        (w * made_inside).sum().backward()  # tracked again after the block
+        np.testing.assert_array_equal(w.grad, [1.0, 1.0])
+
+    def test_state_is_restored_on_exit_and_on_error(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                with no_grad():
+                    pass
+                assert not (w * 1.0).requires_grad  # the inner exit restores "off"
+                raise RuntimeError("boom")
+        assert (w * 1.0).requires_grad
+
+    def test_other_threads_keep_tracking(self):
+        """A tracked ``backward`` on another thread, while this thread is
+        inside an untracked region, still fills ``.grad``."""
+        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        inside, done = threading.Event(), threading.Event()
+
+        def train():
+            inside.wait(10)
+            (w * w).sum().backward()
+            done.set()
+
+        worker = threading.Thread(target=train)
+        worker.start()
+        with no_grad():
+            inside.set()
+            assert done.wait(10)
+            untracked = w * w
+        worker.join()
+        np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+        assert not untracked.requires_grad

@@ -33,14 +33,14 @@ def random_dense_graph(rng: np.random.Generator) -> OpGraph:
     graph = OpGraph("random")
     last = None
     for i in range(int(rng.integers(1, 6))):
-        node = ops.dense(
+        last = ops.dense(
+            graph,
             f"fc{i}",
             batch=int(rng.integers(1, 64)),
             nin=int(rng.integers(8, 512)),
             nout=int(rng.integers(8, 512)),
+            deps=[last] if last else [],
         )
-        graph.add(node, deps=[last] if last else [])
-        last = node.name
     return graph
 
 
@@ -59,7 +59,7 @@ class TestSimulatorInvariants:
         graph = random_dense_graph(np.random.default_rng(seed))
         before = simulate(graph, TPU_V4).total_time_s
         tail = graph.nodes()[-1].name
-        graph.add(ops.dense("extra", 8, 64, 64), deps=[tail])
+        ops.dense(graph, "extra", 8, 64, 64, deps=[tail])
         after = simulate(graph, TPU_V4).total_time_s
         assert after >= before
 
@@ -84,9 +84,7 @@ class TestSimulatorInvariants:
     def test_fusion_preserves_flops_and_never_hurts(self, seed):
         graph = random_dense_graph(np.random.default_rng(seed))
         tail = graph.nodes()[-1].name
-        graph.add(
-            ops.elementwise("act", 4096, op_type="activation"), deps=[tail]
-        )
+        ops.elementwise(graph, "act", 4096, op_type="activation", deps=[tail])
         optimized = passes.optimize(graph)
         assert optimized.total_flops == pytest.approx(graph.total_flops)
         assert (

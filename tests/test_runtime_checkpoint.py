@@ -441,7 +441,7 @@ class TestSupervisor:
 
 def tiny_graph():
     graph = OpGraph("tiny")
-    graph.chain([ops.matmul("mm", m=256, k=256, n=256)])
+    ops.matmul(graph, "mm", m=256, k=256, n=256)
     return graph
 
 

@@ -15,12 +15,9 @@ from repro.hardware import (
 def build_graph(batch: int) -> OpGraph:
     """A compute-dominated serving graph: latency scales with batch."""
     graph = OpGraph(f"serve_b{batch}")
-    graph.chain(
-        [
-            ops.matmul(f"mm{i}", m=batch * 256, k=1024, n=1024)
-            for i in range(4)
-        ]
-    )
+    last = []
+    for i in range(4):
+        last = [ops.matmul(graph, f"mm{i}", m=batch * 256, k=1024, n=1024, deps=last)]
     return graph
 
 

@@ -445,6 +445,28 @@ class TestHeads:
         with pytest.raises(ValueError, match="step_time"):
             harness.pricing(["serving_latency", "step_time"])
 
+    @pytest.mark.parametrize(
+        "harness, space",
+        [
+            (DlrmTimingHarness(baseline_production_dlrm(2)), dlrm_search_space(DlrmSpaceConfig(num_tables=2))),
+            (VitTimingHarness(), vit_search_space(VitSpaceConfig(num_tfm_blocks=2))),
+            (CnnTimingHarness(), cnn_search_space(CnnSpaceConfig())),
+        ],
+        ids=["dlrm", "vit", "cnn"],
+    )  # fmt: skip
+    def test_unknown_metric_is_refused_by_every_pricing_call(self, harness, space):
+        """A misspelt name once priced nothing and returned ``[{}]``."""
+        arch = space.default_architecture()
+        typo = ("serving_latncy",)
+        for call in (
+            lambda: harness.price([arch], typo),
+            lambda: harness.price_lowered([harness.spec_of(arch)], ("model_size",) + typo),
+            lambda: harness.pricing(typo),
+        ):
+            with pytest.raises(ValueError, match="serving_latncy"):
+                call()
+        assert harness.price([arch], ()) == [{}]
+
     def test_pricing_callable_pickles_and_is_batchable(self):
         from repro.core import BatchPerformanceFn
 
@@ -468,7 +490,41 @@ class TestHeads:
 
 
 # ----------------------------------------------------------------------
-# (v) No pairwise reduction can creep into the program
+# (v) Pricing builds no OpNode: builders append rows to the graph's columns
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "harness, space",
+    [
+        (DlrmTimingHarness(baseline_production_dlrm(2)), dlrm_search_space(DlrmSpaceConfig(num_tables=2))),
+        (VitTimingHarness(), vit_search_space(VitSpaceConfig(num_tfm_blocks=2))),
+        (CnnTimingHarness(), cnn_search_space(CnnSpaceConfig())),
+    ],
+    ids=["dlrm", "vit", "cnn"],
+)  # fmt: skip
+def test_pricing_a_shard_constructs_no_opnode(harness, space, monkeypatch):
+    built = []
+    check = OpNode.__post_init__
+    monkeypatch.setattr(OpNode, "__post_init__", lambda node: built.append(node) or check(node))
+    rng = np.random.default_rng(4)
+    archs = [space.sample(rng) for _ in range(4)]
+    priced = harness.pricing(HEADS).price_batch(archs)
+    assert built == [] and len(priced) == 4
+    harness._timed["serving_latency"][0](harness.spec_of(archs[0])).nodes()
+    assert built  # the counter does see a read view being built
+
+
+def test_no_opnode_is_constructed_by_a_builder_or_op_helper():
+    root = pathlib.Path(dlrm.__file__).parent
+    for path in [*sorted(root.glob("*.py")), root.parent / "graph" / "ops.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert name != "OpNode", f"{path.name}: {ast.unparse(node)}"
+
+
+# ----------------------------------------------------------------------
+# (vi) No pairwise reduction can creep into the program
 # ----------------------------------------------------------------------
 def test_simulator_and_roofline_never_sum_pairwise():
     """Every total is a left-to-right ``+=`` or ``accumulate``: ``np.sum``,
@@ -486,7 +542,7 @@ def test_simulator_and_roofline_never_sum_pairwise():
 
 
 # ----------------------------------------------------------------------
-# (vi) One program over a shard is cheaper than the shard one by one
+# (vii) One program over a shard is cheaper than the shard one by one
 # ----------------------------------------------------------------------
 def test_one_program_over_64_graphs_beats_64_programs():
     graphs = serving_graphs(64)

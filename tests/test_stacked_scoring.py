@@ -34,6 +34,7 @@ from repro.nn import (
     softmax_cross_entropy,
     stack_mean,
 )
+from repro.nn.tensor import no_grad
 from repro.searchspace import DlrmSpaceConfig, dlrm_search_space
 from repro.searchspace.cnn import CnnSpaceConfig, cnn_search_space
 from repro.searchspace.vit import VitSpaceConfig, vit_search_space
@@ -318,6 +319,51 @@ class TestQualityAndLossMany:
         assert forwards == ["forward"]
         assert qualities == net.quality_many(arch, inputs_seq, labels_seq)
         assert loss.item() == net.loss_many(arch, inputs_seq, labels_seq).item()
+
+
+class TestForwardOnlyPasses:
+    """A pass that does not train runs under ``no_grad``: the qualities of
+    the tracked pass, and no autograd graph behind its logits."""
+
+    @pytest.mark.parametrize("case", [dlrm_case, vision_case, transformer_case])
+    def test_untracked_qualities_equal_the_tracked_pass(self, case):
+        make_net, arch, make_batches = case()
+        inputs_seq, labels_seq = make_batches((16, 16, 16))
+        net = make_net()
+        tracked, loss = net._group_pass(arch, inputs_seq, labels_seq, score=True, train=True)
+        assert loss.requires_grad
+        first, _ = net._group_pass(arch, inputs_seq[:1], labels_seq[:1], score=True, train=True)
+        outputs = []
+        forward = net.forward
+        net.forward = lambda *args: outputs.append(forward(*args)) or outputs[-1]
+        assert net.quality_many(arch, inputs_seq, labels_seq) == tracked
+        assert net.quality(arch, inputs_seq[0], labels_seq[0]) == first[0]
+        assert len(outputs) == 2
+        assert not any(out.requires_grad or out._parents for out in outputs)
+        assert all(param.requires_grad for param in net.parameters())
+        with no_grad():
+            assert not forward(arch, inputs_seq[0]).requires_grad
+        assert forward(arch, inputs_seq[0]).requires_grad
+
+
+class TestEngineZeroGrad:
+    def test_the_optimizer_holds_the_supernets_parameters(self):
+        """The engine clears gradients through its optimizer's fixed list,
+        so that list must be the supernet's parameters, by identity, after
+        construction and after a resume."""
+
+        def ids(params):
+            return [id(param) for param in params]
+
+        search = build_search("serial")
+        assert ids(search._optimizer.params) == ids(search.supernet.parameters())
+        for step in range(3):
+            search.step(step)
+        resumed = build_search("serial")
+        resumed.load_state_dict(search.state_dict())
+        assert ids(resumed._optimizer.params) == ids(resumed.supernet.parameters())
+        resumed.step(3)
+        assert ids(resumed._optimizer.params) == ids(resumed.supernet.parameters())
 
 
 class TestGroupGradientReduce:

@@ -334,7 +334,7 @@ class TestTestbedClassification:
         from repro.graph import OpGraph, ops
 
         graph = OpGraph("tiny")
-        graph.chain([ops.matmul("mm", m=64, k=64, n=64)])
+        ops.matmul(graph, "mm", m=64, k=64, n=64)
         return graph
 
     def test_non_retryable_attempt_raises_immediately(self):

@@ -13,19 +13,21 @@ from repro.hardware import (
 
 def compute_bound_graph():
     graph = OpGraph("compute")
-    graph.chain([ops.dense(f"fc{i}", 4096, 4096, 4096) for i in range(3)])
+    last = []
+    for i in range(3):
+        last = [ops.dense(graph, f"fc{i}", 4096, 4096, 4096, deps=last)]
     return graph
 
 
 def memory_bound_graph():
     graph = OpGraph("memory")
-    graph.add(ops.embedding_lookup("emb", lookups=int(4e6), width=64, distributed=False))
+    ops.embedding_lookup(graph, "emb", lookups=int(4e6), width=64, distributed=False)
     return graph
 
 
 def network_bound_graph():
     graph = OpGraph("network")
-    graph.add(ops.all_to_all("a2a", payload_bytes=2e9))
+    ops.all_to_all(graph, "a2a", payload_bytes=2e9)
     return graph
 
 
