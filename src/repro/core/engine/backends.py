@@ -236,10 +236,11 @@ def resolve_backend(
             try:
                 workers = int(env_workers)
             except ValueError:
+                workers = 0
+            if workers < 1:
                 raise ValueError(
-                    f"${WORKERS_ENV_VAR} must be an integer worker count, "
-                    f"got {env_workers!r}"
-                ) from None
+                    f"${WORKERS_ENV_VAR} must be a worker count >= 1, got {env_workers!r}"
+                )
     factory = _REGISTRY.get(str(spec).lower())
     if factory is None:
         raise ValueError(

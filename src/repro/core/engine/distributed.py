@@ -125,6 +125,15 @@ def _error_from(fields: Any) -> Exception:
     return RuntimeError(text)
 
 
+def _field(message: Dict[str, Any], name: str, kind: type) -> Any:
+    """``message[name]``, which must be exactly a ``kind``: anything else
+    is a peer out of protocol, a :class:`ProtocolError`."""
+    value = message.get(name)
+    if type(value) is not kind:
+        raise ProtocolError(f"a {message['type']!r} frame with {name} {value!r}")
+    return value
+
+
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
@@ -143,6 +152,7 @@ class _HostContext:
         self.layout = [
             (tuple(shape), int(offset), int(size)) for shape, offset, size in layout
         ]
+        self.size = sum(size for _, _, size in self.layout)
         shapes = [tuple(a.shape) for a in self.param_arrays]
         expected = [shape for shape, _, _ in self.layout]
         if shapes != expected:
@@ -154,7 +164,10 @@ class _HostContext:
         self.gradients = SharedGradients(self.layout, *gradients) if gradients else None
         self.applied_version = 0
 
-    def apply(self, version: int, flat: np.ndarray) -> None:
+    def apply(self, version: int, flat: Any) -> None:
+        wanted = (np.dtype(np.float64), (self.size,))
+        if (getattr(flat, "dtype", None), getattr(flat, "shape", None)) != wanted:
+            raise ProtocolError(f"weights {flat!r:.60} for a layout of {self.size} float64s")
         if version <= self.applied_version:
             return
         for array, (shape, offset, size) in zip(self.param_arrays, self.layout):
@@ -234,6 +247,9 @@ class WorkerHost:
         return self.executed
 
     def _serve(self) -> None:
+        """The message loop.  A frame that decodes but is ill-typed for
+        this worker raises :class:`ProtocolError` out of :meth:`run`,
+        which closes the link: the controller sees a lost worker."""
         while True:
             try:
                 message = recv_message(self._sock)
@@ -256,7 +272,7 @@ class WorkerHost:
     # -- control messages ----------------------------------------------
     def _apply_control(self, message: Dict[str, Any]) -> None:
         kind = message["type"]
-        context_id = message["context_id"]
+        context_id = _field(message, "context_id", str)
         if kind == "release":
             released = self._contexts.pop(context_id, None)
             if isinstance(released, _HostContext):
@@ -265,7 +281,7 @@ class WorkerHost:
         if kind == "weights":
             ctx = self._contexts.get(context_id)
             if isinstance(ctx, _HostContext):
-                ctx.apply(message["version"], message["data"])
+                ctx.apply(_field(message, "version", int), message.get("data"))
             return
         # context: build the supernet once; a failure is remembered and
         # reported per-task rather than killing the worker.
@@ -308,7 +324,7 @@ class WorkerHost:
         """Execute one task and reply; ``False`` if the link died.  The
         reply is encoded inside the ``try``: a result that cannot travel
         comes back as the task's error, not as a dead worker."""
-        task_id = message["task_id"]
+        task_id = _field(message, "task_id", int)
         try:
             # An architecture travels as its {decision: value} dict.
             arch, *rest = message["payload"]

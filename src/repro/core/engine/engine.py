@@ -278,10 +278,6 @@ class SearchEngine:
         self._optimizer: "Optimizer" = Adam(supernet.parameters(), lr=config.weight_lr)
         self._warmup_rng = np.random.default_rng(config.seed + 1)
         self._worker_loss_total = 0
-        # What a training score stage held for the weight-update stage of
-        # the same step: (groups, live losses, None) from in-process passes,
-        # (groups, None, (active, gradients) pairs) from train tasks.
-        self._held: Optional[Tuple[List[List[int]], Any, Any]] = None
         # Remote backends (processes, distributed) score against a
         # supernet each worker rehydrates once; publishing happens here,
         # lazily, when a fan-out ships and the weights changed since the
@@ -381,7 +377,7 @@ class SearchEngine:
             batches = pipeline.next_shard(cfg.num_cores)
         groups = group_unique_architectures(drawn)
         # The policy consumes the batches first.  A step that will train
-        # on them scores and builds the loss in one pass per group.
+        # on them scores and finishes their gradient in one pass per group.
         with runtime.timed(STAGE_SCORE):
             qualities = self.score_shard(drawn, batches, groups, trains_on_shard=weights)
             for batch in batches:
@@ -403,8 +399,7 @@ class SearchEngine:
             ]
         if weights:
             with runtime.timed(STAGE_WEIGHT_UPDATE):
-                self._optimizer.zero_grad()  # its fixed list: no module-tree walk
-                self.accumulate_shard_gradient(drawn, batches, groups)
+                self.accumulate_shard_gradient(drawn, batches)
                 for batch in batches:
                     pipeline.mark_weight_use(batch)
                 self.optimizer_step()
@@ -561,25 +556,31 @@ class SearchEngine:
         serially, in core order, so stochastic quality signals consume
         their rng streams exactly as the sequential implementation did.
 
-        ``trains_on_shard`` is the strategy saying its weight-update
-        stage will call :meth:`accumulate_shard_gradient` on this same
-        shard with the weights untouched in between.  One grouped pass,
-        the supernet's ``quality_and_loss_many``, then serves both
-        stages: the qualities come off the logits under each group's
-        loss.  In this process the live losses are held and the
-        weight-update stage only runs their ``backward``.  When the
-        fan-out ships (:meth:`_remote_active`: two groups or more) each
-        group is one ``train_many`` task: the worker runs forward *and*
-        backward and what comes back is the group's
+        ``trains_on_shard`` is the strategy saying it trains on this same
+        shard, with the weights untouched until :meth:`optimizer_step`.
+        The gradients are zeroed first, and for a stacked supernet this
+        call also finishes the shard's gradient: one grouped pass, the
+        supernet's ``quality_and_loss_many``, serves both, the qualities
+        coming off the logits under each group's loss.  In this process
+        every group's pass runs, then each loss's ``backward`` in group
+        order.  When the fan-out ships (:meth:`_remote_active`: two
+        groups or more) each group is one ``train_many`` task: the
+        worker runs forward *and* backward from zero, and each group's
         gradient (through the context's gradient image, or in the result
-        frame over TCP), held for the weight-update stage to reduce.
+        frame over TCP) is reduced as ``backward`` would have: the first
+        group's copied, the rest added, in group order — bit-identical
+        because every parameter receives one contribution per group pass
+        (DESIGN.md §10).
         """
+        if trains_on_shard:
+            self._optimizer.zero_grad()  # its fixed list: no module-tree walk
         if not isinstance(self.supernet, StackedScoring):
             return [
                 self.supernet.quality(arch, batch.inputs, batch.labels)
                 for batch, (arch, _) in zip(batches, drawn)
             ]
         payloads = quality_many_payloads(drawn, batches, groups)
+        num_cores = self.config.num_cores
         if not trains_on_shard:
             per_group = self._score("quality_many", payloads)
         elif (
@@ -587,18 +588,24 @@ class SearchEngine:
             and self._remote_active(len(groups))
         ):
             # (Unequal batches take ``loss_many``'s per-batch fallback:
-            # several contributions per parameter per group, which the
-            # reduce in accumulate_shard_gradient cannot reproduce.)
-            payloads = train_many_payloads(payloads, groups, self.config.num_cores)
+            # several contributions per parameter per group, which a
+            # per-group reduce cannot reproduce.)
+            payloads = train_many_payloads(payloads, groups, num_cores)
             results = self._fan_out_tasks(STAGE_SCORE, "train_many", payloads)
+            ctx = self._remote_ctx
+            for slot, (_, active, arrays) in enumerate(results):
+                if arrays is None:  # in the image, not in the result
+                    arrays = [ctx.gradients.views[slot][i] for i in active]
+                for i, array in zip(active, arrays):
+                    ctx.params[i]._accumulate(array)
             per_group = [values for values, _, _ in results]
-            self._held = (groups, None, [held for _, *held in results])
         else:
             passes = self.backend.map(
                 lambda payload: self.supernet.quality_and_loss_many(*payload), payloads
             )
+            for positions, (_, loss) in zip(groups, passes):
+                loss.backward(np.asarray(len(positions) / num_cores))
             per_group = [values for values, _ in passes]
-            self._held = (groups, [loss for _, loss in passes], None)
         qualities: List[float] = [0.0] * len(drawn)
         for positions, values in zip(groups, per_group):
             for position, value in zip(positions, values):
@@ -656,54 +663,21 @@ class SearchEngine:
         self.controller.update(samples)
 
     def accumulate_shard_gradient(
-        self,
-        drawn: Sequence[DrawnCandidate],
-        batches: Sequence[Batch],
-        groups: List[List[int]],
+        self, drawn: Sequence[DrawnCandidate], batches: Sequence[Batch]
     ) -> None:
-        """Stage *weight_update* (gradient half): cross-shard gradients.
-
-        The per-core path (supernets without
-        :class:`~repro.supernet.StackedScoring`) backprops ``loss_i /
-        num_cores`` per core; the grouped path backprops ``loss_many *
-        (group_size / num_cores)`` per unique architecture — the same
-        gradient in ``len(groups)`` supernet passes.  Accumulation into
-        the shared parameter gradients happens here, on the engine
-        thread in group order — the float accumulation order on every
-        backend.  The grouped path only finishes what
-        ``score_shard(..., trains_on_shard=True)`` held for these
-        ``groups`` (nothing held is a ``RuntimeError``): held losses
-        have only their backwards left to run; held *gradients* (each
-        computed from zero in a worker) are reduced as ``backward``
-        would have: the first group's copied, the rest added —
-        bit-identical because every parameter receives one contribution
-        per group pass (DESIGN.md §10).
+        """Stage *weight_update* (gradient half), for supernets without
+        :class:`~repro.supernet.StackedScoring`: each core backprops
+        ``loss_i / num_cores`` on the engine thread, in core order.  A
+        stacked supernet's gradient is already whole:
+        ``score_shard(..., trains_on_shard=True)`` finished it.
         """
-        num_cores = self.config.num_cores
-        held, self._held = self._held, None
-        if held is not None and held[0] is groups:
-            _, losses, gradients = held
-            if losses is not None:
-                for positions, loss in zip(groups, losses):
-                    loss.backward(np.asarray(len(positions) / num_cores))
-                return
-            ctx = self._remote_ctx
-            for slot, (active, arrays) in enumerate(gradients):
-                if arrays is None:  # in the image, not in the result
-                    arrays = [ctx.gradients.views[slot][i] for i in active]
-                for i, array in zip(active, arrays):
-                    ctx.params[i]._accumulate(array)
-            return
         if isinstance(self.supernet, StackedScoring):
-            raise RuntimeError(
-                "accumulate_shard_gradient: nothing held for these groups; "
-                "score them first with score_shard(..., trains_on_shard=True)"
-            )
+            return
         for batch, (arch, _) in zip(batches, drawn):
             loss = self.supernet.loss(arch, batch.inputs, batch.labels)
             # The scale seeds the backward: the same floats as a
             # ``loss * scale`` node's, one node fewer.
-            loss.backward(np.asarray(1.0 / num_cores))
+            loss.backward(np.asarray(1.0 / self.config.num_cores))
 
     def optimizer_step(self) -> None:
         """Apply the accumulated weight gradients.

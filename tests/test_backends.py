@@ -276,9 +276,13 @@ class TestBackendContract:
         assert isinstance(resolve_backend("serial"), SerialBackend)
 
     def test_bad_workers_env_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "four")
-        with pytest.raises(ValueError, match=r"REPRO_WORKERS.*'four'"):
-            resolve_backend("processes")
+        # Refused on every backend, serial too, whether it would be read
+        # there or not: a count below one is as wrong as a word.
+        for value in ("four", "0", "-2"):
+            monkeypatch.setenv(WORKERS_ENV_VAR, value)
+            for name in BACKEND_NAMES:
+                with pytest.raises(ValueError, match=rf"REPRO_WORKERS.*'{value}'"):
+                    resolve_backend(name)
 
     def test_env_sourced_bad_backend_names_the_variable(self, monkeypatch):
         for spelling in ("gpu", "threads"):
@@ -709,13 +713,13 @@ class TestRemoteTraining:
             drawn = [drawn[0], drawn[0], drawn[2], drawn[2]]
             kinds = spy_on_shipped_kinds(search)
             qualities = search.score_shard(drawn, batches, groups, trains_on_shard=True)
-            search.supernet.zero_grad()
-            search.accumulate_shard_gradient(drawn, batches, groups)
+            search.accumulate_shard_gradient(drawn, batches)
             return qualities, kinds, [p.grad for p in search.supernet.parameters()]
 
         want_qualities, _, want = gradients("serial")
         qualities, kinds, got = gradients("processes")
         assert kinds == [] and qualities == want_qualities
+        assert any(grad is not None for grad in want)
         for expected, actual in zip(want, got):
             assert (expected is None) == (actual is None)
             if expected is not None:
@@ -726,17 +730,76 @@ class TestRemoteTraining:
         # the search must come out different.
         space, serial = quickstart("single_step", "serial")
         space, remote = quickstart("single_step", "processes")
-        reduce = remote.accumulate_shard_gradient
+        gather = remote._fan_out_tasks
 
-        def wiped_reduce(drawn, batches, groups):
-            _, losses, held = remote._held
-            assert losses is None and all(arrays is None for _, arrays in held)
+        def wiped_gather(stage, kind, payloads):
+            results = gather(stage, kind, payloads)
+            assert all(arrays is None for _, _, arrays in results)
             for view in remote._remote_ctx.gradients.views[0]:
                 view[...] = 0.0
-            reduce(drawn, batches, groups)
+            return results
 
-        remote.accumulate_shard_gradient = wiped_reduce
+        remote._fan_out_tasks = wiped_gather
         assert fingerprint(space, remote.run()) != fingerprint(space, serial.run())
+
+    def test_a_training_score_finishes_the_gradient_on_every_backend(self):
+        # Gradients left over from before are zeroed, the three groups'
+        # contributions are all in when score_shard returns, and the
+        # weight-update stage has nothing left to add.
+        def gradients(backend, stale):
+            search = build_single(backend=backend, workers=2)
+            params = search.supernet.parameters()
+            for param in params:
+                param.grad = np.ones_like(param.data) if stale else None
+            drawn = search.sample_shard(4, warming_up=True)
+            drawn = [drawn[0], drawn[0], drawn[2], drawn[3]]
+            groups = group_unique_architectures(drawn)
+            batches = search.pipeline.next_shard(4)
+            kinds = spy_on_shipped_kinds(search)
+            search.score_shard(drawn, batches, groups, trains_on_shard=True)
+            scored = [None if p.grad is None else p.grad.copy() for p in params]
+            search.accumulate_shard_gradient(drawn, batches)
+            for before, param in zip(scored, params):
+                assert (before is None) == (param.grad is None)
+                if before is not None:
+                    np.testing.assert_array_equal(before, param.grad)
+            return len(groups), kinds, scored
+
+        count, _, want = gradients("serial", stale=False)
+        assert count == 3 and any(grad is not None for grad in want)
+        for backend in ("serial", *REMOTE_BACKENDS):
+            _, kinds, got = gradients(backend, stale=True)
+            assert kinds == ([] if backend == "serial" else ["train_many"])
+            for expected, actual in zip(want, got):
+                assert (expected is None) == (actual is None)
+                if expected is not None:
+                    np.testing.assert_array_equal(expected, actual)
+
+    def test_in_process_every_forward_runs_before_the_first_backward(self, monkeypatch):
+        # All of a shard's group passes are built before any backward
+        # runs, then the backwards follow in group order.
+        search = build_single(backend="serial")
+        calls = []
+        forward = search.supernet.quality_and_loss_many
+
+        def traced_forward(arch, inputs_seq, labels_seq):
+            calls.append(("forward", len(inputs_seq)))
+            return forward(arch, inputs_seq, labels_seq)
+
+        backward = Tensor.backward
+
+        def traced_backward(tensor, grad=None):
+            calls.append(("backward", float(grad)))
+            return backward(tensor, grad)
+
+        search.supernet.quality_and_loss_many = traced_forward
+        monkeypatch.setattr(Tensor, "backward", traced_backward)
+        drawn = search.sample_shard(4, warming_up=True)
+        drawn = [drawn[0], drawn[1], drawn[1], drawn[1]]
+        groups = group_unique_architectures(drawn)
+        batches = search.pipeline.next_shard(4)
+        search.score_shard(drawn, batches, groups, trains_on_shard=True)
+        assert calls == [("forward", 1), ("forward", 3), ("backward", 0.25), ("backward", 0.75)]
 
     def test_ipc_bytes_count_the_gradients_coming_back(self):
         telemetry = Telemetry()

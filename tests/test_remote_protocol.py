@@ -46,6 +46,7 @@ from repro.core.engine.transport import (
     format_address,
     parse_address,
     recv_message,
+    send_message,
 )
 from repro.core.engine.worker import SUPERNETS, execute_stage_kind
 from repro.nn import Tensor
@@ -422,6 +423,42 @@ ILL_TYPED_REPLIES = {
 }
 
 
+def _control_frames(search):
+    """A well-formed ``context``, ``weights`` push and ``task`` for
+    ``search``'s supernet, keyed by type."""
+    from repro.core.engine.distributed import _snapshot_weights
+    from repro.core.engine.shm import weight_layout
+
+    arrays = [p.data for p in search.supernet.parameters()]
+    drawn = search.sample_shard(1, warming_up=True)
+    batches = [search.pipeline.next_batch()]
+    payload = worker_mod.quality_many_payloads(drawn, batches, [[0]])[0]
+    return {
+        "context": {"type": "context", "context_id": "ctx",
+                    "spec": worker_mod.worker_spec_for(search.supernet),
+                    "layout": tuple(weight_layout(arrays)), "version": 1,
+                    "weights": _snapshot_weights(arrays)},
+        "weights": {"type": "weights", "context_id": "ctx", "version": 2,
+                    "data": _snapshot_weights(arrays)},
+        "task": {"type": "task", "task_id": 1, "stage": "score", "kind": "quality_many",
+                 "context_id": "ctx", "version": 2, "payload": payload},
+    }  # fmt: skip
+
+
+def _without(frame, name):
+    return {key: value for key, value in frame.items() if key != name}
+
+
+#: A controller's frames a worker must refuse, built from the
+#: well-formed ones: what it sends, in order.
+ILL_TYPED_CONTROL = {
+    "task_without_task_id": lambda f: [f["context"], _without(f["task"], "task_id")],
+    "context_without_context_id": lambda f: [_without(f["context"], "context_id")],
+    "weights_of_the_wrong_size": lambda f: [f["context"], {**f["weights"], "data": np.ones(3)}],
+    "release_of_a_list": lambda f: [{"type": "release", "context_id": ["ctx"]}],
+}
+
+
 VALID_FRAME = encode_message(
     {
         "type": "result",
@@ -481,6 +518,72 @@ class TestHostileFrames:
         finally:
             backend.close()
         _joined(thread)
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    @pytest.mark.parametrize("case", [*sorted(ILL_TYPED_CONTROL), "well_formed"])
+    def test_a_worker_refuses_an_ill_typed_frame(self, case):
+        # The worker closes the link (the controller sees a lost worker)
+        # and run() raises ProtocolError, not the KeyError or ValueError
+        # the frame would hit.  Positive control: the same context,
+        # weights and task, well formed, get a result.
+        from repro.core.engine.distributed import WorkerHost
+
+        search = build_single(backend="serial")
+        frames = _control_frames(search)
+        worker_side, controller = socket.socketpair()
+        controller.settimeout(30.0)
+        host, refused = WorkerHost(worker_side, worker_id="scripted"), []
+
+        def serve():
+            try:
+                host.run()
+            except ProtocolError as error:
+                refused.append(error)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            assert recv_message(controller)["type"] == "hello"
+            if case == "well_formed":
+                for frame in frames.values():
+                    send_message(controller, frame)
+                reply = recv_message(controller)
+                assert reply["type"] == "result" and reply["task_id"] == 1
+                send_message(controller, {"type": "shutdown"})
+            else:
+                for frame in ILL_TYPED_CONTROL[case](frames):
+                    send_message(controller, frame)
+            assert recv_message(controller) is None
+        finally:
+            controller.close()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert len(refused) == (case != "well_formed")
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_repro_worker_exits_1_on_an_ill_typed_frame(self, capsys):
+        from repro.cli import main
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(30.0)
+
+        def controller():
+            conn, _ = listener.accept()
+            with conn:
+                assert recv_message(conn)["type"] == "hello"
+                send_message(conn, {"type": "task", "stage": "score"})
+                assert recv_message(conn) is None
+
+        thread = threading.Thread(target=controller, daemon=True)
+        thread.start()
+        try:
+            code = main(["worker", "--connect", format_address(listener.getsockname())])
+        finally:
+            thread.join(timeout=30.0)
+            listener.close()
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert code == 1 and len(errors) == 1 and errors[0].startswith("error: ")
+        assert "task_id" in errors[0]
 
     def test_a_message_round_trips(self):
         message = decode_message(VALID_FRAME)
