@@ -513,7 +513,7 @@ def cmd_drain(args: argparse.Namespace) -> str:
 
 
 def cmd_worker(args: argparse.Namespace) -> str:
-    from .core.engine.distributed import run_worker
+    from .core.engine.distributed import WorkerHost
 
     print(
         f"repro worker connecting to {args.connect}"
@@ -522,12 +522,12 @@ def cmd_worker(args: argparse.Namespace) -> str:
         flush=True,
     )
     try:
-        executed = run_worker(
+        executed = WorkerHost(
             args.connect,
             worker_id=args.worker_id,
             max_tasks=args.max_tasks,
             connect_timeout=args.timeout,
-        )
+        ).run()
     except ConnectionError as error:
         raise CliError(f"could not reach controller at {args.connect}: {error}")
     return f"worker exited after {executed} tasks"

@@ -49,7 +49,7 @@ def __getattr__(name: str):
     # Lazy (PEP 562), mirroring repro.core.engine: the remote
     # backends' transport imports repro.service, which must not load
     # while this package is still initializing.
-    if name in ("DistributedBackend", "ProcessPoolBackend", "run_worker"):
+    if name in ("DistributedBackend", "ProcessPoolBackend"):
         from . import engine
 
         return getattr(engine, name)
@@ -69,7 +69,6 @@ __all__ = [
     "ExecutionBackend",
     "MemoizedEvaluate",
     "ProcessPoolBackend",
-    "run_worker",
     "SearchEngine",
     "SerialBackend",
     "arch_key",

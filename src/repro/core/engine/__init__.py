@@ -43,7 +43,6 @@ _DISTRIBUTED_EXPORTS = (
     "DistributedBackend",
     "ProcessPoolBackend",
     "WorkerHost",
-    "run_worker",
 )
 
 
@@ -81,6 +80,5 @@ __all__ = [
     "process_start_method",
     "resolve_backend",
     "run_stage_task",
-    "run_worker",
     "shutdown_pools",
 ]

@@ -39,7 +39,7 @@ import os
 import threading
 from abc import ABC, abstractmethod
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union,
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union,
 )
 
 # Imported for its atexit hook, which must be registered before ours
@@ -67,7 +67,7 @@ def default_worker_count() -> int:
 class ExecutionBackend(ABC):
     """Order-preserving executor of pure tasks."""
 
-    #: short name used in CLI flags, telemetry labels, and snapshots
+    #: short name used in CLI flags and telemetry labels
     name: str = "abstract"
     #: whether this backend runs tasks in other *processes* — the engine
     #: routes stage work through serializable task payloads instead of
@@ -88,22 +88,6 @@ class ExecutionBackend(ABC):
         corresponds to ``items[i]`` regardless of which worker finished
         first.  Exceptions raised by any task propagate to the caller.
         """
-
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Snapshot of the backend, for a search checkpoint.
-
-        ``name``/``workers`` are recorded for observability only: the
-        equivalence contract makes backends interchangeable across a
-        resume.
-        """
-        return {"name": self.name, "workers": int(self.workers)}
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Restore :meth:`state_dict` output (nothing to replay here)."""
-
-    def close(self) -> None:
-        """Release resources this backend *owns* (shared pools stay up)."""
 
 
 class SerialBackend(ExecutionBackend):
@@ -128,27 +112,20 @@ class SerialBackend(ExecutionBackend):
 # Worker clusters are shared per (kind, configuration) across backend
 # instances: tests and sweeps construct hundreds of short-lived
 # searches, and spinning workers up and down for each would dominate
-# their cost.  Shared clusters live until `shutdown_pools()` —
-# registered with atexit so interpreter exit reaps them — while a
-# cluster a backend was asked to own (``shared=False``) is released by
-# that backend's `close()`.
+# their cost.  Clusters live until `shutdown_pools()`, which is
+# registered with atexit so interpreter exit reaps them.
 _POOLS: Dict[Tuple[Any, ...], "_Cluster"] = {}
 _POOLS_LOCK = threading.Lock()
 
 
 def _shared_pool(key: Tuple[Any, ...], factory: Callable[[], "_Cluster"]) -> "_Cluster":
+    """The cluster registered under ``key``, built on first use (and
+    again after a ``shutdown_pools()``)."""
     with _POOLS_LOCK:
         pool = _POOLS.get(key)
         if pool is None:
             pool = _POOLS[key] = factory()
         return pool
-
-
-def _discard_shared_pool(key: Tuple[Any, ...], pool: "_Cluster") -> None:
-    """Drop ``pool`` from the registry (it broke or is being replaced)."""
-    with _POOLS_LOCK:
-        if _POOLS.get(key) is pool:
-            del _POOLS[key]
 
 
 def shutdown_pools(wait: bool = True) -> None:

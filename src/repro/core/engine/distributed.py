@@ -42,23 +42,18 @@ from __future__ import annotations
 
 import builtins
 import itertools
+import math
 import multiprocessing
 import os
 import socket
 import threading
 import time
 import weakref
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
-from .backends import (
-    ExecutionBackend,
-    _discard_shared_pool,
-    _shared_pool,
-    default_worker_count,
-    process_start_method,
-)
+from .backends import ExecutionBackend, _shared_pool, default_worker_count, process_start_method
 from ...searchspace.base import Architecture
 from ...service.protocol import ProtocolError, write_frame
 from .shm import SharedGradients, SharedWeights, WeightLayout, weight_layout
@@ -347,26 +342,6 @@ class WorkerHost:
             return False
 
 
-def run_worker(
-    address: Union[str, Tuple[str, int]],
-    worker_id: Optional[str] = None,
-    max_tasks: Optional[int] = None,
-    connect_timeout: float = 10.0,
-) -> int:
-    """Connect to a controller and serve stage tasks until told to stop.
-
-    The entry point behind ``repro worker --connect host:port`` and the
-    cluster's loopback worker threads; returns the task count executed.
-    """
-    host = WorkerHost(
-        address,
-        worker_id=worker_id,
-        max_tasks=max_tasks,
-        connect_timeout=connect_timeout,
-    )
-    return host.run()
-
-
 #: Every live cluster in this process: what a forked worker inherited.
 _LIVE_CLUSTERS: "weakref.WeakSet[_Cluster]" = weakref.WeakSet()
 
@@ -392,7 +367,7 @@ def _spawned_worker_main(
     for cluster in list(_LIVE_CLUSTERS):
         cluster._close_sockets()
     try:
-        run_worker(sock, worker_id=worker_id)
+        WorkerHost(sock, worker_id=worker_id).run()
     except Exception:
         pass  # loss is observed (and accounted) controller-side
 
@@ -401,17 +376,68 @@ def _spawned_worker_main(
 # Controller side
 # ----------------------------------------------------------------------
 class _TaskRecord:
-    """One submitted task: its encoded frame, result slot, retry count."""
+    """One submitted task: its encoded frame, result slot, retry count,
+    and what a result must fit — its kind, its batch count and the
+    ``context`` message of the context it names (``None``: unregistered).
+    Encoding comes first: a payload that cannot travel raises here."""
 
-    __slots__ = ("task_id", "index", "frame", "retries", "link", "run")
+    __slots__ = ("task_id", "index", "frame", "retries", "link", "run", "kind", "batches",
+                 "context")  # fmt: skip
 
-    def __init__(self, task_id: int, index: int, frame: bytes, run: "_MapRun"):
+    def __init__(
+        self, task_id: int, index: int, message: dict, context: Optional[dict], run: "_MapRun"
+    ):
+        self.frame = encode_message({**message, "task_id": task_id})
         self.task_id = task_id
         self.index = index
-        self.frame = frame
         self.retries = 0
         self.link: Optional["_WorkerLink"] = None
         self.run = run
+        self.kind = message["kind"]
+        self.batches = len(message["payload"][1])
+        self.context = context
+
+    def fits(self, value: Any) -> bool:
+        """Whether a ``result`` value fits its task, checked before the
+        engine zips its qualities into shard positions or accumulates its
+        gradients.  A ``quality_many`` value is one number per batch; a
+        ``train_many`` one is ``[qualities, active, gradients]``: ``active``
+        indexes parameters in increasing order, ``gradients`` is one float64
+        array per index, shaped as its parameter — or ``None``, only when
+        the context has a gradient image to read instead."""
+
+        def one_number_per_batch(qualities: Any) -> bool:
+            return (
+                type(qualities) is list
+                and len(qualities) == self.batches
+                and all(type(quality) in (int, float) for quality in qualities)
+            )
+
+        if self.kind != "train_many":
+            return one_number_per_batch(value)
+        if not (type(value) is list and len(value) == 3 and self.context is not None):
+            return False
+        qualities, active, gradients = value
+        layout = self.context["layout"]
+        if not (
+            one_number_per_batch(qualities)
+            and type(active) is list
+            and all(type(i) is int and 0 <= i < len(layout) for i in active)
+            and active == sorted(set(active))
+        ):
+            return False
+        if gradients is None:
+            return self.context["gradients"] is not None
+        return (
+            type(gradients) is list
+            and len(gradients) == len(active)
+            and all(
+                isinstance(array, np.ndarray)
+                and array.dtype == np.float64
+                and array.shape == layout[i][0]
+                for i, array in zip(active, gradients)
+            )
+        )
 
 
 class _MapRun:
@@ -469,18 +495,13 @@ class _Cluster:
     rehydrate supernets per *context*, not per search object, so
     connection churn is zero.
 
-    With a ``start_method`` it spawns its ``workers`` as processes over
-    socketpairs and never listens; without one it binds ``bind`` and
-    admits whoever dials in (``spawn_local``: its own loopback threads).
+    With ``spawn`` it spawns its ``workers`` as processes over
+    socketpairs and never listens; without, it binds ``bind`` and admits
+    whoever dials in — given no ``bind``, on :data:`~.transport.DEFAULT_BIND`
+    and starting ``workers`` loopback threads of its own.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        bind: str = DEFAULT_BIND,
-        spawn_local: bool = True,
-        start_method: Optional[str] = None,
-    ):
+    def __init__(self, workers: int, spawn: bool = False, bind: Optional[str] = None):
         self.workers = workers
         self.worker_losses = 0
         self._lock = threading.RLock()
@@ -491,16 +512,16 @@ class _Cluster:
         self._task_ids = itertools.count(1)
         self._rr = 0
         self._closed = False
-        self._start_method = start_method
+        self._spawns = spawn
         self._spawn_ids = itertools.count()
         self._listener: Optional[socket.socket] = None
         self.address: Optional[Tuple[str, int]] = None
         self._local_threads: List[threading.Thread] = []
         _LIVE_CLUSTERS.add(self)
-        if start_method is not None:
+        if spawn:
             self._fill_workers()
             return
-        host, port = parse_address(bind)
+        host, port = parse_address(bind or DEFAULT_BIND)
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         self._listener = socket.create_server((host, port), family=family)
         self.address = self._listener.getsockname()[:2]
@@ -508,7 +529,7 @@ class _Cluster:
             target=self._accept_loop, name="repro-dist-accept", daemon=True
         )
         self._accept_thread.start()
-        if spawn_local:
+        if bind is None:
             base = f"{socket.gethostname()}/{os.getpid()}"
             for index in range(workers):
                 thread = threading.Thread(
@@ -527,7 +548,7 @@ class _Cluster:
         All are started before any is admitted — admission starts a
         receive thread, and a fork is safest with the fewest threads
         alive.  (No-op for a listening cluster: its workers dial in.)"""
-        if self._start_method is None:
+        if not self._spawns:
             return
         with self._lock:  # the usual case, without the process-wide lock
             if self._closed or len(self._links) >= self.workers:
@@ -544,7 +565,7 @@ class _Cluster:
     def _spawn_worker(self, unadmitted: List[socket.socket]) -> Tuple[socket.socket, Any]:
         controller_end, worker_end = socket.socketpair()
         worker_id = f"{socket.gethostname()}/{os.getpid()}/w{next(self._spawn_ids)}"
-        process = multiprocessing.get_context(self._start_method).Process(
+        process = multiprocessing.get_context(process_start_method()).Process(
             target=_spawned_worker_main,
             args=(worker_end, [controller_end, *unadmitted], worker_id),
             daemon=True,
@@ -573,7 +594,7 @@ class _Cluster:
 
     def _run_local_worker(self, worker_id: str) -> None:
         try:
-            run_worker(self.address, worker_id=worker_id)
+            WorkerHost(self.address, worker_id=worker_id).run()
         except Exception:
             pass  # loss is observed (and accounted) controller-side
 
@@ -751,11 +772,10 @@ class _Cluster:
         run = _MapRun(len(messages), max_retries)
         # Encoded before any record is registered: a payload that cannot
         # travel raises here and leaves nothing pending.
-        records: List[_TaskRecord] = []
+        records = []
         for index, message in enumerate(messages):
-            task_id = next(self._task_ids)
-            frame = encode_message({**message, "task_id": task_id})
-            records.append(_TaskRecord(task_id, index, frame, run))
+            context = self._contexts.get(message["context_id"])
+            records.append(_TaskRecord(next(self._task_ids), index, message, context, run))
         with self._cond:
             if self._closed:
                 raise _crash_error("worker cluster is shut down")
@@ -810,7 +830,11 @@ class _Cluster:
                 if kind not in ("result", "error"):
                     continue
                 task_id, seconds = message.get("task_id"), message.get("seconds", 0.0)
-                if type(task_id) is not int or type(seconds) not in (int, float):
+                if (
+                    type(task_id) is not int
+                    or type(seconds) not in (int, float)
+                    or not 0 <= seconds < math.inf
+                ):
                     raise ProtocolError(f"{kind} with task_id {task_id!r}, seconds {seconds!r}")
                 if kind == "result":
                     self._complete(link, task_id, message.get("value"), float(seconds))
@@ -825,7 +849,11 @@ class _Cluster:
         self, link: _WorkerLink, task_id: int, value: Any, seconds: float
     ) -> None:
         with self._cond:
-            record = self._pending.pop(task_id, None)
+            record = self._pending.get(task_id)
+            if record is not None and not record.fits(value):
+                # Still pending and on this link: losing the link resubmits it.
+                raise ProtocolError(f"a {record.kind} result that does not fit its task")
+            self._pending.pop(task_id, None)
             link.outstanding.pop(task_id, None)
             if record is None:
                 return  # stale: its run already failed
@@ -972,11 +1000,10 @@ class _ClusterBackend(ExecutionBackend):
     #: how long the first ask for a worker waits for one to dial in
     worker_timeout = 30.0
 
-    def __init__(self, workers: Optional[int], shared: bool):
-        super().__init__(
-            workers=workers if workers is not None else default_worker_count()
-        )
-        self._shared = shared
+    def __init__(self, workers: Optional[int] = None):
+        super().__init__(default_worker_count() if workers is None else workers)
+        #: the registry key: clusters are shared per configuration
+        self._cluster_key: Tuple[Any, ...] = (self.name, self.workers)
         self._active_cluster: Optional[_Cluster] = None
         self._losses_before = 0
         self._context: Optional[RemoteShardContext] = None
@@ -984,19 +1011,12 @@ class _ClusterBackend(ExecutionBackend):
 
     # -- cluster lifecycle ----------------------------------------------
     def _cluster(self) -> _Cluster:
+        """The shared cluster for this configuration (a new one after a
+        ``shutdown_pools()`` closed the last)."""
         cluster = self._active_cluster
-        if cluster is not None and not cluster._closed:
-            return cluster
-        if self._shared:
-            cluster = _shared_pool(self._cluster_key, self._new_cluster)
-            if cluster._closed:
-                # A shutdown_pools() happened since; replace the corpse.
-                _discard_shared_pool(self._cluster_key, cluster)
-                cluster = _shared_pool(self._cluster_key, self._new_cluster)
-        else:
-            cluster = self._new_cluster()
-        self._active_cluster = cluster
-        self._losses_before = cluster.worker_losses
+        if cluster is None or cluster._closed:
+            cluster = self._active_cluster = _shared_pool(self._cluster_key, self._new_cluster)
+            self._losses_before = cluster.worker_losses
         return cluster
 
     @property
@@ -1066,30 +1086,6 @@ class _ClusterBackend(ExecutionBackend):
         ]
         return self._cluster().run_map(messages, self.max_task_retries)  # type: ignore[return-value]
 
-    # -- checkpoint state ----------------------------------------------
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["weights_version"] = (
-            int(self._context.version) if self._context is not None else 0
-        )
-        return state
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        super().load_state_dict(state)
-        if self._context is not None:
-            # Republish past the checkpointed version: the restored
-            # parameter values reach the workers, and surviving workers
-            # whose applied version predates the crash still refresh.
-            self._context.publish(int(state.get("weights_version", 0)) + 1)
-
-    def close(self) -> None:
-        if self._context is not None:
-            self._context.release()
-            self._context = None
-        if self._active_cluster is not None and not self._shared:
-            self._active_cluster.shutdown(wait=True)
-        self._active_cluster = None
-
 
 class ProcessPoolBackend(_ClusterBackend):
     """Fan stage tasks out across worker *processes* on this machine.
@@ -1105,18 +1101,8 @@ class ProcessPoolBackend(_ClusterBackend):
 
     name = "processes"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        shared: bool = True,
-        start_method: Optional[str] = None,
-    ):
-        super().__init__(workers, shared)
-        self._method = start_method or process_start_method()
-        self._cluster_key = ("processes", self.workers, self._method)
-
     def _new_cluster(self) -> _Cluster:
-        return _Cluster(self.workers, start_method=self._method)
+        return _Cluster(self.workers, spawn=True)
 
 
 class DistributedBackend(_ClusterBackend):
@@ -1130,33 +1116,22 @@ class DistributedBackend(_ClusterBackend):
       versioned weight message ahead of the tasks stamped with it, and a
       late joiner is primed with the current one before it is assignable;
     * **membership is open** — workers may join at any time (``repro
-      worker --connect``); by default the cluster also spawns loopback
-      worker threads so the backend works standalone.
+      worker --connect``).  Without ``$REPRO_DIST_BIND`` the cluster
+      listens on :data:`~.transport.DEFAULT_BIND` and spawns ``workers``
+      loopback worker threads, so the backend works standalone; a bind
+      set there means external workers will dial in, and none is spawned.
     """
 
     name = "distributed"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        bind: Optional[str] = None,
-        spawn_local: Optional[bool] = None,
-        shared: bool = True,
-        worker_timeout: float = 30.0,
-    ):
-        super().__init__(workers, shared)
-        env_bind = os.environ.get(DIST_BIND_ENV_VAR)
-        self._bind = bind if bind is not None else (env_bind or DEFAULT_BIND)
-        # An explicit bind (flag or env) implies external workers will
-        # connect; the loopback complement is for the standalone case.
-        if spawn_local is None:
-            spawn_local = bind is None and not env_bind
-        self._spawn_local = spawn_local
-        self._cluster_key = ("distributed", self.workers, self._bind, spawn_local)
-        self.worker_timeout = worker_timeout
+    def __init__(self, workers: Optional[int] = None):
+        super().__init__(workers)
+        #: ``None``: the standalone loopback cluster
+        self._bind = os.environ.get(DIST_BIND_ENV_VAR) or None
+        self._cluster_key += (self._bind,)
 
     def _new_cluster(self) -> _Cluster:
-        return _Cluster(self.workers, bind=self._bind, spawn_local=self._spawn_local)
+        return _Cluster(self.workers, bind=self._bind)
 
     @property
     def address(self) -> str:
@@ -1169,5 +1144,4 @@ __all__ = [
     "DistributedBackend",
     "ProcessPoolBackend",
     "WorkerHost",
-    "run_worker",
 ]

@@ -29,8 +29,9 @@ every backend bit-identical to serial execution:
 
 The engine also owns the stepwise checkpoint protocol (``step()`` /
 ``build_result()`` / ``state_dict()``) that the fault-tolerant runtime
-drives; the published weight version rides in every snapshot so a
-crash-resumed run keeps its bit-identity guarantee.
+drives.  No backend state rides in a snapshot: a restored engine marks
+its weights dirty, so they reach the workers before its first remote
+fan-out.
 """
 
 from __future__ import annotations
@@ -419,7 +420,6 @@ class SearchEngine:
             "warmup_rng": self._warmup_rng.bit_generator.state,
             "pipeline": self.pipeline.state_dict(),
             "runtime": self.runtime.export_state(),
-            "backend": self.backend.state_dict(),
         }
         if self.telemetry is not None:
             state["telemetry"] = self.telemetry.export_state()
@@ -434,10 +434,8 @@ class SearchEngine:
         self._warmup_rng.bit_generator.state = state["warmup_rng"]
         self.pipeline.load_state_dict(state["pipeline"])
         self.runtime.import_state(state["runtime"])
-        self.backend.load_state_dict(state["backend"])
         # The restored weights must reach workers before the next remote
-        # fan-out (the backend's own load may have fast-forwarded the
-        # shared segment already; one extra publish is cheap and safe).
+        # fan-out: the context's next version carries them.
         self._weights_dirty = True
         telemetry_state = state.get("telemetry")
         if self.telemetry is not None and telemetry_state is not None:

@@ -205,15 +205,9 @@ class SharedWeights(_Segment):
         return cls(layout, name)
 
     # ------------------------------------------------------------------
-    def publish(
-        self, arrays: Sequence[np.ndarray], minimum_version: int = 0
-    ) -> int:
-        """Write ``arrays`` into the segment under the seqlock.
-
-        ``minimum_version`` lets a resumed run fast-forward the counter
-        past the version a checkpoint recorded, keeping it monotonic
-        across crash/resume.  Returns the new (even) version.
-        """
+    def publish(self, arrays: Sequence[np.ndarray]) -> int:
+        """Write ``arrays`` into the segment under the seqlock; returns
+        the new (even) version."""
         if len(arrays) != len(self.layout):
             raise ValueError(
                 f"publish got {len(arrays)} arrays for a layout of "
@@ -223,11 +217,8 @@ class SharedWeights(_Segment):
         self._header[0] = current + 1  # odd: write in progress
         for array, (shape, offset, size) in zip(arrays, self.layout):
             self._data[offset : offset + size] = np.asarray(array).reshape(-1)
-        target = max(current + 2, int(minimum_version))
-        if target & 1:
-            target += 1
-        self._header[0] = target
-        return target
+        self._header[0] = current + 2
+        return current + 2
 
     def copy_into(self, arrays: Sequence[np.ndarray]) -> int:
         """Copy the current weights into ``arrays``; returns the version.

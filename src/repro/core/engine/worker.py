@@ -262,21 +262,19 @@ class RemoteShardContext:
         """A reference stamped with the current version."""
         return RemoteContextRef(context_id=self.context_id, version=self.version)
 
-    def publish(self, minimum_version: int = 0) -> int:
+    def publish(self) -> int:
         """Make the live parameter arrays the next weight version.
 
         With a segment this is the in-place shared-memory write and
         workers copy in when a task's stamp says so; without one the
-        cluster pushes the bytes to its workers.  A resumed run passes
-        ``minimum_version`` (its checkpoint's recorded version + 1):
-        the version stays monotonic across crash/resume, so a surviving
-        worker whose applied version predates the crash still refreshes
-        on its first post-resume task.
+        cluster pushes the bytes to its workers.  A version only means
+        something inside this context (whose id no snapshot records), so
+        moving forward from the last one is all it takes.
         """
         if self.weights is not None:
-            self.version = self.weights.publish(self.param_arrays, minimum_version)
+            self.version = self.weights.publish(self.param_arrays)
         else:
-            self.version = max(self.version + 1, int(minimum_version))
+            self.version += 1
         if self.cluster is not None:
             self.cluster.update_weights(
                 self.context_id, self.version, self.param_arrays

@@ -56,9 +56,10 @@ from .atomic import atomic_write_json, file_sha256, write_hashed
 
 PathLike = Union[str, pathlib.Path]
 
-#: Version of the on-disk snapshot payload layout.  2: every search
-#: snapshot carries its backend's state and times only the canonical
-#: ``STAGES``; older payloads are rejected by :func:`check_header`.
+#: Version of the on-disk snapshot payload layout.  2: a search snapshot
+#: times only the canonical ``STAGES``; older payloads are rejected by
+#: :func:`check_header`.  (Some format-2 snapshots also carry a
+#: ``backend`` entry; nothing reads it.)
 CHECKPOINT_FORMAT = 2
 
 

@@ -383,7 +383,8 @@ class JobSpec:
             raise JobSpecError("spec.cache must be true or false")
         if not _is_int(self.checkpoint_every) or self.checkpoint_every < 1:
             raise JobSpecError("spec.checkpoint_every must be an integer >= 1")
-        if not 0 <= self.step_sleep_s < math.inf:  # NaN compares false
+        sleep = self.step_sleep_s  # not a bool or a string; NaN compares false
+        if not (_is_int(sleep) or isinstance(sleep, float)) or not 0 <= sleep < math.inf:
             raise JobSpecError("spec.step_sleep_s must be a finite number >= 0")
         if self.kind == "specialize":
             self._check_target()

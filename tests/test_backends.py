@@ -14,6 +14,7 @@ import ast
 import collections
 import dataclasses
 import gc
+import inspect
 import multiprocessing.util
 import os
 import pathlib
@@ -44,10 +45,11 @@ from repro.core import (
 from repro.core.engine import (
     BACKEND_ENV_VAR,
     BACKEND_NAMES,
+    DIST_BIND_ENV_VAR,
     WORKERS_ENV_VAR,
     StageTask,
+    WorkerHost,
     run_stage_task,
-    run_worker,
 )
 from repro.core.engine import backends as backends_mod
 from repro.core.engine.worker import SUPERNETS
@@ -131,8 +133,9 @@ def _flush_at_exit(path):
 
 class ItemSupernet:
     """The smallest supernet a worker can host, ``cls(config)``: its
-    "architecture" is an integer item, scored as the item squared (item
-    0 raises, a typed task error).  Each execution is logged to
+    "architecture" is an integer item, scored as the item squared on
+    every batch, which carries no data (item 0 raises, a typed task
+    error).  Each execution is logged to
     ``log_path`` (O_APPEND: one line, one write); the ``victim`` item
     SIGKILLs its worker once, after the log line, so the victim is the
     one item a per-task retry policy may run twice.  With an
@@ -160,7 +163,7 @@ class ItemSupernet:
             _kill_this_worker_once(config.flag_path, config.engine_pid)
         if arch == 0:
             raise ZeroDivisionError("item 0")
-        return [float(arch * arch)]
+        return [float(arch * arch)] * len(inputs_seq)
 
     def loss_many(self, arch, inputs_seq, labels_seq):
         raise NotImplementedError("scores only")
@@ -174,16 +177,28 @@ SUPERNETS["item"] = (ItemSupernet, ItemConfig)
 
 
 def stage_map(backend, items, config=None):
-    """Map one ``quality_many`` stage task per item through ``backend``,
-    scored by an :class:`ItemSupernet` each worker rebuilt from its spec:
-    the path production runs."""
+    """Map one ``quality_many`` stage task of one batch per item through
+    ``backend``, scored by an :class:`ItemSupernet` each worker rebuilt
+    from its spec: the path production runs."""
     context = backend.register_context(ItemSupernet(config or ItemConfig()))
     assert backend.wait_for_workers(1) >= 1  # what the engine's placement asks first
     tasks = [
-        StageTask(stage="score", kind="quality_many", context=context.ref(), payload=(item, [], []))
+        StageTask(
+            stage="score", kind="quality_many", context=context.ref(), payload=(item, [None], [None])
+        )
         for item in items
     ]
     return [value[0] for value, _, _ in backend.map(run_stage_task, tasks)]
+
+
+@pytest.fixture
+def dialled_in_only(monkeypatch):
+    """A ``DistributedBackend`` built in the test listens on loopback and
+    spawns no worker (a bind in ``$REPRO_DIST_BIND`` means workers will
+    dial in); its cluster is shut down after the test."""
+    monkeypatch.setenv(DIST_BIND_ENV_VAR, "127.0.0.1:0")
+    yield
+    shutdown_pools()
 
 
 def executions(log_path):
@@ -384,7 +399,7 @@ class TestRemoteContract:
     def test_any_other_fn_runs_in_process(self, backend):
         # Only stage tasks ship: any other fn, picklable or not, runs the
         # in-process loop, and starts no worker.
-        remote = REMOTE[backend](workers=2, shared=False)
+        remote = REMOTE[backend](workers=2)
         calls = []
 
         def fn(x):  # closure: cannot travel to a worker
@@ -396,49 +411,28 @@ class TestRemoteContract:
         assert calls == [1, 2, 3]  # ran in this process, in order
         assert remote._active_cluster is None
 
+    def test_the_constructor_takes_a_worker_count_only(self, backend):
+        # Where a cluster listens is $REPRO_DIST_BIND's to say, how it
+        # starts processes the platform's; a cluster is always shared.
+        assert list(inspect.signature(REMOTE[backend]).parameters) == ["workers"]
+
     def test_single_worker_never_starts_a_cluster(self, backend):
         remote = REMOTE[backend](workers=1)
         assert remote.register_context(ItemSupernet(ItemConfig())) is None
         assert remote._active_cluster is None
 
-    def test_owned_cluster_released_on_close(self, backend):
-        remote = REMOTE[backend](workers=2, shared=False)
-        assert stage_map(remote, [1, 2, 3]) == [1, 4, 9]
-        assert remote._active_cluster is not None
-        remote.close()
-        assert remote._active_cluster is None
-
-    def test_state_dict_carries_weights_version(self, backend):
-        state = REMOTE[backend](workers=2).state_dict()
-        assert state["name"] == backend
-        assert state["weights_version"] == 0  # no supernet registered
-        REMOTE[backend](workers=2).load_state_dict(state)
-
-    def test_restore_fast_forwards_the_weights_version(self, backend):
-        state = build_single(backend, workers=2).state_dict()
-        assert state["backend"]["weights_version"] >= 1  # published at build
-        fresh = build_single(backend, workers=2)
-        fresh.load_state_dict(state)
-        # Restore republishes past the snapshot's version, so workers
-        # holding pre-crash weights refresh.
-        assert (
-            fresh.backend.state_dict()["weights_version"]
-            > state["backend"]["weights_version"]
-        )
-
 
 class TestPoolLifecycle:
-    @pytest.mark.parametrize("release", ["close", "shutdown_pools"])
-    def test_spawned_workers_exit_cleanly(self, tmp_path, release):
+    def test_spawned_workers_exit_cleanly(self, tmp_path):
         # A worker told to shut down leaves its loop and closes its end;
         # that EOF is no loss, and the worker is joined, not SIGKILLed:
         # it runs its whole exit path, and exits 0.
-        backend = ProcessPoolBackend(workers=2, shared=release != "close")
+        backend = ProcessPoolBackend(workers=2)
         exit_path = tmp_path / "flushed"
         assert stage_map(backend, [1, 2, 3], ItemConfig(exit_path=str(exit_path))) == [1, 4, 9]
         processes = [link.process for link in backend._active_cluster._links.values()]
         assert len(processes) == 2
-        backend.close() if release == "close" else shutdown_pools()
+        shutdown_pools()
         assert [process.exitcode for process in processes] == [0, 0]
         assert sorted(tmp_path.iterdir()) == sorted(
             pathlib.Path(f"{exit_path}.{process.pid}") for process in processes
@@ -488,16 +482,16 @@ class TestSpawnedWorkers:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
     def test_processes_never_listen(self):
+        shutdown_pools()  # the listener below must be a new one
         before = _listening_sockets()
-        backend = ProcessPoolBackend(workers=2, shared=False)
+        backend = ProcessPoolBackend(workers=2)
         assert stage_map(backend, [1, 2, 3]) == [1, 4, 9]
         assert _listening_sockets() == before
-        backend.close()
         # The probe does see a listener when there is one.
-        listener = DistributedBackend(workers=2, shared=False)
+        listener = DistributedBackend(workers=2)
         assert stage_map(listener, [1, 2, 3]) == [1, 4, 9]
         assert len(_listening_sockets() - before) == 1
-        listener.close()
+        shutdown_pools()
         assert _listening_sockets() == before
 
     @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
@@ -509,7 +503,10 @@ class TestSpawnedWorkers:
         spans = telemetry.trace.registry.histogram("span.worker").series()
         pids = {dict(key)["pid"] for key in spans if "pid" in dict(key)}
         assert pids and all(_running(pid) is not None for pid in pids)
-        search.backend.close()
+        # The context's segments go with its engine: a finaliser queues
+        # the release, the shutdown performs it.
+        del search
+        gc.collect()
         shutdown_pools()
         assert not any(_running(pid) is not None for pid in pids)
         assert set(os.listdir("/dev/shm")) <= segments
@@ -641,14 +638,13 @@ class TestRemoteTraining:
             assert shipped == [["train_many"] * 4] * STEPS
             assert len(published) == STEPS - 1  # step 0 ships what was built
 
-    def test_a_search_nobody_dialled_into_waits_once(self):
+    def test_a_search_nobody_dialled_into_waits_once(self, dialled_in_only):
         # Bound for external workers, none came: the first ask for one
         # spends the backend's worker_timeout, every later ask only
         # looks, and the search runs in process — until a worker links.
         serial = build_single(backend="serial").run()
-        backend = DistributedBackend(
-            workers=2, spawn_local=False, shared=False, worker_timeout=0.2
-        )
+        backend = DistributedBackend(workers=2)
+        backend.worker_timeout = 0.2
         try:
             search = build_single(backend=backend)
             assert search._remote_ctx is not None
@@ -663,14 +659,12 @@ class TestRemoteTraining:
             cluster.wait_for_workers = traced_wait
             assert_results_identical(serial, search.run(), build_space())
             assert len(waits) >= STEPS and sorted(waits)[-2:] == [0.0, 0.2]
-            worker = threading.Thread(
-                target=run_worker, args=(backend.address,), daemon=True
-            )
+            worker = threading.Thread(target=WorkerHost(backend.address).run, daemon=True)
             worker.start()
             assert backend.wait_for_workers(1, timeout=30.0) == 1
             assert search._remote_active()
         finally:
-            backend.close()
+            shutdown_pools()
         worker.join(timeout=30.0)
         assert not worker.is_alive()
 
@@ -683,7 +677,7 @@ class TestRemoteTraining:
         # control: the DLRM search starts both.
         backend_cls = {"processes": ProcessPoolBackend, "distributed": DistributedBackend}[backend]
         for build, ships in ((build_surrogate, False), (build_single, True)):
-            remote = backend_cls(workers=2, shared=False)
+            remote = backend_cls(workers=2)
             try:
                 before = _shm_segments()
                 search = build(remote)
@@ -694,7 +688,7 @@ class TestRemoteTraining:
                 assert mapped == (ships and backend == "processes")
                 assert_results_identical(build("serial").run(), result, build_space())
             finally:
-                remote.close()
+                shutdown_pools()
 
     def test_unequal_batches_train_in_process(self):
         # A group of unequal batches backprops one contribution per
@@ -888,15 +882,13 @@ class TestEngineTelemetry:
 class TestDistributedEquivalence:
     """Workers that are other programs: the real ``repro worker`` CLI."""
 
-    def test_killed_worker_mid_shard_resubmits_and_matches_serial(self):
+    def test_killed_worker_mid_shard_resubmits_and_matches_serial(self, dialled_in_only):
         # Two *external* worker processes (the real `repro worker` CLI),
         # one with a task budget that makes it vanish mid-search exactly
         # like a SIGKILLed host; its orphaned tasks must resubmit to the
         # survivor and the result must stay bit-identical to serial.
         serial = build_single(backend="serial").run()
-        backend = DistributedBackend(
-            workers=2, spawn_local=False, shared=False
-        )
+        backend = DistributedBackend(workers=2)
         env = dict(
             os.environ,
             PYTHONPATH=os.path.join(
@@ -925,7 +917,7 @@ class TestDistributedEquivalence:
             assert procs[0].returncode == 0, err
             assert "worker exited after 5 tasks" in out
         finally:
-            backend.close()
+            shutdown_pools()
             for proc in procs:
                 if proc.poll() is None:
                     try:

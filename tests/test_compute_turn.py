@@ -8,7 +8,6 @@ step gives the turn back, and a worker process forked while the turn is
 held is unaffected (workers never take it).
 """
 
-import multiprocessing
 import sys
 import threading
 import time
@@ -16,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.engine import ProcessPoolBackend
+from repro.core.engine import ProcessPoolBackend, process_start_method, shutdown_pools
 from repro.runtime import (
     FaultInjector,
     FaultSpec,
@@ -223,16 +222,15 @@ def test_turn_wait_is_in_the_jobs_telemetry_and_its_report(tmp_path):
     assert alone.histogram("service.turn_wait_seconds").stats()["max"] < 0.01
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
-)
+@pytest.mark.skipif(process_start_method() != "fork", reason="needs fork")
 def test_worker_forked_while_the_turn_is_held_still_serves():
     """A job thread spawns its pool from inside a step, so a forked
     worker starts life with a copy of the *held* turn.  It never takes
     it, so it never notices."""
-    backend = ProcessPoolBackend(workers=2, shared=False, start_method="fork")
+    shutdown_pools()  # the pool is forked below, inside the turn
+    backend = ProcessPoolBackend(workers=2)
     try:
         with COMPUTE_TURN:
             assert stage_map(backend, range(1, 9)) == [i * i for i in range(1, 9)]
     finally:
-        backend.close()
+        shutdown_pools()

@@ -26,7 +26,16 @@ from repro.service.jobs import elastic_training_builder
 from repro.supernet import ShrinkPhase, ShrinkSchedule
 from repro.telemetry import CHURN_PREFIXES, Telemetry
 
-from .test_sweep import BUILDERS, STEPS, assert_results_identical, build_single, build_space
+from .test_sweep import (
+    BUILDERS,
+    STEPS,
+    WORKLOADS,
+    assert_results_identical,
+    build_single,
+    build_space,
+    outcome_of,
+    reference,
+)
 
 
 class TestElasticCrashResume:
@@ -42,6 +51,30 @@ class TestElasticCrashResume:
         other.schedule = ShrinkSchedule((ShrinkPhase("full", 0),))
         with pytest.raises(CheckpointError, match="schedule"):
             resume_search(store, other)
+
+
+class TestEarlierSnapshots:
+    @pytest.mark.parametrize("backend", ["serial", "processes", "distributed"])
+    def test_a_backend_entry_is_not_read(self, tmp_path, backend):
+        """Format-2 snapshots once carried the backend's state (its name,
+        worker count and last published weight version), and a spool may
+        still hold some: a resume reads past the entry to the same run."""
+        steps, build = WORKLOADS["single_step"]
+        space, factory = build(steps, 3, backend)
+        store = CheckpointStore(tmp_path)
+        search = factory()
+        history = [search.step(step) for step in range(4)]
+        payload = search_checkpoint_payload(search, 4, history)
+        payload["search"]["backend"] = {"name": "processes", "workers": 2, "weights_version": 10}
+        store.save(4, payload)
+        assert "backend" in store.load(store.latest())["search"]
+
+        resumed = factory()
+        next_step, history, _ = resume_search(store, resumed)
+        assert next_step == 4
+        history += [resumed.step(step) for step in range(next_step, steps)]
+        result = resumed.build_result(history)
+        assert outcome_of(space, result, resumed.supernet) == reference("single_step", 3)
 
 
 #: Run-scoped counters that must be bit-identical across crash/resume.

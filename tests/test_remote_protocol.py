@@ -24,6 +24,7 @@ import struct
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from repro.core import (
     SurrogateSuperNetwork,
     shutdown_pools,
 )
-from repro.core.engine import StageTask, run_stage_task
+from repro.core.engine import DIST_BIND_ENV_VAR, StageTask, WorkerHost, run_stage_task
 from repro.core.engine import worker as worker_mod
 from repro.core.engine.shm import SharedWeights
 from repro.core.engine.transport import (
@@ -64,9 +65,15 @@ from repro.supernet import (
     VisionSupernetConfig,
 )
 
-from .test_backends import ItemConfig, ItemSupernet, _surrogate_quality, stage_map
+from .test_backends import (  # noqa: F401 (dialled_in_only is a fixture)
+    ItemConfig,
+    ItemSupernet,
+    _surrogate_quality,
+    dialled_in_only,
+    stage_map,
+)
 from .test_batched_exec import PerCoreOnly
-from .test_sweep import NUM_TABLES, REMOTE, build_single
+from .test_sweep import NUM_TABLES, REMOTE, build_single, build_space, outcome_of
 
 
 class TestStageTasks:
@@ -202,7 +209,9 @@ class TestWorkerWireProtocol:
 
         return map_once
 
-    def test_late_joiners_are_primed_before_they_are_assignable(self, controller_frames):
+    def test_late_joiners_are_primed_before_they_are_assignable(
+        self, controller_frames, dialled_in_only
+    ):
         # Workers dial in one after another while this thread maps stage
         # tasks and publishes new weights between maps.  A joiner is
         # picked for tasks from the instant it is linked; every map must
@@ -213,7 +222,7 @@ class TestWorkerWireProtocol:
         joins, live = 50, 3
         # Three searches share the cluster; the maps are for the context
         # registered — so sent to a joiner — last.
-        backends = [DistributedBackend(workers=3, spawn_local=False) for _ in range(3)]
+        backends = [DistributedBackend(workers=3) for _ in range(3)]
         searches = [build_single(backend=backend) for backend in backends]
         backend, map_once = backends[-1], self._mapper(searches[-1], 8)
         hosts, threads, served = collections.deque(), [], set()
@@ -355,8 +364,18 @@ def _still_serves(backend):
     return thread
 
 
+def _honest_and_lying(backend, lie):
+    """An honest worker and a :class:`LyingHost`, both linked to ``backend``."""
+    hosts = (WorkerHost(backend.address, worker_id="honest"), LyingHost(backend.address, lie))
+    threads = [threading.Thread(target=host.run, daemon=True) for host in hosts]
+    for thread in threads:
+        thread.start()
+    assert backend.wait_for_workers(2, timeout=60.0) == 2
+    return threads
+
+
 def _joined(thread):
-    """The good worker left once its backend closed."""
+    """The good worker left once its cluster shut down."""
     thread.join(timeout=30.0)
     assert not thread.is_alive()
 
@@ -380,24 +399,24 @@ class TestTransportHandshake:
         ids=["older_build", "no_version", "not_hello", "garbage", "bad_pid",
              "pickled_v2_hello", "pickled_hello"],  # fmt: skip
     )
-    def test_a_worker_without_this_builds_hello_is_refused(self, payload):
-        backend = DistributedBackend(workers=2, spawn_local=False, shared=False)
+    def test_a_worker_without_this_builds_hello_is_refused(self, payload, dialled_in_only):
+        backend = DistributedBackend(workers=2)
         try:
             with _dial(backend, _wire(payload)) as sock:
                 assert recv_message(sock) is None  # closed on us, nothing sent
             assert backend.host_count == 0
         finally:
-            backend.close()
+            shutdown_pools()
 
-    def test_this_builds_hello_is_admitted(self):
+    def test_this_builds_hello_is_admitted(self, dialled_in_only):
         # Positive control: the same dial with the current version links,
-        # and the link is told to shut down when the backend closes.
-        backend = DistributedBackend(workers=2, spawn_local=False, shared=False)
+        # and the link is told to shut down when the cluster does.
+        backend = DistributedBackend(workers=2)
         try:
             sock = _dial(backend, _wire(encode_message(_hello())))
             assert backend.wait_for_workers(1, timeout=30.0) == 1
         finally:
-            backend.close()
+            shutdown_pools()
         with sock:
             assert recv_message(sock) == {"type": "shutdown"}
 
@@ -459,6 +478,60 @@ ILL_TYPED_CONTROL = {
 }
 
 
+def _set(index, rewrite):
+    """A lie: ``value[index] = rewrite(value[index])`` of a ``train_many``
+    result ``[qualities, active, gradients]``."""
+
+    def lie(reply):
+        reply["value"][index] = rewrite(reply["value"][index])
+
+    return lie
+
+
+def _nan_seconds(reply):
+    reply["seconds"] = float("nan")
+
+
+#: How a lying worker rewrites every ``train_many`` result it sends.
+#: Each still decodes; none fits the task it answers.
+TRAIN_MANY_LIES = {
+    "one_quality_short": _set(0, lambda qualities: qualities[:-1]),
+    "gradient_index_minus_one": _set(1, lambda active: [-1, *active[1:]]),
+    "indices_out_of_order": _set(1, lambda active: active[::-1]),
+    "last_row_of_each_matrix": _set(
+        2, lambda grads: [g[-1].copy() if g.ndim == 2 else g for g in grads]
+    ),
+    "one_element_gradients": _set(2, lambda grads: [np.zeros(1) for _ in grads]),
+    "no_gradients_and_no_image": _set(2, lambda grads: None),
+    "nan_seconds": _nan_seconds,
+}
+
+
+class LyingHost(WorkerHost):
+    """The honest worker loop, except that ``lie`` rewrites each of its
+    ``result`` replies before it is sent."""
+
+    def __init__(self, address, lie):
+        super().__init__(address, worker_id="liar")
+        self.lie = lie
+
+    def _handle_work(self, message):
+        link, sent = self._sock, []
+        self._sock = types.SimpleNamespace(sendall=sent.append)
+        try:
+            super()._handle_work(message)
+        finally:
+            self._sock = link
+        reply = decode_message(sent[0][8:])  # past the length prefix
+        if reply["type"] == "result":
+            self.lie(reply)
+        try:
+            send_message(link, reply)
+            return True
+        except OSError:
+            return False
+
+
 VALID_FRAME = encode_message(
     {
         "type": "result",
@@ -474,22 +547,22 @@ class TestHostileFrames:
     :class:`ProtocolError` (the peer is closed, an admitted one dropped
     as a lost link), and the listener keeps serving."""
 
-    def test_a_pickle_is_refused_unrun(self, tmp_path):
+    def test_a_pickle_is_refused_unrun(self, tmp_path, dialled_in_only):
         touched = tmp_path / "touched"
-        backend = DistributedBackend(workers=2, spawn_local=False, shared=False)
+        backend = DistributedBackend(workers=2)
         try:
             with _dial(backend, _wire(pickle.dumps(_TouchOnUnpickle(touched)))) as sock:
                 assert recv_message(sock) is None
             assert not touched.exists()
             thread = _still_serves(backend)
         finally:
-            backend.close()
+            shutdown_pools()
         _joined(thread)
         assert not touched.exists()
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_BEFORE_HELLO))
-    def test_a_malformed_frame_is_refused(self, case):
-        backend = DistributedBackend(workers=2, spawn_local=False, shared=False)
+    def test_a_malformed_frame_is_refused(self, case, dialled_in_only):
+        backend = DistributedBackend(workers=2)
         try:
             with _dial(backend, HOSTILE_BEFORE_HELLO[case]) as sock:
                 sock.shutdown(socket.SHUT_WR)
@@ -498,13 +571,13 @@ class TestHostileFrames:
             assert backend.host_count == 0 and backend.worker_losses == 0
             thread = _still_serves(backend)
         finally:
-            backend.close()
+            shutdown_pools()
         _joined(thread)
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     @pytest.mark.parametrize("case", sorted(ILL_TYPED_REPLIES))
-    def test_an_ill_typed_reply_drops_the_link(self, case):
-        backend = DistributedBackend(workers=2, spawn_local=False, shared=False)
+    def test_an_ill_typed_reply_drops_the_link(self, case, dialled_in_only):
+        backend = DistributedBackend(workers=2)
         try:
             with _dial(backend, _wire(encode_message(_hello()))) as sock:
                 assert backend.wait_for_workers(1, timeout=30.0) == 1
@@ -516,7 +589,7 @@ class TestHostileFrames:
             assert backend.host_count == 0 and backend.worker_losses == 1
             thread = _still_serves(backend)
         finally:
-            backend.close()
+            shutdown_pools()
         _joined(thread)
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
@@ -585,6 +658,36 @@ class TestHostileFrames:
         assert code == 1 and len(errors) == 1 and errors[0].startswith("error: ")
         assert "task_id" in errors[0]
 
+    @pytest.mark.parametrize("case", sorted(TRAIN_MANY_LIES))
+    def test_a_result_that_does_not_fit_its_task_drops_the_link(self, case, dialled_in_only):
+        # Beside an honest worker, one that lies in every train_many
+        # result: the first lie is refused before the engine reads it,
+        # the liar's link drops and its tasks rerun on the honest worker,
+        # so the search still equals serial.
+        space, serial = build_space(), build_single(backend="serial")
+        want = outcome_of(space, serial.run(), serial.supernet)
+        backend = DistributedBackend(workers=2)
+        threads = _honest_and_lying(backend, TRAIN_MANY_LIES[case])
+        try:
+            search = build_single(backend=backend)
+            assert outcome_of(space, search.run(), search.supernet) == want
+            assert backend.worker_losses == 1
+        finally:
+            shutdown_pools()
+        for thread in threads:
+            _joined(thread)
+
+    def test_a_quality_many_result_of_another_length_drops_the_link(self, dialled_in_only):
+        backend = DistributedBackend(workers=2)
+        threads = _honest_and_lying(backend, lambda reply: reply["value"].append(0.0))
+        try:
+            assert stage_map(backend, range(1, 9)) == [i * i for i in range(1, 9)]
+            assert backend.worker_losses == 1
+        finally:
+            shutdown_pools()
+        for thread in threads:
+            _joined(thread)
+
     def test_a_message_round_trips(self):
         message = decode_message(VALID_FRAME)
         value = message.pop("value")
@@ -632,13 +735,14 @@ class TestAddresses:
                 parse_address(bad)
 
     @pytest.mark.skipif(not _ipv6_loopback(), reason="::1 cannot bind here")
-    def test_an_ipv6_listener_admits_a_dialled_in_worker(self):
-        backend = DistributedBackend(workers=2, bind="[::1]:0", shared=False)
+    def test_an_ipv6_listener_admits_a_dialled_in_worker(self, monkeypatch):
+        monkeypatch.setenv(DIST_BIND_ENV_VAR, "[::1]:0")
+        backend = DistributedBackend(workers=2)
         try:
             assert backend.address.startswith("[::1]:")
             thread = _still_serves(backend)
         finally:
-            backend.close()
+            shutdown_pools()
         _joined(thread)
 
 
@@ -695,7 +799,7 @@ class TestTaskErrors:
             assert remote.wait_for_workers(1) >= 1
             tasks = [
                 StageTask(stage="score", kind="quality_many", context=context.ref(), payload=p)
-                for p in ((2, [], []), (item, [], []), (3, [], []))
+                for p in ((2, [None], [None]), (item, [None], [None]), (3, [None], [None]))
             ]
             with pytest.raises(Exception) as caught:
                 remote.map(run_stage_task, tasks)
@@ -704,12 +808,12 @@ class TestTaskErrors:
             assert is_retryable(caught.value) == (arrives_as is RuntimeError)
             assert remote.worker_losses == 0
         finally:
-            remote.close()
+            shutdown_pools()
 
     def test_a_result_that_cannot_travel_is_the_tasks_error(self, monkeypatch):
         # Loopback worker threads share this module's globals.
         monkeypatch.setattr(worker_mod, "execute_stage_kind", lambda *args: object())
-        backend = DistributedBackend(workers=2, shared=False)
+        backend = DistributedBackend(workers=2)
         try:
             with pytest.raises(RuntimeError, match="cannot checkpoint value of type object"):
                 stage_map(backend, [1, 2])
@@ -717,16 +821,16 @@ class TestTaskErrors:
             monkeypatch.undo()
             assert stage_map(backend, [1, 2]) == [1, 4]
         finally:
-            backend.close()
+            shutdown_pools()
 
     def test_a_payload_that_cannot_travel_leaves_nothing_pending(self):
-        backend = DistributedBackend(workers=2, shared=False)
+        backend = DistributedBackend(workers=2)
         try:
             context = backend.register_context(ItemSupernet(ItemConfig()))
             assert backend.wait_for_workers(2) == 2
             tasks = [
                 StageTask(stage="score", kind="quality_many", context=context.ref(), payload=p)
-                for p in ((1, [], []), (object(), [], []))
+                for p in ((1, [None], [None]), (object(), [None], [None]))
             ]
             with pytest.raises(CheckpointError, match="cannot checkpoint"):
                 backend.map(run_stage_task, tasks)
@@ -735,7 +839,7 @@ class TestTaskErrors:
             assert not any(link.outstanding for link in cluster._links.values())
             assert stage_map(backend, [1, 2]) == [1, 4]
         finally:
-            backend.close()
+            shutdown_pools()
 
 
 def test_no_engine_module_imports_or_names_pickle():

@@ -78,6 +78,8 @@ class TestAdmission:
             ('{"seed": false}', "seed"),
             ('{"step_sleep_s": NaN}', "step_sleep_s"),  # json.loads takes both
             ('{"step_sleep_s": Infinity}', "step_sleep_s"),
+            ('{"step_sleep_s": true}', "step_sleep_s"),  # would sleep 1 s a step
+            ('{"step_sleep_s": "1"}', "step_sleep_s"),
         ],
     )
     def test_values_of_the_wrong_kind_are_refused_at_submit(self, tmp_path, wire, field):

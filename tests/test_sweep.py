@@ -66,6 +66,7 @@ from repro.core.engine import (
     DistributedBackend,
     ProcessPoolBackend,
     run_stage_task,
+    shutdown_pools,
 )
 from repro.data import CtrTaskConfig, CtrTeacher, SingleStepPipeline, TwoStreamPipeline
 from repro.runtime import (
@@ -355,7 +356,11 @@ def run_cell(workload, backend, fault, step, seed):
     if workload == "service":
         assert fault == "none"
         return run_service(backend, service_specs(steps, seed))
-    owned = REMOTE[backend](workers=WORKERS, shared=False) if fault == "worker_loss" else None
+    # A lost loopback thread is not replaced, so the cell starts on a
+    # fresh cluster and shuts the one it degraded down after.
+    owned = REMOTE[backend](workers=WORKERS) if fault == "worker_loss" else None
+    if owned is not None:
+        shutdown_pools()
     space, build_search = build(steps, seed, owned or backend)
     specs = fault_specs(fault, step)
     injector = FaultInjector(specs, seed=seed)
@@ -385,7 +390,7 @@ def run_cell(workload, backend, fault, step, seed):
             assert owned.worker_losses == 1
     finally:
         if owned is not None:
-            owned.close()
+            shutdown_pools()
     return outcome_of(space, supervised.result, built[-1].supernet)
 
 
