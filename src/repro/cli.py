@@ -752,8 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--connect",
         required=True,
         metavar="HOST:PORT",
-        help="controller address (a search running --backend distributed "
-        "prints/binds one; see DistributedBackend.address)",
+        help="controller address: the host:port a search running "
+        "--backend distributed listens on, set by $REPRO_DIST_BIND",
     )
     worker.add_argument(
         "--worker-id",

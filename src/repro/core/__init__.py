@@ -2,13 +2,7 @@
 
 from .controller import BaselineTracker, CategoricalPolicy, ReinforceController
 from .cost import NasCostModel
-from .engine import (
-    ExecutionBackend,
-    SearchEngine,
-    SerialBackend,
-    resolve_backend,
-    shutdown_pools,
-)
+from .engine import ExecutionBackend, SearchEngine, resolve_backend, shutdown_pools
 from .elastic import ElasticTraining, SpecializationSearch
 from .eval_runtime import (
     ArchMetricsCache,
@@ -45,17 +39,6 @@ from .search import (
 )
 
 
-def __getattr__(name: str):
-    # Lazy (PEP 562), mirroring repro.core.engine: the remote
-    # backends' transport imports repro.service, which must not load
-    # while this package is still initializing.
-    if name in ("DistributedBackend", "ProcessPoolBackend"):
-        from . import engine
-
-        return getattr(engine, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "ArchMetricsCache",
     "BaselineTracker",
@@ -64,13 +47,10 @@ __all__ = [
     "CategoricalPolicy",
     "ElasticTraining",
     "EvalRuntime",
-    "DistributedBackend",
     "EvalRuntimeStats",
     "ExecutionBackend",
     "MemoizedEvaluate",
-    "ProcessPoolBackend",
     "SearchEngine",
-    "SerialBackend",
     "arch_key",
     "resolve_backend",
     "shutdown_pools",

@@ -8,10 +8,9 @@ contract.
 from .backends import (
     BACKEND_ENV_VAR,
     BACKEND_NAMES,
+    DIST_BIND_ENV_VAR,
     WORKERS_ENV_VAR,
-    BackendSpec,
     ExecutionBackend,
-    SerialBackend,
     default_worker_count,
     process_start_method,
     resolve_backend,
@@ -34,23 +33,16 @@ from .engine import (
     group_unique_architectures,
 )
 
-#: Remote-backend names resolved lazily (PEP 562): importing
-#: .distributed eagerly would pull the socket transport — and through it
-#: repro.service — into every `import repro.core`, re-entering the
-#: partially-initialized core package via runtime.checkpoint.
-_DISTRIBUTED_EXPORTS = (
-    "DIST_BIND_ENV_VAR",
-    "DistributedBackend",
-    "ProcessPoolBackend",
-    "WorkerHost",
-)
-
 
 def __getattr__(name: str):
-    if name in _DISTRIBUTED_EXPORTS:
-        from . import distributed
+    # WorkerHost resolves lazily (PEP 562): importing .distributed
+    # eagerly would pull the socket transport — and through it
+    # repro.service — into every `import repro.core`, re-entering the
+    # partially-initialized core package via runtime.checkpoint.
+    if name == "WorkerHost":
+        from .distributed import WorkerHost
 
-        return getattr(distributed, name)
+        return WorkerHost
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -59,18 +51,14 @@ __all__ = [
     "BACKEND_NAMES",
     "DIST_BIND_ENV_VAR",
     "WORKERS_ENV_VAR",
-    "BackendSpec",
     "CandidateRecord",
-    "DistributedBackend",
     "DrawnCandidate",
     "ExecutionBackend",
     "PerformanceFn",
-    "ProcessPoolBackend",
     "RemoteContextRef",
     "SearchConfig",
     "SearchEngine",
     "SearchResult",
-    "SerialBackend",
     "StageTask",
     "StepRecord",
     "SuperNetwork",

@@ -1,29 +1,30 @@
-"""Pluggable execution backends for the search engine.
+"""The execution backend: where the search engine's per-core work runs.
 
 The paper's first pillar is a *massively parallel* single-step search:
 ``N`` accelerator cores score one shard of candidates concurrently,
 then the policy and the shared weights take one cross-shard update
 (Section 4).  The engine (:mod:`repro.core.engine.engine`) expresses
 every per-core computation as an order-preserving ``map`` over shard
-tasks, and this module supplies the things that map runs on:
+tasks, and an :class:`ExecutionBackend` is what that map runs on.  A
+backend is a value — a name from :data:`BACKEND_NAMES` and a worker
+count — and nothing more:
 
-* :class:`SerialBackend` — the reference executor: one task after the
-  other on the calling thread.  The semantics every other backend must
-  reproduce bit-for-bit.
-* :class:`~.distributed.ProcessPoolBackend` — fans stage tasks (plain
-  data, see :mod:`.worker`) out across worker processes: true
-  multi-core execution for the compute-dominated scoring path.
-  Supernet weights travel through one shared-memory segment (see
-  :mod:`.shm`), not in task frames, and a killed worker's tasks are
-  resubmitted (bounded per-task retries) without restarting the step.
-* :class:`~.distributed.DistributedBackend` — the cross-*host* leg:
-  a TCP controller sharding the same stage tasks across worker
-  processes that may live on other machines (``repro worker``), with
-  versioned weight broadcasts in place of the shared-memory segment.
+* ``serial`` — the reference executor: one task after the other on the
+  calling thread.  The semantics every other backend must reproduce
+  bit-for-bit.
+* ``processes`` — stage tasks (plain data, see :mod:`.worker`) fan out
+  across worker processes this machine spawns, with supernet weights in
+  one shared-memory segment (see :mod:`.shm`), not in task frames.
+* ``distributed`` — the cross-*host* leg: a TCP controller sharding
+  the same stage tasks across worker processes that may live on other
+  machines (``repro worker``), with versioned weight broadcasts in
+  place of the shared-memory segment.
 
 The last two are one controller/worker substrate configured twice
-(:mod:`.distributed`: spawned processes over socketpairs, or a TCP
-listener); both are registered here lazily.
+(:class:`~.distributed._Cluster`): spawned processes over socketpairs,
+or a TCP listener.  Clusters are shared per backend key, and the
+search's context on one (its rehydrated supernet, its first wait for
+a worker, its loss baseline) is the engine's, not the backend's.
 
 **Determinism contract.**  Tasks are pure, and the gather is ordered:
 a backend is only handed tasks whose outputs are functions of their
@@ -37,15 +38,13 @@ import atexit
 import multiprocessing
 import os
 import threading
-from abc import ABC, abstractmethod
-from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 # Imported for its atexit hook, which must be registered before ours
 # below: atexit runs LIFO, and worker pools have to shut down before the
 # shared-memory segments their workers read are unlinked.
 from . import shm  # noqa: F401
+from .worker import run_stage_task
 
 if TYPE_CHECKING:
     from .distributed import _Cluster
@@ -57,6 +56,13 @@ R = TypeVar("R")
 #: explicitly (a flag or a config field always wins).
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 WORKERS_ENV_VAR = "REPRO_WORKERS"
+#: Where a ``distributed`` controller listens for workers that dial in
+#: (``repro worker --connect``); unset, it listens on loopback and
+#: starts its own worker threads.
+DIST_BIND_ENV_VAR = "REPRO_DIST_BIND"
+
+#: Names accepted by :func:`resolve_backend` (and the CLI's ``--backend``).
+BACKEND_NAMES = ("serial", "processes", "distributed")
 
 
 def default_worker_count() -> int:
@@ -64,76 +70,24 @@ def default_worker_count() -> int:
     return max(1, min(4, os.cpu_count() or 1))
 
 
-class ExecutionBackend(ABC):
-    """Order-preserving executor of pure tasks."""
-
-    #: short name used in CLI flags and telemetry labels
-    name: str = "abstract"
-    #: whether this backend runs tasks in other *processes* — the engine
-    #: routes stage work through serializable task payloads instead of
-    #: closures when this is set
-    remote: bool = False
-
-    def __init__(self, workers: int = 1):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every item, returning results in item order.
-
-        The reduction is order-preserving by contract: ``result[i]``
-        corresponds to ``items[i]`` regardless of which worker finished
-        first.  Exceptions raised by any task propagate to the caller.
-        """
-
-
-class SerialBackend(ExecutionBackend):
-    """Run every task on the calling thread, in order.
-
-    This is the reference semantics: no concurrency, no reordering,
-    exactly the execution the original sequential step loop performed.
-    """
-
-    name = "serial"
-
-    def __init__(self):
-        super().__init__(workers=1)
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        return [fn(item) for item in items]
-
-
 # ----------------------------------------------------------------------
 # Cluster registry
 # ----------------------------------------------------------------------
-# Worker clusters are shared per (kind, configuration) across backend
-# instances: tests and sweeps construct hundreds of short-lived
-# searches, and spinning workers up and down for each would dominate
-# their cost.  Clusters live until `shutdown_pools()`, which is
-# registered with atexit so interpreter exit reaps them.
+# Worker clusters are shared per backend key across searches: tests and
+# sweeps construct hundreds of short-lived searches, and spinning
+# workers up and down for each would dominate their cost.  Clusters live
+# until `shutdown_pools()`, which is registered with atexit so
+# interpreter exit reaps them.
 _POOLS: Dict[Tuple[Any, ...], "_Cluster"] = {}
 _POOLS_LOCK = threading.Lock()
-
-
-def _shared_pool(key: Tuple[Any, ...], factory: Callable[[], "_Cluster"]) -> "_Cluster":
-    """The cluster registered under ``key``, built on first use (and
-    again after a ``shutdown_pools()``)."""
-    with _POOLS_LOCK:
-        pool = _POOLS.get(key)
-        if pool is None:
-            pool = _POOLS[key] = factory()
-        return pool
 
 
 def shutdown_pools(wait: bool = True) -> None:
     """Shut down every shared worker cluster.
 
     Called automatically at interpreter exit; call it explicitly to
-    reclaim workers mid-process (the next backend ``map`` transparently
-    builds fresh clusters).
+    reclaim workers mid-process (the next remote fan-out builds a fresh
+    cluster, and a live search publishes its supernet there first).
     """
     with _POOLS_LOCK:
         pools = list(_POOLS.values())
@@ -155,50 +109,85 @@ def process_start_method() -> str:
     return multiprocessing.get_start_method()
 
 
+class ExecutionBackend:
+    """An order-preserving executor of pure tasks: a name and a worker
+    count, fixed at construction.
+
+    ``serial`` runs every task on the calling thread, in order — the
+    reference semantics.  A *remote* backend (``processes``,
+    ``distributed``) ships stage tasks to the workers of its shared
+    cluster, the one registered under :attr:`key`: tasks are data, not
+    closures — :class:`~.worker.StageTask` payloads a worker executes
+    against a supernet it rehydrated once — so whether a fan-out ships
+    is the engine's decision (:meth:`SearchEngine._remote_active`), and
+    a map of any other ``fn`` runs the in-process loop.  Worker loss is
+    survivable: tasks are pure, so a lost worker's tasks are resubmitted
+    (at most :attr:`max_task_retries` times each) and the retried
+    results are bit-identical.
+    """
+
+    #: per-task resubmissions tolerated before a remote map gives up
+    max_task_retries = 2
+
+    def __init__(self, name: str, workers: Optional[int] = None):
+        if name not in BACKEND_NAMES:
+            raise ValueError(f"unknown execution backend {name!r}; expected one of {BACKEND_NAMES}")
+        if workers is not None and workers < 1:
+            raise ValueError("workers must be >= 1")
+        #: short name used in CLI flags and telemetry labels
+        self.name = name
+        #: whether tasks may run in other *processes*: the engine then
+        #: routes stage work through serializable task payloads
+        self.remote = name != "serial"
+        #: serial runs on the calling thread: one worker, whatever was asked
+        self.workers = (workers or default_worker_count()) if self.remote else 1
+        #: the shared-cluster registry key; the bind decides whether a
+        #: ``distributed`` cluster starts loopback workers of its own
+        self.key = (name, self.workers, os.environ.get(DIST_BIND_ENV_VAR) or None)
+
+    def cluster(self) -> "_Cluster":
+        """The shared cluster registered under :attr:`key`, built on
+        first use (and again after a ``shutdown_pools()``)."""
+        # Imported lazily: distributed.py pulls in the socket transport,
+        # which shares framing with repro.service.
+        from .distributed import _Cluster
+
+        with _POOLS_LOCK:
+            cluster = _POOLS.get(self.key)
+            if cluster is None:
+                name, workers, bind = self.key
+                cluster = _POOLS[self.key] = _Cluster(
+                    workers, spawn=name == "processes", bind=bind
+                )
+            return cluster
+
+    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
+        """Apply ``fn`` to every item, returning results in item order.
+
+        ``result[i]`` corresponds to ``items[i]`` regardless of which
+        worker finished first; a task's exception propagates to the
+        caller.  Stage tasks on a remote backend come back as
+        ``(value, seconds, worker)``, worker a spawned one's pid or a
+        dialled-in one's id.
+        """
+        if not (self.remote and fn is run_stage_task):
+            return [fn(item) for item in items]
+        return self.cluster().run_map(items, self.max_task_retries)  # type: ignore[arg-type]
+
+
 # ----------------------------------------------------------------------
 # Backend resolution
 # ----------------------------------------------------------------------
-def _remote_backend(name: str) -> Callable[[Optional[int]], ExecutionBackend]:
-    def factory(workers: Optional[int]) -> ExecutionBackend:
-        # Imported lazily: distributed.py pulls in the socket transport
-        # (which shares framing with repro.service) and imports this
-        # module back — registry construction must not trigger that cycle.
-        from . import distributed
-
-        return getattr(distributed, name)(workers=workers)
-
-    return factory
-
-
-_REGISTRY: Dict[str, Callable[[Optional[int]], ExecutionBackend]] = {
-    "serial": lambda workers: SerialBackend(),
-    "processes": _remote_backend("ProcessPoolBackend"),
-    "distributed": _remote_backend("DistributedBackend"),
-}
-
-#: Spec names accepted by :func:`resolve_backend` — derived from the
-#: registry, so a new backend shows up everywhere (CLI choices, error
-#: messages) by registration alone.
-BACKEND_NAMES = tuple(_REGISTRY)
-
-BackendSpec = Union[None, str, ExecutionBackend]
-
-
-def resolve_backend(
-    spec: BackendSpec = None, workers: Optional[int] = None
-) -> ExecutionBackend:
+def resolve_backend(spec: Optional[str] = None, workers: Optional[int] = None) -> ExecutionBackend:
     """Build the execution backend a search asked for.
 
-    ``spec`` may be an :class:`ExecutionBackend` instance (returned as
-    is), a name from :data:`BACKEND_NAMES`, or ``None`` —
-    in which case the :envvar:`REPRO_BACKEND` environment variable
-    decides, defaulting to serial.  ``workers`` falls back to
+    ``spec`` is a name from :data:`BACKEND_NAMES`, or ``None`` — in
+    which case the :envvar:`REPRO_BACKEND` environment variable decides,
+    defaulting to serial.  ``workers`` falls back to
     :envvar:`REPRO_WORKERS`, then to :func:`default_worker_count`.
     Errors name the source of the bad value — a misspelled environment
     variable should say so, not stack-trace as a bare ``ValueError``.
     """
-    if isinstance(spec, ExecutionBackend):
-        return spec
     source = "backend spec"
     if spec is None:
         env_spec = os.environ.get(BACKEND_ENV_VAR)
@@ -218,10 +207,10 @@ def resolve_backend(
                 raise ValueError(
                     f"${WORKERS_ENV_VAR} must be a worker count >= 1, got {env_workers!r}"
                 )
-    factory = _REGISTRY.get(str(spec).lower())
-    if factory is None:
+    name = str(spec).lower()
+    if name not in BACKEND_NAMES:
         raise ValueError(
             f"unknown execution backend {spec!r} (from {source}); "
             f"expected one of {BACKEND_NAMES}"
         )
-    return factory(workers)
+    return ExecutionBackend(name, workers)

@@ -3,20 +3,22 @@
 This is the paper's deployment shape: one controller owns the policy and
 the search loop, and ``N`` workers score shards against supernets they
 rehydrated once from a serialized spec.  Both remote backends configure
-the one :class:`_Cluster` controller, and every worker is a
+the one :class:`_Cluster` controller (shared per backend key, see
+:meth:`~.backends.ExecutionBackend.cluster`), and every worker is a
 :class:`WorkerHost` running the same ``hello`` → ``context``/``task``/
 ``result`` loop over a connected socket:
 
-* ``processes`` (:class:`ProcessPoolBackend`) — the controller *spawns*
-  ``workers`` processes on this machine, each joined over an anonymous
-  ``socket.socketpair()``; no port is opened, and a lost worker is
-  respawned before the next map.
-* ``distributed`` (:class:`DistributedBackend`) — the controller binds a
-  TCP listener and accepts workers whenever they arrive (``repro worker
-  --connect host:port``).  By default it also spawns ``workers``
-  loopback worker threads running the exact code path an external worker
-  runs, so ``--backend distributed`` works out of the box on one machine
-  and the wire protocol is exercised end-to-end even in tier-1 CI.
+* ``processes`` — the controller *spawns* ``workers`` processes on this
+  machine, each joined over an anonymous ``socket.socketpair()``; no
+  port is opened, and a lost worker is respawned before the next map.
+* ``distributed`` — the controller binds a TCP listener and accepts
+  workers whenever they arrive (``repro worker --connect host:port``).
+  Without ``$REPRO_DIST_BIND`` it listens on loopback and also spawns
+  ``workers`` loopback worker threads running the exact code path an
+  external worker runs, so ``--backend distributed`` works out of the
+  box on one machine and the wire protocol is exercised end-to-end even
+  in tier-1 CI; a bind set there means external workers will dial in,
+  and none is spawned.
 
 Weights have two *carriers*, selected by the kind of link.  A spawned
 worker shares this machine's memory: its ``context`` message names the
@@ -49,11 +51,11 @@ import socket
 import threading
 import time
 import weakref
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .backends import ExecutionBackend, _shared_pool, default_worker_count, process_start_method
+from .backends import process_start_method
 from ...searchspace.base import Architecture
 from ...service.protocol import ProtocolError, write_frame
 from .shm import SharedGradients, SharedWeights, WeightLayout, weight_layout
@@ -61,27 +63,17 @@ from .transport import (
     DEFAULT_BIND,
     TRANSPORT_VERSION,
     encode_message,
-    format_address,
     parse_address,
     recv_message,
     send_message,
 )
 from .worker import (
     RemoteContextRef,
-    RemoteShardContext,
     StageTask,
-    build_remote_context,
     build_supernet_from_spec,
     drain_pending_releases,
     run_stage_task,
 )
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-#: Where the controller listens when a search does not say —
-#: loopback/ephemeral unless this env var names a ``host:port``.
-DIST_BIND_ENV_VAR = "REPRO_DIST_BIND"
 
 
 def _crash_error(message: str) -> Exception:
@@ -485,10 +477,10 @@ class _WorkerLink:
 
 
 class _Cluster:
-    """Worker links + context state, shared across backends.
+    """Worker links + context state, shared across searches.
 
-    Registered in the cluster registry of :mod:`.backends` under the
-    owning backend's configuration key, so ``shutdown_pools()`` (and
+    Registered in the cluster registry of :mod:`.backends` under a
+    backend's key, so ``shutdown_pools()`` (and
     interpreter exit) reaps it through ``shutdown(wait=...)``.  One
     cluster serves every search in the process that picks the same key
     — the point: tests and sweeps run hundreds of searches, and workers
@@ -764,17 +756,20 @@ class _Cluster:
 
     # -- the map --------------------------------------------------------
     def run_map(
-        self, messages: Sequence[Dict[str, Any]], max_retries: int
+        self, tasks: Sequence[StageTask], max_retries: int
     ) -> List[Tuple[Any, float, Union[int, str]]]:
-        """Fan ``messages`` out, gather ``(value, seconds, worker)``
-        in submission order; resubmit orphans of lost workers."""
+        """Fan ``tasks`` out, gather ``(value, seconds, worker)`` in
+        submission order; resubmit orphans of lost workers."""
         drain_pending_releases()
-        run = _MapRun(len(messages), max_retries)
+        run = _MapRun(len(tasks), max_retries)
         # Encoded before any record is registered: a payload that cannot
         # travel raises here and leaves nothing pending.
         records = []
-        for index, message in enumerate(messages):
-            context = self._contexts.get(message["context_id"])
+        for index, task in enumerate(tasks):
+            message = {"type": "task", "stage": task.stage, "kind": task.kind,
+                       "payload": task.payload, "context_id": task.context.context_id,
+                       "version": task.context.version}  # fmt: skip
+            context = self._contexts.get(task.context.context_id)
             records.append(_TaskRecord(next(self._task_ids), index, message, context, run))
         with self._cond:
             if self._closed:
@@ -973,175 +968,4 @@ class _Cluster:
                 self._reap(link.process)
 
 
-# ----------------------------------------------------------------------
-# The backends
-# ----------------------------------------------------------------------
-class _ClusterBackend(ExecutionBackend):
-    """What ``processes`` and ``distributed`` share: everything but the
-    cluster's configuration (``_cluster_key`` / ``_new_cluster()``).
-
-    * **tasks are data, not closures** — the engine sends
-      :class:`~.worker.StageTask` payloads that a worker executes
-      against a supernet it rehydrated once (see
-      :meth:`register_context`), so per-task frames carry batch arrays
-      only.  Whether to send them is the engine's decision
-      (:meth:`SearchEngine._remote_active`): a stage-task map ships, and
-      any other ``fn`` — the engine's closures over its live supernet —
-      runs the in-process serial loop;
-    * **worker loss is survivable** — see the module docstring.  Tasks
-      are pure by the determinism contract, so resubmission is
-      idempotent and the retried results are bit-identical.
-    """
-
-    remote = True
-
-    #: per-task resubmissions tolerated before the map gives up
-    max_task_retries = 2
-    #: how long the first ask for a worker waits for one to dial in
-    worker_timeout = 30.0
-
-    def __init__(self, workers: Optional[int] = None):
-        super().__init__(default_worker_count() if workers is None else workers)
-        #: the registry key: clusters are shared per configuration
-        self._cluster_key: Tuple[Any, ...] = (self.name, self.workers)
-        self._active_cluster: Optional[_Cluster] = None
-        self._losses_before = 0
-        self._context: Optional[RemoteShardContext] = None
-        self._waited = False
-
-    # -- cluster lifecycle ----------------------------------------------
-    def _cluster(self) -> _Cluster:
-        """The shared cluster for this configuration (a new one after a
-        ``shutdown_pools()`` closed the last)."""
-        cluster = self._active_cluster
-        if cluster is None or cluster._closed:
-            cluster = self._active_cluster = _shared_pool(self._cluster_key, self._new_cluster)
-            self._losses_before = cluster.worker_losses
-        return cluster
-
-    @property
-    def worker_losses(self) -> int:
-        """Workers lost since this backend first touched its cluster;
-        the engine mirrors deltas into the ``supervisor.worker_losses``
-        churn counter."""
-        if self._active_cluster is None:
-            return 0
-        return self._active_cluster.worker_losses - self._losses_before
-
-    @property
-    def host_count(self) -> int:
-        """Currently connected workers (the ``engine.hosts`` gauge)."""
-        if self._active_cluster is None:
-            return 0
-        return self._active_cluster.host_count
-
-    # -- supernet context ----------------------------------------------
-    def register_context(
-        self, supernet: Any, gradient_slots: int = 0
-    ) -> Optional[RemoteShardContext]:
-        """Publish ``supernet`` to the cluster's workers.
-
-        Returns the :class:`~.worker.RemoteShardContext` handle the
-        engine publishes and stamps tasks through (``gradient_slots`` is
-        the most training tasks it will ship at once), or ``None`` — no
-        fan-out of this search will ship — when the supernet cannot
-        travel (:func:`~.worker.build_remote_context`) or the pool has
-        a single worker, where remote execution buys nothing.
-        """
-        if self.workers <= 1:
-            return None
-        if self._context is not None:
-            self._context.release()
-        self._context = build_remote_context(supernet, self._cluster, gradient_slots)
-        return self._context
-
-    # -- execution ------------------------------------------------------
-    def wait_for_workers(
-        self, count: Optional[int] = None, timeout: Optional[float] = None
-    ) -> int:
-        """Block until ``count`` (default: all) workers are linked;
-        returns how many are (a spawning cluster tops itself up first).
-
-        Without a ``timeout`` the backend spends its ``worker_timeout``
-        once and only looks from then on: a search bound for external
-        workers that nobody dialled into stalls one time, not on every
-        map, and goes remote as soon as a worker links.
-        """
-        if timeout is None:
-            timeout = 0.0 if self._waited else self.worker_timeout
-            self._waited = True
-        return self._cluster().wait_for_workers(
-            count if count is not None else self.workers, timeout
-        )
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        if fn is not run_stage_task:
-            return [fn(item) for item in items]
-        # Placed by the engine: (value, seconds, worker) per task, worker
-        # a spawned one's pid or a dialled-in one's id.
-        messages = [
-            {"type": "task", "stage": task.stage, "kind": task.kind, "payload": task.payload,
-             "context_id": task.context.context_id, "version": task.context.version}
-            for task in items
-        ]
-        return self._cluster().run_map(messages, self.max_task_retries)  # type: ignore[return-value]
-
-
-class ProcessPoolBackend(_ClusterBackend):
-    """Fan stage tasks out across worker *processes* on this machine.
-
-    This is the GIL-free leg: CPU-bound scoring shards scale with the
-    machine's cores.  The cluster spawns the workers itself (``fork``
-    by default, see :func:`~.backends.process_start_method`), talks to
-    each over a socketpair — no port is opened — and replaces a lost one
-    before the next map.  **Weights travel through shared memory**: one
-    versioned segment the engine republishes after each cross-shard
-    weight update; workers copy-in at most once per version.
-    """
-
-    name = "processes"
-
-    def _new_cluster(self) -> _Cluster:
-        return _Cluster(self.workers, spawn=True)
-
-
-class DistributedBackend(_ClusterBackend):
-    """Fan stage tasks out across worker *hosts* over TCP.
-
-    The cross-host leg of the ladder: same determinism contract, same
-    engine surface as :class:`ProcessPoolBackend`, different failure
-    domain.  Key differences from the process pool:
-
-    * **weights are pushed, not shared** — ``publish()`` broadcasts a
-      versioned weight message ahead of the tasks stamped with it, and a
-      late joiner is primed with the current one before it is assignable;
-    * **membership is open** — workers may join at any time (``repro
-      worker --connect``).  Without ``$REPRO_DIST_BIND`` the cluster
-      listens on :data:`~.transport.DEFAULT_BIND` and spawns ``workers``
-      loopback worker threads, so the backend works standalone; a bind
-      set there means external workers will dial in, and none is spawned.
-    """
-
-    name = "distributed"
-
-    def __init__(self, workers: Optional[int] = None):
-        super().__init__(workers)
-        #: ``None``: the standalone loopback cluster
-        self._bind = os.environ.get(DIST_BIND_ENV_VAR) or None
-        self._cluster_key += (self._bind,)
-
-    def _new_cluster(self) -> _Cluster:
-        return _Cluster(self.workers, bind=self._bind)
-
-    @property
-    def address(self) -> str:
-        """``host:port`` external workers connect to (binds lazily)."""
-        return format_address(self._cluster().address)
-
-
-__all__ = [
-    "DIST_BIND_ENV_VAR",
-    "DistributedBackend",
-    "ProcessPoolBackend",
-    "WorkerHost",
-]
+__all__ = ["WorkerHost"]

@@ -50,7 +50,6 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -73,9 +72,10 @@ from ..eval_runtime import (
     arch_key,
 )
 from ..reward import RewardFunction
-from .backends import BackendSpec, ExecutionBackend, resolve_backend
+from .backends import resolve_backend
 from .worker import (
     StageTask,
+    build_remote_context,
     execute_stage_kind,
     payload_nbytes,
     quality_many_payloads,
@@ -181,14 +181,11 @@ class SearchConfig:
     record_candidates: bool = True
     seed: int = 0
     use_cache: bool = True  # memoize performance_fn by decision indices
-    #: execution backend for per-core fan-out: an
-    #: :class:`ExecutionBackend` instance, a name (``"serial"`` /
+    #: execution backend for per-core fan-out: a name (``"serial"`` /
     #: ``"processes"`` / ``"distributed"``), or ``None`` to consult
     #: ``$REPRO_BACKEND`` and default to serial.
     #: All backends are bit-identical by contract.
-    backend: Optional[Union[str, ExecutionBackend]] = field(
-        default=None, compare=False
-    )
+    backend: Optional[str] = None
     #: worker count for pooled backends (``None``: ``$REPRO_WORKERS``,
     #: then min(4, cores))
     workers: Optional[int] = None
@@ -243,6 +240,9 @@ class SearchEngine:
     checkpoint protocol and fan-out placement are shared here.
     """
 
+    #: how long the first remote placement waits for a worker to link
+    worker_timeout = 30.0
+
     def __init__(
         self,
         space: SearchSpace,
@@ -278,20 +278,34 @@ class SearchEngine:
 
         self._optimizer: "Optimizer" = Adam(supernet.parameters(), lr=config.weight_lr)
         self._warmup_rng = np.random.default_rng(config.seed + 1)
-        self._worker_loss_total = 0
         # Remote backends (processes, distributed) score against a
-        # supernet each worker rehydrates once; publishing happens here,
-        # lazily, when a fan-out ships and the weights changed since the
-        # last one that did.  Backends that cannot host this supernet
-        # remotely return None and every stage stays in this process.
+        # supernet each worker rehydrates once: the engine registers it
+        # on the backend's shared cluster and owns that context.  Weights
+        # are published lazily, when a fan-out ships and they changed
+        # since the last one that did.  With a single worker, or a
+        # supernet that cannot travel, there is no context and every
+        # stage stays in this process.
         self._remote_ctx = None
         self._weights_dirty = False
-        if self.backend.remote:
-            self._remote_ctx = self.backend.register_context(supernet, config.num_cores)
-        if self._remote_ctx is not None:
+        self._waited = False
+        self._worker_loss_total = 0
+        if self.backend.remote and self.backend.workers > 1:
+            self._register_remote_context()
+
+    def _register_remote_context(self) -> None:
+        """Publish the supernet to the backend's shared cluster: the
+        context remote fan-outs score against (``None`` if it cannot
+        travel).  Its cluster's worker losses so far are not this
+        search's, and a new cluster is worth one wait for a worker."""
+        ctx = self._remote_ctx = build_remote_context(
+            self.supernet, self.backend.cluster, self.config.num_cores
+        )
+        self._waited = False
+        if ctx is not None:
+            self._worker_loss_total = ctx.cluster.worker_losses
             # Garbage collection may run this under a lock release()
             # needs: queue the release, never perform it.
-            weakref.finalize(self, self._remote_ctx.release_later)
+            weakref.finalize(self, ctx.release_later)
 
     # ------------------------------------------------------------------
     # Stepwise driver protocol (checkpointed execution)
@@ -311,7 +325,7 @@ class SearchEngine:
         return record
 
     def _record_backend_telemetry(self) -> None:
-        """Mirror the backend's worker-loss counter into telemetry.
+        """Mirror the context's cluster's worker-loss counter into telemetry.
 
         Worker losses are real external events (a process died), not
         replayable search state, so they land on the churn-scoped
@@ -319,21 +333,22 @@ class SearchEngine:
         must keep counting across a crash/resume rather than roll back
         with the snapshot.
         """
-        if not self.backend.remote:
+        if self._remote_ctx is None:
             return
+        cluster = self._remote_ctx.cluster
         # Connected worker hosts is live membership, not replayable
         # state: a gauge, refreshed every step (hosts join and drop at
         # any time under the distributed backend).
         self.telemetry.gauge("engine.hosts").set(
-            float(self.backend.host_count), backend=self.backend.name
+            float(cluster.host_count), backend=self.backend.name
         )
-        losses = self.backend.worker_losses
-        delta = int(losses) - self._worker_loss_total
+        losses = cluster.worker_losses
+        delta = losses - self._worker_loss_total
         if delta > 0:
             self.telemetry.counter("supervisor.worker_losses").inc(
                 delta, backend=self.backend.name
             )
-        self._worker_loss_total = int(losses)
+        self._worker_loss_total = losses
 
     def build_result(self, history: Sequence[StepRecord]) -> SearchResult:
         """Assemble the result from externally-driven step records."""
@@ -448,21 +463,29 @@ class SearchEngine:
         """The placement rule (DESIGN.md §12): whether a fan-out of
         ``tasks`` stage tasks ships to workers.  Decided here only.
 
-        It ships iff a context is registered for *this* supernet (one
-        swapped in after construction — a fault-injection proxy — is not
-        what the workers rehydrated), the backend is remote, there are
-        two tasks or more and a worker is linked (the first ask waits
-        for one, later asks only look).  Everything else runs in this
-        process against the live supernet, and publishes nothing.
+        It ships iff there are two tasks or more, a context is
+        registered for *this* supernet (one swapped in after
+        construction — a fault-injection proxy — is not what the workers
+        rehydrated) and a worker is linked.  The first ask spends
+        :attr:`worker_timeout` waiting for one and later asks only look,
+        so a search bound for external workers that nobody dialled into
+        stalls one time, not on every fan-out.  A context whose cluster
+        ``shutdown_pools()`` closed is registered again on the one that
+        replaced it.  Everything else runs in this process against the
+        live supernet, and publishes nothing.
         """
         ctx = self._remote_ctx
-        return (
-            tasks >= 2
-            and ctx is not None
-            and ctx.supernet is self.supernet
-            and self.backend.remote
-            and self.backend.wait_for_workers(1) >= 1
-        )
+        if tasks < 2 or ctx is None or ctx.supernet is not self.supernet:
+            return False
+        if ctx.cluster is not self.backend.cluster():
+            ctx.release()
+            self._register_remote_context()
+            ctx = self._remote_ctx
+            if ctx is None:
+                return False
+        timeout = 0.0 if self._waited else self.worker_timeout
+        self._waited = True
+        return ctx.cluster.wait_for_workers(1, timeout) >= 1
 
     def _fan_out_tasks(
         self, stage: str, kind: str, payloads: Sequence[Tuple[Any, ...]]

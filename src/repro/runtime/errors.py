@@ -69,9 +69,8 @@ class SearchInterrupted(Exception):
 class WorkerCrashError(RuntimeError):
     """A backend lost workers beyond its resubmission budget.
 
-    Raised by the remote backends
-    (:class:`~repro.core.engine.distributed.ProcessPoolBackend`,
-    :class:`~repro.core.engine.distributed.DistributedBackend`) when a
+    Raised by a remote backend's map (``processes`` or ``distributed``,
+    see :class:`~repro.core.engine.backends.ExecutionBackend`) when a
     task burned its per-task retries (``max_task_retries``) across lost
     workers or the last connected worker vanished mid-map.
     Deliberately a ``RuntimeError``

@@ -4,9 +4,9 @@ The scheduler owns the daemon's compute: it claims queued jobs FIFO,
 runs each in its own thread under the checkpointed step loop, and caps
 concurrency globally (``max_concurrent``) and per tenant
 (``tenant_max_running``).  Shard-level fan-out inside every job goes
-through the pluggable execution backends of
-:mod:`repro.core.engine.backends` — pooled backends share one executor
-per ``(kind, workers)`` process-wide, so four concurrent searches
+through the execution backends of :mod:`repro.core.engine.backends` —
+remote backends share one worker cluster per ``(name, workers,
+$REPRO_DIST_BIND)`` process-wide, so four concurrent searches
 multiplex over *one* worker pool instead of spawning four.
 
 Admission control happens at submit time, before anything touches the

@@ -30,12 +30,11 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    DistributedBackend,
+    ExecutionBackend,
     PerformanceObjective,
-    ProcessPoolBackend,
     group_unique_architectures,
     SearchConfig,
-    SerialBackend,
+    SearchEngine,
     SingleStepSearch,
     SurrogateSuperNetwork,
     relu_reward,
@@ -52,7 +51,8 @@ from repro.core.engine import (
     run_stage_task,
 )
 from repro.core.engine import backends as backends_mod
-from repro.core.engine.worker import SUPERNETS
+from repro.core.engine.transport import format_address
+from repro.core.engine.worker import SUPERNETS, build_remote_context
 from repro.data import CtrTaskConfig, CtrTeacher, SingleStepPipeline
 from repro.nn import Tensor
 from repro.runtime.faults import _MidShardCrash
@@ -70,16 +70,17 @@ from .test_sweep import (
     build_space,
     build_tunas,
     capacity_cost,
+    params_digest,
 )
 
-REMOTE_BACKENDS = tuple(REMOTE)
+REMOTE_BACKENDS = REMOTE
 
 
 def _surrogate_quality(arch):
     return 1.0 - 0.01 * arch["emb0/width_delta"]
 
 
-def build_surrogate(backend):
+def build_surrogate(backend, workers=None):
     """A search on a supernet that is not :class:`StackedScoring`: it
     scores candidate by candidate, on the engine thread."""
     teacher = CtrTeacher(CtrTaskConfig(num_tables=NUM_TABLES, batch_size=8, seed=0))
@@ -89,7 +90,9 @@ def build_surrogate(backend):
         pipeline=SingleStepPipeline(teacher.next_batch),
         reward_fn=relu_reward([PerformanceObjective("step_time", 1.0, -0.5)]),
         performance_fn=capacity_cost,
-        config=SearchConfig(steps=STEPS, num_cores=4, warmup_steps=2, seed=0, backend=backend),
+        config=SearchConfig(
+            steps=STEPS, num_cores=4, warmup_steps=2, seed=0, backend=backend, workers=workers
+        ),
     )
 
 
@@ -179,21 +182,27 @@ SUPERNETS["item"] = (ItemSupernet, ItemConfig)
 def stage_map(backend, items, config=None):
     """Map one ``quality_many`` stage task of one batch per item through
     ``backend``, scored by an :class:`ItemSupernet` each worker rebuilt
-    from its spec: the path production runs."""
-    context = backend.register_context(ItemSupernet(config or ItemConfig()))
-    assert backend.wait_for_workers(1) >= 1  # what the engine's placement asks first
-    tasks = [
-        StageTask(
-            stage="score", kind="quality_many", context=context.ref(), payload=(item, [None], [None])
-        )
-        for item in items
-    ]
-    return [value[0] for value, _, _ in backend.map(run_stage_task, tasks)]
+    from its spec: the path production runs (the context is released
+    after)."""
+    context = build_remote_context(ItemSupernet(config or ItemConfig()), backend.cluster)
+    try:
+        # what the engine's first placement asks
+        assert context.cluster.wait_for_workers(1, SearchEngine.worker_timeout) >= 1
+        tasks = [
+            StageTask(
+                stage="score", kind="quality_many", context=context.ref(),
+                payload=(item, [None], [None]),
+            )
+            for item in items
+        ]
+        return [value[0] for value, _, _ in backend.map(run_stage_task, tasks)]
+    finally:
+        context.release()
 
 
 @pytest.fixture
 def dialled_in_only(monkeypatch):
-    """A ``DistributedBackend`` built in the test listens on loopback and
+    """A ``distributed`` backend built in the test listens on loopback and
     spawns no worker (a bind in ``$REPRO_DIST_BIND`` means workers will
     dial in); its cluster is shut down after the test."""
     monkeypatch.setenv(DIST_BIND_ENV_VAR, "127.0.0.1:0")
@@ -248,32 +257,31 @@ def _child_pids(pid):
 
 class TestBackendContract:
     def test_serial_map_preserves_order(self):
-        backend = SerialBackend()
+        backend = ExecutionBackend("serial")
         assert backend.map(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
 
     def test_serial_map_propagates_exceptions(self):
         with pytest.raises(ZeroDivisionError):
-            SerialBackend().map(lambda x: 1 // x, [1, 2, 0, 3])
+            ExecutionBackend("serial").map(lambda x: 1 // x, [1, 2, 0, 3])
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
-            ProcessPoolBackend(workers=0)
+            ExecutionBackend("processes", workers=0)
 
     def test_resolve_backend(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert isinstance(resolve_backend(None), SerialBackend)
-        assert isinstance(resolve_backend("serial"), SerialBackend)
-        for name, cls in REMOTE.items():
+        for serial in (resolve_backend(None), resolve_backend("serial", workers=4)):
+            assert (serial.name, serial.workers, serial.remote) == ("serial", 1, False)
+        for name in REMOTE:
             remote = resolve_backend(name, workers=2)
-            assert isinstance(remote, cls) and remote.workers == 2
-        instance = ProcessPoolBackend(workers=2)
-        assert resolve_backend(instance) is instance
-        # The registry names are the only spellings (as on the CLI), and
-        # the error lists them; `threads` is a deleted backend's name.
+            assert (remote.name, remote.workers, remote.remote) == (name, 2, True)
+        # The names are the only spellings (as on the CLI), and the error
+        # lists them; `threads` is a deleted backend's name.  A backend
+        # instance is no spec: a search asks for a backend by name.
         assert BACKEND_NAMES == ("serial", "processes", "distributed")
         refused = ("threads", "process", "procs", "processpool", "mp", "thread", "threadpool", "dist")
-        for spelling in ("gpu", *refused):
+        for spelling in ("gpu", *refused, ExecutionBackend("processes", 2)):
             with pytest.raises(ValueError) as excinfo:
                 resolve_backend(spelling)
             message = str(excinfo.value)
@@ -284,11 +292,12 @@ class TestBackendContract:
         # Construction is lazy: no worker starts until a map ships.
         monkeypatch.setenv(BACKEND_ENV_VAR, "processes")
         monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        pools = dict(backends_mod._POOLS)
         backend = resolve_backend(None)
-        assert isinstance(backend, ProcessPoolBackend) and backend.workers == 2
-        assert backend._active_cluster is None
+        assert (backend.name, backend.workers) == ("processes", 2)
+        assert backends_mod._POOLS == pools
         # An explicit spec still wins over the environment.
-        assert isinstance(resolve_backend("serial"), SerialBackend)
+        assert resolve_backend("serial").name == "serial"
 
     def test_bad_workers_env_names_the_variable(self, monkeypatch):
         # Refused on every backend, serial too, whether it would be read
@@ -385,21 +394,23 @@ class TestRemoteContract:
 
     def test_map_preserves_order(self, backend):
         items = list(range(1, 17))
-        assert stage_map(REMOTE[backend](workers=2), items) == [i * i for i in items]
+        assert stage_map(ExecutionBackend(backend, 2), items) == [i * i for i in items]
 
     def test_map_propagates_task_exceptions(self, backend):
         # A deterministic task failure travels back as a typed error
         # message and re-raises controller-side — never a retry, never
         # a WorkerCrashError.
-        remote = REMOTE[backend](workers=2)
+        remote = ExecutionBackend(backend, 2)
+        losses = remote.cluster().worker_losses
         with pytest.raises(ZeroDivisionError):
             stage_map(remote, [1, 2, 0, 3])
-        assert remote.worker_losses == 0
+        assert remote.cluster().worker_losses == losses
 
     def test_any_other_fn_runs_in_process(self, backend):
         # Only stage tasks ship: any other fn, picklable or not, runs the
         # in-process loop, and starts no worker.
-        remote = REMOTE[backend](workers=2)
+        remote = ExecutionBackend(backend, 2)
+        pools = dict(backends_mod._POOLS)
         calls = []
 
         def fn(x):  # closure: cannot travel to a worker
@@ -409,17 +420,35 @@ class TestRemoteContract:
         assert remote.map(fn, [1, 2, 3]) == [2, 3, 4]
         assert remote.map(_square, [1, 2, 3]) == [1, 4, 9]
         assert calls == [1, 2, 3]  # ran in this process, in order
-        assert remote._active_cluster is None
+        assert backends_mod._POOLS == pools
 
-    def test_the_constructor_takes_a_worker_count_only(self, backend):
-        # Where a cluster listens is $REPRO_DIST_BIND's to say, how it
-        # starts processes the platform's; a cluster is always shared.
-        assert list(inspect.signature(REMOTE[backend]).parameters) == ["workers"]
+    def test_the_constructor_takes_a_worker_count_only(self, backend, monkeypatch):
+        # A backend is a name and a worker count.  Where a cluster listens
+        # is $REPRO_DIST_BIND's to say, how it starts processes the
+        # platform's; a cluster is always shared.
+        assert list(inspect.signature(ExecutionBackend).parameters) == ["name", "workers"]
+        monkeypatch.delenv(DIST_BIND_ENV_VAR, raising=False)
+        remote = ExecutionBackend(backend, 2)
+        assert vars(remote) == {
+            "name": backend, "workers": 2, "remote": True, "key": (backend, 2, None),
+        }
+
+    def test_a_backend_holds_no_search_state(self, backend):
+        # Whatever a search does on it — context, first wait, worker
+        # losses, a shutdown — is the engine's: the backend sets no
+        # attribute after construction.
+        search = build_single(backend=backend, workers=2)
+        fields = dict(vars(search.backend))
+        search.step(0)
+        shutdown_pools()
+        search.step(1)
+        assert vars(search.backend) == fields
 
     def test_single_worker_never_starts_a_cluster(self, backend):
-        remote = REMOTE[backend](workers=1)
-        assert remote.register_context(ItemSupernet(ItemConfig())) is None
-        assert remote._active_cluster is None
+        search = build_single(backend=backend, workers=1)
+        assert search._remote_ctx is None
+        search.step(0)
+        assert search.backend.key not in backends_mod._POOLS
 
 
 class TestPoolLifecycle:
@@ -427,10 +456,10 @@ class TestPoolLifecycle:
         # A worker told to shut down leaves its loop and closes its end;
         # that EOF is no loss, and the worker is joined, not SIGKILLed:
         # it runs its whole exit path, and exits 0.
-        backend = ProcessPoolBackend(workers=2)
+        backend = ExecutionBackend("processes", 2)
         exit_path = tmp_path / "flushed"
         assert stage_map(backend, [1, 2, 3], ItemConfig(exit_path=str(exit_path))) == [1, 4, 9]
-        processes = [link.process for link in backend._active_cluster._links.values()]
+        processes = [link.process for link in backend.cluster()._links.values()]
         assert len(processes) == 2
         shutdown_pools()
         assert [process.exitcode for process in processes] == [0, 0]
@@ -439,13 +468,34 @@ class TestPoolLifecycle:
         )
 
     def test_shutdown_pools_clears_shared_registry(self):
-        backend = ProcessPoolBackend(workers=2)
+        backend = ExecutionBackend("processes", 2)
         assert stage_map(backend, [1, 2]) == [1, 4]
         assert backends_mod._POOLS
         shutdown_pools()
         assert not backends_mod._POOLS
         # Clusters rebuild transparently on the next map.
         assert stage_map(backend, [2, 3]) == [4, 9]
+
+    @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
+    def test_a_search_survives_shutdown_pools(self, backend):
+        # shutdown_pools() mid-search closes the cluster the search's context
+        # lives on.  The next fan-out publishes the supernet to the cluster
+        # that replaced it (and releases the old context), ships, and the
+        # search ends where serial does.
+        def run(name, shut_down_at=None):
+            space, search = quickstart("single_step", name, steps=6)
+            first, kinds, history = search._remote_ctx, [], []
+            for step in range(6):
+                if step == shut_down_at:
+                    shutdown_pools()
+                    kinds = spy_on_shipped_kinds(search)
+                history.append(search.step(step))
+            if shut_down_at is not None:
+                assert kinds and first._released
+                assert search._remote_ctx.cluster is search.backend.cluster()
+            return fingerprint(space, search.build_result(history)), params_digest(search.supernet)
+
+        assert run(backend, shut_down_at=2) == run("serial")
 
 
 class TestSpawnedWorkers:
@@ -459,9 +509,11 @@ class TestSpawnedWorkers:
         items = list(range(1, 11))
         killer = ItemConfig(str(tmp_path / "a.log"), str(tmp_path / "killed"), victim=5)
         bystander = ItemConfig(str(tmp_path / "b.log"))
-        first = ProcessPoolBackend(workers=2)
-        second = ProcessPoolBackend(workers=2)
+        first = ExecutionBackend("processes", 2)
+        second = ExecutionBackend("processes", 2)
         assert stage_map(first, [1, 2]) == [1, 4]  # both workers are up
+        cluster = first.cluster()
+        losses = cluster.worker_losses
         outcome = {}
         thread = threading.Thread(
             target=lambda: outcome.update(values=stage_map(second, items, bystander))
@@ -472,23 +524,23 @@ class TestSpawnedWorkers:
         assert not thread.is_alive()
         assert (tmp_path / "killed").exists()  # a worker really died mid-map
         assert values == outcome["values"] == [i * i for i in items]
-        assert first.worker_losses == 1
+        assert cluster.worker_losses - losses == 1
         expected = {item: 1 for item in items}
         assert executions(bystander.log_path) == expected
         assert executions(killer.log_path) == {**expected, 5: 2}
         # ...and the lost worker is replaced before the next map.
         assert stage_map(first, [3, 4]) == [9, 16]
-        assert first.host_count == 2
+        assert cluster.host_count == 2
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
     def test_processes_never_listen(self):
         shutdown_pools()  # the listener below must be a new one
         before = _listening_sockets()
-        backend = ProcessPoolBackend(workers=2)
+        backend = ExecutionBackend("processes", 2)
         assert stage_map(backend, [1, 2, 3]) == [1, 4, 9]
         assert _listening_sockets() == before
         # The probe does see a listener when there is one.
-        listener = DistributedBackend(workers=2)
+        listener = ExecutionBackend("distributed", 2)
         assert stage_map(listener, [1, 2, 3]) == [1, 4, 9]
         assert len(_listening_sockets() - before) == 1
         shutdown_pools()
@@ -638,17 +690,16 @@ class TestRemoteTraining:
             assert shipped == [["train_many"] * 4] * STEPS
             assert len(published) == STEPS - 1  # step 0 ships what was built
 
-    def test_a_search_nobody_dialled_into_waits_once(self, dialled_in_only):
+    def test_a_search_nobody_dialled_into_waits_once(self, dialled_in_only, monkeypatch):
         # Bound for external workers, none came: the first ask for one
-        # spends the backend's worker_timeout, every later ask only
+        # spends the engine's worker_timeout, every later ask only
         # looks, and the search runs in process — until a worker links.
         serial = build_single(backend="serial").run()
-        backend = DistributedBackend(workers=2)
-        backend.worker_timeout = 0.2
+        monkeypatch.setattr(SearchEngine, "worker_timeout", 0.2)
         try:
-            search = build_single(backend=backend)
+            search = build_single(backend="distributed", workers=2)
             assert search._remote_ctx is not None
-            cluster = backend._cluster()
+            cluster = search.backend.cluster()
             waits = []
             inner_wait = cluster.wait_for_workers
 
@@ -659,9 +710,11 @@ class TestRemoteTraining:
             cluster.wait_for_workers = traced_wait
             assert_results_identical(serial, search.run(), build_space())
             assert len(waits) >= STEPS and sorted(waits)[-2:] == [0.0, 0.2]
-            worker = threading.Thread(target=WorkerHost(backend.address).run, daemon=True)
+            worker = threading.Thread(
+                target=WorkerHost(format_address(cluster.address)).run, daemon=True
+            )
             worker.start()
-            assert backend.wait_for_workers(1, timeout=30.0) == 1
+            assert inner_wait(1, 30.0) == 1
             assert search._remote_active()
         finally:
             shutdown_pools()
@@ -675,15 +728,14 @@ class TestRemoteTraining:
         # Anything else registers no context: no cluster, no weights
         # segment, and its search runs in this process.  Positive
         # control: the DLRM search starts both.
-        backend_cls = {"processes": ProcessPoolBackend, "distributed": DistributedBackend}[backend]
         for build, ships in ((build_surrogate, False), (build_single, True)):
-            remote = backend_cls(workers=2)
+            shutdown_pools()
             try:
                 before = _shm_segments()
-                search = build(remote)
+                search = build(backend, workers=2)
                 result = search.run()
                 assert (search._remote_ctx is not None) == ships
-                assert (remote._active_cluster is not None) == ships
+                assert (search.backend.key in backends_mod._POOLS) == ships
                 mapped = bool(_shm_segments() - before)
                 assert mapped == (ships and backend == "processes")
                 assert_results_identical(build("serial").run(), result, build_space())
@@ -888,7 +940,7 @@ class TestDistributedEquivalence:
         # like a SIGKILLed host; its orphaned tasks must resubmit to the
         # survivor and the result must stay bit-identical to serial.
         serial = build_single(backend="serial").run()
-        backend = DistributedBackend(workers=2)
+        cluster = ExecutionBackend("distributed", 2).cluster()  # binds the listener
         env = dict(
             os.environ,
             PYTHONPATH=os.path.join(
@@ -897,7 +949,7 @@ class TestDistributedEquivalence:
         )
         procs = []
         try:
-            address = backend.address  # binds the listener
+            address = format_address(cluster.address)
             for extra in (["--max-tasks", "5"], []):
                 procs.append(
                     subprocess.Popen(
@@ -909,9 +961,10 @@ class TestDistributedEquivalence:
                         text=True,
                     )
                 )
-            assert backend.wait_for_workers(2, timeout=60.0) == 2
-            result = build_single(backend=backend).run()
-            assert backend.worker_losses >= 1  # the budgeted host died
+            assert cluster.wait_for_workers(2, 60.0) == 2
+            losses = cluster.worker_losses
+            result = build_single(backend="distributed", workers=2).run()
+            assert cluster.worker_losses - losses >= 1  # the budgeted host died
             assert_results_identical(serial, result, build_space())
             out, err = procs[0].communicate(timeout=30.0)
             assert procs[0].returncode == 0, err

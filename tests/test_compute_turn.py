@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.engine import ProcessPoolBackend, process_start_method, shutdown_pools
+from repro.core.engine import ExecutionBackend, process_start_method, shutdown_pools
 from repro.runtime import (
     FaultInjector,
     FaultSpec,
@@ -228,7 +228,7 @@ def test_worker_forked_while_the_turn_is_held_still_serves():
     worker starts life with a copy of the *held* turn.  It never takes
     it, so it never notices."""
     shutdown_pools()  # the pool is forked below, inside the turn
-    backend = ProcessPoolBackend(workers=2)
+    backend = ExecutionBackend("processes", 2)
     try:
         with COMPUTE_TURN:
             assert stage_map(backend, range(1, 9)) == [i * i for i in range(1, 9)]

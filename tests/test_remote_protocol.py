@@ -31,12 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    DistributedBackend,
-    ProcessPoolBackend,
-    SurrogateSuperNetwork,
-    shutdown_pools,
-)
+from repro.core import ExecutionBackend, SearchEngine, SurrogateSuperNetwork, shutdown_pools
 from repro.core.engine import DIST_BIND_ENV_VAR, StageTask, WorkerHost, run_stage_task
 from repro.core.engine import worker as worker_mod
 from repro.core.engine.shm import SharedWeights
@@ -222,17 +217,17 @@ class TestWorkerWireProtocol:
         joins, live = 50, 3
         # Three searches share the cluster; the maps are for the context
         # registered — so sent to a joiner — last.
-        backends = [DistributedBackend(workers=3) for _ in range(3)]
-        searches = [build_single(backend=backend) for backend in backends]
-        backend, map_once = backends[-1], self._mapper(searches[-1], 8)
+        searches = [build_single(backend="distributed", workers=3) for _ in range(3)]
+        cluster, map_once = searches[-1]._remote_ctx.cluster, self._mapper(searches[-1], 8)
+        losses = cluster.worker_losses
         hosts, threads, served = collections.deque(), [], set()
         for index in range(joins + 1):
-            host = WorkerHost(backend.address, worker_id=f"late-{index}")
+            host = WorkerHost(format_address(cluster.address), worker_id=f"late-{index}")
             hosts.append(host)
             threads.append(threading.Thread(target=host.run, daemon=True))
             threads[-1].start()
             if index == 0:
-                assert backend.wait_for_workers(1, timeout=60.0) == 1
+                assert cluster.wait_for_workers(1, 60.0) == 1
             deadline = time.monotonic() + 60.0
             while host.worker_id not in served:  # admitted under these maps
                 assert time.monotonic() < deadline
@@ -240,10 +235,10 @@ class TestWorkerWireProtocol:
             if len(hosts) > live:
                 # The oldest, idle, hangs up: a publish stays cheap.
                 hosts.popleft()._sock.shutdown(socket.SHUT_RDWR)
-                while backend.host_count > live and time.monotonic() < deadline:
+                while cluster.host_count > live and time.monotonic() < deadline:
                     time.sleep(0.001)
-        assert backend.host_count == live
-        assert backend.worker_losses == joins + 1 - live  # the hang-ups, no other
+        assert cluster.host_count == live
+        assert cluster.worker_losses - losses == joins + 1 - live  # the hang-ups, no other
         assert "result" in controller_frames and controller_frames <= {"result", "error"}
         shutdown_pools()
         for thread in threads:
@@ -255,20 +250,21 @@ class TestWorkerWireProtocol:
         # cluster, a worker SIGKILLed after each map of one of them, so
         # its every next placement respawns and admits a worker while the
         # other thread is mid-map.
-        backends = [ProcessPoolBackend(workers=2) for _ in range(2)]
-        searches = [build_single(backend=backend) for backend in backends]
+        searches = [build_single(backend="processes", workers=2) for _ in range(2)]
+        cluster = searches[0]._remote_ctx.cluster
+        losses = cluster.worker_losses
         failures = []
 
         def job(search, kills):
             try:
-                map_once, backend = self._mapper(search, 4), search.backend
+                map_once = self._mapper(search, 4)
                 for _ in range(25):
-                    backend.wait_for_workers()  # tops the pool up, as every placement does
+                    assert search._remote_active()  # tops the pool up, as every placement does
                     victim = min(map_once())
                     if kills:
                         os.kill(victim, signal.SIGKILL)
                         deadline = time.monotonic() + 60.0
-                        while backend.host_count == 2 and time.monotonic() < deadline:
+                        while cluster.host_count == 2 and time.monotonic() < deadline:
                             time.sleep(0.001)
             except BaseException as error:
                 failures.append(error)
@@ -283,7 +279,7 @@ class TestWorkerWireProtocol:
             thread.join(timeout=120.0)
         assert not any(thread.is_alive() for thread in threads)
         assert not failures, failures
-        assert backends[0].worker_losses == 25
+        assert cluster.worker_losses - losses == 25
         assert "result" in controller_frames and controller_frames <= {"result", "error"}
 
     def test_the_protocol_has_exactly_these_message_types(self):
@@ -347,8 +343,13 @@ class _TouchOnUnpickle:
         return open, (self.path, "w")
 
 
+def _address(backend):
+    """``host:port`` of ``backend``'s cluster (which binds on first use)."""
+    return format_address(backend.cluster().address)
+
+
 def _dial(backend, data):
-    sock = socket.create_connection(parse_address(backend.address), timeout=30.0)
+    sock = socket.create_connection(parse_address(_address(backend)), timeout=30.0)
     sock.sendall(data)
     return sock
 
@@ -357,7 +358,7 @@ def _still_serves(backend):
     """A well-behaved worker is admitted and a map on it completes."""
     from repro.core.engine.distributed import WorkerHost
 
-    host = WorkerHost(backend.address, worker_id="good")
+    host = WorkerHost(_address(backend), worker_id="good")
     thread = threading.Thread(target=host.run, daemon=True)
     thread.start()
     assert stage_map(backend, [1, 2, 3]) == [1, 4, 9]
@@ -366,11 +367,12 @@ def _still_serves(backend):
 
 def _honest_and_lying(backend, lie):
     """An honest worker and a :class:`LyingHost`, both linked to ``backend``."""
-    hosts = (WorkerHost(backend.address, worker_id="honest"), LyingHost(backend.address, lie))
+    address = _address(backend)
+    hosts = (WorkerHost(address, worker_id="honest"), LyingHost(address, lie))
     threads = [threading.Thread(target=host.run, daemon=True) for host in hosts]
     for thread in threads:
         thread.start()
-    assert backend.wait_for_workers(2, timeout=60.0) == 2
+    assert backend.cluster().wait_for_workers(2, 60.0) == 2
     return threads
 
 
@@ -400,21 +402,21 @@ class TestTransportHandshake:
              "pickled_v2_hello", "pickled_hello"],  # fmt: skip
     )
     def test_a_worker_without_this_builds_hello_is_refused(self, payload, dialled_in_only):
-        backend = DistributedBackend(workers=2)
+        backend = ExecutionBackend("distributed", 2)
         try:
             with _dial(backend, _wire(payload)) as sock:
                 assert recv_message(sock) is None  # closed on us, nothing sent
-            assert backend.host_count == 0
+            assert backend.cluster().host_count == 0
         finally:
             shutdown_pools()
 
     def test_this_builds_hello_is_admitted(self, dialled_in_only):
         # Positive control: the same dial with the current version links,
         # and the link is told to shut down when the cluster does.
-        backend = DistributedBackend(workers=2)
+        backend = ExecutionBackend("distributed", 2)
         try:
             sock = _dial(backend, _wire(encode_message(_hello())))
-            assert backend.wait_for_workers(1, timeout=30.0) == 1
+            assert backend.cluster().wait_for_workers(1, 30.0) == 1
         finally:
             shutdown_pools()
         with sock:
@@ -549,7 +551,7 @@ class TestHostileFrames:
 
     def test_a_pickle_is_refused_unrun(self, tmp_path, dialled_in_only):
         touched = tmp_path / "touched"
-        backend = DistributedBackend(workers=2)
+        backend = ExecutionBackend("distributed", 2)
         try:
             with _dial(backend, _wire(pickle.dumps(_TouchOnUnpickle(touched)))) as sock:
                 assert recv_message(sock) is None
@@ -562,13 +564,15 @@ class TestHostileFrames:
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_BEFORE_HELLO))
     def test_a_malformed_frame_is_refused(self, case, dialled_in_only):
-        backend = DistributedBackend(workers=2)
+        backend = ExecutionBackend("distributed", 2)
+        cluster = backend.cluster()
+        losses = cluster.worker_losses
         try:
             with _dial(backend, HOSTILE_BEFORE_HELLO[case]) as sock:
                 sock.shutdown(socket.SHUT_WR)
                 assert recv_message(sock) is None
             # Refused, not linked and then lost at our EOF.
-            assert backend.host_count == 0 and backend.worker_losses == 0
+            assert cluster.host_count == 0 and cluster.worker_losses == losses
             thread = _still_serves(backend)
         finally:
             shutdown_pools()
@@ -577,16 +581,18 @@ class TestHostileFrames:
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     @pytest.mark.parametrize("case", sorted(ILL_TYPED_REPLIES))
     def test_an_ill_typed_reply_drops_the_link(self, case, dialled_in_only):
-        backend = DistributedBackend(workers=2)
+        backend = ExecutionBackend("distributed", 2)
+        cluster = backend.cluster()
+        losses = cluster.worker_losses
         try:
             with _dial(backend, _wire(encode_message(_hello()))) as sock:
-                assert backend.wait_for_workers(1, timeout=30.0) == 1
+                assert cluster.wait_for_workers(1, 30.0) == 1
                 sock.sendall(_wire(encode_message(ILL_TYPED_REPLIES[case])))
                 assert recv_message(sock) is None
             deadline = time.monotonic() + 30.0
-            while backend.host_count and time.monotonic() < deadline:
+            while cluster.host_count and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert backend.host_count == 0 and backend.worker_losses == 1
+            assert cluster.host_count == 0 and cluster.worker_losses - losses == 1
             thread = _still_serves(backend)
         finally:
             shutdown_pools()
@@ -666,23 +672,25 @@ class TestHostileFrames:
         # so the search still equals serial.
         space, serial = build_space(), build_single(backend="serial")
         want = outcome_of(space, serial.run(), serial.supernet)
-        backend = DistributedBackend(workers=2)
+        backend = ExecutionBackend("distributed", 2)
+        losses = backend.cluster().worker_losses
         threads = _honest_and_lying(backend, TRAIN_MANY_LIES[case])
         try:
-            search = build_single(backend=backend)
+            search = build_single(backend="distributed", workers=2)
             assert outcome_of(space, search.run(), search.supernet) == want
-            assert backend.worker_losses == 1
+            assert backend.cluster().worker_losses - losses == 1
         finally:
             shutdown_pools()
         for thread in threads:
             _joined(thread)
 
     def test_a_quality_many_result_of_another_length_drops_the_link(self, dialled_in_only):
-        backend = DistributedBackend(workers=2)
+        backend = ExecutionBackend("distributed", 2)
+        losses = backend.cluster().worker_losses
         threads = _honest_and_lying(backend, lambda reply: reply["value"].append(0.0))
         try:
             assert stage_map(backend, range(1, 9)) == [i * i for i in range(1, 9)]
-            assert backend.worker_losses == 1
+            assert backend.cluster().worker_losses - losses == 1
         finally:
             shutdown_pools()
         for thread in threads:
@@ -737,9 +745,9 @@ class TestAddresses:
     @pytest.mark.skipif(not _ipv6_loopback(), reason="::1 cannot bind here")
     def test_an_ipv6_listener_admits_a_dialled_in_worker(self, monkeypatch):
         monkeypatch.setenv(DIST_BIND_ENV_VAR, "[::1]:0")
-        backend = DistributedBackend(workers=2)
+        backend = ExecutionBackend("distributed", 2)
         try:
-            assert backend.address.startswith("[::1]:")
+            assert _address(backend).startswith("[::1]:")
             thread = _still_serves(backend)
         finally:
             shutdown_pools()
@@ -780,7 +788,7 @@ class TestTaskErrors:
     ``"OrigType: message"``, so ``is_retryable`` judges it as it would
     the original; a task error is never a lost worker."""
 
-    @pytest.mark.parametrize("backend", sorted(REMOTE))
+    @pytest.mark.parametrize("backend", REMOTE)
     @pytest.mark.parametrize(
         "item, arrives_as, origin",
         [
@@ -793,10 +801,11 @@ class TestTaskErrors:
              "unicode_decode"],  # fmt: skip
     )
     def test_a_task_error_arrives_as_its_builtin_base(self, backend, item, arrives_as, origin):
-        remote = REMOTE[backend](workers=2)
+        remote = ExecutionBackend(backend, 2)
         try:
-            context = remote.register_context(RaisingItem(ItemConfig()))
-            assert remote.wait_for_workers(1) >= 1
+            context = worker_mod.build_remote_context(RaisingItem(ItemConfig()), remote.cluster)
+            losses = context.cluster.worker_losses
+            assert context.cluster.wait_for_workers(1, SearchEngine.worker_timeout) >= 1
             tasks = [
                 StageTask(stage="score", kind="quality_many", context=context.ref(), payload=p)
                 for p in ((2, [None], [None]), (item, [None], [None]), (3, [None], [None]))
@@ -806,35 +815,36 @@ class TestTaskErrors:
             assert type(caught.value) is arrives_as
             assert str(caught.value).startswith(f"{origin}: ")
             assert is_retryable(caught.value) == (arrives_as is RuntimeError)
-            assert remote.worker_losses == 0
+            assert context.cluster.worker_losses == losses
         finally:
             shutdown_pools()
 
     def test_a_result_that_cannot_travel_is_the_tasks_error(self, monkeypatch):
         # Loopback worker threads share this module's globals.
         monkeypatch.setattr(worker_mod, "execute_stage_kind", lambda *args: object())
-        backend = DistributedBackend(workers=2)
+        backend = ExecutionBackend("distributed", 2)
+        losses = backend.cluster().worker_losses
         try:
             with pytest.raises(RuntimeError, match="cannot checkpoint value of type object"):
                 stage_map(backend, [1, 2])
-            assert backend.worker_losses == 0
+            assert backend.cluster().worker_losses == losses
             monkeypatch.undo()
             assert stage_map(backend, [1, 2]) == [1, 4]
         finally:
             shutdown_pools()
 
     def test_a_payload_that_cannot_travel_leaves_nothing_pending(self):
-        backend = DistributedBackend(workers=2)
+        backend = ExecutionBackend("distributed", 2)
         try:
-            context = backend.register_context(ItemSupernet(ItemConfig()))
-            assert backend.wait_for_workers(2) == 2
+            context = worker_mod.build_remote_context(ItemSupernet(ItemConfig()), backend.cluster)
+            cluster = context.cluster
+            assert cluster.wait_for_workers(2, SearchEngine.worker_timeout) == 2
             tasks = [
                 StageTask(stage="score", kind="quality_many", context=context.ref(), payload=p)
                 for p in ((1, [None], [None]), (object(), [None], [None]))
             ]
             with pytest.raises(CheckpointError, match="cannot checkpoint"):
                 backend.map(run_stage_task, tasks)
-            cluster = backend._active_cluster
             assert cluster._pending == {}
             assert not any(link.outstanding for link in cluster._links.values())
             assert stage_map(backend, [1, 2]) == [1, 4]

@@ -61,13 +61,7 @@ from repro.core import (
     TunasSearch,
     relu_reward,
 )
-from repro.core.engine import (
-    BACKEND_NAMES,
-    DistributedBackend,
-    ProcessPoolBackend,
-    run_stage_task,
-    shutdown_pools,
-)
+from repro.core.engine import BACKEND_NAMES, run_stage_task, shutdown_pools
 from repro.data import CtrTaskConfig, CtrTeacher, SingleStepPipeline, TwoStreamPipeline
 from repro.runtime import (
     CheckpointStore,
@@ -231,7 +225,7 @@ WORKLOADS = {
 }
 
 FAULTS = ("none", "crash_before", "crash_mid", "crash_after", "corrupt_checkpoint", "worker_loss")
-REMOTE = {"processes": ProcessPoolBackend, "distributed": DistributedBackend}
+REMOTE = ("processes", "distributed")
 #: steps between the snapshots of a cell's run
 CHECKPOINT_EVERY = 2
 
@@ -296,17 +290,18 @@ def reference(workload, seed):
     return outcome_of(space, search.run(), search.supernet)
 
 
-def lose_a_worker(search, backend, step):
+def lose_a_worker(search, step):
     """From ``step`` on, ``search``'s next stage-task map first loses one
-    of ``backend``'s workers: a spawned one is SIGKILLed, a TCP link is
+    of its backend's workers: a spawned one is SIGKILLed, a TCP link is
     severed.  The map is already placed, so the lost link is assigned
     tasks it will never answer."""
     inner_step = search.step
+    backend = search.backend
 
     def map_losing_a_worker(fn, items):
         if fn is run_stage_task:
             del backend.map  # once
-            cluster = backend._active_cluster
+            cluster = backend.cluster()
             with cluster._lock:
                 link = next(iter(cluster._links.values()))
             if link.process is not None:
@@ -357,19 +352,20 @@ def run_cell(workload, backend, fault, step, seed):
         assert fault == "none"
         return run_service(backend, service_specs(steps, seed))
     # A lost loopback thread is not replaced, so the cell starts on a
-    # fresh cluster and shuts the one it degraded down after.
-    owned = REMOTE[backend](workers=WORKERS) if fault == "worker_loss" else None
-    if owned is not None:
+    # fresh cluster (no loss counted yet) and shuts the one it degraded
+    # down after.
+    loses_a_worker = fault == "worker_loss"
+    if loses_a_worker:
         shutdown_pools()
-    space, build_search = build(steps, seed, owned or backend)
+    space, build_search = build(steps, seed, backend)
     specs = fault_specs(fault, step)
     injector = FaultInjector(specs, seed=seed)
     built = []
 
     def factory():
         built.append(build_search())
-        if owned is not None:
-            lose_a_worker(built[-1], owned, step)
+        if loses_a_worker:
+            lose_a_worker(built[-1], step)
         return built[-1]
 
     try:
@@ -386,10 +382,10 @@ def run_cell(workload, backend, fault, step, seed):
         # Every cell's fault really happened, once.
         assert [fired.spec for fired in injector.fired] == specs
         assert supervised.restarts == (1 if specs else 0)
-        if owned is not None:
-            assert owned.worker_losses == 1
+        if loses_a_worker:
+            assert built[-1].backend.cluster().worker_losses == 1
     finally:
-        if owned is not None:
+        if loses_a_worker:
             shutdown_pools()
     return outcome_of(space, supervised.result, built[-1].supernet)
 
