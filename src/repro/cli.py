@@ -515,17 +515,11 @@ def cmd_drain(args: argparse.Namespace) -> str:
 def cmd_worker(args: argparse.Namespace) -> str:
     from .core.engine.distributed import WorkerHost
 
-    print(
-        f"repro worker connecting to {args.connect}"
-        + (f" (max tasks: {args.max_tasks})" if args.max_tasks else ""),
-        file=sys.stderr,
-        flush=True,
-    )
+    print(f"repro worker connecting to {args.connect}", file=sys.stderr, flush=True)
     try:
         executed = WorkerHost(
             args.connect,
             worker_id=args.worker_id,
-            max_tasks=args.max_tasks,
             connect_timeout=args.timeout,
         ).run()
     except ConnectionError as error:
@@ -760,13 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="label for this worker in controller telemetry "
         "(default: <hostname>/<pid>)",
-    )
-    worker.add_argument(
-        "--max-tasks",
-        type=positive_int,
-        default=None,
-        help="exit abruptly after this many tasks — a deterministic "
-        "host-loss injection for resilience testing",
     )
     worker.add_argument(
         "--timeout", type=float, default=10.0, help="connect timeout in seconds"

@@ -122,12 +122,9 @@ class ExecutionBackend:
     is the engine's decision (:meth:`SearchEngine._remote_active`), and
     a map of any other ``fn`` runs the in-process loop.  Worker loss is
     survivable: tasks are pure, so a lost worker's tasks are resubmitted
-    (at most :attr:`max_task_retries` times each) and the retried
+    (at most ``_Cluster.max_task_retries`` times each) and the retried
     results are bit-identical.
     """
-
-    #: per-task resubmissions tolerated before a remote map gives up
-    max_task_retries = 2
 
     def __init__(self, name: str, workers: Optional[int] = None):
         if name not in BACKEND_NAMES:
@@ -167,12 +164,11 @@ class ExecutionBackend:
         ``result[i]`` corresponds to ``items[i]`` regardless of which
         worker finished first; a task's exception propagates to the
         caller.  Stage tasks on a remote backend come back as
-        ``(value, seconds, worker)``, worker a spawned one's pid or a
-        dialled-in one's id.
+        ``(value, seconds, worker_id)``.
         """
         if not (self.remote and fn is run_stage_task):
             return [fn(item) for item in items]
-        return self.cluster().run_map(items, self.max_task_retries)  # type: ignore[arg-type]
+        return self.cluster().run_map(items)  # type: ignore[arg-type]
 
 
 # ----------------------------------------------------------------------

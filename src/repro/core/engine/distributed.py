@@ -61,11 +61,14 @@ from ...service.protocol import ProtocolError, write_frame
 from .shm import SharedGradients, SharedWeights, WeightLayout, weight_layout
 from .transport import (
     DEFAULT_BIND,
+    TO_CONTROLLER,
+    TO_WORKER,
     TRANSPORT_VERSION,
     encode_message,
     parse_address,
     recv_message,
     send_message,
+    serve,
 )
 from .worker import (
     RemoteContextRef,
@@ -110,15 +113,6 @@ def _error_from(fields: Any) -> Exception:
             except TypeError:  # e.g. UnicodeDecodeError wants five arguments
                 pass
     return RuntimeError(text)
-
-
-def _field(message: Dict[str, Any], name: str, kind: type) -> Any:
-    """``message[name]``, which must be exactly a ``kind``: anything else
-    is a peer out of protocol, a :class:`ProtocolError`."""
-    value = message.get(name)
-    if type(value) is not kind:
-        raise ProtocolError(f"a {message['type']!r} frame with {name} {value!r}")
-    return value
 
 
 # ----------------------------------------------------------------------
@@ -176,17 +170,19 @@ class WorkerHost:
 
     Single-threaded by design: one socket, one message at a time, and
     after its ``hello`` it only answers (one ``result`` or ``error`` per
-    task).  The same loop runs as an external process (``repro worker``),
-    as the cluster's loopback worker threads and — handed its connected
-    socket instead of an address to dial — as a spawned ``processes``
-    worker: one code path, tested each way.
+    task).  A frame :data:`~.transport.TO_WORKER` does not describe
+    raises :class:`ProtocolError` out of :meth:`run`, which closes the
+    link: the controller sees a lost worker.  The same loop runs as an
+    external process (``repro worker``), as the cluster's loopback
+    worker threads and — handed its connected socket instead of an
+    address to dial — as a spawned ``processes`` worker: one code path,
+    tested each way.
     """
 
     def __init__(
         self,
         address: Union[str, Tuple[str, int], socket.socket],
         worker_id: Optional[str] = None,
-        max_tasks: Optional[int] = None,
         connect_timeout: float = 10.0,
     ):
         if isinstance(address, str):
@@ -195,11 +191,6 @@ class WorkerHost:
             address = (address[0], int(address[1]))
         self.address = address
         self.worker_id = worker_id or f"{socket.gethostname()}/{os.getpid()}"
-        #: execute-and-reply budget; ``None`` serves until shutdown/EOF.
-        #: A bounded worker exits *abruptly* once spent — no goodbye —
-        #: which is exactly a host loss from the controller's viewpoint,
-        #: giving tests a deterministic kill-mid-shard lever.
-        self.max_tasks = max_tasks
         self.connect_timeout = connect_timeout
         self.executed = 0
         self._contexts: Dict[str, Union[_HostContext, Exception]] = {}
@@ -207,8 +198,8 @@ class WorkerHost:
 
     # -- lifecycle ------------------------------------------------------
     def run(self) -> int:
-        """Serve until shutdown, EOF, or the ``max_tasks`` budget is
-        spent; returns the number of tasks executed."""
+        """Serve until shutdown, EOF or a lost link; returns the number
+        of tasks executed."""
         if isinstance(self.address, socket.socket):
             sock = self.address
         else:
@@ -219,69 +210,41 @@ class WorkerHost:
         try:
             send_message(
                 sock,
-                {
-                    "type": "hello",
-                    "transport": TRANSPORT_VERSION,
-                    "worker_id": self.worker_id,
-                    "host": socket.gethostname(),
-                    "pid": os.getpid(),
-                },
+                {"type": "hello", "transport": TRANSPORT_VERSION, "worker_id": self.worker_id},
             )
-            self._serve()
+            serve(sock, TO_WORKER, self._handle)
+        except OSError:
+            pass  # the controller hung up: the end of a worker, as EOF is
         finally:
             self._sock = None
             sock.close()
         return self.executed
 
-    def _serve(self) -> None:
-        """The message loop.  A frame that decodes but is ill-typed for
-        this worker raises :class:`ProtocolError` out of :meth:`run`,
-        which closes the link: the controller sees a lost worker."""
-        while True:
-            try:
-                message = recv_message(self._sock)
-            except (ProtocolError, OSError):
-                return
-            kind = "shutdown" if message is None else message["type"]  # EOF
-            if kind == "shutdown":
-                return
-            if kind in ("context", "weights", "release"):
-                self._apply_control(message)
-            elif kind == "task":
-                if not self._handle_work(message):
-                    return
-                if self.max_tasks is not None and self.executed >= self.max_tasks:
-                    # Budget spent: vanish mid-conversation, like a
-                    # SIGKILLed host would.
-                    return
-            # unknown types are ignored: forward-compatible controllers
-
-    # -- control messages ----------------------------------------------
-    def _apply_control(self, message: Dict[str, Any]) -> None:
-        kind = message["type"]
-        context_id = _field(message, "context_id", str)
-        if kind == "release":
+    def _handle(self, message: Dict[str, Any]) -> None:
+        kind, context_id = message["type"], message.get("context_id")
+        if kind == "task":
+            self._handle_work(message)
+        elif kind == "release":
             released = self._contexts.pop(context_id, None)
             if isinstance(released, _HostContext):
                 released.close()
-            return
-        if kind == "weights":
+        elif kind == "weights":
             ctx = self._contexts.get(context_id)
             if isinstance(ctx, _HostContext):
-                ctx.apply(_field(message, "version", int), message.get("data"))
-            return
-        # context: build the supernet once; a failure is remembered and
-        # reported per-task rather than killing the worker.
-        try:
-            supernet = build_supernet_from_spec(message["spec"])
-            ctx: Union[_HostContext, Exception] = _HostContext(
-                supernet, message["layout"], message.get("segment"), message.get("gradients")
-            )
-            if message.get("weights") is not None:
-                ctx.apply(message["version"], message["weights"])
-        except Exception as error:
-            ctx = error
-        self._contexts[context_id] = ctx
+                ctx.apply(message["version"], message["data"])
+        else:
+            # context: build the supernet once; a failure is remembered
+            # and reported per-task rather than killing the worker.
+            try:
+                supernet = build_supernet_from_spec(message["spec"])
+                ctx = _HostContext(
+                    supernet, message["layout"], message.get("segment"), message.get("gradients")
+                )
+                if message.get("weights") is not None:
+                    ctx.apply(message["version"], message["weights"])
+            except Exception as error:
+                ctx = error
+            self._contexts[context_id] = ctx
 
     # -- work messages --------------------------------------------------
     def _context_for_task(self, ref: RemoteContextRef) -> _HostContext:
@@ -307,11 +270,11 @@ class WorkerHost:
             ctx.copy_in()
         return ctx
 
-    def _handle_work(self, message: Dict[str, Any]) -> bool:
-        """Execute one task and reply; ``False`` if the link died.  The
-        reply is encoded inside the ``try``: a result that cannot travel
-        comes back as the task's error, not as a dead worker."""
-        task_id = _field(message, "task_id", int)
+    def _handle_work(self, message: Dict[str, Any]) -> None:
+        """Execute one task and reply.  The reply is encoded inside the
+        ``try``: a result that cannot travel comes back as the task's
+        error, not as a dead worker."""
+        task_id = message["task_id"]
         try:
             # An architecture travels as its {decision: value} dict.
             arch, *rest = message["payload"]
@@ -327,11 +290,7 @@ class WorkerHost:
                 {"type": "error", "task_id": task_id, "error": _error_fields(error)}
             )
         self.executed += 1
-        try:
-            write_frame(self._sock, reply)
-            return True
-        except OSError:
-            return False
+        write_frame(self._sock, reply)
 
 
 #: Every live cluster in this process: what a forked worker inherited.
@@ -435,33 +394,27 @@ class _TaskRecord:
 class _MapRun:
     """Controller-side state of one in-flight order-preserving map."""
 
-    __slots__ = ("results", "remaining", "failure", "max_retries")
+    __slots__ = ("results", "remaining", "failure")
 
-    def __init__(self, count: int, max_retries: int):
-        self.results: List[Optional[Tuple[Any, float, Union[int, str]]]] = [None] * count
+    def __init__(self, count: int):
+        self.results: List[Optional[Tuple[Any, float, str]]] = [None] * count
         self.remaining = count
         self.failure: Optional[BaseException] = None
-        self.max_retries = max_retries
 
 
 class _WorkerLink:
-    """One connected worker: socket, send lock, outstanding tasks.
+    """One connected worker: socket, send lock and id; live while its
+    cluster's ``_links`` holds it, its tasks the pending records naming it.
 
     ``process`` is the worker's handle when the controller spawned it
     (the link is a socketpair, the worker shares this machine's memory),
     ``None`` when it dialled in over TCP.
     """
 
-    def __init__(
-        self, sock: socket.socket, worker_id: str, host: str, pid: int, process: Any
-    ):
+    def __init__(self, sock: socket.socket, worker_id: str, process: Any):
         self.sock = sock
         self.worker_id = worker_id
-        self.host = host
-        self.pid = pid
         self.process = process
-        self.alive = True
-        self.outstanding: Dict[int, _TaskRecord] = {}
         #: orders the frames on this link; may be taken before the
         #: cluster's ``_cond``, never while holding it
         self._send_lock = threading.Lock()
@@ -493,6 +446,9 @@ class _Cluster:
     and starting ``workers`` loopback threads of its own.
     """
 
+    #: per-task resubmissions tolerated before a map gives up
+    max_task_retries = 2
+
     def __init__(self, workers: int, spawn: bool = False, bind: Optional[str] = None):
         self.workers = workers
         self.worker_losses = 0
@@ -504,7 +460,6 @@ class _Cluster:
         self._task_ids = itertools.count(1)
         self._rr = 0
         self._closed = False
-        self._spawns = spawn
         self._spawn_ids = itertools.count()
         self._listener: Optional[socket.socket] = None
         self.address: Optional[Tuple[str, int]] = None
@@ -540,7 +495,7 @@ class _Cluster:
         All are started before any is admitted — admission starts a
         receive thread, and a fork is safest with the fewest threads
         alive.  (No-op for a listening cluster: its workers dial in.)"""
-        if not self._spawns:
+        if self._listener is not None:
             return
         with self._lock:  # the usual case, without the process-wide lock
             if self._closed or len(self._links) >= self.workers:
@@ -606,28 +561,22 @@ class _Cluster:
             # A dialled-in worker says hello at once; a spawned one may
             # first have to start an interpreter (``spawn``).
             conn.settimeout(10.0 if process is None else 60.0)
-            hello = recv_message(conn)
+            hello = recv_message(conn, TO_CONTROLLER)
             if (
                 hello is None
-                or hello.get("type") != "hello"
-                or hello.get("transport") != TRANSPORT_VERSION
+                or hello["type"] != "hello"
+                or hello["transport"] != TRANSPORT_VERSION
             ):
                 self._reject(conn, process)
                 return
-            link = _WorkerLink(
-                conn,
-                str(hello.get("worker_id") or "unknown/0"),
-                str(hello.get("host") or "unknown"),
-                int(hello.get("pid") or 0),
-                process,
-            )
             conn.settimeout(None)
             if conn.family != socket.AF_UNIX:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except (ProtocolError, OSError, ValueError, TypeError, OverflowError):
-            # A malformed field is refused like a wrong version: closed.
+        except (ProtocolError, OSError):
+            # A malformed frame is refused like a wrong version: closed.
             self._reject(conn, process)
             return
+        link = _WorkerLink(conn, hello["worker_id"], process)
         # Primed before assignable: the send lock is held from before the
         # link can be picked until its last context frame is written, so
         # every task, push and orphan bound for it queues behind contexts
@@ -755,13 +704,11 @@ class _Cluster:
                 self._handle_link_loss(link)
 
     # -- the map --------------------------------------------------------
-    def run_map(
-        self, tasks: Sequence[StageTask], max_retries: int
-    ) -> List[Tuple[Any, float, Union[int, str]]]:
-        """Fan ``tasks`` out, gather ``(value, seconds, worker)`` in
+    def run_map(self, tasks: Sequence[StageTask]) -> List[Tuple[Any, float, str]]:
+        """Fan ``tasks`` out, gather ``(value, seconds, worker_id)`` in
         submission order; resubmit orphans of lost workers."""
         drain_pending_releases()
-        run = _MapRun(len(tasks), max_retries)
+        run = _MapRun(len(tasks))
         # Encoded before any record is registered: a payload that cannot
         # travel raises here and leaves nothing pending.
         records = []
@@ -804,91 +751,66 @@ class _Cluster:
 
     def _assign_locked(self, record: _TaskRecord) -> Optional[_WorkerLink]:
         """Pick a live link round-robin; caller sends outside the lock."""
-        links = [link for link in self._links.values() if link.alive]
+        links = list(self._links.values())
         if not links:
             record.link = None
             return None
         link = links[self._rr % len(links)]
         self._rr += 1
         record.link = link
-        link.outstanding[record.task_id] = record
         return link
 
     # -- per-link receive path ------------------------------------------
     def _recv_loop(self, link: _WorkerLink) -> None:
         try:
-            while True:
-                message = recv_message(link.sock)
-                if message is None:
-                    break
-                kind = message["type"]
-                if kind not in ("result", "error"):
-                    continue
-                task_id, seconds = message.get("task_id"), message.get("seconds", 0.0)
-                if (
-                    type(task_id) is not int
-                    or type(seconds) not in (int, float)
-                    or not 0 <= seconds < math.inf
-                ):
-                    raise ProtocolError(f"{kind} with task_id {task_id!r}, seconds {seconds!r}")
-                if kind == "result":
-                    self._complete(link, task_id, message.get("value"), float(seconds))
-                else:
-                    self._fail_task(link, task_id, _error_from(message.get("error")))
+            serve(link.sock, TO_CONTROLLER, lambda message: self._receive(link, message))
         except (ProtocolError, OSError):
             pass
         finally:
             self._handle_link_loss(link)
 
-    def _complete(
-        self, link: _WorkerLink, task_id: int, value: Any, seconds: float
-    ) -> None:
+    def _receive(self, link: _WorkerLink, message: Dict[str, Any]) -> None:
+        """One ``result`` or ``error`` from ``link``: a task's value, or
+        its deterministic failure, which fails its map and is never retried."""
+        kind = message["type"]
+        if kind == "hello":
+            raise ProtocolError(f"a second hello from {link.worker_id}")
+        if kind == "error":
+            error = _error_from(message["error"])
+        elif not 0 <= message["seconds"] < math.inf:
+            raise ProtocolError(f"a result with seconds {message['seconds']!r}")
         with self._cond:
-            record = self._pending.get(task_id)
-            if record is not None and not record.fits(value):
-                # Still pending and on this link: losing the link resubmits it.
-                raise ProtocolError(f"a {record.kind} result that does not fit its task")
-            self._pending.pop(task_id, None)
-            link.outstanding.pop(task_id, None)
+            record = self._pending.get(message["task_id"])
             if record is None:
                 return  # stale: its run already failed
+            if kind == "error":
+                self._fail_run_locked(record.run, error)
+                return
+            if not record.fits(message["value"]):
+                # Still pending and on this link: losing the link resubmits it.
+                raise ProtocolError(f"a {record.kind} result that does not fit its task")
+            del self._pending[record.task_id]
             run = record.run
-            # Spawned workers are labelled by pid, dialled-in ones by
-            # their host-qualified id (what ``span.worker`` aggregates on).
-            worker = link.pid if link.process is not None else link.worker_id
-            run.results[record.index] = (value, seconds, worker)
+            run.results[record.index] = (message["value"], message["seconds"], link.worker_id)
             run.remaining -= 1
             if run.remaining == 0:
                 self._cond.notify_all()
-
-    def _fail_task(self, link: _WorkerLink, task_id: int, error: BaseException) -> None:
-        """A task raised deterministically: propagate, never retry."""
-        with self._cond:
-            record = self._pending.pop(task_id, None)
-            link.outstanding.pop(task_id, None)
-            if record is None:
-                return
-            self._fail_run_locked(record.run, error)
 
     def _fail_run_locked(self, run: _MapRun, error: BaseException) -> None:
         if run.failure is None:
             run.failure = error
         for task_id in [t for t, r in self._pending.items() if r.run is run]:
-            record = self._pending.pop(task_id)
-            if record.link is not None:
-                record.link.outstanding.pop(task_id, None)
+            del self._pending[task_id]
         self._cond.notify_all()
 
     def _handle_link_loss(self, link: _WorkerLink) -> None:
         """A worker vanished: drop the link, resubmit its orphans."""
         resubmissions: List[Tuple[_WorkerLink, _TaskRecord]] = []
         with self._cond:
-            if not link.alive:
+            if self._links.get(link.worker_id) is not link:
                 return
-            link.alive = False
-            self._links.pop(link.worker_id, None)
-            orphans = list(link.outstanding.values())
-            link.outstanding.clear()
+            del self._links[link.worker_id]
+            orphans = [record for record in self._pending.values() if record.link is link]
             closed = self._closed
             if not closed:
                 self.worker_losses += 1
@@ -897,12 +819,12 @@ class _Cluster:
                     continue
                 run = record.run
                 record.retries += 1
-                if record.retries > run.max_retries:
+                if record.retries > self.max_task_retries:
                     self._pending.pop(record.task_id, None)
                     self._fail_run_locked(
                         run,
                         _crash_error(
-                            f"task resubmitted {run.max_retries} times across "
+                            f"task resubmitted {self.max_task_retries} times across "
                             f"lost workers; giving up"
                         ),
                     )

@@ -517,17 +517,13 @@ class SearchEngine:
                 arrays = self._remote_ctx.param_arrays
                 moved += sum(arrays[i].nbytes for value, _, _ in results for i in value[1])
             telemetry.counter("engine.ipc.bytes").inc(moved, backend=self.backend.name)
-            for _, seconds, worker in results:
-                # Process workers report their pid (int); distributed
-                # workers report a host-qualified worker id (str), so
-                # spans aggregate per host across the cluster.
-                label = {"pid": worker} if isinstance(worker, int) else {"host": worker}
+            for _, seconds, worker_id in results:
                 telemetry.trace.record(
                     "worker",
                     seconds,
                     stage=stage,
                     backend=self.backend.name,
-                    **label,
+                    worker=worker_id,
                 )
         return [value for value, _, _ in results]
 

@@ -6,9 +6,9 @@ service protocol (:func:`repro.service.protocol.read_frame` /
 (:func:`repro.runtime.checkpoint.encode_state`) end to end:
 ``[u32 header length][JSON header][raw buffers]``, the header being the
 document ``state.json`` holds and the buffers the per-dtype chunks of
-``arrays.bin`` without their ``.npy`` headers.  The message types are
-defined where they are produced and consumed
-(:mod:`repro.core.engine.distributed`); this module moves one message.
+``arrays.bin`` without their ``.npy`` headers.  The schema is here too:
+:data:`TO_WORKER` and :data:`TO_CONTROLLER`, every type each end may
+read with its fields' exact types; :func:`recv_message` refuses the rest.
 
 Trust model: nothing a peer sends is executed.  A frame decodes to JSON
 values and arrays of kinds ``b i u f`` whose bytes are accounted for
@@ -23,7 +23,7 @@ import json
 import socket
 import struct
 import urllib.parse
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +44,30 @@ MAX_FRAME_BYTES = 1 << 30
 DEFAULT_BIND = "127.0.0.1:0"
 
 _HEADER_LENGTH = struct.Struct(">I")
+
+#: Message type -> field -> the exact type, or types, the field must have.
+Schema = Dict[str, Dict[str, Any]]
+
+#: What a controller sends a worker.  A field not listed is not read; a
+#: field that may be ``None`` may be absent.
+TO_WORKER: Schema = {
+    "context": {"context_id": str, "spec": dict, "layout": list, "version": int,
+                "segment": (str, type(None)), "gradients": (list, type(None)),
+                "weights": (np.ndarray, type(None))},
+    "weights": {"context_id": str, "version": int, "data": np.ndarray},
+    "release": {"context_id": str},
+    "task": {"task_id": int, "stage": str, "kind": str, "context_id": str, "version": int,
+             "payload": list},
+    "shutdown": {},
+}  # fmt: skip
+
+#: What a worker sends its controller: its ``hello``, then one
+#: ``result`` or ``error`` per task.
+TO_CONTROLLER: Schema = {
+    "hello": {"transport": int, "worker_id": str},
+    "result": {"task_id": int, "value": list, "seconds": float},
+    "error": {"task_id": int, "error": list},
+}
 
 
 def parse_address(spec: str) -> Tuple[str, int]:
@@ -106,19 +130,42 @@ def send_message(sock: socket.socket, message: Dict[str, Any]) -> int:
     return len(payload)
 
 
-def recv_message(
-    sock: socket.socket, max_bytes: int = MAX_FRAME_BYTES
-) -> Optional[Dict[str, Any]]:
-    """Read one message; ``None`` on clean EOF at a frame boundary.
-    Truncated, oversized or malformed frames raise :class:`ProtocolError`:
-    the caller treats the connection as lost, never as "empty result"."""
-    payload = read_frame(sock, max_bytes=max_bytes)
-    return None if payload is None else decode_message(payload)
+def recv_message(sock: socket.socket, types: Schema) -> Optional[Dict[str, Any]]:
+    """Read one message of a type in ``types`` (:data:`TO_WORKER` or
+    :data:`TO_CONTROLLER`); ``None`` on clean EOF at a frame boundary.
+    Truncated, oversized or malformed frames, other types and ill-typed
+    fields raise :class:`ProtocolError`: the caller treats the
+    connection as lost, never as "empty result"."""
+    payload = read_frame(sock, max_bytes=MAX_FRAME_BYTES)
+    if payload is None:
+        return None
+    message = decode_message(payload)
+    kind = message["type"]
+    if type(kind) is not str or kind not in types:
+        raise ProtocolError(f"a {kind!r:.60} frame where only {sorted(types)} may arrive")
+    for name, allowed in types[kind].items():
+        value = message.get(name)
+        if type(value) not in (allowed if isinstance(allowed, tuple) else (allowed,)):
+            raise ProtocolError(f"a {kind!r} frame with {name} {value!r:.60}")
+    return message
+
+
+def serve(sock: socket.socket, types: Schema, handle: Callable[[Dict[str, Any]], None]) -> None:
+    """The one loop of a worker link, at either end: pass each message
+    read with :func:`recv_message` to ``handle`` until EOF or a
+    ``shutdown``.  A refused frame raises out of it."""
+    while True:
+        message = recv_message(sock, types)
+        if message is None or message["type"] == "shutdown":
+            return
+        handle(message)
 
 
 __all__ = [
     "DEFAULT_BIND",
     "MAX_FRAME_BYTES",
+    "TO_CONTROLLER",
+    "TO_WORKER",
     "TRANSPORT_VERSION",
     "decode_message",
     "encode_message",
@@ -126,4 +173,5 @@ __all__ = [
     "parse_address",
     "recv_message",
     "send_message",
+    "serve",
 ]

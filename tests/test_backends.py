@@ -552,9 +552,8 @@ class TestSpawnedWorkers:
         telemetry = Telemetry()
         search = build_single(backend="processes", workers=2, telemetry=telemetry)
         search.run()
-        spans = telemetry.trace.registry.histogram("span.worker").series()
-        pids = {dict(key)["pid"] for key in spans if "pid" in dict(key)}
-        assert pids and all(_running(pid) is not None for pid in pids)
+        pids = {link.process.pid for link in search._remote_ctx.cluster._links.values()}
+        assert len(pids) == 2 and all(_running(pid) is not None for pid in pids)
         # The context's segments go with its engine: a finaliser queues
         # the release, the shutdown performs it.
         del search
@@ -899,23 +898,24 @@ class TestFinaliserNeverBlocks:
 
 
 class TestEngineTelemetry:
-    @pytest.mark.parametrize("backend, worker", [("processes", "pid"), ("distributed", "host")])
-    def test_engine_metrics_recorded(self, backend, worker):
+    @pytest.mark.parametrize("backend", ["processes", "distributed"])
+    def test_engine_metrics_recorded(self, backend):
         telemetry = Telemetry()
         result = build_single(backend, workers=2, telemetry=telemetry).run()
         assert len(result.history) == STEPS
         assert telemetry.gauge("engine.workers").value(backend=backend) == 2
         tasks = telemetry.counter("engine.tasks").value(stage="score", backend=backend)
-        # One worker span per task; a remote one is labelled by the worker
-        # that ran it (a spawned one's pid, a dialled-in one's host).
+        # One worker span per task, labelled by the id of the worker that
+        # ran it.
         spans = [
             (dict(key), stats)
             for key, stats in telemetry.trace.registry.histogram("span.worker").series().items()
         ]
         assert tasks > 0 and sum(stats["count"] for _, stats in spans) == tasks
+        cluster = ExecutionBackend(backend, 2).cluster()
         for labels, _ in spans:
             assert labels["stage"] == "score" and labels["backend"] == backend
-            assert worker in labels
+            assert labels["worker"] in cluster._links
         assert telemetry.gauge("engine.hosts").value(backend=backend) == 2
         # The autograd keeps no counters: nothing is recorded under ``nn.``.
         assert [name for name in telemetry.registry.metrics() if name.startswith("nn.")] == []
@@ -935,10 +935,11 @@ class TestDistributedEquivalence:
     """Workers that are other programs: the real ``repro worker`` CLI."""
 
     def test_killed_worker_mid_shard_resubmits_and_matches_serial(self, dialled_in_only):
-        # Two *external* worker processes (the real `repro worker` CLI),
-        # one with a task budget that makes it vanish mid-search exactly
-        # like a SIGKILLed host; its orphaned tasks must resubmit to the
-        # survivor and the result must stay bit-identical to serial.
+        # Two *external* worker processes (the real `repro worker` CLI);
+        # the first is SIGKILLed as step 1's first stage-task map starts,
+        # so it is assigned tasks it will never answer.  Its orphaned
+        # tasks must resubmit to the survivor and the result must stay
+        # bit-identical to serial.
         serial = build_single(backend="serial").run()
         cluster = ExecutionBackend("distributed", 2).cluster()  # binds the listener
         env = dict(
@@ -950,11 +951,10 @@ class TestDistributedEquivalence:
         procs = []
         try:
             address = format_address(cluster.address)
-            for extra in (["--max-tasks", "5"], []):
+            for _ in range(2):
                 procs.append(
                     subprocess.Popen(
-                        [sys.executable, "-m", "repro", "worker",
-                         "--connect", address, *extra],
+                        [sys.executable, "-m", "repro", "worker", "--connect", address],
                         env=env,
                         stdout=subprocess.PIPE,
                         stderr=subprocess.PIPE,
@@ -963,12 +963,26 @@ class TestDistributedEquivalence:
                 )
             assert cluster.wait_for_workers(2, 60.0) == 2
             losses = cluster.worker_losses
-            result = build_single(backend="distributed", workers=2).run()
-            assert cluster.worker_losses - losses >= 1  # the budgeted host died
+            search = build_single(backend="distributed", workers=2)
+            backend, inner_step = search.backend, search.step
+
+            def map_killing_a_worker(fn, items):
+                if fn is run_stage_task:
+                    del backend.map  # once
+                    procs[0].kill()
+                    procs[0].wait(timeout=30.0)
+                return type(backend).map(backend, fn, items)
+
+            def step_then_kill(index):
+                if index == 1:
+                    backend.map = map_killing_a_worker
+                return inner_step(index)
+
+            search.step = step_then_kill
+            result = search.run()
+            assert procs[0].returncode == -signal.SIGKILL
+            assert cluster.worker_losses - losses >= 1  # the killed host
             assert_results_identical(serial, result, build_space())
-            out, err = procs[0].communicate(timeout=30.0)
-            assert procs[0].returncode == 0, err
-            assert "worker exited after 5 tasks" in out
         finally:
             shutdown_pools()
             for proc in procs:

@@ -33,9 +33,12 @@ from hypothesis import strategies as st
 
 from repro.core import ExecutionBackend, SearchEngine, SurrogateSuperNetwork, shutdown_pools
 from repro.core.engine import DIST_BIND_ENV_VAR, StageTask, WorkerHost, run_stage_task
+from repro.core.engine import transport as transport_mod
 from repro.core.engine import worker as worker_mod
 from repro.core.engine.shm import SharedWeights
 from repro.core.engine.transport import (
+    TO_CONTROLLER,
+    TO_WORKER,
     TRANSPORT_VERSION,
     decode_message,
     encode_message,
@@ -100,7 +103,6 @@ class TestWorkerWireProtocol:
         # comes back as the task's error — no question, no wait.
         from repro.core.engine.distributed import WorkerHost, _snapshot_weights
         from repro.core.engine.shm import weight_layout
-        from repro.core.engine.transport import recv_message, send_message
 
         search = build_single(backend="serial")
         payload = self._shard_payloads(search, 1)[0]
@@ -117,10 +119,10 @@ class TestWorkerWireProtocol:
                 {"type": "task", "task_id": version, "stage": "score", "kind": "quality_many",
                  "context_id": context_id, "version": version, "payload": payload},
             )
-            return recv_message(controller)
+            return recv_message(controller, TO_CONTROLLER)
 
         try:
-            assert recv_message(controller)["type"] == "hello"
+            assert recv_message(controller, TO_CONTROLLER)["type"] == "hello"
             context = {
                 "type": "context",
                 "context_id": "sent",
@@ -140,7 +142,7 @@ class TestWorkerWireProtocol:
             assert served["type"] == "result"
             assert served["value"] == execute_stage_kind(search.supernet, "quality_many", payload)
             send_message(controller, {"type": "shutdown"})
-            assert recv_message(controller) is None  # EOF: it sent nothing else
+            assert recv_message(controller, TO_CONTROLLER) is None  # EOF: it sent nothing else
         finally:
             controller.close()
         thread.join(timeout=30.0)
@@ -150,17 +152,15 @@ class TestWorkerWireProtocol:
     def controller_frames(self, monkeypatch):
         """The types of every frame a controller's receive loop reads,
         with the interpreter switching threads at every gap there is."""
-        from repro.core.engine import distributed as distributed_mod
+        received, real_recv = set(), transport_mod.recv_message
 
-        received, real_recv = set(), distributed_mod.recv_message
-
-        def spying_recv(sock):
-            message = real_recv(sock)
+        def spying_recv(sock, types):
+            message = real_recv(sock, types)
             if message and threading.current_thread().name.startswith("repro-dist-recv"):
                 received.add(message["type"])
             return message
 
-        monkeypatch.setattr(distributed_mod, "recv_message", spying_recv)
+        monkeypatch.setattr(transport_mod, "recv_message", spying_recv)
         switch_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -262,7 +262,8 @@ class TestWorkerWireProtocol:
                     assert search._remote_active()  # tops the pool up, as every placement does
                     victim = min(map_once())
                     if kills:
-                        os.kill(victim, signal.SIGKILL)
+                        with cluster._lock:
+                            os.kill(cluster._links[victim].process.pid, signal.SIGKILL)
                         deadline = time.monotonic() + 60.0
                         while cluster.host_count == 2 and time.monotonic() < deadline:
                             time.sleep(0.001)
@@ -283,11 +284,14 @@ class TestWorkerWireProtocol:
         assert "result" in controller_frames and controller_frames <= {"result", "error"}
 
     def test_the_protocol_has_exactly_these_message_types(self):
-        """A ninth type fails here: what distributed.py sends, what it
-        dispatches on, and DESIGN.md's message table are one set."""
+        """A ninth type fails here: what distributed.py sends, the two
+        tables a link's ends read with, and DESIGN.md's message table
+        are one set."""
         from repro.core.engine import distributed as distributed_mod
 
-        sent, dispatched = set(), set()
+        assert set(TO_WORKER) | set(TO_CONTROLLER) == self.TYPES
+        assert set(TO_CONTROLLER) == {"hello", "result", "error"}
+        sent = set()
         for node in ast.walk(ast.parse(pathlib.Path(distributed_mod.__file__).read_text())):
             if isinstance(node, ast.Dict):
                 sent.update(
@@ -295,21 +299,69 @@ class TestWorkerWireProtocol:
                     for key, value in zip(node.keys, node.values)
                     if isinstance(key, ast.Constant) and key.value == "type"
                 )
-            elif isinstance(node, ast.Compare) and ast.unparse(node.left) in (
-                "kind", "message['type']", "hello.get('type')"
-            ):  # fmt: skip
-                dispatched.update(
-                    leaf.value
-                    for comparator in node.comparators
-                    for leaf in ast.walk(comparator)
-                    if isinstance(leaf, ast.Constant)
-                )
-        assert sent == dispatched == self.TYPES
+        assert sent == self.TYPES
         design = (pathlib.Path(__file__).parents[1] / "DESIGN.md").read_text()
         table = design.split("| message | direction | meaning |")[1].split("\n\n")[0]
         cells = [line.split("|")[1] for line in table.splitlines()[2:]]
         documented = [name.strip(" `") for cell in cells for name in cell.split("/")]
         assert sorted(documented) == sorted(self.TYPES)
+
+
+#: A well-formed message of every type in the two tables, keyed by type.
+EVERY_MESSAGE = {
+    "context": {"type": "context", "context_id": "c", "spec": {"supernet": "item"},
+                "layout": [[[2], 0, 2]], "version": 1, "segment": None, "gradients": None,
+                "weights": np.zeros(2)},
+    "weights": {"type": "weights", "context_id": "c", "version": 2, "data": np.ones(2)},
+    "release": {"type": "release", "context_id": "c"},
+    "task": {"type": "task", "task_id": 1, "stage": "score", "kind": "quality_many",
+             "context_id": "c", "version": 2, "payload": [{"d": 1}, [np.ones(3)], [None]]},
+    "shutdown": {"type": "shutdown"},
+    "hello": {"type": "hello", "transport": TRANSPORT_VERSION, "worker_id": "w"},
+    "result": {"type": "result", "task_id": 1, "value": [0.5], "seconds": 0.25},
+    "error": {"type": "error", "task_id": 1, "error": ["ValueError", "ValueError: no"]},
+}  # fmt: skip
+
+
+def _read_back(message, types):
+    """``message`` sent over a socketpair, read with ``types``."""
+    left, right = socket.socketpair()
+    with left, right:
+        send_message(left, message)
+        return recv_message(right, types)
+
+
+def _ill_typed(allowed):
+    """Values of none of the types ``allowed``: a bool (no field's type,
+    though ``True == 1``) and a string, or a float where strings are allowed."""
+    allowed = allowed if isinstance(allowed, tuple) else (allowed,)
+    return [True, 1.5 if str in allowed else "other"]
+
+
+class TestMessageTables:
+    """Each end reads with its own table: every listed type round-trips,
+    a type of the other direction and a field of another type are refused."""
+
+    @pytest.mark.parametrize(
+        "kind, types",
+        [(kind, TO_WORKER) for kind in TO_WORKER] + [(kind, TO_CONTROLLER) for kind in TO_CONTROLLER],
+        ids=[*TO_WORKER, *TO_CONTROLLER],
+    )
+    def test_each_field_is_read_with_exactly_its_type(self, kind, types):
+        message = EVERY_MESSAGE[kind]
+        assert set(message) - {"type"} == set(types[kind])
+        back = _read_back(message, types)
+        assert set(back) == set(message) and back["type"] == kind
+        for name in types[kind]:
+            if isinstance(message[name], np.ndarray):
+                np.testing.assert_array_equal(back[name], message[name])
+        other = TO_CONTROLLER if types is TO_WORKER else TO_WORKER
+        with pytest.raises(ProtocolError, match="may arrive"):
+            _read_back(message, other)
+        for name, allowed in types[kind].items():
+            for value in _ill_typed(allowed):
+                with pytest.raises(ProtocolError, match=f"with {name} "):
+                    _read_back({**message, name: value}, types)
 
 
 def _wire(payload):
@@ -394,18 +446,18 @@ class TestTransportHandshake:
             encode_message({"type": "hello", "worker_id": "unversioned"}),
             encode_message({"type": "result", "transport": TRANSPORT_VERSION}),
             b"not a frame",
-            encode_message(_hello(pid="x")),
+            encode_message(_hello(worker_id=7)),
             pickle.dumps(_hello(transport=2)),
             pickle.dumps(_hello()),
         ],
-        ids=["older_build", "no_version", "not_hello", "garbage", "bad_pid",
+        ids=["older_build", "no_version", "not_hello", "garbage", "bad_worker_id",
              "pickled_v2_hello", "pickled_hello"],  # fmt: skip
     )
     def test_a_worker_without_this_builds_hello_is_refused(self, payload, dialled_in_only):
         backend = ExecutionBackend("distributed", 2)
         try:
             with _dial(backend, _wire(payload)) as sock:
-                assert recv_message(sock) is None  # closed on us, nothing sent
+                assert recv_message(sock, TO_WORKER) is None  # closed on us, nothing sent
             assert backend.cluster().host_count == 0
         finally:
             shutdown_pools()
@@ -420,7 +472,7 @@ class TestTransportHandshake:
         finally:
             shutdown_pools()
         with sock:
-            assert recv_message(sock) == {"type": "shutdown"}
+            assert recv_message(sock, TO_WORKER) == {"type": "shutdown"}
 
 
 EIGHT_BYTES = bytes(8)
@@ -441,6 +493,7 @@ ILL_TYPED_REPLIES = {
     "string_task_id": {"type": "result", "task_id": "1", "value": [1.0], "seconds": 0.0},
     "string_seconds": {"type": "result", "task_id": 1, "value": [1.0], "seconds": "slow"},
     "error_not_a_pair": {"type": "error", "task_id": 1, "error": "boom"},
+    "unknown_type": {"type": "bogus", "task_id": 1},
 }
 
 
@@ -470,6 +523,14 @@ def _without(frame, name):
     return {key: value for key, value in frame.items() if key != name}
 
 
+#: A frame a ``repro worker`` must refuse, and what its error line says.
+REFUSED_BY_A_WORKER = {
+    "ill_typed": (encode_message({"type": "task", "stage": "score"}), "task_id"),
+    "undecodable": (b"not a frame", "malformed frame"),
+    "unknown_type": (encode_message({"type": "bogus"}), "'bogus'"),
+}
+
+
 #: A controller's frames a worker must refuse, built from the
 #: well-formed ones: what it sends, in order.
 ILL_TYPED_CONTROL = {
@@ -495,7 +556,7 @@ def _nan_seconds(reply):
 
 
 #: How a lying worker rewrites every ``train_many`` result it sends.
-#: Each still decodes; none fits the task it answers.
+#: Each still decodes; none is a result that fits the task it answers.
 TRAIN_MANY_LIES = {
     "one_quality_short": _set(0, lambda qualities: qualities[:-1]),
     "gradient_index_minus_one": _set(1, lambda active: [-1, *active[1:]]),
@@ -506,6 +567,7 @@ TRAIN_MANY_LIES = {
     "one_element_gradients": _set(2, lambda grads: [np.zeros(1) for _ in grads]),
     "no_gradients_and_no_image": _set(2, lambda grads: None),
     "nan_seconds": _nan_seconds,
+    "unknown_type": lambda reply: reply.update(type="bogus"),
 }
 
 
@@ -527,11 +589,7 @@ class LyingHost(WorkerHost):
         reply = decode_message(sent[0][8:])  # past the length prefix
         if reply["type"] == "result":
             self.lie(reply)
-        try:
-            send_message(link, reply)
-            return True
-        except OSError:
-            return False
+        send_message(link, reply)
 
 
 VALID_FRAME = encode_message(
@@ -554,7 +612,7 @@ class TestHostileFrames:
         backend = ExecutionBackend("distributed", 2)
         try:
             with _dial(backend, _wire(pickle.dumps(_TouchOnUnpickle(touched)))) as sock:
-                assert recv_message(sock) is None
+                assert recv_message(sock, TO_WORKER) is None
             assert not touched.exists()
             thread = _still_serves(backend)
         finally:
@@ -570,7 +628,7 @@ class TestHostileFrames:
         try:
             with _dial(backend, HOSTILE_BEFORE_HELLO[case]) as sock:
                 sock.shutdown(socket.SHUT_WR)
-                assert recv_message(sock) is None
+                assert recv_message(sock, TO_WORKER) is None
             # Refused, not linked and then lost at our EOF.
             assert cluster.host_count == 0 and cluster.worker_losses == losses
             thread = _still_serves(backend)
@@ -588,7 +646,7 @@ class TestHostileFrames:
             with _dial(backend, _wire(encode_message(_hello()))) as sock:
                 assert cluster.wait_for_workers(1, 30.0) == 1
                 sock.sendall(_wire(encode_message(ILL_TYPED_REPLIES[case])))
-                assert recv_message(sock) is None
+                assert recv_message(sock, TO_WORKER) is None
             deadline = time.monotonic() + 30.0
             while cluster.host_count and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -622,17 +680,17 @@ class TestHostileFrames:
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
         try:
-            assert recv_message(controller)["type"] == "hello"
+            assert recv_message(controller, TO_CONTROLLER)["type"] == "hello"
             if case == "well_formed":
                 for frame in frames.values():
                     send_message(controller, frame)
-                reply = recv_message(controller)
+                reply = recv_message(controller, TO_CONTROLLER)
                 assert reply["type"] == "result" and reply["task_id"] == 1
                 send_message(controller, {"type": "shutdown"})
             else:
                 for frame in ILL_TYPED_CONTROL[case](frames):
                     send_message(controller, frame)
-            assert recv_message(controller) is None
+            assert recv_message(controller, TO_CONTROLLER) is None
         finally:
             controller.close()
         thread.join(timeout=30.0)
@@ -640,18 +698,21 @@ class TestHostileFrames:
         assert len(refused) == (case != "well_formed")
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
-    def test_repro_worker_exits_1_on_an_ill_typed_frame(self, capsys):
+    @pytest.mark.parametrize("case", sorted(REFUSED_BY_A_WORKER))
+    def test_repro_worker_exits_1_on_an_ill_typed_frame(self, case, capsys):
         from repro.cli import main
 
         listener = socket.create_server(("127.0.0.1", 0))
         listener.settimeout(30.0)
+        frame, said = REFUSED_BY_A_WORKER[case]
 
         def controller():
             conn, _ = listener.accept()
             with conn:
-                assert recv_message(conn)["type"] == "hello"
-                send_message(conn, {"type": "task", "stage": "score"})
-                assert recv_message(conn) is None
+                conn.settimeout(30.0)
+                assert recv_message(conn, TO_CONTROLLER)["type"] == "hello"
+                conn.sendall(_wire(frame))
+                assert recv_message(conn, TO_CONTROLLER) is None
 
         thread = threading.Thread(target=controller, daemon=True)
         thread.start()
@@ -662,7 +723,7 @@ class TestHostileFrames:
             listener.close()
         errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
         assert code == 1 and len(errors) == 1 and errors[0].startswith("error: ")
-        assert "task_id" in errors[0]
+        assert said in errors[0]
 
     @pytest.mark.parametrize("case", sorted(TRAIN_MANY_LIES))
     def test_a_result_that_does_not_fit_its_task_drops_the_link(self, case, dialled_in_only):
@@ -845,8 +906,7 @@ class TestTaskErrors:
             ]
             with pytest.raises(CheckpointError, match="cannot checkpoint"):
                 backend.map(run_stage_task, tasks)
-            assert cluster._pending == {}
-            assert not any(link.outstanding for link in cluster._links.values())
+            assert not cluster._pending
             assert stage_map(backend, [1, 2]) == [1, 4]
         finally:
             shutdown_pools()
