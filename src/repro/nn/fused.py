@@ -21,6 +21,14 @@ hardware.  The sliced math is equivalent to the masked math — masked
 rows/columns contribute exact zeros to every dot product, and no
 gradient ever reaches a masked-out parameter entry either way.
 
+The sliced backward hands each gradient over as the block it covers
+(``Tensor._accumulate(part, block)``), so no full-size zero temporary
+is built per parameter per group; the sliced forward builds its padded
+output once, filling the inactive tail with ``act(0)`` from a table
+computed at import.  Every float operation is the one a full-size
+temporary would run, in the same order: only ``+ 0.0`` outside the
+block is skipped.
+
 Each kernel's backward applies the same NumPy expressions the composed
 graph applied, in the same order, so gradients agree with the composed
 path to float64 round-off (gradcheck pins them against central finite
@@ -128,6 +136,12 @@ ACT_KERNELS: Dict[str, ActKernel] = {
     "tanh": (_tanh_fwd, _tanh_bwd),
 }
 
+#: ``act(0)`` per activation: what a masked matmul leaves in an inactive
+#: output column, and so the sliced forward's fill value there
+_ACT_ZERO: Dict[str, float] = {
+    name: float(fwd(np.zeros(()), {})) for name, (fwd, _) in ACT_KERNELS.items()
+}
+
 
 def dense_act(
     x: Tensor,
@@ -167,19 +181,22 @@ def dense_act(
         max_in, max_out = weight.data.shape
         if not (0 < active_in <= max_in and 0 < active_out <= max_out):
             raise ValueError(f"active extents {active} outside weight shape {weight.data.shape}")
-        act_zero = float(act_fwd(np.zeros(()), {}))
+        act_zero = _ACT_ZERO[act_name]
+        w_block = (slice(None, active_in), slice(None, active_out))
+        x_block = (Ellipsis, slice(None, active_in))
 
         def compute_sliced() -> np.ndarray:
-            w = weight.data[:active_in, :active_out]
+            w = weight.data[w_block]
             saved["w"] = w
-            pre = x.data[..., :active_in] @ w
+            pre = x.data[x_block] @ w
             if bias is not None:
-                pre = pre + bias.data[:active_out]
+                pre += bias.data[:active_out]
             out_active = act_fwd(pre, saved)
             if active_out == max_out:
                 return out_active
-            out = np.full(out_active.shape[:-1] + (max_out,), act_zero)
+            out = np.empty(out_active.shape[:-1] + (max_out,))
             out[..., :active_out] = out_active
+            out[..., active_out:] = act_zero
             return out
 
         def backward_sliced(grad: np.ndarray) -> None:
@@ -189,23 +206,17 @@ def dense_act(
             # ``grad`` participates — identical to the masked backward.
             g_pre = act_bwd(grad[..., :active_out], saved)
             if bias is not None and bias.requires_grad:
-                gb = np.zeros_like(bias.data)
-                gb[:active_out] = _unbroadcast(g_pre, (active_out,))
-                bias._accumulate(gb)
+                bias._accumulate(_unbroadcast(g_pre, (active_out,)), w_block[1:])
             if weight.requires_grad:
-                xs = x.data[..., :active_in]
+                xs = x.data[x_block]
                 if xs.ndim == 1:
                     sub = np.outer(xs, g_pre)
                 else:
                     sub = np.swapaxes(xs, -1, -2) @ g_pre
-                gw = np.zeros_like(weight.data)
-                gw[:active_in, :active_out] = _unbroadcast(sub, (active_in, active_out))
-                weight._accumulate(gw)
+                weight._accumulate(_unbroadcast(sub, (active_in, active_out)), w_block)
             if x.requires_grad:
                 sub = g_pre @ saved["w"].T
-                gx = np.zeros_like(x.data)
-                gx[..., :active_in] = _unbroadcast(sub, gx[..., :active_in].shape)
-                x._accumulate(gx)
+                x._accumulate(_unbroadcast(sub, x.data.shape[:-1] + (active_in,)), x_block)
 
         return Tensor(compute_sliced(), parents=parents, backward=backward_sliced)
 
@@ -263,18 +274,30 @@ def masked_gather(
         if not (0 < active_width <= max_width):
             raise ValueError(f"active_width {active_width} outside (0, {max_width}]")
 
+        cols = (slice(None), slice(None, active_width))
+
         def compute_sliced() -> np.ndarray:
             saved["idx"] = idx = np.asarray(indices, dtype=np.int64) % modulus
             if active_width == max_width:
                 return table.data[idx]
-            out = np.zeros(idx.shape + (max_width,))
+            out = np.empty(idx.shape + (max_width,))
             out[..., :active_width] = table.data[idx, :active_width]
+            out[..., active_width:] = 0.0
             return out
 
         def backward_sliced(grad: np.ndarray) -> None:
-            g = np.zeros_like(table.data)
-            np.add.at(g[:, :active_width], saved["idx"], grad[..., :active_width])
-            table._accumulate(g)
+            part = grad[..., :active_width]
+            if table.grad is None:
+                # First touch: scatter straight into the zeroed buffer.
+                table._accumulate(0.0, cols)
+                np.add.at(table.grad[cols], saved["idx"], part)
+            else:
+                # A later touch sums its rows apart, then adds them into
+                # the block: scattering into the running gradient would
+                # add them in another order.
+                g = np.zeros((table.data.shape[0], active_width))
+                np.add.at(g, saved["idx"], part)
+                table._accumulate(g, cols)
 
         return Tensor(compute_sliced(), parents=(table,), backward=backward_sliced)
 

@@ -14,7 +14,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor
+
+
+def _targets_for(shape: tuple, targets: np.ndarray) -> np.ndarray:
+    """``targets`` as float64, refused if it would widen ``shape``.
+
+    A target may broadcast up to the logits (a scalar, a row), never
+    the other way: ``(N,)`` labels against ``(N, 1)`` logits would
+    broadcast to ``(N, N)`` and average over every pair.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
+    try:
+        widened = np.broadcast_shapes(shape, targets.shape) != shape
+    except ValueError:
+        widened = True
+    if widened:
+        raise ValueError(
+            f"targets of shape {targets.shape} do not fit logits of shape {shape}"
+        )
+    return targets
 
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -29,9 +48,8 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     The gradient is the classic ``(sigmoid(x) - y) / n``.
     """
-    targets = np.asarray(targets, dtype=np.float64)
-    out_shape = np.broadcast_shapes(logits.data.shape, targets.shape)
-    inv = 1.0 / max(1, int(np.prod(out_shape)))
+    targets = _targets_for(logits.data.shape, targets)
+    inv = 1.0 / max(1, logits.data.size)
 
     def compute() -> np.ndarray:
         x = logits.data
@@ -41,8 +59,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         x = logits.data
         sig = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-        d = (sig - targets) * (np.asarray(grad) * inv)
-        logits._accumulate(_unbroadcast(np.broadcast_to(d, out_shape), x.shape))
+        logits._accumulate((sig - targets) * (np.asarray(grad) * inv))
 
     return Tensor(compute(), parents=(logits,), backward=backward)
 
@@ -81,9 +98,8 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def mse(predictions: Tensor, targets: np.ndarray) -> Tensor:
     """Mean squared error against constant targets."""
-    targets = np.asarray(targets, dtype=np.float64)
-    out_shape = np.broadcast_shapes(predictions.data.shape, targets.shape)
-    inv = 1.0 / max(1, int(np.prod(out_shape)))
+    targets = _targets_for(predictions.data.shape, targets)
+    inv = 1.0 / max(1, predictions.data.size)
     saved: dict = {}
 
     def compute() -> np.ndarray:
@@ -91,10 +107,7 @@ def mse(predictions: Tensor, targets: np.ndarray) -> Tensor:
         return np.asarray((diff * diff).mean())
 
     def backward(grad: np.ndarray) -> None:
-        d = (np.asarray(grad) * inv) * saved["diff"] * 2.0
-        predictions._accumulate(
-            _unbroadcast(np.broadcast_to(d, out_shape), predictions.data.shape)
-        )
+        predictions._accumulate((np.asarray(grad) * inv) * saved["diff"] * 2.0)
 
     return Tensor(compute(), parents=(predictions,), backward=backward)
 
@@ -107,5 +120,6 @@ def accuracy(logits: Tensor, labels: np.ndarray) -> float:
 
 def binary_accuracy(logits: Tensor, targets: np.ndarray) -> float:
     """Accuracy of thresholded sigmoid predictions."""
+    targets = _targets_for(logits.data.shape, targets)
     predicted = (logits.data > 0.0).astype(np.float64)
-    return float((predicted == np.asarray(targets)).mean())
+    return float((predicted == targets).mean())

@@ -13,9 +13,12 @@ and a closure that accumulates gradients into them; ``backward`` runs a
 topological sort and applies the closures in reverse order.
 
 One hot-path mechanism lives here (see DESIGN.md §11): ``_accumulate``
-keeps a per-node gradient buffer (``_buf``) that survives
-``zero_grad``, so steady-state training reuses one array per node
-instead of allocating a fresh copy on every first touch.
+is the one way an op hands a tensor its gradient, whole or as a block
+(a tuple of slices) of it.  It keeps a per-node gradient buffer
+(``_buf``) that survives ``zero_grad``: a first touch writes into it,
+zero-filling it first for a block, and a later touch adds into it in
+place, so steady-state training reuses one array per node and a sliced
+kernel never builds a full-size temporary.
 """
 
 from __future__ import annotations
@@ -138,21 +141,41 @@ class Tensor:
     # ------------------------------------------------------------------
     # Gradient accumulation
     # ------------------------------------------------------------------
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            grad = np.asarray(grad, dtype=np.float64)
-            buf = self._buf
-            if buf is not None and buf.shape == grad.shape:
-                np.copyto(buf, grad)
+    def _accumulate(self, part: ArrayLike, block=None) -> None:
+        """Add ``part`` into this tensor's gradient, at ``block`` if given.
+
+        ``block`` is an index (a tuple of slices) of ``self.data``:
+        a sliced kernel hands over only the block its candidate touched.
+        The first touch after ``zero_grad`` writes into the reused
+        buffer (``_buf``), zero-filling it first when ``part`` covers
+        only a block; a later touch adds into the gradient in place.
+        """
+        grad = self.grad
+        if grad is not None:
+            if block is None:
+                grad += part
+            else:
+                grad[block] += part
+            return
+        buf = self._buf
+        if block is None:
+            part = np.asarray(part, dtype=np.float64)
+            if buf is not None and buf.shape == part.shape:
+                np.copyto(buf, part)
                 self.grad = buf
             else:
-                self.grad = self._buf = np.array(grad, copy=True)
+                self.grad = self._buf = np.array(part, copy=True)
+            return
+        if buf is not None and buf.shape == self.data.shape:
+            buf.fill(0.0)
         else:
-            self.grad += grad
+            buf = self._buf = np.zeros(self.data.shape)
+        buf[block] = part
+        self.grad = buf
 
     def zero_grad(self) -> None:
         # The preallocated buffer survives: the next backward pass
-        # copies into it instead of allocating a fresh array.
+        # writes into it instead of allocating a fresh array.
         self.grad = None
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:

@@ -302,6 +302,24 @@ class TestFusedKernels:
             rand(2, 5, 3), rand(3, 4, seed=1), rand(4, seed=2),
         )
 
+    def test_dense_act_two_extents_on_one_leaf(self):
+        # Input, weight and bias each receive two sliced blocks of
+        # different extents in one backward: the later one adds into
+        # the block the first one wrote.
+        assert_gradcheck(
+            lambda xt, wt, bt: dense_act(xt, wt, bt, "tanh", active=(2, 3))
+            + dense_act(xt, wt, bt, "swish", active=(3, 1)),
+            rand(5, 3), rand(3, 4, seed=1), rand(4, seed=2),
+        )
+
+    def test_masked_gather_two_widths_on_one_table(self):
+        idx = np.array([0, 9, 3, 7, 3])
+        assert_gradcheck(
+            lambda t: masked_gather(t, idx, None, 5, active_width=3) * rand(5, 4, seed=8)
+            + masked_gather(t, idx[::-1], None, 5, active_width=2) * rand(5, 4, seed=9),
+            rand(6, 4),
+        )
+
     def test_dense_act_rejects_active_plus_mask(self):
         x, w = Tensor(rand(5, 3)), Tensor(rand(3, 4, seed=1))
         with pytest.raises(ValueError, match="not both"):

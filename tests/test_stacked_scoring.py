@@ -46,6 +46,8 @@ from repro.supernet import (
 )
 from repro.supernet.vision import VisionSuperNetwork
 
+from .test_nn_gradcheck import numerical_grad
+
 NUM_TABLES = 2
 
 #: whether the measured backward allocates gradient buffers or copies
@@ -202,6 +204,20 @@ OPS = {
     "dense_act": lambda w, x: dense_act(Tensor(x.T), w, None, "tanh"),
     "dense_act_active": lambda w, x: dense_act(Tensor(x.T), w, None, "gelu", active=(2, 3)),
     "masked_gather": lambda w, x: masked_gather(w, _ids(x), None, 3, active_width=2),
+    # one leaf, two sliced contributions of different extents in one
+    # backward: the second adds into the block the first wrote
+    "dense_act_two_extents": lambda w, x: (
+        dense_act(Tensor(x.T), w, None, "tanh", active=(2, 3))
+        + dense_act(Tensor(x.T), w, None, "swish", active=(3, 2))
+    ),
+    "dense_act_input_two_extents": lambda w, x: (
+        dense_act(w, Tensor(x.T), None, "sigmoid", active=(2, 3))
+        + dense_act(w, Tensor(x.T), None, "relu", active=(4, 1))
+    ),
+    "masked_gather_two_widths": lambda w, x: (
+        masked_gather(w, _ids(x), None, 3, active_width=3)
+        + masked_gather(w, _ids(x)[::-1], None, 3, active_width=2)
+    ),
     "bce_with_logits": lambda w, x: bce_with_logits(w, x > 0),
     "mse": lambda w, x: mse(w, x),
     "softmax_cross_entropy": lambda w, x: softmax_cross_entropy(w, _ids(x)[:, 0]),
@@ -211,24 +227,28 @@ OPS = {
 class TestGradientBuffers:
     @pytest.mark.parametrize("op", sorted(OPS))
     def test_gradient_buffers_reused_across_steps(self, op):
-        """A backward after ``zero_grad`` copies into the buffer the one
-        before allocated, and reads what a fresh leaf would."""
+        """A backward after ``zero_grad`` writes into the buffer the one
+        before allocated, and reads what a fresh leaf would and what
+        central differences read."""
         rng = np.random.default_rng(0)
         data, first, second = rng.normal(size=(3, 3, 4))
 
-        def backward(w, x):
+        def loss(w, x):
             out = OPS[op](w, x)
-            (out * out).sum().backward()
+            return (out * out).sum()
 
         w = Tensor(data, requires_grad=True)
-        backward(w, first)
+        loss(w, first).backward()
         first_buf = w.grad
         w.zero_grad()
-        backward(w, second)
+        loss(w, second).backward()
         fresh = Tensor(data, requires_grad=True)
-        backward(fresh, second)
+        loss(fresh, second).backward()
         assert w.grad is first_buf  # same preallocated array, new values
         np.testing.assert_array_equal(w.grad, fresh.grad)
+        probe = Tensor(data.copy())
+        expected = numerical_grad(lambda: float(loss(probe, second).data), probe.data)
+        np.testing.assert_allclose(w.grad, expected, rtol=1e-5, atol=1e-6)
 
 
 class TestStackedPasses:
