@@ -10,6 +10,9 @@ standard variance reduction TuNAS also uses).
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -18,25 +21,65 @@ import numpy as np
 from ..searchspace.base import Architecture, SearchSpace
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+def _sum_in_order(values: np.ndarray) -> float:
+    """``0.0 + v[0] + v[1] + ...`` in Python floats (3.12's ``sum`` compensates)."""
+    return functools.reduce(operator.add, values.tolist(), 0.0)
 
 
 class CategoricalPolicy:
-    """Independent multinomial distributions, one per decision."""
+    """Independent multinomial distributions, one per decision.
+
+    The logits are one dense, unpadded table per distinct choice count;
+    ``logits[d]`` is decision ``d``'s row, a view a write goes through.
+    Each method is a few array ops per table, computing row by row what
+    a per-decision loop would, in the same order (DESIGN.md §10).
+    """
 
     def __init__(self, space: SearchSpace):
         self.space = space
-        self.logits: List[np.ndarray] = [
-            np.zeros(d.num_choices) for d in space.decisions
-        ]
+        self._counts = np.array([d.num_choices for d in space.decisions], dtype=np.int64)
+        self._tables: List[Tuple[np.ndarray, np.ndarray]] = []  # (its decisions, logits)
+        for count in np.unique(self._counts):
+            rows = np.flatnonzero(self._counts == count)
+            self._tables.append((rows, np.zeros((len(rows), count))))
+        # The tables' rows, end to end, are the decisions in stable count order.
+        self._order = np.argsort(np.argsort(self._counts, kind="stable"))
+        self.logits: List[np.ndarray] = self._decision_rows([t for _, t in self._tables])
 
-    # ------------------------------------------------------------------
+    def _decision_rows(self, tables: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """The rows of per-count ``tables``, listed in decision order."""
+        rows = [row for table in tables for row in table]
+        return [rows[i] for i in self._order]
+
+    def _in_decision_order(self, per_table: Sequence[np.ndarray]) -> np.ndarray:
+        """One value per row of each table, as one array in decision order."""
+        return np.concatenate(per_table or [np.empty(0)])[self._order]
+
+    def _probability_tables(self) -> List[np.ndarray]:
+        """Softmax of every row of every table."""
+        exps = [np.exp(table - table.max(axis=1, keepdims=True)) for _, table in self._tables]
+        return [exp / exp.sum(axis=1, keepdims=True) for exp in exps]
+
+    def _index_matrix(self, vectors: Sequence[Sequence[int]]) -> np.ndarray:
+        """Stack index vectors, refusing any that does not fit the space."""
+        decisions = self.space.decisions
+        for vector in vectors:
+            if len(vector) != len(decisions):
+                named = decisions[min(len(vector), len(decisions) - 1)].name
+                wrong = "has no entry for" if len(vector) < len(decisions) else "runs past"
+                raise ValueError(f"index vector of length {len(vector)} {wrong} decision {named!r}")
+        matrix = np.asarray(vectors, dtype=np.int64).reshape(len(vectors), len(decisions))
+        bad = (matrix < 0) | (matrix >= self._counts)
+        for sample, d in np.argwhere(bad)[:1] if bad.any() else ():
+            name, count = decisions[d].name, self._counts[d]
+            raise ValueError(
+                f"index {matrix[sample, d]} is out of range for decision {name!r} ({count} choices)"
+            )
+        return matrix
+
     def probabilities(self) -> List[np.ndarray]:
         """Per-decision choice probabilities."""
-        return [_softmax(logit) for logit in self.logits]
+        return self._decision_rows(self._probability_tables())
 
     def sample(self, rng: np.random.Generator) -> Tuple[Architecture, np.ndarray]:
         """Draw an architecture; returns it with its index vector."""
@@ -45,46 +88,38 @@ class CategoricalPolicy:
     def sample_batch(
         self, rng: np.random.Generator, count: int
     ) -> List[Tuple[Architecture, np.ndarray]]:
-        """Draw ``count`` independent architectures in one vectorized step.
-
-        Consumes the generator stream exactly like ``count`` sequential
-        :meth:`sample` calls (one uniform per decision, row-major), so a
-        batched search step reproduces the per-core Python loop draw for
-        draw given the same seed — only without ``count x decisions``
-        round-trips through ``rng.choice``.
-        """
+        """Draw ``count`` architectures, consuming the generator stream as
+        ``count`` sequential :meth:`sample` calls do (one uniform per
+        decision, row-major).  A choice is how many entries of its cdf are
+        ``<= u``: on a non-decreasing cdf, ``searchsorted(cdf, u, "right")``."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        probs = self.probabilities()
-        uniforms = rng.random((count, len(probs)))
-        columns = []
-        for d, p in enumerate(probs):
-            cdf = np.cumsum(p)
-            cdf /= cdf[-1]
-            columns.append(np.searchsorted(cdf, uniforms[:, d], side="right"))
-        index_matrix = np.stack(columns, axis=1).astype(np.int64)
-        return [
-            (self.space.architecture_from_indices(row), row) for row in index_matrix
-        ]
+        uniforms = rng.random((count, len(self._counts)))
+        index_matrix = np.empty(uniforms.shape, dtype=np.int64)
+        for (rows, _), probs in zip(self._tables, self._probability_tables()):
+            cdf = np.cumsum(probs, axis=1)
+            cdf = cdf / cdf[:, -1:]
+            index_matrix[:, rows] = (cdf <= uniforms[:, rows, None]).sum(axis=2)
+        architectures = map(self.space.architecture_from_indices, index_matrix.tolist())
+        return list(zip(architectures, index_matrix))
 
     def log_prob(self, indices: Sequence[int]) -> float:
         """Log-probability of the architecture encoded by ``indices``."""
-        total = 0.0
-        for probs, idx in zip(self.probabilities(), indices):
-            total += float(np.log(probs[int(idx)] + 1e-12))
-        return total
+        chosen = self._index_matrix([indices])[0]
+        tables = zip(self._tables, self._probability_tables())
+        picked = self._in_decision_order([p[np.arange(len(r)), chosen[r]] for (r, _), p in tables])
+        return _sum_in_order(np.log(picked + 1e-12))
 
     def entropy(self) -> float:
         """Summed entropy across decisions (search-convergence signal)."""
-        total = 0.0
-        for probs in self.probabilities():
-            total += float(-(probs * np.log(probs + 1e-12)).sum())
-        return total
+        return _sum_in_order(self._in_decision_order([
+            -(probs * np.log(probs + 1e-12)).sum(axis=1) for probs in self._probability_tables()
+        ]))
 
     def most_probable_architecture(self) -> Architecture:
         """Independently pick the argmax of every decision (end of search)."""
-        indices = [int(np.argmax(logit)) for logit in self.logits]
-        return self.space.architecture_from_indices(indices)
+        argmax = [table.argmax(axis=1) for _, table in self._tables]
+        return self.space.architecture_from_indices(self._in_decision_order(argmax))
 
     def state_dict(self) -> dict:
         """Copies of the per-decision logit vectors."""
@@ -101,7 +136,6 @@ class CategoricalPolicy:
                 raise ValueError("policy state comes from a different search space")
             mine[:] = saved
 
-    # ------------------------------------------------------------------
     def reinforce_update(
         self,
         samples: Sequence[Tuple[np.ndarray, float]],
@@ -110,39 +144,29 @@ class CategoricalPolicy:
     ) -> None:
         """One cross-shard REINFORCE step.
 
-        ``samples`` is a list of ``(index_vector, advantage)`` pairs —
-        one per parallel core — and the gradients are averaged across
-        cores before being applied (the paper's cross-shard policy
-        update).  The per-decision gradient of ``log pi`` w.r.t. the
-        logits is ``onehot(choice) - probs``.
-
-        ``entropy_coef`` adds an entropy bonus to the maximized
-        objective, preventing premature convergence when constraint
-        penalties dominate the early reward signal.  Both terms are
-        computed from one probability snapshot (taken before any logit
-        moves) and applied as a single combined step with consistent
-        scaling: the shard mean of the per-sample REINFORCE gradients
-        plus ``entropy_coef`` times the entropy gradient, all times the
-        learning rate.  The entropy bonus is therefore invariant to the
-        shard size, exactly like the averaged REINFORCE term.
+        ``samples`` holds one ``(index_vector, advantage)`` pair per
+        parallel core; the per-decision gradients of ``log pi``,
+        ``onehot(choice) - probs``, are averaged across cores.  The
+        ``entropy_coef`` bonus, against premature convergence while
+        constraint penalties dominate the early reward, comes from the
+        same probability snapshot and lands in the same step, so it is
+        invariant to shard size like the averaged REINFORCE term.
         """
         if not samples:
             return
-        probs = self.probabilities()
-        grads = [np.zeros_like(logit) for logit in self.logits]
-        for indices, advantage in samples:
-            for d, idx in enumerate(indices):
-                onehot = np.zeros_like(grads[d])
-                onehot[int(idx)] = 1.0
-                grads[d] += advantage * (onehot - probs[d])
-        for d, (logit, grad) in enumerate(zip(self.logits, grads)):
+        chosen = self._index_matrix([indices for indices, _ in samples])
+        advantages = np.array([advantage for _, advantage in samples], dtype=float)[:, None, None]
+        for (rows, logits), probs in zip(self._tables, self._probability_tables()):
+            onehots = chosen[:, rows, None] == np.arange(logits.shape[1])
+            grad = np.zeros(logits.shape)
+            for term in advantages * (onehots - probs):  # in sample order
+                grad += term
             update = (learning_rate / len(samples)) * grad
             if entropy_coef > 0:
-                p = probs[d]
-                log_p = np.log(p + 1e-12)
-                entropy = float(-(p * log_p).sum())
-                update += learning_rate * entropy_coef * (-p * (log_p + entropy))
-            logit += update
+                log_p = np.log(probs + 1e-12)
+                entropy = -(probs * log_p).sum(axis=1, keepdims=True)
+                update += learning_rate * entropy_coef * (-probs * (log_p + entropy))
+            logits += update
 
 
 @dataclass
@@ -157,13 +181,10 @@ class BaselineTracker:
         return reward if self.value is None else reward - self.value
 
     def update(self, rewards: Sequence[float]) -> None:
-        if not len(rewards):
-            return
-        mean = float(np.mean(rewards))
-        if self.value is None:
-            self.value = mean
-        else:
-            self.value = self.momentum * self.value + (1 - self.momentum) * mean
+        if len(rewards):
+            mean = float(np.mean(rewards))
+            old = self.value
+            self.value = mean if old is None else self.momentum * old + (1 - self.momentum) * mean
 
 
 class ReinforceController:
@@ -196,18 +217,13 @@ class ReinforceController:
 
     def update(self, samples: Sequence[Tuple[np.ndarray, float]]) -> None:
         """REINFORCE update from ``(indices, reward)`` pairs."""
-        for _, reward in samples:
-            if not np.isfinite(reward):
-                raise ValueError(
-                    "non-finite reward reached the controller; check the "
-                    "quality signal and performance metrics"
-                )
-        advantaged = [
-            (indices, self.baseline.advantage(reward)) for indices, reward in samples
-        ]
-        self.policy.reinforce_update(
-            advantaged, self.learning_rate, entropy_coef=self.entropy_coef
-        )
+        if not all(math.isfinite(reward) for _, reward in samples):
+            raise ValueError(
+                "non-finite reward reached the controller; check the "
+                "quality signal and performance metrics"
+            )
+        advantaged = [(indices, self.baseline.advantage(reward)) for indices, reward in samples]
+        self.policy.reinforce_update(advantaged, self.learning_rate, entropy_coef=self.entropy_coef)
         self.baseline.update([reward for _, reward in samples])
 
     def best_architecture(self) -> Architecture:
@@ -217,12 +233,8 @@ class ReinforceController:
         return self.policy.entropy()
 
     def state_dict(self) -> dict:
-        """Full controller state: policy logits, baseline, rng stream.
-
-        The rng bit-generator state is included so a restored controller
-        continues sampling the *same* stream — the property the
-        checkpoint subsystem needs for crash-identical resume.
-        """
+        """Full controller state: policy logits, baseline, rng stream (so a
+        restored controller samples the *same* stream: crash-identical resume)."""
         return {
             "policy": self.policy.state_dict(),
             "baseline_value": self.baseline.value,

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CategoricalPolicy, ReinforceController
@@ -86,6 +86,139 @@ class TestCategoricalPolicy:
         for probs in policy.probabilities():
             assert probs.sum() == pytest.approx(1.0)
             assert np.all(probs >= 0)
+
+
+class TestMalformedIndexVectors:
+    """An index vector that does not fit the space is refused, naming the
+    decision, before any logit moves."""
+
+    OUT_OF_RANGE = r"index {} is out of range for decision 'b' \(2 choices\)"
+    CASES = [
+        pytest.param([2], "no entry for decision 'b'", id="short"),
+        pytest.param([0, -1], OUT_OF_RANGE.format(-1), id="negative"),
+        pytest.param([0, 2], OUT_OF_RANGE.format(2), id="past_last_choice"),
+        pytest.param([2, 1, 0], "length 3 runs past decision 'b'", id="long"),
+    ]
+
+    @pytest.mark.parametrize("indices, message", CASES)
+    def test_reinforce_update_refuses(self, indices, message):
+        policy = CategoricalPolicy(small_space())
+        with pytest.raises(ValueError, match=message):
+            policy.reinforce_update([(np.array([1, 0]), 1.0), (np.array(indices), 1.0)], 0.5)
+        for logit in policy.logits:
+            np.testing.assert_array_equal(logit, 0.0)
+
+    @pytest.mark.parametrize("indices, message", CASES)
+    def test_log_prob_refuses(self, indices, message):
+        with pytest.raises(ValueError, match=message):
+            CategoricalPolicy(small_space()).log_prob(indices)
+
+    def test_controller_update_refuses(self):
+        controller = ReinforceController(small_space())
+        with pytest.raises(ValueError, match="no entry for decision 'b'"):
+            controller.update([(np.array([0]), 1.0)])
+        assert controller.baseline.value is None
+
+
+class PerDecisionReference:
+    """The policy as one logit vector per decision, looped decision by
+    decision: the expressions the per-count tables must reproduce bit for
+    bit (DESIGN.md §10, "policy tables")."""
+
+    def __init__(self, counts):
+        self.logits = [np.zeros(count) for count in counts]
+
+    @staticmethod
+    def softmax(logits):
+        shifted = logits - logits.max()
+        exp = np.exp(shifted)
+        return exp / exp.sum()
+
+    def probabilities(self):
+        return [self.softmax(logit) for logit in self.logits]
+
+    def sample_batch(self, rng, count):
+        probs = self.probabilities()
+        uniforms = rng.random((count, len(probs)))
+        columns = []
+        for d, p in enumerate(probs):
+            cdf = np.cumsum(p)
+            cdf /= cdf[-1]
+            columns.append(np.searchsorted(cdf, uniforms[:, d], side="right"))
+        return np.stack(columns, axis=1).astype(np.int64)
+
+    def log_prob(self, indices):
+        total = 0.0
+        for probs, idx in zip(self.probabilities(), indices):
+            total += float(np.log(probs[int(idx)] + 1e-12))
+        return total
+
+    def entropy(self):
+        total = 0.0
+        for probs in self.probabilities():
+            total += float(-(probs * np.log(probs + 1e-12)).sum())
+        return total
+
+    def reinforce_update(self, samples, learning_rate, entropy_coef):
+        probs = self.probabilities()
+        grads = [np.zeros_like(logit) for logit in self.logits]
+        for indices, advantage in samples:
+            for d, idx in enumerate(indices):
+                onehot = np.zeros_like(grads[d])
+                onehot[int(idx)] = 1.0
+                grads[d] += advantage * (onehot - probs[d])
+        for d, (logit, grad) in enumerate(zip(self.logits, grads)):
+            update = (learning_rate / len(samples)) * grad
+            if entropy_coef > 0:
+                p = probs[d]
+                log_p = np.log(p + 1e-12)
+                entropy = float(-(p * log_p).sum())
+                update += learning_rate * entropy_coef * (-p * (log_p + entropy))
+            logit += update
+
+
+class TestTablesMatchThePerDecisionLoop:
+    @given(
+        counts=st.lists(st.integers(1, 15), min_size=1, max_size=40),
+        entropy_coef=st.sampled_from([0.0, 0.15]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(counts=[1, 9, 15, 4, 4, 4, 1, 12, 9, 2, 8, 7], entropy_coef=0.15, seed=3)
+    @settings(max_examples=40, deadline=None)
+    def test_draws_updates_and_entropy_are_bit_identical(self, counts, entropy_coef, seed):
+        space = SearchSpace("s", [Decision(f"d{i}", tuple(range(c))) for i, c in enumerate(counts)])
+        policy, reference = CategoricalPolicy(space), PerDecisionReference(counts)
+        rng = np.random.default_rng(seed)
+        mine, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+
+        def assert_same_policy():
+            for a, b in zip(policy.logits, reference.logits):
+                assert np.array_equal(a, b)
+            for a, b in zip(policy.probabilities(), reference.probabilities()):
+                assert np.array_equal(a, b)
+            assert policy.entropy() == reference.entropy()
+
+        for step in range(24):
+            if step == 8:  # a write through a row view reaches the next draw
+                d = int(rng.integers(len(counts)))
+                policy.logits[d][:] = reference.logits[d][:] = rng.normal(size=counts[d]) * 4
+            if step == 16:  # ...and so does a restored state
+                saved = [rng.normal(size=c) * 4 for c in counts]
+                policy.load_state_dict({"logits": [logit.copy() for logit in saved]})
+                reference.logits = saved
+            count = int(rng.integers(1, 7))
+            drawn = policy.sample_batch(mine, count)
+            expected = reference.sample_batch(theirs, count)
+            assert np.array_equal(np.stack([indices for _, indices in drawn]), expected)
+            assert policy.log_prob(expected[0]) == reference.log_prob(expected[0])
+            assert_same_policy()
+            samples = [(row, float(a)) for row, a in zip(expected, rng.normal(size=count) * 3)]
+            policy.reinforce_update(samples, 0.4, entropy_coef)
+            reference.reinforce_update(samples, 0.4, entropy_coef)
+            assert_same_policy()
+        assert policy.most_probable_architecture() == space.architecture_from_indices(
+            [int(np.argmax(logit)) for logit in reference.logits]
+        )
 
 
 class TestBaselineTracker:
