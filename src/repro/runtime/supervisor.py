@@ -7,6 +7,8 @@ Three layers:
   only hand the interpreter back and forth on every small ufunc call
   (measured: two threads finish fewer jobs per second than one).  One
   steps while the others write snapshots, sleep, or wait their turn.
+  Only a daemon on a remote backend runs jobs on threads; on
+  ``serial`` each job has a process, and the turn there is uncontended.
 
 * :func:`run_with_checkpoints` drives one attempt of a search step by
   step, snapshotting every ``checkpoint_every`` steps and resuming from

@@ -53,7 +53,15 @@ class Architecture(Mapping[str, Any]):
     """An immutable assignment of every decision in a search space."""
 
     def __init__(self, choices: Mapping[str, Any]):
-        self._choices = dict(choices)
+        self._choices = dict(choices)  # a caller's mapping may change later
+
+    @classmethod
+    def _adopt(cls, choices: Dict[str, Any]) -> "Architecture":
+        """An architecture that keeps ``choices`` itself, uncopied: for a
+        dict built for it, which no one else holds."""
+        arch = cls.__new__(cls)
+        arch._choices = choices
+        return arch
 
     def __getitem__(self, name: str) -> Any:
         return self._choices[name]
@@ -78,7 +86,7 @@ class Architecture(Mapping[str, Any]):
         """A copy with some decisions re-assigned."""
         merged = dict(self._choices)
         merged.update(updates)
-        return Architecture(merged)
+        return Architecture._adopt(merged)
 
     def as_dict(self) -> Dict[str, Any]:
         return dict(self._choices)
@@ -131,7 +139,7 @@ class SearchSpace:
     # ------------------------------------------------------------------
     def sample(self, rng: np.random.Generator) -> Architecture:
         """Uniformly sample one architecture."""
-        return Architecture(
+        return Architecture._adopt(
             {d.name: d.choices[int(rng.integers(d.num_choices))] for d in self.decisions}
         )
 
@@ -156,7 +164,7 @@ class SearchSpace:
         """Inverse of :meth:`indices_of`."""
         if len(indices) != len(self.decisions):
             raise ValueError("index vector length does not match decision count")
-        return Architecture(
+        return Architecture._adopt(
             {d.name: d.choices[int(i)] for d, i in zip(self.decisions, indices)}
         )
 
@@ -166,7 +174,7 @@ class SearchSpace:
         Concrete spaces order choices so index 0 is the baseline value
         (zero depth/width delta, baseline vocabulary, ...).
         """
-        return Architecture({d.name: d.choices[0] for d in self.decisions})
+        return Architecture._adopt({d.name: d.choices[0] for d in self.decisions})
 
     def frozen(self, assignments: Mapping[str, Any], name: Optional[str] = None) -> "SearchSpace":
         """A copy of this space with some decisions pinned to one value.

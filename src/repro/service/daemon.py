@@ -15,13 +15,16 @@ their next step boundary with a final checkpoint (they return to
 SIGKILL skips all of that by definition — which is fine: the spool's
 atomic job records and each job's checkpoint store are the durability
 story, and the next start resumes every interrupted job
-bit-identically.
+bit-identically.  A job running in a process of its own (the ``serial``
+backend's) reads EOF on its link when the daemon dies and exits at
+once, so it never writes under a restarted daemon's resumed job.
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
+import select
 import socket
 import threading
 import time
@@ -30,7 +33,7 @@ from typing import Any, Dict, Optional, Union
 
 from ..runtime.atomic import atomic_write_json
 from ..runtime.signals import GracefulShutdown
-from .jobs import load_results
+from .jobs import DAEMON_SOCKETS, SOCKETS_LOCK, load_results
 from .protocol import (
     ProtocolError,
     ResultsNotReadyError,
@@ -111,10 +114,12 @@ class ServiceDaemon:
             finally:
                 probe.close()
         path.parent.mkdir(parents=True, exist_ok=True)
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        with SOCKETS_LOCK:
+            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            DAEMON_SOCKETS.add(listener)
         listener.bind(str(path))
         listener.listen(16)
-        listener.settimeout(self.config.accept_timeout_s)
+        listener.setblocking(False)  # ``_accept`` waits in ``select``
         return listener
 
     # -- main loop ------------------------------------------------------
@@ -153,11 +158,11 @@ class ServiceDaemon:
             try:
                 while not self._shutdown.requested:
                     try:
-                        conn, _addr = self._listener.accept()
-                    except socket.timeout:
-                        continue
+                        conn = self._accept()
                     except OSError:
                         break
+                    if conn is None:
+                        continue
                     threading.Thread(
                         target=self._serve_connection,
                         args=(conn,),
@@ -167,6 +172,20 @@ class ServiceDaemon:
             finally:
                 summary = self._drain_and_close()
         return summary
+
+    def _accept(self) -> Optional[socket.socket]:
+        """The next connection, registered before a job process can fork
+        with it (none within ``accept_timeout_s``: ``None``)."""
+        ready, _, _ = select.select([self._listener], [], [], self.config.accept_timeout_s)
+        if not ready:
+            return None
+        with SOCKETS_LOCK:
+            try:
+                conn, _addr = self._listener.accept()
+            except BlockingIOError:
+                return None  # the peer gave up before we took it
+            DAEMON_SOCKETS.add(conn)
+        return conn
 
     def request_drain(self) -> None:
         """Programmatic drain trigger (the ``drain`` verb, tests)."""

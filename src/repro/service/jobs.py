@@ -15,7 +15,9 @@ of three runs of the quickstart DLRM workload, each from its builder:
 :func:`run_spec` is the one executor: it maps the kind to its builder
 and drives the engine under
 :func:`~repro.runtime.supervisor.run_with_checkpoints`.  :func:`run_job`
-runs a queued job through it inside the job's private run directory::
+runs a queued job through it inside the job's private run directory,
+and :func:`run_job_in_process` (the daemon's runner) runs ``run_job`` in
+a process forked for the job when the backend computes in process::
 
     <spool>/runs/<job_id>/checkpoints/   resumable snapshots
     <spool>/runs/<job_id>/telemetry/     per-job metrics + event stream
@@ -35,12 +37,19 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import pathlib
+import signal
+import socket
+import threading
 import time
+import weakref
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Optional
 
 from ..runtime.atomic import atomic_write_json
+from ..runtime.errors import SearchInterrupted
 from .protocol import JobSpecError
 
 RESULTS_NAME = "results.json"
@@ -568,6 +577,174 @@ def run_job(
         return payload
     finally:
         telemetry.close()
+
+
+# ----------------------------------------------------------------------
+# A job in its own process
+# ----------------------------------------------------------------------
+#: Every daemon-side socket of this process: the listener, the client
+#: connections and each job's end of its link.  A job process inherits
+#: them all under ``fork`` and closes each first.
+DAEMON_SOCKETS: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
+
+#: Held while a daemon-side socket is made and registered, and across a
+#: job's fork: no job process inherits a socket it does not know to close.
+SOCKETS_LOCK = threading.Lock()
+
+#: How often a relaying job thread asks ``should_stop``.
+RELAY_POLL_S = 0.05
+
+
+class JobProcessError(RuntimeError):
+    """A job's process failed, or died before it said how its run ended."""
+
+
+def _send(link: socket.socket, message: Dict[str, Any]) -> None:
+    link.sendall(json.dumps(message).encode("utf-8") + b"\n")
+
+
+def _follow_daemon(link: socket.socket, stop: threading.Event) -> None:
+    """A job process's reader: the daemon's ``stop`` sets ``stop``.  EOF
+    means the daemon is gone, and the process ends at once, before it
+    writes more into a run directory a restarted daemon will resume."""
+    try:
+        for line in link.makefile("rb"):
+            if json.loads(line)["type"] == "stop":
+                stop.set()
+    finally:
+        os._exit(1)
+
+
+def _job_process_main(link: socket.socket, record: Any, run_dir: Any, *run: Any) -> None:
+    """Body of a job's process: :func:`run_job`, reported over ``link``."""
+    for sock in list(DAEMON_SOCKETS):
+        sock.close()
+    for sig in (signal.SIGINT, signal.SIGTERM):  # a stop comes over the link
+        signal.signal(sig, signal.SIG_IGN)
+    stop = threading.Event()
+    threading.Thread(
+        target=_follow_daemon, args=(link, stop), name="repro-job-link", daemon=True
+    ).start()
+    completed = []
+
+    def should_stop() -> bool:
+        # Polled after the step's snapshot, so the daemon's durable
+        # progress write for it follows the snapshot it describes.
+        _send(link, {"type": "step", "step": completed[-1]})
+        return stop.is_set()
+
+    try:
+        payload = run_job(record, run_dir, should_stop, completed.append, *run)
+    except SearchInterrupted as stopped:
+        message = {
+            "type": "stopped",
+            "step": stopped.step,
+            "checkpoint_written": stopped.checkpoint_written,
+        }
+    except Exception as error:  # noqa: BLE001 - reported, raised daemon-side
+        message = {"type": "failed", "error": type(error).__name__, "message": str(error)}
+    else:
+        message = {"type": "done", "payload": payload}
+    _send(link, message)
+
+
+def _relay(
+    link: socket.socket,
+    should_stop: Optional[Callable[[], bool]],
+    on_step: Optional[Callable[[int], None]],
+) -> Optional[Dict[str, Any]]:
+    """Relay a job process's ``step`` messages to ``on_step`` and a true
+    ``should_stop`` to it as ``stop``; its last message, or ``None`` when
+    it closed the link without one."""
+    link.settimeout(RELAY_POLL_S)
+    stopping = False
+    pending = b""
+    while True:
+        if not stopping and should_stop is not None and should_stop():
+            stopping = True
+            try:
+                _send(link, {"type": "stop"})
+            except OSError:
+                pass  # gone already: the read below sees it
+        try:
+            chunk = link.recv(65536)
+        except socket.timeout:
+            continue
+        except OSError:
+            chunk = b""
+        if not chunk:
+            return None
+        *lines, pending = (pending + chunk).split(b"\n")
+        for line in lines:
+            message = json.loads(line)
+            if message["type"] != "step":
+                return message
+            if on_step is not None:
+                on_step(message["step"])
+
+
+def run_job_in_process(
+    record: Any,
+    run_dir: pathlib.Path,
+    should_stop: Optional[Callable[[], bool]] = None,
+    on_step: Optional[Callable[[int], None]] = None,
+    backend: Optional[str] = None,
+    workers: Optional[int] = None,
+    sleep_fn: Callable[[float], None] = time.sleep,
+) -> Dict[str, Any]:
+    """:func:`run_job` in a process forked for the job; the caller relays.
+
+    Searches are GIL-bound numpy, so two jobs in one interpreter share
+    one core; two processes use two.  A backend that computes in other
+    processes already (``processes``, ``distributed``) runs ``run_job``
+    on the calling thread instead, so every job shares its one cluster.
+
+    The link is a socketpair carrying JSON lines: the job sends ``step``
+    after each completed step (and its snapshot), then ``done``,
+    ``stopped`` or ``failed``; the daemon sends ``stop`` once
+    ``should_stop`` is true.  Returns and raises what ``run_job`` would,
+    and :class:`JobProcessError` for a failure in the job's process
+    (naming the exception it raised there) or a process that died
+    without a last message (naming its signal).  The process is joined
+    before this returns.
+    """
+    from ..core.engine.backends import process_start_method, resolve_backend
+
+    run = (backend, workers, sleep_fn)
+    if resolve_backend(backend, workers).remote:
+        return run_job(record, run_dir, should_stop, on_step, *run)
+    with SOCKETS_LOCK:
+        link, job_end = socket.socketpair()
+        DAEMON_SOCKETS.add(link)
+        process = multiprocessing.get_context(process_start_method()).Process(
+            target=_job_process_main,
+            args=(job_end, record, run_dir, *run),
+            name=f"repro-job-{record.job_id}",
+        )
+        try:
+            process.start()
+        except BaseException:
+            link.close()
+            raise
+        finally:
+            job_end.close()
+    message = None
+    try:
+        message = _relay(link, should_stop, on_step)
+    finally:
+        if message is None:
+            process.kill()  # a no-op on one that died already
+        process.join()
+        link.close()
+    if message is None:
+        code = process.exitcode
+        cause = f"signal {signal.Signals(-code).name}" if code < 0 else f"exit code {code}"
+        raise JobProcessError(f"job process {process.pid} ended by {cause} mid-run")
+    if message["type"] == "stopped":
+        raise SearchInterrupted(message["step"], message["checkpoint_written"])
+    if message["type"] == "failed":
+        raise JobProcessError(f"{message['error']}: {message['message']}")
+    return message["payload"]
 
 
 def load_results(run_dir: pathlib.Path) -> Optional[Dict[str, Any]]:

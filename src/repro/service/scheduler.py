@@ -1,13 +1,17 @@
 """Multiplexing scheduler: N concurrent searches, one shared worker pool.
 
 The scheduler owns the daemon's compute: it claims queued jobs FIFO,
-runs each in its own thread under the checkpointed step loop, and caps
-concurrency globally (``max_concurrent``) and per tenant
-(``tenant_max_running``).  Shard-level fan-out inside every job goes
-through the execution backends of :mod:`repro.core.engine.backends` —
-remote backends share one worker cluster per ``(name, workers,
-$REPRO_DIST_BIND)`` process-wide, so four concurrent searches
-multiplex over *one* worker pool instead of spawning four.
+gives each a thread, and caps concurrency globally (``max_concurrent``)
+and per tenant (``tenant_max_running``).  On a backend that computes in
+process (``serial``) a job's thread only relays: the job runs under the
+checkpointed step loop in a process forked for it
+(:func:`~repro.service.jobs.run_job_in_process`), so concurrent
+searches use a core each instead of taking turns on one interpreter.
+On a remote backend the thread runs the job itself, and shard-level
+fan-out goes through :mod:`repro.core.engine.backends`, whose clusters
+are shared per ``(name, workers, $REPRO_DIST_BIND)`` process-wide: four
+concurrent searches multiplex over *one* worker pool instead of
+spawning four.
 
 Admission control happens at submit time, before anything touches the
 spool: a draining daemon rejects with
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..runtime.errors import SearchInterrupted
-from .jobs import JobSpec, run_job
+from .jobs import JobSpec, run_job_in_process
 from .protocol import AdmissionClosedError, JobStateError, QuotaExceededError
 from .queue import TERMINAL_STATES, JobQueue, JobRecord
 
@@ -40,7 +44,8 @@ from .queue import TERMINAL_STATES, JobQueue, JobRecord
 class SchedulerConfig:
     """Concurrency and admission-control policy."""
 
-    #: searches running simultaneously (each in its own thread)
+    #: searches running simultaneously (each in a process of its own
+    #: on ``serial``, on a thread of the daemon's on a remote backend)
     max_concurrent: int = 2
     #: queued jobs across all tenants before submissions bounce
     max_queue_depth: int = 64
@@ -77,8 +82,8 @@ class JobScheduler:
     """Drives the queue: admission, dispatch, cancel, drain.
 
     ``runner`` is injectable for tests; the default is
-    :func:`repro.service.jobs.run_job`.  ``telemetry`` (the *daemon's*
-    handle, distinct from each job's private stream) receives
+    :func:`repro.service.jobs.run_job_in_process`.  ``telemetry`` (the
+    *daemon's* handle, distinct from each job's private stream) receives
     ``service.*`` counters and gauges.
     """
 
@@ -87,7 +92,7 @@ class JobScheduler:
         queue: JobQueue,
         config: Optional[SchedulerConfig] = None,
         telemetry: Optional[Any] = None,
-        runner: Callable[..., Dict[str, Any]] = run_job,
+        runner: Callable[..., Dict[str, Any]] = run_job_in_process,
     ):
         self.queue = queue
         self.config = config if config is not None else SchedulerConfig()

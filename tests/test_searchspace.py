@@ -60,6 +60,25 @@ class TestArchitecture:
         b = a.replaced(y=3)
         assert b["y"] == 3 and a["y"] == 2
 
+    def test_constructor_copies_the_callers_mapping(self):
+        choices = {"x": 1, "y": "relu"}
+        a = Architecture(choices)
+        choices["x"] = 2
+        del choices["y"]
+        assert dict(a) == {"x": 1, "y": "relu"}
+
+    def test_space_built_architectures_equal_constructed_ones(self):
+        space = tiny_space()
+        for arch in (
+            space.architecture_from_indices([1, 2]),
+            space.default_architecture(),
+            space.sample(np.random.default_rng(0)),
+            space.default_architecture().replaced(b="q"),
+        ):
+            rebuilt = Architecture(dict(arch))
+            assert arch == rebuilt and hash(arch) == hash(rebuilt)
+            assert repr(arch) == repr(rebuilt)
+
 
 def tiny_space():
     return SearchSpace(

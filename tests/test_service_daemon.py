@@ -7,10 +7,12 @@ bit-identical to uninterrupted one-shot runs of the same specs (the
 same fingerprint contract the crash/resume tests established for the
 supervisor).
 
-Every daemon here pins ``--backend serial``.  Two jobs sharing one
-scheduler, and so one worker cluster, on every backend are the
-``service`` cells of ``test_sweep.py``; these tests need not fork pools
-from a threaded daemon.
+Every daemon here pins ``--backend serial``, so each job runs in a
+process forked for it; the ``job_process`` tests read those processes'
+tables in /proc.  Two jobs sharing one scheduler, and so one worker
+cluster, on every backend are the ``service`` cells of
+``test_sweep.py``; these tests need not fork pools from a threaded
+daemon.
 """
 
 import json
@@ -42,6 +44,8 @@ from repro.service.protocol import (
     UnknownJobError,
     UnknownVerbError,
 )
+
+from .test_service_scheduler import wait_until
 
 TINY = {"steps": 3, "seed": 7}
 
@@ -169,7 +173,9 @@ class TestEndToEnd:
         assert final["progress"] < 50
 
 
-def start_daemon_subprocess(spool, max_concurrent=1):
+def start_daemon_subprocess(spool, max_concurrent=1, own_group=False):
+    """A ``repro serve`` child; ``own_group`` makes it lead a process
+    group of its own, as a shell's foreground job does."""
     env = dict(os.environ, PYTHONPATH=str(
         os.path.join(os.path.dirname(__file__), os.pardir, "src")
     ))
@@ -185,7 +191,58 @@ def start_daemon_subprocess(spool, max_concurrent=1):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        start_new_session=own_group,
     )
+
+
+def child_pids(pid):
+    """Running children of ``pid`` (zombies left out), read from /proc."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                state, parent = handle.read().rsplit(")", 1)[1].split()[:2]
+        except OSError:
+            continue  # exited while we listed it
+        if int(parent) == pid and state != "Z":
+            children.append(int(entry))
+    return children
+
+
+def running(pid):
+    """Whether ``pid`` is a live process that is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def socket_inodes(pid):
+    """The sockets ``pid`` holds open, as ``socket:[inode]`` links."""
+    held = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith("socket:"):
+            held.add(target)
+    return held
+
+
+def stop_daemon(proc):
+    """Drain-free teardown: SIGKILL if still up, then reap."""
+    if proc.poll() is None:
+        proc.kill()
+    proc.communicate(timeout=30.0)
+
+
+proc_only = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="reads process tables from /proc"
+)
 
 
 class TestDaemonSubprocess:
@@ -211,9 +268,13 @@ class TestDaemonSubprocess:
         assert "drained" in out
         assert not (spool / "daemon.sock").exists()  # clean shutdown
 
-    def test_sigterm_drains_and_requeues(self, tmp_path):
+    @pytest.mark.parametrize("interrupt", ["sigterm", "ctrl_c_to_the_group"])
+    def test_sigterm_drains_and_requeues(self, tmp_path, interrupt):
+        """SIGTERM to the daemon, or SIGINT to its whole process group (a
+        Ctrl-C, which its job processes receive too), drains: the running
+        job parks ``queued``, not ``failed``."""
         spool = tmp_path / "spool"
-        proc = start_daemon_subprocess(spool)
+        proc = start_daemon_subprocess(spool, own_group=interrupt != "sigterm")
         try:
             client = ServiceClient(spool / "daemon.sock")
             client.wait_ready(timeout=30.0)
@@ -222,7 +283,10 @@ class TestDaemonSubprocess:
             while client.status(record["job_id"])["progress"] < 1:
                 assert time.monotonic() < deadline
                 time.sleep(0.02)
-            proc.send_signal(signal.SIGTERM)
+            if interrupt == "sigterm":
+                proc.send_signal(signal.SIGTERM)
+            else:
+                os.killpg(proc.pid, signal.SIGINT)
             _out, err = proc.communicate(timeout=60.0)
         finally:
             if proc.poll() is None:
@@ -233,8 +297,133 @@ class TestDaemonSubprocess:
             (spool / "jobs" / f"{record['job_id']}.json").read_text()
         )
         # Parked at a step boundary, back in line for the next daemon.
-        assert on_disk["state"] == "queued"
+        assert on_disk["state"] == "queued", on_disk.get("error")
         assert on_disk["progress"] >= 1
+
+    @proc_only
+    def test_job_process_leaves_no_orphan_after_daemon_sigkill(self, tmp_path):
+        """A SIGKILLed daemon's job process exits on its own (EOF on its
+        link) before a restarted daemon resumes the job, which then ends
+        bit-identical to a one-shot run.  The kill lands early in the
+        job's last step: a process that lived on, even only to the end of
+        that step, would write ``results.json``."""
+        spool = tmp_path / "spool"
+        spec = {"steps": 2, "seed": 4, "step_sleep_s": 2.0}
+        proc = start_daemon_subprocess(spool)
+        try:
+            client = ServiceClient(spool / "daemon.sock")
+            client.wait_ready(timeout=30.0)
+            job_id = client.submit("alice", spec)["job_id"]
+            wait_until(lambda: client.status(job_id)["progress"] >= 1, timeout=60.0)
+            (job_pid,) = child_pids(proc.pid)
+            proc.kill()
+            killed_at = time.monotonic()
+            wait_until(lambda: not running(job_pid), timeout=5.0)
+            assert time.monotonic() - killed_at < 5.0
+        finally:
+            stop_daemon(proc)
+        # it exited mid-run: it did not finish the job on its own
+        assert not (spool / "runs" / job_id / "results.json").exists()
+
+        restarted = start_daemon_subprocess(spool)
+        try:
+            client = ServiceClient(spool / "daemon.sock")
+            client.wait_ready(timeout=30.0)
+            payload = client.wait_results(job_id, timeout=120.0)
+            assert client.status(job_id)["recoveries"] == 1
+            client.drain()
+            restarted.communicate(timeout=30.0)
+        finally:
+            stop_daemon(restarted)
+        assert payload == one_shot_payload(JobSpec(**spec), backend="serial")
+
+    @proc_only
+    def test_job_process_killed_fails_only_its_job(self, tmp_path):
+        """SIGKILL one job's process: that job is ``failed`` with an error
+        naming the signal, the daemon still answers, and a concurrent job
+        finishes ``done`` with its one-shot fingerprint."""
+        spool = tmp_path / "spool"
+        victim_spec = {"steps": 60, "seed": 1, "step_sleep_s": 0.1}
+        other_spec = {"steps": 8, "seed": 6, "step_sleep_s": 0.1}
+        proc = start_daemon_subprocess(spool, max_concurrent=2)
+        try:
+            client = ServiceClient(spool / "daemon.sock")
+            client.wait_ready(timeout=30.0)
+            victim = client.submit("alice", victim_spec)["job_id"]
+            wait_until(lambda: client.status(victim)["progress"] >= 1, timeout=60.0)
+            (victim_pid,) = child_pids(proc.pid)
+            other = client.submit("bob", other_spec)["job_id"]
+            wait_until(lambda: client.status(other)["progress"] >= 1, timeout=60.0)
+            os.kill(victim_pid, signal.SIGKILL)
+            failed = client.wait(victim, timeout=30.0)
+            assert client.ping()["pid"] == proc.pid
+            payload = client.wait_results(other, timeout=120.0)
+            client.drain()
+            _out, err = proc.communicate(timeout=30.0)
+        finally:
+            stop_daemon(proc)
+        assert proc.returncode == 0, err
+        assert failed["state"] == "failed"
+        assert "SIGKILL" in failed["error"]
+        reference = one_shot_payload(JobSpec(**other_spec), backend="serial")
+        assert payload["fingerprint"] == reference["fingerprint"]
+
+    @proc_only
+    def test_job_process_ignores_signals(self, tmp_path):
+        """A job's process takes its stop from the daemon only: SIGINT and
+        SIGTERM sent straight to it, twice each, change nothing."""
+        spool = tmp_path / "spool"
+        spec = {"steps": 10, "seed": 2, "step_sleep_s": 0.1}
+        proc = start_daemon_subprocess(spool)
+        try:
+            client = ServiceClient(spool / "daemon.sock")
+            client.wait_ready(timeout=30.0)
+            job_id = client.submit("alice", spec)["job_id"]
+            wait_until(lambda: client.status(job_id)["progress"] >= 1, timeout=60.0)
+            (job_pid,) = child_pids(proc.pid)
+            for sig in (signal.SIGINT, signal.SIGTERM) * 2:
+                os.kill(job_pid, sig)
+                time.sleep(0.05)
+            final = client.wait(job_id, timeout=60.0)
+            payload = client.results(job_id) if final["state"] == "done" else None
+            client.drain()
+            proc.communicate(timeout=30.0)
+        finally:
+            stop_daemon(proc)
+        assert final["state"] == "done", final.get("error")
+        assert payload == one_shot_payload(JobSpec(**spec), backend="serial")
+
+    @proc_only
+    def test_job_processes_hold_no_daemon_socket(self, tmp_path):
+        """With two jobs running, neither job's process holds a socket the
+        daemon holds: not the listener, not a client connection (one is
+        left open across both forks), not the other job's link."""
+        spool = tmp_path / "spool"
+        proc = start_daemon_subprocess(spool, max_concurrent=2)
+        idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            client = ServiceClient(spool / "daemon.sock")
+            client.wait_ready(timeout=30.0)
+            idle.connect(str(spool / "daemon.sock"))
+            jobs = [
+                client.submit(tenant, {"steps": 40, "seed": 3, "step_sleep_s": 0.1})["job_id"]
+                for tenant in ("alice", "bob")
+            ]
+            wait_until(
+                lambda: all(client.status(job)["progress"] >= 1 for job in jobs), timeout=60.0
+            )
+            job_pids = child_pids(proc.pid)
+            assert len(job_pids) == 2
+            daemon_sockets = socket_inodes(proc.pid)
+            # the listener, the idle connection and both jobs' links
+            assert len(daemon_sockets) >= 4
+            for pid in job_pids:
+                assert socket_inodes(pid) & daemon_sockets == set()
+            client.drain()
+            proc.communicate(timeout=60.0)
+        finally:
+            idle.close()
+            stop_daemon(proc)
 
     def test_sigkill_durability_bit_identical(self, tmp_path):
         """The acceptance criterion: SIGKILL with a running job and two
