@@ -103,13 +103,6 @@ class CategoricalPolicy:
         architectures = map(self.space.architecture_from_indices, index_matrix.tolist())
         return list(zip(architectures, index_matrix))
 
-    def log_prob(self, indices: Sequence[int]) -> float:
-        """Log-probability of the architecture encoded by ``indices``."""
-        chosen = self._index_matrix([indices])[0]
-        tables = zip(self._tables, self._probability_tables())
-        picked = self._in_decision_order([p[np.arange(len(r)), chosen[r]] for (r, _), p in tables])
-        return _sum_in_order(np.log(picked + 1e-12))
-
     def entropy(self) -> float:
         """Summed entropy across decisions (search-convergence signal)."""
         return _sum_in_order(self._in_decision_order([

@@ -34,18 +34,6 @@ from .engine import (
 )
 
 
-def __getattr__(name: str):
-    # WorkerHost resolves lazily (PEP 562): importing .distributed
-    # eagerly would pull the socket transport — and through it
-    # repro.service — into every `import repro.core`, re-entering the
-    # partially-initialized core package via runtime.checkpoint.
-    if name == "WorkerHost":
-        from .distributed import WorkerHost
-
-        return WorkerHost
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "BACKEND_ENV_VAR",
     "BACKEND_NAMES",
@@ -62,7 +50,6 @@ __all__ = [
     "StageTask",
     "StepRecord",
     "SuperNetwork",
-    "WorkerHost",
     "default_worker_count",
     "group_unique_architectures",
     "process_start_method",

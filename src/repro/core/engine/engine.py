@@ -157,10 +157,6 @@ class SearchResult:
     batches_used: int
     eval_stats: Optional[EvalRuntimeStats] = None
 
-    @property
-    def all_candidates(self) -> List[CandidateRecord]:
-        return [c for step in self.history for c in step.candidates]
-
     def rewards(self) -> np.ndarray:
         return np.array([s.mean_reward for s in self.history])
 

@@ -84,11 +84,6 @@ def parse_address(spec: str) -> Tuple[str, int]:
     return host, port
 
 
-def format_address(address: Tuple[str, int]) -> str:
-    host, port = address
-    return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
-
-
 def encode_message(message: Dict[str, Any]) -> bytes:
     """One message as a frame payload (the header space-padded so the
     buffers start 8-byte aligned)."""
@@ -169,7 +164,6 @@ __all__ = [
     "TRANSPORT_VERSION",
     "decode_message",
     "encode_message",
-    "format_address",
     "parse_address",
     "recv_message",
     "send_message",

@@ -456,9 +456,6 @@ class EvalRuntime:
             if self.telemetry is not None:
                 self.telemetry.trace.record(stage, elapsed)
 
-    def stage_seconds(self, stage: str) -> float:
-        return self._stage_seconds.get(stage, 0.0)
-
     # ------------------------------------------------------------------
     def stats(self) -> EvalRuntimeStats:
         """Immutable snapshot of the counters collected so far."""

@@ -70,17 +70,6 @@ class MultiTrialResult:
     cache_hits: int = 0
     cache_misses: int = 0
 
-    @property
-    def num_trials(self) -> int:
-        return len(self.trials)
-
-    def rewards(self) -> np.ndarray:
-        return np.array([t.reward for t in self.trials])
-
-    def best_reward_curve(self) -> np.ndarray:
-        """Running best reward after each trial (sample-efficiency view)."""
-        return np.maximum.accumulate(self.rewards())
-
 
 class _ResumableTrialLoop:
     """Shared stepwise/checkpoint machinery of the multi-trial searches.

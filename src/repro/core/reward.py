@@ -81,10 +81,6 @@ class RewardFunction:
             penalty += objective.beta * term
         return quality + penalty
 
-    def penalty_only(self, metrics: Mapping[str, float]) -> float:
-        """The performance part of the reward (quality excluded)."""
-        return self(0.0, metrics)
-
 
 def relu_reward(objectives: Sequence[PerformanceObjective]) -> RewardFunction:
     """The paper's single-sided ReLU reward (Equation 1)."""

@@ -29,20 +29,3 @@ class Batch:
     def size(self) -> int:
         """Number of examples in the batch."""
         return int(self.labels.shape[0])
-
-    def split(self) -> tuple["Batch", "Batch"]:
-        """Split into two half-batches (used by the two-step baseline)."""
-        half = self.size // 2
-        if half == 0:
-            raise ValueError("batch too small to split")
-        first = Batch(
-            batch_id=self.batch_id,
-            inputs={k: v[:half] for k, v in self.inputs.items()},
-            labels=self.labels[:half],
-        )
-        second = Batch(
-            batch_id=self.batch_id,
-            inputs={k: v[half:] for k, v in self.inputs.items()},
-            labels=self.labels[half:],
-        )
-        return first, second

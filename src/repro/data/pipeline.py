@@ -117,16 +117,6 @@ class SingleStepPipeline(_TelemetryMixin):
     def batches_issued(self) -> int:
         return self._issued
 
-    @property
-    def outstanding_batches(self) -> int:
-        """Batches issued but not yet fully consumed (bookkeeping size)."""
-        return len(self._outstanding)
-
-    @property
-    def peak_outstanding(self) -> int:
-        """High-watermark of :attr:`outstanding_batches` over the stream."""
-        return self._peak_outstanding
-
     def exhausted(self) -> bool:
         return self._max_batches is not None and self._issued >= self._max_batches
 

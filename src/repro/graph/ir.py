@@ -189,24 +189,9 @@ class OpGraph:
         )  # fmt: skip
         return node
 
-    def chain(self, nodes: Iterable[OpNode], after: Optional[str] = None) -> Optional[str]:
-        """Add ``nodes`` in sequence, each depending on the previous.
-
-        Returns the name of the last node added (or ``after`` when
-        ``nodes`` is empty).
-        """
-        last = after
-        for node in nodes:
-            self.add(node, deps=[last] if last is not None else [])
-            last = node.name
-        return last
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
     def __len__(self) -> int:
         return len(self.names)
 
@@ -258,10 +243,6 @@ class OpGraph:
         return sum(self.flops[row] for row in self.order())
 
     @property
-    def total_param_bytes(self) -> float:
-        return sum(self.param_bytes[row] for row in self.order())
-
-    @property
     def total_bytes(self) -> float:
         return sum(self.bytes_in[r] + self.bytes_out[r] + self.param_bytes[r] for r in self.order())
 
@@ -292,8 +273,3 @@ class OpGraph:
             path.append(best[path[-1]])
         path.reverse()
         return path, cost[path[-1]]
-
-    def critical_path(self, weights: Dict[str, float]) -> List[str]:
-        """Names along :meth:`longest_path` under per-name ``weights``."""
-        path, _ = self.longest_path([weights[self.names[row]] for row in self.order()])
-        return [self.names[row] for row in path]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .ir import OpGraph, UNIT_MEMORY, UNIT_MXU, UNIT_NETWORK, UNIT_VPU
+from .ir import OpGraph, UNIT_MEMORY, UNIT_MXU, UNIT_VPU
 
 DEFAULT_DTYPE_BYTES = 2.0
 EMBEDDING_DTYPE_BYTES = 4.0
@@ -216,11 +216,3 @@ def concat(
     under its own ``op_type``)."""
     moved = total_elements * dtype_bytes
     return graph.append(name, op_type, 0.0, moved, moved, 0.0, UNIT_MEMORY, deps=deps)
-
-
-def all_to_all(graph: OpGraph, name: str, payload_bytes: float, *, deps: Iterable[str] = ()) -> str:
-    """Cross-chip shuffle of ``payload_bytes`` over the interconnect."""
-    return graph.append(
-        name, "all_to_all", 0.0, payload_bytes, payload_bytes, 0.0, UNIT_NETWORK, (),
-        payload_bytes, None, deps,
-    )  # fmt: skip

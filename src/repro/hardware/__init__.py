@@ -37,7 +37,6 @@ from .testbed import (
 from .whatif import (
     ResourceSensitivity,
     bottleneck,
-    resource_sensitivity,
     sensitivity_profile,
 )
 
@@ -74,7 +73,6 @@ __all__ = [
     "power_report",
     "roofline_point",
     "bottleneck",
-    "resource_sensitivity",
     "sensitivity_profile",
     "simulate",
     "tile_efficiency",

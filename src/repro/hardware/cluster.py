@@ -84,12 +84,6 @@ class ClusterModel:
             allreduce_time_s=comm,
         )
 
-    def scaling_curve(
-        self, chip_counts: Sequence[int], global_batch: int
-    ) -> List[ClusterStep]:
-        """Weak-scaling sweep at a fixed global batch."""
-        return [self.step(chips, global_batch) for chips in chip_counts]
-
     def scaling_efficiency(
         self, chip_counts: Sequence[int], global_batch: int
     ) -> List[float]:

@@ -86,11 +86,6 @@ class HardwareConfig:
     def cmem_capacity_bytes(self) -> float:
         return self.cmem_capacity_mb * 1e6
 
-    @property
-    def ridge_intensity(self) -> float:
-        """Operational intensity (FLOPs/byte) at the HBM roofline ridge."""
-        return self.peak_matrix_flops / self.hbm_bandwidth
-
     def with_overrides(self, **kwargs) -> "HardwareConfig":
         """A copy with selected fields replaced (for what-if studies)."""
         return replace(self, **kwargs)

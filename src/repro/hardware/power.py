@@ -42,10 +42,6 @@ class PowerReport:
     hbm_utilization: float
     cmem_utilization: float
 
-    @property
-    def average_power_fraction(self) -> float:
-        return self.power_w  # kept for symmetry; watts already absolute
-
 
 def utilizations(result: SimulationResult, hw: HardwareConfig) -> dict:
     """Fraction-of-peak utilization of each subsystem over the run."""

@@ -135,15 +135,6 @@ class SimulationResult:
     def cmem_bandwidth_used(self) -> float:
         return self.cmem_bytes / self.total_time_s if self.total_time_s > 0 else 0.0
 
-    @property
-    def total_memory_bytes(self) -> float:
-        return self.hbm_bytes + self.cmem_bytes
-
-    @property
-    def operational_intensity(self) -> float:
-        total = self.total_memory_bytes
-        return self.total_flops / total if total > 0 else 0.0
-
     def bound_fraction(self, bound: str) -> float:
         """Fraction of serial time spent in ops limited by ``bound``."""
         if self.serial_time_s <= 0:

@@ -75,10 +75,6 @@ class Measurement:
     attempts: int  #: attempts consumed, including the successful one
     timed_out: int  #: attempts discarded for exceeding the deadline
 
-    @property
-    def retries(self) -> int:
-        return self.attempts - 1
-
 
 @dataclass(frozen=True)
 class TestbedCalibration:
@@ -119,15 +115,6 @@ class HardwareTestbed:
         #: scoped (measurement churn is real work, never rolled back)
         self.telemetry = telemetry
 
-    def attach_telemetry(self, telemetry: object) -> None:
-        """Attach a telemetry handle unless one is already set."""
-        if self.telemetry is None:
-            self.telemetry = telemetry
-
-    def simulate(self, graph: OpGraph) -> SimulationResult:
-        """Clean simulator result (what pretraining data is made from)."""
-        return self._simulator.simulate(graph)
-
     def deterministic_time(self, graph: OpGraph) -> float:
         """Hardware time without measurement noise (for analysis)."""
         result = self._simulator.simulate(graph)
@@ -137,10 +124,6 @@ class HardwareTestbed:
         """One noisy wall-clock measurement, seconds."""
         noise = float(np.exp(self._rng.normal(0.0, self.calibration.noise_sigma)))
         return self.deterministic_time(graph) * noise
-
-    def measure_throughput(self, graph: OpGraph, examples_per_step: int) -> float:
-        """Examples/second under one measurement."""
-        return examples_per_step / self.measure_time(graph)
 
     def measure(self, graph: OpGraph) -> Measurement:
         """One measurement under the retry/timeout policy.

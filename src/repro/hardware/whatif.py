@@ -67,16 +67,6 @@ def _scaled_time(graph: OpGraph, hw: HardwareConfig, resource: str, scale: float
     return PerformanceSimulator(scaled_hw).simulate(graph).total_time_s
 
 
-def resource_sensitivity(
-    graph: OpGraph,
-    hw: HardwareConfig,
-    resource: str,
-    scale: float = 2.0,
-) -> ResourceSensitivity:
-    """Step-time response of ``graph`` to scaling one ``resource``."""
-    return sensitivity_profile(graph, hw, (resource,), scale)[resource]
-
-
 def sensitivity_profile(
     graph: OpGraph,
     hw: HardwareConfig,

@@ -73,10 +73,6 @@ class DlrmModelSpec:
     distributed: bool = True  # tables sharded across chips (all-to-all)
 
     @property
-    def embedding_param_bytes(self) -> float:
-        return sum(t.param_bytes for t in self.tables)
-
-    @property
     def total_embedding_width(self) -> int:
         return sum(t.width for t in self.tables)
 

@@ -18,7 +18,7 @@ partitioning" (Section 6.2.3).  This module plans that sharding:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..hardware.config import HardwareConfig, TPU_V4
 from .dlrm import DlrmModelSpec, TableSpec
@@ -96,10 +96,6 @@ class ShardedEmbeddingTime:
     gather_time_s: float  # slowest chip's local gathers
     all_to_all_time_s: float  # exchanging rows with every other chip
 
-    @property
-    def total_s(self) -> float:
-        return self.gather_time_s + self.all_to_all_time_s
-
 
 def embedding_step_time(
     spec: DlrmModelSpec, plan: ShardPlan, hw: HardwareConfig = TPU_V4
@@ -118,17 +114,3 @@ def embedding_step_time(
     remote_fraction = (plan.num_chips - 1) / plan.num_chips
     a2a = slowest_lookup * remote_fraction / hw.ici_bandwidth
     return ShardedEmbeddingTime(gather_time_s=gather, all_to_all_time_s=a2a)
-
-
-def sharding_sweep(
-    spec: DlrmModelSpec,
-    chip_counts: Sequence[int],
-    hw: HardwareConfig = TPU_V4,
-) -> Dict[int, ShardedEmbeddingTime]:
-    """Embedding step time across slice sizes (scaling analysis)."""
-    if not chip_counts:
-        raise ValueError("chip_counts must be non-empty")
-    return {
-        chips: embedding_step_time(spec, plan_sharding(spec, chips), hw)
-        for chips in chip_counts
-    }

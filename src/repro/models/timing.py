@@ -137,25 +137,13 @@ class TimingHarness:
     def measure(self, arch: Architecture) -> Tuple[float, float]:
         """(train_step_time, serving_latency) from the hardware testbed.
 
-        Measurements go through the testbeds' retry/timeout policy;
-        retries spent on flaky attempts accumulate on
-        :attr:`measurement_retries`.
+        Measurements go through the testbeds' retry/timeout policy.
         """
         train_graph, serve_graph = self._graphs(arch)
         return (
             self._train_bed.measure(train_graph).time_s,
             self._serve_bed.measure(serve_graph).time_s,
         )
-
-    @property
-    def measurement_retries(self) -> int:
-        """Total measurement retries across both testbeds."""
-        return self._train_bed.total_retries + self._serve_bed.total_retries
-
-    @property
-    def measurement_timeouts(self) -> int:
-        """Total timed-out measurement attempts across both testbeds."""
-        return self._train_bed.total_timeouts + self._serve_bed.total_timeouts
 
     def measure_deterministic(self, arch: Architecture) -> Tuple[float, float]:
         """Noise-free testbed times (for evaluation sweeps)."""

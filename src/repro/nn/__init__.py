@@ -11,11 +11,10 @@ from .layers import (
     MaskedDense,
     MaskedEmbedding,
     Module,
-    Sequential,
     activation,
 )
 from .losses import accuracy, bce_with_logits, binary_accuracy, mse, softmax_cross_entropy
-from .optim import Adam, Optimizer, SGD
+from .optim import Adam, Optimizer
 
 __all__ = [
     "ACTIVATIONS",
@@ -29,8 +28,6 @@ __all__ = [
     "MaskedEmbedding",
     "Module",
     "Optimizer",
-    "SGD",
-    "Sequential",
     "Tensor",
     "accuracy",
     "activation",

@@ -30,10 +30,6 @@ def embedding_normal(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.nda
     return rng.normal(0.0, 0.05, size=shape)
 
 
-def zeros(_rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape)
-
-
 def _fans(shape: Tuple[int, ...]) -> Tuple[int, int]:
     if len(shape) == 1:
         return shape[0], shape[0]

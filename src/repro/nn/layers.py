@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Mapping as AbcMapping
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
@@ -91,9 +91,6 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
 
     def state_dict(self) -> "OrderedDict[str, np.ndarray]":
         """Copies of all parameter arrays, keyed by traversal index.
@@ -362,18 +359,6 @@ class LayerNorm(Module):
         )
         inv_std = (variance + self.eps) ** -0.5
         return centered * inv_std * self.gain.mask(mask) + self.bias.mask(mask)
-
-
-class Sequential(Module):
-    """A simple forward pipeline of modules."""
-
-    def __init__(self, layers: Sequence[Module]):
-        self.layers = list(layers)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
 
 
 class MLP(Module):

@@ -25,22 +25,6 @@ class Optimizer:
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def state_dict(self) -> dict:
-        """Internal optimizer state, aligned to the parameter list order.
-
-        Moments are stored per parameter *index* (not ``id()``), so the
-        state survives process boundaries as long as the restored
-        optimizer holds the same parameters in the same order — the
-        contract the checkpoint subsystem (:mod:`repro.runtime`) uses
-        for crash-identical resume.
-        """
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output in place."""
-        if state:
-            raise ValueError(f"stateless optimizer got state keys {sorted(state)}")
-
     def _aligned(self, per_id: Dict[int, np.ndarray]) -> List[Optional[np.ndarray]]:
         """Per-id slot arrays re-keyed to parameter positions."""
         return [per_id.get(id(p)) for p in self.params]
@@ -57,62 +41,6 @@ class Optimizer:
                     f"{name}: slot shape {np.shape(slot)} does not match "
                     f"parameter {param.data.shape}"
                 )
-
-    def clip_gradients(self, max_norm: float) -> float:
-        """Scale all gradients so their global L2 norm is at most ``max_norm``.
-
-        Returns the pre-clip norm (useful for diagnostics).
-        """
-        total = 0.0
-        for param in self.params:
-            if param.grad is not None:
-                total += float((param.grad**2).sum())
-        norm = float(np.sqrt(total))
-        if norm > max_norm and norm > 0:
-            scale = max_norm / norm
-            for param in self.params:
-                if param.grad is not None:
-                    param.grad *= scale
-        return norm
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: List[Tensor], lr: float = 0.01, momentum: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for param in self.params:
-            if param.grad is None:
-                continue
-            if self.momentum > 0:
-                vel = self._velocity.get(id(param))
-                if vel is None:
-                    vel = self._velocity[id(param)] = np.zeros_like(param.data)
-                # In-place ``v*m + g``: multiply then add round identically
-                # to the out-of-place expression, without the allocation.
-                vel *= self.momentum
-                vel += param.grad
-                param.data -= self.lr * vel
-            else:
-                param.data -= self.lr * param.grad
-
-    def state_dict(self) -> dict:
-        return {"velocity": [
-            None if v is None else v.copy() for v in self._aligned(self._velocity)
-        ]}
-
-    def load_state_dict(self, state: dict) -> None:
-        slots = state["velocity"]
-        self._check_slots(slots, "velocity")
-        self._velocity = {
-            id(p): np.array(v, dtype=p.data.dtype)
-            for p, v in zip(self.params, slots)
-            if v is not None
-        }
 
 
 class Adam(Optimizer):
@@ -157,6 +85,14 @@ class Adam(Optimizer):
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def state_dict(self) -> dict:
+        """The step count and moments, aligned to the parameter list order.
+
+        Moments are stored per parameter *index* (not ``id()``), so the
+        state survives process boundaries as long as the restored
+        optimizer holds the same parameters in the same order — the
+        contract the checkpoint subsystem (:mod:`repro.runtime`) uses
+        for crash-identical resume.
+        """
         return {
             "t": self._t,
             "m": [None if m is None else m.copy() for m in self._aligned(self._m)],
@@ -164,6 +100,7 @@ class Adam(Optimizer):
         }
 
     def load_state_dict(self, state: dict) -> None:
+        """Restore :meth:`state_dict` output in place."""
         m_slots, v_slots = state["m"], state["v"]
         self._check_slots(m_slots, "m")
         self._check_slots(v_slots, "v")

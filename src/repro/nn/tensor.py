@@ -113,30 +113,14 @@ class Tensor:
     def shape(self) -> Tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (not a copy)."""
-        return self.data
 
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError("item() requires a tensor with exactly one element")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        """Return a view of the same data with no gradient history."""
-        return Tensor(self.data)
 
     # ------------------------------------------------------------------
     # Gradient accumulation
@@ -241,9 +225,6 @@ class Tensor:
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = as_tensor(other)
 
@@ -259,25 +240,6 @@ class Tensor:
         return Tensor(compute(), parents=(self, other), backward=backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = as_tensor(other)
-
-        def compute() -> np.ndarray:
-            return self.data / other.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad / other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(-grad * self.data / (other.data**2), other.data.shape)
-                )
-
-        return Tensor(compute(), parents=(self, other), backward=backward)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return as_tensor(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
@@ -448,27 +410,6 @@ class Tensor:
 
         return Tensor(compute(), parents=(self,), backward=backward)
 
-    def exp(self) -> "Tensor":
-        saved = {}
-
-        def compute() -> np.ndarray:
-            saved["out"] = out = np.exp(np.clip(self.data, -700.0, 700.0))
-            return out
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * saved["out"])
-
-        return Tensor(compute(), parents=(self,), backward=backward)
-
-    def log(self) -> "Tensor":
-        def compute() -> np.ndarray:
-            return np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
-
-        return Tensor(compute(), parents=(self,), backward=backward)
-
     # ------------------------------------------------------------------
     # Reductions and shape manipulation
     # ------------------------------------------------------------------
@@ -554,10 +495,6 @@ class Tensor:
             self._accumulate(_unbroadcast(grad * mask_array, self.data.shape))
 
         return Tensor(compute(), parents=(self,), backward=backward)
-
-    def clip_norm_value(self) -> float:
-        """L2 norm of the data (convenience for diagnostics)."""
-        return float(np.linalg.norm(self.data))
 
 
 def as_tensor(value: ArrayLike) -> Tensor:

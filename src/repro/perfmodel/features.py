@@ -63,10 +63,6 @@ class ArchitectureEncoder:
     def num_features(self) -> int:
         return self._num_features
 
-    def encode(self, arch: Architecture) -> np.ndarray:
-        """Feature vector of one architecture."""
-        return self.encode_batch([arch])[0]
-
     def encode_batch(self, archs) -> np.ndarray:
         """Feature matrix ``(len(archs), num_features)``."""
         archs = list(archs)

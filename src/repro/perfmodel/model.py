@@ -116,6 +116,3 @@ class PerformanceModel:
 
     def parameters(self):
         return self.mlp.parameters()
-
-    def zero_grad(self) -> None:
-        self.mlp.zero_grad()

@@ -64,10 +64,6 @@ class ResumeReport:
     snapshot_id: Optional[str] = None
     corrupt_skipped: List[str] = field(default_factory=list)
 
-    @property
-    def resumed(self) -> bool:
-        return self.resumed_from_step is not None
-
 
 def resume_search(store: CheckpointStore, search: Any):
     """Restore ``search`` from the newest good snapshot, if one exists.

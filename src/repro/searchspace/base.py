@@ -78,10 +78,6 @@ class Architecture(Mapping[str, Any]):
     def __hash__(self) -> int:
         return hash(tuple(sorted((k, repr(v)) for k, v in self._choices.items())))
 
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}={v!r}" for k, v in sorted(self._choices.items()))
-        return f"Architecture({body})"
-
     def replaced(self, **updates: Any) -> "Architecture":
         """A copy with some decisions re-assigned."""
         merged = dict(self._choices)
@@ -107,19 +103,6 @@ class SearchSpace:
     def __len__(self) -> int:
         return len(self.decisions)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def decision(self, name: str) -> Decision:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(f"no decision named {name!r} in space {self.name!r}") from None
-
-    def decisions_tagged(self, tag: str) -> List[Decision]:
-        """All decisions carrying ``tag``."""
-        return [d for d in self.decisions if tag in d.tags]
-
     # ------------------------------------------------------------------
     # Size accounting (Table 5)
     # ------------------------------------------------------------------
@@ -143,17 +126,6 @@ class SearchSpace:
             {d.name: d.choices[int(rng.integers(d.num_choices))] for d in self.decisions}
         )
 
-    def validate(self, arch: Architecture) -> None:
-        """Raise if ``arch`` does not assign every decision a legal value."""
-        missing = [d.name for d in self.decisions if d.name not in arch]
-        if missing:
-            raise ValueError(f"architecture missing decisions: {missing}")
-        extra = [name for name in arch if name not in self._by_name]
-        if extra:
-            raise ValueError(f"architecture has unknown decisions: {extra}")
-        for decision in self.decisions:
-            decision.index_of(arch[decision.name])  # raises on illegal value
-
     def indices_of(self, arch: Architecture) -> np.ndarray:
         """Encode ``arch`` as an integer index per decision (policy order)."""
         return np.array(
@@ -165,7 +137,7 @@ class SearchSpace:
         if len(indices) != len(self.decisions):
             raise ValueError("index vector length does not match decision count")
         return Architecture._adopt(
-            {d.name: d.choices[int(i)] for d, i in zip(self.decisions, indices)}
+            {d.name: d.choices[i] for d, i in zip(self.decisions, indices)}
         )
 
     def default_architecture(self) -> Architecture:

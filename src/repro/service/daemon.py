@@ -1,11 +1,13 @@
 """The ``repro serve`` daemon: a Unix-socket front end over the scheduler.
 
-One long-lived process per spool directory.  Startup recovers the
-spool (re-queueing jobs a dead daemon left ``running``), starts the
-scheduler, binds ``<spool>/daemon.sock`` (or ``--socket``), and serves
-one newline-delimited JSON request per connection on a small accept
-loop — a deliberately boring server: no event loop, no dependencies,
-each connection handled on its own short-lived thread.
+One long-lived process per spool directory.  Startup takes the
+spool's lock (an exclusive ``flock`` on ``<spool>/daemon.lock``, held
+for the daemon's life), recovers the spool (re-queueing jobs a dead
+daemon left ``running``), starts the scheduler, binds
+``<spool>/daemon.sock`` (or ``--socket``), and serves one
+newline-delimited JSON request per connection on a small accept loop —
+a deliberately boring server: no event loop, no dependencies, each
+connection handled on its own short-lived thread.
 
 Shutdown is always a *drain*: whether triggered by the ``drain`` verb
 or by SIGTERM/SIGINT (via :class:`~repro.runtime.signals
@@ -22,6 +24,7 @@ once, so it never writes under a restarted daemon's resumed job.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import pathlib
 import select
@@ -29,7 +32,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from typing import IO, Any, Dict, Optional, Union
 
 from ..runtime.atomic import atomic_write_json
 from ..runtime.signals import GracefulShutdown
@@ -50,6 +53,7 @@ from .scheduler import JobScheduler, SchedulerConfig
 PathLike = Union[str, pathlib.Path]
 
 SOCKET_NAME = "daemon.sock"
+LOCK_NAME = "daemon.lock"
 DAEMON_INFO_NAME = "daemon.json"
 TELEMETRY_DIRNAME = "telemetry"
 
@@ -94,25 +98,24 @@ class ServiceDaemon:
         self._shutdown = GracefulShutdown()
         self._started_monotonic: Optional[float] = None
 
-    # -- socket lifecycle ----------------------------------------------
+    # -- spool lock and socket lifecycle -------------------------------
+    def _lock_spool(self) -> IO[bytes]:
+        """``<spool>/daemon.lock``, held exclusively until closed: one
+        daemon per spool.  Close-on-exec, as Python opens every file; a
+        job process closes it with the daemon's sockets."""
+        with SOCKETS_LOCK:  # no job process forks with it unregistered
+            lock = open(self.spool / LOCK_NAME, "ab")
+            DAEMON_SOCKETS.add(lock)
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            lock.close()
+            raise ServiceError(f"another daemon is already serving {self.spool}") from None
+        return lock
+
     def _bind(self) -> socket.socket:
         path = self.socket_path
-        if path.exists():
-            # Either a live daemon (refuse) or the leftover of a killed
-            # one (clean up and take over).
-            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                probe.settimeout(0.5)
-                probe.connect(str(path))
-            except OSError:
-                path.unlink()
-            else:
-                probe.close()
-                raise ServiceError(
-                    f"another daemon is already listening on {path}"
-                )
-            finally:
-                probe.close()
+        path.unlink(missing_ok=True)  # under the spool lock, a socket file is a dead daemon's
         path.parent.mkdir(parents=True, exist_ok=True)
         with SOCKETS_LOCK:
             listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -131,7 +134,7 @@ class ServiceDaemon:
         ``drain`` verb or :meth:`request_drain`.
         """
         self._started_monotonic = time.monotonic()
-        with self._shutdown:
+        with self._shutdown, self._lock_spool():
             recovered = self.scheduler.start()
             self._listener = self._bind()
             atomic_write_json(

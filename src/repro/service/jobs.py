@@ -583,8 +583,8 @@ def run_job(
 # A job in its own process
 # ----------------------------------------------------------------------
 #: Every daemon-side socket of this process: the listener, the client
-#: connections and each job's end of its link.  A job process inherits
-#: them all under ``fork`` and closes each first.
+#: connections and each job's end of its link; and the spool lock.  A
+#: job process inherits them all under ``fork`` and closes each first.
 DAEMON_SOCKETS: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
 
 #: Held while a daemon-side socket is made and registered, and across a

@@ -104,10 +104,6 @@ class JobRecord:
     def from_dict(cls, payload: Dict[str, Any]) -> "JobRecord":
         return cls(**payload)
 
-    @property
-    def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
-
 
 class JobQueue:
     """Thread-safe FIFO queue of :class:`JobRecord` persisted per-job.

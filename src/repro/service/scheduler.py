@@ -150,10 +150,6 @@ class JobScheduler:
     def draining(self) -> bool:
         return self._drain.is_set()
 
-    def running_jobs(self) -> List[str]:
-        with self._lock:
-            return sorted(self._handles)
-
     # -- admission ------------------------------------------------------
     def submit(self, tenant: str, spec: Dict[str, Any]) -> JobRecord:
         if self._drain.is_set() or self._stopped.is_set():
@@ -225,15 +221,17 @@ class JobScheduler:
                     daemon=True,
                 )
                 handle.thread = thread
-            self._count("service.started")
-            self._event(
-                "service.job_started",
-                job_id=record.job_id,
-                tenant=record.tenant,
-                attempt=record.attempts,
-            )
-            self._refresh_gauges()
-            thread.start()
+                # started before the lock is released, so ``drain`` never
+                # sees a registered job whose thread it cannot join
+                self._count("service.started")
+                self._event(
+                    "service.job_started",
+                    job_id=record.job_id,
+                    tenant=record.tenant,
+                    attempt=record.attempts,
+                )
+                self._refresh_gauges()
+                thread.start()
 
     def _run_one(self, record: JobRecord, handle: _JobHandle) -> None:
         job_id = record.job_id

@@ -29,7 +29,6 @@ have a single admissible value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -97,12 +96,6 @@ class ElasticLayerStack(Module):
     def max_depth(self) -> int:
         return len(self.layers)
 
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __getitem__(self, index: int) -> Module:
-        return self.layers[index]
-
     def active(self, depth: int) -> List[Module]:
         """The first ``depth`` layers, validating the elastic range."""
         if not (1 <= depth <= len(self.layers)):
@@ -110,11 +103,6 @@ class ElasticLayerStack(Module):
                 f"active depth {depth} outside [1, {len(self.layers)}]"
             )
         return self.layers[:depth]
-
-    def forward(self, *args, **kwargs):  # pragma: no cover - container only
-        raise NotImplementedError(
-            "ElasticLayerStack is a container; iterate .active(depth)"
-        )
 
 
 class ElasticMlp(Module):
@@ -285,9 +273,6 @@ class ShrinkSchedule:
                 index = i
         return index
 
-    def phase(self, step: int) -> ShrinkPhase:
-        return self.phases[self.phase_index(step)]
-
     def free_tags_at(self, step: int) -> Tuple[str, ...]:
         """Cumulative freed tags at ``step`` (sorted, deduplicated)."""
         freed = {
@@ -339,10 +324,6 @@ class ShrinkSchedule:
             ],
             "managed_tags": list(self.managed_tags),
         }
-
-    def signature(self) -> str:
-        """Canonical string identity, for resume/artifact compatibility."""
-        return json.dumps(self.describe(), sort_keys=True)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ShrinkSchedule) and self.phases == other.phases

@@ -85,11 +85,6 @@ class EventLog:
     def close(self) -> None:
         self.flush()
 
-    @property
-    def pending(self) -> int:
-        """Events buffered but not yet sealed into a segment."""
-        return len(self._buffer)
-
 
 def read_events(directory: PathLike) -> Iterator[Dict[str, Any]]:
     """Yield every sealed event under ``directory``, oldest segment first.

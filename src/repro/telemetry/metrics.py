@@ -73,13 +73,6 @@ class Counter:
         key = label_key(labels)
         self._series[key] = self._series.get(key, 0) + amount
 
-    def value(self, **labels: object) -> Number:
-        return self._series.get(label_key(labels), 0)
-
-    def total(self) -> Number:
-        """Sum across every labeled series."""
-        return sum(self._series.values())
-
     def series(self) -> Dict[LabelKey, Number]:
         return dict(self._series)
 
@@ -97,9 +90,6 @@ class Gauge:
 
     def set(self, value: Number, **labels: object) -> None:
         self._series[label_key(labels)] = value
-
-    def value(self, **labels: object) -> Optional[Number]:
-        return self._series.get(label_key(labels))
 
     def series(self) -> Dict[LabelKey, Number]:
         return dict(self._series)
@@ -166,12 +156,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
     def _get(self, name: str, cls) -> Metric:
         metric = self._metrics.get(name)
         if metric is None:
@@ -191,9 +175,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
-
-    def metrics(self) -> Dict[str, Metric]:
-        return dict(self._metrics)
 
     # ------------------------------------------------------------------
     @staticmethod

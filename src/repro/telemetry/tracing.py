@@ -51,7 +51,3 @@ class Trace:
             yield
         finally:
             self.record(name, self._clock() - start, **labels)
-
-    def span_stats(self, name: str, **labels: object):
-        """Summary stats of a span (None if it never fired)."""
-        return self.registry.histogram(SPAN_PREFIX + name).stats(**labels)

@@ -47,11 +47,10 @@ from repro.core.engine import (
     DIST_BIND_ENV_VAR,
     WORKERS_ENV_VAR,
     StageTask,
-    WorkerHost,
     run_stage_task,
 )
 from repro.core.engine import backends as backends_mod
-from repro.core.engine.transport import format_address
+from repro.core.engine.distributed import WorkerHost
 from repro.core.engine.worker import SUPERNETS, build_remote_context
 from repro.data import CtrTaskConfig, CtrTeacher, SingleStepPipeline
 from repro.nn import Tensor
@@ -72,6 +71,7 @@ from .test_sweep import (
     capacity_cost,
     params_digest,
 )
+from .test_telemetry import value
 
 REMOTE_BACKENDS = REMOTE
 
@@ -710,7 +710,7 @@ class TestRemoteTraining:
             assert_results_identical(serial, search.run(), build_space())
             assert len(waits) >= STEPS and sorted(waits)[-2:] == [0.0, 0.2]
             worker = threading.Thread(
-                target=WorkerHost(format_address(cluster.address)).run, daemon=True
+                target=WorkerHost(cluster.address).run, daemon=True
             )
             worker.start()
             assert inner_wait(1, 30.0) == 1
@@ -852,7 +852,7 @@ class TestRemoteTraining:
         batch = search.pipeline.next_batch()
         batch_bytes = batch.labels.nbytes + sum(a.nbytes for a in batch.inputs.values())
         result = search.run()
-        moved = telemetry.counter("engine.ipc.bytes").value(backend="processes")
+        moved = value(telemetry.counter("engine.ipc.bytes"), backend="processes")
         batches_out = (result.batches_used - 1) * batch_bytes
         smallest = min(p.data.nbytes for p in search.supernet.parameters())
         assert moved >= batches_out + STEPS * smallest
@@ -903,8 +903,8 @@ class TestEngineTelemetry:
         telemetry = Telemetry()
         result = build_single(backend, workers=2, telemetry=telemetry).run()
         assert len(result.history) == STEPS
-        assert telemetry.gauge("engine.workers").value(backend=backend) == 2
-        tasks = telemetry.counter("engine.tasks").value(stage="score", backend=backend)
+        assert value(telemetry.gauge("engine.workers"), backend=backend) == 2
+        tasks = value(telemetry.counter("engine.tasks"), stage="score", backend=backend)
         # One worker span per task, labelled by the id of the worker that
         # ran it.
         spans = [
@@ -916,9 +916,10 @@ class TestEngineTelemetry:
         for labels, _ in spans:
             assert labels["stage"] == "score" and labels["backend"] == backend
             assert labels["worker"] in cluster._links
-        assert telemetry.gauge("engine.hosts").value(backend=backend) == 2
+        assert value(telemetry.gauge("engine.hosts"), backend=backend) == 2
         # The autograd keeps no counters: nothing is recorded under ``nn.``.
-        assert [name for name in telemetry.registry.metrics() if name.startswith("nn.")] == []
+        metrics = telemetry.registry.snapshot().values()
+        assert [name for kind in metrics for name in kind if name.startswith("nn.")] == []
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_weight_update_fans_nothing_out(self, backend):
@@ -950,7 +951,7 @@ class TestDistributedEquivalence:
         )
         procs = []
         try:
-            address = format_address(cluster.address)
+            address = "%s:%d" % cluster.address
             for _ in range(2):
                 procs.append(
                     subprocess.Popen(

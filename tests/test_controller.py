@@ -28,10 +28,14 @@ class TestCategoricalPolicy:
         arch, indices = policy.sample(np.random.default_rng(0))
         assert policy.space.indices_of(arch).tolist() == indices.tolist()
 
-    def test_log_prob_of_uniform(self):
+    def test_numpy_indices_give_an_equal_architecture(self):
+        """``most_probable_architecture`` indexes the choices with the
+        numpy int64s of its argmax: the same architecture Python ints give."""
         policy = CategoricalPolicy(small_space())
-        lp = policy.log_prob([0, 0])
-        assert lp == pytest.approx(np.log(1 / 3) + np.log(1 / 2))
+        policy.logits[0][2] = policy.logits[1][1] = 1.0
+        arch = policy.most_probable_architecture()
+        assert arch == policy.space.architecture_from_indices([2, 1])
+        assert [type(arch[name]) for name in ("a", "b")] == [int, str]
 
     def test_entropy_decreases_after_consistent_updates(self):
         policy = CategoricalPolicy(small_space())
@@ -108,11 +112,6 @@ class TestMalformedIndexVectors:
         for logit in policy.logits:
             np.testing.assert_array_equal(logit, 0.0)
 
-    @pytest.mark.parametrize("indices, message", CASES)
-    def test_log_prob_refuses(self, indices, message):
-        with pytest.raises(ValueError, match=message):
-            CategoricalPolicy(small_space()).log_prob(indices)
-
     def test_controller_update_refuses(self):
         controller = ReinforceController(small_space())
         with pytest.raises(ValueError, match="no entry for decision 'b'"):
@@ -146,12 +145,6 @@ class PerDecisionReference:
             cdf /= cdf[-1]
             columns.append(np.searchsorted(cdf, uniforms[:, d], side="right"))
         return np.stack(columns, axis=1).astype(np.int64)
-
-    def log_prob(self, indices):
-        total = 0.0
-        for probs, idx in zip(self.probabilities(), indices):
-            total += float(np.log(probs[int(idx)] + 1e-12))
-        return total
 
     def entropy(self):
         total = 0.0
@@ -210,7 +203,6 @@ class TestTablesMatchThePerDecisionLoop:
             drawn = policy.sample_batch(mine, count)
             expected = reference.sample_batch(theirs, count)
             assert np.array_equal(np.stack([indices for _, indices in drawn]), expected)
-            assert policy.log_prob(expected[0]) == reference.log_prob(expected[0])
             assert_same_policy()
             samples = [(row, float(a)) for row, a in zip(expected, rng.normal(size=count) * 3)]
             policy.reinforce_update(samples, 0.4, entropy_coef)

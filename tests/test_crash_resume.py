@@ -36,6 +36,7 @@ from .test_sweep import (
     outcome_of,
     reference,
 )
+from .test_telemetry import total, value
 
 
 class TestElasticCrashResume:
@@ -135,17 +136,17 @@ class TestTelemetryCrashResume:
         assert_results_identical(reference, outcome.result, build_space())
 
         for name in RUN_COUNTERS:
-            assert crash_tel.counter(name).total() == ref_tel.counter(name).total(), name
-        assert crash_tel.counter("search.steps").total() == STEPS
+            assert total(crash_tel.counter(name)) == total(ref_tel.counter(name)), name
+        assert total(crash_tel.counter("search.steps")) == STEPS
         # Every run-scoped counter and gauge series, not just the list above.
         assert self._run_scoped(crash_tel) == self._run_scoped(ref_tel)
         # Churn counters record the crashes and resumes that really happened.
-        assert crash_tel.counter("supervisor.crashes").total() == 3
-        assert crash_tel.counter("supervisor.restarts").total() == 3
-        assert crash_tel.counter("recovery.resumes").total() == 2
-        assert crash_tel.counter("checkpoint.saves").total() >= 1
+        assert total(crash_tel.counter("supervisor.crashes")) == 3
+        assert total(crash_tel.counter("supervisor.restarts")) == 3
+        assert total(crash_tel.counter("recovery.resumes")) == 2
+        assert total(crash_tel.counter("checkpoint.saves")) >= 1
         # The uninterrupted reference saw none of that churn.
-        assert ref_tel.counter("supervisor.crashes").total() == 0
+        assert total(ref_tel.counter("supervisor.crashes")) == 0
         # Waiting for the compute turn is churn too: one observation per
         # step really taken, replays included, never carried in a snapshot
         # (so it cannot perturb the run-scoped totals compared above).
@@ -167,8 +168,7 @@ class TestTelemetryCrashResume:
         fresh_tel = Telemetry()
         fresh = build_single(None, telemetry=fresh_tel)
         next_step, _, report = resume_search(store, fresh)
-        assert report.resumed and next_step == 4
-        assert fresh_tel.counter("search.steps").value() == 4
-        assert fresh_tel.counter("eval.candidates_priced").value() == telemetry.counter(
-            "eval.candidates_priced"
-        ).value()
+        assert report.resumed_from_step == 4 and next_step == 4
+        assert value(fresh_tel.counter("search.steps")) == 4
+        priced = [value(tel.counter("eval.candidates_priced")) for tel in (fresh_tel, telemetry)]
+        assert priced[0] == priced[1]

@@ -23,16 +23,6 @@ class TestBatch:
         b = Batch(0, {"x": np.ones((4, 2))}, np.zeros(4))
         assert b.size == 4
 
-    def test_split(self):
-        b = Batch(0, {"x": np.arange(8).reshape(4, 2)}, np.arange(4))
-        first, second = b.split()
-        assert first.size == 2 and second.size == 2
-        np.testing.assert_array_equal(second.labels, [2, 3])
-
-    def test_split_too_small(self):
-        with pytest.raises(ValueError):
-            Batch(0, {"x": np.ones((1, 1))}, np.zeros(1)).split()
-
 
 class TestCtrTeacher:
     def test_batch_shapes(self):
@@ -179,11 +169,11 @@ class TestSingleStepPipeline:
     def test_bookkeeping_evicted_on_full_consumption(self):
         pipe = self.make()
         batch = pipe.next_batch()
-        assert pipe.outstanding_batches == 1
+        assert len(pipe._outstanding) == 1
         pipe.mark_policy_use(batch)
-        assert pipe.outstanding_batches == 1
+        assert len(pipe._outstanding) == 1
         pipe.mark_weight_use(batch)
-        assert pipe.outstanding_batches == 0
+        assert len(pipe._outstanding) == 0
 
     def test_long_stream_memory_stays_bounded(self):
         """10k fully-consumed batches leave zero bookkeeping behind.
@@ -198,8 +188,8 @@ class TestSingleStepPipeline:
             pipe.mark_policy_use(batch)
             pipe.mark_weight_use(batch)
         assert pipe.batches_issued == 10_000
-        assert pipe.outstanding_batches == 0
-        assert pipe.peak_outstanding == 1
+        assert len(pipe._outstanding) == 0
+        assert pipe._peak_outstanding == 1
 
     def test_consumed_batch_reuse_still_detected_after_eviction(self):
         """Eviction must not forget that a batch was fully consumed."""
@@ -264,7 +254,7 @@ class TestNextShard:
         for _ in range(3):
             pipe.next_shard(4)
         assert pipe.batches_issued == 12
-        assert pipe.outstanding_batches == pipe.peak_outstanding == 12
+        assert len(pipe._outstanding) == pipe._peak_outstanding == 12
 
     def test_each_core_batch_obeys_policy_before_weights(self):
         pipe = self.make()
@@ -275,7 +265,7 @@ class TestNextShard:
             pipe.mark_policy_use(batch)
         for batch in shard:
             pipe.mark_weight_use(batch)
-        assert pipe.outstanding_batches == 0
+        assert len(pipe._outstanding) == 0
 
     def test_exhaustion_mid_shard_is_loud(self):
         pipe = self.make(max_batches=6)

@@ -9,7 +9,6 @@ elastic-train -> specialize -> fleet smoke (the tier-1 half of the CI
 contract; the speedup half lives in ``benchmarks/bench_elastic.py``).
 """
 
-import json
 
 import numpy as np
 import pytest
@@ -95,7 +94,7 @@ class TestElasticPrimitives:
     def test_stack_active_prefix(self):
         stack = ElasticLayerStack([ElasticLayerStack.__new__(ElasticLayerStack)
                                    for _ in range(3)])
-        assert stack.max_depth == 3 and len(stack) == 3
+        assert stack.max_depth == 3
         assert stack.active(2) == stack.layers[:2]
         assert stack.active(3) == stack.layers
 
@@ -137,11 +136,9 @@ class TestShrinkSchedule:
     def test_default_boundaries(self):
         schedule = ShrinkSchedule.default(30)
         assert [p.start_step for p in schedule.phases] == [0, 10, 20]
-        assert schedule.phase(0).name == "full"
-        assert schedule.phase(9).name == "full"
-        assert schedule.phase(10).name == "widths"
-        assert schedule.phase(20).name == "depths"
-        assert schedule.phase(10_000).name == "depths"
+        steps = (0, 9, 10, 20, 10_000)
+        names = [schedule.phases[schedule.phase_index(step)].name for step in steps]
+        assert names == ["full", "full", "widths", "depths", "depths"]
 
     def test_free_tags_cumulative(self):
         schedule = ShrinkSchedule.default(30)
@@ -205,8 +202,6 @@ class TestShrinkSchedule:
         schedule = ShrinkSchedule.default(30)
         clone = ShrinkSchedule.from_payload(schedule.describe())
         assert clone == schedule
-        assert clone.signature() == schedule.signature()
-        json.loads(schedule.signature())  # canonical JSON
         other = ShrinkSchedule((ShrinkPhase("full", 0),))
         assert other != schedule
         assert "full@0" in repr(schedule)

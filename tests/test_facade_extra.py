@@ -8,6 +8,8 @@ from repro.data import CtrTaskConfig, CtrTeacher, PipelineExhausted
 from repro.searchspace import DlrmSpaceConfig, dlrm_search_space
 from repro.supernet import DlrmSuperNetwork, DlrmSupernetConfig
 
+from .test_searchspace import assert_full_assignment
+
 
 def build(max_batches=None, reward_kind="relu"):
     space = dlrm_search_space(DlrmSpaceConfig(num_tables=2, num_dense_stacks=2))
@@ -29,7 +31,7 @@ class TestFacadeExtra:
         nas = build(reward_kind="absolute")
         assert nas.reward_fn.kind == "absolute"
         result = nas.search()
-        nas.space.validate(result.final_architecture)
+        assert_full_assignment(nas.space, result.final_architecture)
 
     def test_max_batches_enforced(self):
         nas = build(max_batches=4)

@@ -131,7 +131,7 @@ class TestGraphGuards:
         with pytest.raises((ValueError, KeyError)):
             graph.add(OpNode(name, "dense"), deps=deps)
         assert self.state(graph) == before
-        assert "c" not in graph
+        assert "c" not in graph.names
 
     @pytest.mark.parametrize("field", ["flops", "bytes_in", "bytes_out", "param_bytes", "network_bytes"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
@@ -145,7 +145,7 @@ class TestGraphGuards:
             graph.append("c", "dense", **{field: value}, deps=["b"])
         with pytest.raises(ValueError, match=f"{field} of op 'c'"):
             OpNode("c", "dense", **{field: value})
-        assert self.state(graph) == before and "c" not in graph
+        assert self.state(graph) == before and "c" not in graph.names
         with pytest.raises(ValueError, match="flops of op 'n'"):
             ops.elementwise(graph, "n", float("nan"), deps=["b"])
         assert self.state(graph) == before
@@ -160,7 +160,7 @@ class TestGraphGuards:
             graph.append("c", "dense", flops=1.0, unit="mxu", dims=dims, deps=["b"])
         with pytest.raises(ValueError, match="dimension must be positive"):
             graph.add(OpNode("c", "dense", flops=1.0, unit="mxu", dims=dims), deps=["b"])
-        assert self.state(graph) == before and "c" not in graph
+        assert self.state(graph) == before and "c" not in graph.names
         # dims nobody reads are not checked: no FLOPs, or not on the matrix unit
         graph.append("idle", "dense", flops=0.0, unit="mxu", dims=dims, deps=["b"])
         graph.append("vector", "x", flops=1.0, unit="vpu", dims=dims, deps=["idle"])

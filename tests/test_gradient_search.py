@@ -12,6 +12,8 @@ from repro.supernet import (
     mixture_search_space,
 )
 
+from .test_searchspace import assert_full_assignment
+
 
 def make_net(num_layers=2):
     return MixtureSuperNetwork(
@@ -111,7 +113,7 @@ class TestDartsSearch:
 
     def test_derived_architecture_valid_and_good(self):
         net, teacher, search, result = self.run_search()
-        search.space.validate(result.final_architecture)
+        assert_full_assignment(search.space, result.final_architecture)
         batch = teacher.next_batch()
         quality = net.quality(result.final_architecture, batch.inputs, batch.labels)
         assert quality > 0.45  # well above 4-class chance

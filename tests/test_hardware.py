@@ -39,10 +39,6 @@ class TestHardwareConfig:
         assert TPU_V4.hbm_bandwidth == 1228e9
         assert TPU_V4.cmem_capacity_bytes == 128e6
 
-    def test_ridge_intensity_reasonable(self):
-        # TPUv4 ridge: 275e12 / 1228e9 ~ 224 FLOPs/byte.
-        assert 150 < TPU_V4.ridge_intensity < 300
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TPU_V4.with_overrides(hbm_bandwidth_gbs=0.0)
@@ -204,7 +200,7 @@ class TestTestbed:
     def test_measurement_slower_than_simulation(self):
         g = simple_graph()
         bed = HardwareTestbed(TPU_V4, seed=1)
-        sim = bed.simulate(g).total_time_s
+        sim = simulate(g, TPU_V4).total_time_s
         measured = bed.deterministic_time(g)
         assert measured > sim
 
@@ -225,22 +221,16 @@ class TestTestbed:
         """The simulator-vs-hardware gap matches Table 1's premise."""
         g = simple_graph(batch=256, nin=2048, nout=2048, layers=8)
         bed = HardwareTestbed(TPU_V4)
-        sim = bed.simulate(g).total_time_s
+        sim = simulate(g, TPU_V4).total_time_s
         hw = bed.deterministic_time(g)
         gap = hw / sim - 1.0
         assert 0.10 < gap < 0.60
-
-    def test_throughput(self):
-        g = simple_graph()
-        bed = HardwareTestbed(TPU_V4, seed=4)
-        tp = bed.measure_throughput(g, examples_per_step=128)
-        assert tp == pytest.approx(128 / bed.measure_time(g), rel=0.1)
 
     def test_custom_calibration(self):
         cal = TestbedCalibration(scale=2.0, exponent=1.0, per_op_overhead_s=0.0, noise_sigma=0.0)
         bed = HardwareTestbed(TPU_V4, calibration=cal)
         g = simple_graph()
-        assert bed.deterministic_time(g) == pytest.approx(2.0 * bed.simulate(g).total_time_s)
+        assert bed.deterministic_time(g) == pytest.approx(2.0 * simulate(g, TPU_V4).total_time_s)
 
 
 class TestSimulatorCompilerPasses:
@@ -264,7 +254,7 @@ class TestSimulatorCompilerPasses:
         graph_ops.dense(graph, "fc", 8, 64, 64)
         graph_ops.elementwise(graph, "act", 8 * 64, op_type="activation", deps=["fc"])
         PerformanceSimulator(TPU_V4, run_compiler_passes=True).simulate(graph)
-        assert "act" in graph
+        assert "act" in graph.names
 
 
 class TestMemoryFit:

@@ -48,13 +48,6 @@ class TestEmbeddingNormal:
         assert w.std() == pytest.approx(0.05, rel=0.1)
 
 
-class TestZeros:
-    def test_all_zero(self):
-        np.testing.assert_array_equal(
-            initializers.zeros(rng(), (3, 3)), np.zeros((3, 3))
-        )
-
-
 class TestFans:
     @given(st.integers(1, 64), st.integers(1, 64))
     @settings(max_examples=30, deadline=None)

@@ -35,6 +35,8 @@ from repro.quality import DlrmQualityModel
 from repro.runtime import CheckpointStore
 from repro.searchspace import DlrmSpaceConfig, dlrm_search_space
 
+from .test_searchspace import assert_full_assignment
+
 NUM_TABLES = 3
 
 
@@ -110,7 +112,7 @@ class TestEndToEnd:
     def test_final_architecture_valid_and_deployable(self, deployment):
         space = deployment["space"]
         best = deployment["result"].final_architecture
-        space.validate(best)
+        assert_full_assignment(space, best)
         # Deployability: meets the step-time target within the perf
         # model's error band, measured on the testbed.
         measured = deployment["harness"].measure_deterministic(best)[0]

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.nn import LayerNorm, Tensor
 from repro.searchspace import Decision, SearchSpace, VitSpaceConfig, vit_search_space
 
+from .test_searchspace import assert_full_assignment
+
 
 class TestLayerNorm:
     def test_output_statistics(self):
@@ -82,7 +84,7 @@ class TestFrozenSpace:
     def test_freeze_pins_decision(self):
         space = SearchSpace("s", [Decision("a", (0, 1, 2)), Decision("b", ("x", "y"))])
         frozen = space.frozen({"b": "y"})
-        assert frozen.decision("b").choices == ("y",)
+        assert frozen.decisions[1].choices == ("y",)
         assert frozen.cardinality() == 3
         rng = np.random.default_rng(0)
         assert all(frozen.sample(rng)["b"] == "y" for _ in range(10))
@@ -91,7 +93,7 @@ class TestFrozenSpace:
         space = vit_search_space(VitSpaceConfig(num_tfm_blocks=1))
         frozen = space.frozen({"tfm0/seq_pooling": False})
         arch = frozen.sample(np.random.default_rng(1))
-        space.validate(arch)  # still a full assignment of the original
+        assert_full_assignment(space, arch)  # still a full assignment of the original
 
     def test_illegal_value_rejected(self):
         space = SearchSpace("s", [Decision("a", (0, 1))])

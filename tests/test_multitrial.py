@@ -15,6 +15,8 @@ from repro.core import (
 )
 from repro.searchspace import Decision, SearchSpace
 
+from .test_searchspace import assert_full_assignment
+
 
 def toy_space():
     return SearchSpace(
@@ -41,14 +43,9 @@ class TestRandomSearch:
     def test_finds_good_candidate(self):
         search = RandomSearch(toy_space(), toy_evaluate, toy_reward(), num_trials=200, seed=0)
         result = search.run()
-        assert result.num_trials == 200
+        assert len(result.trials) == 200
         assert result.best.reward == max(t.reward for t in result.trials)
         assert result.best.reward > 1.2  # near the optimum of 1.5
-
-    def test_best_curve_monotone(self):
-        search = RandomSearch(toy_space(), toy_evaluate, toy_reward(), num_trials=50, seed=1)
-        curve = search.run().best_reward_curve()
-        assert np.all(np.diff(curve) >= 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -92,7 +89,7 @@ class TestEvolutionarySearch:
         config = EvolutionConfig(population_size=5, tournament_size=2, num_trials=30)
         search = EvolutionarySearch(toy_space(), toy_evaluate, toy_reward(), config, seed=2)
         result = search.run()
-        assert result.num_trials == 30
+        assert len(result.trials) == 30
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -110,7 +107,7 @@ class TestEvolutionarySearch:
         config = EvolutionConfig(population_size=2, tournament_size=1, num_trials=2)
         search = EvolutionarySearch(toy_space(), toy_evaluate, toy_reward(), config, seed=seed)
         child = search.mutate(toy_space().sample(np.random.default_rng(seed)))
-        toy_space().validate(child)
+        assert_full_assignment(toy_space(), child)
 
 
 class TestNasCostModel:

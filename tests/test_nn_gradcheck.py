@@ -79,19 +79,11 @@ class TestPrimitiveOps:
     def test_mul_broadcast(self):
         assert_gradcheck(lambda a, b: a * b, rand(3, 4), rand(4, seed=1))
 
-    def test_div(self):
-        assert_gradcheck(
-            lambda a, b: a / b, rand(3, 4), np.abs(rand(3, 4, seed=1)) + 1.0
-        )
-
     def test_pow(self):
         assert_gradcheck(lambda a: a**3, rand(2, 3))
 
     def test_neg_sub(self):
         assert_gradcheck(lambda a, b: a - b, rand(3), rand(3, seed=1))
-
-    def test_exp_log(self):
-        assert_gradcheck(lambda a: (a.exp() + 1.0).log(), rand(2, 3))
 
     def test_sum_axis(self):
         assert_gradcheck(lambda a: a.sum(axis=0) * rand(4, seed=9), rand(3, 4))

@@ -58,12 +58,6 @@ class TestElementwiseGradients:
     def test_tanh(self):
         check_unary("tanh", [[-1.5, 0.3], [2.0, -0.1]])
 
-    def test_exp(self):
-        check_unary("exp", [[0.5, -0.3], [1.0, 0.1]])
-
-    def test_log(self):
-        check_unary("log", [[0.5, 0.3], [1.0, 2.5]])
-
     def test_squared_relu_matches_definition(self):
         x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
         out = Tensor(x).squared_relu()
@@ -86,20 +80,6 @@ class TestArithmeticGradients:
         (a * b).sum().backward()
         np.testing.assert_allclose(a.grad, b_val)
         np.testing.assert_allclose(b.grad, a_val)
-
-    def test_div_gradients_numerical(self):
-        rng = np.random.default_rng(3)
-        a_val = rng.normal(size=(2, 2))
-        b_val = rng.uniform(0.5, 2.0, size=(2, 2))
-        a = Tensor(a_val, requires_grad=True)
-        b = Tensor(b_val, requires_grad=True)
-        (a / b).sum().backward()
-        np.testing.assert_allclose(
-            a.grad, numerical_grad(lambda arr: float((arr / b_val).sum()), a_val.copy()), rtol=1e-5
-        )
-        np.testing.assert_allclose(
-            b.grad, numerical_grad(lambda arr: float((a_val / arr).sum()), b_val.copy()), rtol=1e-4
-        )
 
     def test_pow_gradient(self):
         x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
@@ -219,11 +199,6 @@ class TestBackwardMechanics:
         with pytest.raises(RuntimeError):
             x.backward()
 
-    def test_detach_cuts_graph(self):
-        x = Tensor(np.array([2.0]), requires_grad=True)
-        y = x.detach() * 5.0
-        assert not y.requires_grad
-
     def test_zero_grad(self):
         x = Tensor(np.ones(2), requires_grad=True)
         (x * 2.0).sum().backward()
@@ -289,10 +264,6 @@ class TestStackMean:
 
         with pytest.raises(ValueError):
             stack_mean([])
-
-    def test_clip_norm_value(self):
-        t = Tensor(np.array([3.0, 4.0]))
-        assert t.clip_norm_value() == pytest.approx(5.0)
 
 
 class TestNoGrad:

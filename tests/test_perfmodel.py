@@ -57,7 +57,7 @@ class TestArchitectureEncoder:
     def test_encoding_is_onehot_plus_numeric(self):
         space = SearchSpace("s", [Decision("a", (0, 2, 4))])
         enc = ArchitectureEncoder(space)
-        vec = enc.encode(space.architecture_from_indices([1]))
+        vec = enc.encode_batch([space.architecture_from_indices([1])])[0]
         np.testing.assert_allclose(vec, [0, 1, 0, 0.5])
 
     def test_distinct_archs_distinct_encodings(self):
@@ -73,8 +73,8 @@ class TestArchitectureEncoder:
     def test_batch_matches_single(self):
         space, _, _ = small_setup()
         enc = ArchitectureEncoder(space)
-        arch = space.default_architecture()
-        np.testing.assert_allclose(enc.encode_batch([arch])[0], enc.encode(arch))
+        archs = [space.default_architecture(), space.sample(np.random.default_rng(1))]
+        np.testing.assert_allclose(enc.encode_batch(archs)[1], enc.encode_batch(archs[1:])[0])
 
 
 class TestPerformanceModel:

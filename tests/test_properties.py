@@ -26,6 +26,8 @@ from repro.searchspace import (
     vit_search_space,
 )
 
+from .test_searchspace import assert_full_assignment
+
 PLATFORM_LIST = (TPU_V4, TPU_V4I, GPU_V100)
 
 
@@ -193,4 +195,4 @@ class TestSpaceInvariants:
                 DlrmSpaceConfig(num_tables=(seed % 4) + 1, num_dense_stacks=2)
             ),
         ):
-            space.validate(space.default_architecture())
+            assert_full_assignment(space, space.default_architecture())

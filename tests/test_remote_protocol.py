@@ -32,9 +32,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ExecutionBackend, SearchEngine, SurrogateSuperNetwork, shutdown_pools
-from repro.core.engine import DIST_BIND_ENV_VAR, StageTask, WorkerHost, run_stage_task
+from repro.core.engine import DIST_BIND_ENV_VAR, StageTask, run_stage_task
 from repro.core.engine import transport as transport_mod
 from repro.core.engine import worker as worker_mod
+from repro.core.engine.distributed import WorkerHost
 from repro.core.engine.shm import SharedWeights
 from repro.core.engine.transport import (
     TO_CONTROLLER,
@@ -42,7 +43,6 @@ from repro.core.engine.transport import (
     TRANSPORT_VERSION,
     decode_message,
     encode_message,
-    format_address,
     parse_address,
     recv_message,
     send_message,
@@ -222,7 +222,7 @@ class TestWorkerWireProtocol:
         losses = cluster.worker_losses
         hosts, threads, served = collections.deque(), [], set()
         for index in range(joins + 1):
-            host = WorkerHost(format_address(cluster.address), worker_id=f"late-{index}")
+            host = WorkerHost(cluster.address, worker_id=f"late-{index}")
             hosts.append(host)
             threads.append(threading.Thread(target=host.run, daemon=True))
             threads[-1].start()
@@ -396,8 +396,10 @@ class _TouchOnUnpickle:
 
 
 def _address(backend):
-    """``host:port`` of ``backend``'s cluster (which binds on first use)."""
-    return format_address(backend.cluster().address)
+    """``host:port`` of ``backend``'s cluster (which binds on first use),
+    an IPv6 host in brackets."""
+    host, port = backend.cluster().address
+    return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
 
 
 def _dial(backend, data):
@@ -717,7 +719,7 @@ class TestHostileFrames:
         thread = threading.Thread(target=controller, daemon=True)
         thread.start()
         try:
-            code = main(["worker", "--connect", format_address(listener.getsockname())])
+            code = main(["worker", "--connect", "%s:%d" % listener.getsockname()])
         finally:
             thread.join(timeout=30.0)
             listener.close()
@@ -797,8 +799,6 @@ class TestAddresses:
     def test_ipv6_hosts_are_bracketed(self):
         assert parse_address("[::1]:7077") == ("::1", 7077)
         assert parse_address("127.0.0.1:0") == ("127.0.0.1", 0)
-        assert format_address(("::1", 7077)) == "[::1]:7077"
-        assert format_address(("127.0.0.1", 7077)) == "127.0.0.1:7077"
         for bad in ("7077", "[::1]", "host:port", "host:70000"):
             with pytest.raises(ValueError):
                 parse_address(bad)

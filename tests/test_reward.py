@@ -100,9 +100,9 @@ class TestRewardFunctionApi:
         with pytest.raises(ValueError):
             RewardFunction([], kind="quadratic")
 
-    def test_penalty_only(self):
+    def test_zero_quality_leaves_the_penalty(self):
         reward = relu_reward([objective(target=10.0, beta=-1.0)])
-        assert reward.penalty_only({"latency": 20.0}) == pytest.approx(-1.0)
+        assert reward(0.0, {"latency": 20.0}) == pytest.approx(-1.0)
 
     def test_no_objectives_means_pure_quality(self):
         reward = relu_reward([])

@@ -373,7 +373,7 @@ class TestRunWithCheckpoints:
         # Saves at 2, 4, 6 — never after the final step (the result exists).
         assert run.snapshots_written == 3
         assert [s.step for s in store.snapshots()] == [2, 4, 6]
-        assert not run.resume.resumed
+        assert run.resume.resumed_from_step is None
         assert len(run.result.history) == 8
 
     def test_without_store_runs_plain(self):
@@ -456,7 +456,6 @@ class TestMeasurementRetry:
         bed = HardwareTestbed(TPU_V4, seed=0)
         measurement = bed.measure(tiny_graph())
         assert measurement.attempts == 1
-        assert measurement.retries == 0
         assert measurement.time_s > 0
         assert bed.total_retries == 0
 
@@ -480,7 +479,6 @@ class TestMeasurementRetry:
         bed.measure_time = flaky
         measurement = bed.measure(tiny_graph())
         assert measurement.attempts == 3
-        assert measurement.retries == 2
         assert bed.total_retries == 2
         assert sleeps == [pytest.approx(0.01), pytest.approx(0.02)]
 
@@ -540,7 +538,7 @@ class TestMultiTrialResume:
             interrupted.step()
         store.save(kill_at, interrupted._checkpoint_payload())
         resumed = build().run(store=store)
-        np.testing.assert_array_equal(reference.rewards(), resumed.rewards())
+        assert [t.reward for t in reference.trials] == [t.reward for t in resumed.trials]
         assert reference.cache_hits == resumed.cache_hits
         assert reference.cache_misses == resumed.cache_misses
 
@@ -558,7 +556,7 @@ class TestMultiTrialResume:
             interrupted.step()
         store.save(10, interrupted._checkpoint_payload())
         resumed = build().run(store=store)
-        np.testing.assert_array_equal(reference.rewards(), resumed.rewards())
+        assert [t.reward for t in reference.trials] == [t.reward for t in resumed.trials]
         ref_best = list(space.indices_of(reference.best.architecture))
         res_best = list(space.indices_of(resumed.best.architecture))
         assert ref_best == res_best

@@ -16,6 +16,8 @@ from repro.data import CtrTaskConfig, CtrTeacher, SingleStepPipeline, TwoStreamP
 from repro.searchspace import DlrmSpaceConfig, dlrm_search_space
 from repro.supernet import DlrmSuperNetwork, DlrmSupernetConfig, WIDTH_INCREMENT
 
+from .test_searchspace import assert_full_assignment
+
 
 NUM_TABLES = 2
 
@@ -57,7 +59,7 @@ class TestSingleStepSearch:
             config=SearchConfig(steps=12, num_cores=2, warmup_steps=3, seed=0),
         )
         result = search.run()
-        space.validate(result.final_architecture)
+        assert_full_assignment(space, result.final_architecture)
         assert len(result.history) == 12
 
     def test_every_batch_used_once_policy_first(self):
@@ -104,9 +106,9 @@ class TestSingleStepSearch:
             performance_fn=lambda arch: {},
             config=SearchConfig(steps=3, num_cores=2, warmup_steps=0),
         )
-        result = search.run()
-        assert len(result.all_candidates) == 6
-        for candidate in result.all_candidates:
+        candidates = [c for step in search.run().history for c in step.candidates]
+        assert len(candidates) == 6
+        for candidate in candidates:
             assert 0.0 <= candidate.quality <= 1.0
 
     def test_record_candidates_off(self):
@@ -118,7 +120,7 @@ class TestSingleStepSearch:
             performance_fn=lambda arch: {},
             config=SearchConfig(steps=3, num_cores=2, record_candidates=False),
         )
-        assert search.run().all_candidates == []
+        assert all(step.candidates == [] for step in search.run().history)
 
     def test_entropy_trace_monotone_overall(self):
         """Policy entropy should drop as the search converges."""
@@ -156,7 +158,7 @@ class TestTunasSearch:
             config=SearchConfig(steps=20, num_cores=2, warmup_steps=3),
         )
         result = search.run()
-        space.validate(result.final_architecture)
+        assert_full_assignment(space, result.final_architecture)
         assert pipeline.train_reuses >= 1  # data reuse, unlike single-step
 
     def test_uses_fixed_dataset(self):
@@ -186,7 +188,7 @@ class TestH2ONasFacade:
             config=SearchConfig(steps=8, num_cores=2, warmup_steps=2),
         )
         result = nas.search()
-        space.validate(result.final_architecture)
+        assert_full_assignment(space, result.final_architecture)
         held_out = make_teacher(seed=77).next_batch()
         q = nas.evaluate(result.final_architecture, held_out)
         assert 0.0 <= q <= 1.0

@@ -127,12 +127,12 @@ class TestProtocol:
             except ServiceError:
                 pass
 
-    def test_second_daemon_on_same_socket_refuses(self, daemon):
+    def test_second_daemon_on_same_spool_refuses(self, daemon):
         instance, _ = daemon
         clone = ServiceDaemon(
             DaemonConfig(spool=instance.spool, scheduler=SchedulerConfig(backend="serial"))
         )
-        with pytest.raises(ServiceError, match="already listening"):
+        with pytest.raises(ServiceError, match="already serving"):
             clone.serve()
 
 
@@ -220,17 +220,25 @@ def running(pid):
         return False
 
 
-def socket_inodes(pid):
-    """The sockets ``pid`` holds open, as ``socket:[inode]`` links."""
+def open_files(pid):
+    """What ``pid`` holds open: paths, and sockets as ``socket:[inode]``."""
     held = set()
     for fd in os.listdir(f"/proc/{pid}/fd"):
         try:
-            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+            held.add(os.readlink(f"/proc/{pid}/fd/{fd}"))
         except OSError:
             continue
-        if target.startswith("socket:"):
-            held.add(target)
     return held
+
+
+def socket_inodes(pid):
+    """The sockets ``pid`` holds open, as ``socket:[inode]`` links."""
+    return {target for target in open_files(pid) if target.startswith("socket:")}
+
+
+def refusals(stderr):
+    """A daemon's stderr lines, its start-up banner left out."""
+    return [line for line in stderr.splitlines() if not line.startswith("repro service daemon")]
 
 
 def stop_daemon(proc):
@@ -397,7 +405,8 @@ class TestDaemonSubprocess:
     def test_job_processes_hold_no_daemon_socket(self, tmp_path):
         """With two jobs running, neither job's process holds a socket the
         daemon holds: not the listener, not a client connection (one is
-        left open across both forks), not the other job's link."""
+        left open across both forks), not the other job's link; nor the
+        spool lock, which an orphan would hold past the daemon's death."""
         spool = tmp_path / "spool"
         proc = start_daemon_subprocess(spool, max_concurrent=2)
         idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -417,13 +426,68 @@ class TestDaemonSubprocess:
             daemon_sockets = socket_inodes(proc.pid)
             # the listener, the idle connection and both jobs' links
             assert len(daemon_sockets) >= 4
+            lock = os.path.realpath(spool / "daemon.lock")
+            assert lock in open_files(proc.pid)
             for pid in job_pids:
                 assert socket_inodes(pid) & daemon_sockets == set()
+                assert lock not in open_files(pid)
             client.drain()
             proc.communicate(timeout=60.0)
         finally:
             idle.close()
             stop_daemon(proc)
+
+    def test_daemon_lock_keeps_a_second_daemon_off_a_live_spool(self, tmp_path):
+        """A second ``repro serve`` on a served spool exits 1 with one
+        error line, before it reads or writes the spool: the running
+        job's record is byte-equal before and after, and the first
+        daemon still serves."""
+        spool = tmp_path / "spool"
+        proc = start_daemon_subprocess(spool)
+        try:
+            client = ServiceClient(spool / "daemon.sock")
+            client.wait_ready(timeout=30.0)
+            # no snapshot while the second daemon runs: the record holds still
+            spec = {"steps": 400, "seed": 1, "step_sleep_s": 0.05, "checkpoint_every": 400}
+            job_id = client.submit("alice", spec)["job_id"]
+            wait_until(lambda: client.status(job_id)["progress"] >= 1, timeout=60.0)
+            record = spool / "jobs" / f"{job_id}.json"
+            before = record.read_bytes()
+            second = start_daemon_subprocess(spool)
+            _out, err = second.communicate(timeout=60.0)
+            assert record.read_bytes() == before
+            assert second.returncode == 1
+            assert refusals(err) == [f"error: another daemon is already serving {spool}"]
+            assert json.loads(before)["state"] == "running"
+            assert client.ping()["pid"] == proc.pid
+            assert client.status(job_id)["state"] == "running"
+            client.cancel(job_id)
+            client.drain()
+            proc.communicate(timeout=60.0)
+        finally:
+            stop_daemon(proc)
+        assert proc.returncode == 0
+
+    def test_daemon_lock_two_daemons_started_at_once_one_serves(self, tmp_path):
+        """Two daemons started together on one fresh spool: exactly one
+        serves, the other exits 1 with one error line."""
+        spool = tmp_path / "spool"
+        procs = [start_daemon_subprocess(spool) for _ in range(2)]
+        try:
+            client = ServiceClient(spool / "daemon.sock")
+            client.wait_ready(timeout=30.0)
+            server = next(proc for proc in procs if proc.pid == client.ping()["pid"])
+            (loser,) = [proc for proc in procs if proc is not server]
+            _out, err = loser.communicate(timeout=60.0)
+            assert loser.returncode == 1
+            assert refusals(err) == [f"error: another daemon is already serving {spool}"]
+            assert client.wait(client.submit("alice", TINY)["job_id"])["state"] == "done"
+            client.drain()
+            server.communicate(timeout=60.0)
+            assert server.returncode == 0
+        finally:
+            for proc in procs:
+                stop_daemon(proc)
 
     def test_sigkill_durability_bit_identical(self, tmp_path):
         """The acceptance criterion: SIGKILL with a running job and two

@@ -53,6 +53,10 @@ class StubRunner:
         return {"ok": True}
 
 
+def running(queue):
+    return [record.job_id for record in queue.list() if record.state == "running"]
+
+
 def make_scheduler(tmp_path, runner, **overrides):
     config = SchedulerConfig(poll_interval_s=0.005, **overrides)
     queue = JobQueue(tmp_path / "spool")
@@ -149,9 +153,9 @@ class TestDispatch:
         try:
             for _ in range(4):
                 scheduler.submit("alice", {}, )
-            wait_until(lambda: len(scheduler.running_jobs()) == 2)
+            wait_until(lambda: len(running(queue)) == 2)
             time.sleep(0.05)  # give the dispatcher a chance to overshoot
-            assert len(scheduler.running_jobs()) == 2
+            assert len(running(queue)) == 2
             assert queue.counts()["queued"] == 2
             runner.release.set()
             wait_until(lambda: queue.counts()["done"] == 4)
@@ -171,7 +175,7 @@ class TestDispatch:
             scheduler.submit("alice", {})
             scheduler.submit("alice", {})  # held back by tenant quota
             scheduler.submit("bob", {})
-            wait_until(lambda: len(scheduler.running_jobs()) == 2)
+            wait_until(lambda: len(running(queue)) == 2)
             states = {r.job_id: r.state for r in queue.list()}
             assert states["job-000000"] == "running"
             assert states["job-000001"] == "queued"  # alice at quota
@@ -215,7 +219,7 @@ class TestCancelAndDrain:
         scheduler.start()
         try:
             scheduler.submit("alice", {})
-            wait_until(lambda: scheduler.running_jobs() == ["job-000000"])
+            wait_until(lambda: running(queue) == ["job-000000"])
             assert scheduler.cancel("job-000000").state == "running"
             wait_until(lambda: queue.get("job-000000").state == "cancelled")
         finally:
@@ -233,12 +237,53 @@ class TestCancelAndDrain:
         queue, scheduler = make_scheduler(tmp_path, runner)
         scheduler.start()
         scheduler.submit("alice", {})
-        wait_until(lambda: scheduler.running_jobs() == ["job-000000"])
+        wait_until(lambda: runner.started == ["job-000000"])
         interrupted = scheduler.drain()
         assert interrupted == ["job-000000"]
         # The job is parked, not lost: back to queued for the next daemon.
         assert queue.get("job-000000").state == "queued"
         assert scheduler.drain() == []  # idempotent
+
+    def test_drain_while_a_job_is_being_launched(self, tmp_path):
+        """A drain that lands between a job's registration and its
+        thread's start waits for the start, then parks the job."""
+        in_launch = threading.Event()
+
+        class SlowStartTelemetry:
+            """Holds the launch in its ``service.job_started`` event long
+            enough for a drain to arrive in the window."""
+
+            class _Metric:
+                def inc(self, n=1, **labels):
+                    pass
+
+                def set(self, value, **labels):
+                    pass
+
+            def counter(self, name):
+                return self._Metric()
+
+            gauge = counter
+
+            def event(self, kind, **fields):
+                if kind == "service.job_started":
+                    in_launch.set()
+                    time.sleep(0.2)
+
+        runner = StubRunner()
+        queue = JobQueue(tmp_path / "spool")
+        scheduler = JobScheduler(
+            queue,
+            SchedulerConfig(poll_interval_s=0.005),
+            telemetry=SlowStartTelemetry(),
+            runner=runner,
+        )
+        scheduler.start()
+        scheduler.submit("alice", {})
+        assert in_launch.wait(10.0)
+        assert scheduler.drain() == ["job-000000"]
+        assert runner.started == ["job-000000"]
+        assert queue.get("job-000000").state == "queued"
 
     def test_recovery_on_start(self, tmp_path):
         queue = JobQueue(tmp_path / "spool")

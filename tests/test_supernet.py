@@ -214,10 +214,10 @@ class TestVisionSupernet:
         wide = base.replaced(**{"block0/width_delta": 4})
         net.zero_grad()
         net.loss(base, batch.inputs, batch.labels).backward()
-        grad_base = net.blocks[0].expands[0].weight.grad.copy()
+        grad_base = net.blocks[0].expands.layers[0].weight.grad.copy()
         net.zero_grad()
         net.loss(wide, batch.inputs, batch.labels).backward()
-        grad_wide = net.blocks[0].expands[0].weight.grad.copy()
+        grad_wide = net.blocks[0].expands.layers[0].weight.grad.copy()
         overlap = (grad_base != 0) & (grad_wide != 0)
         assert overlap.any()
 

@@ -16,7 +16,19 @@ from repro.telemetry import (
     Telemetry,
     read_events,
 )
+from repro.telemetry.metrics import label_key
 from repro.telemetry.report import render_report, summarize_events
+
+
+def value(metric, **labels):
+    """One labeled series of a counter (0 if it never fired) or a gauge
+    (``None``)."""
+    return metric.series().get(label_key(labels), 0 if metric.kind == "counter" else None)
+
+
+def total(counter):
+    """A counter summed over every labeled series."""
+    return sum(counter.series().values())
 
 
 class TestMetrics:
@@ -25,7 +37,7 @@ class TestMetrics:
         counter = registry.counter("search.steps")
         counter.inc()
         counter.inc(4)
-        assert counter.value() == 5
+        assert value(counter) == 5
         assert registry.counter("search.steps") is counter
 
     def test_counter_rejects_decrease(self):
@@ -37,16 +49,16 @@ class TestMetrics:
         counter.inc(error="TypeError", retryable="false")
         counter.inc(error="RuntimeError", retryable="true")
         counter.inc(error="RuntimeError", retryable="true")
-        assert counter.value(error="TypeError", retryable="false") == 1
-        assert counter.value(error="RuntimeError", retryable="true") == 2
-        assert counter.total() == 3
+        assert value(counter, error="TypeError", retryable="false") == 1
+        assert value(counter, error="RuntimeError", retryable="true") == 2
+        assert total(counter) == 3
 
     def test_gauge_keeps_last_value(self):
         gauge = MetricsRegistry().gauge("search.reward")
-        assert gauge.value() is None
+        assert value(gauge) is None
         gauge.set(0.25)
         gauge.set(0.75)
-        assert gauge.value() == 0.75
+        assert value(gauge) == 0.75
 
     def test_histogram_streams_stats(self):
         hist = MetricsRegistry().histogram("span.step")
@@ -83,27 +95,27 @@ class TestMetrics:
         target.counter("search.steps").inc(99)  # stale run count: replaced
         target.counter("supervisor.crashes").inc(3)  # churn: survives
         target.import_state(state, exclude_prefixes=CHURN_PREFIXES)
-        assert target.counter("search.steps").value() == 7
-        assert target.gauge("search.reward").value() == 0.5
+        assert value(target.counter("search.steps")) == 7
+        assert value(target.gauge("search.reward")) == 0.5
         assert target.histogram("span.step").stats()["count"] == 1
-        assert target.counter("supervisor.crashes").total() == 3
+        assert total(target.counter("supervisor.crashes")) == 3
 
     def test_reset_spares_churn(self):
         registry = MetricsRegistry()
         registry.counter("search.steps").inc()
         registry.counter("testbed.retries").inc()
         registry.reset(exclude_prefixes=CHURN_PREFIXES)
-        assert "search.steps" not in registry
-        assert registry.counter("testbed.retries").value() == 1
+        assert "search.steps" not in registry.snapshot()["counters"]
+        assert value(registry.counter("testbed.retries")) == 1
 
 
 class TestEventLog:
     def test_events_seal_into_segments(self, tmp_path):
         log = EventLog(tmp_path, segment_events=2, clock=lambda: 1.0)
         log.emit("a", x=1)
-        assert log.pending == 1 and log.segments_written == 0
+        assert log.segments_written == 0
         log.emit("b")  # fills the segment
-        assert log.pending == 0 and log.segments_written == 1
+        assert log.segments_written == 1
         log.emit("c")
         log.close()
         events = list(read_events(tmp_path))
@@ -135,7 +147,7 @@ class TestTelemetryFacade:
         telemetry = Telemetry()
         with telemetry.span("step"):
             pass
-        assert telemetry.trace.span_stats("step")["count"] == 1
+        assert telemetry.registry.histogram("span.step").stats()["count"] == 1
 
     def test_summary_written_on_close(self, tmp_path):
         telemetry = Telemetry(tmp_path)
@@ -203,7 +215,7 @@ class TestTimedStageValidation:
         stats = runtime.stats()
         for stage in STAGES:
             assert stats.stage_calls[stage] == 1
-            assert telemetry.trace.span_stats(stage)["count"] == 1
+            assert telemetry.registry.histogram("span." + stage).stats()["count"] == 1
 
     def test_import_rejects_unknown_stage_buckets(self):
         runtime = EvalRuntime(lambda arch: {"t": 1.0})
@@ -226,11 +238,11 @@ class TestEvalRuntimeTelemetry:
         )
         runtime.price({"v": 1}, indices=(1,))
         runtime.price({"v": 1}, indices=(1,))
-        assert telemetry.counter("eval.candidates_priced").value() == 2
-        assert telemetry.counter("eval.cache.hits").value() == 1
-        assert telemetry.counter("eval.cache.misses").value() == 1
-        assert telemetry.counter("eval.evaluations").value() == 1
-        assert telemetry.gauge("eval.cache.entries").value() == 1
+        assert value(telemetry.counter("eval.candidates_priced")) == 2
+        assert value(telemetry.counter("eval.cache.hits")) == 1
+        assert value(telemetry.counter("eval.cache.misses")) == 1
+        assert value(telemetry.counter("eval.evaluations")) == 1
+        assert value(telemetry.gauge("eval.cache.entries")) == 1
 
     def test_price_many_mirrors_in_one_delta(self):
         telemetry = Telemetry()
@@ -239,9 +251,9 @@ class TestEvalRuntimeTelemetry:
         )
         drawn = [({"v": i}, (i,)) for i in (0, 1, 0)]
         runtime.price_many(drawn)
-        assert telemetry.counter("eval.candidates_priced").value() == 3
-        assert telemetry.counter("eval.cache.hits").value() == 1
-        assert telemetry.counter("eval.cache.misses").value() == 2
+        assert value(telemetry.counter("eval.candidates_priced")) == 3
+        assert value(telemetry.counter("eval.cache.hits")) == 1
+        assert value(telemetry.counter("eval.cache.misses")) == 2
 
 
 class TestErrorClassification:
@@ -291,11 +303,10 @@ class TestSupervisorClassification:
         # The original TypeError surfaces, not RestartBudgetExceeded.
         with pytest.raises(TypeError, match="bad config"):
             supervisor.run()
-        assert telemetry.counter("supervisor.crashes").value(
-            error="TypeError", retryable="false"
-        ) == 1
+        crashes = telemetry.counter("supervisor.crashes")
+        assert value(crashes, error="TypeError", retryable="false") == 1
         # No restart was attempted, so no restart counter ticked.
-        assert telemetry.counter("supervisor.restarts").total() == 0
+        assert total(telemetry.counter("supervisor.restarts")) == 0
 
     def test_retryable_crashes_still_burn_the_budget(self, tmp_path):
         class DoomedSearch:
@@ -350,9 +361,8 @@ class TestTestbedClassification:
         with pytest.raises(TypeError, match="must be int"):
             bed.measure(self._graph())
         assert calls["n"] == 1  # no blind retries of a deterministic bug
-        assert telemetry.counter("testbed.failures").value(
-            error="TypeError", retryable="false"
-        ) == 1
+        counter = telemetry.counter("testbed.failures")
+        assert value(counter, error="TypeError", retryable="false") == 1
 
     def test_retryable_failures_counted(self):
         telemetry = Telemetry()
@@ -368,12 +378,11 @@ class TestTestbedClassification:
 
         bed.measure_time = flaky
         measurement = bed.measure(self._graph())
-        assert measurement.retries == 2
-        assert telemetry.counter("testbed.retries").value() == 2
-        assert telemetry.counter("testbed.failures").value(
-            error="RuntimeError", retryable="true"
-        ) == 2
-        assert telemetry.counter("testbed.measurements").value() == 1
+        assert measurement.attempts == 3
+        assert value(telemetry.counter("testbed.retries")) == 2
+        counter = telemetry.counter("testbed.failures")
+        assert value(counter, error="RuntimeError", retryable="true") == 2
+        assert value(telemetry.counter("testbed.measurements")) == 1
 
 
 class TestEventLogConcurrency:

@@ -13,7 +13,7 @@ from repro.models import (
     build_cnn_graph,
     build_vit_graph,
 )
-from repro.models import cnn_timing, vit_timing
+from repro.models import cnn_timing
 from repro.searchspace import (
     CnnSpaceConfig,
     VitSpaceConfig,
@@ -33,7 +33,7 @@ class TestCnnLowering:
         space, baseline, _ = cnn_setup()
         graph = build_cnn_graph(baseline, space.default_architecture())
         assert graph.total_flops > 0
-        assert "classifier" in graph
+        assert "classifier" in graph.names
 
     def test_any_sampled_arch_builds(self):
         space, baseline, _ = cnn_setup()
@@ -198,15 +198,17 @@ class TestVitLowering:
         )
         assert fine.total_flops > coarse.total_flops  # 16x the tokens
 
-    def test_num_params_tracks_rank(self):
+    def test_weight_bytes_track_rank(self):
         space, baseline, _ = vit_setup()
         full = space.default_architecture().replaced(
             **{"tfm0/hidden_size": 512, "tfm1/hidden_size": 512}
         )
         factored = full.replaced(**{"tfm0/low_rank": 0.1, "tfm1/low_rank": 0.1})
-        assert vit_timing.num_params(baseline, factored) < vit_timing.num_params(
-            baseline, full
-        )
+
+        def weight_bytes(arch):
+            return sum(build_vit_graph(baseline, arch).param_bytes)
+
+        assert weight_bytes(factored) < weight_bytes(full)
 
     def test_baseline_validation(self):
         with pytest.raises(ValueError):
@@ -241,8 +243,7 @@ class TestVitTimingHarness:
 def test_measure_goes_through_the_testbed_retry_policy(setup, build):
     """One harness for every space: CNN and ViT measure through
     ``HardwareTestbed.measure`` like DLRM — the value of one
-    ``measure_time`` draw under the default policy — and report what
-    the policy spent."""
+    ``measure_time`` draw under the default policy."""
     from repro.hardware import TPU_V4, TPU_V4I, HardwareTestbed
 
     space, baseline, harness = setup()
@@ -252,4 +253,3 @@ def test_measure_goes_through_the_testbed_retry_policy(setup, build):
         HardwareTestbed(TPU_V4I, seed=1).measure_time(build(baseline, arch, batch=8)),
     )
     assert harness.measure(arch) == want
-    assert harness.measurement_retries == 0 and harness.measurement_timeouts == 0

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.graph import OpGraph, ops
+from repro.graph import UNIT_NETWORK, OpGraph, ops
 from repro.hardware import (
     TPU_V4,
     bottleneck,
-    resource_sensitivity,
     sensitivity_profile,
 )
 
@@ -26,9 +25,13 @@ def memory_bound_graph():
 
 
 def network_bound_graph():
-    graph = OpGraph("network")
-    ops.all_to_all(graph, "a2a", payload_bytes=2e9)
+    graph = OpGraph("network")  # one cross-chip shuffle of 2 GB
+    graph.append("a2a", "all_to_all", 0.0, 2e9, 2e9, 0.0, UNIT_NETWORK, (), 2e9)
     return graph
+
+
+def resource_sensitivity(graph, hw, resource, scale=2.0):
+    return sensitivity_profile(graph, hw, (resource,), scale)[resource]
 
 
 class TestResourceSensitivity:
@@ -61,7 +64,7 @@ class TestResourceSensitivity:
 
     def test_profile_takes_the_unscaled_baseline_once(self, monkeypatch):
         """One unscaled simulation plus one per resource, and each entry
-        is what ``resource_sensitivity`` returns on its own."""
+        is what a one-resource profile returns."""
         from repro.hardware import PerformanceSimulator
 
         simulated = []

@@ -27,7 +27,9 @@ name when reached code loads it (an import alone is not a load).  The
 public names are the ``__all__`` of every package under ``src/repro``.
 DESIGN.md §17 lists the counts, the public names product traffic
 reaches, and every public name it does not, each with a line naming its
-user; that last column is written by hand and kept across rewrites.
+user; that last column is written by hand and kept across rewrites, as
+is the closing list of the test-only functions kept, with the reason
+each is kept.
 ``tests/test_design_invariants.py`` fails when a package's ``__all__``
 gains a name §17 does not classify.
 """
@@ -57,6 +59,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 DESIGN = ROOT / "DESIGN.md"
 HEADING = "## 17. Appendix: the reachability ledger"
+KEPT = "### Test-only functions kept"
 
 #: (relative path, first line, name): how a code object is recorded
 Key = Tuple[str, int, str]
@@ -79,12 +82,18 @@ if _out:
         _start()
 
     def _dump():
+        # getstats() counts a call only once it returns: what is still on
+        # a thread's stack (a daemon thread's loop, the caller of
+        # os._exit) is read from the frames themselves
+        codes = [entry.code for profile in list(_profiles) for entry in profile.getstats()]
+        for frame in sys._current_frames().values():
+            while frame is not None:
+                codes.append(frame.f_code)
+                frame = frame.f_back
         seen = set()
-        for profile in list(_profiles):
-            for entry in profile.getstats():
-                code = entry.code
-                if not isinstance(code, str) and code.co_filename.startswith(_root):
-                    seen.add((code.co_filename[len(_root):], code.co_firstlineno, code.co_name))
+        for code in codes:
+            if not isinstance(code, str) and code.co_filename.startswith(_root):
+                seen.add((code.co_filename[len(_root):], code.co_firstlineno, code.co_name))
         handle, path = tempfile.mkstemp(dir=_out, suffix=".json")
         with os.fdopen(handle, "w") as sink:
             json.dump(sorted(seen), sink)
@@ -492,7 +501,8 @@ def render(result: dict, users: Dict[Tuple[str, str], str]) -> str:
     lines = [
         "",
         "Generated by `python tools/ledger.py` from the traffic it records",
-        "(its docstring says how); only the *user* column is written by hand.",
+        "(its docstring says how); only the *user* column and the closing",
+        "list of test-only functions kept are written by hand.",
         "`python tools/ledger.py --check` re-runs the traffic and fails when a",
         "public name product traffic does not reach has no row here, or a row",
         "here names one it does reach; `tests/test_design_invariants.py`",
@@ -578,9 +588,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         shutil.rmtree(temp, ignore_errors=True)
     for failure in product.failures + tests.failures:
         log(f"traffic failed: {failure}")
-    log(f"{len(result['test_only'])} functions only the tier-1 suite reaches:")
-    for rel, line, name in result["test_only"]:
-        log(f"  {rel}:{line} {name}")
+    for label, keys in (("only the tier-1 suite reaches", result["test_only"]),
+                        ("neither traffic reaches", result["neither"])):
+        log(f"{len(keys)} functions {label}:")
+        for rel, line, name in keys:
+            log(f"  {rel}:{line} {name}")
     appendix = current_appendix()
     if args.check:
         found = problems(result, appendix)
@@ -589,6 +601,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if found else 0
     text = DESIGN.read_text()
     body = render(result, user_lines(appendix))
+    if KEPT in appendix:
+        body += "\n" + appendix[appendix.index(KEPT):]
     if f"\n{HEADING}\n" in text:
         text = text.split(f"\n{HEADING}\n", 1)[0]
     DESIGN.write_text(text.rstrip("\n") + f"\n\n{HEADING}\n{body}")
