@@ -470,13 +470,14 @@ def cmd_serve(args: argparse.Namespace) -> str:
         ),
     )
     daemon = ServiceDaemon(config)
-    print(
-        f"repro service daemon listening on {daemon.socket_path} "
-        f"(spool: {daemon.spool})",
-        file=sys.stderr,
-        flush=True,
+    summary = daemon.serve(
+        on_listening=lambda: print(
+            f"repro service daemon listening on {daemon.socket_path} "
+            f"(spool: {daemon.spool})",
+            file=sys.stderr,
+            flush=True,
+        )
     )
-    summary = daemon.serve()
     return "drained: " + json.dumps(summary, sort_keys=True)
 
 

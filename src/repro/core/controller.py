@@ -175,7 +175,8 @@ class BaselineTracker:
 
     def update(self, rewards: Sequence[float]) -> None:
         if len(rewards):
-            mean = float(np.mean(rewards))
+            # np.mean's sum and division, without its list-handling overhead
+            mean = float(np.add.reduce(np.asarray(rewards, dtype=np.float64))) / len(rewards)
             old = self.value
             self.value = mean if old is None else self.momentum * old + (1 - self.momentum) * mean
 

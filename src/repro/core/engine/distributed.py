@@ -22,8 +22,11 @@ the one :class:`_Cluster` controller (shared per backend key, see
 
 Weights have two *carriers*, selected by the kind of link.  A spawned
 worker shares this machine's memory: its ``context`` message names the
-:class:`~.shm.SharedWeights` segment and a task stamped with a newer
-version triggers the seqlock copy-in.  A worker that dialled in over TCP
+:class:`~.shm.SharedWeights` segment, its rehydrated parameters are
+bound to the segment's views (as the controller's are), and its
+gradient buffers to its task's slot of the gradient image, so no step
+copies weights or gradients on either side; a task runs only when the
+segment's version is its stamp.  A worker that dialled in over TCP
 gets the same versions as a *push*: every ``optimizer_step()`` republish
 broadcasts a versioned weight message, and a link is primed with every
 registered context before it can be assigned work (:meth:`_Cluster._admit`),
@@ -121,20 +124,20 @@ def _error_from(fields: Any) -> Exception:
 class _HostContext:
     """One rehydrated supernet plus its last-applied weight version.
     Weights arrive as a pushed array (:meth:`apply`) or, given the name of
-    the controller's shared ``segment``, by :meth:`copy_in`; ``gradients``
-    is its gradient image's ``(slots, name)``.  Parameters are walked once."""
+    the controller's shared ``segment``, the parameters are bound to its
+    views; ``gradients`` is its gradient image's ``(slots, name)``.
+    Parameters are walked once."""
 
     def __init__(
         self, supernet: Any, layout: WeightLayout, segment: Optional[str] = None, gradients=None
     ):
         self.supernet = supernet
         self.params = list(supernet.parameters())
-        self.param_arrays = [p.data for p in self.params]
         self.layout = [
             (tuple(shape), int(offset), int(size)) for shape, offset, size in layout
         ]
         self.size = sum(size for _, _, size in self.layout)
-        shapes = [tuple(a.shape) for a in self.param_arrays]
+        shapes = [tuple(p.data.shape) for p in self.params]
         expected = [shape for shape, _, _ in self.layout]
         if shapes != expected:
             raise RuntimeError(
@@ -143,6 +146,8 @@ class _HostContext:
             )
         self.shared = SharedWeights.attach(segment, self.layout) if segment else None
         self.gradients = SharedGradients(self.layout, *gradients) if gradients else None
+        for param, view in zip(self.params, self.shared.views if self.shared else ()):
+            param.data = view
         self.applied_version = 0
 
     def apply(self, version: int, flat: Any) -> None:
@@ -151,15 +156,13 @@ class _HostContext:
             raise ProtocolError(f"weights {flat!r:.60} for a layout of {self.size} float64s")
         if version <= self.applied_version:
             return
-        for array, (shape, offset, size) in zip(self.param_arrays, self.layout):
-            np.copyto(array, flat[offset : offset + size].reshape(shape))
+        for param, (shape, offset, size) in zip(self.params, self.layout):
+            np.copyto(param.data, flat[offset : offset + size].reshape(shape))
         self.applied_version = int(version)
 
-    def copy_in(self) -> None:
-        """Refresh from the segment (torn-read-safe, see :mod:`.shm`)."""
-        self.applied_version = self.shared.copy_into(self.param_arrays)
-
     def close(self) -> None:
+        for param in self.params:  # nothing may point into a closed mapping
+            param.data, param.grad, param._buf = param.data.copy(), None, None
         for segment in (self.shared, self.gradients):
             if segment is not None:
                 segment.release()
@@ -248,10 +251,13 @@ class WorkerHost:
 
     # -- work messages --------------------------------------------------
     def _context_for_task(self, ref: RemoteContextRef) -> _HostContext:
-        """The context ``ref`` names, at its version or newer.  A link
-        is primed before it is assigned work and frames arrive in order,
-        so a task naming what never came (a released context, a
-        controller out of order) fails as a task: a worker never asks."""
+        """The context ``ref`` names, at its version: a pushed one at it
+        or newer, a shared segment at exactly it (checked again when the
+        task ends, :meth:`_handle_work`).  A link is primed before it is
+        assigned work and frames arrive in order, so a task naming what
+        never came (a released context, a controller out of order) or a
+        segment at another version (a write in progress, or moved on)
+        fails as a task: a worker never asks and never waits."""
         ctx = self._contexts.get(ref.context_id)
         if ctx is None:
             raise RuntimeError(
@@ -260,14 +266,12 @@ class WorkerHost:
             )
         if isinstance(ctx, Exception):
             raise ctx
-        if ctx.applied_version < ref.version:
-            if ctx.shared is None:
-                raise RuntimeError(
-                    f"task stamped weight version {ref.version} of context "
-                    f"{ref.context_id!r} reached worker {self.worker_id} "
-                    f"before the push: it holds version {ctx.applied_version}"
-                )
-            ctx.copy_in()
+        held = ctx.shared.version if ctx.shared is not None else ctx.applied_version
+        if held < ref.version or (ctx.shared is not None and held != ref.version):
+            raise RuntimeError(
+                f"task stamped weight version {ref.version} of context "
+                f"{ref.context_id!r} found version {held} on worker {self.worker_id}"
+            )
         return ctx
 
     def _handle_work(self, message: Dict[str, Any]) -> None:
@@ -282,6 +286,7 @@ class WorkerHost:
             ref = RemoteContextRef(message["context_id"], message["version"])
             task = StageTask(message["stage"], message["kind"], ref, (arch, *rest))
             value, seconds = run_stage_task(task, self._context_for_task)
+            self._context_for_task(ref)  # the weights did not move under it
             reply = encode_message(
                 {"type": "result", "task_id": task_id, "value": value, "seconds": seconds}
             )
@@ -682,8 +687,8 @@ class _Cluster:
             state["version"] = int(version)
             state["weights"] = weights
             links = list(self._links.values())
-        # Spawned workers copy in from the segment when a task's version
-        # stamp says so; only dialled-in ones are pushed to.
+        # Spawned workers compute on the segment itself; only dialled-in
+        # ones are pushed to.
         if weights is not None:
             self._broadcast(
                 links,

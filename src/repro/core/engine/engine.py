@@ -441,13 +441,11 @@ class SearchEngine:
 
         self.controller.load_state_dict(state["controller"])
         self._optimizer.load_state_dict(state["optimizer"])
+        self._writing_weights()
         restore_supernet_state(self.supernet, state["supernet"])
         self._warmup_rng.bit_generator.state = state["warmup_rng"]
         self.pipeline.load_state_dict(state["pipeline"])
         self.runtime.import_state(state["runtime"])
-        # The restored weights must reach workers before the next remote
-        # fan-out: the context's next version carries them.
-        self._weights_dirty = True
         telemetry_state = state.get("telemetry")
         if self.telemetry is not None and telemetry_state is not None:
             self.telemetry.import_state(telemetry_state)
@@ -692,16 +690,20 @@ class SearchEngine:
             # ``loss * scale`` node's, one node fewer.
             loss.backward(np.asarray(1.0 / self.config.num_cores))
 
-    def optimizer_step(self) -> None:
-        """Apply the accumulated weight gradients.
-
-        Every weight update must come through here: the dirty flag is
-        what tells the remote fan-out path to republish the shared
-        weights segment before the next shard is scored in worker
-        processes.
-        """
-        self._optimizer.step()
+    def _writing_weights(self) -> None:
+        """Every write to the live weights starts here.  The context's
+        version goes odd (a worker's task stamped with the last one must
+        not run on weights that move), and the dirty flag tells the next
+        fan-out that ships to publish the next version."""
+        if self._remote_ctx is not None:
+            self._remote_ctx.begin_write()
         self._weights_dirty = True
+
+    def optimizer_step(self) -> None:
+        """Apply the accumulated weight gradients; every weight update
+        comes through here (see :meth:`_writing_weights`)."""
+        self._writing_weights()
+        self._optimizer.step()
 
     def train_weights_on(self, arch: Architecture, batch: Batch) -> None:
         """Stage *weight_update*, single-candidate variant (TuNAS train

@@ -1,40 +1,43 @@
-"""Shared-memory publication of supernet weights for process workers.
+"""Shared-memory weights and gradients for process workers.
 
 The ``processes`` backend scores shards in worker *processes* the
 controller spawned on this machine, so the supernet's weights must be
 visible across address spaces.  Pickling the weights into every task
-would ship the full parameter set per task per step; instead the engine
-publishes **one** copy into a :mod:`multiprocessing.shared_memory`
-segment and updates it in place after each cross-shard weight update.
-Workers attach once (the ``context`` message names the segment, see
-:mod:`.distributed`) and copy the current weights into their rehydrated
-supernet before scoring.  This is the weight *carrier* of
-controller-spawned links; workers reached over TCP get the same
+would ship the full parameter set per task per step; instead a
+:mod:`multiprocessing.shared_memory` segment *is* the weights: the
+controller's parameters are bound to per-parameter views of it
+(:attr:`SharedWeights.views`), and so are those of every worker that
+attaches (the ``context`` message names the segment, see
+:mod:`.distributed`).  An optimizer step writes the segment in place
+and no step copies weights either way.  This is the weight *carrier*
+of controller-spawned links; workers reached over TCP get the same
 versions as byte pushes instead.
 
-Torn reads are prevented with a *seqlock*: the segment header carries a
-version counter that the publisher bumps to an odd value before writing
-and to the next even value after.  A reader copies the payload, then
-re-reads the version — an odd value or a changed value means the copy
-raced a write and must be retried.  (In the engine's step loop the
-publisher only writes between fan-outs, so retries are a correctness
-backstop, not a steady-state cost.)
+The segment header carries a version *stamp*, not a copy protocol: the
+writer makes it odd (:meth:`SharedWeights.begin_write`) before it
+touches the weights and even again (:meth:`SharedWeights.publish`)
+before the next fan-out, and a worker runs a task only when the
+version equals the task's stamp, at its start and at its end.  A
+mismatch is that task's error, never a wait.  (In the engine's step
+loop the controller only writes between fan-outs, so a mismatch is a
+correctness backstop, not a steady-state cost.)
 
 Two segment flavors live here, both flat float64 images of one
 ``(shape, offset, size)`` layout (:func:`weight_layout`, which the TCP
-byte push shares): :class:`SharedWeights`, the parameters going out, and
+byte push shares): :class:`SharedWeights`, the parameters, and
 :class:`SharedGradients`, its mirror — one image per task of a training
-fan-out, written by the workers and read by the engine.
+fan-out, written by the workers' backward passes and read by the engine.
 
 Every segment this process creates is tracked and unlinked at exit, so
-crashed or interrupted runs do not leak ``/dev/shm`` entries.
+crashed or interrupted runs do not leak ``/dev/shm`` entries.  A view
+must not outlive its mapping (an access would be a wild pointer), so
+whoever binds a parameter to one unbinds it before releasing.
 """
 
 from __future__ import annotations
 
 import atexit
 import threading
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +48,7 @@ except ImportError:  # pragma: no cover - platforms without shm support
     shared_memory = None  # type: ignore[assignment]
     resource_tracker = None  # type: ignore[assignment]
 
-#: int64 header slots: ``[0]`` is the seqlock version; the rest are
+#: int64 header slots: ``[0]`` is the weight version; the rest are
 #: reserved so the payload stays 64-byte aligned.
 HEADER_SLOTS = 8
 HEADER_BYTES = HEADER_SLOTS * 8
@@ -93,13 +96,13 @@ def _untrack(name: str) -> None:
 
 
 def _cleanup_created_segments() -> None:
-    """Unlink every still-live segment this process created."""
+    """Unlink every still-live segment this process created.  The
+    mappings stay open, held here until the process ends: a parameter
+    may still be bound to one while a daemon thread runs."""
     with _CREATED_LOCK:
         segments = list(_CREATED.values())
-        _CREATED.clear()
     for segment in segments:
         try:
-            segment.close()
             segment.unlink()
         except Exception:  # pragma: no cover - best-effort exit cleanup
             pass
@@ -154,6 +157,7 @@ class _Segment:
         if self._closed:
             return
         self._closed = True
+        self.views = []  # a view outliving the mapping would be a wild pointer
         _untrack(self._segment.name)
         try:
             self._segment.close()
@@ -164,13 +168,13 @@ class _Segment:
 
 
 class SharedWeights(_Segment):
-    """One shared, versioned copy of a supernet's parameter arrays.
+    """One shared, versioned image of a supernet's parameter arrays.
 
-    The publisher (engine process) calls :meth:`publish` after every
-    cross-shard weight update; readers (workers) call :meth:`copy_into`
-    before scoring.  The seqlock version makes a torn read impossible:
-    readers retry until they observe the same even version before and
-    after their copy.
+    :attr:`views` holds one array per parameter, which the controller's
+    parameters and the workers' are bound to.  The writer brackets every
+    write with :meth:`begin_write` (odd version) and :meth:`publish`
+    (the next even one); a reader only compares the version with the
+    stamp of the task it runs.
     """
 
     def __init__(self, layout: WeightLayout, name: Optional[str] = None):
@@ -181,9 +185,9 @@ class SharedWeights(_Segment):
         total = sum(size for _, _, size in self.layout)
         super().__init__(HEADER_BYTES + total * 8, name)
         self._header = np.ndarray((HEADER_SLOTS,), dtype=np.int64, buffer=self._segment.buf)
-        self._data = np.ndarray(
-            (total,), dtype=np.float64, buffer=self._segment.buf, offset=HEADER_BYTES
-        )
+        data = np.ndarray((total,), dtype=np.float64, buffer=self._segment.buf, offset=HEADER_BYTES)
+        #: ``views[i]``: parameter ``i``'s weights
+        self.views = [data[offset : offset + size].reshape(shape) for shape, offset, size in self.layout]
 
     @property
     def version(self) -> int:
@@ -193,10 +197,11 @@ class SharedWeights(_Segment):
     # ------------------------------------------------------------------
     @classmethod
     def create(cls, arrays: Sequence[np.ndarray]) -> "SharedWeights":
-        """Create a segment sized for ``arrays`` and publish them as v2."""
+        """Create a segment sized for ``arrays``, holding them as v2."""
         weights = cls(weight_layout(arrays))
-        weights._header[:] = 0
-        weights.publish(arrays)
+        for view, array in zip(weights.views, arrays):
+            np.copyto(view, array)
+        weights._header[0] = 2
         return weights
 
     @classmethod
@@ -205,50 +210,24 @@ class SharedWeights(_Segment):
         return cls(layout, name)
 
     # ------------------------------------------------------------------
-    def publish(self, arrays: Sequence[np.ndarray]) -> int:
-        """Write ``arrays`` into the segment under the seqlock; returns
-        the new (even) version."""
-        if len(arrays) != len(self.layout):
-            raise ValueError(
-                f"publish got {len(arrays)} arrays for a layout of "
-                f"{len(self.layout)}"
-            )
-        current = self.version
-        self._header[0] = current + 1  # odd: write in progress
-        for array, (shape, offset, size) in zip(arrays, self.layout):
-            self._data[offset : offset + size] = np.asarray(array).reshape(-1)
-        self._header[0] = current + 2
-        return current + 2
+    def begin_write(self) -> None:
+        """Make the version odd: the views are about to change."""
+        self._header[0] |= 1
 
-    def copy_into(self, arrays: Sequence[np.ndarray]) -> int:
-        """Copy the current weights into ``arrays``; returns the version.
-
-        Retries until a stable even version brackets the copy, so the
-        caller never observes a half-written update.
-        """
-        if len(arrays) != len(self.layout):
-            raise ValueError(
-                f"copy_into got {len(arrays)} arrays for a layout of "
-                f"{len(self.layout)}"
-            )
-        while True:
-            before = self.version
-            if before & 1:
-                time.sleep(0.0002)
-                continue
-            for array, (shape, offset, size) in zip(arrays, self.layout):
-                np.copyto(array, self._data[offset : offset + size].reshape(shape))
-            if self.version == before:
-                return before
-            time.sleep(0.0002)
+    def publish(self) -> int:
+        """End the write: the next even version, which is returned."""
+        version = (self.version | 1) + 1
+        self._header[0] = version
+        return version
 
 
 class SharedGradients(_Segment):
     """The mirror of :class:`SharedWeights`: ``slots`` gradient images of
     one layout, written by workers and read by the engine.
 
-    Slot ``k`` belongs to task ``k`` of a training fan-out.  No seqlock:
-    the worker writes its slot and *then* sends the task's ``result``
+    Slot ``k`` belongs to task ``k`` of a training fan-out.  No version:
+    a worker's backward writes its slot (its parameters' gradient
+    buffers are bound to it) and *then* it sends the task's ``result``
     frame, the happens-before edge for the engine's read, and a lost
     worker is reaped before its orphan is re-run into the same slot.
     Pages nobody wrote cost no memory.
@@ -263,7 +242,3 @@ class SharedGradients(_Segment):
             [flat[slot, offset : offset + size].reshape(shape) for shape, offset, size in layout]
             for slot in range(slots)
         ]
-
-    def release(self) -> None:
-        self.views = []  # a view outliving the mapping would be a wild pointer
-        super().release()

@@ -9,10 +9,9 @@ into a ``task`` message.  Every remote worker runs one loop
 (:class:`~.distributed.WorkerHost`): it rebuilds the supernet once per
 context from the spec the ``context`` message carries — a name in
 :data:`SUPERNETS` and its config as JSON — validates its parameter
-shapes against the published layout, and refreshes its weights whenever
-a task's ``version`` is newer than the one it last applied (a
-``train_many`` task also runs the group's backward there and hands the
-gradient back).  The engine's side of that contract is the
+shapes against the published layout, and runs a task only at the
+weight ``version`` it is stamped with (a ``train_many`` task also runs
+the group's backward there and hands the gradient back).  The engine's side of that contract is the
 :class:`RemoteShardContext` handle :func:`build_remote_context` returns.
 
 Where a fan-out runs is the engine's decision alone
@@ -56,8 +55,8 @@ class RemoteContextRef:
     """Names one scoring context and the weight state a task needs.
 
     ``version`` stamps the weight state this task must score against — a
-    spawned worker whose applied version is older copies in from the
-    shared segment first; a dialled-in one was pushed it ahead of the task.
+    spawned worker finds it in the shared segment its parameters are
+    bound to; a dialled-in one was pushed it ahead of the task.
     """
 
     context_id: str
@@ -116,21 +115,26 @@ def _train_many(
     """One group's qualities *and* gradient, computed from zero.
 
     Returns ``(qualities, active, gradients)``: ``active`` indexes the
-    parameters that received a gradient.  The gradients land in slot
-    ``slot`` of ``image`` (``gradients`` is then ``None``) or come back
-    as copies — the next group this supernet runs reuses the buffers.
+    parameters that received a gradient.  With an ``image`` the backward
+    writes slot ``slot`` of it (each gradient reuse buffer is bound to
+    its slot view, and ``gradients`` is ``None``); without, they come
+    back as copies — the next group this supernet runs reuses the buffers.
     """
     arch, inputs_seq, labels_seq, scale, slot = payload
-    for param in params:
+    views = image.views[slot] if image is not None else None
+    for i, param in enumerate(params):
         param.grad = None
+        if views is not None:
+            param._buf = views[i]
     qualities, loss = supernet.quality_and_loss_many(arch, inputs_seq, labels_seq)
     loss.backward(np.asarray(scale))
     active = [i for i, param in enumerate(params) if param.grad is not None]
     qualities = [float(quality) for quality in qualities]
-    if image is None:
+    if views is None:
         return qualities, active, [params[i].grad.copy() for i in active]
     for i in active:
-        np.copyto(image.views[slot][i], params[i].grad)
+        if params[i].grad is not views[i]:  # a first touch that did not fit the buffer
+            np.copyto(views[i], params[i].grad)
     return qualities, active, None
 
 
@@ -140,8 +144,8 @@ def run_stage_task(
     """Execute one stage task in a worker; returns ``(value, seconds)``.
 
     What a :class:`~.distributed.WorkerHost` runs per ``task`` message
-    (``context_for`` resolves the rehydrated context, weights refreshed
-    to the task's version) and the ``fn`` the engine hands
+    (``context_for`` resolves the rehydrated context, its weights at the
+    task's version) and the ``fn`` the engine hands
     ``backend.map`` with the tasks it ships.  Timed next to the
     execution, so workers never touch the metrics registry.
     """
@@ -225,9 +229,11 @@ class RemoteShardContext:
 
     Owns the weights segment and the gradient image (when the workers
     share this machine's memory) and tracks the published version — the
-    one monotonic counter tasks are stamped with.  Built through
-    :func:`build_remote_context`, which validates the whole round trip
-    before any worker sees a task.
+    one monotonic counter tasks are stamped with.  While it owns a
+    segment the supernet's parameters are bound to its views: the
+    segment *is* the live weights, written in place by the optimizer.
+    Built through :func:`build_remote_context`, which validates the
+    whole round trip before any worker sees a task.
     """
 
     def __init__(
@@ -240,7 +246,6 @@ class RemoteShardContext:
     ):
         self.supernet = supernet
         self.params = list(supernet.parameters())
-        self.param_arrays = [p.data for p in self.params]
         self.weights = weights
         self.gradients = gradients
         self.cluster = cluster
@@ -257,22 +262,43 @@ class RemoteShardContext:
                 self.param_arrays,
                 gradients and (len(gradients.views), gradients.name),
             )
+        for param, view in zip(self.params, weights.views if weights is not None else ()):
+            param.data = view
+
+    @property
+    def param_arrays(self) -> List[np.ndarray]:
+        """The live parameter arrays (the segment's views while bound)."""
+        return [param.data for param in self.params]
 
     def ref(self) -> RemoteContextRef:
         """A reference stamped with the current version."""
         return RemoteContextRef(context_id=self.context_id, version=self.version)
 
+    def begin_write(self) -> None:
+        """The live weights are about to change: a task stamped with the
+        current version must not run on them (see :mod:`.shm`)."""
+        if self.weights is not None:
+            self.weights.begin_write()
+
     def publish(self) -> int:
         """Make the live parameter arrays the next weight version.
 
-        With a segment this is the in-place shared-memory write and
-        workers copy in when a task's stamp says so; without one the
-        cluster pushes the bytes to its workers.  A version only means
-        something inside this context (whose id no snapshot records), so
-        moving forward from the last one is all it takes.
+        With a segment the weights are already there: this ends the
+        write at the next even version.  A parameter bound elsewhere
+        since (another context on this supernet) is copied in and bound
+        back first, so a rebinding costs one copy, never a stale weight.
+        Without a segment the cluster pushes the bytes to its workers.
+        A version only means something inside this context (whose id no
+        snapshot records), so moving forward from the last one is all it
+        takes.
         """
         if self.weights is not None:
-            self.version = self.weights.publish(self.param_arrays)
+            for param, view in zip(self.params, self.weights.views):
+                if param.data is not view:
+                    self.weights.begin_write()
+                    np.copyto(view, param.data)
+                    param.data = view
+            self.version = self.weights.publish()
         else:
             self.version += 1
         if self.cluster is not None:
@@ -282,12 +308,17 @@ class RemoteShardContext:
         return self.version
 
     def release(self) -> None:
-        """Tear down the segments and the workers' copies (idempotent)."""
+        """Tear down the segments and the workers' contexts (idempotent).
+        A parameter still bound to this segment gets a private copy
+        first; one bound to another context's is left alone."""
         if self._released:
             return
         self._released = True
         if self.cluster is not None:
             self.cluster.release_context(self.context_id)
+        for param, view in zip(self.params, self.weights.views if self.weights is not None else ()):
+            if param.data is view:
+                param.data = view.copy()
         for segment in (self.weights, self.gradients):
             if segment is not None:
                 segment.release()

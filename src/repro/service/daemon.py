@@ -32,7 +32,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import IO, Any, Dict, Optional, Union
+from typing import IO, Any, Callable, Dict, Optional, Union
 
 from ..runtime.atomic import atomic_write_json
 from ..runtime.signals import GracefulShutdown
@@ -126,17 +126,21 @@ class ServiceDaemon:
         return listener
 
     # -- main loop ------------------------------------------------------
-    def serve(self) -> Dict[str, Any]:
+    def serve(self, on_listening: Optional[Callable[[], None]] = None) -> Dict[str, Any]:
         """Run until drained; returns the final stats summary.
 
         Installs SIGTERM/SIGINT handlers when called from the main
         thread; a background-thread daemon (tests) is drained via the
-        ``drain`` verb or :meth:`request_drain`.
+        ``drain`` verb or :meth:`request_drain`.  ``on_listening`` runs
+        once the spool is locked and the socket bound (``repro serve``
+        prints its banner there, so a refused daemon prints none).
         """
         self._started_monotonic = time.monotonic()
         with self._shutdown, self._lock_spool():
             recovered = self.scheduler.start()
             self._listener = self._bind()
+            if on_listening is not None:
+                on_listening()
             atomic_write_json(
                 self.spool / DAEMON_INFO_NAME,
                 {

@@ -235,6 +235,16 @@ class TestBaselineTracker:
         tracker.update([])
         assert tracker.value is None
 
+    @pytest.mark.parametrize("n", [1, 4, 7, 8, 9, 16, 129, 1000])
+    def test_the_mean_is_np_mean_bit_for_bit(self, n):
+        # The same pairwise sum and the same division as np.mean, at
+        # counts on each side of its unrolling (8) and blocking (128).
+        rng = np.random.default_rng(n)
+        for rewards in (rng.normal(size=n), rng.uniform(-1e6, 1e6, size=n) ** 3):
+            tracker = BaselineTracker(momentum=0.0)
+            tracker.update(list(rewards))
+            assert tracker.value == float(np.mean(list(rewards)))
+
 
 class TestReinforceController:
     def test_learns_a_planted_optimum(self):

@@ -204,6 +204,81 @@ class TestWorkerWireProtocol:
 
         return map_once
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+    def test_a_task_off_its_segment_version_is_a_task_error(self, monkeypatch):
+        # A spawned worker's parameters are bound to the segment, so a
+        # task runs only at the version it is stamped with, checked when
+        # it starts and when it ends: a write in progress (odd) or a
+        # version that moved on is the task's error naming both, never a
+        # wait (the scripted controller's socket timeout bounds one) and
+        # never a silent compute.
+        from repro.core.engine.shm import weight_layout
+
+        search = build_single(backend="serial")
+        payload = self._shard_payloads(search, 1)[0]
+        arrays = [p.data for p in search.supernet.parameters()]
+        weights = SharedWeights.create(arrays)
+        worker_side, controller = socket.socketpair()
+        controller.settimeout(30.0)
+        host = WorkerHost(worker_side, worker_id="scripted")
+        thread = threading.Thread(target=host.run, daemon=True)
+        thread.start()
+        task_ids = itertools.count(1)
+
+        def ask(version):
+            send_message(
+                controller,
+                {"type": "task", "task_id": next(task_ids), "stage": "score",
+                 "kind": "quality_many", "context_id": "sent", "version": version,
+                 "payload": payload},
+            )
+            return recv_message(controller, TO_CONTROLLER)
+
+        def refused(reply, stamped, found):
+            return (
+                reply["type"] == "error"
+                and reply["error"][0] == "RuntimeError"
+                and f"version {stamped}" in reply["error"][1]
+                and f"found version {found}" in reply["error"][1]
+            )
+
+        try:
+            assert recv_message(controller, TO_CONTROLLER)["type"] == "hello"
+            send_message(controller, {
+                "type": "context", "context_id": "sent",
+                "spec": worker_mod.worker_spec_for(search.supernet),
+                "layout": tuple(weight_layout(arrays)), "version": 2,
+                "segment": weights.name,
+            })  # fmt: skip
+            served = ask(2)
+            assert served["type"] == "result"
+            assert served["value"] == execute_stage_kind(search.supernet, "quality_many", payload)
+            hosted = host._contexts["sent"]
+            for param, view in zip(hosted.params, hosted.shared.views):  # its own mapping
+                assert param.data is view and np.shares_memory(param.data, view)
+            weights.begin_write()
+            assert refused(ask(2), 2, 3)  # a write in progress
+            assert weights.publish() == 4
+            assert refused(ask(2), 2, 4)  # moved on
+            assert refused(ask(6), 6, 4)  # a stamp from ahead
+            run = worker_mod.execute_stage_kind
+
+            def moving(*args):
+                weights.begin_write()  # the weights move under the task
+                return run(*args)
+
+            monkeypatch.setattr(worker_mod, "execute_stage_kind", moving)
+            assert refused(ask(4), 4, 5)
+            send_message(controller, {"type": "release", "context_id": "sent"})
+            send_message(controller, {"type": "shutdown"})
+            assert recv_message(controller, TO_CONTROLLER) is None
+        finally:
+            controller.close()
+        thread.join(timeout=30.0)
+        weights.release()
+        assert not thread.is_alive() and host.executed == 5
+        assert all(param.data.flags.owndata for param in hosted.params)  # unbound first
+
     def test_late_joiners_are_primed_before_they_are_assignable(
         self, controller_frames, dialled_in_only
     ):
@@ -991,24 +1066,32 @@ class TestWorkerSpec:
     @pytest.mark.parametrize("host", sorted(SHIPPING_HOSTS))
     def test_a_rebuilt_host_reads_the_published_weights(self, host):
         # What a spawned worker does with a context: rebuild, attach the
-        # segment, copy in at the stamped version.
+        # segment and bind its parameters to the views, so it computes on
+        # every version the controller writes in place, with no copy.
+        from repro.core.engine.distributed import _HostContext
+
         supernet = SHIPPING_HOSTS[host]()
         context = worker_mod.build_remote_context(supernet)
         assert context is not None and context.cluster is None
         rebuilt = worker_mod.build_supernet_from_spec(worker_mod.worker_spec_for(supernet))
-        mine = [p.data for p in rebuilt.parameters()]
-        attached = SharedWeights.attach(context.weights.name, context.weights.layout)
+        hosted = _HostContext(rebuilt, context.weights.layout, context.weights.name)
         try:
             for _ in range(2):
-                assert attached.copy_into(mine) == context.version
-                for got, want in zip(mine, context.param_arrays):
-                    np.testing.assert_array_equal(got, want)
+                assert hosted.shared.version == context.version
+                for mine, view, want in zip(
+                    rebuilt.parameters(), hosted.shared.views, context.param_arrays
+                ):
+                    assert mine.data is view and np.shares_memory(mine.data, view)
+                    np.testing.assert_array_equal(mine.data, want)
+                context.begin_write()
+                assert hosted.shared.version == context.version + 1  # odd: moving
                 for array in context.param_arrays:
                     array += 0.5
                 context.publish()
         finally:
-            attached.release()
+            hosted.close()
             context.release()
+        assert all(p.data.flags.owndata for p in rebuilt.parameters())
         assert context.weights.name.lstrip("/") not in os.listdir("/dev/shm")
 
     @pytest.mark.parametrize("kind", sorted(UNSHIPPABLE))
@@ -1020,3 +1103,73 @@ class TestWorkerSpec:
         ships_a_spec = kind in ("float32", "layout_mismatch")
         assert (worker_mod.worker_spec_for(supernet) is not None) == ships_a_spec
         assert worker_mod.build_remote_context(supernet, no_cluster, gradient_slots=4) is None
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+class TestBoundWeights:
+    """On a ``processes`` context the shared segment *is* the weights:
+    the controller's parameters and each spawned worker's are bound to
+    its views, and a release hands the controller's back their own memory."""
+
+    def test_the_controller_and_its_workers_compute_on_the_segment(self):
+        search = build_single(backend="processes", workers=2)
+        context = search._remote_ctx
+        assert context is not None and context.weights is not None
+        for param, view in zip(context.params, context.weights.views):
+            assert param.data is view and np.shares_memory(param.data, view)
+        payloads = TestWorkerWireProtocol()._shard_payloads(search, 2)
+        assert search._remote_active(len(payloads))
+
+        def remote():
+            tasks = [StageTask("score", "quality_many", context.ref(), p) for p in payloads]
+            return [value for value, _, _ in search.backend.map(run_stage_task, tasks)]
+
+        before = remote()
+        # A probe, not the protocol: written with no begin_write, so the
+        # stamp holds and a worker holding a copy would score the old
+        # weights.  A spawned worker scores what the segment holds now.
+        stamp = context.version
+        for array in context.param_arrays:
+            array *= 0.5
+        assert context.version == stamp
+        expected = [execute_stage_kind(search.supernet, "quality_many", p) for p in payloads]
+        assert remote() == expected != before
+        context.release()
+
+    def test_a_release_gives_the_parameters_their_own_memory(self):
+        search = build_single(backend="processes", workers=2)
+        context = search._remote_ctx
+        values = [array.copy() for array in context.param_arrays]
+        names = {context.weights.name.lstrip("/"), context.gradients.name.lstrip("/")}
+        context.release()
+        for param, value in zip(context.params, values):
+            assert param.data.flags.owndata
+            np.testing.assert_array_equal(param.data, value)
+        assert not names & set(os.listdir("/dev/shm"))
+
+    def test_releasing_one_of_two_contexts_leaves_the_other_bound(self):
+        def bound(context):
+            return all(p.data is v for p, v in zip(context.params, context.weights.views))
+
+        supernet = SHIPPING_HOSTS["dlrm"]()
+        first = worker_mod.build_remote_context(supernet)
+        second = worker_mod.build_remote_context(supernet)
+        try:
+            assert bound(second) and not bound(first)
+            second.begin_write()
+            for array in second.param_arrays:
+                array += 0.5
+            second.publish()
+            # Publishing the first binds back to it: one copy of the
+            # current weights, never its own stale ones.
+            first.publish()
+            assert bound(first) and not bound(second)
+            for param, view in zip(first.params, second.weights.views):
+                np.testing.assert_array_equal(param.data, view)
+            second.publish()
+            first.release()
+            assert bound(second)
+        finally:
+            first.release()
+            second.release()
+        assert all(param.data.flags.owndata for param in supernet.parameters())
