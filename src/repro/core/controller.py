@@ -188,7 +188,6 @@ class ReinforceController:
         self,
         space: SearchSpace,
         learning_rate: float = 0.2,
-        baseline_momentum: float = 0.9,
         entropy_coef: float = 0.0,
         seed: int = 0,
     ):
@@ -199,7 +198,7 @@ class ReinforceController:
         self.policy = CategoricalPolicy(space)
         self.learning_rate = learning_rate
         self.entropy_coef = entropy_coef
-        self.baseline = BaselineTracker(momentum=baseline_momentum)
+        self.baseline = BaselineTracker()
         self._rng = np.random.default_rng(seed)
 
     def sample(self) -> Tuple[Architecture, np.ndarray]:

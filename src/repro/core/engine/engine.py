@@ -171,7 +171,6 @@ class SearchConfig:
     steps: int = 100
     num_cores: int = 4  # parallel accelerators (single-step search only)
     policy_lr: float = 0.3
-    weight_lr: float = 0.005
     policy_entropy_coef: float = 0.0  # exploration bonus for the controller
     warmup_steps: int = 10  # weight-only steps before policy updates begin
     record_candidates: bool = True
@@ -272,7 +271,7 @@ class SearchEngine:
         )
         from ...nn import Adam
 
-        self._optimizer: "Optimizer" = Adam(supernet.parameters(), lr=config.weight_lr)
+        self._optimizer: "Optimizer" = Adam(supernet.parameters(), lr=0.005)
         self._warmup_rng = np.random.default_rng(config.seed + 1)
         # Remote backends (processes, distributed) score against a
         # supernet each worker rehydrates once: the engine registers it

@@ -277,7 +277,6 @@ class EvalRuntime:
         space: Optional[SearchSpace] = None,
         use_cache: bool = True,
         cache_capacity: int = 4096,
-        telemetry: Optional[Any] = None,
     ):
         self.performance_fn = performance_fn
         self.space = space
@@ -295,7 +294,7 @@ class EvalRuntime:
         self._stage_calls: Dict[str, int] = {}
         #: shared :class:`repro.telemetry.Telemetry`; cache/pricing
         #: counters and stage spans mirror into it when attached
-        self.telemetry = telemetry
+        self.telemetry: Optional[Any] = None
 
     def attach_telemetry(self, telemetry: Any) -> None:
         """Attach a telemetry handle unless one is already set."""

@@ -35,8 +35,6 @@ class DartsConfig:
     """Knobs of the gradient-based search."""
 
     steps: int = 100
-    weight_lr: float = 0.005
-    alpha_lr: float = 0.05
     warmup_steps: int = 10  # weight-only steps before alpha learning
 
     def __post_init__(self) -> None:
@@ -44,8 +42,6 @@ class DartsConfig:
             raise ValueError("steps must be >= 1")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be >= 0")
-        if self.weight_lr <= 0 or self.alpha_lr <= 0:
-            raise ValueError("learning rates must be positive")
 
 
 @dataclass
@@ -80,8 +76,8 @@ class DartsSearch:
             )
             for decision in self.space.decisions
         }
-        self._weight_optimizer = Adam(supernet.parameters(), lr=config.weight_lr)
-        self._alpha_optimizer = Adam(list(self.alphas.values()), lr=config.alpha_lr)
+        self._weight_optimizer = Adam(supernet.parameters(), lr=0.005)
+        self._alpha_optimizer = Adam(list(self.alphas.values()), lr=0.05)
 
     # ------------------------------------------------------------------
     def probabilities(self) -> Dict[str, Tensor]:

@@ -200,7 +200,6 @@ class EvolutionConfig:
     population_size: int = 20
     tournament_size: int = 5
     num_trials: int = 100
-    mutations_per_child: int = 1
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -209,8 +208,6 @@ class EvolutionConfig:
             raise ValueError("tournament_size must be in [1, population_size]")
         if self.num_trials < self.population_size:
             raise ValueError("num_trials must cover the initial population")
-        if self.mutations_per_child < 1:
-            raise ValueError("mutations_per_child must be >= 1")
 
 
 def _result(trials: List[Trial], evaluate: EvaluateFn) -> MultiTrialResult:
@@ -280,18 +277,12 @@ class EvolutionarySearch(_ResumableTrialLoop):
         self._population = deque(int(i) for i in state["population"])
 
     def mutate(self, arch: Architecture) -> Architecture:
-        """Re-roll ``mutations_per_child`` random decisions to new values."""
+        """Re-roll one random decision to a new value."""
+        decision = self.space.decisions[int(self._rng.integers(len(self.space.decisions)))]
         updates = {}
-        for _ in range(self.config.mutations_per_child):
-            decision = self.space.decisions[
-                int(self._rng.integers(len(self.space.decisions)))
-            ]
-            current = arch[decision.name]
-            alternatives = [c for c in decision.choices if c != current]
-            if alternatives:
-                updates[decision.name] = alternatives[
-                    int(self._rng.integers(len(alternatives)))
-                ]
+        alternatives = [c for c in decision.choices if c != arch[decision.name]]
+        if alternatives:
+            updates[decision.name] = alternatives[int(self._rng.integers(len(alternatives)))]
         return arch.replaced(**updates)
 
     def _trial(self, arch: Architecture) -> Trial:

@@ -26,14 +26,7 @@ from .serving import (
     optimize_serving_throughput,
 )
 from .simulator import OpTiming, PerformanceSimulator, SimulationResult, simulate
-from .testbed import (
-    HardwareTestbed,
-    Measurement,
-    MeasurementError,
-    MeasurementPolicy,
-    MeasurementTimeout,
-    TestbedCalibration,
-)
+from .testbed import HardwareTestbed, TestbedCalibration
 from .whatif import (
     ResourceSensitivity,
     bottleneck,
@@ -47,10 +40,6 @@ __all__ = [
     "allreduce_time",
     "HardwareConfig",
     "HardwareTestbed",
-    "Measurement",
-    "MeasurementError",
-    "MeasurementPolicy",
-    "MeasurementTimeout",
     "OpTiming",
     "PLATFORM_ALIASES",
     "PLATFORM_NAMES",

@@ -23,7 +23,6 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..graph.ir import FOOTPRINT, UNITS, OpGraph, OpNode, UNIT_MXU, UNIT_VPU
-from ..graph.passes import optimize
 from .config import HardwareConfig
 from .roofline import compute_rate
 
@@ -149,16 +148,14 @@ class SimulationResult:
 class PerformanceSimulator:
     """Roofline-based operator-graph simulator for one accelerator.
 
-    With ``run_compiler_passes=True`` the simulator first applies the
-    XLA-style optimization passes of :mod:`repro.graph.passes`
-    (elementwise fusion, dead-op elimination), mirroring the paper's
-    simulator behaviour on unoptimized TensorFlow graphs; HLO-style
-    pre-optimized graphs should be timed as-is (the default).
+    Graphs are timed as given.  To time an unoptimized graph the way
+    the paper's simulator does, first run it through
+    :func:`repro.graph.passes.optimize` (elementwise fusion, dead-op
+    elimination).
     """
 
-    def __init__(self, hw: HardwareConfig, run_compiler_passes: bool = False):
+    def __init__(self, hw: HardwareConfig):
         self.hw = hw
-        self.run_compiler_passes = run_compiler_passes
 
     def _table(self, graphs: Sequence[OpGraph]) -> np.ndarray:
         """The roofline of every op of ``graphs``, a column per op, graph
@@ -220,8 +217,6 @@ class PerformanceSimulator:
         its bottom MLP); ``serial_time_s`` sums all op times, for
         utilization bookkeeping.
         """
-        if self.run_compiler_passes:
-            graphs = [optimize(graph) for graph in graphs]
         orders, starts = [graph.order() for graph in graphs], [0]
         for graph in graphs:
             starts.append(starts[-1] + len(graph))

@@ -135,15 +135,10 @@ class TimingHarness:
         return metrics[TRAIN], metrics[SERVE]
 
     def measure(self, arch: Architecture) -> Tuple[float, float]:
-        """(train_step_time, serving_latency) from the hardware testbed.
-
-        Measurements go through the testbeds' retry/timeout policy.
-        """
+        """(train_step_time, serving_latency): one noisy measurement of
+        each graph on its hardware testbed."""
         train_graph, serve_graph = self._graphs(arch)
-        return (
-            self._train_bed.measure(train_graph).time_s,
-            self._serve_bed.measure(serve_graph).time_s,
-        )
+        return self._train_bed.measure_time(train_graph), self._serve_bed.measure_time(serve_graph)
 
     def measure_deterministic(self, arch: Architecture) -> Tuple[float, float]:
         """Noise-free testbed times (for evaluation sweeps)."""

@@ -140,7 +140,6 @@ class Dense(Module):
         out_features: int,
         rng: np.random.Generator,
         activation_name: str = "linear",
-        use_bias: bool = True,
     ):
         if in_features <= 0 or out_features <= 0:
             raise ValueError("Dense features must be positive")
@@ -151,9 +150,7 @@ class Dense(Module):
             requires_grad=True,
             name="dense.weight",
         )
-        self.bias: Optional[Tensor] = None
-        if use_bias:
-            self.bias = Tensor(np.zeros(out_features), requires_grad=True, name="dense.bias")
+        self.bias = Tensor(np.zeros(out_features), requires_grad=True, name="dense.bias")
         activation(activation_name)  # reject unknown names at construction
         self._activation_name = activation_name
 
@@ -176,7 +173,6 @@ class MaskedDense(Module):
         max_out: int,
         rng: np.random.Generator,
         activation_name: str = "relu",
-        use_bias: bool = True,
     ):
         if max_in <= 0 or max_out <= 0:
             raise ValueError("MaskedDense widths must be positive")
@@ -187,9 +183,7 @@ class MaskedDense(Module):
             requires_grad=True,
             name="masked_dense.weight",
         )
-        self.bias: Optional[Tensor] = None
-        if use_bias:
-            self.bias = Tensor(np.zeros(max_out), requires_grad=True, name="masked_dense.bias")
+        self.bias = Tensor(np.zeros(max_out), requires_grad=True, name="masked_dense.bias")
         activation(activation_name)  # reject unknown names at construction
         self._activation_name = activation_name
 
@@ -325,11 +319,12 @@ class LayerNorm(Module):
     the statistics exactly as in a framework implementation.
     """
 
-    def __init__(self, width: int, eps: float = 1e-5):
+    eps = 1e-5
+
+    def __init__(self, width: int):
         if width < 1:
             raise ValueError("width must be >= 1")
         self.width = width
-        self.eps = eps
         self.gain = Tensor(np.ones(width), requires_grad=True, name="layernorm.gain")
         self.bias = Tensor(np.zeros(width), requires_grad=True, name="layernorm.bias")
 
@@ -370,11 +365,10 @@ class MLP(Module):
         hidden_sizes: Iterable[int],
         out_features: int,
         rng: np.random.Generator,
-        activation_name: str = "relu",
     ):
         sizes = [in_features, *hidden_sizes]
         self.hidden = [
-            Dense(nin, nout, rng, activation_name=activation_name)
+            Dense(nin, nout, rng, activation_name="relu")
             for nin, nout in zip(sizes[:-1], sizes[1:])
         ]
         self.head = Dense(sizes[-1], out_features, rng, activation_name="linear")

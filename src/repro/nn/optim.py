@@ -43,21 +43,15 @@ class Optimizer:
                 )
 
 
+#: Adam's moment decays and epsilon: Kingma & Ba's defaults.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba) with bias correction."""
 
-    def __init__(
-        self,
-        params: List[Tensor],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: List[Tensor], lr: float = 1e-3):
         super().__init__(params, lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
         self._t = 0
@@ -76,13 +70,13 @@ class Adam(Optimizer):
             # rounds identically to ``beta*x + (1-beta)*g`` (same two
             # elementwise ops on the same operands) while reusing the
             # moment buffers instead of allocating fresh ones per step.
-            m *= self.beta1
-            m += (1 - self.beta1) * param.grad
-            v *= self.beta2
-            v += (1 - self.beta2) * param.grad**2
-            m_hat = m / (1 - self.beta1**self._t)
-            v_hat = v / (1 - self.beta2**self._t)
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= BETA1
+            m += (1 - BETA1) * param.grad
+            v *= BETA2
+            v += (1 - BETA2) * param.grad**2
+            m_hat = m / (1 - BETA1**self._t)
+            v_hat = v / (1 - BETA2**self._t)
+            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def state_dict(self) -> dict:
         """The step count and moments, aligned to the parameter list order.

@@ -49,7 +49,6 @@ class TwoPhaseConfig:
 
     pretrain_epochs: int = 60
     pretrain_lr: float = 1e-3
-    pretrain_batch: int = 256
     finetune_epochs: int = 200
     finetune_lr: float = 1e-4
 
@@ -98,7 +97,7 @@ class TwoPhaseTrainer:
             times,
             epochs=self.config.pretrain_epochs,
             lr=self.config.pretrain_lr,
-            batch=self.config.pretrain_batch,
+            batch=256,
         )
 
     def finetune(self, num_samples: int = 20) -> PhaseReport:

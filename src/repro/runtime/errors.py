@@ -1,12 +1,11 @@
 """Crash classification: which failures are worth retrying?
 
-The supervisor and the hardware testbed both used to retry on *any*
-``Exception``.  That policy turns a programming error — a ``TypeError``
-from a bad config, a ``KeyError`` from a malformed metrics mapping —
-into ``max_restarts`` identical crashes and a misleading
+Retrying on *any* ``Exception`` turns a programming error — a
+``TypeError`` from a bad config, a ``KeyError`` from a malformed metrics
+mapping — into ``max_restarts`` identical crashes and a misleading
 "restart budget exhausted" failure, burning the whole backoff schedule
-on an error that can never succeed.  This module centralizes the
-classification both retry loops use:
+on an error that can never succeed.  This module holds the
+classification the supervisor's restart loop uses:
 
 * **non-retryable**: deterministic programming/configuration errors
   (:data:`NON_RETRYABLE_TYPES`) — re-raised immediately so the operator

@@ -21,9 +21,9 @@ from __future__ import annotations
 import signal
 import threading
 from types import FrameType
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-#: Signals a graceful shutdown listens for by default.
+#: Signals a graceful shutdown listens for.
 DEFAULT_SIGNALS: Tuple[signal.Signals, ...] = (signal.SIGTERM, signal.SIGINT)
 
 
@@ -37,8 +37,7 @@ class GracefulShutdown:
     process).  An impatient operator's double Ctrl-C still works.
     """
 
-    def __init__(self, signals: Iterable[signal.Signals] = DEFAULT_SIGNALS):
-        self._signals = tuple(signals)
+    def __init__(self):
         self._event = threading.Event()
         self._previous: List[Tuple[signal.Signals, object]] = []
         self.received: Optional[int] = None
@@ -46,7 +45,7 @@ class GracefulShutdown:
     # ------------------------------------------------------------------
     def __enter__(self) -> "GracefulShutdown":
         if threading.current_thread() is threading.main_thread():
-            for sig in self._signals:
+            for sig in DEFAULT_SIGNALS:
                 self._previous.append((sig, signal.getsignal(sig)))
                 signal.signal(sig, self._handle)
         return self

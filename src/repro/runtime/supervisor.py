@@ -191,13 +191,11 @@ class SupervisorConfig:
     checkpoint_every: int = 10
     max_restarts: int = 5
     backoff_base_s: float = 0.1
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 30.0
 
     def backoff_for(self, restart_index: int) -> float:
-        """Backoff before restart ``restart_index`` (1-based)."""
-        delay = self.backoff_base_s * self.backoff_factor ** (restart_index - 1)
-        return min(delay, self.backoff_max_s)
+        """Backoff before restart ``restart_index`` (1-based): doubling
+        from ``backoff_base_s``, at most 30 s."""
+        return min(self.backoff_base_s * 2.0 ** (restart_index - 1), 30.0)
 
 
 @dataclass

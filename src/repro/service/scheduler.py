@@ -203,7 +203,7 @@ class JobScheduler:
     def _launch_ready(self) -> None:
         while True:
             with self._lock:
-                if len(self._handles) >= self.config.max_concurrent:
+                if self._drain.is_set() or len(self._handles) >= self.config.max_concurrent:
                     return
                 running = self._tenant_running()
                 record = self.queue.claim_next(
@@ -322,11 +322,13 @@ class JobScheduler:
 
         Returns the ids of jobs that were interrupted.  Idempotent.
         """
-        self._drain.set()
-        self._wake.set()
+        # set under the lock: a job that sees the drain is parked for it
+        # only after the jobs are read here, so none is left out
         with self._lock:
+            self._drain.set()
             interrupted = sorted(self._handles)
             threads = [h.thread for h in self._handles.values() if h.thread]
+        self._wake.set()
         for thread in threads:
             thread.join(timeout)
         self._stopped.set()

@@ -16,7 +16,7 @@ package is that layer for the reproduction:
 
 One :class:`Telemetry` object is shared by every subsystem of a run —
 searches, eval runtime, pipelines, checkpoint store, supervisor,
-hardware testbed — which is what lets the report correlate them.
+service — which is what lets the report correlate them.
 
 **Metric naming.**  Dotted lowercase ``<subsystem>.<noun>`` names
 (``search.steps``, ``eval.cache.hits``, ``pipeline.outstanding``,
@@ -29,7 +29,7 @@ and rolled back on resume, so a crash-resumed run reports totals
 bit-identical to an uninterrupted one.  Metrics under
 :data:`CHURN_PREFIXES` record process-lifetime events — restarts,
 crash classifications, checkpoint saves/loads, corrupt-snapshot
-fallbacks, measurement retries — that really happened and are *never*
+fallbacks, daemon accounting — that really happened and are *never*
 rolled back.
 """
 
@@ -62,7 +62,6 @@ CHURN_PREFIXES: Tuple[str, ...] = (
     "supervisor.",
     "checkpoint.",
     "recovery.",
-    "testbed.",
     # Daemon-level accounting (submissions, recoveries, quota rejects)
     # records what really happened to the service, never rolls back
     # with any one job's checkpoint.
@@ -85,19 +84,12 @@ class Telemetry:
     registry to ``<directory>/summary.json`` for ``report telemetry``.
     """
 
-    def __init__(
-        self,
-        directory: Optional[PathLike] = None,
-        registry: Optional[MetricsRegistry] = None,
-        segment_events: int = 256,
-    ):
+    def __init__(self, directory: Optional[PathLike] = None):
         self.directory = pathlib.Path(directory) if directory is not None else None
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.trace = Trace(self.registry)
         self.events: Optional[EventLog] = (
-            EventLog(self.directory / EVENTS_DIRNAME, segment_events=segment_events)
-            if self.directory is not None
-            else None
+            EventLog(self.directory / EVENTS_DIRNAME) if self.directory is not None else None
         )
 
     # -- metric passthroughs -------------------------------------------

@@ -31,21 +31,16 @@ PathLike = Union[str, pathlib.Path]
 #: Segment file pattern: events-<seq>.jsonl, sorted lexicographically.
 SEGMENT_GLOB = "events-*.jsonl"
 
+#: Events buffered before they are sealed into a segment.
+SEGMENT_EVENTS = 256
+
 
 class EventLog:
     """Buffered JSONL sink sealing events into atomic segment files."""
 
-    def __init__(
-        self,
-        directory: PathLike,
-        segment_events: int = 256,
-        clock: Callable[[], float] = time.time,
-    ):
-        if segment_events < 1:
-            raise ValueError("segment_events must be >= 1")
+    def __init__(self, directory: PathLike, clock: Callable[[], float] = time.time):
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.segment_events = segment_events
         self._clock = clock
         self._buffer: List[str] = []
         self.events_emitted = 0
@@ -69,7 +64,7 @@ class EventLog:
         event.update(fields)
         self._buffer.append(json.dumps(event, sort_keys=True, default=str))
         self.events_emitted += 1
-        if len(self._buffer) >= self.segment_events:
+        if len(self._buffer) >= SEGMENT_EVENTS:
             self.flush()
 
     def flush(self) -> None:

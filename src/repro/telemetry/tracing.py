@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .metrics import MetricsRegistry
 
@@ -31,13 +31,8 @@ SPAN_PREFIX = "span."
 class Trace:
     """Records timed spans into ``span.<name>`` histograms."""
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        clock: Callable[[], float] = time.perf_counter,
-    ):
+    def __init__(self, registry: MetricsRegistry):
         self.registry = registry
-        self._clock = clock
 
     def record(self, name: str, seconds: float, **labels: object) -> None:
         """Account ``seconds`` of wall time to span ``name``."""
@@ -46,8 +41,8 @@ class Trace:
     @contextmanager
     def span(self, name: str, **labels: object) -> Iterator[None]:
         """Time the enclosed block as one span observation."""
-        start = self._clock()
+        start = time.perf_counter()
         try:
             yield
         finally:
-            self.record(name, self._clock() - start, **labels)
+            self.record(name, time.perf_counter() - start, **labels)

@@ -3,10 +3,12 @@
 A row of the invariants table (§16) whose test was renamed or deleted
 would keep promising something nothing checks any more: every node id
 in it must still collect.  The reachability ledger (§17) must classify
-every public name, so a new one is counted before it lands.
+every public name and every configuration field, constructor parameter
+and CLI flag, so a new one is counted before it lands.
 """
 
 import importlib
+import importlib.util
 import os
 import pathlib
 import re
@@ -67,4 +69,32 @@ def test_every_public_name_is_classified_by_the_ledger():
         for name in importlib.import_module(package).__all__:
             if (package, name) not in classified:
                 unclassified.append(f"{package}.{name}")
+    assert not unclassified, f"not in DESIGN.md §17: {unclassified}"
+
+
+def ledger_knobs():
+    """``(kind, name)`` pairs §17's Knobs part lists, set by product or not."""
+    text = (ROOT / "DESIGN.md").read_text()
+    section = text.split("\n## 17. Appendix: the reachability ledger\n", 1)[1]
+    part = section.split("\n### Knobs\n", 1)[1].split("\n### ", 1)[0]
+    classified = set(re.findall(r"^\| (\w+) \| `([^`]+)` \|", part, re.M))
+    for kind, names in re.findall(r"^- (\w+) \(\d+\): (.*(?:\n  .*)*)", part, re.M):
+        classified.update((kind, name) for name in re.findall(r"`([^`]+)`", names))
+    return classified
+
+
+def test_every_knob_is_classified_by_the_ledger():
+    """A new defaulted config field, ``__init__`` parameter or ``cli.py``
+    flag means running ``python tools/ledger.py``, which counts it (and,
+    if product traffic does not set it, asks for a kept reason)."""
+    spec = importlib.util.spec_from_file_location("ledger", ROOT / "tools" / "ledger.py")
+    ledger = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ledger)
+    classified = ledger_knobs()
+    assert len(classified) >= 200
+    knobs = ledger.census(list(ledger.source_files("src/repro")), [], set(), set())
+    unclassified = sorted(
+        f"{kind} {name}" for kind, name in knobs
+        if kind in ("field", "init", "flag") and (kind, name) not in classified
+    )
     assert not unclassified, f"not in DESIGN.md §17: {unclassified}"

@@ -136,8 +136,6 @@ class TestDartsSearch:
         with pytest.raises(ValueError):
             DartsConfig(steps=0)
         with pytest.raises(ValueError):
-            DartsConfig(alpha_lr=0.0)
-        with pytest.raises(ValueError):
             DartsConfig(warmup_steps=-1)
 
     def test_alphas_move_from_uniform(self):

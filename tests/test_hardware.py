@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import OpGraph, OpNode, ops
+from repro.graph.passes import optimize
 from repro.hardware import (
     GPU_V100,
     HardwareConfig,
@@ -242,7 +243,7 @@ class TestSimulatorCompilerPasses:
         graph_ops.dense(graph, "fc", 64, 1024, 1024)
         graph_ops.elementwise(graph, "act", 64 * 1024, op_type="activation", deps=["fc"])
         raw = PerformanceSimulator(TPU_V4).simulate(graph)
-        fused = PerformanceSimulator(TPU_V4, run_compiler_passes=True).simulate(graph)
+        fused = PerformanceSimulator(TPU_V4).simulate(optimize(graph))
         assert fused.total_time_s <= raw.total_time_s
         assert fused.total_flops == pytest.approx(raw.total_flops)
 
@@ -253,7 +254,7 @@ class TestSimulatorCompilerPasses:
         graph = OpGraph("keep")
         graph_ops.dense(graph, "fc", 8, 64, 64)
         graph_ops.elementwise(graph, "act", 8 * 64, op_type="activation", deps=["fc"])
-        PerformanceSimulator(TPU_V4, run_compiler_passes=True).simulate(graph)
+        PerformanceSimulator(TPU_V4).simulate(optimize(graph))
         assert "act" in graph.names
 
 

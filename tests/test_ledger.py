@@ -1,6 +1,9 @@
-"""The reachability ledger's recorder (``tools/ledger.py``): a function
-counts as reached when its code ran, whether or not its call returned."""
+"""The reachability ledger (``tools/ledger.py``): its recorder counts a
+function as reached when its code ran, whether or not its call returned,
+and its knob census counts a knob as set by the traffic that ran a call
+passing it."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -64,3 +67,92 @@ def test_recorder_counts_calls_still_on_a_stack(tmp_path, exit_by):
     recorded = {name for path, _line, name in json.loads(record.read_text()) if path == "program.py"}
     expected = {"<module>", "blocked", "returns"} | ({"leave"} if exit_by == "os._exit" else set())
     assert recorded == expected
+
+
+# ----------------------------------------------------------------------
+# Knob census
+# ----------------------------------------------------------------------
+CENSUS_SRC = textwrap.dedent(
+    """
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True)
+    class ToyConfig:
+        size: int
+        rate: float = 0.1
+        depth: int = 2
+        width: int = 3
+
+    @dataclass
+    class ToyRecord:
+        value: float = 0.0
+
+    class Engine:
+        def __init__(self, config, seed=0, clock=None):
+            self.config = config
+    """
+)
+
+
+def census(caller: str, ran_by: str = "product"):
+    """The census of ``CENSUS_SRC`` when the traffic ``ran_by`` ran one
+    function, ``caller``'s body, in a benchmark script."""
+    ledger = load_ledger()
+    source = "from dataclasses import replace\n\ndef caller(values, config):\n    " + caller
+    trees = [("src/repro/toy.py", ast.parse(CENSUS_SRC))]
+    other = [("benchmarks/script.py", ast.parse(source))]
+    ran = {("benchmarks/script.py", 3, "caller")}
+    product, tests = (ran, set()) if ran_by == "product" else (set(), ran)
+    return {knob: reach for knob, reach in ledger.census(trees, other, product, tests).items()
+            if knob[0] in ("field", "init")}
+
+
+@pytest.mark.parametrize(
+    "caller, set_knobs",
+    [
+        ("ToyConfig(1, rate=0.2)", {"ToyConfig.rate"}),
+        ("ToyConfig(1, 0.2, 4)", {"ToyConfig.rate", "ToyConfig.depth"}),
+        ("Engine(**values)", {"Engine.seed", "Engine.clock"}),
+        ("replace(config, width=5)", {"ToyConfig.width"}),
+    ],
+    ids=["keyword", "positional", "mapping", "replace"],
+)
+def test_a_call_sets_the_knobs_it_passes(caller, set_knobs):
+    found = census(caller)
+    assert {name for (_, name), reach in found.items() if reach == "product"} == set_knobs
+    assert set(found.values()) <= {"product", "none"}
+
+
+def test_a_call_only_tests_ran_sets_its_knobs_for_tests():
+    found = census("Engine(config, seed=3)", ran_by="tests")
+    assert found[("init", "Engine.seed")] == "tests"
+    assert found[("init", "Engine.clock")] == "none"
+
+
+def test_a_record_dataclass_is_no_knob():
+    found = census("ToyRecord(value=1.0)")
+    assert not any(name.startswith("ToyRecord.") for _, name in found)
+    assert {name for _, name in found} == {
+        "ToyConfig.rate", "ToyConfig.depth", "ToyConfig.width", "Engine.seed", "Engine.clock",
+    }
+
+
+def test_a_knob_product_traffic_does_not_set_needs_a_kept_reason():
+    ledger = load_ledger()
+    knobs = {
+        ("init", "Engine.seed"): "product",
+        ("init", "Engine.clock"): "tests",
+        ("field", "ToyConfig.rate"): "none",
+        ("field", "ToyConfig.depth"): "none",
+    }
+    appendix = "\n".join([
+        "| kind | knob | set by | reason |",
+        "|---|---|---|---|",
+        "| init | `Engine.clock` | tests | fake: a test substitutes a frozen clock |",
+        "| field | `ToyConfig.rate` | none | TODO: give a kept reason |",
+    ])
+    found = ledger.problems({"names": {}, "knobs": knobs}, appendix)
+    assert found == [
+        "field ToyConfig.depth: product traffic does not set it; §17 gives no kept reason",
+        "field ToyConfig.rate: product traffic does not set it; §17 gives no kept reason",
+    ]

@@ -98,8 +98,6 @@ class TestEvolutionarySearch:
             EvolutionConfig(population_size=5, tournament_size=6)
         with pytest.raises(ValueError):
             EvolutionConfig(population_size=10, num_trials=5)
-        with pytest.raises(ValueError):
-            EvolutionConfig(mutations_per_child=0)
 
     @given(st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)

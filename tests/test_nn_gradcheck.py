@@ -413,9 +413,9 @@ class TestModuleCollect:
         class WithNested(Module):
             def __init__(self):
                 rng = np.random.default_rng(0)
-                self.blocks = [[Dense(2, 2, rng, use_bias=False)] for _ in range(3)]
+                self.blocks = [[Dense(2, 2, rng)] for _ in range(3)]
 
-        assert len(WithNested().parameters()) == 3
+        assert len(WithNested().parameters()) == 6
 
     def test_shared_tensor_deduplicated(self):
         shared = Tensor(np.ones(2), requires_grad=True)

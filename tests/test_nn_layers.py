@@ -31,10 +31,10 @@ class TestDense:
         out = layer(Tensor(np.ones((5, 4))))
         assert out.shape == (5, 3)
 
-    def test_bias_optional(self):
-        layer = Dense(4, 3, rng(), use_bias=False)
-        assert layer.bias is None
-        assert len(layer.parameters()) == 1
+    def test_weight_and_bias(self):
+        layer = Dense(4, 3, rng())
+        assert layer.bias.shape == (3,)
+        assert len(layer.parameters()) == 2
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
@@ -66,11 +66,12 @@ class TestMaskedDense:
         np.testing.assert_allclose(out.data[:, 2:], 0.0)
 
     def test_small_width_matches_submatrix(self):
-        layer = MaskedDense(8, 6, rng(), activation_name="linear", use_bias=False)
+        layer = MaskedDense(8, 6, rng(), activation_name="linear")
+        layer.bias.data[:] = np.arange(6.0)
         x = np.zeros((2, 8))
         x[:, :4] = np.random.default_rng(7).normal(size=(2, 4))
         out = layer(Tensor(x), active_in=4, active_out=3)
-        expected = x[:, :4] @ layer.weight.data[:4, :3]
+        expected = x[:, :4] @ layer.weight.data[:4, :3] + layer.bias.data[:3]
         np.testing.assert_allclose(out.data[:, :3], expected)
 
     def test_gradient_only_on_active_block(self):
@@ -84,7 +85,7 @@ class TestMaskedDense:
 
     def test_weight_sharing_across_candidates(self):
         """Two candidate widths must read the same underlying weights."""
-        layer = MaskedDense(8, 6, rng(), activation_name="linear", use_bias=False)
+        layer = MaskedDense(8, 6, rng(), activation_name="linear")
         x = np.zeros((1, 8))
         x[:, :2] = 1.0
         narrow = layer(Tensor(x), active_in=2, active_out=2)

@@ -263,7 +263,7 @@ class TestMatchesPerOpOracle:
         for graph in lowered_graphs[::3]:
             assert_matches_oracle(passes.optimize(graph))
             hw = platform("tpu_v4")
-            through_passes = PerformanceSimulator(hw, run_compiler_passes=True).simulate(graph)
+            through_passes = PerformanceSimulator(hw).simulate(passes.optimize(graph))
             assert observed(through_passes) == oracle_simulate(passes.optimize(graph), hw)
 
     def test_random_dags_with_ties(self):

@@ -16,6 +16,7 @@ from repro.telemetry import (
     Telemetry,
     read_events,
 )
+from repro.telemetry.events import SEGMENT_EVENTS
 from repro.telemetry.metrics import label_key
 from repro.telemetry.report import render_report, summarize_events
 
@@ -103,35 +104,39 @@ class TestMetrics:
     def test_reset_spares_churn(self):
         registry = MetricsRegistry()
         registry.counter("search.steps").inc()
-        registry.counter("testbed.retries").inc()
+        registry.counter("supervisor.restarts").inc()
         registry.reset(exclude_prefixes=CHURN_PREFIXES)
         assert "search.steps" not in registry.snapshot()["counters"]
-        assert value(registry.counter("testbed.retries")) == 1
+        assert value(registry.counter("supervisor.restarts")) == 1
 
 
 class TestEventLog:
     def test_events_seal_into_segments(self, tmp_path):
-        log = EventLog(tmp_path, segment_events=2, clock=lambda: 1.0)
+        log = EventLog(tmp_path, clock=lambda: 1.0)
         log.emit("a", x=1)
+        for _ in range(SEGMENT_EVENTS - 2):
+            log.emit("b")
         assert log.segments_written == 0
         log.emit("b")  # fills the segment
         assert log.segments_written == 1
         log.emit("c")
         log.close()
         events = list(read_events(tmp_path))
-        assert [e["kind"] for e in events] == ["a", "b", "c"]
+        assert [e["kind"] for e in events] == ["a"] + ["b"] * (SEGMENT_EVENTS - 1) + ["c"]
         assert events[0] == {"ts": 1.0, "kind": "a", "x": 1}
 
     def test_numbering_resumes_after_restart(self, tmp_path):
-        first = EventLog(tmp_path, segment_events=1)
+        first = EventLog(tmp_path)
         first.emit("a")
+        first.flush()
         # A second process (restart) must not overwrite segment 0.
-        second = EventLog(tmp_path, segment_events=1)
+        second = EventLog(tmp_path)
         second.emit("b")
+        second.flush()
         assert [e["kind"] for e in read_events(tmp_path)] == ["a", "b"]
 
     def test_unflushed_events_never_hit_disk(self, tmp_path):
-        log = EventLog(tmp_path, segment_events=100)
+        log = EventLog(tmp_path)
         log.emit("buffered")
         assert list(tmp_path.glob("events-*.jsonl")) == []
 
@@ -208,7 +213,8 @@ class TestTimedStageValidation:
 
     def test_canonical_stages_accepted_and_forwarded(self):
         telemetry = Telemetry()
-        runtime = EvalRuntime(lambda arch: {"t": 1.0}, telemetry=telemetry)
+        runtime = EvalRuntime(lambda arch: {"t": 1.0})
+        runtime.attach_telemetry(telemetry)
         for stage in STAGES:
             with runtime.timed(stage):
                 pass
@@ -233,9 +239,8 @@ class TestTimedStageValidation:
 class TestEvalRuntimeTelemetry:
     def test_price_mirrors_cache_counters(self):
         telemetry = Telemetry()
-        runtime = EvalRuntime(
-            lambda arch: {"t": float(arch["v"])}, telemetry=telemetry, cache_capacity=8
-        )
+        runtime = EvalRuntime(lambda arch: {"t": float(arch["v"])}, cache_capacity=8)
+        runtime.attach_telemetry(telemetry)
         runtime.price({"v": 1}, indices=(1,))
         runtime.price({"v": 1}, indices=(1,))
         assert value(telemetry.counter("eval.candidates_priced")) == 2
@@ -246,9 +251,8 @@ class TestEvalRuntimeTelemetry:
 
     def test_price_many_mirrors_in_one_delta(self):
         telemetry = Telemetry()
-        runtime = EvalRuntime(
-            lambda arch: {"t": float(arch["v"])}, telemetry=telemetry, cache_capacity=8
-        )
+        runtime = EvalRuntime(lambda arch: {"t": float(arch["v"])}, cache_capacity=8)
+        runtime.attach_telemetry(telemetry)
         drawn = [({"v": i}, (i,)) for i in (0, 1, 0)]
         runtime.price_many(drawn)
         assert value(telemetry.counter("eval.candidates_priced")) == 3
@@ -329,62 +333,6 @@ class TestSupervisorClassification:
             supervisor.run()
 
 
-class TestTestbedClassification:
-    def _bed(self, telemetry=None, max_attempts=3):
-        from repro.hardware import TPU_V4, HardwareTestbed, MeasurementPolicy
-
-        return HardwareTestbed(
-            TPU_V4,
-            seed=0,
-            policy=MeasurementPolicy(max_attempts=max_attempts),
-            sleep_fn=lambda s: None,
-            telemetry=telemetry,
-        )
-
-    def _graph(self):
-        from repro.graph import OpGraph, ops
-
-        graph = OpGraph("tiny")
-        ops.matmul(graph, "mm", m=64, k=64, n=64)
-        return graph
-
-    def test_non_retryable_attempt_raises_immediately(self):
-        telemetry = Telemetry()
-        bed = self._bed(telemetry)
-        calls = {"n": 0}
-
-        def broken(graph):
-            calls["n"] += 1
-            raise TypeError("batch size must be int")
-
-        bed.measure_time = broken
-        with pytest.raises(TypeError, match="must be int"):
-            bed.measure(self._graph())
-        assert calls["n"] == 1  # no blind retries of a deterministic bug
-        counter = telemetry.counter("testbed.failures")
-        assert value(counter, error="TypeError", retryable="false") == 1
-
-    def test_retryable_failures_counted(self):
-        telemetry = Telemetry()
-        bed = self._bed(telemetry, max_attempts=4)
-        real = bed.measure_time
-        failures = {"left": 2}
-
-        def flaky(graph):
-            if failures["left"] > 0:
-                failures["left"] -= 1
-                raise RuntimeError("preempted")
-            return real(graph)
-
-        bed.measure_time = flaky
-        measurement = bed.measure(self._graph())
-        assert measurement.attempts == 3
-        assert value(telemetry.counter("testbed.retries")) == 2
-        counter = telemetry.counter("testbed.failures")
-        assert value(counter, error="RuntimeError", retryable="true") == 2
-        assert value(telemetry.counter("testbed.measurements")) == 1
-
-
 class TestEventLogConcurrency:
     """Concurrent per-job streams: the daemon's telemetry layout.
 
@@ -396,13 +344,13 @@ class TestEventLogConcurrency:
     reader only ever sees whole segments of whole lines.
     """
 
-    WRITES = 120
+    WRITES = 8 * SEGMENT_EVENTS
 
     def test_two_writers_and_a_live_reader_see_whole_records(self, tmp_path):
         import threading
 
         dirs = [tmp_path / "job-a", tmp_path / "job-b"]
-        logs = [EventLog(d, segment_events=4) for d in dirs]
+        logs = [EventLog(d) for d in dirs]
         start = threading.Barrier(3)
         errors = []
 
@@ -419,7 +367,7 @@ class TestEventLogConcurrency:
             # (read_events would raise on a torn line).
             start.wait()
             try:
-                while len(list(dirs[0].glob("events-*.jsonl"))) * 4 < self.WRITES:
+                while len(list(dirs[0].glob("events-*.jsonl"))) * SEGMENT_EVENTS < self.WRITES:
                     for event in read_events(dirs[0]):
                         assert event["kind"] == "step"
                         assert set(event) == {"ts", "kind", "writer", "i", "payload"}
