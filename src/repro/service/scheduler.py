@@ -195,8 +195,7 @@ class JobScheduler:
 
     def _dispatch_loop(self) -> None:
         while not self._stopped.is_set():
-            if not self._drain.is_set():
-                self._launch_ready()
+            self._launch_ready()
             self._wake.wait(self.config.poll_interval_s)
             self._wake.clear()
 
