@@ -241,9 +241,9 @@ class TestVitTimingHarness:
     "setup, build", [(cnn_setup, build_cnn_graph), (vit_setup, build_vit_graph)]
 )
 def test_measure_goes_through_the_testbed_retry_policy(setup, build):
-    """One harness for every space: CNN and ViT measure through
-    ``HardwareTestbed.measure`` like DLRM — the value of one
-    ``measure_time`` draw under the default policy."""
+    """One harness for every space: CNN and ViT measure like DLRM, one
+    ``HardwareTestbed.measure_time`` draw per graph (the testbed no
+    longer retries; the name predates that)."""
     from repro.hardware import TPU_V4, TPU_V4I, HardwareTestbed
 
     space, baseline, harness = setup()
