@@ -61,7 +61,7 @@ import numpy as np
 from .backends import process_start_method
 from ...searchspace.base import Architecture
 from ...service.protocol import ProtocolError, write_frame
-from .shm import SharedGradients, SharedWeights, WeightLayout, weight_layout
+from .shm import SharedGradients, SharedWeights, WeightLayout, weight_dtype, weight_layout
 from .transport import (
     DEFAULT_BIND,
     TO_CONTROLLER,
@@ -89,8 +89,8 @@ def _crash_error(message: str) -> Exception:
 
 
 def _snapshot_weights(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """The one float64 array a weight broadcast carries: every
-    parameter, flattened, in ``weight_layout`` order."""
+    """The one array a weight broadcast carries: every parameter,
+    flattened, in ``weight_layout`` order and their one float dtype."""
     return np.concatenate([np.ravel(a) for a in arrays])
 
 
@@ -125,11 +125,17 @@ class _HostContext:
     """One rehydrated supernet plus its last-applied weight version.
     Weights arrive as a pushed array (:meth:`apply`) or, given the name of
     the controller's shared ``segment``, the parameters are bound to its
-    views; ``gradients`` is its gradient image's ``(slots, name)``.
+    views; ``gradients`` is its gradient image's ``(slots, name)``.  Both
+    hold ``dtype``, which the rehydrated parameters must have.
     Parameters are walked once."""
 
     def __init__(
-        self, supernet: Any, layout: WeightLayout, segment: Optional[str] = None, gradients=None
+        self,
+        supernet: Any,
+        layout: WeightLayout,
+        dtype: str,
+        segment: Optional[str] = None,
+        gradients=None,
     ):
         self.supernet = supernet
         self.params = list(supernet.parameters())
@@ -137,6 +143,7 @@ class _HostContext:
             (tuple(shape), int(offset), int(size)) for shape, offset, size in layout
         ]
         self.size = sum(size for _, _, size in self.layout)
+        self.dtype = np.dtype(dtype)
         shapes = [tuple(p.data.shape) for p in self.params]
         expected = [shape for shape, _, _ in self.layout]
         if shapes != expected:
@@ -144,16 +151,24 @@ class _HostContext:
                 f"rehydrated supernet parameters {shapes} do not match the "
                 f"published layout {expected}"
             )
-        self.shared = SharedWeights.attach(segment, self.layout) if segment else None
-        self.gradients = SharedGradients(self.layout, *gradients) if gradients else None
+        dtypes = {p.data.dtype for p in self.params} - {self.dtype}
+        if dtypes:
+            raise RuntimeError(
+                f"rehydrated supernet parameters are {sorted(map(str, dtypes))}, "
+                f"the published weights {self.dtype}"
+            )
+        self.shared = SharedWeights.attach(segment, self.layout, self.dtype) if segment else None
+        self.gradients = (
+            SharedGradients(self.layout, self.dtype, *gradients) if gradients else None
+        )
         for param, view in zip(self.params, self.shared.views if self.shared else ()):
             param.data = view
         self.applied_version = 0
 
     def apply(self, version: int, flat: Any) -> None:
-        wanted = (np.dtype(np.float64), (self.size,))
+        wanted = (self.dtype, (self.size,))
         if (getattr(flat, "dtype", None), getattr(flat, "shape", None)) != wanted:
-            raise ProtocolError(f"weights {flat!r:.60} for a layout of {self.size} float64s")
+            raise ProtocolError(f"weights {flat!r:.60} for a layout of {self.size} {self.dtype}s")
         if version <= self.applied_version:
             return
         for param, (shape, offset, size) in zip(self.params, self.layout):
@@ -241,7 +256,11 @@ class WorkerHost:
             try:
                 supernet = build_supernet_from_spec(message["spec"])
                 ctx = _HostContext(
-                    supernet, message["layout"], message.get("segment"), message.get("gradients")
+                    supernet,
+                    message["layout"],
+                    message["dtype"],
+                    message.get("segment"),
+                    message.get("gradients"),
                 )
                 if message.get("weights") is not None:
                     ctx.apply(message["version"], message["weights"])
@@ -358,9 +377,10 @@ class _TaskRecord:
         engine zips its qualities into shard positions or accumulates its
         gradients.  A ``quality_many`` value is one number per batch; a
         ``train_many`` one is ``[qualities, active, gradients]``: ``active``
-        indexes parameters in increasing order, ``gradients`` is one float64
-        array per index, shaped as its parameter — or ``None``, only when
-        the context has a gradient image to read instead."""
+        indexes parameters in increasing order, ``gradients`` is one array
+        per index in the context's dtype, shaped as its parameter — or
+        ``None``, only when the context has a gradient image to read
+        instead."""
 
         def one_number_per_batch(qualities: Any) -> bool:
             return (
@@ -389,7 +409,7 @@ class _TaskRecord:
             and len(gradients) == len(active)
             and all(
                 isinstance(array, np.ndarray)
-                and array.dtype == np.float64
+                and array.dtype == self.context["dtype"]
                 and array.shape == layout[i][0]
                 for i, array in zip(active, gradients)
             )
@@ -666,6 +686,7 @@ class _Cluster:
             "context_id": context_id,
             "spec": spec,
             "layout": tuple(weight_layout(arrays)),
+            "dtype": weight_dtype(arrays).str,
             "version": int(version),
             "segment": segment,
             "gradients": gradients,

@@ -22,9 +22,10 @@ mismatch is that task's error, never a wait.  (In the engine's step
 loop the controller only writes between fan-outs, so a mismatch is a
 correctness backstop, not a steady-state cost.)
 
-Two segment flavors live here, both flat float64 images of one
-``(shape, offset, size)`` layout (:func:`weight_layout`, which the TCP
-byte push shares): :class:`SharedWeights`, the parameters, and
+Two segment flavors live here, both flat images of one ``(shape,
+offset, size)`` layout in the parameters' one float dtype (float32 for
+the networks :mod:`repro.nn` builds; :func:`weight_layout`, which the
+TCP byte push shares): :class:`SharedWeights`, the parameters, and
 :class:`SharedGradients`, its mirror — one image per task of a training
 fan-out, written by the workers' backward passes and read by the engine.
 
@@ -53,7 +54,7 @@ except ImportError:  # pragma: no cover - platforms without shm support
 HEADER_SLOTS = 8
 HEADER_BYTES = HEADER_SLOTS * 8
 
-#: ``(shape, offset, size)`` per parameter, offsets in float64 elements.
+#: ``(shape, offset, size)`` per parameter, offsets in elements.
 WeightLayout = List[Tuple[Tuple[int, ...], int, int]]
 
 
@@ -62,17 +63,28 @@ def shared_memory_available() -> bool:
     return shared_memory is not None
 
 
+def weight_dtype(arrays: Sequence[np.ndarray]) -> np.dtype:
+    """The one float dtype of ``arrays`` (float32 when there are none);
+    ``TypeError`` for mixed or non-float ones, which no carrier holds."""
+    dtypes = {array.dtype for array in arrays}
+    if len(dtypes) > 1 or any(dtype.kind != "f" for dtype in dtypes):
+        raise TypeError(
+            f"shared weights need one float dtype, got {', '.join(sorted(map(str, dtypes)))}"
+        )
+    return dtypes.pop() if dtypes else np.dtype(np.float32)
+
+
 def weight_layout(arrays: Sequence[np.ndarray]) -> WeightLayout:
-    """``(shape, offset, size)`` per array, offsets in float64 elements.
+    """``(shape, offset, size)`` per array, offsets in elements of their
+    one float dtype (:func:`weight_dtype`, checked here).
 
     The one layout convention both weight carriers use: the shared
     segment's payload and the array a TCP weight push carries.
     """
+    weight_dtype(arrays)
     layout: WeightLayout = []
     offset = 0
     for array in arrays:
-        if array.dtype != np.float64:
-            raise TypeError(f"shared weights must be float64, got {array.dtype}")
         layout.append((tuple(array.shape), offset, int(array.size)))
         offset += int(array.size)
     return layout
@@ -177,15 +189,16 @@ class SharedWeights(_Segment):
     stamp of the task it runs.
     """
 
-    def __init__(self, layout: WeightLayout, name: Optional[str] = None):
+    def __init__(self, layout: WeightLayout, dtype: Any, name: Optional[str] = None):
         self.layout = [
             (tuple(shape), int(offset), int(size))
             for shape, offset, size in layout
         ]
+        self.dtype = np.dtype(dtype)
         total = sum(size for _, _, size in self.layout)
-        super().__init__(HEADER_BYTES + total * 8, name)
+        super().__init__(HEADER_BYTES + total * self.dtype.itemsize, name)
         self._header = np.ndarray((HEADER_SLOTS,), dtype=np.int64, buffer=self._segment.buf)
-        data = np.ndarray((total,), dtype=np.float64, buffer=self._segment.buf, offset=HEADER_BYTES)
+        data = np.ndarray((total,), dtype=self.dtype, buffer=self._segment.buf, offset=HEADER_BYTES)
         #: ``views[i]``: parameter ``i``'s weights
         self.views = [data[offset : offset + size].reshape(shape) for shape, offset, size in self.layout]
 
@@ -198,16 +211,16 @@ class SharedWeights(_Segment):
     @classmethod
     def create(cls, arrays: Sequence[np.ndarray]) -> "SharedWeights":
         """Create a segment sized for ``arrays``, holding them as v2."""
-        weights = cls(weight_layout(arrays))
+        weights = cls(weight_layout(arrays), weight_dtype(arrays))
         for view, array in zip(weights.views, arrays):
             np.copyto(view, array)
         weights._header[0] = 2
         return weights
 
     @classmethod
-    def attach(cls, name: str, layout: WeightLayout) -> "SharedWeights":
+    def attach(cls, name: str, layout: WeightLayout, dtype: Any) -> "SharedWeights":
         """Worker-side view of an existing segment (read-only by use)."""
-        return cls(layout, name)
+        return cls(layout, dtype, name)
 
     # ------------------------------------------------------------------
     def begin_write(self) -> None:
@@ -233,10 +246,11 @@ class SharedGradients(_Segment):
     Pages nobody wrote cost no memory.
     """
 
-    def __init__(self, layout: WeightLayout, slots: int, name: Optional[str] = None):
+    def __init__(self, layout: WeightLayout, dtype: Any, slots: int, name: Optional[str] = None):
+        dtype = np.dtype(dtype)
         total = sum(size for _, _, size in layout)
-        super().__init__(slots * total * 8, name)
-        flat = np.ndarray((slots, total), dtype=np.float64, buffer=self._segment.buf)
+        super().__init__(slots * total * dtype.itemsize, name)
+        flat = np.ndarray((slots, total), dtype=dtype, buffer=self._segment.buf)
         #: ``views[slot][i]``: parameter ``i``'s gradient in that slot
         self.views: List[List[np.ndarray]] = [
             [flat[slot, offset : offset + size].reshape(shape) for shape, offset, size in layout]

@@ -51,7 +51,7 @@ Schema = Dict[str, Dict[str, Any]]
 #: What a controller sends a worker.  A field not listed is not read; a
 #: field that may be ``None`` may be absent.
 TO_WORKER: Schema = {
-    "context": {"context_id": str, "spec": dict, "layout": list, "version": int,
+    "context": {"context_id": str, "spec": dict, "layout": list, "dtype": str, "version": int,
                 "segment": (str, type(None)), "gradients": (list, type(None)),
                 "weights": (np.ndarray, type(None))},
     "weights": {"context_id": str, "version": int, "data": np.ndarray},

@@ -337,30 +337,35 @@ def build_remote_context(
     cannot travel.
 
     A supernet with no spec (:func:`worker_spec_for`) registers nothing
-    and starts no cluster.  The probe is strict so failures surface
-    *here*, at registration, rather than as a crashed worker mid-step:
-    the spec must rebuild into a supernet whose parameter shapes and dtypes match the live one
-    exactly (published weights overwrite values, not structure), and
-    parameters must be float64 (both weight carriers assume it).  Any
-    failure keeps the search on
-    the always-correct in-process path — and skips cluster startup
-    entirely.  Without a ``cluster_factory`` the handle still owns a
-    weights segment: publishing needs no workers.  ``gradient_slots``
-    (the most ``train_many`` tasks one fan-out ships) sizes its mirror.
+    and starts no cluster.  One that has a spec is checked strictly, so
+    a fault surfaces *here*, at registration, as an error naming it,
+    never as a crashed worker mid-step or a search that silently stays
+    in process: its parameters must share one float dtype (both weight
+    carriers hold exactly that, :func:`.shm.weight_layout`), and the spec
+    must rebuild into a supernet whose parameter shapes and dtypes match
+    the live one exactly (published weights overwrite values, not
+    structure).  Only the environment keeps the search on the in-process
+    path: no shared memory here, or a cluster that cannot start.
+    Without a ``cluster_factory`` the handle still owns a weights
+    segment: publishing needs no workers.  ``gradient_slots`` (the most
+    ``train_many`` tasks one fan-out ships) sizes its mirror.
     """
     spec = worker_spec_for(supernet)
     if spec is None:
         return None
+    arrays = [p.data for p in supernet.parameters()]
+    weight_layout(arrays)  # one float dtype, or TypeError
+    rebuilt = [(p.data.shape, p.data.dtype) for p in build_supernet_from_spec(spec).parameters()]
+    live = [(a.shape, a.dtype) for a in arrays]
+    if rebuilt != live:
+        i = next(i for i in range(len(live) + 1) if rebuilt[i : i + 1] != live[i : i + 1])
+        raise ValueError(
+            f"{type(supernet).__name__} cannot travel: its worker spec rebuilds "
+            f"{len(rebuilt)} parameters for its {len(live)}, and parameter {i} as "
+            f"{_describe(rebuilt[i : i + 1])} for the live {_describe(live[i : i + 1])}"
+        )
     weights = gradients = None
     try:
-        arrays = [p.data for p in supernet.parameters()]
-        weight_layout(arrays)  # float64 or TypeError
-        rebuilt = build_supernet_from_spec(spec)
-        rebuilt_arrays = [p.data for p in rebuilt.parameters()]
-        if [(a.shape, a.dtype) for a in rebuilt_arrays] != [
-            (a.shape, a.dtype) for a in arrays
-        ]:
-            return None
         cluster = cluster_factory() if cluster_factory is not None else None
         # A cluster with no address to dial spawned every worker here.
         if cluster is None or cluster.address is None:
@@ -368,10 +373,15 @@ def build_remote_context(
                 return None
             weights = SharedWeights.create(arrays)
             if gradient_slots:
-                gradients = SharedGradients(weights.layout, gradient_slots)
+                gradients = SharedGradients(weights.layout, weights.dtype, gradient_slots)
         return RemoteShardContext(supernet, spec, weights, cluster, gradients)
     except Exception:
         for segment in (weights, gradients):
             if segment is not None:
                 segment.release()
         return None
+
+
+def _describe(params: List[Tuple[Tuple[int, ...], np.dtype]]) -> str:
+    """At most one ``(shape, dtype)`` pair, as ``(2, 3) float32``."""
+    return " ".join(f"{shape} {dtype}" for shape, dtype in params) or "nothing"

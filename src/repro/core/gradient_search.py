@@ -26,6 +26,7 @@ import numpy as np
 
 from ..data.pipeline import TwoStreamPipeline
 from ..nn import Adam, Tensor
+from ..nn.initializers import DTYPE
 from ..searchspace.base import Architecture
 from ..supernet.mixture import MixtureSuperNetwork, mixture_search_space
 
@@ -72,7 +73,7 @@ class DartsSearch:
         self.space = mixture_search_space(supernet.config)
         self.alphas: Dict[str, Tensor] = {
             decision.name: Tensor(
-                np.zeros(decision.num_choices), requires_grad=True, name=decision.name
+                np.zeros(decision.num_choices, dtype=DTYPE), requires_grad=True, name=decision.name
             )
             for decision in self.space.decisions
         }

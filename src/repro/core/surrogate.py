@@ -15,6 +15,7 @@ from typing import Callable, List
 import numpy as np
 
 from ..nn import Tensor
+from ..nn.initializers import DTYPE
 from ..searchspace.base import Architecture
 
 QualityFn = Callable[[Architecture], float]
@@ -40,7 +41,7 @@ class SurrogateSuperNetwork:
         self._noise_sigma = noise_sigma
         self._rng = np.random.default_rng(seed)
         # One dummy parameter so optimizers have something to hold.
-        self._dummy = Tensor(np.zeros(1), requires_grad=True, name="surrogate.dummy")
+        self._dummy = Tensor(np.zeros(1, dtype=DTYPE), requires_grad=True, name="surrogate.dummy")
 
     def quality(self, arch: Architecture, inputs, labels) -> float:
         value = float(self._quality_fn(arch))

@@ -16,6 +16,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
+from ..nn.initializers import DTYPE
 from .batch import Batch
 
 
@@ -89,10 +90,10 @@ class CtrTeacher(ResumableSource):
             + cfg.generalization_weight * gener[:, 0]
         )
         probs = 1.0 / (1.0 + np.exp(-logits))
-        labels = (rng.uniform(size=cfg.batch_size) < probs).astype(np.float64)
+        labels = (rng.uniform(size=cfg.batch_size) < probs).astype(DTYPE)
         batch = Batch(
             batch_id=self._next_id,
-            inputs={"dense": dense, "sparse": sparse},
+            inputs={"dense": dense.astype(DTYPE), "sparse": sparse},
             labels=labels.reshape(-1, 1),
         )
         self._next_id += 1
@@ -140,7 +141,7 @@ class SequenceTeacher(ResumableSource):
         labels = (mixed @ self._w_out).argmax(axis=1)
         flip = rng.uniform(size=cfg.batch_size) < cfg.label_noise
         labels[flip] = rng.integers(0, cfg.num_classes, size=int(flip.sum()))
-        batch = Batch(batch_id=self._next_id, inputs={"x": x}, labels=labels)
+        batch = Batch(batch_id=self._next_id, inputs={"x": x.astype(DTYPE)}, labels=labels)
         self._next_id += 1
         return batch
 
@@ -187,7 +188,7 @@ class LmTeacher(ResumableSource):
         labels = (mixed @ self._w_out).argmax(axis=-1)  # (batch, seq)
         flip = rng.uniform(size=labels.shape) < cfg.label_noise
         labels[flip] = rng.integers(0, cfg.num_classes, size=int(flip.sum()))
-        batch = Batch(batch_id=self._next_id, inputs={"x": x}, labels=labels)
+        batch = Batch(batch_id=self._next_id, inputs={"x": x.astype(DTYPE)}, labels=labels)
         self._next_id += 1
         return batch
 
@@ -254,7 +255,7 @@ class VisionTeacher(ResumableSource):
         labels[flip] = rng.integers(0, cfg.num_classes, size=int(flip.sum()))
         batch = Batch(
             batch_id=self._next_id,
-            inputs={"x": x},
+            inputs={"x": x.astype(DTYPE)},
             labels=labels,
         )
         self._next_id += 1

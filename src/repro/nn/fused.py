@@ -30,9 +30,13 @@ temporary would run, in the same order: only ``+ 0.0`` outside the
 block is skipped.
 
 Each kernel's backward applies the same NumPy expressions the composed
-graph applied, in the same order, so gradients agree with the composed
-path to float64 round-off (gradcheck pins them against central finite
-differences).
+graph applied, in the same order, so with explicit masks gradients equal
+the composed path's bit for bit, and sliced ones agree with it to
+round-off (the sliced matmul's shorter reduction may sum in another
+order).  A kernel computes in its operands' one dtype (float32 for the
+networks' parameters) and refuses mixed ones;
+``tests/test_kernel_sweep.py`` pins every path against float64 central
+differences.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor, _same_dtype, _unbroadcast
 
 # ---------------------------------------------------------------------------
 # Activation kernels: forward(pre, saved) -> out; backward(grad, saved) -> d_pre
@@ -96,7 +100,7 @@ def _swish_bwd(grad: np.ndarray, saved: dict) -> np.ndarray:
     return grad * (sig + pre * sig * (1.0 - sig))
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_C = float(np.sqrt(2.0 / np.pi))  # a Python float: keeps the dtype
 
 
 def _gelu_fwd(pre: np.ndarray, saved: dict) -> np.ndarray:
@@ -172,6 +176,7 @@ def dense_act(
             f"unknown activation {act_name!r}; expected one of {sorted(ACT_KERNELS)}"
         ) from None
     parents = (x, weight) if bias is None else (x, weight, bias)
+    _same_dtype(parents)
     saved: dict = {}
 
     if active is not None:
@@ -194,7 +199,7 @@ def dense_act(
             out_active = act_fwd(pre, saved)
             if active_out == max_out:
                 return out_active
-            out = np.empty(out_active.shape[:-1] + (max_out,))
+            out = np.empty(out_active.shape[:-1] + (max_out,), dtype=out_active.dtype)
             out[..., :active_out] = out_active
             out[..., active_out:] = act_zero
             return out
@@ -219,6 +224,10 @@ def dense_act(
                 x._accumulate(_unbroadcast(sub, x.data.shape[:-1] + (active_in,)), x_block)
 
         return Tensor(compute_sliced(), parents=parents, backward=backward_sliced)
+
+    dtype = weight.data.dtype  # 0/1 masks cast exactly
+    weight_mask = None if weight_mask is None else np.asarray(weight_mask, dtype=dtype)
+    bias_mask = None if bias_mask is None else np.asarray(bias_mask, dtype=dtype)
 
     def compute() -> np.ndarray:
         w = weight.data if weight_mask is None else weight.data * weight_mask
@@ -280,7 +289,7 @@ def masked_gather(
             saved["idx"] = idx = np.asarray(indices, dtype=np.int64) % modulus
             if active_width == max_width:
                 return table.data[idx]
-            out = np.empty(idx.shape + (max_width,))
+            out = np.empty(idx.shape + (max_width,), dtype=table.data.dtype)
             out[..., :active_width] = table.data[idx, :active_width]
             out[..., active_width:] = 0.0
             return out
@@ -295,13 +304,13 @@ def masked_gather(
                 # A later touch sums its rows apart, then adds them into
                 # the block: scattering into the running gradient would
                 # add them in another order.
-                g = np.zeros((table.data.shape[0], active_width))
+                g = np.zeros((table.data.shape[0], active_width), dtype=table.data.dtype)
                 np.add.at(g, saved["idx"], part)
                 table._accumulate(g, cols)
 
         return Tensor(compute_sliced(), parents=(table,), backward=backward_sliced)
 
-    col_mask = np.asarray(col_mask, dtype=np.float64)
+    col_mask = np.asarray(col_mask, dtype=table.data.dtype)
 
     def compute() -> np.ndarray:
         saved["idx"] = idx = np.asarray(indices, dtype=np.int64) % modulus

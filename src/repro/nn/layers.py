@@ -122,6 +122,8 @@ class Module:
                     f"{key}: shape {value.shape} does not match parameter "
                     f"{param.data.shape} (different architecture?)"
                 )
+            if value.dtype != param.data.dtype:
+                raise TypeError(f"{key}: a {value.dtype} array for a {param.data.dtype} parameter")
             param.data[:] = value
 
     def __call__(self, *args, **kwargs):
@@ -150,7 +152,7 @@ class Dense(Module):
             requires_grad=True,
             name="dense.weight",
         )
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True, name="dense.bias")
+        self.bias = Tensor(np.zeros(out_features, dtype=initializers.DTYPE), requires_grad=True, name="dense.bias")
         activation(activation_name)  # reject unknown names at construction
         self._activation_name = activation_name
 
@@ -183,7 +185,7 @@ class MaskedDense(Module):
             requires_grad=True,
             name="masked_dense.weight",
         )
-        self.bias = Tensor(np.zeros(max_out), requires_grad=True, name="masked_dense.bias")
+        self.bias = Tensor(np.zeros(max_out, dtype=initializers.DTYPE), requires_grad=True, name="masked_dense.bias")
         activation(activation_name)  # reject unknown names at construction
         self._activation_name = activation_name
 
@@ -240,7 +242,7 @@ class LowRankDense(Module):
             requires_grad=True,
             name="lowrank.v",
         )
-        self.bias = Tensor(np.zeros(max_out), requires_grad=True, name="lowrank.bias")
+        self.bias = Tensor(np.zeros(max_out, dtype=initializers.DTYPE), requires_grad=True, name="lowrank.bias")
         activation(activation_name)  # reject unknown names at construction
         self._activation_name = activation_name
 
@@ -325,8 +327,8 @@ class LayerNorm(Module):
         if width < 1:
             raise ValueError("width must be >= 1")
         self.width = width
-        self.gain = Tensor(np.ones(width), requires_grad=True, name="layernorm.gain")
-        self.bias = Tensor(np.zeros(width), requires_grad=True, name="layernorm.bias")
+        self.gain = Tensor(np.ones(width, dtype=initializers.DTYPE), requires_grad=True, name="layernorm.gain")
+        self.bias = Tensor(np.zeros(width, dtype=initializers.DTYPE), requires_grad=True, name="layernorm.bias")
 
     def forward(self, x: Tensor, active_width: Optional[int] = None) -> Tensor:
         """Normalize over the last axis.
@@ -344,7 +346,7 @@ class LayerNorm(Module):
             return centered * inv_std * self.gain + self.bias
         if not (0 < active_width <= self.width):
             raise ValueError(f"active_width {active_width} outside (0, {self.width}]")
-        mask = np.zeros(self.width)
+        mask = np.zeros(self.width, dtype=x.data.dtype)
         mask[:active_width] = 1.0
         masked = x.mask(mask)
         mean = masked.sum(axis=-1, keepdims=True) * (1.0 / active_width)

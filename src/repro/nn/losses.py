@@ -17,14 +17,16 @@ import numpy as np
 from .tensor import Tensor
 
 
-def _targets_for(shape: tuple, targets: np.ndarray) -> np.ndarray:
-    """``targets`` as float64, refused if it would widen ``shape``.
+def _targets_for(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``targets`` in ``logits``' dtype, refused if it would widen
+    ``logits``' shape.
 
     A target may broadcast up to the logits (a scalar, a row), never
     the other way: ``(N,)`` labels against ``(N, 1)`` logits would
     broadcast to ``(N, N)`` and average over every pair.
     """
-    targets = np.asarray(targets, dtype=np.float64)
+    shape = logits.shape
+    targets = np.asarray(targets, dtype=logits.dtype)
     try:
         widened = np.broadcast_shapes(shape, targets.shape) != shape
     except ValueError:
@@ -48,7 +50,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     The gradient is the classic ``(sigmoid(x) - y) / n``.
     """
-    targets = _targets_for(logits.data.shape, targets)
+    targets = _targets_for(logits.data, targets)
     inv = 1.0 / max(1, logits.data.size)
 
     def compute() -> np.ndarray:
@@ -98,7 +100,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def mse(predictions: Tensor, targets: np.ndarray) -> Tensor:
     """Mean squared error against constant targets."""
-    targets = _targets_for(predictions.data.shape, targets)
+    targets = _targets_for(predictions.data, targets)
     inv = 1.0 / max(1, predictions.data.size)
     saved: dict = {}
 
@@ -120,6 +122,6 @@ def accuracy(logits: Tensor, labels: np.ndarray) -> float:
 
 def binary_accuracy(logits: Tensor, targets: np.ndarray) -> float:
     """Accuracy of thresholded sigmoid predictions."""
-    targets = _targets_for(logits.data.shape, targets)
-    predicted = (logits.data > 0.0).astype(np.float64)
+    targets = _targets_for(logits.data, targets)
+    predicted = (logits.data > 0.0).astype(targets.dtype)
     return float((predicted == targets).mean())

@@ -12,6 +12,13 @@ The design is deliberately simple: each ``Tensor`` records its parents
 and a closure that accumulates gradients into them; ``backward`` runs a
 topological sort and applies the closures in reverse order.
 
+A tensor keeps the floating dtype of the data it is given (anything
+else becomes float64): the networks' parameters are float32
+(:mod:`.initializers`), a finite-difference oracle builds float64.  An
+op never mixes them.  A Python scalar takes its tensor operand's dtype;
+a tensor or float array of another dtype is refused with ``TypeError``,
+never silently promoted, and so is a gradient of another dtype.
+
 One hot-path mechanism lives here (see DESIGN.md §11): ``_accumulate``
 is the one way an op hands a tensor its gradient, whole or as a block
 (a tuple of slices) of it.  It keeps a per-node gradient buffer
@@ -92,7 +99,8 @@ class Tensor:
         backward: Optional[Callable[[np.ndarray], None]] = None,
         name: Optional[str] = None,
     ):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad: Optional[np.ndarray] = None
         self._buf: Optional[np.ndarray] = None
         self.requires_grad = requires_grad or (
@@ -133,7 +141,11 @@ class Tensor:
         The first touch after ``zero_grad`` writes into the reused
         buffer (``_buf``), zero-filling it first when ``part`` covers
         only a block; a later touch adds into the gradient in place.
+        A ``part`` of another float dtype is refused (``TypeError``).
         """
+        dtype = getattr(part, "dtype", None)
+        if dtype is not None and dtype != self.data.dtype:
+            raise TypeError(f"a {dtype} gradient for a {self.data.dtype} tensor")
         grad = self.grad
         if grad is not None:
             if block is None:
@@ -143,7 +155,7 @@ class Tensor:
             return
         buf = self._buf
         if block is None:
-            part = np.asarray(part, dtype=np.float64)
+            part = np.asarray(part, dtype=self.data.dtype)
             if buf is not None and buf.shape == part.shape:
                 np.copyto(buf, part)
                 self.grad = buf
@@ -153,7 +165,7 @@ class Tensor:
         if buf is not None and buf.shape == self.data.shape:
             buf.fill(0.0)
         else:
-            buf = self._buf = np.zeros(self.data.shape)
+            buf = self._buf = np.zeros(self.data.shape, dtype=self.data.dtype)
         buf[block] = part
         self.grad = buf
 
@@ -166,7 +178,8 @@ class Tensor:
         """Back-propagate from this tensor to every ancestor.
 
         ``grad`` defaults to ones (i.e. this tensor must be a scalar
-        loss unless an explicit output gradient is provided).
+        loss unless an explicit output gradient is provided); a given
+        one seeds the pass in this tensor's dtype.
         """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor without grad tracking")
@@ -189,7 +202,7 @@ class Tensor:
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
-        self._accumulate(np.asarray(grad, dtype=np.float64))
+        self._accumulate(np.asarray(grad, dtype=self.data.dtype))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -197,8 +210,22 @@ class Tensor:
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
+    def _operand(self, other: ArrayLike) -> "Tensor":
+        """``other`` as the second operand of a binary op on this tensor:
+        a Python scalar or an integer array takes this tensor's dtype, a
+        tensor or float array of another dtype is refused."""
+        if isinstance(other, Tensor):
+            _same_dtype((self, other))
+            return other
+        array = np.asarray(other)
+        if array.dtype.kind == "f" and array.dtype != self.data.dtype and not (
+            isinstance(other, float)
+        ):
+            raise TypeError(f"mixed dtypes: {self.data.dtype} and {array.dtype}")
+        return Tensor(array.astype(self.data.dtype, copy=False))
+
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
 
         def compute() -> np.ndarray:
             return self.data + other.data
@@ -223,10 +250,10 @@ class Tensor:
         return Tensor(compute(), parents=(self,), backward=backward)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        return self + (-as_tensor(other))
+        return self + (-self._operand(other))
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
 
         def compute() -> np.ndarray:
             return self.data * other.data
@@ -254,7 +281,7 @@ class Tensor:
         return Tensor(compute(), parents=(self,), backward=backward)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
 
         def compute() -> np.ndarray:
             return self.data @ other.data
@@ -353,7 +380,7 @@ class Tensor:
 
     def gelu(self) -> "Tensor":
         """Tanh approximation of GELU, used in the ViT search space."""
-        c = np.sqrt(2.0 / np.pi)
+        c = float(np.sqrt(2.0 / np.pi))  # a Python float: keeps the dtype
         saved = {}
 
         def compute() -> np.ndarray:
@@ -486,7 +513,7 @@ class Tensor:
         super-network: narrower candidate layers reuse the upper-left
         sub-matrix of the widest weights by masking the rest out.
         """
-        mask_array = np.asarray(mask_array, dtype=np.float64)
+        mask_array = np.asarray(mask_array, dtype=self.data.dtype)
 
         def compute() -> np.ndarray:
             return self.data * mask_array
@@ -502,9 +529,17 @@ def as_tensor(value: ArrayLike) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _same_dtype(tensors: Sequence[Tensor]) -> None:
+    """Refuse an op over tensors of more than one dtype."""
+    dtypes = {t.data.dtype for t in tensors}
+    if len(dtypes) > 1:
+        raise TypeError(f"mixed dtypes: {' and '.join(sorted(map(str, dtypes)))}")
+
+
 def concatenate(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
     tensors = [as_tensor(t) for t in tensors]
+    _same_dtype(tensors)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -532,10 +567,11 @@ def stack_mean(tensors: Sequence[Tensor]) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise ValueError("stack_mean requires at least one tensor")
+    _same_dtype(tensors)
     inv = 1.0 / len(tensors)
 
     def compute() -> np.ndarray:
-        total = np.array(tensors[0].data, dtype=np.float64, copy=True)
+        total = np.array(tensors[0].data, copy=True)
         for tensor in tensors[1:]:
             total += tensor.data
         return total * inv

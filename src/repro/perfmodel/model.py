@@ -62,7 +62,7 @@ class PerformanceModel:
 
     def forward(self, features: np.ndarray) -> Tensor:
         """Normalized log-time predictions, shape ``(batch, 2)``."""
-        return self.mlp(Tensor(features))
+        return self.mlp(Tensor(np.asarray(features, dtype=self.mlp.head.weight.data.dtype)))
 
     def training_loss(self, features: np.ndarray, targets: np.ndarray) -> Tensor:
         """MSE of the MLP against normalized log-time ``targets``."""

@@ -43,8 +43,9 @@ from .checkpoint import (
 
 PathLike = Union[str, pathlib.Path]
 
-#: Version of the on-disk artifact layout.
-ARTIFACT_FORMAT = 1
+#: Version of the on-disk artifact layout.  2: the weights are float32
+#: (1 held float64 ones); other formats are refused.
+ARTIFACT_FORMAT = 2
 ARTIFACT_KIND = "elastic_supernet"
 ARTIFACT_NAME = "ARTIFACT.json"
 WEIGHTS_DIR = "weights"

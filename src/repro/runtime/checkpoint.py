@@ -56,11 +56,11 @@ from .atomic import atomic_write_json, file_sha256, write_hashed
 
 PathLike = Union[str, pathlib.Path]
 
-#: Version of the on-disk snapshot payload layout.  2: a search snapshot
-#: times only the canonical ``STAGES``; older payloads are rejected by
-#: :func:`check_header`.  (Some format-2 snapshots also carry a
-#: ``backend`` entry; nothing reads it.)
-CHECKPOINT_FORMAT = 2
+#: Version of the on-disk snapshot payload layout.  3: supernet weights
+#: and optimizer moments are float32 (2 held float64 ones; a search
+#: snapshot times only the canonical ``STAGES``).  Older payloads are
+#: rejected by :func:`check_header`.
+CHECKPOINT_FORMAT = 3
 
 
 class CheckpointError(RuntimeError):
@@ -84,8 +84,8 @@ def pack_state(state: Any) -> Tuple[Any, List[np.ndarray]]:
     Every ``np.ndarray`` leaf is replaced by ``{"__ndarray__": i}`` and
     collected into the returned array table (:func:`encode_state` lays
     it out as raw per-dtype buffers).  Numpy scalars collapse to
-    Python scalars — an exact conversion for int64/float64, the only
-    scalar types search state contains.
+    Python scalars — an exact conversion for the int64, float64 and
+    float32 scalars search state contains (a float32 widens exactly).
     """
     arrays: List[np.ndarray] = []
 

@@ -172,7 +172,7 @@ class DlrmSuperNetwork(StackedScoringMixin, Module):
         bottom_width = self._stack_width(arch, "dense0", cfg.base_bottom_width)
         bottom_depth = self._stack_depth(arch, "dense0", cfg.base_bottom_depth, self.bottom)
         bottom_out = self.bottom(
-            Tensor(dense),
+            Tensor(np.asarray(dense, dtype=self.head.weight.data.dtype)),
             active_width=bottom_width,
             active_depth=bottom_depth,
             low_rank_fraction=float(arch["dense0/low_rank"]),

@@ -31,6 +31,7 @@ from ..nn import (
     activation as activation_fn,
     softmax_cross_entropy,
 )
+from ..nn.initializers import DTYPE
 from ..searchspace.base import Architecture, Decision, SearchSpace
 from .batching import StackedScoringMixin
 
@@ -89,7 +90,7 @@ class MixtureSuperNetwork(StackedScoringMixin, Module):
             self.layers.append(MaskedDense(nin, width, rng, activation_name="linear"))
         self.head = Dense(width, config.num_classes, rng, activation_name="linear")
         # Constant per-choice masks used by the soft-width mixture.
-        self._width_masks = np.zeros((len(config.width_choices), width))
+        self._width_masks = np.zeros((len(config.width_choices), width), dtype=DTYPE)
         for c, choice in enumerate(config.width_choices):
             self._width_masks[c, :choice] = 1.0
 
@@ -98,7 +99,7 @@ class MixtureSuperNetwork(StackedScoringMixin, Module):
     # ------------------------------------------------------------------
     def forward(self, arch: Architecture, inputs: Mapping[str, np.ndarray]) -> Tensor:
         cfg = self.config
-        x = Tensor(inputs["x"])
+        x = Tensor(np.asarray(inputs["x"], dtype=self.head.weight.data.dtype))
         in_width = cfg.num_features
         for layer_index, layer in enumerate(self.layers):
             width = int(arch[f"layer{layer_index}/width"])
@@ -130,16 +131,18 @@ class MixtureSuperNetwork(StackedScoringMixin, Module):
         paper's taxonomy charges gradient-based search with).
         """
         cfg = self.config
-        x = Tensor(inputs["x"])
+        x = Tensor(np.asarray(inputs["x"], dtype=self.head.weight.data.dtype))
         for layer_index, layer in enumerate(self.layers):
             width_probs = probabilities[f"layer{layer_index}/width"]
             act_probs = probabilities[f"layer{layer_index}/activation"]
             pre = layer(x)  # full-width affine once
-            soft_mask = width_probs @ Tensor(self._width_masks)
+            soft_mask = width_probs @ Tensor(
+                self._width_masks.astype(width_probs.data.dtype, copy=False)
+            )
             masked = pre * soft_mask
             mixed = None
             for c, name in enumerate(cfg.activation_choices):
-                onehot = np.zeros(len(cfg.activation_choices))
+                onehot = np.zeros(len(cfg.activation_choices), dtype=act_probs.data.dtype)
                 onehot[c] = 1.0
                 weight = (act_probs * Tensor(onehot)).sum()
                 term = activation_fn(name)(masked) * weight

@@ -142,7 +142,7 @@ def _slice_last(tensor: Tensor, start: int, stop: int, active: int) -> Tensor:
     performs the shift with full gradient support.
     """
     total = tensor.shape[-1]
-    shift = np.zeros((total, stop - start))
+    shift = np.zeros((total, stop - start), dtype=tensor.data.dtype)
     for i in range(start, min(stop, start + active)):
         shift[i, i - start] = 1.0
     return tensor @ Tensor(shift)
@@ -169,7 +169,7 @@ class TransformerSuperNetwork(StackedScoringMixin, Module):
 
     def forward(self, arch: Architecture, inputs: Dict[str, np.ndarray]) -> Tensor:
         cfg = self.config
-        x = self.embed(Tensor(inputs["x"]))
+        x = self.embed(Tensor(np.asarray(inputs["x"], dtype=self.embed.weight.data.dtype)))
         for b, stack in enumerate(self.blocks):
             hidden_size = int(arch[f"tfm{b}/hidden_size"])
             width = cfg.proxy_width(hidden_size)
@@ -219,7 +219,7 @@ def _slice_seq(tensor: Tensor, keep: int) -> Tensor:
     """Keep the first ``keep`` sequence positions (drop an odd tail)."""
     if tensor.shape[1] == keep:
         return tensor
-    selector = np.zeros((tensor.shape[1], keep))
+    selector = np.zeros((tensor.shape[1], keep), dtype=tensor.data.dtype)
     for i in range(keep):
         selector[i, i] = 1.0
     narrowed = tensor.transpose(0, 2, 1) @ Tensor(selector)

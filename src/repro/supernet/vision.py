@@ -156,7 +156,7 @@ class VisionSuperNetwork(StackedScoringMixin, Module):
 
     def forward(self, arch: Architecture, inputs: Dict[str, np.ndarray]) -> Tensor:
         cfg = self.config
-        x = self.stem(Tensor(inputs["x"]))
+        x = self.stem(Tensor(np.asarray(inputs["x"], dtype=self.stem.weight.data.dtype)))
         in_width = cfg.max_width  # stem emits full width
         for b, block in enumerate(self.blocks):
             width = cfg.block_width(int(arch[f"block{b}/width_delta"]))

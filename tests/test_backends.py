@@ -741,6 +741,23 @@ class TestRemoteTraining:
             finally:
                 shutdown_pools()
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+    def test_the_pooled_quickstart_trains_on_a_float32_segment(self):
+        # The product's pooled search keeps its context: the float32
+        # supernet's weights and gradients travel in float32 segments, and
+        # a step ships train tasks.  (A layout that still demanded
+        # float64 would leave no context and the search in process.)
+        try:
+            _, search = quickstart("single_step", "processes", steps=1)
+            kinds = spy_on_shipped_kinds(search)
+            search.run()
+            ctx = search._remote_ctx
+            assert ctx is not None and "train_many" in kinds
+            assert ctx.weights.dtype == np.float32 and ctx.gradients.views[0][0].dtype == np.float32
+            assert all(p.data.dtype == np.float32 for p in ctx.params)
+        finally:
+            shutdown_pools()
+
     def test_unequal_batches_train_in_process(self):
         # A group of unequal batches backprops one contribution per
         # *batch*; reduced per group that is another float order, so

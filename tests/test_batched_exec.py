@@ -23,6 +23,7 @@ from repro.data import CtrTaskConfig, CtrTeacher, NullSource, SingleStepPipeline
 from repro.perfmodel import ArchitectureEncoder, PerformanceModel
 from repro.searchspace import Decision, SearchSpace, DlrmSpaceConfig, dlrm_search_space
 from repro.supernet import DlrmSuperNetwork, DlrmSupernetConfig
+from .test_nn_gradcheck import widen_to_float64
 
 
 def small_space():
@@ -162,6 +163,7 @@ class TestPerformanceModelBatch:
             size_fn=lambda arch: 123.0,
             seed=0,
         )
+        widen_to_float64(model.mlp)  # the two paths agree to float64 round-off
         rng = np.random.default_rng(0)
         archs = [space.sample(rng) for _ in range(12)]
         many = model.predict_many(archs)
@@ -224,7 +226,7 @@ class TestStackedScoring:
         np.testing.assert_allclose(stacked, sequential, rtol=1e-12)
 
     def test_loss_many_matches_mean_of_batch_losses(self):
-        supernet = DlrmSuperNetwork(DlrmSupernetConfig(num_tables=2, seed=0))
+        supernet = widen_to_float64(DlrmSuperNetwork(DlrmSupernetConfig(num_tables=2, seed=0)))
         space = dlrm_search_space(DlrmSpaceConfig(num_tables=2, num_dense_stacks=2))
         arch = space.default_architecture()
         batches = ctr_batches(count=3)
@@ -243,14 +245,16 @@ class TestStackedScoring:
         batches = ctr_batches(count=4)
         num_cores = len(batches)
 
-        grouped_net = DlrmSuperNetwork(DlrmSupernetConfig(num_tables=2, seed=0))
+        grouped_net = widen_to_float64(DlrmSuperNetwork(DlrmSupernetConfig(num_tables=2, seed=0)))
         grouped_net.zero_grad()
         loss = grouped_net.loss_many(
             arch, [b.inputs for b in batches], [b.labels for b in batches]
         )
         (loss * (num_cores / num_cores)).backward()
 
-        sequential_net = DlrmSuperNetwork(DlrmSupernetConfig(num_tables=2, seed=0))
+        sequential_net = widen_to_float64(
+            DlrmSuperNetwork(DlrmSupernetConfig(num_tables=2, seed=0))
+        )
         sequential_net.zero_grad()
         for b in batches:
             seq_loss = sequential_net.loss(arch, b.inputs, b.labels)

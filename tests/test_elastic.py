@@ -9,6 +9,7 @@ elastic-train -> specialize -> fleet smoke (the tier-1 half of the CI
 contract; the speedup half lives in ``benchmarks/bench_elastic.py``).
 """
 
+import json
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ class TestElasticPrimitives:
 
     def test_mlp_full_vs_lowrank_paths(self):
         mlp = ElasticMlp(8, 16, 2, np.random.default_rng(0), width_increment=4)
-        x = Tensor(np.random.default_rng(1).normal(size=(4, 8)))
+        x = Tensor(np.random.default_rng(1).normal(size=(4, 8)).astype(np.float32))
         full = mlp.forward(x, 16, 2, 1.0)
         factored = mlp.forward(x, 16, 2, 0.25)
         assert full.shape == (4, 16) and factored.shape == (4, 16)
@@ -318,6 +319,22 @@ class TestElasticArtifact:
         trained = training.supernet.state_dict()
         for name, array in fresh.state_dict().items():
             np.testing.assert_array_equal(array, trained[name])
+
+    def test_a_float64_artifact_is_refused_naming_its_format(self, tmp_path):
+        # Artifacts written before the weights were float32 are format 1:
+        # refused by that number, with no conversion shim; and float64
+        # weights never load into float32 parameters silently.
+        training, _ = self._save(tmp_path)
+        path = tmp_path / "artifact" / "ARTIFACT.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["format"] == 2
+        path.write_text(json.dumps({**manifest, "format": 1}))
+        fresh = DlrmSuperNetwork(DlrmSupernetConfig(num_tables=NUM_TABLES))
+        with pytest.raises(CheckpointError, match="unsupported artifact format 1 \\(expected 2\\)"):
+            restore_elastic_supernet(tmp_path / "artifact", fresh, build_space())
+        widened = {k: v.astype(np.float64) for k, v in training.supernet.state_dict().items()}
+        with pytest.raises(TypeError, match="a float64 array for a float32 parameter"):
+            fresh.load_state_dict(widened)
 
     def test_missing_artifact(self, tmp_path):
         with pytest.raises(CheckpointError, match="missing"):

@@ -13,6 +13,7 @@ from repro.supernet import (
 )
 
 from .test_searchspace import assert_full_assignment
+from .test_nn_gradcheck import widen_to_float64
 
 
 def make_net(num_layers=2):
@@ -28,7 +29,7 @@ def make_teacher(seed=0):
 def uniform_probs(net):
     space = mixture_search_space(net.config)
     return {
-        d.name: Tensor(np.full(d.num_choices, 1.0 / d.num_choices))
+        d.name: Tensor(np.full(d.num_choices, 1.0 / d.num_choices, dtype=np.float32))
         for d in space.decisions
     }
 
@@ -48,8 +49,9 @@ class TestMixtureSupernet:
         assert logits.shape == (32, 4)
 
     def test_onehot_mixture_matches_discrete(self):
-        """A one-hot mixture reduces exactly to the discrete candidate."""
-        net = make_net()
+        """A one-hot mixture reduces exactly to the discrete candidate
+        (at float64 round-off: the net is widened to float64)."""
+        net = widen_to_float64(make_net())
         space = mixture_search_space(net.config)
         arch = space.default_architecture().replaced(
             **{"layer0/width": 16, "layer0/activation": "swish"}
@@ -70,7 +72,7 @@ class TestMixtureSupernet:
         net = make_net()
         space = mixture_search_space(net.config)
         alphas = {
-            d.name: Tensor(np.zeros(d.num_choices), requires_grad=True)
+            d.name: Tensor(np.zeros(d.num_choices, dtype=np.float32), requires_grad=True)
             for d in space.decisions
         }
         probs = {name: alpha.softmax() for name, alpha in alphas.items()}

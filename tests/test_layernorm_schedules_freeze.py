@@ -15,7 +15,7 @@ class TestLayerNorm:
     def test_output_statistics(self):
         rng = np.random.default_rng(0)
         norm = LayerNorm(16)
-        out = norm(Tensor(rng.normal(3.0, 5.0, size=(4, 16))))
+        out = norm(Tensor(rng.normal(3.0, 5.0, size=(4, 16)).astype(np.float32)))
         np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-6)
         np.testing.assert_allclose(out.data.std(axis=-1), 1.0, atol=1e-3)
 
@@ -23,7 +23,7 @@ class TestLayerNorm:
         norm = LayerNorm(4)
         norm.gain.data[:] = 2.0
         norm.bias.data[:] = 1.0
-        out = norm(Tensor(np.random.default_rng(1).normal(size=(3, 4))))
+        out = norm(Tensor(np.random.default_rng(1).normal(size=(3, 4)).astype(np.float32)))
         np.testing.assert_allclose(out.data.mean(axis=-1), 1.0, atol=1e-6)
 
     def test_gradient_flows_numerically(self):
@@ -31,6 +31,8 @@ class TestLayerNorm:
         val = rng.normal(size=(2, 5))
         x = Tensor(val.copy(), requires_grad=True)
         norm = LayerNorm(5)
+        for param in norm.parameters():  # the float64 oracle below
+            param.data = param.data.astype(np.float64)
         weights = np.arange(10.0).reshape(2, 5)
         (norm(x) * Tensor(weights)).sum().backward()
 
@@ -52,7 +54,7 @@ class TestLayerNorm:
 
     def test_masked_mode_keeps_inactive_zero(self):
         norm = LayerNorm(8)
-        x = np.zeros((2, 8))
+        x = np.zeros((2, 8), dtype=np.float32)
         x[:, :4] = np.random.default_rng(3).normal(5.0, 2.0, size=(2, 4))
         out = norm(Tensor(x), active_width=4)
         np.testing.assert_allclose(out.data[:, 4:], 0.0)
@@ -61,8 +63,8 @@ class TestLayerNorm:
     def test_masked_stats_ignore_padding(self):
         """Stats over the active block match a dense LayerNorm of it."""
         rng = np.random.default_rng(4)
-        active = rng.normal(2.0, 3.0, size=(3, 4))
-        padded = np.zeros((3, 8))
+        active = rng.normal(2.0, 3.0, size=(3, 4)).astype(np.float32)
+        padded = np.zeros((3, 8), dtype=np.float32)
         padded[:, :4] = active
         wide = LayerNorm(8)
         narrow = LayerNorm(4)

@@ -68,6 +68,16 @@ def assert_gradcheck(build, *arrays, rtol=1e-4, atol=1e-6):
         )
 
 
+def widen_to_float64(module):
+    """``module`` with its float32 parameters widened to float64: a layer
+    computes in its parameters' dtype, so a check that compares two
+    paths at float64 round-off, or against the float64 oracle, runs
+    there."""
+    for param in module.parameters():
+        param.data = param.data.astype(np.float64)
+    return module
+
+
 def rand(*shape, seed=0, scale=1.0):
     return np.random.default_rng(seed).normal(0.0, scale, size=shape)
 
@@ -335,8 +345,14 @@ class TestFusedKernels:
 
 
 class TestLayers:
+    """Layers build float32 parameters; each check widens them to float64
+    first (a layer computes in its parameters' dtype), so the central
+    differences stay the float64 oracle."""
+
     def _param_gradcheck(self, module, run, rtol=1e-4, atol=1e-6):
         """Check gradients of ``run().sum()`` w.r.t. every parameter."""
+        assert all(param.data.dtype == np.float32 for param in module.parameters())
+        widen_to_float64(module)
         module.zero_grad()
         run().sum().backward()
         for param in module.parameters():

@@ -28,7 +28,7 @@ def rng():
 class TestDense:
     def test_forward_shape(self):
         layer = Dense(4, 3, rng())
-        out = layer(Tensor(np.ones((5, 4))))
+        out = layer(Tensor(np.ones((5, 4), dtype=np.float32)))
         assert out.shape == (5, 3)
 
     def test_weight_and_bias(self):
@@ -52,7 +52,7 @@ class TestDense:
         losses = []
         for _ in range(200):
             opt.zero_grad()
-            loss = mse(layer(Tensor(x)), y)
+            loss = mse(layer(Tensor(x.astype(np.float32))), y)
             loss.backward()
             opt.step()
             losses.append(loss.item())
@@ -62,21 +62,21 @@ class TestDense:
 class TestMaskedDense:
     def test_inactive_outputs_are_zero(self):
         layer = MaskedDense(8, 6, rng())
-        out = layer(Tensor(np.ones((3, 8))), active_in=4, active_out=2)
+        out = layer(Tensor(np.ones((3, 8), dtype=np.float32)), active_in=4, active_out=2)
         np.testing.assert_allclose(out.data[:, 2:], 0.0)
 
     def test_small_width_matches_submatrix(self):
         layer = MaskedDense(8, 6, rng(), activation_name="linear")
         layer.bias.data[:] = np.arange(6.0)
-        x = np.zeros((2, 8))
+        x = np.zeros((2, 8), dtype=np.float32)
         x[:, :4] = np.random.default_rng(7).normal(size=(2, 4))
-        out = layer(Tensor(x), active_in=4, active_out=3)
+        out = layer(Tensor(x.astype(np.float32)), active_in=4, active_out=3)
         expected = x[:, :4] @ layer.weight.data[:4, :3] + layer.bias.data[:3]
         np.testing.assert_allclose(out.data[:, :3], expected)
 
     def test_gradient_only_on_active_block(self):
         layer = MaskedDense(8, 6, rng(), activation_name="linear")
-        out = layer(Tensor(np.ones((2, 8))), active_in=4, active_out=2)
+        out = layer(Tensor(np.ones((2, 8), dtype=np.float32)), active_in=4, active_out=2)
         out.sum().backward()
         grad = layer.weight.grad
         assert np.all(grad[4:, :] == 0)
@@ -88,22 +88,22 @@ class TestMaskedDense:
         layer = MaskedDense(8, 6, rng(), activation_name="linear")
         x = np.zeros((1, 8))
         x[:, :2] = 1.0
-        narrow = layer(Tensor(x), active_in=2, active_out=2)
-        wide = layer(Tensor(x), active_in=2, active_out=6)
+        narrow = layer(Tensor(x.astype(np.float32)), active_in=2, active_out=2)
+        wide = layer(Tensor(x.astype(np.float32)), active_in=2, active_out=6)
         np.testing.assert_allclose(narrow.data[:, :2], wide.data[:, :2])
 
     def test_active_bounds_validated(self):
         layer = MaskedDense(8, 6, rng())
         with pytest.raises(ValueError):
-            layer(Tensor(np.ones((1, 8))), active_in=9)
+            layer(Tensor(np.ones((1, 8), dtype=np.float32)), active_in=9)
         with pytest.raises(ValueError):
-            layer(Tensor(np.ones((1, 8))), active_out=0)
+            layer(Tensor(np.ones((1, 8), dtype=np.float32)), active_out=0)
 
     @given(st.integers(1, 8), st.integers(1, 6))
     @settings(max_examples=25, deadline=None)
     def test_any_active_width_is_valid(self, ain, aout):
         layer = MaskedDense(8, 6, rng(), activation_name="linear")
-        out = layer(Tensor(np.ones((2, 8))), active_in=ain, active_out=aout)
+        out = layer(Tensor(np.ones((2, 8), dtype=np.float32)), active_in=ain, active_out=aout)
         assert out.shape == (2, 6)
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data[:, aout:], 0.0)
@@ -112,7 +112,7 @@ class TestMaskedDense:
 class TestLowRankDense:
     def test_rank_masking_shrinks_capacity(self):
         layer = LowRankDense(6, 6, 4, rng(), activation_name="linear")
-        x = Tensor(np.random.default_rng(3).normal(size=(2, 6)))
+        x = Tensor(np.random.default_rng(3).normal(size=(2, 6)).astype(np.float32))
         full = layer(x, active_rank=4)
         rank1 = layer(x, active_rank=1)
         assert not np.allclose(full.data, rank1.data)
@@ -120,7 +120,7 @@ class TestLowRankDense:
     def test_rank_one_matches_outer_product(self):
         layer = LowRankDense(4, 3, 2, rng(), activation_name="linear")
         layer.bias.data[:] = 0.0
-        x = np.random.default_rng(5).normal(size=(2, 4))
+        x = np.random.default_rng(5).normal(size=(2, 4)).astype(np.float32)
         out = layer(Tensor(x), active_rank=1)
         expected = (x @ layer.factor_u.data[:, :1]) @ layer.factor_v.data[:1, :]
         np.testing.assert_allclose(out.data, expected)
@@ -128,11 +128,11 @@ class TestLowRankDense:
     def test_invalid_rank(self):
         layer = LowRankDense(4, 3, 2, rng())
         with pytest.raises(ValueError):
-            layer(Tensor(np.ones((1, 4))), active_rank=3)
+            layer(Tensor(np.ones((1, 4), dtype=np.float32)), active_rank=3)
 
     def test_gradient_respects_rank_mask(self):
         layer = LowRankDense(4, 3, 2, rng(), activation_name="linear")
-        out = layer(Tensor(np.ones((2, 4))), active_rank=1)
+        out = layer(Tensor(np.ones((2, 4), dtype=np.float32)), active_rank=1)
         out.sum().backward()
         assert np.all(layer.factor_u.grad[:, 1:] == 0)
         assert np.all(layer.factor_v.grad[1:, :] == 0)
@@ -179,7 +179,7 @@ class TestMaskedEmbedding:
 class TestMLP:
     def test_mlp_shapes(self):
         net = MLP(5, [16, 8], 2, rng())
-        out = net(Tensor(np.ones((3, 5))))
+        out = net(Tensor(np.ones((3, 5), dtype=np.float32)))
         assert out.shape == (3, 2)
 
     def test_parameter_collection_dedupes(self):
@@ -197,7 +197,7 @@ class TestMLP:
         first = None
         for step in range(300):
             opt.zero_grad()
-            loss = mse(net(Tensor(x)), y)
+            loss = mse(net(Tensor(x.astype(np.float32))), y)
             loss.backward()
             opt.step()
             if first is None:
@@ -252,7 +252,7 @@ class TestModuleState:
     """Parameters persist as ``state_dict`` copies keyed by traversal index."""
 
     def test_round_trip_reproduces_outputs(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(4, 5)))
+        x = Tensor(np.random.default_rng(0).normal(size=(4, 5)).astype(np.float32))
         net = MLP(5, [8, 8], 2, np.random.default_rng(1))
         fresh = MLP(5, [8, 8], 2, np.random.default_rng(2))
         assert not np.array_equal(net(x).data, fresh(x).data)

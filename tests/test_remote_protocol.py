@@ -128,6 +128,7 @@ class TestWorkerWireProtocol:
                 "context_id": "sent",
                 "spec": worker_mod.worker_spec_for(search.supernet),
                 "layout": tuple(weight_layout(arrays)),
+                "dtype": arrays[0].dtype.str,
                 "version": 1,
                 "weights": _snapshot_weights(arrays),
             }
@@ -247,7 +248,7 @@ class TestWorkerWireProtocol:
             send_message(controller, {
                 "type": "context", "context_id": "sent",
                 "spec": worker_mod.worker_spec_for(search.supernet),
-                "layout": tuple(weight_layout(arrays)), "version": 2,
+                "layout": tuple(weight_layout(arrays)), "dtype": "<f4", "version": 2,
                 "segment": weights.name,
             })  # fmt: skip
             served = ask(2)
@@ -385,8 +386,8 @@ class TestWorkerWireProtocol:
 #: A well-formed message of every type in the two tables, keyed by type.
 EVERY_MESSAGE = {
     "context": {"type": "context", "context_id": "c", "spec": {"supernet": "item"},
-                "layout": [[[2], 0, 2]], "version": 1, "segment": None, "gradients": None,
-                "weights": np.zeros(2)},
+                "layout": [[[2], 0, 2]], "dtype": "<f8", "version": 1, "segment": None,
+                "gradients": None, "weights": np.zeros(2)},
     "weights": {"type": "weights", "context_id": "c", "version": 2, "data": np.ones(2)},
     "release": {"type": "release", "context_id": "c"},
     "task": {"type": "task", "task_id": 1, "stage": "score", "kind": "quality_many",
@@ -587,7 +588,7 @@ def _control_frames(search):
     return {
         "context": {"type": "context", "context_id": "ctx",
                     "spec": worker_mod.worker_spec_for(search.supernet),
-                    "layout": tuple(weight_layout(arrays)), "version": 1,
+                    "layout": tuple(weight_layout(arrays)), "dtype": "<f4", "version": 1,
                     "weights": _snapshot_weights(arrays)},
         "weights": {"type": "weights", "context_id": "ctx", "version": 2,
                     "data": _snapshot_weights(arrays)},
@@ -1026,24 +1027,40 @@ def _configless():
     return item
 
 
-def _float32_item():
-    item = ItemSupernet(ItemConfig())
-    item.weight = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
-    return item
-
-
 def _grown_item():
     item = ItemSupernet(ItemConfig())
     item.weight = Tensor(np.zeros(3), requires_grad=True)  # cls(config) builds one
     return item
 
 
+def _retyped_item(dtype):
+    def build():
+        item = ItemSupernet(ItemConfig())  # its spec rebuilds a float64 weight
+        item.weight.data = np.zeros(1, dtype=dtype)
+        return item
+
+    return build
+
+
+def _mixed_dlrm():
+    dlrm = SHIPPING_HOSTS["dlrm"]()
+    dlrm.head.bias.data = dlrm.head.bias.data.astype(np.float64)
+    return dlrm
+
+
+#: supernets with no worker spec: they register nothing
 UNSHIPPABLE = {
     "not_stacked": lambda: SurrogateSuperNetwork(_surrogate_quality),
     "per_core_with_config": _per_core_with_config,
     "no_config": _configless,
-    "float32": _float32_item,
+}
+
+#: supernets with a worker spec whose parameters cannot travel
+CANNOT_TRAVEL = {
+    "retyped": _retyped_item(np.float32),
     "layout_mismatch": _grown_item,
+    "mixed": _mixed_dlrm,
+    "integer": _retyped_item(np.int64),
 }
 
 
@@ -1074,7 +1091,9 @@ class TestWorkerSpec:
         context = worker_mod.build_remote_context(supernet)
         assert context is not None and context.cluster is None
         rebuilt = worker_mod.build_supernet_from_spec(worker_mod.worker_spec_for(supernet))
-        hosted = _HostContext(rebuilt, context.weights.layout, context.weights.name)
+        hosted = _HostContext(
+            rebuilt, context.weights.layout, context.weights.dtype.str, context.weights.name
+        )
         try:
             for _ in range(2):
                 assert hosted.shared.version == context.version
@@ -1100,9 +1119,31 @@ class TestWorkerSpec:
             raise AssertionError("a cluster was started for a supernet that cannot ship")
 
         supernet = UNSHIPPABLE[kind]()
-        ships_a_spec = kind in ("float32", "layout_mismatch")
-        assert (worker_mod.worker_spec_for(supernet) is not None) == ships_a_spec
+        assert worker_mod.worker_spec_for(supernet) is None
         assert worker_mod.build_remote_context(supernet, no_cluster, gradient_slots=4) is None
+
+    @pytest.mark.parametrize(
+        "kind, error, cause",
+        [
+            ("retyped", ValueError, r"parameter 0 as \(1,\) float64 for the live \(1,\) float32"),
+            ("layout_mismatch", ValueError, r"parameter 0 as \(1,\) float64 for the live \(3,\)"),
+            ("mixed", TypeError, "one float dtype, got float32, float64"),
+            ("integer", TypeError, "one float dtype, got int64"),
+        ],
+    )
+    def test_a_specd_supernet_that_cannot_travel_raises_at_registration(
+        self, kind, error, cause
+    ):
+        # A spec means the search was meant to fan out: one its carriers
+        # cannot hold is the supernet's fault, named here, never a search
+        # that silently computes in process.  No cluster starts.
+        def no_cluster():
+            raise AssertionError("a cluster was started for a supernet that cannot ship")
+
+        supernet = CANNOT_TRAVEL[kind]()
+        assert worker_mod.worker_spec_for(supernet) is not None
+        with pytest.raises(error, match=cause):
+            worker_mod.build_remote_context(supernet, no_cluster, gradient_slots=4)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")

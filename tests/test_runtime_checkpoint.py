@@ -573,8 +573,16 @@ class TestSnapshotHeader:
                 config=EvolutionConfig(population_size=2, tournament_size=2, num_trials=8),
             ).run(store=store),
         }[algorithm]
-        with pytest.raises(CheckpointError, match="format 1 .*expected format 2"):
+        with pytest.raises(CheckpointError, match="format 1 .*expected format 3"):
             resume()
+
+    def test_a_float64_snapshot_is_refused_naming_its_format(self, tmp_path):
+        # Format 2 held float64 weights and moments: refused by its
+        # format, not converted.
+        store = CheckpointStore(tmp_path)
+        store.save(1, {"format": 2, "algorithm": "SingleStepSearch"})
+        with pytest.raises(CheckpointError, match="format 2 .*expected format 3"):
+            run_with_checkpoints(build_search(), store)
 
     def test_supernet_without_state_dict_names_the_missing_method(self):
         from repro.runtime.checkpoint import supernet_state
