@@ -225,6 +225,78 @@ def test_a_metric_or_env_literal_is_set_by_the_traffic_that_ran_it():
     }
 
 
+WRAPPED_SRC = textwrap.dedent(
+    """
+    class Scheduler:
+        def _count(self, name, n=1):
+            self.telemetry.counter(name).inc(n)
+
+        def submit(self):
+            self._count("toy.submitted")
+
+        def finish(self):
+            self._count("toy.finished", 2)
+    """
+)
+
+
+def test_a_metric_name_passed_through_a_one_level_wrapper_is_a_knob():
+    """A method that hands its first parameter to a metric call is a
+    wrapper: the literal a call to it passes is a metric name, set by the
+    traffic that ran the calling function."""
+    ledger = load_ledger()
+    trees = [("src/repro/toy.py", ast.parse(WRAPPED_SRC))]
+    lines = {node.name: ledger.first_line(node) for node in trees[0][1].body[0].body}
+    ran = {("src/repro/toy.py", lines["submit"], "submit")}
+    found = ledger.census(trees, [], ran, set())
+    assert {knob: reach for knob, reach in found.items() if knob[0] == "metric"} == {
+        ("metric", "toy.submitted"): "product",
+        ("metric", "toy.finished"): "none",
+    }
+
+
+SPEC_CLI = textwrap.dedent(
+    """
+    SPEC_FLAGS = {"--steps": dict(type=int), "--seed": dict(type=int)}
+
+    def _spec(args):
+        values = {name: getattr(args, name) for name in ("steps", "seed", "label")}
+        return JobSpec(**values)
+    """
+)
+
+SPEC_SRC = textwrap.dedent(
+    """
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True)
+    class JobSpec:
+        steps: int = 20
+        seed: int = 0
+        label: str = ""
+    """
+)
+
+
+def test_a_spec_field_is_set_by_product_traffic_only_through_its_flag():
+    """``JobSpec(**values)`` in ``cli.py`` passes every field, but a field
+    with a ``SPEC_FLAGS`` flag counts as set by product traffic only when
+    the product argv passes that flag; one without a flag keeps the
+    ``**mapping`` rule."""
+    ledger = load_ledger()
+    trees = [
+        ("src/repro/cli.py", ast.parse(SPEC_CLI)),
+        ("src/repro/toy.py", ast.parse(SPEC_SRC)),
+    ]
+    spec = next(n for n in trees[0][1].body if isinstance(n, ast.FunctionDef))
+    ran = {("src/repro/cli.py", ledger.first_line(spec), "_spec")}
+    found = ledger.census(trees, [], ran, set(), ["--steps", "3"])
+    assert {name: reach for (kind, name), reach in found.items() if kind == "field"} == {
+        "JobSpec.steps": "product", "JobSpec.seed": "none", "JobSpec.label": "product",
+    }
+    assert found[("flag", "--seed")] == "none"
+
+
 def ledger_result(test_only, neither):
     """A ``classify`` result over one file's functions, with one public
     name and two knobs product traffic does not reach or set."""

@@ -661,17 +661,46 @@ def _flags_in(strings: Iterable[str], flags: Set[str]) -> Set[str]:
     return passed
 
 
-def _metric_names(nodes: Iterable[ast.AST]) -> Set[str]:
-    """Literal first arguments of ``counter`` / ``gauge`` / ``histogram``
-    / ``event`` / ``span`` / ``trace.record`` calls."""
+def _is_metric_call(node: ast.Call) -> bool:
+    """A ``counter`` / ``gauge`` / ``histogram`` / ``event`` / ``span`` /
+    ``trace.record`` call with a first argument."""
+    func = node.func
+    return bool(node.args) and isinstance(func, ast.Attribute) and (
+        func.attr in METRIC_CALLS or (func.attr == "record" and _named(func.value) == "trace")
+    )
+
+
+def _metric_wrappers(trees) -> Set[str]:
+    """Functions that pass their first parameter (after ``self``) on as a
+    metric call's first argument: ``def _count(self, name): ...
+    telemetry.counter(name)``.  A call to one names a metric too."""
+    wrappers = set()
+    for _rel, tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            params = [a.arg for a in node.args.posonlyargs + node.args.args]
+            params = params[1:] if params[:1] in (["self"], ["cls"]) else params
+            if params and any(
+                isinstance(call, ast.Call) and _is_metric_call(call)
+                and _named(call.args[0]) == params[0] and isinstance(call.args[0], ast.Name)
+                for call in ast.walk(node)
+            ):
+                wrappers.add(node.name)
+    return wrappers
+
+
+def _metric_names(nodes: Iterable[ast.AST], wrappers: Set[str] = frozenset()) -> Set[str]:
+    """Literal first arguments of metric calls (:func:`_is_metric_call`)
+    and of calls to the one-level ``wrappers`` around them."""
     found = set()
     for node in nodes:
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.args):
+        if not (isinstance(node, ast.Call) and node.args):
             continue
-        first, attr = node.args[0], node.func.attr
+        first = node.args[0]
         if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
             continue
-        if attr in METRIC_CALLS or (attr == "record" and _named(node.func.value) == "trace"):
+        if _is_metric_call(node) or _named(node.func) in wrappers:
             found.add(first.value)
     return found
 
@@ -692,8 +721,12 @@ def census(
     (the field on every dataclass that has it).  It sets a flag when a
     scope it ran outside ``cli.py`` holds the flag's literal (product
     traffic also passes ``product_argv``), and an environment variable,
-    verb, message type or metric name when a function in ``src`` it ran
-    holds the literal, or names the module constant bound to it.
+    verb, message type or metric name (a metric call's, or a one-level
+    wrapper's, first argument) when a function in ``src`` it ran holds
+    the literal, or names the module constant bound to it.  A ``JobSpec``
+    field that ``SPEC_FLAGS`` gives a flag is set by product traffic only
+    when it sets that flag: ``cli.py`` builds the spec from every flag a
+    verb declares, passed or not.
     """
     classes = Constructors(src_trees)
     by_rel = collections.defaultdict(lambda: ast.Module(body=[], type_ignores=[]), src_trees)
@@ -710,10 +743,11 @@ def census(
     }
     aliases: Dict[str, str] = {}  # module constant -> the env var it holds
     all_scopes = scopes(list(src_trees) + list(other_trees))
+    wrappers = _metric_wrappers(src_trees)
     for key, scope in all_scopes.items():
         if not key[0].startswith("src"):
             continue
-        literal_kinds["metric"] |= _metric_names(scope.nodes)
+        literal_kinds["metric"] |= _metric_names(scope.nodes, wrappers)
         for text in _strings(scope.nodes):
             if ENV_VAR.fullmatch(text):
                 literal_kinds["env"].add(text)
@@ -758,6 +792,12 @@ def census(
         return set().union(*(set_in(key, all_scopes[key]) for key in ran if key in all_scopes))
 
     by_product = set_by(product) | {("flag", flag) for flag in _flags_in(product_argv, flags)}
+    spec_flags = _declared(by_rel["src/repro/cli.py"], ["SPEC_FLAGS"])
+    by_product -= {
+        ("field", f"JobSpec.{flag[2:].replace('-', '_')}")
+        for flag in spec_flags
+        if ("flag", flag) not in by_product
+    }
     by_tests = set_by(tests) | by_product
     return {
         knob: "product" if knob in by_product else "tests" if knob in by_tests else "none"
