@@ -218,9 +218,8 @@ class Tensor:
             _same_dtype((self, other))
             return other
         array = np.asarray(other)
-        if array.dtype.kind == "f" and array.dtype != self.data.dtype and not (
-            isinstance(other, float)
-        ):
+        kind_clash = array.dtype.kind == "f" and array.dtype != self.data.dtype
+        if kind_clash and not isinstance(other, float):
             raise TypeError(f"mixed dtypes: {self.data.dtype} and {array.dtype}")
         return Tensor(array.astype(self.data.dtype, copy=False))
 

@@ -1028,11 +1028,14 @@ def render(result: dict, appendix: str) -> str:
         "`*Policy` or `*Calibration` dataclass or of `JobSpec` (*field*); a",
         "defaulted `__init__` parameter of any other class (*init*); a",
         "`cli.py` flag; a `REPRO_*` environment variable (*env*); a service",
-        "verb; a wire message type; a telemetry metric name.  A traffic sets",
-        "a field or parameter when a scope it ran passes it (by keyword, by",
-        "position, through `**mapping` or `dataclasses.replace`); a flag when",
-        "a scope it ran, or the product traffic's argv, holds it; any other",
-        "knob when a function it ran holds its literal.  A knob product",
+        "verb; a wire message type; a telemetry metric name (a metric call's",
+        "first argument, or that of a one-level wrapper around one).  A",
+        "traffic sets a field or parameter when a scope it ran passes it (by",
+        "keyword, by position, through `**mapping` or",
+        "`dataclasses.replace`), except that product traffic sets a `JobSpec`",
+        "field with a `SPEC_FLAGS` flag only by setting that flag; a flag",
+        "when a scope it ran, or the product traffic's argv, holds it; any",
+        "other knob when a function it ran holds its literal.  A knob product",
         "traffic does not set is a constant unless its row gives a kept",
         "reason, whose first word is one of: *deployment* (a path, socket,",
         "address, quota, or a timeout toward another process), *shape* (the",
