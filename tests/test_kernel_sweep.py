@@ -241,16 +241,16 @@ def prefix_masks(max_in: int, max_out: int, active_in: int, active_out: int, lik
 @st.composite
 def dense_cases(draw) -> Case:
     """``dense_act`` sliced, masked or unmasked; 1-, 2- or 3-d input;
-    with or without bias; 1-3 touches of drawn extents and activations."""
+    with or without bias; touches (``TOUCH_ORDERS``) of drawn extents
+    and activations."""
     seed = draw(seeds)
     rng = np.random.default_rng(seed)
     lead = tuple(draw(st.lists(dims, max_size=2)))
     max_in, max_out = draw(widths), draw(widths)
     mode = draw(st.sampled_from(["sliced", "masked", "full"]))
     has_bias = draw(st.booleans())
-    act = activations
-    touch = st.tuples(st.integers(1, max_in), st.integers(1, max_out), act)
-    widest = st.tuples(st.just(max_in), st.just(max_out), act)
+    touch = st.tuples(st.integers(1, max_in), st.integers(1, max_out), activations)
+    widest = st.tuples(st.just(max_in), st.just(max_out), activations)
     touches, warm = draw(touch_order(touch, widest))
     arrays = [normal(rng, *lead, max_in), normal(rng, max_in, max_out)]
     if has_bias:
@@ -288,7 +288,8 @@ def dense_cases(draw) -> Case:
 @st.composite
 def gather_cases(draw) -> Case:
     """``masked_gather`` sliced or column-masked, ids wrapped by a drawn
-    modulus and drawn with duplicates; 1-3 touches of drawn widths."""
+    modulus and drawn with duplicates; touches (``TOUCH_ORDERS``) of
+    drawn widths."""
     seed = draw(seeds)
     rng = np.random.default_rng(seed)
     vocab, width = draw(st.integers(1, 5)), draw(widths)
@@ -346,7 +347,7 @@ def tensor_cases(draw) -> Case:
     """A ``Tensor`` primitive: arithmetic with broadcasting, matmul at
     every rank pairing, the activations, softmax, reductions, reshape,
     transpose, row gather (with duplicates), mask, concatenate and
-    ``stack_mean``; touched 1-3 times."""
+    ``stack_mean``; touched once or twice (``TOUCH_ORDERS``)."""
     seed = draw(seeds)
     rng = np.random.default_rng(seed)
     op = draw(
