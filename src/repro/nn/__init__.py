@@ -1,7 +1,7 @@
 """NumPy-based neural-network substrate (autograd, layers, optimizers)."""
 
-from .tensor import Tensor, as_tensor, concatenate, stack_mean
-from .fused import ACT_KERNELS, dense_act, masked_gather
+from .tensor import Tensor, as_tensor, stack_mean
+from .fused import ACT_KERNELS, dense_act, dense_chain, embedding_interaction
 from .layers import (
     ACTIVATIONS,
     Dense,
@@ -34,9 +34,9 @@ __all__ = [
     "as_tensor",
     "bce_with_logits",
     "binary_accuracy",
-    "concatenate",
     "dense_act",
-    "masked_gather",
+    "dense_chain",
+    "embedding_interaction",
     "mse",
     "softmax_cross_entropy",
     "stack_mean",

@@ -2,46 +2,48 @@
 
 The composed layer implementations build 5–8 closure nodes per layer
 call (mask, matmul, mask, add, activation, …), each allocating a fresh
-intermediate array and a Python closure.  The kernels here collapse the
-common patterns into one node each:
+intermediate array and a Python closure.  The kernels here collapse a
+candidate's pass into a handful of nodes:
 
 * :func:`dense_act` — ``act((x @ (W·mask)) + b·mask)`` as a single
-  node covering Dense, MaskedDense and each LowRankDense factor;
-* :func:`masked_gather` — embedding lookup with column masking and
-  (for the fine vocab-sharing ablation) id wrap-around folded into the
-  node.
+  node, the unmasked Dense (or an explicitly masked one);
+* :func:`dense_chain` — a chain of sliced dense steps as one node: a
+  MaskedDense, both factors of a LowRankDense, or every active layer
+  of an elastic MLP stack;
+* :func:`embedding_interaction` — the DLRM interaction vector (the
+  bottom MLP's output and every table's column-masked, id-wrapped
+  lookup) as one node.
 
 Supernet masks are always *prefix blocks* (``mask[:active_in,
-:active_out] = 1``), so both kernels accept the active extents directly
-(``active=`` / ``active_width=``) and run the BLAS call on the sliced
-sub-matrix instead of multiplying by a full-size 0/1 mask.  That is
-the dominant win on the train step: a candidate at half width pays a
-quarter of the dgemm flops, exactly as the child network would on real
-hardware.  The sliced math is equivalent to the masked math — masked
-rows/columns contribute exact zeros to every dot product, and no
-gradient ever reaches a masked-out parameter entry either way.
+:active_out] = 1``), so the sliced kernels take the active extents and
+run the BLAS call on the sliced sub-matrix instead of multiplying by a
+full-size 0/1 mask.  That is the dominant win on the train step: a
+candidate at half width pays a quarter of the dgemm flops, exactly as
+the child network would on real hardware.  The sliced math is
+equivalent to the masked math — masked rows/columns contribute exact
+zeros to every dot product, and no gradient ever reaches a masked-out
+parameter entry either way.
 
-The sliced backward hands each gradient over as the block it covers
+The sliced backwards hand each gradient over as the block it covers
 (``Tensor._accumulate(part, block)``), so no full-size zero temporary
-is built per parameter per group; the sliced forward builds its padded
-output once, filling the inactive tail with ``act(0)`` from a table
-computed at import.  Every float operation is the one a full-size
-temporary would run, in the same order: only ``+ 0.0`` outside the
-block is skipped.
-
-Each kernel's backward applies the same NumPy expressions the composed
-graph applied, in the same order, so with explicit masks gradients equal
-the composed path's bit for bit, and sliced ones agree with it to
-round-off (the sliced matmul's shorter reduction may sum in another
+is built per parameter per group; a padded output is built once, its
+inactive tail filled with ``act(0)`` from a table computed at import.
+Every float operation is the one a node per layer and per table ran,
+on operands of the same shape and strides, in the same order, so the
+fused passes are bit-identical to it; only ``+ 0.0`` outside a block is
+skipped.  With explicit masks, :func:`dense_act`'s gradients equal the
+composed ``Tensor`` path's bit for bit; the sliced ones agree with it
+to round-off (the sliced matmul's shorter reduction may sum in another
 order).  A kernel computes in its operands' one dtype (float32 for the
 networks' parameters) and refuses mixed ones;
 ``tests/test_kernel_sweep.py`` pins every path against float64 central
-differences.
+differences and the chain and interaction nodes against a node per
+step, bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,6 +149,17 @@ _ACT_ZERO: Dict[str, float] = {
 }
 
 
+
+
+def _act_kernel(act_name: str) -> ActKernel:
+    try:
+        return ACT_KERNELS[act_name]
+    except KeyError:
+        raise ValueError(
+            f"unknown activation {act_name!r}; expected one of {sorted(ACT_KERNELS)}"
+        ) from None
+
+
 def dense_act(
     x: Tensor,
     weight: Tensor,
@@ -154,77 +167,19 @@ def dense_act(
     act_name: str,
     weight_mask: Optional[np.ndarray] = None,
     bias_mask: Optional[np.ndarray] = None,
-    active: Optional[Tuple[int, int]] = None,
 ) -> Tensor:
     """``act((x @ (weight·weight_mask)) + bias·bias_mask)`` in one node.
 
     Masks are constant 0/1 arrays (or ``None`` for the unmasked Dense
     case).  ``x`` may have any leading shape; ``weight`` is 2-D.
     Masked weight gradients are re-masked on the way in, matching the
-    composed ``Tensor.mask`` backward.
-
-    ``active=(active_in, active_out)`` is the fast path for prefix
-    masks: the matmul runs on ``weight[:active_in, :active_out]`` and
-    the inactive output columns are filled with ``act(0)`` — the value
-    the masked matmul would have produced there.  Mutually exclusive
-    with explicit masks.
+    composed ``Tensor.mask`` backward.  Prefix masks are
+    :func:`dense_chain`'s active extents instead.
     """
-    try:
-        act_fwd, act_bwd = ACT_KERNELS[act_name]
-    except KeyError:
-        raise ValueError(
-            f"unknown activation {act_name!r}; expected one of {sorted(ACT_KERNELS)}"
-        ) from None
+    act_fwd, act_bwd = _act_kernel(act_name)
     parents = (x, weight) if bias is None else (x, weight, bias)
     _same_dtype(parents)
     saved: dict = {}
-
-    if active is not None:
-        if weight_mask is not None or bias_mask is not None:
-            raise ValueError("pass either active extents or explicit masks, not both")
-        active_in, active_out = active
-        max_in, max_out = weight.data.shape
-        if not (0 < active_in <= max_in and 0 < active_out <= max_out):
-            raise ValueError(f"active extents {active} outside weight shape {weight.data.shape}")
-        act_zero = _ACT_ZERO[act_name]
-        w_block = (slice(None, active_in), slice(None, active_out))
-        x_block = (Ellipsis, slice(None, active_in))
-
-        def compute_sliced() -> np.ndarray:
-            w = weight.data[w_block]
-            saved["w"] = w
-            pre = x.data[x_block] @ w
-            if bias is not None:
-                pre += bias.data[:active_out]
-            out_active = act_fwd(pre, saved)
-            if active_out == max_out:
-                return out_active
-            out = np.empty(out_active.shape[:-1] + (max_out,), dtype=out_active.dtype)
-            out[..., :active_out] = out_active
-            out[..., active_out:] = act_zero
-            return out
-
-        def backward_sliced(grad: np.ndarray) -> None:
-            # Gradient flowing into inactive output columns never reaches
-            # any parameter through the masked matmul (the mask zeroes the
-            # corresponding weight columns), so only the active slice of
-            # ``grad`` participates — identical to the masked backward.
-            g_pre = act_bwd(grad[..., :active_out], saved)
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(_unbroadcast(g_pre, (active_out,)), w_block[1:])
-            if weight.requires_grad:
-                xs = x.data[x_block]
-                if xs.ndim == 1:
-                    sub = np.outer(xs, g_pre)
-                else:
-                    sub = np.swapaxes(xs, -1, -2) @ g_pre
-                weight._accumulate(_unbroadcast(sub, (active_in, active_out)), w_block)
-            if x.requires_grad:
-                sub = g_pre @ saved["w"].T
-                x._accumulate(_unbroadcast(sub, x.data.shape[:-1] + (active_in,)), x_block)
-
-        return Tensor(compute_sliced(), parents=parents, backward=backward_sliced)
-
     dtype = weight.data.dtype  # 0/1 masks cast exactly
     weight_mask = None if weight_mask is None else np.asarray(weight_mask, dtype=dtype)
     bias_mask = None if bias_mask is None else np.asarray(bias_mask, dtype=dtype)
@@ -257,68 +212,151 @@ def dense_act(
     return Tensor(compute(), parents=parents, backward=backward)
 
 
-def masked_gather(
-    table: Tensor,
-    indices: np.ndarray,
-    col_mask: Optional[np.ndarray],
-    modulus: int,
-    active_width: Optional[int] = None,
-) -> Tensor:
-    """Column-masked embedding lookup with id wrap, as one node.
+#: one step of a :func:`dense_chain`:
+#: ``(weight, bias or None, act_name, active_in, active_out)``
+Step = Tuple[Tensor, Optional[Tensor], str, int, int]
 
-    Equivalent to ``table.mask(col_mask).gather_rows(indices % modulus)``
-    — the mask commutes with the row gather elementwise — but performs
-    one fancy-index read instead of materializing the masked table.
 
-    ``active_width`` is the fast path for prefix masks: only the first
-    ``active_width`` columns are read (and scattered into on backward),
-    the rest stay exactly zero.  Mutually exclusive with ``col_mask``.
+def dense_chain(x: Tensor, steps: Sequence[Step]) -> Tensor:
+    """Sliced ``act(h[..., :in] @ W[:in, :out] + b[:out])`` steps, one node.
+
+    Each step reads the active prefix of the one before (its
+    ``active_in`` is the previous ``active_out``) and the chain's output
+    is the last step's, padded to its weight's full width with
+    ``act(0)`` — what the masked matmul leaves in an inactive column.
+    A MaskedDense is a chain of one step, a LowRankDense of two, an
+    elastic MLP stack of one or two per active layer.
+
+    Each intermediate lives in a buffer at its weight's full width and
+    is read through its ``[..., :active]`` view, and so is its gradient,
+    so every NumPy call sees the operands a node per step would hand it,
+    strides included; only the block is ever written or read, so the
+    buffers are ``np.empty``.  The backward is one reverse loop that
+    hands each parameter its block once (``Tensor._accumulate``).
     """
-    saved: dict = {}
+    if not steps:
+        raise ValueError("a dense chain needs at least one step")
+    kernels: List[ActKernel] = []
+    parents: List[Tensor] = [x]
+    #: whether step k's output needs a gradient (as its own node would)
+    needs_grad: List[bool] = []
+    for k, (weight, bias, act_name, active_in, active_out) in enumerate(steps):
+        if not (0 < active_in <= weight.data.shape[0] and 0 < active_out <= weight.data.shape[1]):
+            raise ValueError(
+                f"active extents {(active_in, active_out)} outside weight shape {weight.data.shape}"
+            )
+        if k and active_in != steps[k - 1][4]:
+            raise ValueError(f"step {k} reads {active_in} columns of {steps[k - 1][4]} active")
+        kernels.append(_act_kernel(act_name))
+        parents += (weight,) if bias is None else (weight, bias)
+        needs_grad.append(any(p.requires_grad for p in parents))
+    _same_dtype(parents)
+    saved: List[dict] = []
 
-    if active_width is not None:
-        if col_mask is not None:
-            raise ValueError("pass either active_width or col_mask, not both")
-        max_width = table.data.shape[1]
-        if not (0 < active_width <= max_width):
-            raise ValueError(f"active_width {active_width} outside (0, {max_width}]")
-
-        cols = (slice(None), slice(None, active_width))
-
-        def compute_sliced() -> np.ndarray:
-            saved["idx"] = idx = np.asarray(indices, dtype=np.int64) % modulus
-            if active_width == max_width:
-                return table.data[idx]
-            out = np.empty(idx.shape + (max_width,), dtype=table.data.dtype)
-            out[..., :active_width] = table.data[idx, :active_width]
-            out[..., active_width:] = 0.0
-            return out
-
-        def backward_sliced(grad: np.ndarray) -> None:
-            part = grad[..., :active_width]
-            if table.grad is None:
-                # First touch: scatter straight into the zeroed buffer.
-                table._accumulate(0.0, cols)
-                np.add.at(table.grad[cols], saved["idx"], part)
-            else:
-                # A later touch sums its rows apart, then adds them into
-                # the block: scattering into the running gradient would
-                # add them in another order.
-                g = np.zeros((table.data.shape[0], active_width), dtype=table.data.dtype)
-                np.add.at(g, saved["idx"], part)
-                table._accumulate(g, cols)
-
-        return Tensor(compute_sliced(), parents=(table,), backward=backward_sliced)
-
-    col_mask = np.asarray(col_mask, dtype=table.data.dtype)
-
-    def compute() -> np.ndarray:
-        saved["idx"] = idx = np.asarray(indices, dtype=np.int64) % modulus
-        return table.data[idx] * col_mask
+    h = x.data
+    for (weight, bias, _, active_in, active_out), (act_fwd, _) in zip(steps, kernels):
+        state = {"x": h[..., :active_in], "w": weight.data[:active_in, :active_out]}
+        pre = state["x"] @ state["w"]
+        if bias is not None:
+            pre += bias.data[:active_out]
+        out = act_fwd(pre, state)
+        saved.append(state)
+        if active_out == weight.data.shape[1]:
+            h = out
+        else:
+            h = np.empty(out.shape[:-1] + weight.data.shape[1:], dtype=out.dtype)
+            h[..., :active_out] = out
+    last_out = steps[-1][4]
+    if last_out < h.shape[-1]:
+        h[..., last_out:] = _ACT_ZERO[steps[-1][2]]
 
     def backward(grad: np.ndarray) -> None:
-        g = np.zeros_like(table.data)
-        np.add.at(g, saved["idx"], grad * col_mask)
-        table._accumulate(g)
+        g_out = grad[..., :last_out]
+        for k in reversed(range(len(steps))):
+            weight, bias, _, active_in, active_out = steps[k]
+            state = saved[k]
+            g_pre = kernels[k][1](g_out, state)
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(_unbroadcast(g_pre, (active_out,)), (slice(None, active_out),))
+            if weight.requires_grad:
+                xs = state["x"]
+                sub = np.outer(xs, g_pre) if xs.ndim == 1 else np.swapaxes(xs, -1, -2) @ g_pre
+                weight._accumulate(
+                    _unbroadcast(sub, (active_in, active_out)),
+                    (slice(None, active_in), slice(None, active_out)),
+                )
+            if k == 0:
+                if x.requires_grad:
+                    x._accumulate(g_pre @ state["w"].T, (Ellipsis, slice(None, active_in)))
+                return
+            if not needs_grad[k - 1]:
+                return
+            g_out = g_pre @ state["w"].T
+            width = steps[k - 1][0].data.shape[1]
+            if active_in < width:
+                buf = np.empty(g_out.shape[:-1] + (width,), dtype=g_out.dtype)
+                buf[..., :active_in] = g_out
+                g_out = buf[..., :active_in]
 
-    return Tensor(compute(), parents=(table,), backward=backward)
+    return Tensor(h, parents=tuple(parents), backward=backward)
+
+
+def embedding_interaction(
+    dense: Tensor,
+    tables: Sequence[Tensor],
+    ids: np.ndarray,
+    widths: Sequence[int],
+    moduli: Sequence[int],
+) -> Tensor:
+    """``[dense | lookup_0 | lookup_1 | ...]``, the DLRM interaction, as one node.
+
+    ``lookup_t`` is ``tables[t][ids[:, t] % moduli[t], :widths[t]]``
+    zero-padded to the table's full width: the column-masked lookup of
+    a fine-grained embedding-width candidate, its ids wrapped into the
+    first ``moduli[t]`` rows (the fine vocab-sharing ablation wraps a
+    smaller vocabulary into a shared table).  ``dense`` (the bottom
+    MLP's output) and every lookup are written straight into the
+    output.
+
+    The backward hands ``dense`` its columns and scatters each table's
+    (``np.add.at``) into the active columns of its gradient: straight
+    into the zeroed buffer on a first touch; on a later touch into a
+    ``(vocab, width)`` temporary added into the block, since scattering
+    into the running gradient would add the rows in another order.
+    """
+    _same_dtype([dense, *tables])
+    if not (len(tables) == len(widths) == len(moduli) == ids.shape[1]):
+        raise ValueError("need one id column, width and modulus per table")
+    rows, cols = dense.data.shape
+    spans = []  # (table, wrapped ids, first column, active width)
+    for table, width, modulus, column in zip(tables, widths, moduli, ids.T):
+        vocab, max_width = table.data.shape
+        if not (0 < width <= max_width):
+            raise ValueError(f"active width {width} outside (0, {max_width}]")
+        if not (0 < modulus <= vocab):
+            raise ValueError(f"id modulus {modulus} outside (0, {vocab}]")
+        spans.append((table, np.asarray(column, dtype=np.int64) % modulus, cols, width))
+        cols += max_width
+    out = np.empty((rows, cols), dtype=dense.data.dtype)
+    out[:, : dense.data.shape[1]] = dense.data
+    for table, idx, start, width in spans:
+        out[:, start : start + width] = table.data[idx, :width]
+        out[:, start + width : start + table.data.shape[1]] = 0.0
+
+    def backward(grad: np.ndarray) -> None:
+        if dense.requires_grad:
+            dense._accumulate(grad[:, : dense.data.shape[1]])
+        for table, idx, start, width in spans:
+            if not table.requires_grad:
+                continue
+            part = grad[:, start : start + width]
+            block = (slice(None), slice(None, width))
+            if table.grad is None:
+                table._accumulate(0.0, block)
+                np.add.at(table.grad[block], idx, part)
+            else:
+                g = np.zeros((table.data.shape[0], width), dtype=table.data.dtype)
+                np.add.at(g, idx, part)
+                table._accumulate(g, block)
+
+    return Tensor(out, parents=(dense, *tables), backward=backward)

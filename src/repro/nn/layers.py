@@ -13,9 +13,12 @@ super-networks (Section 5) and of the MLP performance model
   is maskable (point (4) in Figure 3).
 * :class:`MaskedEmbedding` — one table at the maximum width; narrower
   candidates mask all but the first D columns (point (1) in Figure 3).
+  Its lookups are :func:`repro.nn.fused.embedding_interaction`.
 
-Each of the four is one autograd node from :mod:`repro.nn.fused`: a
-prefix mask is a BLAS call on the active sub-matrix.
+A Dense is one :func:`repro.nn.fused.dense_act` node; a MaskedDense and
+a LowRankDense are one :func:`repro.nn.fused.dense_chain` node, of the
+:meth:`~MaskedDense.steps` an elastic stack also chains: a prefix mask
+is a BLAS call on the active sub-matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional
 import numpy as np
 
 from . import initializers
-from .fused import dense_act, masked_gather
+from .fused import Step, dense_act, dense_chain
 from .tensor import Tensor
 
 Activation = Callable[[Tensor], Tensor]
@@ -194,21 +197,19 @@ class MaskedDense(Module):
 
         The input must already be at width ``max_in`` (padded/masked
         upstream); the output stays at width ``max_out`` with inactive
-        columns exactly zero, so layers compose without reshaping.
+        columns at ``act(0)``, so layers compose without reshaping.
         """
+        return dense_chain(x, self.steps(active_in, active_out))
+
+    def steps(self, active_in: Optional[int] = None, active_out: Optional[int] = None) -> List[Step]:
+        """The layer as :func:`dense_chain` steps (one)."""
         active_in = self.max_in if active_in is None else active_in
         active_out = self.max_out if active_out is None else active_out
         if not (0 < active_in <= self.max_in):
             raise ValueError(f"active_in {active_in} outside (0, {self.max_in}]")
         if not (0 < active_out <= self.max_out):
             raise ValueError(f"active_out {active_out} outside (0, {self.max_out}]")
-        return dense_act(
-            x,
-            self.weight,
-            self.bias,
-            self._activation_name,
-            active=(active_in, active_out),
-        )
+        return [(self.weight, self.bias, self._activation_name, active_in, active_out)]
 
 
 class LowRankDense(Module):
@@ -253,21 +254,24 @@ class LowRankDense(Module):
         active_out: Optional[int] = None,
         active_rank: Optional[int] = None,
     ) -> Tensor:
+        return dense_chain(x, self.steps(active_in, active_out, active_rank))
+
+    def steps(
+        self,
+        active_in: Optional[int] = None,
+        active_out: Optional[int] = None,
+        active_rank: Optional[int] = None,
+    ) -> List[Step]:
+        """The layer as :func:`dense_chain` steps: ``x @ U``, then ``@ V``."""
         active_in = self.max_in if active_in is None else active_in
         active_out = self.max_out if active_out is None else active_out
         active_rank = self.max_rank if active_rank is None else active_rank
         if not (0 < active_rank <= self.max_rank):
             raise ValueError(f"active_rank {active_rank} outside (0, {self.max_rank}]")
-        hidden = dense_act(
-            x, self.factor_u, None, "linear", active=(active_in, active_rank)
-        )
-        return dense_act(
-            hidden,
-            self.factor_v,
-            self.bias,
-            self._activation_name,
-            active=(active_rank, active_out),
-        )
+        return [
+            (self.factor_u, None, "linear", active_in, active_rank),
+            (self.factor_v, self.bias, self._activation_name, active_rank, active_out),
+        ]
 
 
 class MaskedEmbedding(Module):
@@ -276,6 +280,8 @@ class MaskedEmbedding(Module):
     One table of shape ``(vocab, max_width)`` is allocated; a candidate
     with width ``D < max_width`` reuses the first ``D`` columns and sees
     zeros elsewhere — the paper's fine-grained embedding-width sharing.
+    A pass looks ``table`` up through
+    :func:`repro.nn.fused.embedding_interaction`, every table at once.
     """
 
     def __init__(self, vocab_size: int, max_width: int, rng: np.random.Generator):
@@ -287,29 +293,6 @@ class MaskedEmbedding(Module):
             initializers.embedding_normal(rng, (vocab_size, max_width)),
             requires_grad=True,
             name="embedding.table",
-        )
-
-    def forward(
-        self,
-        indices: np.ndarray,
-        active_width: Optional[int] = None,
-        wrap: Optional[int] = None,
-    ) -> Tensor:
-        """Masked lookup of ``indices``, optionally wrapped modulo ``wrap``.
-
-        ``wrap`` lets a caller address only the first ``wrap`` rows (the
-        fine vocab-sharing ablation, where a smaller vocabulary wraps
-        its ids into a shared table).  The modulus is applied inside the
-        lookup node.
-        """
-        active_width = self.max_width if active_width is None else active_width
-        if not (0 < active_width <= self.max_width):
-            raise ValueError(f"active_width {active_width} outside (0, {self.max_width}]")
-        modulus = self.vocab_size if wrap is None else min(int(wrap), self.vocab_size)
-        if modulus < 1:
-            raise ValueError(f"wrap {wrap} must be >= 1")
-        return masked_gather(
-            self.table, indices, None, modulus, active_width=active_width
         )
 
 

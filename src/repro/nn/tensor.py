@@ -6,7 +6,7 @@ performance model (Section 6.2) are trained with it.  It implements a
 small, explicit autograd ``Tensor`` supporting the operations those
 networks need: broadcasting arithmetic, matmul, common activations
 (including the squared ReLU that H2O-NAS discovers for CoAtNet-H),
-reductions, reshaping, gather (embedding lookup), and masking.
+reductions, reshaping, row gather, and masking.
 
 The design is deliberately simple: each ``Tensor`` records its parents
 and a closure that accumulates gradients into them; ``backward`` runs a
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -533,26 +533,6 @@ def _same_dtype(tensors: Sequence[Tensor]) -> None:
     dtypes = {t.data.dtype for t in tensors}
     if len(dtypes) > 1:
         raise TypeError(f"mixed dtypes: {' and '.join(sorted(map(str, dtypes)))}")
-
-
-def concatenate(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient support."""
-    tensors = [as_tensor(t) for t in tensors]
-    _same_dtype(tensors)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def compute() -> np.ndarray:
-        return np.concatenate([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad:
-                slicer = [slice(None)] * grad.ndim
-                slicer[axis] = slice(start, stop)
-                tensor._accumulate(grad[tuple(slicer)])
-
-    return Tensor(compute(), parents=tuple(tensors), backward=backward)
 
 
 def stack_mean(tensors: Sequence[Tensor]) -> Tensor:

@@ -34,7 +34,7 @@ from ..nn import (
     Tensor,
     bce_with_logits,
     binary_accuracy,
-    concatenate,
+    embedding_interaction,
 )
 from ..searchspace.base import Architecture
 from ..searchspace.dlrm import (
@@ -166,28 +166,28 @@ class DlrmSuperNetwork(StackedScoringMixin, Module):
     def forward(self, arch: Architecture, inputs: Dict[str, np.ndarray]) -> Tensor:
         """Logits of sub-network ``arch`` on a CTR batch."""
         cfg = self.config
-        dense, sparse = inputs["dense"], inputs["sparse"]
-        parts: List[Tensor] = []
         # Bottom MLP over dense features.
         bottom_width = self._stack_width(arch, "dense0", cfg.base_bottom_width)
         bottom_depth = self._stack_depth(arch, "dense0", cfg.base_bottom_depth, self.bottom)
         bottom_out = self.bottom(
-            Tensor(np.asarray(dense, dtype=self.head.weight.data.dtype)),
+            Tensor(np.asarray(inputs["dense"], dtype=self.head.weight.data.dtype)),
             active_width=bottom_width,
             active_depth=bottom_depth,
             low_rank_fraction=float(arch["dense0/low_rank"]),
         )
-        parts.append(bottom_out)
-        # Embedding lookups (coarse vocab table + fine width mask).  In
-        # the fine-sharing ablation, a smaller vocabulary wraps ids into
-        # the first rows of the shared table, inside the lookup node.
+        # Embedding lookups (coarse vocab table + fine width mask), in
+        # the interaction node.  A table has as many rows as its
+        # vocabulary; in the fine-sharing ablation a smaller vocabulary
+        # wraps its ids into the first rows of the shared table.
+        tables, widths, moduli = [], [], []
         for t in range(cfg.num_tables):
             scale = float(arch[f"emb{t}/vocab_scale"])
-            width = cfg.embedding_width(int(arch[f"emb{t}/width_delta"]))
-            table = self.embeddings[t][scale]
-            wrap = cfg.vocab_size(scale) if cfg.vocab_sharing == "fine" else None
-            parts.append(table(sparse[:, t], active_width=width, wrap=wrap))
-        interaction = concatenate(parts, axis=-1)
+            tables.append(self.embeddings[t][scale].table)
+            widths.append(cfg.embedding_width(int(arch[f"emb{t}/width_delta"])))
+            moduli.append(cfg.vocab_size(scale))
+        interaction = embedding_interaction(
+            bottom_out, tables, inputs["sparse"], widths, moduli
+        )
         # Top MLP over the interaction vector.
         top_width = self._stack_width(arch, "dense1", cfg.base_top_width)
         top_depth = self._stack_depth(arch, "dense1", cfg.base_top_depth, self.top)

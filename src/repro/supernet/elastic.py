@@ -8,8 +8,8 @@ to train:
 
 * **dynamic channels** — :class:`ElasticMlp` holds one weight matrix at
   the maximum width per layer and *slices* the active sub-matrix per
-  candidate.  Slicing rides the fused masked/low-rank kernels of
-  :mod:`repro.nn.layers` (prefix masks become sliced BLAS calls), so a
+  candidate.  Slicing rides the fused chain kernel of
+  :mod:`repro.nn.fused` (prefix masks become sliced BLAS calls), so a
   half-width candidate really pays ~quarter the FLOPs, not a masked
   full-width pass;
 * **dynamic depth** — :class:`ElasticLayerStack` owns a maximal list of
@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn import LowRankDense, MaskedDense, Module, Tensor
+from ..nn import LowRankDense, MaskedDense, Module, Tensor, dense_chain
 from ..searchspace.base import SearchSpace
 
 __all__ = [
@@ -112,7 +112,8 @@ class ElasticMlp(Module):
     path over the *same* maximal dimensions; candidates choose width,
     depth, and rank fraction per forward.  This is the substrate behind
     both DLRM MLP stacks (bottom and top), generalized over the width
-    quantum so other spaces can reuse it.
+    quantum so other spaces can reuse it.  A pass chains the active
+    layers' steps into one :func:`repro.nn.dense_chain` node.
     """
 
     def __init__(
@@ -150,23 +151,18 @@ class ElasticMlp(Module):
             raise ValueError(
                 f"active_width {active_width} outside (0, {self.max_width}]"
             )
-        full = self.full.active(active_depth)
-        lowrank = self.lowrank.active(active_depth)
-        for i in range(active_depth):
+        steps = []
+        layers = zip(self.full.active(active_depth), self.lowrank.active(active_depth))
+        for i, (full, lowrank) in enumerate(layers):
             active_in = self.input_width if i == 0 else active_width
             if low_rank_fraction >= 1.0:
-                x = full[i](x, active_in=active_in, active_out=active_width)
+                steps += full.steps(active_in, active_width)
             else:
                 rank = elastic_rank(
                     low_rank_fraction, active_width, self.width_increment
                 )
-                x = lowrank[i](
-                    x,
-                    active_in=active_in,
-                    active_out=active_width,
-                    active_rank=rank,
-                )
-        return x
+                steps += lowrank.steps(active_in, active_width, rank)
+        return dense_chain(x, steps)
 
 
 # ----------------------------------------------------------------------

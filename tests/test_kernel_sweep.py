@@ -12,14 +12,13 @@ drawn with duplicates, and every activation in ``ACT_KERNELS`` is
 drawn.
 
 Each draw is checked against float64 central differences of the same
-loss.  The fused kernels are also checked against their composed
-reference (the chain of ``Tensor`` primitives they replace): with
-explicit masks or no mask, forward and gradients are ``array_equal``
-in float64.  The sliced form (``active=`` / ``active_width=``) runs its
-BLAS call on the active sub-matrix, whose shorter reduction BLAS may
-sum in another order (about a quarter of drawn cases differ in the
-last bit), so there it agrees with the composed reference to float64
-round-off.
+loss.  The fused kernels are also checked against their reference, in
+outputs and every gradient with ``np.array_equal``, at both dtypes:
+``dense_act`` against the chain of ``Tensor`` primitives it replaces,
+``dense_chain`` against a node per step (``dense_node``: the step's
+matmul on the active block, its padded output, its gradients handed
+over as blocks), and ``embedding_interaction`` against a
+``gather_rows`` + ``mask`` lookup per table and a ``concatenate``.
 
 The strategy takes a dtype.  At float32 the kernels run in float32 and
 are checked against the float64 oracle — central differences on the
@@ -43,14 +42,16 @@ from hypothesis import strategies as st
 from repro.nn import (
     Tensor,
     bce_with_logits,
-    concatenate,
     dense_act,
-    masked_gather,
+    dense_chain,
+    embedding_interaction,
     mse,
     softmax_cross_entropy,
     stack_mean,
 )
 from repro.nn.fused import ACT_KERNELS
+
+from .test_nn_gradcheck import chain_reference, concatenate, interaction_reference
 
 ACT_NAMES = sorted(ACT_KERNELS)
 
@@ -85,8 +86,6 @@ class Case:
     touches: List[Any]
     warm: List[Any] = field(default_factory=list)
     composed: Optional[Callable[[List[Tensor], Any], Tensor]] = None
-    #: whether ``composed`` must match bit for bit (else to round-off)
-    exact: bool = True
     seed: int = 0
 
     def __repr__(self) -> str:
@@ -159,7 +158,7 @@ def oracle(case: Case, arrays: List[np.ndarray]) -> List[np.ndarray]:
 
 def check_case(case: Case, dtype) -> None:
     """The case's gradients at ``dtype`` against the float64 oracle, and
-    (float64) its fused kernel against the composed reference."""
+    its fused kernel against its reference, bit for bit."""
     dtype = np.dtype(dtype)
     outs, grads, loss = autograd(case, dtype)
     assert loss.data.dtype == dtype, case
@@ -182,15 +181,11 @@ def check_case(case: Case, dtype) -> None:
                 atol=FLOAT32_BOUND["atol"] * scale,
                 err_msg=f"leaf {i} of {case}",
             )
-    if case.composed is None or dtype != np.float64:
+    if case.composed is None:
         return
     ref_outs, ref_grads, _ = autograd(case, dtype, forward=case.composed)
     for got, want in zip(outs + grads, ref_outs + ref_grads):
-        if case.exact:
-            assert np.array_equal(got, want), case
-        else:
-            scale = max(1.0, float(np.abs(want).max(initial=0.0)))
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * scale, err_msg=repr(case))
+        assert np.array_equal(got, want), case
 
 
 # ----------------------------------------------------------------------
@@ -240,14 +235,14 @@ def prefix_masks(max_in: int, max_out: int, active_in: int, active_out: int, lik
 
 @st.composite
 def dense_cases(draw) -> Case:
-    """``dense_act`` sliced, masked or unmasked; 1-, 2- or 3-d input;
-    with or without bias; touches (``TOUCH_ORDERS``) of drawn extents
-    and activations."""
+    """``dense_act`` masked or unmasked; 1-, 2- or 3-d input; with or
+    without bias; touches (``TOUCH_ORDERS``) of drawn extents and
+    activations."""
     seed = draw(seeds)
     rng = np.random.default_rng(seed)
     lead = tuple(draw(st.lists(dims, max_size=2)))
     max_in, max_out = draw(widths), draw(widths)
-    mode = draw(st.sampled_from(["sliced", "masked", "full"]))
+    mode = draw(st.sampled_from(["masked", "full"]))
     has_bias = draw(st.booleans())
     touch = st.tuples(st.integers(1, max_in), st.integers(1, max_out), activations)
     widest = st.tuples(st.just(max_in), st.just(max_out), activations)
@@ -262,8 +257,6 @@ def dense_cases(draw) -> Case:
     def fused(tensors, t):
         x, w, b = unpack(tensors)
         active_in, active_out, act = t
-        if mode == "sliced":
-            return dense_act(x, w, b, act, active=(active_in, active_out))
         if mode == "masked":
             wm, bm = prefix_masks(max_in, max_out, active_in, active_out, w)
             return dense_act(x, w, b, act, weight_mask=wm, bias_mask=bm if has_bias else None)
@@ -279,52 +272,77 @@ def dense_cases(draw) -> Case:
         pre = x @ w.mask(wm)
         return apply_act(pre if b is None else pre + b.mask(bm), act)
 
+    return Case(f"dense_act[{mode}]", arrays, fused, touches, warm, composed, seed=seed)
+
+
+@st.composite
+def chain_cases(draw) -> Case:
+    """``dense_chain`` of one to three steps; 1-, 2- or 3-d input; each
+    step with or without bias; touches (``TOUCH_ORDERS``) of drawn
+    active extents (1 included) and activations."""
+    seed = draw(seeds)
+    rng = np.random.default_rng(seed)
+    lead = tuple(draw(st.lists(dims, max_size=2)))
+    extents = draw(st.lists(widths, min_size=2, max_size=4))  # max widths, input first
+    biased = [draw(st.booleans()) for _ in extents[1:]]
+    arrays = [normal(rng, *lead, extents[0])]
+    for max_in, max_out, has_bias in zip(extents, extents[1:], biased):
+        arrays.append(normal(rng, max_in, max_out))
+        if has_bias:
+            arrays.append(normal(rng, max_out))
+    touch = st.tuples(
+        st.tuples(*[st.integers(1, n) for n in extents]),
+        st.tuples(*[activations for _ in extents[1:]]),
+    )
+    widest = st.tuples(st.just(tuple(extents)), touch.map(lambda t: t[1]))
+    touches, warm = draw(touch_order(touch, widest))
+
+    def steps(tensors, t):
+        active, acts = t
+        leaves, out = iter(tensors[1:]), []
+        for k, has_bias in enumerate(biased):
+            weight = next(leaves)
+            bias = next(leaves) if has_bias else None
+            out.append((weight, bias, acts[k], active[k], active[k + 1]))
+        return out
+
     return Case(
-        f"dense_act[{mode}]", arrays, fused, touches, warm, composed,
-        exact=mode != "sliced", seed=seed,
+        f"dense_chain[{len(biased)} steps]", arrays,
+        lambda tensors, t: dense_chain(tensors[0], steps(tensors, t)), touches, warm,
+        lambda tensors, t: chain_reference(tensors[0], steps(tensors, t)), seed=seed,
     )
 
 
 @st.composite
-def gather_cases(draw) -> Case:
-    """``masked_gather`` sliced or column-masked, ids wrapped by a drawn
-    modulus and drawn with duplicates; touches (``TOUCH_ORDERS``) of
-    drawn widths."""
+def interaction_cases(draw) -> Case:
+    """``embedding_interaction`` over one to three tables (a dense part
+    0 to 3 wide), ids drawn with duplicates and wrapped by a drawn
+    modulus (the fine-sharing wrap when it is below the vocabulary);
+    touches (``TOUCH_ORDERS``) of drawn active widths (1 included) and
+    row orders."""
     seed = draw(seeds)
     rng = np.random.default_rng(seed)
-    vocab, width = draw(st.integers(1, 5)), draw(widths)
-    modulus = draw(st.integers(1, vocab))
-    ids = draw(st.lists(st.integers(0, 2 * vocab), min_size=1, max_size=6))
-    ids = np.array(ids + ids[:1])  # the first id, again: a duplicate row
-    lead = draw(st.sampled_from([(ids.size,), None]))
-    if lead is None and ids.size % 2 == 0:
-        ids = ids.reshape(2, -1)
-    mode = draw(st.sampled_from(["sliced", "masked"]))
-    orders = st.permutations(range(ids.size))
-    touch = st.tuples(st.integers(1, width), orders)
-    touches, warm = draw(touch_order(touch, st.tuples(st.just(width), orders)))
+    rows, dense_width = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    shapes = draw(st.lists(st.tuples(st.integers(1, 5), widths), min_size=1, max_size=3))
+    moduli = [draw(st.integers(1, vocab)) for vocab, _ in shapes]
+    ids = np.array(
+        [[draw(st.integers(0, 2 * vocab)) for vocab, _ in shapes] for _ in range(rows)]
+    )
+    ids = np.concatenate([ids, ids[:1]])  # the first row's ids, again: duplicates
+    arrays = [normal(rng, len(ids), dense_width)]
+    arrays += [normal(rng, vocab, width) for vocab, width in shapes]
+    orders = st.permutations(range(len(ids)))
+    touch = st.tuples(st.tuples(*[st.integers(1, width) for _, width in shapes]), orders)
+    widest = st.tuples(st.just(tuple(width for _, width in shapes)), orders)
+    touches, warm = draw(touch_order(touch, widest))
 
-    def order(t):
-        return ids.reshape(-1)[list(t[1])].reshape(ids.shape)
-
-    def mask_for(active, like):
-        col = np.zeros(width)
-        col[:active] = 1.0
-        return const(col, like).data
-
-    def fused(tensors, t):
-        (table,) = tensors
-        if mode == "sliced":
-            return masked_gather(table, order(t), None, modulus, active_width=t[0])
-        return masked_gather(table, order(t), mask_for(t[0], table), modulus)
-
-    def composed(tensors, t):
-        (table,) = tensors
-        return table.mask(mask_for(t[0], table)).gather_rows(order(t) % modulus)
+    def forward(op):
+        return lambda tensors, t: op(tensors[0], tensors[1:], ids[list(t[1])], t[0], moduli)
 
     return Case(
-        f"masked_gather[{mode}]", [normal(rng, vocab, width)], fused, touches, warm,
-        composed, exact=True, seed=seed,
+        f"embedding_interaction[{len(shapes)} tables]", arrays,
+        forward(embedding_interaction), touches, warm, forward(interaction_reference),
+        seed=seed,
     )
 
 
@@ -443,10 +461,11 @@ def loss_cases(draw) -> Case:
 
 def kernel_cases() -> st.SearchStrategy[Case]:
     """Any op of :mod:`repro.nn` with a gradient, drawn as a ``Case``:
-    the fused kernels, which have the most paths, three times as often
-    as the three losses, and the fifteen primitives as often as both."""
-    fused = [dense_cases(), gather_cases()]
-    return st.one_of(*fused, *fused, *fused, loss_cases(), *[tensor_cases()] * 4)
+    each of the three fused kernels, which have the most paths, twice
+    as often as the three losses together, and the fifteen primitives
+    four times as often."""
+    fused = [dense_cases(), chain_cases(), interaction_cases()]
+    return st.one_of(*fused, *fused, loss_cases(), *[tensor_cases()] * 4)
 
 
 # ----------------------------------------------------------------------
@@ -510,8 +529,13 @@ def test_float32_kernels_match_the_float64_oracle(examples):
         lambda a, b: concatenate([a, b]),
         lambda a, b: stack_mean([a, b]),
         lambda a, b: dense_act(a, b, None, "relu"),
+        lambda a, b: dense_chain(a, [(b, None, "relu", 2, 2)]),
+        lambda a, b: embedding_interaction(a, [b], np.zeros((2, 1), dtype=int), [2], [2]),
     ],
-    ids=["add", "mul", "matmul", "concatenate", "stack_mean", "dense_act"],
+    ids=[
+        "add", "mul", "matmul", "concatenate", "stack_mean", "dense_act", "dense_chain",
+        "embedding_interaction",
+    ],
 )
 def test_a_mixed_float32_float64_op_is_refused(op):
     a = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)

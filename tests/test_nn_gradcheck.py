@@ -26,14 +26,15 @@ from repro.nn import (
     Module,
     Tensor,
     bce_with_logits,
-    concatenate,
     dense_act,
-    masked_gather,
+    dense_chain,
+    embedding_interaction,
     mse,
     softmax_cross_entropy,
     stack_mean,
 )
 from repro.nn.fused import ACT_KERNELS
+from repro.nn.tensor import _same_dtype, _unbroadcast
 
 
 def numerical_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -80,6 +81,84 @@ def widen_to_float64(module):
 
 def rand(*shape, seed=0, scale=1.0):
     return np.random.default_rng(seed).normal(0.0, scale, size=shape)
+
+
+# ----------------------------------------------------------------------
+# Composed references of the fused DLRM nodes
+# ----------------------------------------------------------------------
+def concatenate(tensors, axis=-1):
+    """Tensors joined along ``axis`` as one node: each input's gradient
+    is its span of the output's, handed over as a view."""
+    _same_dtype(tensors)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+
+    def backward(grad):
+        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+            if tensor.requires_grad:
+                slicer = [slice(None)] * grad.ndim
+                slicer[axis] = slice(start, stop)
+                tensor._accumulate(grad[tuple(slicer)])
+
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    return Tensor(data, parents=tuple(tensors), backward=backward)
+
+
+def lookup(table, ids, width, modulus):
+    """A column-masked, id-wrapped lookup composed from primitives."""
+    cols = np.zeros(table.data.shape[1], dtype=table.data.dtype)
+    cols[:width] = 1.0
+    return table.mask(cols).gather_rows(np.asarray(ids) % modulus)
+
+
+def interaction_reference(dense, tables, ids, widths, moduli):
+    """``embedding_interaction`` as a lookup per table and a concatenate."""
+    lookups = [
+        lookup(table, ids[:, t], width, modulus)
+        for t, (table, width, modulus) in enumerate(zip(tables, widths, moduli))
+    ]
+    return concatenate([dense, *lookups], axis=-1)
+
+
+def dense_node(x, weight, bias, act_name, active_in, active_out):
+    """One sliced dense step as a node of its own: the matmul on the
+    active block, the output padded with ``act(0)``, each gradient
+    handed over as its block."""
+    act_fwd, act_bwd = ACT_KERNELS[act_name]
+    max_out = weight.data.shape[1]
+    saved = {"w": weight.data[:active_in, :active_out]}
+    pre = x.data[..., :active_in] @ saved["w"]
+    if bias is not None:
+        pre += bias.data[:active_out]
+    out = act_fwd(pre, saved)
+    if active_out < max_out:
+        padded = np.empty(out.shape[:-1] + (max_out,), dtype=out.dtype)
+        padded[..., :active_out] = out
+        padded[..., active_out:] = act_fwd(np.zeros((), dtype=out.dtype), {})
+        out = padded
+
+    def backward(grad):
+        g_pre = act_bwd(grad[..., :active_out], saved)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(g_pre, (active_out,)), (slice(None, active_out),))
+        if weight.requires_grad:
+            xs = x.data[..., :active_in]
+            sub = np.outer(xs, g_pre) if xs.ndim == 1 else np.swapaxes(xs, -1, -2) @ g_pre
+            weight._accumulate(
+                _unbroadcast(sub, (active_in, active_out)),
+                (slice(None, active_in), slice(None, active_out)),
+            )
+        if x.requires_grad:
+            x._accumulate(g_pre @ saved["w"].T, (Ellipsis, slice(None, active_in)))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor(out, parents=parents, backward=backward)
+
+
+def chain_reference(x, steps):
+    """``dense_chain`` as a :func:`dense_node` per step."""
+    for step in steps:
+        x = dense_node(x, *step)
+    return x
 
 
 class TestPrimitiveOps:
@@ -247,35 +326,39 @@ class TestFusedKernels:
         for fused, composed in ((xt, xc), (wt, wc), (bt, bc)):
             np.testing.assert_allclose(fused.grad, composed.grad, rtol=1e-12)
 
-    def test_masked_gather_matches_finite_differences(self):
-        table = rand(6, 4)
-        idx = np.array([0, 9, 3, 7])  # out-of-range ids exercise the wrap
-        mask = np.array([1.0, 1.0, 0.0, 0.0])
+    def test_interaction_matches_finite_differences(self):
+        ids = np.array([[0, 4], [9, 1], [3, 4], [7, 0]])  # out-of-range ids exercise the wrap
         assert_gradcheck(
-            lambda t: masked_gather(t, idx, mask, 5) * rand(4, 4, seed=9),
-            table,
+            lambda d, t0, t1: embedding_interaction(d, [t0, t1], ids, [2, 3], [5, 3])
+            * rand(4, 10, seed=9),
+            rand(4, 2), rand(6, 4), rand(5, 4, seed=1),
         )
 
-    def test_masked_gather_matches_composed_path(self):
-        table = rand(6, 4)
-        idx = np.array([0, 9, 3, 7])
-        mask = np.array([1.0, 1.0, 0.0, 0.0])
-
-        tf = Tensor(table, requires_grad=True)
-        masked_gather(tf, idx, mask, 5).sum().backward()
-        tc = Tensor(table, requires_grad=True)
-        tc.mask(mask).gather_rows(idx % 5).sum().backward()
-        np.testing.assert_allclose(tf.grad, tc.grad, rtol=1e-12)
+    def test_interaction_matches_composed_path(self):
+        ids = np.array([[0, 4], [9, 1], [3, 4], [7, 0]])
+        arrays = rand(4, 2), rand(6, 4), rand(5, 4, seed=1)
+        weights = rand(4, 10, seed=9)
+        fused = [Tensor(a, requires_grad=True) for a in arrays]
+        out = embedding_interaction(fused[0], fused[1:], ids, [2, 3], [5, 3])
+        (out * weights).sum().backward()
+        composed = [Tensor(a, requires_grad=True) for a in arrays]
+        ref = interaction_reference(composed[0], composed[1:], ids, [2, 3], [5, 3])
+        (ref * weights).sum().backward()
+        assert np.array_equal(out.data, ref.data)
+        for f, c in zip(fused, composed):
+            assert np.array_equal(f.grad, c.grad)
 
     @pytest.mark.parametrize("act", sorted(ACT_KERNELS))
-    def test_dense_act_sliced_matches_finite_differences(self, act):
+    def test_dense_chain_matches_finite_differences(self, act):
         assert_gradcheck(
-            lambda xt, wt, bt: dense_act(xt, wt, bt, act, active=(2, 3)),
-            rand(5, 3), rand(3, 4, seed=1), rand(4, seed=2),
+            lambda xt, wt, bt, ut: dense_chain(
+                xt, [(wt, bt, act, 2, 3), (ut, None, "tanh", 3, 2)]
+            ),
+            rand(5, 3), rand(3, 4, seed=1), rand(4, seed=2), rand(4, 3, seed=3),
         )
 
     @pytest.mark.parametrize("act", ["relu", "sigmoid", "swish"])
-    def test_dense_act_sliced_matches_masked_path(self, act):
+    def test_dense_chain_matches_masked_path(self, act):
         # act(0) != 0 for sigmoid: the fill value of the inactive output
         # columns must match what the masked matmul produces there.
         x, w, b = rand(5, 3), rand(3, 4, seed=1), rand(4, seed=2)
@@ -283,7 +366,7 @@ class TestFusedKernels:
         bm = np.zeros(4); bm[:3] = 1.0
 
         xs, ws, bs = (Tensor(a, requires_grad=True) for a in (x, w, b))
-        sliced = dense_act(xs, ws, bs, act, active=(2, 3))
+        sliced = dense_chain(xs, [(ws, bs, act, 2, 3)])
         sliced.sum().backward()
         xm, wm_t, bm_t = (Tensor(a, requires_grad=True) for a in (x, w, b))
         masked = dense_act(xm, wm_t, bm_t, act, weight_mask=wm, bias_mask=bm)
@@ -294,54 +377,64 @@ class TestFusedKernels:
             np.testing.assert_allclose(a.grad, b_.grad, rtol=1e-12)
         assert np.all(ws.grad[2:, :] == 0) and np.all(ws.grad[:, 3:] == 0)
 
-    def test_dense_act_sliced_1d_and_3d_inputs(self):
+    def test_dense_chain_1d_and_3d_inputs(self):
         assert_gradcheck(
-            lambda xt, wt, bt: dense_act(xt, wt, bt, "relu", active=(2, 3)),
+            lambda xt, wt, bt: dense_chain(xt, [(wt, bt, "relu", 2, 3)]),
             rand(3), rand(3, 4, seed=1), rand(4, seed=2),
         )
         assert_gradcheck(
-            lambda xt, wt, bt: dense_act(xt, wt, bt, "tanh", active=(2, 3)),
-            rand(2, 5, 3), rand(3, 4, seed=1), rand(4, seed=2),
+            lambda xt, wt, bt: dense_chain(xt, [(wt, bt, "tanh", 2, 3), (wt, None, "relu", 3, 1)]),
+            rand(2, 5, 4), rand(4, 4, seed=1), rand(4, seed=2),
         )
 
-    def test_dense_act_two_extents_on_one_leaf(self):
+    def test_dense_chain_two_extents_on_one_leaf(self):
         # Input, weight and bias each receive two sliced blocks of
         # different extents in one backward: the later one adds into
         # the block the first one wrote.
         assert_gradcheck(
-            lambda xt, wt, bt: dense_act(xt, wt, bt, "tanh", active=(2, 3))
-            + dense_act(xt, wt, bt, "swish", active=(3, 1)),
+            lambda xt, wt, bt: dense_chain(xt, [(wt, bt, "tanh", 2, 3)])
+            + dense_chain(xt, [(wt, bt, "swish", 3, 1)]),
             rand(5, 3), rand(3, 4, seed=1), rand(4, seed=2),
         )
 
-    def test_masked_gather_two_widths_on_one_table(self):
-        idx = np.array([0, 9, 3, 7, 3])
+    def test_dense_chain_equals_a_node_per_step(self):
+        arrays = rand(5, 4), rand(4, 6, seed=1), rand(6, seed=2), rand(6, 6, seed=3)
+        weights = rand(5, 6, seed=9)
+        grads, outs = [], []
+        for build in (dense_chain, chain_reference):
+            x, w, b, u = (Tensor(a, requires_grad=True) for a in arrays)
+            out = build(x, [(w, b, "relu", 3, 2), (u, None, "linear", 2, 6), (u, b, "sigmoid", 6, 5)])
+            (out * weights).sum().backward()
+            outs.append(out.data)
+            grads.append([t.grad for t in (x, w, b, u)])
+        assert np.array_equal(*outs)
+        for chained, per_step in zip(*grads):
+            assert np.array_equal(chained, per_step)
+
+    def test_interaction_two_widths_on_one_table(self):
+        ids = np.array([0, 9, 3, 7, 3])[:, None]
         assert_gradcheck(
-            lambda t: masked_gather(t, idx, None, 5, active_width=3) * rand(5, 4, seed=8)
-            + masked_gather(t, idx[::-1], None, 5, active_width=2) * rand(5, 4, seed=9),
-            rand(6, 4),
+            lambda d, t: embedding_interaction(d, [t], ids, [3], [5]) * rand(5, 5, seed=8)
+            + embedding_interaction(d, [t], ids[::-1], [2], [5]) * rand(5, 5, seed=9),
+            rand(5, 1), rand(6, 4),
         )
 
-    def test_dense_act_rejects_active_plus_mask(self):
+    def test_dense_chain_refuses_a_step_that_does_not_read_the_last(self):
         x, w = Tensor(rand(5, 3)), Tensor(rand(3, 4, seed=1))
-        with pytest.raises(ValueError, match="not both"):
-            dense_act(x, w, None, "relu", weight_mask=np.ones((3, 4)), active=(2, 3))
+        with pytest.raises(ValueError, match="reads 2 columns of 3 active"):
+            dense_chain(x, [(w, None, "relu", 2, 3), (Tensor(rand(4, 4)), None, "relu", 2, 3)])
+        with pytest.raises(ValueError, match="outside weight shape"):
+            dense_chain(x, [(w, None, "relu", 2, 5)])
 
-    def test_masked_gather_sliced_matches_masked_path(self):
-        table = rand(6, 4)
-        idx = np.array([0, 9, 3, 7])
-        mask = np.array([1.0, 1.0, 0.0, 0.0])
-
-        ts = Tensor(table, requires_grad=True)
-        sliced = masked_gather(ts, idx, None, 5, active_width=2)
-        sliced.sum().backward()
-        tm = Tensor(table, requires_grad=True)
-        masked = masked_gather(tm, idx, mask, 5)
-        masked.sum().backward()
-
-        np.testing.assert_allclose(sliced.data, masked.data, rtol=1e-12)
-        np.testing.assert_allclose(ts.grad, tm.grad, rtol=1e-12)
-        assert np.all(ts.grad[:, 2:] == 0)
+    def test_interaction_leaves_inactive_columns_zero(self):
+        ids = np.array([0, 9, 3, 7])[:, None]
+        table = Tensor(rand(6, 4), requires_grad=True)
+        out = embedding_interaction(Tensor(rand(4, 1)), [table], ids, [2], [5])
+        out.sum().backward()
+        assert np.all(out.data[:, 3:] == 0)
+        assert np.all(table.grad[:, 2:] == 0) and np.all(table.grad[5:] == 0)
+        with pytest.raises(ValueError, match="id modulus 7 outside"):
+            embedding_interaction(Tensor(rand(4, 1)), [table], ids, [2], [7])
 
 
 class TestLayers:
@@ -385,9 +478,12 @@ class TestLayers:
     def test_masked_embedding_with_wrap(self):
         rng = np.random.default_rng(0)
         layer = MaskedEmbedding(6, 4, rng)
-        idx = np.array([0, 11, 3, 5])
+        ids = np.array([0, 11, 3, 5])[:, None]
+        dense = Tensor(rand(4, 1))
         self._param_gradcheck(
-            layer, lambda: layer(idx, active_width=3, wrap=4) * rand(4, 4, seed=9)
+            layer,
+            lambda: embedding_interaction(dense, [layer.table], ids, [3], [4])
+            * rand(4, 5, seed=9),
         )
 
     def test_layernorm(self):

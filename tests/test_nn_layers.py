@@ -16,6 +16,7 @@ from repro.nn import (
     Tensor,
     activation,
     bce_with_logits,
+    embedding_interaction,
     mse,
     softmax_cross_entropy,
 )
@@ -138,32 +139,47 @@ class TestLowRankDense:
         assert np.all(layer.factor_v.grad[1:, :] == 0)
 
 
+def look_up(emb, ids, active_width=None, wrap=None):
+    """``emb``'s lookup of ``ids``, through the interaction node with no
+    dense part."""
+    ids = np.asarray(ids).reshape(-1, 1)
+    dense = Tensor(np.zeros((len(ids), 0), dtype=emb.table.data.dtype))
+    width = emb.max_width if active_width is None else active_width
+    modulus = emb.vocab_size if wrap is None else wrap
+    return embedding_interaction(dense, [emb.table], ids, [width], [modulus])
+
+
 class TestMaskedEmbedding:
     def test_lookup_shape(self):
-        emb = MaskedEmbedding(10, 6, rng())
-        out = emb(np.array([[1, 2], [3, 4]]))
-        assert out.shape == (2, 2, 6)
+        first, second = MaskedEmbedding(10, 6, rng()), MaskedEmbedding(4, 3, rng())
+        dense = Tensor(np.ones((2, 5), dtype=np.float32))
+        out = embedding_interaction(
+            dense, [first.table, second.table], np.array([[1, 2], [3, 4]]), [6, 3], [10, 4]
+        )
+        assert out.shape == (2, 5 + 6 + 3)
 
     def test_width_masking(self):
         emb = MaskedEmbedding(10, 6, rng())
-        out = emb(np.array([0, 1]), active_width=3)
+        out = look_up(emb, [0, 1], active_width=3)
         np.testing.assert_allclose(out.data[:, 3:], 0.0)
         np.testing.assert_allclose(out.data[:, :3], emb.table.data[[0, 1], :3])
 
     def test_shared_prefix_across_widths(self):
         emb = MaskedEmbedding(10, 6, rng())
-        narrow = emb(np.array([5]), active_width=2)
-        wide = emb(np.array([5]), active_width=6)
+        narrow = look_up(emb, [5], active_width=2)
+        wide = look_up(emb, [5], active_width=6)
         np.testing.assert_allclose(narrow.data[:, :2], wide.data[:, :2])
 
     def test_out_of_range_indices_wrap(self):
         emb = MaskedEmbedding(4, 3, rng())
-        out = emb(np.array([7]))  # 7 % 4 == 3
+        out = look_up(emb, [7])  # 7 % 4 == 3
         np.testing.assert_allclose(out.data[0], emb.table.data[3])
+        out = look_up(emb, [7], wrap=2)  # 7 % 2 == 1
+        np.testing.assert_allclose(out.data[0], emb.table.data[1])
 
     def test_gradient_hits_only_looked_up_rows(self):
         emb = MaskedEmbedding(10, 4, rng())
-        out = emb(np.array([2, 2, 7]), active_width=2)
+        out = look_up(emb, [2, 2, 7], active_width=2)
         out.sum().backward()
         grad = emb.table.grad
         assert np.all(grad[[0, 1, 3, 4, 5, 6, 8, 9]] == 0)
@@ -173,7 +189,7 @@ class TestMaskedEmbedding:
     def test_invalid_width(self):
         emb = MaskedEmbedding(4, 3, rng())
         with pytest.raises(ValueError):
-            emb(np.array([0]), active_width=4)
+            look_up(emb, [0], active_width=4)
 
 
 class TestMLP:

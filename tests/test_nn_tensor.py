@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor, as_tensor, concatenate
+from repro.nn import Tensor, as_tensor
 from repro.nn.tensor import no_grad
+
+from .test_nn_gradcheck import concatenate
 
 
 def numerical_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

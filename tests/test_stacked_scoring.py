@@ -27,9 +27,9 @@ from repro.data import (
 from repro.nn import (
     Tensor,
     bce_with_logits,
-    concatenate,
     dense_act,
-    masked_gather,
+    dense_chain,
+    embedding_interaction,
     mse,
     softmax_cross_entropy,
     stack_mean,
@@ -46,7 +46,7 @@ from repro.supernet import (
 )
 from repro.supernet.vision import VisionSuperNetwork
 
-from .test_nn_gradcheck import numerical_grad
+from .test_nn_gradcheck import concatenate, numerical_grad
 
 NUM_TABLES = 2
 
@@ -199,21 +199,23 @@ OPS = {
     "concatenate": lambda w, x: concatenate([w, w * x], axis=0),
     "stack_mean": lambda w, x: stack_mean([w, w * x]),
     "dense_act": lambda w, x: dense_act(Tensor(x.T), w, None, "tanh"),
-    "dense_act_active": lambda w, x: dense_act(Tensor(x.T), w, None, "gelu", active=(2, 3)),
-    "masked_gather": lambda w, x: masked_gather(w, _ids(x), None, 3, active_width=2),
+    "dense_chain": lambda w, x: dense_chain(Tensor(x.T), [(w, None, "gelu", 2, 3)]),
+    "dense_chain_two_steps": lambda w, x: dense_chain(
+        Tensor(x.T), [(w, None, "gelu", 2, 3), (w, None, "relu", 3, 2)]
+    ),
+    "interaction": lambda w, x: embedding_interaction(Tensor(x), [w], _ids(x)[:, :1], [2], [3]),
     # one leaf, two sliced contributions of different extents in one
     # backward: the second adds into the block the first wrote
-    "dense_act_two_extents": lambda w, x: (
-        dense_act(Tensor(x.T), w, None, "tanh", active=(2, 3))
-        + dense_act(Tensor(x.T), w, None, "swish", active=(3, 2))
+    "dense_chain_two_extents": lambda w, x: (
+        dense_chain(Tensor(x.T), [(w, None, "tanh", 2, 3)])
+        + dense_chain(Tensor(x.T), [(w, None, "swish", 3, 2)])
     ),
-    "dense_act_input_two_extents": lambda w, x: (
-        dense_act(w, Tensor(x.T), None, "sigmoid", active=(2, 3))
-        + dense_act(w, Tensor(x.T), None, "relu", active=(4, 1))
+    "dense_chain_input_two_extents": lambda w, x: (
+        dense_chain(w, [(Tensor(x.T), None, "sigmoid", 2, 3)])
+        + dense_chain(w, [(Tensor(x.T), None, "relu", 4, 1)])
     ),
-    "masked_gather_two_widths": lambda w, x: (
-        masked_gather(w, _ids(x), None, 3, active_width=3)
-        + masked_gather(w, _ids(x)[::-1], None, 3, active_width=2)
+    "interaction_two_widths": lambda w, x: embedding_interaction(
+        Tensor(x), [w, w], _ids(x)[:, :2], [3, 2], [3, 3]
     ),
     "bce_with_logits": lambda w, x: bce_with_logits(w, x > 0),
     "mse": lambda w, x: mse(w, x),
