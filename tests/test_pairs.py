@@ -20,7 +20,7 @@ pytestmark = pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 FAKE_BENCHMARK = """
 import argparse, json
 parser = argparse.ArgumentParser()
-for flag in ("--workload", "--seed", "--seconds", "--out"):
+for flag in ("--workload", "--seed", "--seconds", "--out", "--trace"):
     parser.add_argument(flag)
 parser.add_argument("--smoke", action="store_true")
 args = parser.parse_args()
@@ -29,12 +29,17 @@ metrics = {"ops_per_s": (OPS, "1/s"), "op_ms_p50": (1000.0 / OPS, "ms")}
 with open(args.out, "w") as handle:
     json.dump({
         "environment": {"nproc": 2, "commit": "unknown"},
-        "contract": {"end_to_end": [
-            {"name": "ops_per_s", "better": "higher"}, {"name": "op_ms_p50", "better": "lower"},
-        ]},
+        "contract": {
+            "end_to_end": [
+                {"name": "ops_per_s", "better": "higher"}, {"name": "op_ms_p50", "better": "lower"},
+            ],
+            "per_layer": [{"name": "engine.score_ms", "better": "lower"}],
+        },
         "runs": [{
             "correct": True,
             "end_to_end": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
+            "per_layer": {"engine.score_ms": {"value": 800.0 / OPS, "unit": "ms"}}
+            if args.trace == "1" else {},
         }],
     }, handle)
 """
@@ -101,6 +106,14 @@ def test_a_workload_entry_has_every_pair_ratio_and_summary(two_commits):
           "--pairs", "1", "--smoke")
     document = json.loads((two_commits / "BENCH_7.json").read_text())
     assert [len(e["pairs"]) for e in document["entries"]] == [1]
+    # a traced run records the per-layer metrics, as an entry of its own
+    pairs(two_commits, "--pr", "7", "--parent", "HEAD~1", "--workload", "search_train",
+          "--pairs", "1", "--smoke", "--trace")
+    document = json.loads((two_commits / "BENCH_7.json").read_text())
+    traced = document["entries"][1]
+    assert traced["measurement"] == "workload search_train traced"
+    assert traced["pairs"][0]["ratio"] == {"engine.score_ms": 0.8}
+    assert traced["summary"]["engine.score_ms"]["wins"] == 1
     table = pairs(two_commits, "--history").stdout.splitlines()
     assert len(table) == 3 and table[2].startswith("| 7 |")
     assert "| ops_per_s | 100 → 125 | 1.250 | 1/1 |" in table[2]

@@ -17,7 +17,8 @@ not a git repository, as the benchmark runner does.  The two modes:
 
 * ``--workload W`` runs each side's own ``benchmarks/perf/__main__.py
   --workload W --seed S --seconds T --out FILE`` and records every
-  end-to-end metric of ``BENCHMARK.json``;
+  end-to-end metric of ``BENCHMARK.json`` (with ``--trace``, a traced
+  run's per-layer metrics instead);
 * ``--tables N --backend B`` is the step probe: each side runs the
   quickstart search (``repro.service.jobs._NUM_TABLES`` set to N) for
   ``--steps`` steps on backend B, and records the median wall time per
@@ -123,10 +124,13 @@ def child_env(src: Optional[pathlib.Path] = None) -> Dict[str, str]:
 
 
 def run_workload(tree: pathlib.Path, args: argparse.Namespace, out: pathlib.Path) -> Dict[str, Any]:
-    """One benchmark run of ``tree``: ``{"metrics", "units", "better", "environment", "correct"}``."""
+    """One benchmark run of ``tree``: ``{"metrics", "units", "better", "environment", "correct"}``.
+
+    The metrics are the end-to-end ones, or with ``--trace`` the per-layer ones."""
     command = [
         sys.executable, "benchmarks/perf/__main__.py", "--workload", args.workload,
         "--seed", str(args.seed), "--seconds", str(args.seconds), "--out", str(out),
+        "--trace", "1" if args.trace else "0",
     ]
     if args.smoke:
         command.append("--smoke")
@@ -134,10 +138,11 @@ def run_workload(tree: pathlib.Path, args: argparse.Namespace, out: pathlib.Path
     with open(out, encoding="utf-8") as handle:
         document = json.load(handle)
     run = document["runs"][0]
-    better = {m["name"]: m["better"] for m in document["contract"]["end_to_end"]}
+    kind = "per_layer" if args.trace else "end_to_end"
+    better = {m["name"]: m["better"] for m in document["contract"][kind]}
     return {
-        "metrics": {name: entry["value"] for name, entry in run["end_to_end"].items()},
-        "units": {name: entry["unit"] for name, entry in run["end_to_end"].items()},
+        "metrics": {name: entry["value"] for name, entry in run[kind].items()},
+        "units": {name: entry["unit"] for name, entry in run[kind].items()},
         "better": better,
         "environment": document["environment"],
         "correct": run["correct"],
@@ -170,6 +175,7 @@ def summarize(pairs: List[Dict[str, Any]], better: Dict[str, str]) -> Dict[str, 
         parent = [p["parent"][name] for p in pairs]
         head = [p["head"][name] for p in pairs]
         p_q, h_q = quartiles(parent), quartiles(head)
+        ratios = [p["ratio"][name] for p in pairs if p["ratio"][name] is not None]
         wins = sum(
             (h > p) if direction == "higher" else (h < p) for p, h in zip(parent, head)
         )
@@ -179,7 +185,7 @@ def summarize(pairs: List[Dict[str, Any]], better: Dict[str, str]) -> Dict[str, 
             "head_median": h_q[1],
             "parent_iqr": p_q[2] - p_q[0],
             "head_iqr": h_q[2] - h_q[0],
-            "median_ratio": statistics.median(p["ratio"][name] for p in pairs),
+            "median_ratio": statistics.median(ratios) if ratios else None,
             "wins": wins,
             "pairs": len(pairs),
             # the head's median beats the parent's by more than the parent's IQR
@@ -220,7 +226,10 @@ def measure(args: argparse.Namespace) -> Dict[str, Any]:
                 pair = {side: results[side] for side in ("parent", "head")}
                 pair["sha256_equal"] = results["parent"]["sha256"] == results["head"]["sha256"]
             pair["first"] = order[0]
-            pair["ratio"] = {name: pair["head"][name] / pair["parent"][name] for name in better}
+            pair["ratio"] = {
+                name: pair["head"][name] / pair["parent"][name] if pair["parent"][name] else None
+                for name in better
+            }
             pairs.append(pair)
             print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
                 f"{name} {pair['parent'][name]:.4g} -> {pair['head'][name]:.4g}" for name in better
@@ -268,7 +277,7 @@ def env_fingerprint(tree: pathlib.Path) -> Dict[str, Any]:
 
 def measurement_key(args: argparse.Namespace) -> str:
     if args.workload:
-        return f"workload {args.workload}"
+        return f"workload {args.workload}" + (" traced" if args.trace else "")
     return f"step probe {args.tables} tables on {args.backend}"
 
 
@@ -325,6 +334,8 @@ def parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     parser.add_argument("--parent", help="the parent revision")
     parser.add_argument("--head", default="HEAD", help="the head revision (default HEAD)")
     parser.add_argument("--workload", help="a benchmarks/perf workload")
+    parser.add_argument("--trace", action="store_true",
+                        help="record the benchmark's per-layer metrics (a traced run) instead")
     parser.add_argument("--tables", type=int, help="step probe: the quickstart's table count")
     parser.add_argument("--backend", default="serial", help="step probe: the backend (default serial)")
     parser.add_argument("--steps", type=int, default=100, help="step probe: steps per run (default 100)")
