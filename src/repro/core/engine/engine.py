@@ -84,7 +84,7 @@ from .worker import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    from ...nn import Optimizer
+    from ...nn import Adam
     from ...telemetry import Telemetry
 
 PerformanceFn = Callable[[Architecture], Mapping[str, float]]
@@ -271,7 +271,7 @@ class SearchEngine:
         )
         from ...nn import Adam
 
-        self._optimizer: "Optimizer" = Adam(supernet.parameters(), lr=0.005)
+        self._optimizer: "Adam" = Adam(supernet.parameters(), lr=0.005)
         self._warmup_rng = np.random.default_rng(config.seed + 1)
         # Remote backends (processes, distributed) score against a
         # supernet each worker rehydrates once: the engine registers it

@@ -24,8 +24,8 @@ correctness backstop, not a steady-state cost.)
 
 Two segment flavors live here, both flat images of one ``(shape,
 offset, size)`` layout in the parameters' one float dtype (float32 for
-the networks :mod:`repro.nn` builds; :func:`weight_layout`, which the
-TCP byte push shares): :class:`SharedWeights`, the parameters, and
+the networks :mod:`repro.nn` builds; :func:`~repro.nn.optim.weight_layout`,
+which Adam's arenas and the TCP byte push share): :class:`SharedWeights`, the parameters, and
 :class:`SharedGradients`, its mirror — one image per task of a training
 fan-out, written by the workers' backward passes and read by the engine.
 
@@ -39,9 +39,11 @@ from __future__ import annotations
 
 import atexit
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
+
+from ...nn.optim import WeightLayout, weight_dtype, weight_layout
 
 try:  # pragma: no cover - exercised implicitly on every POSIX platform
     from multiprocessing import resource_tracker, shared_memory
@@ -54,40 +56,10 @@ except ImportError:  # pragma: no cover - platforms without shm support
 HEADER_SLOTS = 8
 HEADER_BYTES = HEADER_SLOTS * 8
 
-#: ``(shape, offset, size)`` per parameter, offsets in elements.
-WeightLayout = List[Tuple[Tuple[int, ...], int, int]]
-
 
 def shared_memory_available() -> bool:
     """Whether this platform offers ``multiprocessing.shared_memory``."""
     return shared_memory is not None
-
-
-def weight_dtype(arrays: Sequence[np.ndarray]) -> np.dtype:
-    """The one float dtype of ``arrays`` (float32 when there are none);
-    ``TypeError`` for mixed or non-float ones, which no carrier holds."""
-    dtypes = {array.dtype for array in arrays}
-    if len(dtypes) > 1 or any(dtype.kind != "f" for dtype in dtypes):
-        raise TypeError(
-            f"shared weights need one float dtype, got {', '.join(sorted(map(str, dtypes)))}"
-        )
-    return dtypes.pop() if dtypes else np.dtype(np.float32)
-
-
-def weight_layout(arrays: Sequence[np.ndarray]) -> WeightLayout:
-    """``(shape, offset, size)`` per array, offsets in elements of their
-    one float dtype (:func:`weight_dtype`, checked here).
-
-    The one layout convention both weight carriers use: the shared
-    segment's payload and the array a TCP weight push carries.
-    """
-    weight_dtype(arrays)
-    layout: WeightLayout = []
-    offset = 0
-    for array in arrays:
-        layout.append((tuple(array.shape), offset, int(array.size)))
-        offset += int(array.size)
-    return layout
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from .layers import (
     activation,
 )
 from .losses import accuracy, bce_with_logits, binary_accuracy, mse, softmax_cross_entropy
-from .optim import Adam, Optimizer
+from .optim import Adam
 
 __all__ = [
     "ACTIVATIONS",
@@ -27,7 +27,6 @@ __all__ = [
     "MaskedDense",
     "MaskedEmbedding",
     "Module",
-    "Optimizer",
     "Tensor",
     "accuracy",
     "activation",

@@ -30,6 +30,7 @@ failure replays locally; ``-m slow`` collects a larger, random sweep.
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
@@ -40,6 +41,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import (
+    Adam,
     Tensor,
     bce_with_logits,
     dense_act,
@@ -50,6 +52,7 @@ from repro.nn import (
     stack_mean,
 )
 from repro.nn.fused import ACT_KERNELS
+from repro.nn.optim import BETA1 as ADAM_BETA1, BETA2 as ADAM_BETA2, EPS as ADAM_EPS
 
 from .test_nn_gradcheck import chain_reference, concatenate, interaction_reference
 
@@ -545,3 +548,230 @@ def test_a_mixed_float32_float64_op_is_refused(op):
     with pytest.raises(TypeError, match="float32 and float64"):
         a * np.ones(2)  # a float64 array constant is refused too
     assert (a * 2.0).data.dtype == np.float32  # a Python scalar takes the dtype
+
+
+# ----------------------------------------------------------------------
+# Adam: flat runs of one arena against the per-parameter update
+# ----------------------------------------------------------------------
+def adam_reference(params: List[Tensor], state: dict, lr: float) -> None:
+    """One step of the per-parameter Adam the flat arenas replace.
+
+    ``state`` is in ``Adam.state_dict()`` form (``t`` and per-parameter
+    ``m`` / ``v`` lists, ``None`` for a parameter never stepped) and is
+    updated in place: each parameter with a gradient runs the thirteen
+    elementwise ops of its own update."""
+    state["t"] += 1
+    t = state["t"]
+    for i, param in enumerate(params):
+        if param.grad is None:
+            continue
+        if state["m"][i] is None:
+            state["m"][i] = np.zeros_like(param.data)
+            state["v"][i] = np.zeros_like(param.data)
+        m, v = state["m"][i], state["v"][i]
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * param.grad
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * param.grad**2
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v / (1 - ADAM_BETA2**t)
+        param.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def same_bits(mine: Optional[np.ndarray], theirs: Optional[np.ndarray]) -> bool:
+    """Equal dtype, shape and bytes (``-0.0`` is not ``+0.0``); two
+    ``None`` slots are equal."""
+    if mine is None or theirs is None:
+        return mine is None and theirs is None
+    return (
+        mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        and mine.tobytes() == theirs.tobytes()
+    )
+
+
+def assert_same_state(optimizer: Adam, params: List[Tensor], ref: List[Tensor], state: dict):
+    for mine, theirs in zip(params, ref):
+        assert same_bits(mine.data, theirs.data)
+    got = optimizer.state_dict()
+    assert got["t"] == state["t"]
+    for name in ("m", "v"):
+        assert len(got[name]) == len(state[name])
+        assert all(same_bits(a, b) for a, b in zip(got[name], state[name])), name
+
+
+#: how a step's gradient reaches a parameter: a backward's first touch
+#: (into ``_buf``, the arena slot once bound), or a ``grad`` that is not
+#: the slot: assigned directly, or accumulated after ``_buf`` was
+#: rebound to another array (as a worker's ``_train_many`` does) or
+#: cleared (as closing a remote context does)
+DELIVERIES = ("backward", "assigned", "rebound", "cleared")
+#: which parameters a step touches
+TOUCHED = ("none", "all", "even", "odd", "drawn")
+
+
+@dataclass
+class AdamCase:
+    """A drawn parameter list and its steps: per step, per parameter,
+    ``None`` (untouched) or ``(block, delivery)``; before step
+    ``resume_at`` the optimizer may be rebuilt from its own
+    ``state_dict`` or from the reference's."""
+
+    dtype: Any
+    shapes: List[tuple]
+    lr: float
+    steps: List[List[Optional[tuple]]]
+    resume: Optional[str]
+    resume_at: int
+    seed: int
+
+    def __repr__(self) -> str:
+        return (
+            f"AdamCase({np.dtype(self.dtype).name}, shapes={self.shapes}, lr={self.lr}, "
+            f"steps={self.steps}, resume={self.resume}@{self.resume_at}, seed={self.seed})"
+        )
+
+
+@st.composite
+def adam_cases(draw, dtype) -> AdamCase:
+    shapes = draw(st.lists(
+        st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple), min_size=1, max_size=6,
+    ))
+    steps = []
+    for _ in range(draw(st.integers(1, 5))):
+        count, touched = len(shapes), draw(st.sampled_from(TOUCHED))
+        mask = {
+            "none": [False] * count,
+            "all": [True] * count,
+            "even": [i % 2 == 0 for i in range(count)],
+            "odd": [i % 2 == 1 for i in range(count)],
+        }.get(touched) or draw(st.lists(st.booleans(), min_size=count, max_size=count))
+        steps.append([
+            (tuple(draw(st.integers(1, n)) for n in shape), draw(st.sampled_from(DELIVERIES)))
+            if live else None
+            for shape, live in zip(shapes, mask)
+        ])
+    return AdamCase(
+        dtype, shapes, draw(st.sampled_from([1e-3, 5e-3, 0.05, 0.1])), steps,
+        draw(st.sampled_from([None, "own", "reference"])),
+        draw(st.integers(0, len(steps) - 1)), draw(st.integers(0, 2**16)),
+    )
+
+
+def block_gradient(rng: np.random.Generator, shape: tuple, extent: tuple, dtype) -> np.ndarray:
+    """``-0.0`` outside the prefix block ``extent``; inside, values over
+    six decades with a few exact zeros of either sign."""
+    grad = np.full(shape, -0.0, dtype=dtype)
+    block = tuple(slice(0, n) for n in extent)
+    values = rng.normal(size=extent) * 10.0 ** rng.uniform(-3, 3, size=extent)
+    values[rng.random(size=extent) < 0.1] = rng.choice([0.0, -0.0])
+    grad[block] = values
+    return grad
+
+
+def check_adam_case(case: AdamCase) -> None:
+    rng = np.random.default_rng(case.seed)
+    initial = [rng.normal(size=shape).astype(case.dtype) for shape in case.shapes]
+    params = [Tensor(a.copy(), requires_grad=True) for a in initial]
+    ref = [Tensor(a.copy(), requires_grad=True) for a in initial]
+    optimizer = Adam(params, lr=case.lr)
+    state = {"t": 0, "m": [None] * len(params), "v": [None] * len(params)}
+    for k, touches in enumerate(case.steps):
+        if k == case.resume_at and case.resume is not None:
+            saved = optimizer.state_dict() if case.resume == "own" else copy.deepcopy(state)
+            optimizer = Adam(params, lr=case.lr)
+            optimizer.load_state_dict(saved)
+            assert_same_state(optimizer, params, ref, state)
+        optimizer.zero_grad()
+        for param, theirs, touch, shape in zip(params, ref, touches, case.shapes):
+            theirs.grad = None
+            if touch is None:
+                continue
+            extent, delivery = touch
+            grad = block_gradient(rng, shape, extent, case.dtype)
+            theirs.grad = grad.copy()
+            if delivery == "assigned":
+                param.grad = grad
+                continue
+            if delivery == "rebound":
+                param._buf = np.empty_like(param.data)
+            elif delivery == "cleared":
+                param._buf = None
+            param._accumulate(grad)
+        optimizer.step()
+        adam_reference(ref, state, case.lr)
+        assert_same_state(optimizer, params, ref, state)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_flat_adam_matches_the_per_parameter_reference(dtype, examples):
+    if examples is None:
+        run = settings(max_examples=TIER1_EXAMPLES, deadline=None, derandomize=True)
+    else:
+        run = settings(max_examples=examples, deadline=None)
+
+    @run
+    @given(case=adam_cases(dtype))
+    def check(case: AdamCase) -> None:
+        check_adam_case(case)
+
+    check()
+
+
+def adam_params(dtype=np.float32, seed=0) -> List[Tensor]:
+    rng = np.random.default_rng(seed)
+    return [
+        Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+        for shape in ((3, 2), (2,), (4,))
+    ]
+
+
+def test_two_adams_over_one_list_each_match_the_reference():
+    params, ref = adam_params(), adam_params()
+    first, second = Adam(params, lr=0.05), Adam(params, lr=0.01)
+    states = [{"t": 0, "m": [None] * 3, "v": [None] * 3} for _ in range(2)]
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        first.zero_grad()
+        for param, theirs in zip(params, ref):
+            grad = rng.normal(size=param.data.shape).astype(np.float32)
+            param._accumulate(grad)  # into whichever optimizer bound ``_buf`` last
+            theirs.grad = grad.copy()
+        first.step()
+        second.step()
+        adam_reference(ref, states[0], 0.05)
+        adam_reference(ref, states[1], 0.01)
+        assert_same_state(first, params, ref, states[0])
+        assert_same_state(second, params, ref, states[1])
+
+
+def test_a_backward_writes_into_the_gradient_arena():
+    params = adam_params()
+    optimizer = Adam(params, lr=0.05)
+    assert all(param._buf is None for param in params)  # nothing bound before a step
+    for _ in range(2):
+        optimizer.zero_grad()
+        for param in params:
+            param._accumulate(np.ones_like(param.data))
+        optimizer.step()
+    # From the first step on, each gradient is its slot of one flat vector.
+    grads = [param.grad for param in params]
+    base = grads[0].base
+    assert base is not None and base.ndim == 1
+    assert all(grad.base is base for grad in grads)
+    assert [grad.__array_interface__["data"][0] for grad in grads] == [
+        base.__array_interface__["data"][0] + 4 * offset for offset in (0, 6, 8)
+    ]
+
+
+def test_an_adam_that_never_steps_allocates_nothing():
+    params = adam_params()
+    optimizer = Adam(params, lr=0.05)
+    optimizer.zero_grad()
+    optimizer.load_state_dict(optimizer.state_dict())  # every slot None
+    assert optimizer.state_dict() == {"t": 0, "m": [None] * 3, "v": [None] * 3}
+    assert all(param._buf is None for param in params)
+
+
+def test_a_mixed_dtype_parameter_list_is_refused():
+    with pytest.raises(TypeError, match="one float dtype, got float32, float64"):
+        Adam(adam_params(np.float32) + adam_params(np.float64), lr=0.05)
