@@ -138,6 +138,11 @@ def test_the_step_probe_records_the_step_time_and_the_weights(tmp_path):
     (pair,) = entry["pairs"]
     assert pair["sha256_equal"] and pair["parent"]["fingerprint"] == pair["head"]["fingerprint"]
     assert pair["parent"]["step_ms"] > 0 and set(entry["summary"]) == {"step_ms"}
+    for side in ("parent", "head"):  # collections per 100 steps, generations 0, 1 and 2
+        collections = pair[side]["gc_per_100_steps"]
+        assert len(collections) == 3 and all(count >= 0 for count in collections)
+        assert collections[0] > 0  # eight steps of a search allocate past gen 0's threshold
+        assert entry["gc_per_100_steps"][side] == collections  # the median of one pair
     for side in ("parent", "head"):
         counts = entry["profile"][side]
         assert counts["sha256"] == pair["parent"]["sha256"]

@@ -22,8 +22,10 @@ not a git repository, as the benchmark runner does.  The two modes:
 * ``--tables N --backend B`` is the step probe: each side runs the
   quickstart search (``repro.service.jobs._NUM_TABLES`` set to N) for
   ``--steps`` steps on backend B, and records the median wall time per
-  step after the first ``PROBE_WARMUP`` and a SHA-256 over the final
-  weights.  ``--profile`` adds one run per side under ``cProfile``:
+  step after the first ``PROBE_WARMUP``, a SHA-256 over the final
+  weights and the cyclic garbage collector's collections per 100 steps,
+  per generation (``gc.get_stats()`` before and after the run), so a row
+  shows whether a change moved the collector.  ``--profile`` adds one run per side under ``cProfile``:
   Python calls, ``Tensor``s made and ``Tensor._accumulate`` calls per
   step.
 
@@ -57,7 +59,7 @@ PROBE_WARMUP = 5
 #: run in a side's tree as ``python -c PROBE tables backend steps seed profile``;
 #: prints one JSON object
 PROBE = r"""
-import cProfile, hashlib, json, pstats, sys, time
+import cProfile, gc, hashlib, json, pstats, sys, time
 import repro.service.jobs as jobs
 from repro.core.engine.backends import shutdown_pools
 from repro.service.jobs import JobSpec, result_payload, run_spec
@@ -72,7 +74,9 @@ run = lambda: run_spec(
 profiler = cProfile.Profile() if profile == "1" else None
 if profiler is not None:
     profiler.enable()
+collections = [generation["collections"] for generation in gc.get_stats()]
 space, engine, result = run()
+collections = [g["collections"] - c for g, c in zip(gc.get_stats(), collections)]
 if profiler is not None:
     profiler.disable()
 shutdown_pools()
@@ -84,6 +88,7 @@ out = {
     "step_ms": 1e3 * sorted(step_s)[len(step_s) // 2],
     "sha256": digest.hexdigest(),
     "fingerprint": result_payload(space, result)["fingerprint"],
+    "gc_per_100_steps": [100.0 * count / int(steps) for count in collections],
 }
 if profiler is not None:
     stats = pstats.Stats(profiler).stats
@@ -240,6 +245,11 @@ def measure(args: argparse.Namespace) -> Dict[str, Any]:
             }
         if not args.workload:
             entry["environment"] = env_fingerprint(trees["head"])
+            entry["gc_per_100_steps"] = {  # each side's median per generation
+                side: [statistics.median(runs) for runs in
+                       zip(*(pair[side]["gc_per_100_steps"] for pair in pairs))]
+                for side in ("parent", "head")
+            }
         return {
             "measurement": measurement_key(args),
             "parent": {"rev": args.parent, "commit": commits["parent"]},
