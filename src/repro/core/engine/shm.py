@@ -25,9 +25,10 @@ correctness backstop, not a steady-state cost.)
 Two segment flavors live here, both flat images of one ``(shape,
 offset, size)`` layout in the parameters' one float dtype (float32 for
 the networks :mod:`repro.nn` builds; :func:`~repro.nn.optim.weight_layout`,
-which Adam's arenas and the TCP byte push share): :class:`SharedWeights`, the parameters, and
-:class:`SharedGradients`, its mirror — one image per task of a training
-fan-out, written by the workers' backward passes and read by the engine.
+which Adam's arenas and the TCP byte push share): :class:`SharedWeights`,
+the parameters, and :class:`SharedGradients`, its mirror — one image per
+task of a training fan-out, written by the workers' backward passes and
+read by the engine.
 
 Every segment this process creates is tracked and unlinked at exit, so
 crashed or interrupted runs do not leak ``/dev/shm`` entries.  A view

@@ -24,6 +24,11 @@ The strategy takes a dtype.  At float32 the kernels run in float32 and
 are checked against the float64 oracle — central differences on the
 float32 inputs widened to float64 — within ``FLOAT32_BOUND``.
 
+The same sweep draws optimizer cases: parameter lists, touched subsets
+and block gradients for :class:`~repro.nn.Adam`, whose flat-run step
+must equal the per-parameter update it replaced (``adam_reference``)
+byte for byte, in weights and ``state_dict()``, after every step.
+
 A tier-1 run draws a fixed, derandomized set of examples, so a CI
 failure replays locally; ``-m slow`` collects a larger, random sweep.
 """
@@ -748,19 +753,19 @@ def test_a_backward_writes_into_the_gradient_arena():
     params = adam_params()
     optimizer = Adam(params, lr=0.05)
     assert all(param._buf is None for param in params)  # nothing bound before a step
-    for _ in range(2):
+    slots = None
+    for _ in range(3):
         optimizer.zero_grad()
         for param in params:
             param._accumulate(np.ones_like(param.data))
+        if slots is not None:  # the backward wrote into the slots the first step bound
+            assert all(param.grad is slot for param, slot in zip(params, slots))
         optimizer.step()
-    # From the first step on, each gradient is its slot of one flat vector.
-    grads = [param.grad for param in params]
-    base = grads[0].base
-    assert base is not None and base.ndim == 1
-    assert all(grad.base is base for grad in grads)
-    assert [grad.__array_interface__["data"][0] for grad in grads] == [
-        base.__array_interface__["data"][0] + 4 * offset for offset in (0, 6, 8)
-    ]
+        slots = [param._buf for param in params]
+    # The slots are consecutive stretches of one flat vector, in list order.
+    start = slots[0].__array_interface__["data"][0]
+    offsets = [slot.__array_interface__["data"][0] - start for slot in slots]
+    assert offsets == [0, 4 * 6, 4 * 8]
 
 
 def test_an_adam_that_never_steps_allocates_nothing():

@@ -25,9 +25,9 @@ not a git repository, as the benchmark runner does.  The two modes:
   step after the first ``PROBE_WARMUP``, a SHA-256 over the final
   weights and the cyclic garbage collector's collections per 100 steps,
   per generation (``gc.get_stats()`` before and after the run), so a row
-  shows whether a change moved the collector.  ``--profile`` adds one run per side under ``cProfile``:
-  Python calls, ``Tensor``s made and ``Tensor._accumulate`` calls per
-  step.
+  shows whether a change moved the collector.  ``--profile`` adds one
+  run per side under ``cProfile``: Python calls, ``Tensor``s made and
+  ``Tensor._accumulate`` calls per step.
 
 Pair ``i`` runs the parent first when ``i`` is even and the head first
 when it is odd.  BLAS is pinned to one thread in every child.  An entry
