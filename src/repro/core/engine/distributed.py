@@ -23,10 +23,9 @@ the one :class:`_Cluster` controller (shared per backend key, see
 Weights have two *carriers*, selected by the kind of link.  A spawned
 worker shares this machine's memory: its ``context`` message names the
 :class:`~.shm.SharedWeights` segment, its rehydrated parameters are
-bound to the segment's views (as the controller's are), and its
-gradient buffers to its task's slot of the gradient image, so no step
-copies weights or gradients on either side; a task runs only when the
-segment's version is its stamp.  A worker that dialled in over TCP
+bound to the segment's views (as the controller's are), so no step
+copies weights on either side; a task runs only when the segment's
+version is its stamp.  A worker that dialled in over TCP
 gets the same versions as a *push*: every ``optimizer_step()`` republish
 broadcasts a versioned weight message, and a link is primed with every
 registered context before it can be assigned work (:meth:`_Cluster._admit`),
@@ -61,7 +60,7 @@ import numpy as np
 from .backends import process_start_method
 from ...searchspace.base import Architecture
 from ...service.protocol import ProtocolError, write_frame
-from .shm import SharedGradients, SharedWeights, WeightLayout, weight_dtype, weight_layout
+from .shm import SharedWeights, WeightLayout, weight_dtype, weight_layout
 from .transport import (
     DEFAULT_BIND,
     TO_CONTROLLER,
@@ -125,9 +124,8 @@ class _HostContext:
     """One rehydrated supernet plus its last-applied weight version.
     Weights arrive as a pushed array (:meth:`apply`) or, given the name of
     the controller's shared ``segment``, the parameters are bound to its
-    views; ``gradients`` is its gradient image's ``(slots, name)``.  Both
-    hold ``dtype``, which the rehydrated parameters must have.
-    Parameters are walked once."""
+    views.  Either holds ``dtype``, which the rehydrated parameters must
+    have.  Parameters are walked once."""
 
     def __init__(
         self,
@@ -135,7 +133,6 @@ class _HostContext:
         layout: WeightLayout,
         dtype: str,
         segment: Optional[str] = None,
-        gradients=None,
     ):
         self.supernet = supernet
         self.params = list(supernet.parameters())
@@ -158,9 +155,6 @@ class _HostContext:
                 f"the published weights {self.dtype}"
             )
         self.shared = SharedWeights.attach(segment, self.layout, self.dtype) if segment else None
-        self.gradients = (
-            SharedGradients(self.layout, self.dtype, *gradients) if gradients else None
-        )
         for param, view in zip(self.params, self.shared.views if self.shared else ()):
             param.data = view
         self.applied_version = 0
@@ -176,11 +170,10 @@ class _HostContext:
         self.applied_version = int(version)
 
     def close(self) -> None:
-        for param in self.params:  # nothing may point into a closed mapping
-            param.data, param.grad, param._buf = param.data.copy(), None, None
-        for segment in (self.shared, self.gradients):
-            if segment is not None:
-                segment.release()
+        if self.shared is not None:
+            for param in self.params:  # nothing may point into a closed mapping
+                param.data = param.data.copy()
+            self.shared.release()
 
 
 class WorkerHost:
@@ -260,7 +253,6 @@ class WorkerHost:
                     message["layout"],
                     message["dtype"],
                     message.get("segment"),
-                    message.get("gradients"),
                 )
                 if message.get("weights") is not None:
                     ctx.apply(message["version"], message["weights"])
@@ -352,16 +344,12 @@ def _spawned_worker_main(
 # ----------------------------------------------------------------------
 class _TaskRecord:
     """One submitted task: its encoded frame, result slot, retry count,
-    and what a result must fit — its kind, its batch count and the
-    ``context`` message of the context it names (``None``: unregistered).
+    and what a result must fit — its kind and its batch count.
     Encoding comes first: a payload that cannot travel raises here."""
 
-    __slots__ = ("task_id", "index", "frame", "retries", "link", "run", "kind", "batches",
-                 "context")  # fmt: skip
+    __slots__ = ("task_id", "index", "frame", "retries", "link", "run", "kind", "batches")
 
-    def __init__(
-        self, task_id: int, index: int, message: dict, context: Optional[dict], run: "_MapRun"
-    ):
+    def __init__(self, task_id: int, index: int, message: dict, run: "_MapRun"):
         self.frame = encode_message({**message, "task_id": task_id})
         self.task_id = task_id
         self.index = index
@@ -370,49 +358,14 @@ class _TaskRecord:
         self.run = run
         self.kind = message["kind"]
         self.batches = len(message["payload"][1])
-        self.context = context
 
     def fits(self, value: Any) -> bool:
-        """Whether a ``result`` value fits its task, checked before the
-        engine zips its qualities into shard positions or accumulates its
-        gradients.  A ``quality_many`` value is one number per batch; a
-        ``train_many`` one is ``[qualities, active, gradients]``: ``active``
-        indexes parameters in increasing order, ``gradients`` is one array
-        per index in the context's dtype, shaped as its parameter — or
-        ``None``, only when the context has a gradient image to read
-        instead."""
-
-        def one_number_per_batch(qualities: Any) -> bool:
-            return (
-                type(qualities) is list
-                and len(qualities) == self.batches
-                and all(type(quality) in (int, float) for quality in qualities)
-            )
-
-        if self.kind != "train_many":
-            return one_number_per_batch(value)
-        if not (type(value) is list and len(value) == 3 and self.context is not None):
-            return False
-        qualities, active, gradients = value
-        layout = self.context["layout"]
-        if not (
-            one_number_per_batch(qualities)
-            and type(active) is list
-            and all(type(i) is int and 0 <= i < len(layout) for i in active)
-            and active == sorted(set(active))
-        ):
-            return False
-        if gradients is None:
-            return self.context["gradients"] is not None
+        """Whether a ``result`` value fits its task — one number per
+        batch — checked before the engine zips it into shard positions."""
         return (
-            type(gradients) is list
-            and len(gradients) == len(active)
-            and all(
-                isinstance(array, np.ndarray)
-                and array.dtype == self.context["dtype"]
-                and array.shape == layout[i][0]
-                for i, array in zip(active, gradients)
-            )
+            type(value) is list
+            and len(value) == self.batches
+            and all(type(quality) in (int, float) for quality in value)
         )
 
 
@@ -662,10 +615,10 @@ class _Cluster:
 
     # -- context / weight state ----------------------------------------
     # A context's state is its ``context`` message: spec, layout, version
-    # and the carriers — ``segment`` names the shared weights segment and
-    # ``gradients`` is the gradient image's ``(slots, name)`` when this
-    # cluster spawned its workers (they share its memory), ``weights``
-    # holds the current array when workers dial in over TCP.
+    # and the weight carrier — ``segment`` names the shared weights
+    # segment when this cluster spawned its workers (they share its
+    # memory), ``weights`` holds the current array when workers dial in
+    # over TCP.
     def _pushed_weights(self, arrays: Sequence[np.ndarray]) -> Optional[np.ndarray]:
         """A weight version as a TCP worker needs it (``None`` when none
         can exist: nobody dials into a cluster that does not listen)."""
@@ -678,7 +631,6 @@ class _Cluster:
         version: int,
         segment: Optional[str],
         arrays: Sequence[np.ndarray],
-        gradients: Optional[Tuple[int, str]] = None,
     ) -> None:
         drain_pending_releases()
         state = {
@@ -689,7 +641,6 @@ class _Cluster:
             "dtype": weight_dtype(arrays).str,
             "version": int(version),
             "segment": segment,
-            "gradients": gradients,
             "weights": self._pushed_weights(arrays),
         }
         with self._lock:
@@ -742,8 +693,7 @@ class _Cluster:
             message = {"type": "task", "stage": task.stage, "kind": task.kind,
                        "payload": task.payload, "context_id": task.context.context_id,
                        "version": task.context.version}  # fmt: skip
-            context = self._contexts.get(task.context.context_id)
-            records.append(_TaskRecord(next(self._task_ids), index, message, context, run))
+            records.append(_TaskRecord(next(self._task_ids), index, message, run))
         with self._cond:
             if self._closed:
                 raise _crash_error("worker cluster is shut down")

@@ -17,15 +17,15 @@ Per-core work — shard scoring — fans out through an
 :class:`~repro.core.engine.backends.ExecutionBackend`.  Three rules keep
 every backend bit-identical to serial execution:
 
-* only pure tasks are fanned out: stacked supernet passes, deterministic
-  functions of their payloads;
+* only pure tasks are fanned out: forward-only stacked supernet passes,
+  deterministic functions of their payloads;
 * reductions are order-preserving — per-core results are gathered in
-  shard order, so means, REINFORCE updates, and gradient accumulation
-  see the same operand order regardless of completion order;
-* everything stateful (stochastic quality signals, the accumulation of
-  the shard's gradient into the shared parameters, pipeline
-  bookkeeping, the controller) stays on the engine thread in strict
-  shard order.
+  shard order, so means and REINFORCE updates see the same operand
+  order regardless of completion order;
+* everything stateful (stochastic quality signals, a training step's
+  forward and backward passes and the gradient they accumulate,
+  pipeline bookkeeping, the controller) stays on the engine thread in
+  strict shard order.
 
 The engine also owns the stepwise checkpoint protocol (``step()`` /
 ``build_result()`` / ``state_dict()``) that the fault-tolerant runtime
@@ -80,7 +80,6 @@ from .worker import (
     payload_nbytes,
     quality_many_payloads,
     run_stage_task,
-    train_many_payloads,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
@@ -292,9 +291,7 @@ class SearchEngine:
         context remote fan-outs score against (``None`` if it cannot
         travel).  Its cluster's worker losses so far are not this
         search's, and a new cluster is worth one wait for a worker."""
-        ctx = self._remote_ctx = build_remote_context(
-            self.supernet, self.backend.cluster, self.config.num_cores
-        )
+        ctx = self._remote_ctx = build_remote_context(self.supernet, self.backend.cluster)
         self._waited = False
         if ctx is not None:
             self._worker_loss_total = ctx.cluster.worker_losses
@@ -480,56 +477,34 @@ class SearchEngine:
         self._waited = True
         return ctx.cluster.wait_for_workers(1, timeout) >= 1
 
-    def _fan_out_tasks(
-        self, stage: str, kind: str, payloads: Sequence[Tuple[Any, ...]]
-    ) -> List[Any]:
-        """Ship closure-free stage tasks through the backend.
+    def _fan_out_tasks(self, payloads: Sequence[Tuple[Any, ...]]) -> List[Any]:
+        """Ship ``quality_many`` stage tasks through the backend.
 
         The current weights are published first (if dirty), and every
         task carries the resulting version so no worker scores against
         stale parameters.  Workers time themselves and report who they
         are; accounting happens here on the engine thread, including the
-        IPC volume: batch arrays out, ``train_many`` gradients back.
+        IPC volume: the batch arrays the tasks carry out.
         """
         if self._weights_dirty:
             self._remote_ctx.publish()
             self._weights_dirty = False
         ref = self._remote_ctx.ref()
         tasks = [
-            StageTask(stage=stage, kind=kind, context=ref, payload=payload)
+            StageTask(stage=STAGE_SCORE, kind="quality_many", context=ref, payload=payload)
             for payload in payloads
         ]
         results = self.backend.map(run_stage_task, tasks)
         telemetry = self.telemetry
         if telemetry is not None:
-            telemetry.counter("engine.tasks").inc(
-                len(tasks), stage=stage, backend=self.backend.name
-            )
-            moved = payload_nbytes(tasks)
-            if kind == "train_many":
-                arrays = self._remote_ctx.param_arrays
-                moved += sum(arrays[i].nbytes for value, _, _ in results for i in value[1])
-            telemetry.counter("engine.ipc.bytes").inc(moved, backend=self.backend.name)
+            backend = self.backend.name
+            telemetry.counter("engine.tasks").inc(len(tasks), stage=STAGE_SCORE, backend=backend)
+            telemetry.counter("engine.ipc.bytes").inc(payload_nbytes(tasks), backend=backend)
             for _, seconds, worker_id in results:
                 telemetry.trace.record(
-                    "worker",
-                    seconds,
-                    stage=stage,
-                    backend=self.backend.name,
-                    worker=worker_id,
+                    "worker", seconds, stage=STAGE_SCORE, backend=backend, worker=worker_id
                 )
         return [value for value, _, _ in results]
-
-    def _score(self, kind: str, payloads: Sequence[Tuple[Any, ...]]) -> List[Any]:
-        """One score fan-out: ``kind`` payloads shipped as stage tasks,
-        or run in-process — the same :func:`~.worker.execute_stage_kind`
-        dispatch either way.  In process nothing is a task: the score
-        stage's own timer covers the loop."""
-        if self._remote_active(len(payloads)):
-            return self._fan_out_tasks(STAGE_SCORE, kind, payloads)
-        return self.backend.map(
-            lambda payload: execute_stage_kind(self.supernet, kind, payload), payloads
-        )
 
     # ------------------------------------------------------------------
     # Stage primitives
@@ -561,26 +536,21 @@ class SearchEngine:
         """Stage *score*: per-core qualities, each core on its own batch.
 
         Supernets implementing :class:`~repro.supernet.StackedScoring`
-        run one deterministic stacked pass per unique architecture,
-        fanned out across the backend's workers.  Everything else scores
-        serially, in core order, so stochastic quality signals consume
-        their rng streams exactly as the sequential implementation did.
+        run one deterministic stacked pass per unique architecture.
+        Everything else scores serially, in core order, so stochastic
+        quality signals consume their rng streams exactly as the
+        sequential implementation did.
 
         ``trains_on_shard`` is the strategy saying it trains on this same
         shard, with the weights untouched until :meth:`optimizer_step`.
         The gradients are zeroed first, and for a stacked supernet this
         call also finishes the shard's gradient: one grouped pass, the
         supernet's ``quality_and_loss_many``, serves both, the qualities
-        coming off the logits under each group's loss.  In this process
-        every group's pass runs, then each loss's ``backward`` in group
-        order.  When the fan-out ships (:meth:`_remote_active`: two
-        groups or more) each group is one ``train_many`` task: the
-        worker runs forward *and* backward from zero, and each group's
-        gradient (through the context's gradient image, or in the result
-        frame over TCP) is reduced as ``backward`` would have: the first
-        group's copied, the rest added, in group order — bit-identical
-        because every parameter receives one contribution per group pass
-        (DESIGN.md §10).
+        coming off the logits under each group's loss.  Every group's
+        pass runs, then each loss's ``backward`` in group order, in this
+        process on every backend.  Only a shard that is scored and not
+        trained on ships, as forward-only ``quality_many`` tasks, when
+        :meth:`_remote_active` says so.
         """
         if trains_on_shard:
             self._optimizer.zero_grad()  # its fixed list: no module-tree walk
@@ -590,32 +560,20 @@ class SearchEngine:
                 for batch, (arch, _) in zip(batches, drawn)
             ]
         payloads = quality_many_payloads(drawn, batches, groups)
-        num_cores = self.config.num_cores
-        if not trains_on_shard:
-            per_group = self._score("quality_many", payloads)
-        elif (
-            len({batch.size for batch in batches}) == 1
-            and self._remote_active(len(groups))
-        ):
-            # (Unequal batches take ``loss_many``'s per-batch fallback:
-            # several contributions per parameter per group, which a
-            # per-group reduce cannot reproduce.)
-            payloads = train_many_payloads(payloads, groups, num_cores)
-            results = self._fan_out_tasks(STAGE_SCORE, "train_many", payloads)
-            ctx = self._remote_ctx
-            for slot, (_, active, arrays) in enumerate(results):
-                if arrays is None:  # in the image, not in the result
-                    arrays = [ctx.gradients.views[slot][i] for i in active]
-                for i, array in zip(active, arrays):
-                    ctx.params[i]._accumulate(array)
-            per_group = [values for values, _, _ in results]
-        else:
+        if trains_on_shard:
             passes = self.backend.map(
                 lambda payload: self.supernet.quality_and_loss_many(*payload), payloads
             )
             for positions, (_, loss) in zip(groups, passes):
-                loss.backward(np.asarray(len(positions) / num_cores))
+                loss.backward(np.asarray(len(positions) / self.config.num_cores))
             per_group = [values for values, _ in passes]
+        elif self._remote_active(len(payloads)):
+            per_group = self._fan_out_tasks(payloads)
+        else:
+            per_group = self.backend.map(
+                lambda payload: execute_stage_kind(self.supernet, "quality_many", payload),
+                payloads,
+            )
         qualities: List[float] = [0.0] * len(drawn)
         for positions, values in zip(groups, per_group):
             for position, value in zip(positions, values):

@@ -1,4 +1,4 @@
-"""Shared-memory weights and gradients for process workers.
+"""Shared-memory weights for process workers.
 
 The ``processes`` backend scores shards in worker *processes* the
 controller spawned on this machine, so the supernet's weights must be
@@ -22,13 +22,11 @@ mismatch is that task's error, never a wait.  (In the engine's step
 loop the controller only writes between fan-outs, so a mismatch is a
 correctness backstop, not a steady-state cost.)
 
-Two segment flavors live here, both flat images of one ``(shape,
-offset, size)`` layout in the parameters' one float dtype (float32 for
-the networks :mod:`repro.nn` builds; :func:`~repro.nn.optim.weight_layout`,
-which Adam's arenas and the TCP byte push share): :class:`SharedWeights`,
-the parameters, and :class:`SharedGradients`, its mirror — one image per
-task of a training fan-out, written by the workers' backward passes and
-read by the engine.
+The segment is one flat image of a ``(shape, offset, size)`` layout in
+the parameters' one float dtype (float32 for the networks :mod:`repro.nn`
+builds; :func:`~repro.nn.optim.weight_layout`, which Adam's arenas and
+the TCP byte push share).  Workers only read it: a task is a forward
+pass, and a training step's gradient is computed in the controller.
 
 Every segment this process creates is tracked and unlinked at exit, so
 crashed or interrupted runs do not leak ``/dev/shm`` entries.  A view
@@ -40,7 +38,7 @@ from __future__ import annotations
 
 import atexit
 import threading
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -118,19 +116,38 @@ def _attach_segment(name: str) -> Any:
         resource_tracker.register = original_register
 
 
-class _Segment:
-    """This process's mapping of one segment: a new one of ``nbytes``
-    that it owns (tracked, unlinked on release or at exit), or the
-    existing one ``name``d.  Views die with :meth:`release`."""
+class SharedWeights:
+    """One shared, versioned image of a supernet's parameter arrays:
+    this process's mapping of a new segment that it owns (tracked,
+    unlinked on release or at exit), or of the existing one ``name``d.
 
-    def __init__(self, nbytes: int, name: Optional[str] = None):
+    :attr:`views` holds one array per parameter, which the controller's
+    parameters and the workers' are bound to; they die with
+    :meth:`release`.  The writer brackets every write with
+    :meth:`begin_write` (odd version) and :meth:`publish` (the next even
+    one); a reader only compares the version with the stamp of the task
+    it runs.
+    """
+
+    def __init__(self, layout: WeightLayout, dtype: Any, name: Optional[str] = None):
+        self.layout = [
+            (tuple(shape), int(offset), int(size))
+            for shape, offset, size in layout
+        ]
+        self.dtype = np.dtype(dtype)
+        total = sum(size for _, _, size in self.layout)
         self._owner = name is None
         self._closed = False
         if name is not None:
             self._segment = _attach_segment(name)
         else:
-            self._segment = shared_memory.SharedMemory(create=True, size=max(nbytes, 8))
+            nbytes = HEADER_BYTES + total * self.dtype.itemsize
+            self._segment = shared_memory.SharedMemory(create=True, size=nbytes)
             _track(self._segment)
+        self._header = np.ndarray((HEADER_SLOTS,), dtype=np.int64, buffer=self._segment.buf)
+        data = np.ndarray((total,), dtype=self.dtype, buffer=self._segment.buf, offset=HEADER_BYTES)
+        #: ``views[i]``: parameter ``i``'s weights
+        self.views = [data[offset : offset + size].reshape(shape) for shape, offset, size in self.layout]
 
     @property
     def name(self) -> str:
@@ -150,30 +167,6 @@ class _Segment:
                 self._segment.unlink()
         except Exception:  # pragma: no cover - already gone
             pass
-
-
-class SharedWeights(_Segment):
-    """One shared, versioned image of a supernet's parameter arrays.
-
-    :attr:`views` holds one array per parameter, which the controller's
-    parameters and the workers' are bound to.  The writer brackets every
-    write with :meth:`begin_write` (odd version) and :meth:`publish`
-    (the next even one); a reader only compares the version with the
-    stamp of the task it runs.
-    """
-
-    def __init__(self, layout: WeightLayout, dtype: Any, name: Optional[str] = None):
-        self.layout = [
-            (tuple(shape), int(offset), int(size))
-            for shape, offset, size in layout
-        ]
-        self.dtype = np.dtype(dtype)
-        total = sum(size for _, _, size in self.layout)
-        super().__init__(HEADER_BYTES + total * self.dtype.itemsize, name)
-        self._header = np.ndarray((HEADER_SLOTS,), dtype=np.int64, buffer=self._segment.buf)
-        data = np.ndarray((total,), dtype=self.dtype, buffer=self._segment.buf, offset=HEADER_BYTES)
-        #: ``views[i]``: parameter ``i``'s weights
-        self.views = [data[offset : offset + size].reshape(shape) for shape, offset, size in self.layout]
 
     @property
     def version(self) -> int:
@@ -205,27 +198,3 @@ class SharedWeights(_Segment):
         version = (self.version | 1) + 1
         self._header[0] = version
         return version
-
-
-class SharedGradients(_Segment):
-    """The mirror of :class:`SharedWeights`: ``slots`` gradient images of
-    one layout, written by workers and read by the engine.
-
-    Slot ``k`` belongs to task ``k`` of a training fan-out.  No version:
-    a worker's backward writes its slot (its parameters' gradient
-    buffers are bound to it) and *then* it sends the task's ``result``
-    frame, the happens-before edge for the engine's read, and a lost
-    worker is reaped before its orphan is re-run into the same slot.
-    Pages nobody wrote cost no memory.
-    """
-
-    def __init__(self, layout: WeightLayout, dtype: Any, slots: int, name: Optional[str] = None):
-        dtype = np.dtype(dtype)
-        total = sum(size for _, _, size in layout)
-        super().__init__(slots * total * dtype.itemsize, name)
-        flat = np.ndarray((slots, total), dtype=dtype, buffer=self._segment.buf)
-        #: ``views[slot][i]``: parameter ``i``'s gradient in that slot
-        self.views: List[List[np.ndarray]] = [
-            [flat[slot, offset : offset + size].reshape(shape) for shape, offset, size in layout]
-            for slot in range(slots)
-        ]

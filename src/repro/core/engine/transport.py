@@ -32,7 +32,7 @@ from ...service.protocol import ProtocolError, read_frame, write_frame
 
 #: Stamped into the worker's hello message; a controller refuses a
 #: worker speaking another version instead of failing mid-shard.
-TRANSPORT_VERSION = 3
+TRANSPORT_VERSION = 4
 
 #: Largest frame either side will accept — weight broadcasts for big
 #: supernets dominate, and 1 GiB is far above any real payload while
@@ -52,8 +52,7 @@ Schema = Dict[str, Dict[str, Any]]
 #: field that may be ``None`` may be absent.
 TO_WORKER: Schema = {
     "context": {"context_id": str, "spec": dict, "layout": list, "dtype": str, "version": int,
-                "segment": (str, type(None)), "gradients": (list, type(None)),
-                "weights": (np.ndarray, type(None))},
+                "segment": (str, type(None)), "weights": (np.ndarray, type(None))},
     "weights": {"context_id": str, "version": int, "data": np.ndarray},
     "release": {"context_id": str},
     "task": {"task_id": int, "stage": str, "kind": str, "context_id": str, "version": int,

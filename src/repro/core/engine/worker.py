@@ -1,17 +1,17 @@
 """Stage tasks and the engine-side context handle.
 
 This module is the data boundary between the engine and its remote
-workers: a :class:`StageTask` carries only plain data (architectures,
-batch arrays, a gradient scale and slot) plus a
-:class:`RemoteContextRef` naming the scoring context a worker must hold
-and the weight version it must score against, flattened on the wire
-into a ``task`` message.  Every remote worker runs one loop
-(:class:`~.distributed.WorkerHost`): it rebuilds the supernet once per
-context from the spec the ``context`` message carries — a name in
-:data:`SUPERNETS` and its config as JSON — validates its parameter
-shapes against the published layout, and runs a task only at the
-weight ``version`` it is stamped with (a ``train_many`` task also runs
-the group's backward there and hands the gradient back).  The engine's side of that contract is the
+workers: a :class:`StageTask` carries only plain data (an architecture
+and its group's batch arrays) plus a :class:`RemoteContextRef` naming
+the scoring context a worker must hold and the weight version it must
+score against, flattened on the wire into a ``task`` message.  Every
+remote worker runs one loop (:class:`~.distributed.WorkerHost`): it
+rebuilds the supernet once per context from the spec the ``context``
+message carries — a name in :data:`SUPERNETS` and its config as JSON —
+validates its parameter shapes against the published layout, and runs
+a task only at the weight ``version`` it is stamped with.  A task is a
+forward pass only: training computes its gradient in the engine's
+process.  The engine's side of that contract is the
 :class:`RemoteShardContext` handle :func:`build_remote_context` returns.
 
 Where a fan-out runs is the engine's decision alone
@@ -34,10 +34,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ...supernet import dlrm, mixture, transformer, vision
-from .shm import SharedGradients, SharedWeights, shared_memory_available, weight_layout
+from .shm import SharedWeights, shared_memory_available, weight_layout
 
 #: Stage-task kinds the worker knows how to run.
-TASK_KINDS = ("quality_many", "train_many")
+TASK_KINDS = ("quality_many",)
 
 #: The supernets a worker can host: the name a ``context`` message's
 #: spec carries -> ``(class, config class)``.  Every one is
@@ -91,51 +91,17 @@ def build_supernet_from_spec(spec: Dict[str, Any]) -> Any:
 # ----------------------------------------------------------------------
 # Task execution
 # ----------------------------------------------------------------------
-def execute_stage_kind(
-    supernet: Any, kind: str, payload: Tuple[Any, ...], params=None, image=None
-) -> Any:
+def execute_stage_kind(supernet: Any, kind: str, payload: Tuple[Any, ...]) -> Any:
     """Run one stage-task kind against ``supernet``.
 
     The single kind dispatch shared by every executor: worker hosts
     call it (through :func:`run_stage_task`) against their rehydrated
-    supernet, with the parameter list and gradient image they hold for
-    ``train_many``; the engine calls it in-process for the scoring kinds.
+    supernet; the engine calls it in-process.
     """
-    if kind == "train_many":
-        return _train_many(supernet, payload, params, image)
     if kind == "quality_many":
         arch, inputs_seq, labels_seq = payload
         return [float(v) for v in supernet.quality_many(arch, inputs_seq, labels_seq)]
     raise ValueError(f"unknown stage-task kind {kind!r}")
-
-
-def _train_many(
-    supernet: Any, payload: Tuple[Any, ...], params: list, image: Optional[SharedGradients]
-) -> Tuple[List[float], List[int], Optional[List[np.ndarray]]]:
-    """One group's qualities *and* gradient, computed from zero.
-
-    Returns ``(qualities, active, gradients)``: ``active`` indexes the
-    parameters that received a gradient.  With an ``image`` the backward
-    writes slot ``slot`` of it (each gradient reuse buffer is bound to
-    its slot view, and ``gradients`` is ``None``); without, they come
-    back as copies — the next group this supernet runs reuses the buffers.
-    """
-    arch, inputs_seq, labels_seq, scale, slot = payload
-    views = image.views[slot] if image is not None else None
-    for i, param in enumerate(params):
-        param.grad = None
-        if views is not None:
-            param._buf = views[i]
-    qualities, loss = supernet.quality_and_loss_many(arch, inputs_seq, labels_seq)
-    loss.backward(np.asarray(scale))
-    active = [i for i, param in enumerate(params) if param.grad is not None]
-    qualities = [float(quality) for quality in qualities]
-    if views is None:
-        return qualities, active, [params[i].grad.copy() for i in active]
-    for i in active:
-        if params[i].grad is not views[i]:  # a first touch that did not fit the buffer
-            np.copyto(views[i], params[i].grad)
-    return qualities, active, None
 
 
 def run_stage_task(
@@ -151,9 +117,7 @@ def run_stage_task(
     """
     start = time.perf_counter()
     ctx = context_for(task.context)
-    value = execute_stage_kind(
-        ctx.supernet, task.kind, task.payload, ctx.params, ctx.gradients
-    )
+    value = execute_stage_kind(ctx.supernet, task.kind, task.payload)
     return value, time.perf_counter() - start
 
 
@@ -173,15 +137,6 @@ def quality_many_payloads(
             [batches[i].labels for i in positions],
         )
         for positions in groups
-    ]
-
-
-def train_many_payloads(payloads, groups, num_cores: int) -> List[Tuple[Any, ...]]:
-    """:func:`quality_many_payloads` extended, per group, with the seed
-    of its backward (its share of the shard) and the gradient slot it owns."""
-    return [
-        (*payload, len(positions) / num_cores, slot)
-        for slot, (payload, positions) in enumerate(zip(payloads, groups))
     ]
 
 
@@ -227,8 +182,8 @@ def drain_pending_releases() -> None:
 class RemoteShardContext:
     """Engine-side handle on one supernet published to workers.
 
-    Owns the weights segment and the gradient image (when the workers
-    share this machine's memory) and tracks the published version — the
+    Owns the weights segment (when the workers share this machine's
+    memory) and tracks the published version — the
     one monotonic counter tasks are stamped with.  While it owns a
     segment the supernet's parameters are bound to its views: the
     segment *is* the live weights, written in place by the optimizer.
@@ -242,12 +197,10 @@ class RemoteShardContext:
         spec: Dict[str, Any],
         weights: Optional[SharedWeights],
         cluster: Optional[Any],
-        gradients: Optional[SharedGradients] = None,
     ):
         self.supernet = supernet
         self.params = list(supernet.parameters())
         self.weights = weights
-        self.gradients = gradients
         self.cluster = cluster
         # unique across processes and engine instances
         self.context_id = f"{os.getpid()}-{next(_CONTEXT_COUNTER)}"
@@ -260,7 +213,6 @@ class RemoteShardContext:
                 self.version,
                 weights.name if weights is not None else None,
                 self.param_arrays,
-                gradients and (len(gradients.views), gradients.name),
             )
         for param, view in zip(self.params, weights.views if weights is not None else ()):
             param.data = view
@@ -319,9 +271,8 @@ class RemoteShardContext:
         for param, view in zip(self.params, self.weights.views if self.weights is not None else ()):
             if param.data is view:
                 param.data = view.copy()
-        for segment in (self.weights, self.gradients):
-            if segment is not None:
-                segment.release()
+        if self.weights is not None:
+            self.weights.release()
 
     def release_later(self) -> None:
         """Queue :meth:`release` (it takes locks; a finaliser must not)."""
@@ -329,9 +280,7 @@ class RemoteShardContext:
 
 
 def build_remote_context(
-    supernet: Any,
-    cluster_factory: Optional[Callable[[], Any]] = None,
-    gradient_slots: int = 0,
+    supernet: Any, cluster_factory: Optional[Callable[[], Any]] = None
 ) -> Optional[RemoteShardContext]:
     """Publish ``supernet`` for remote workers, or ``None`` if it
     cannot travel.
@@ -347,8 +296,7 @@ def build_remote_context(
     structure).  Only the environment keeps the search on the in-process
     path: no shared memory here, or a cluster that cannot start.
     Without a ``cluster_factory`` the handle still owns a weights
-    segment: publishing needs no workers.  ``gradient_slots`` (the most
-    ``train_many`` tasks one fan-out ships) sizes its mirror.
+    segment: publishing needs no workers.
     """
     spec = worker_spec_for(supernet)
     if spec is None:
@@ -364,7 +312,7 @@ def build_remote_context(
             f"{len(rebuilt)} parameters for its {len(live)}, and parameter {i} as "
             f"{_describe(rebuilt[i : i + 1])} for the live {_describe(live[i : i + 1])}"
         )
-    weights = gradients = None
+    weights = None
     try:
         cluster = cluster_factory() if cluster_factory is not None else None
         # A cluster with no address to dial spawned every worker here.
@@ -372,13 +320,10 @@ def build_remote_context(
             if not shared_memory_available():
                 return None
             weights = SharedWeights.create(arrays)
-            if gradient_slots:
-                gradients = SharedGradients(weights.layout, weights.dtype, gradient_slots)
-        return RemoteShardContext(supernet, spec, weights, cluster, gradients)
+        return RemoteShardContext(supernet, spec, weights, cluster)
     except Exception:
-        for segment in (weights, gradients):
-            if segment is not None:
-                segment.release()
+        if weights is not None:
+            weights.release()
         return None
 
 

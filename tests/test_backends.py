@@ -61,6 +61,7 @@ from repro.telemetry import Telemetry
 
 from .test_batched_exec import PerCoreOnly
 from .test_sweep import (
+    BUILDERS,
     NUM_TABLES,
     REMOTE,
     STEPS,
@@ -69,7 +70,8 @@ from .test_sweep import (
     build_space,
     build_tunas,
     capacity_cost,
-    params_digest,
+    outcome_of,
+    specialize,
 )
 from .test_telemetry import value
 
@@ -483,17 +485,17 @@ class TestPoolLifecycle:
         # that replaced it (and releases the old context), ships, and the
         # search ends where serial does.
         def run(name, shut_down_at=None):
-            space, search = quickstart("single_step", name, steps=6)
-            first, kinds, history = search._remote_ctx, [], []
-            for step in range(6):
+            search = build_tunas(name, workers=2)
+            first, shipped, history = search._remote_ctx, [], []
+            for step in range(STEPS):
                 if step == shut_down_at:
                     shutdown_pools()
-                    kinds = spy_on_shipped_kinds(search)
+                    shipped = spy_on_shipped_tasks(search)
                 history.append(search.step(step))
             if shut_down_at is not None:
-                assert kinds and first._released
+                assert shipped and first._released
                 assert search._remote_ctx.cluster is search.backend.cluster()
-            return fingerprint(space, search.build_result(history)), params_digest(search.supernet)
+            return outcome_of(build_space(), search.build_result(history), search.supernet)
 
         assert run(backend, shut_down_at=2) == run("serial")
 
@@ -613,53 +615,56 @@ def fingerprint(space, result):
     return result_payload(space, result)["fingerprint"]
 
 
-def spy_on_shipped_kinds(search):
-    """Record the kind of every stage-task fan-out ``search`` ships."""
-    kinds = []
-    inner = search._fan_out_tasks
+def spy_on_shipped_tasks(search):
+    """Record the kinds of every stage-task map ``search``'s backend is
+    handed (``backend.map(run_stage_task, tasks)``), one list per map."""
+    shipped = []
+    inner_map = search.backend.map
 
-    def fan_out_tasks(stage, kind, payloads):
-        kinds.append(kind)
-        return inner(stage, kind, payloads)
+    def traced_map(fn, items):
+        if fn is run_stage_task:
+            shipped.append([task.kind for task in items])
+        return inner_map(fn, items)
 
-    search._fan_out_tasks = fan_out_tasks
-    return kinds
+    search.backend.map = traced_map
+    return shipped
+
+
+def assert_same_weights(want, got):
+    for expected, actual in zip(want.parameters(), got.parameters(), strict=True):
+        np.testing.assert_array_equal(expected.data, actual.data)
 
 
 class TestRemoteTraining:
-    """Training strategies ship ``train_many`` tasks: forward *and*
-    backward run in the workers and the gradients come back (through the
-    gradient image on spawned links, in the result frame over TCP)."""
+    """What a training strategy does on a remote backend: it registers
+    its context (on ``processes`` its weights are bound to the segment),
+    and computes every step in this process.  Only forward-only scoring
+    ships: TuNAS's policy step and specialization."""
 
     @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
     @pytest.mark.parametrize("strategy", ["single_step", "elastic"])
-    def test_training_ships_train_tasks_only(self, strategy, backend):
-        # One path: every shard of two groups or more goes out as train
-        # tasks (elastic's baseline-only first phase, three steps, is one
-        # group), and the controller runs no forward of its own beside
-        # them.  (That the result equals serial is the sweep's to check.)
+    def test_training_computes_in_process(self, strategy, backend):
+        # backend.map is never handed run_stage_task, and the final
+        # weights are array_equal to serial.
+        space, serial = quickstart(strategy, "serial")
         _, remote = quickstart(strategy, backend)
-        assert remote._remote_active()
-        kinds = spy_on_shipped_kinds(remote)
-        controller_passes = []
-        for name in ("loss_many", "quality_many"):
-            setattr(remote.supernet, name, lambda *a, _n=name: controller_passes.append(_n))
-        remote.run()
-        shipped = remote.config.steps - (3 if strategy == "elastic" else 0)
-        assert kinds == ["train_many"] * shipped
-        assert controller_passes == []
-        image = remote._remote_ctx.gradients
-        assert (image is not None) == (backend == "processes")
+        assert remote._remote_ctx is not None and remote._remote_active()
+        shipped = spy_on_shipped_tasks(remote)
+        assert fingerprint(space, remote.run()) == fingerprint(space, serial.run())
+        assert shipped == []
+        assert_same_weights(serial.supernet, remote.supernet)
 
     @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
     @pytest.mark.parametrize("unique", [1, 4])
     def test_a_shard_ships_only_with_two_groups_or_more(self, backend, unique):
-        # The placement rule, both ways.  A converged shard (one group)
-        # has nothing to overlap with: it trains in this process, ships
-        # no task and publishes no weight version.  Four groups are four
-        # ``train_many`` tasks a step, and one publish per weight update.
+        # The placement rule, both ways, on a scoring-only search.  A
+        # converged shard (one group) has nothing to overlap with: it is
+        # scored in this process and ships no task.  Four groups are
+        # four ``quality_many`` tasks a step.  Frozen weights never move,
+        # so neither way publishes a version.
         def run(backend):
-            search = build_single(backend=backend, workers=2)
+            _, factory = specialize(STEPS, 3, backend)
+            search = factory()
             rng = np.random.default_rng(8)
             archs = [search.space.sample(rng) for _ in range(unique)]
             shard = [(arch, search.space.indices_of(arch)) for arch in archs]
@@ -670,33 +675,41 @@ class TestRemoteTraining:
 
         remote = run(backend)
         assert remote._remote_active()
-        shipped = []
+        shipped = spy_on_shipped_tasks(remote)
+        context = remote._remote_ctx
+        built_at, publish, published = context.version, context.publish, []
+        context.publish = lambda *args: published.append(publish(*args))
+        assert_results_identical(run("serial").run(), remote.run(), remote.space)
+        assert published == [] and context.version == built_at
+        assert shipped == ([] if unique == 1 else [["quality_many"] * 4] * STEPS)
+
+    @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
+    def test_each_weight_update_publishes_once_before_the_next_map(self, backend):
+        # TuNAS trains, then ships its policy step's scoring: one publish
+        # per step, each ahead of that step's map.
+        remote = build_tunas(backend, workers=2)
+        context = remote._remote_ctx
+        events, publish = [], context.publish
+        context.publish = lambda *args: events.append("publish") or publish(*args)
         inner_map = remote.backend.map
 
         def traced_map(fn, items):
             if fn is run_stage_task:
-                shipped.append([task.kind for task in items])
+                events.append("map")
             return inner_map(fn, items)
 
         remote.backend.map = traced_map
-        context = remote._remote_ctx
-        built_at, publish, published = context.version, context.publish, []
-        context.publish = lambda *args: published.append(publish(*args))
-        assert_results_identical(run("serial").run(), remote.run(), build_space())
-        if unique == 1:
-            assert shipped == [] and published == [] and context.version == built_at
-        else:
-            assert shipped == [["train_many"] * 4] * STEPS
-            assert len(published) == STEPS - 1  # step 0 ships what was built
+        assert_results_identical(build_tunas("serial").run(), remote.run(), build_space())
+        assert events == ["publish", "map"] * STEPS
 
     def test_a_search_nobody_dialled_into_waits_once(self, dialled_in_only, monkeypatch):
         # Bound for external workers, none came: the first ask for one
         # spends the engine's worker_timeout, every later ask only
         # looks, and the search runs in process — until a worker links.
-        serial = build_single(backend="serial").run()
+        serial = build_tunas(backend="serial").run()
         monkeypatch.setattr(SearchEngine, "worker_timeout", 0.2)
         try:
-            search = build_single(backend="distributed", workers=2)
+            search = build_tunas(backend="distributed", workers=2)
             assert search._remote_ctx is not None
             cluster = search.backend.cluster()
             waits = []
@@ -744,24 +757,24 @@ class TestRemoteTraining:
     @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
     def test_the_pooled_quickstart_trains_on_a_float32_segment(self):
         # The product's pooled search keeps its context: the float32
-        # supernet's weights and gradients travel in float32 segments, and
-        # a step ships train tasks.  (A layout that still demanded
-        # float64 would leave no context and the search in process.)
+        # supernet's weights are bound to a float32 segment, and a step
+        # trains them there in this process.  (A layout that still
+        # demanded float64 would leave no context.)
         try:
             _, search = quickstart("single_step", "processes", steps=1)
-            kinds = spy_on_shipped_kinds(search)
+            shipped = spy_on_shipped_tasks(search)
             search.run()
             ctx = search._remote_ctx
-            assert ctx is not None and "train_many" in kinds
-            assert ctx.weights.dtype == np.float32 and ctx.gradients.views[0][0].dtype == np.float32
-            assert all(p.data.dtype == np.float32 for p in ctx.params)
+            assert ctx is not None and shipped == [] and ctx.weights.dtype == np.float32
+            for param, view in zip(ctx.params, ctx.weights.views, strict=True):
+                assert param.data is view and param.data.dtype == np.float32
         finally:
             shutdown_pools()
 
     def test_unequal_batches_train_in_process(self):
         # A group of unequal batches backprops one contribution per
-        # *batch*; reduced per group that is another float order, so
-        # such a shard keeps its backward on the engine thread.
+        # *batch* (``loss_many``'s fallback); on a remote backend too its
+        # gradient equals serial.
         def gradients(backend):
             search = build_single(backend=backend, workers=2)
             drawn = search.sample_shard(4, warming_up=True)
@@ -773,41 +786,25 @@ class TestRemoteTraining:
             ]
             groups = [[0, 1], [2, 3]]
             drawn = [drawn[0], drawn[0], drawn[2], drawn[2]]
-            kinds = spy_on_shipped_kinds(search)
+            shipped = spy_on_shipped_tasks(search)
             qualities = search.score_shard(drawn, batches, groups, trains_on_shard=True)
             search.accumulate_shard_gradient(drawn, batches)
-            return qualities, kinds, [p.grad for p in search.supernet.parameters()]
+            return qualities, shipped, [p.grad for p in search.supernet.parameters()]
 
         want_qualities, _, want = gradients("serial")
-        qualities, kinds, got = gradients("processes")
-        assert kinds == [] and qualities == want_qualities
+        qualities, shipped, got = gradients("processes")
+        assert shipped == [] and qualities == want_qualities
         assert any(grad is not None for grad in want)
         for expected, actual in zip(want, got):
             assert (expected is None) == (actual is None)
             if expected is not None:
                 np.testing.assert_array_equal(expected, actual)
 
-    def test_gradients_really_come_through_the_image(self):
-        # Positive control: wipe one slot between gather and reduce and
-        # the search must come out different.
-        space, serial = quickstart("single_step", "serial")
-        space, remote = quickstart("single_step", "processes")
-        gather = remote._fan_out_tasks
-
-        def wiped_gather(stage, kind, payloads):
-            results = gather(stage, kind, payloads)
-            assert all(arrays is None for _, _, arrays in results)
-            for view in remote._remote_ctx.gradients.views[0]:
-                view[...] = 0.0
-            return results
-
-        remote._fan_out_tasks = wiped_gather
-        assert fingerprint(space, remote.run()) != fingerprint(space, serial.run())
-
     def test_a_training_score_finishes_the_gradient_on_every_backend(self):
         # Gradients left over from before are zeroed, the three groups'
-        # contributions are all in when score_shard returns, and the
-        # weight-update stage has nothing left to add.
+        # contributions are all in when score_shard returns, computed in
+        # this process on every backend, and the weight-update stage has
+        # nothing left to add.
         def gradients(backend, stale):
             search = build_single(backend=backend, workers=2)
             params = search.supernet.parameters()
@@ -817,7 +814,7 @@ class TestRemoteTraining:
             drawn = [drawn[0], drawn[0], drawn[2], drawn[3]]
             groups = group_unique_architectures(drawn)
             batches = search.pipeline.next_shard(4)
-            kinds = spy_on_shipped_kinds(search)
+            shipped = spy_on_shipped_tasks(search)
             search.score_shard(drawn, batches, groups, trains_on_shard=True)
             scored = [None if p.grad is None else p.grad.copy() for p in params]
             search.accumulate_shard_gradient(drawn, batches)
@@ -825,13 +822,13 @@ class TestRemoteTraining:
                 assert (before is None) == (param.grad is None)
                 if before is not None:
                     np.testing.assert_array_equal(before, param.grad)
-            return len(groups), kinds, scored
+            return len(groups), shipped, scored
 
         count, _, want = gradients("serial", stale=False)
         assert count == 3 and any(grad is not None for grad in want)
         for backend in ("serial", *REMOTE_BACKENDS):
-            _, kinds, got = gradients(backend, stale=True)
-            assert kinds == ([] if backend == "serial" else ["train_many"])
+            _, shipped, got = gradients(backend, stale=True)
+            assert shipped == []
             for expected, actual in zip(want, got):
                 assert (expected is None) == (actual is None)
                 if expected is not None:
@@ -863,16 +860,41 @@ class TestRemoteTraining:
         search.score_shard(drawn, batches, groups, trains_on_shard=True)
         assert calls == [("forward", 1), ("forward", 3), ("backward", 0.25), ("backward", 0.75)]
 
-    def test_ipc_bytes_count_the_gradients_coming_back(self):
+    def test_ipc_bytes_count_the_batches_going_out(self):
+        # TuNAS ships its validation batch once per candidate, every step.
         telemetry = Telemetry()
-        search = build_single(backend="processes", workers=2, telemetry=telemetry)
-        batch = search.pipeline.next_batch()
+        search = build_tunas(backend="processes", workers=2, telemetry=telemetry)
+        batch = search.pipeline.next_valid_batch()
         batch_bytes = batch.labels.nbytes + sum(a.nbytes for a in batch.inputs.values())
-        result = search.run()
+        search.run()
         moved = value(telemetry.counter("engine.ipc.bytes"), backend="processes")
-        batches_out = (result.batches_used - 1) * batch_bytes
-        smallest = min(p.data.nbytes for p in search.supernet.parameters())
-        assert moved >= batches_out + STEPS * smallest
+        assert moved == STEPS * search.config.num_cores * batch_bytes
+
+
+class TestRestoredEngines:
+    """A restored engine is a fresh engine whose workers were primed with
+    its construction-time weights: ``load_state_dict`` marks the restored
+    ones dirty, so they go out before its first remote fan-out."""
+
+    @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
+    def test_the_first_fan_out_after_a_restore_scores_the_restored_weights(self, backend):
+        # Scored before any weight write of its own, which would publish.
+        source = build_tunas("serial")
+        for step in range(3):
+            source.step(step)
+        state = source.state_dict()
+
+        def first_scores(name):
+            search = build_tunas(name, workers=2)
+            search.load_state_dict(state)
+            shipped = spy_on_shipped_tasks(search)
+            drawn = search.controller.sample_many(4)
+            scores = search.score_on_batch(drawn, search.pipeline.next_valid_batch())
+            return scores, shipped
+
+        want, _ = first_scores("serial")
+        scores, shipped = first_scores(backend)
+        assert shipped == [["quality_many"] * 4] and scores == want
 
 
 class TestFinaliserNeverBlocks:
@@ -887,7 +909,7 @@ class TestFinaliserNeverBlocks:
         gc.collect()
         gc.disable()
         try:
-            doomed = build_single(backend="processes", workers=2)
+            doomed = build_tunas(backend="processes", workers=2)
             context = doomed._remote_ctx
             doomed.step(0)  # its context is live on both workers
             doomed.cycle = doomed
@@ -902,7 +924,7 @@ class TestFinaliserNeverBlocks:
                 real_send(sock, message)
 
             monkeypatch.setattr(distributed_mod, "send_message", collecting_send)
-            survivor = build_single(backend="processes", workers=2)
+            survivor = build_tunas(backend="processes", workers=2)
             stepped = threading.Thread(target=survivor.step, args=(0,), daemon=True)
             stepped.start()
             stepped.join(timeout=60.0)
@@ -918,7 +940,7 @@ class TestEngineTelemetry:
     @pytest.mark.parametrize("backend", ["processes", "distributed"])
     def test_engine_metrics_recorded(self, backend):
         telemetry = Telemetry()
-        result = build_single(backend, workers=2, telemetry=telemetry).run()
+        result = build_tunas(backend, workers=2, telemetry=telemetry).run()
         assert len(result.history) == STEPS
         assert value(telemetry.gauge("engine.workers"), backend=backend) == 2
         tasks = value(telemetry.counter("engine.tasks"), stage="score", backend=backend)
@@ -940,13 +962,15 @@ class TestEngineTelemetry:
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_weight_update_fans_nothing_out(self, backend):
-        # Loss graphs and their backwards stay on the engine thread:
-        # held from the score stage in-process, built in a plain loop
-        # when scoring went remote.  On serial nothing is a task at all.
-        telemetry = Telemetry()
-        build_single(backend=backend, workers=2, telemetry=telemetry).run()
-        stages = {dict(key)["stage"] for key in telemetry.counter("engine.tasks").series()}
-        assert stages == (set() if backend == "serial" else {"score"})
+        # Loss graphs and their backwards stay on the engine thread, and
+        # a step that trains on its shard ships nothing at all; TuNAS's
+        # policy step scores remotely.  On serial nothing is a task.
+        for strategy, build in BUILDERS.items():
+            telemetry = Telemetry()
+            build(backend=backend, workers=2, telemetry=telemetry).run()
+            stages = {dict(key)["stage"] for key in telemetry.counter("engine.tasks").series()}
+            ships = strategy == "tunas" and backend != "serial"
+            assert stages == ({"score"} if ships else set()), strategy
 
 
 class TestDistributedEquivalence:
@@ -958,7 +982,7 @@ class TestDistributedEquivalence:
         # so it is assigned tasks it will never answer.  Its orphaned
         # tasks must resubmit to the survivor and the result must stay
         # bit-identical to serial.
-        serial = build_single(backend="serial").run()
+        serial = build_tunas(backend="serial").run()
         cluster = ExecutionBackend("distributed", 2).cluster()  # binds the listener
         env = dict(
             os.environ,
@@ -981,7 +1005,7 @@ class TestDistributedEquivalence:
                 )
             assert cluster.wait_for_workers(2, 60.0) == 2
             losses = cluster.worker_losses
-            search = build_single(backend="distributed", workers=2)
+            search = build_tunas(backend="distributed", workers=2)
             backend, inner_step = search.backend, search.step
 
             def map_killing_a_worker(fn, items):

@@ -7,6 +7,7 @@ every public name and every configuration field, constructor parameter
 and CLI flag, so a new one is counted before it lands.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -98,3 +99,65 @@ def test_every_knob_is_classified_by_the_ledger():
         if kind in ("field", "init", "flag") and (kind, name) not in classified
     )
     assert not unclassified, f"not in DESIGN.md §17: {unclassified}"
+
+
+#: A ``path.py::name`` reference in prose: ``name`` may go on with
+#: ``::member`` or ``.member``, and a test's ``[param]`` is dropped.
+REFERENCE = re.compile(r"`([\w./-]+\.py)::([\w.:]+)(?:\[[^\]`]*\])?`")
+SEARCHED = ("src/repro", "tests", "tools", "benchmarks")
+
+
+def reference_file(path):
+    """The one file a reference's path names: from the repo root, from
+    ``src/repro``, or else the one file of the searched trees that ends
+    with it (``jobs.py``)."""
+    for base in (ROOT, ROOT / "src" / "repro"):
+        if (base / path).is_file():
+            return base / path
+    found = [
+        candidate
+        for tree in SEARCHED
+        for candidate in (ROOT / tree).rglob(pathlib.PurePath(path).name)
+        if candidate.as_posix().endswith("/" + path)
+    ]
+    return found[0] if len(found) == 1 else None
+
+
+def defined_names(body):
+    """The ``def``, ``class`` and assigned names of one module or class body."""
+    names = {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node
+    return names
+
+
+def resolves(path, qualified):
+    """Whether ``qualified`` (``A``, ``A::b`` or ``A.b``) is defined in ``path``."""
+    body = ast.parse(path.read_text()).body
+    for name in re.split(r"::|\.", qualified):
+        node = defined_names(body).get(name)
+        if node is None:
+            return False
+        body = node.body if isinstance(node, ast.ClassDef) else []
+    return True
+
+
+def test_every_code_reference_in_the_prose_resolves():
+    """A ``path.py::name`` in DESIGN.md or README.md names a ``def``,
+    ``class`` or module-level name that exists: deleting or renaming
+    one means rewriting the prose that cites it."""
+    stale, seen = [], 0
+    for document in ("DESIGN.md", "README.md"):
+        for path, qualified in REFERENCE.findall((ROOT / document).read_text()):
+            seen += 1
+            found = reference_file(path)
+            if found is None or not resolves(found, qualified):
+                stale.append(f"{document}: {path}::{qualified}")
+    assert seen >= 20
+    assert not stale, stale

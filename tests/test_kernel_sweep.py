@@ -607,8 +607,8 @@ def assert_same_state(optimizer: Adam, params: List[Tensor], ref: List[Tensor], 
 #: how a step's gradient reaches a parameter: a backward's first touch
 #: (into ``_buf``, the arena slot once bound), or a ``grad`` that is not
 #: the slot: assigned directly, or accumulated after ``_buf`` was
-#: rebound to another array (as a worker's ``_train_many`` does) or
-#: cleared (as closing a remote context does)
+#: rebound to another array or cleared (``Tensor`` lets a caller do
+#: either, and the step must not care)
 DELIVERIES = ("backward", "assigned", "rebound", "cleared")
 #: which parameters a step touches
 TOUCHED = ("none", "all", "even", "odd", "drawn")

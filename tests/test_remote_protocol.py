@@ -71,15 +71,17 @@ from .test_backends import (  # noqa: F401 (dialled_in_only is a fixture)
     stage_map,
 )
 from .test_batched_exec import PerCoreOnly
-from .test_sweep import NUM_TABLES, REMOTE, build_single, build_space, outcome_of
+from .test_sweep import NUM_TABLES, REMOTE, build_single, build_space, build_tunas, outcome_of
 
 
 class TestStageTasks:
     def test_unknown_task_kind_rejected(self):
         # "quality" was a kind once; it is quality_many on a group of one.
-        assert worker_mod.TASK_KINDS == ("quality_many", "train_many")
+        # So was "train_many": a training group's backward now always
+        # runs in the engine's process.  Workers only score forward.
+        assert worker_mod.TASK_KINDS == ("quality_many",)
         search = build_single(backend="serial")
-        for kind in ("mystery", "quality"):
+        for kind in ("mystery", "quality", "train_many"):
             with pytest.raises(ValueError):
                 execute_stage_kind(search.supernet, kind, ())
 
@@ -387,7 +389,7 @@ class TestWorkerWireProtocol:
 EVERY_MESSAGE = {
     "context": {"type": "context", "context_id": "c", "spec": {"supernet": "item"},
                 "layout": [[[2], 0, 2]], "dtype": "<f8", "version": 1, "segment": None,
-                "gradients": None, "weights": np.zeros(2)},
+                "weights": np.zeros(2)},
     "weights": {"type": "weights", "context_id": "c", "version": 2, "data": np.ones(2)},
     "release": {"type": "release", "context_id": "c"},
     "task": {"type": "task", "task_id": 1, "stage": "score", "kind": "quality_many",
@@ -527,9 +529,10 @@ class TestTransportHandshake:
             encode_message(_hello(worker_id=7)),
             pickle.dumps(_hello(transport=2)),
             pickle.dumps(_hello()),
+            encode_message(_hello(transport=3, worker_id="trains")),
         ],
         ids=["older_build", "no_version", "not_hello", "garbage", "bad_worker_id",
-             "pickled_v2_hello", "pickled_hello"],  # fmt: skip
+             "pickled_v2_hello", "pickled_hello", "v3_runs_training_tasks"],  # fmt: skip
     )
     def test_a_worker_without_this_builds_hello_is_refused(self, payload, dialled_in_only):
         backend = ExecutionBackend("distributed", 2)
@@ -619,31 +622,23 @@ ILL_TYPED_CONTROL = {
 }
 
 
-def _set(index, rewrite):
-    """A lie: ``value[index] = rewrite(value[index])`` of a ``train_many``
-    result ``[qualities, active, gradients]``."""
-
-    def lie(reply):
-        reply["value"][index] = rewrite(reply["value"][index])
-
-    return lie
-
-
 def _nan_seconds(reply):
     reply["seconds"] = float("nan")
 
 
-#: How a lying worker rewrites every ``train_many`` result it sends.
+def _set_qualities(rewrite):
+    def lie(reply):
+        reply["value"] = rewrite(reply["value"])
+
+    return lie
+
+
+#: How a lying worker rewrites every ``quality_many`` result it sends.
 #: Each still decodes; none is a result that fits the task it answers.
-TRAIN_MANY_LIES = {
-    "one_quality_short": _set(0, lambda qualities: qualities[:-1]),
-    "gradient_index_minus_one": _set(1, lambda active: [-1, *active[1:]]),
-    "indices_out_of_order": _set(1, lambda active: active[::-1]),
-    "last_row_of_each_matrix": _set(
-        2, lambda grads: [g[-1].copy() if g.ndim == 2 else g for g in grads]
-    ),
-    "one_element_gradients": _set(2, lambda grads: [np.zeros(1) for _ in grads]),
-    "no_gradients_and_no_image": _set(2, lambda grads: None),
+QUALITY_MANY_LIES = {
+    "one_quality_short": _set_qualities(lambda qualities: qualities[:-1]),
+    "a_quality_as_a_string": _set_qualities(lambda qualities: [str(q) for q in qualities]),
+    "a_quality_in_a_list": _set_qualities(lambda qualities: [[q] for q in qualities]),
     "nan_seconds": _nan_seconds,
     "unknown_type": lambda reply: reply.update(type="bogus"),
 }
@@ -803,19 +798,19 @@ class TestHostileFrames:
         assert code == 1 and len(errors) == 1 and errors[0].startswith("error: ")
         assert said in errors[0]
 
-    @pytest.mark.parametrize("case", sorted(TRAIN_MANY_LIES))
+    @pytest.mark.parametrize("case", sorted(QUALITY_MANY_LIES))
     def test_a_result_that_does_not_fit_its_task_drops_the_link(self, case, dialled_in_only):
-        # Beside an honest worker, one that lies in every train_many
-        # result: the first lie is refused before the engine reads it,
-        # the liar's link drops and its tasks rerun on the honest worker,
-        # so the search still equals serial.
-        space, serial = build_space(), build_single(backend="serial")
+        # Beside an honest worker, one that lies in every result of a
+        # TuNAS search's policy-step scoring: the first lie is refused
+        # before the engine reads it, the liar's link drops and its tasks
+        # rerun on the honest worker, so the search still equals serial.
+        space, serial = build_space(), build_tunas(backend="serial")
         want = outcome_of(space, serial.run(), serial.supernet)
         backend = ExecutionBackend("distributed", 2)
         losses = backend.cluster().worker_losses
-        threads = _honest_and_lying(backend, TRAIN_MANY_LIES[case])
+        threads = _honest_and_lying(backend, QUALITY_MANY_LIES[case])
         try:
-            search = build_single(backend="distributed", workers=2)
+            search = build_tunas(backend="distributed", workers=2)
             assert outcome_of(space, search.run(), search.supernet) == want
             assert backend.cluster().worker_losses - losses == 1
         finally:
@@ -1120,7 +1115,7 @@ class TestWorkerSpec:
 
         supernet = UNSHIPPABLE[kind]()
         assert worker_mod.worker_spec_for(supernet) is None
-        assert worker_mod.build_remote_context(supernet, no_cluster, gradient_slots=4) is None
+        assert worker_mod.build_remote_context(supernet, no_cluster) is None
 
     @pytest.mark.parametrize(
         "kind, error, cause",
@@ -1143,7 +1138,7 @@ class TestWorkerSpec:
         supernet = CANNOT_TRAVEL[kind]()
         assert worker_mod.worker_spec_for(supernet) is not None
         with pytest.raises(error, match=cause):
-            worker_mod.build_remote_context(supernet, no_cluster, gradient_slots=4)
+            worker_mod.build_remote_context(supernet, no_cluster)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
@@ -1181,12 +1176,12 @@ class TestBoundWeights:
         search = build_single(backend="processes", workers=2)
         context = search._remote_ctx
         values = [array.copy() for array in context.param_arrays]
-        names = {context.weights.name.lstrip("/"), context.gradients.name.lstrip("/")}
+        name = context.weights.name.lstrip("/")
         context.release()
         for param, value in zip(context.params, values):
             assert param.data.flags.owndata
             np.testing.assert_array_equal(param.data, value)
-        assert not names & set(os.listdir("/dev/shm"))
+        assert name not in os.listdir("/dev/shm")
 
     def test_releasing_one_of_two_contexts_leaves_the_other_bound(self):
         def bound(context):

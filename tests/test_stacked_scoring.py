@@ -385,72 +385,6 @@ class TestEngineZeroGrad:
         assert ids(resumed._optimizer.params) == ids(resumed.supernet.parameters())
 
 
-class TestGroupGradientReduce:
-    """The contract remote training rests on (DESIGN.md §10): each
-    group's gradient computed *from zero* — what a ``train_many`` task
-    returns — and reduced in group order equals, bit for bit, the serial
-    engine's accumulation of every group's backward into one buffer.
-    It holds because every parameter receives one contribution per group
-    pass; a supernet that ties a weight across two uses would break it
-    here first.  With ``reused`` buffers every task's backward copies
-    into arrays an earlier backward allocated: the gradients a task
-    returns must be copies, not those arrays."""
-
-    @pytest.mark.parametrize("buffers", BUFFERS)
-    @pytest.mark.parametrize(
-        "group_sizes",
-        [(4,), (1, 1, 1), (3, 3, 3), (1, 3, 2)],
-        ids=["single", "one", "three", "unequal"],
-    )
-    @pytest.mark.parametrize("case", list(CASE_SPACES))
-    def test_reduce_in_group_order_equals_serial_accumulation(
-        self, case, group_sizes, buffers
-    ):
-        from repro.core.engine.worker import execute_stage_kind
-
-        make_net, first_arch, make_batches = case()
-        space = CASE_SPACES[case]()
-        archs = [first_arch]
-        rng = np.random.default_rng(21)
-        while len(archs) < len(group_sizes):
-            arch = space.sample(rng)
-            if arch not in archs:
-                archs.append(arch)
-        inputs_seq, labels_seq = make_batches([16] * sum(group_sizes))
-        shard, start = [], 0
-        for slot, (arch, size) in enumerate(zip(archs, group_sizes)):
-            span = slice(start, start + size)
-            shard.append((arch, inputs_seq[span], labels_seq[span], size / 6, slot))
-            start += size
-
-        serial = make_net()
-        serial.zero_grad()
-        want_qualities = []
-        for arch, inputs, labels, scale, _ in shard:
-            qualities, loss = serial.quality_and_loss_many(arch, inputs, labels)
-            loss.backward(np.asarray(scale))
-            want_qualities.append(qualities)
-
-        net = make_net()
-        if buffers == "reused":
-            for arch, inputs, labels, scale, _ in shard:
-                net.zero_grad()
-                net.loss_many(arch, inputs, labels).backward(np.asarray(scale))
-        params = net.parameters()  # a worker host walks them once, too
-        held = [
-            execute_stage_kind(net, "train_many", payload, params) for payload in shard
-        ]
-        net.zero_grad()
-        for _, active, gradients in held:
-            assert active == sorted(set(active))  # one gradient per parameter
-            for i, gradient in zip(active, gradients):
-                params[i]._accumulate(gradient)
-
-        assert [qualities for qualities, _, _ in held] == want_qualities
-        assert any(grad is not None for grad in snapshot_grads(net))
-        assert_grads_equal(snapshot_grads(serial), snapshot_grads(net))
-
-
 def capacity_cost(arch):
     cost = 1.0
     for t in range(NUM_TABLES):

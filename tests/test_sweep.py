@@ -25,7 +25,8 @@ The axes:
   a step; ``corrupt_checkpoint`` (the newest snapshot is damaged, then
   the process crashes, so the restart must fall back past it); and, on
   the remote backends, ``worker_loss``: one spawned worker SIGKILLed or
-  one TCP link severed, from the test side, as a map starts.  Crashes
+  one TCP link severed, from the test side, as a map starts (only for
+  the workloads that ship stage tasks: ``tunas``, ``specialize``).  Crashes
   go through the ``FaultInjector`` and ``SearchSupervisor`` a deployment
   runs; the service cells run unfaulted;
 * seeds — 3, and on ``serial`` also 7.
@@ -226,6 +227,10 @@ WORKLOADS = {
 
 FAULTS = ("none", "crash_before", "crash_mid", "crash_after", "corrupt_checkpoint", "worker_loss")
 REMOTE = ("processes", "distributed")
+#: Workloads that train on every shard they score: every step computes
+#: in the engine's process on every backend, so they ship no stage task
+#: and have no worker to lose.
+SHIPS_NOTHING = ("single_step", "elastic")
 #: steps between the snapshots of a cell's run
 CHECKPOINT_EVERY = 2
 
@@ -407,7 +412,9 @@ def cells():
     for workload in WORKLOADS:
         for backend in BACKEND_NAMES:
             for fault in FAULTS if workload != "service" else ("none",):
-                if fault == "worker_loss" and backend not in REMOTE:
+                if fault == "worker_loss" and (
+                    backend not in REMOTE or workload in SHIPS_NOTHING
+                ):
                     continue
                 for seed in SERIAL_SEEDS if backend == "serial" else SEEDS:
                     yield workload, backend, fault, seed
