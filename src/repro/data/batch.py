@@ -24,8 +24,3 @@ class Batch:
     batch_id: int
     inputs: Dict[str, np.ndarray] = field(default_factory=dict)
     labels: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    @property
-    def size(self) -> int:
-        """Number of examples in the batch."""
-        return int(self.labels.shape[0])

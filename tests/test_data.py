@@ -18,12 +18,6 @@ from repro.data import (
 )
 
 
-class TestBatch:
-    def test_size(self):
-        b = Batch(0, {"x": np.ones((4, 2))}, np.zeros(4))
-        assert b.size == 4
-
-
 class TestCtrTeacher:
     def test_batch_shapes(self):
         teacher = CtrTeacher(CtrTaskConfig(num_tables=3, batch_size=16))

@@ -268,8 +268,10 @@ def run_cli_verbs(traffic: Traffic) -> None:
     repro("specialize", "specialize", "--artifact", "artifact", "--platform", "tpu_v4", "--steps", "4")
     repro("fleet", "fleet", "--artifact", "artifact", "--steps", "3")
 
-    # worker: a search bound for external workers, and two that dial in
-    # (the search is long enough for the second to link before it ends)
+    # worker: a specialization of the artifact above bound for external
+    # workers, and two that dial in.  It scores remotely (a training
+    # search computes in process and would never wait for a worker), and
+    # is long enough for the second to link before it ends.
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         address = "127.0.0.1:%d" % probe.getsockname()[1]
@@ -278,9 +280,10 @@ def run_cli_verbs(traffic: Traffic) -> None:
         host, port = text.rsplit(":", 1)
         return host, int(port)
 
-    log("[product] repro worker (x2, against a distributed search)")
+    log("[product] repro worker (x2, against a distributed specialization)")
     controller = traffic.start(
-        ["-m", "repro", "search", "--steps", "60", "--backend", "distributed", "--workers", "2"],
+        ["-m", "repro", "specialize", "--artifact", "artifact", "--platform", "tpu_v4",
+         "--steps", "60", "--backend", "distributed", "--workers", "2"],
         REPRO_DIST_BIND=address,
     )
     deadline = time.monotonic() + 60.0
@@ -293,7 +296,9 @@ def run_cli_verbs(traffic: Traffic) -> None:
     workers = [traffic.start(["-m", "repro", "worker", "--connect", address]) for _ in range(2)]
     for process in [controller, *workers]:
         if process.wait(timeout=600) != 0:
-            traffic.failures.append(f"repro worker/distributed search: exit {process.returncode}")
+            traffic.failures.append(
+                f"repro worker/distributed specialization: exit {process.returncode}"
+            )
 
     # the service verbs, against one daemon
     spool = work / "spool"
