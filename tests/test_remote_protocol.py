@@ -151,6 +151,38 @@ class TestWorkerWireProtocol:
         thread.join(timeout=30.0)
         assert not thread.is_alive() and host.executed == 3
 
+    @pytest.mark.parametrize("kind", ["quality", "train_many"])
+    def test_a_task_of_a_retired_kind_is_a_task_error(self, kind):
+        # Kinds an earlier build ran come back as the task's error, not
+        # as a dead worker, and the same worker then serves a task of
+        # the one kind it runs.
+        from repro.core.engine.distributed import WorkerHost
+
+        search = build_single(backend="serial")
+        frames = _control_frames(search)
+        worker_side, controller = socket.socketpair()
+        controller.settimeout(30.0)
+        host = WorkerHost(worker_side, worker_id="scripted")
+        thread = threading.Thread(target=host.run, daemon=True)
+        thread.start()
+        try:
+            assert recv_message(controller, TO_CONTROLLER)["type"] == "hello"
+            send_message(controller, frames["context"])
+            send_message(controller, frames["weights"])
+            send_message(controller, {**frames["task"], "task_id": 7, "kind": kind})
+            retired = recv_message(controller, TO_CONTROLLER)
+            assert retired["type"] == "error" and retired["task_id"] == 7
+            assert retired["error"][0] == "ValueError" and repr(kind) in retired["error"][1]
+            send_message(controller, frames["task"])
+            served = recv_message(controller, TO_CONTROLLER)
+            assert served["type"] == "result" and served["task_id"] == 1
+            send_message(controller, {"type": "shutdown"})
+            assert recv_message(controller, TO_CONTROLLER) is None
+        finally:
+            controller.close()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive() and host.executed == 2
+
     @pytest.fixture
     def controller_frames(self, monkeypatch):
         """The types of every frame a controller's receive loop reads,
@@ -637,8 +669,11 @@ def _set_qualities(rewrite):
 #: Each still decodes; none is a result that fits the task it answers.
 QUALITY_MANY_LIES = {
     "one_quality_short": _set_qualities(lambda qualities: qualities[:-1]),
+    "one_quality_too_many": _set_qualities(lambda qualities: [*qualities, 0.5]),
+    "no_qualities_at_all": _set_qualities(lambda qualities: None),
     "a_quality_as_a_string": _set_qualities(lambda qualities: [str(q) for q in qualities]),
     "a_quality_in_a_list": _set_qualities(lambda qualities: [[q] for q in qualities]),
+    "a_quality_as_a_bool": _set_qualities(lambda qualities: [True, *qualities[1:]]),
     "nan_seconds": _nan_seconds,
     "unknown_type": lambda reply: reply.update(type="bogus"),
 }

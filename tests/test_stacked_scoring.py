@@ -1,9 +1,9 @@
 """Stacked scoring: one supernet pass per group equals the passes it replaces.
 
 The contracts under test (DESIGN.md §7, §10): ``quality_and_loss_many``
-equals ``quality_many`` plus ``loss_many``; a group's gradient computed
-from zero and reduced in group order equals the serial engine's
-accumulation; whole searches fingerprint-match across backends.  Each
+equals ``quality_many`` plus ``loss_many``; the engine's training pass,
+every group's pass and then each backward in group order, equals the
+serial accumulation; whole searches fingerprint-match across backends.  Each
 holds whether a backward allocates its gradient buffers (``fresh``) or
 copies into the ones an earlier backward left behind (``reused``).
 """
@@ -14,10 +14,12 @@ import pytest
 from repro.core import (
     PerformanceObjective,
     SearchConfig,
+    SearchEngine,
     SingleStepSearch,
     relu_reward,
 )
 from repro.data import (
+    Batch,
     CtrTaskConfig,
     CtrTeacher,
     SequenceTaskConfig,
@@ -383,6 +385,85 @@ class TestEngineZeroGrad:
         assert ids(resumed._optimizer.params) == ids(resumed.supernet.parameters())
         resumed.step(3)
         assert ids(resumed._optimizer.params) == ids(resumed.supernet.parameters())
+
+
+class TestGroupGradientReduce:
+    """The contract training rests on on every backend (DESIGN.md §10):
+    ``score_shard(..., trains_on_shard=True)`` runs every group's pass,
+    then each loss's ``backward`` in group order, into one set of
+    buffers; that equals, bit for bit, the serial accumulation that runs
+    each group's backward right after its own pass.  It holds because a
+    pass keeps its own activations until its backward, and every
+    parameter receives one contribution per group pass.  With ``reused``
+    buffers the backwards copy into arrays an earlier backward allocated,
+    zeroed in place first."""
+
+    @pytest.mark.parametrize("buffers", BUFFERS)
+    @pytest.mark.parametrize(
+        "group_sizes",
+        [(4,), (1, 1, 1), (3, 3, 3), (1, 3, 2)],
+        ids=["single", "one", "three", "unequal"],
+    )
+    @pytest.mark.parametrize("case", list(CASE_SPACES))
+    def test_reduce_in_group_order_equals_serial_accumulation(
+        self, case, group_sizes, buffers
+    ):
+        make_net, first_arch, make_batches = case()
+        space = CASE_SPACES[case]()
+        archs = [first_arch]
+        rng = np.random.default_rng(21)
+        while len(archs) < len(group_sizes):
+            arch = space.sample(rng)
+            if arch not in archs:
+                archs.append(arch)
+        num_cores = sum(group_sizes)
+        inputs_seq, labels_seq = make_batches([16] * num_cores)
+        drawn, groups = [], []
+        for arch, size in zip(archs, group_sizes):
+            groups.append(list(range(len(drawn), len(drawn) + size)))
+            drawn.extend((arch, ()) for _ in range(size))
+        batches = [
+            Batch(position, inputs, labels)
+            for position, (inputs, labels) in enumerate(zip(inputs_seq, labels_seq))
+        ]
+
+        serial = make_net()
+        serial.zero_grad()
+        want_qualities = []
+        for positions in groups:
+            qualities, loss = serial.quality_and_loss_many(
+                drawn[positions[0]][0],
+                [inputs_seq[i] for i in positions],
+                [labels_seq[i] for i in positions],
+            )
+            loss.backward(np.asarray(len(positions) / num_cores))
+            want_qualities.extend(qualities)
+
+        net = make_net()
+        if buffers == "reused":
+            for positions in groups:
+                arch = drawn[positions[0]][0]
+                net.loss_many(
+                    arch,
+                    [inputs_seq[i] for i in positions],
+                    [labels_seq[i] for i in positions],
+                ).backward(np.asarray(1.0))
+        earlier = [p._buf for p in net.parameters()]
+        engine = SearchEngine(
+            space,
+            net,
+            None,
+            relu_reward,
+            lambda arch: {"step_time": 1.0},
+            SearchConfig(num_cores=num_cores, backend="serial"),
+        )
+        qualities = engine.score_shard(drawn, batches, groups, trains_on_shard=True)
+
+        assert qualities == [float(q) for q in want_qualities]
+        assert any(grad is not None for grad in snapshot_grads(net))
+        assert_grads_equal(snapshot_grads(serial), snapshot_grads(net))
+        reused = [p.grad is buf for p, buf in zip(net.parameters(), earlier) if buf is not None]
+        assert all(reused) and bool(reused) == (buffers == "reused")
 
 
 def capacity_cost(arch):
