@@ -1,14 +1,14 @@
 """Service scheduling benchmark: concurrency without interference.
 
 The daemon's value proposition is multiplexing N tenants' searches
-over one process without serializing them end-to-end and without
+over one daemon without serializing them end-to-end and without
 perturbing any of them.  This benchmark checks both halves of that:
 
 * **Overlap contract:** four concurrent tiny jobs finish within 1.5x
   the wall clock of the *slowest of them run alone* on the same daemon.
   The jobs are step_sleep-dominated (modeling the attached-device waits
   of a real search step), which is exactly the regime the scheduler's
-  thread-per-job + shared-pool design must overlap.
+  process-per-job design must overlap.
 * **Isolation contract:** every job's results payload — fingerprint
   included — is bit-identical to a one-shot run of the same spec
   (``one_shot_payload``, the same reference the durability tests use).
@@ -61,7 +61,6 @@ def start_daemon(spool):
                 max_concurrent=JOBS,
                 tenant_max_running=JOBS,
                 poll_interval_s=0.005,
-                backend="serial",
             ),
             accept_timeout_s=0.05,
         )

@@ -20,7 +20,7 @@ Subcommands:
 * ``report telemetry`` — summarize a telemetry directory;
 * ``perfmodel`` — two-phase performance-model training on a DLRM slice;
 * ``serve`` — the persistent NAS service daemon (durable job queue,
-  per-tenant quotas, shared worker pool; see :mod:`repro.service`);
+  per-tenant quotas, a process per job; see :mod:`repro.service`);
 * ``submit`` (every ``JobSpec`` field a flag, declared once in
   :data:`SPEC_FLAGS` as for the search verbs, ``--kind`` included) /
   ``status`` / ``results`` / ``cancel`` / ``jobs`` / ``drain`` —
@@ -465,8 +465,6 @@ def cmd_serve(args: argparse.Namespace) -> str:
             max_queue_depth=args.max_queue_depth,
             tenant_max_running=args.tenant_max_running,
             tenant_max_queued=args.tenant_max_queued,
-            backend=args.backend,
-            workers=args.workers,
         ),
     )
     daemon = ServiceDaemon(config)
@@ -669,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the persistent NAS service daemon (durable queue, "
-        "quotas, shared worker pool); SIGTERM drains gracefully",
+        "quotas, a serial process per job); SIGTERM drains gracefully",
     )
     serve.add_argument(
         "--spool",
@@ -689,7 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="running jobs one tenant may hold")
     serve.add_argument("--tenant-max-queued", type=positive_int, default=8,
                        help="queued jobs one tenant may hold")
-    add_backend_args(serve)
     serve.set_defaults(handler=cmd_serve)
 
     def add_client_args(p) -> None:

@@ -1,14 +1,6 @@
 """Supervised search execution: checkpoints, restarts, heartbeats.
 
-Three layers:
-
-* :data:`COMPUTE_TURN` is the process-wide turn job threads take to
-  run a step: searches are GIL-bound numpy, so two stepping at once
-  only hand the interpreter back and forth on every small ufunc call
-  (measured: two threads finish fewer jobs per second than one).  One
-  steps while the others write snapshots, sleep, or wait their turn.
-  Only a daemon on a remote backend runs jobs on threads; on
-  ``serial`` each job has a process, and the turn there is uncontended.
+Two layers:
 
 * :func:`run_with_checkpoints` drives one attempt of a search step by
   step, snapshotting every ``checkpoint_every`` steps and resuming from
@@ -23,69 +15,14 @@ Three layers:
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, List, Optional, Set
+from typing import Any, Callable, List, Optional, Set
 
 from .checkpoint import CheckpointStore, search_checkpoint_payload
 from .errors import SearchInterrupted, is_retryable
 from .faults import FaultInjector
 from .recovery import ResumeReport, resume_search
-
-
-class ComputeTurn:
-    """A FIFO-fair, non-re-entrant mutex: waiters get it in the order
-    they asked.
-
-    ``release`` hands the turn straight to the longest waiter instead of
-    dropping it for anyone to grab.  A plain ``threading.Lock`` would
-    not do: the releasing thread reaches its next ``acquire`` within
-    microseconds, long before the woken waiter is scheduled, and keeps
-    winning for as long as it keeps the interpreter (measured with 1 ms
-    steps and no I/O between them: a new 3-step job sat out 13-19 steps
-    of a running one before its first, then ran its own back to back).
-
-    Taking it twice from one thread deadlocks.  Cluster workers never
-    take it: they run stage tasks, never a step, in other processes (a
-    forked one inherits a copy it never touches) or on ``distributed``'s
-    loopback threads.
-    """
-
-    def __init__(self) -> None:
-        self._mutex = threading.Lock()
-        self._held = False
-        #: one locked gate per waiter, oldest first; released to admit it
-        self._waiters: Deque[threading.Lock] = deque()
-
-    def acquire(self) -> None:
-        with self._mutex:
-            if not self._held:
-                self._held = True
-                return
-            gate = threading.Lock()
-            gate.acquire()
-            self._waiters.append(gate)
-        gate.acquire()  # release() opens it: the turn is now ours
-
-    def release(self) -> None:
-        with self._mutex:
-            if self._waiters:
-                self._waiters.popleft().release()  # ``_held`` stays true
-            else:
-                self._held = False
-
-    def __enter__(self) -> "ComputeTurn":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.release()
-
-
-#: The one turn of this process (see the module docstring).
-COMPUTE_TURN = ComputeTurn()
 
 
 @dataclass
@@ -115,11 +52,6 @@ def run_with_checkpoints(
     the newest good snapshot.  ``on_step`` fires after each completed
     step (heartbeats), ``injector`` hooks in scheduled faults.
 
-    ``search.step`` — and nothing else — runs under
-    :data:`COMPUTE_TURN`: callbacks, snapshot writes and the stop poll
-    of one job overlap the step of another.  The time spent waiting for
-    the turn lands in the ``service.turn_wait_seconds`` histogram.
-
     ``should_stop`` is the graceful-shutdown hook (see
     :mod:`repro.runtime.signals`): polled after every completed step,
     and when it turns true the loop writes a final off-interval
@@ -145,14 +77,8 @@ def run_with_checkpoints(
     for step in range(next_step, total_steps):
         if injector is not None:
             injector.before_step(step)
-        asked = time.perf_counter()
-        with COMPUTE_TURN:
-            turn_wait = time.perf_counter() - asked
-            history.append(search.step(step))
+        history.append(search.step(step))
         if telemetry is not None:
-            # Churn-scoped (``service.``): waits really happened and are
-            # never rolled back with the search state.
-            telemetry.histogram("service.turn_wait_seconds").observe(turn_wait)
             # Run-scoped liveness: rolled back with the search state on
             # resume, so totals stay bit-identical across crash/resume
             # (the supervisor's raw heartbeat ints keep counting replays).

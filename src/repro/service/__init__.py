@@ -5,8 +5,8 @@ one-shot CLI run but a long-lived service: many searches from many
 users multiplexed over shared compute, surviving preemption, with
 per-job isolation and quotas.  This package composes the pieces the
 repo already had — :func:`~repro.runtime.supervisor
-.run_with_checkpoints`, the checkpoint store, the telemetry event log,
-the shared execution-backend pools — into that production surface:
+.run_with_checkpoints`, the checkpoint store, the telemetry event log —
+into that production surface:
 
 * :mod:`repro.service.queue` — durable FIFO job queue, one atomic JSON
   record per job under a spool directory; SIGKILL-safe by construction;
@@ -15,8 +15,8 @@ the shared execution-backend pools — into that production surface:
   executor the daemon and the CLI share, per-job execution with
   private checkpoint/telemetry dirs, fingerprinted results;
 * :mod:`repro.service.scheduler` — admission control, per-tenant
-  quotas, N concurrent searches over one shared worker pool,
-  graceful cancel/drain at step boundaries;
+  quotas, N concurrent searches in a process each, graceful
+  cancel/drain at step boundaries;
 * :mod:`repro.service.daemon` — the ``repro serve`` process: Unix
   socket, newline-delimited JSON verbs (submit / status / list /
   results / cancel / drain / ping);

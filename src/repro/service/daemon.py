@@ -17,9 +17,10 @@ their next step boundary with a final checkpoint (they return to
 SIGKILL skips all of that by definition — which is fine: the spool's
 atomic job records and each job's checkpoint store are the durability
 story, and the next start resumes every interrupted job
-bit-identically.  A job running in a process of its own (the ``serial``
-backend's) reads EOF on its link when the daemon dies and exits at
-once, so it never writes under a restarted daemon's resumed job.
+bit-identically.  Each job runs serially in a process of its own, which
+reads EOF on its link when the daemon dies and exits at once, so it
+never writes under a restarted daemon's resumed job.  A daemon started
+with a remote ``$REPRO_BACKEND`` refuses to serve.
 """
 
 from __future__ import annotations
@@ -134,7 +135,17 @@ class ServiceDaemon:
         ``drain`` verb or :meth:`request_drain`.  ``on_listening`` runs
         once the spool is locked and the socket bound (``repro serve``
         prints its banner there, so a refused daemon prints none).
+        A remote ``$REPRO_BACKEND`` is refused before the spool is
+        locked: every job computes serially in its own process.
         """
+        from ..core.engine.backends import BACKEND_ENV_VAR, resolve_backend
+
+        backend = resolve_backend()
+        if backend.remote:
+            raise ServiceError(
+                f"${BACKEND_ENV_VAR}={backend.name} is refused: a daemon runs "
+                "each job serially in a process of its own"
+            )
         self._started_monotonic = time.monotonic()
         with self._shutdown, self._lock_spool():
             recovered = self.scheduler.start()

@@ -17,7 +17,7 @@ and drives the engine under
 :func:`~repro.runtime.supervisor.run_with_checkpoints`.  :func:`run_job`
 runs a queued job through it inside the job's private run directory,
 and :func:`run_job_in_process` (the daemon's runner) runs ``run_job`` in
-a process forked for the job when the backend computes in process::
+a process forked for the job::
 
     <spool>/runs/<job_id>/checkpoints/   resumable snapshots
     <spool>/runs/<job_id>/telemetry/     per-job metrics + event stream
@@ -481,8 +481,7 @@ def one_shot_payload(spec: JobSpec, backend: Optional[str] = None) -> Dict[str, 
     """The payload an uninterrupted one-shot run of ``spec`` produces.
 
     The reference for bit-identity checks: a service job — checkpointed,
-    possibly killed and resumed, possibly pooled over shared workers —
-    must fingerprint-match this.
+    possibly killed and resumed — must fingerprint-match this.
     """
     space, _, result = run_spec(spec, backend=backend)
     return result_payload(space, result)
@@ -540,15 +539,14 @@ def run_job(
     run_dir: pathlib.Path,
     should_stop: Optional[Callable[[], bool]] = None,
     on_step: Optional[Callable[[int], None]] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
     sleep_fn: Callable[[float], None] = time.sleep,
 ) -> Dict[str, Any]:
     """Run one job to completion (or a graceful stop) in ``run_dir``.
 
     Resumes from the job's newest checkpoint when one exists — the
     scheduler calls this identically for fresh, recovered, and drained
-    jobs.  Raises :class:`~repro.runtime.errors.SearchInterrupted` when
+    jobs.  A job computes serially, whatever ``$REPRO_BACKEND`` says.
+    Raises :class:`~repro.runtime.errors.SearchInterrupted` when
     ``should_stop`` fires (final checkpoint already written), and
     returns the fingerprinted results payload (also written atomically
     to ``results.json``) on completion.
@@ -570,7 +568,7 @@ def run_job(
         store = CheckpointStore(run_dir / CHECKPOINTS_DIRNAME, telemetry=telemetry)
         space, _, result = run_spec(
             spec, store, telemetry, on_step=step_cb, should_stop=should_stop,
-            backend=backend, workers=workers, artifact_dir=run_dir / ARTIFACT_DIRNAME,
+            backend="serial", artifact_dir=run_dir / ARTIFACT_DIRNAME,
         )
         payload = result_payload(space, result)
         atomic_write_json(run_dir / RESULTS_NAME, payload, indent=2, sort_keys=True)
@@ -615,7 +613,7 @@ def _follow_daemon(link: socket.socket, stop: threading.Event) -> None:
         os._exit(1)
 
 
-def _job_process_main(link: socket.socket, record: Any, run_dir: Any, *run: Any) -> None:
+def _job_process_main(link: socket.socket, record: Any, run_dir: Any, sleep_fn: Any) -> None:
     """Body of a job's process: :func:`run_job`, reported over ``link``."""
     for sock in list(DAEMON_SOCKETS):
         sock.close()
@@ -634,7 +632,7 @@ def _job_process_main(link: socket.socket, record: Any, run_dir: Any, *run: Any)
         return stop.is_set()
 
     try:
-        payload = run_job(record, run_dir, should_stop, completed.append, *run)
+        payload = run_job(record, run_dir, should_stop, completed.append, sleep_fn)
     except SearchInterrupted as stopped:
         message = {
             "type": "stopped",
@@ -688,16 +686,12 @@ def run_job_in_process(
     run_dir: pathlib.Path,
     should_stop: Optional[Callable[[], bool]] = None,
     on_step: Optional[Callable[[int], None]] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
     sleep_fn: Callable[[float], None] = time.sleep,
 ) -> Dict[str, Any]:
     """:func:`run_job` in a process forked for the job; the caller relays.
 
     Searches are GIL-bound numpy, so two jobs in one interpreter share
-    one core; two processes use two.  A backend that computes in other
-    processes already (``processes``, ``distributed``) runs ``run_job``
-    on the calling thread instead, so every job shares its one cluster.
+    one core; two processes use two.
 
     The link is a socketpair carrying JSON lines: the job sends ``step``
     after each completed step (and its snapshot), then ``done``,
@@ -708,17 +702,14 @@ def run_job_in_process(
     without a last message (naming its signal).  The process is joined
     before this returns.
     """
-    from ..core.engine.backends import process_start_method, resolve_backend
+    from ..core.engine.backends import process_start_method
 
-    run = (backend, workers, sleep_fn)
-    if resolve_backend(backend, workers).remote:
-        return run_job(record, run_dir, should_stop, on_step, *run)
     with SOCKETS_LOCK:
         link, job_end = socket.socketpair()
         DAEMON_SOCKETS.add(link)
         process = multiprocessing.get_context(process_start_method()).Process(
             target=_job_process_main,
-            args=(job_end, record, run_dir, *run),
+            args=(job_end, record, run_dir, sleep_fn),
             name=f"repro-job-{record.job_id}",
         )
         try:

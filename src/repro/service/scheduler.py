@@ -1,17 +1,12 @@
-"""Multiplexing scheduler: N concurrent searches, one shared worker pool.
+"""Multiplexing scheduler: N concurrent searches, a process each.
 
 The scheduler owns the daemon's compute: it claims queued jobs FIFO,
 gives each a thread, and caps concurrency globally (``max_concurrent``)
-and per tenant (``tenant_max_running``).  On a backend that computes in
-process (``serial``) a job's thread only relays: the job runs under the
-checkpointed step loop in a process forked for it
-(:func:`~repro.service.jobs.run_job_in_process`), so concurrent
-searches use a core each instead of taking turns on one interpreter.
-On a remote backend the thread runs the job itself, and shard-level
-fan-out goes through :mod:`repro.core.engine.backends`, whose clusters
-are shared per ``(name, workers, $REPRO_DIST_BIND)`` process-wide: four
-concurrent searches multiplex over *one* worker pool instead of
-spawning four.
+and per tenant (``tenant_max_running``).  A job's thread only relays:
+the job runs serially under the checkpointed step loop in a process
+forked for it (:func:`~repro.service.jobs.run_job_in_process`), so
+concurrent searches use a core each instead of taking turns on one
+interpreter.
 
 Admission control happens at submit time, before anything touches the
 spool: a draining daemon rejects with
@@ -44,8 +39,7 @@ from .queue import TERMINAL_STATES, JobQueue, JobRecord
 class SchedulerConfig:
     """Concurrency and admission-control policy."""
 
-    #: searches running simultaneously (each in a process of its own
-    #: on ``serial``, on a thread of the daemon's on a remote backend)
+    #: searches running simultaneously, each in a process of its own
     max_concurrent: int = 2
     #: queued jobs across all tenants before submissions bounce
     max_queue_depth: int = 64
@@ -55,10 +49,6 @@ class SchedulerConfig:
     tenant_max_queued: int = 8
     #: dispatcher wake-up cadence (also bounds drain latency)
     poll_interval_s: float = 0.02
-    #: execution backend for shard fan-out inside each job
-    #: (None: ``$REPRO_BACKEND``, then serial — see ``resolve_backend``)
-    backend: Optional[str] = None
-    workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_concurrent < 1:
@@ -259,8 +249,6 @@ class JobScheduler:
                 self.queue.run_dir(job_id),
                 should_stop=should_stop,
                 on_step=on_step,
-                backend=self.config.backend,
-                workers=self.config.workers,
             )
         except SearchInterrupted as stop:
             if handle.cancel.is_set():

@@ -504,8 +504,8 @@ class TestSpawnedWorkers:
     """What is particular to workers the controller spawns itself."""
 
     def test_lost_worker_costs_only_its_own_tasks(self, tmp_path):
-        # Two maps in flight on one shared cluster (the daemon's two-jobs
-        # case); a worker dies under one of them.  Only the orphaned
+        # Two maps in flight on one shared cluster (two searches in one
+        # process); a worker dies under one of them.  Only the orphaned
         # items may run again: the victim (logged, then killed) twice,
         # every other item of either map exactly once.
         items = list(range(1, 11))

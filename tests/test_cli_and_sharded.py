@@ -54,11 +54,11 @@ class TestCliExitCodes:
 
     def test_workers_non_integer_rejected_at_parse_time(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--spool", "x", "--workers", "many"])
+            main(["search", "--steps", "5", "--workers", "many"])
         assert excinfo.value.code == 2
         assert "expected an integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb", ["search", "elastic-train", "specialize", "fleet", "serve"])
+    @pytest.mark.parametrize("verb", ["search", "elastic-train", "specialize", "fleet"])
     def test_deleted_threads_backend_rejected_at_parse_time(self, capsys, verb):
         with pytest.raises(SystemExit) as excinfo:
             main([verb, "--backend", "threads"])

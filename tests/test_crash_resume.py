@@ -147,15 +147,7 @@ class TestTelemetryCrashResume:
         assert total(crash_tel.counter("checkpoint.saves")) >= 1
         # The uninterrupted reference saw none of that churn.
         assert total(ref_tel.counter("supervisor.crashes")) == 0
-        # Waiting for the compute turn is churn too: one observation per
-        # step really taken, replays included, never carried in a snapshot
-        # (so it cannot perturb the run-scoped totals compared above).
-        turn_wait = "service.turn_wait_seconds"
-        assert ref_tel.histogram(turn_wait).stats()["count"] == STEPS
-        assert crash_tel.histogram(turn_wait).stats()["count"] == outcome.heartbeats
         assert outcome.heartbeats > STEPS
-        exported = {metric["name"] for metric in crash_tel.export_state()["metrics"]}
-        assert "search.heartbeats" in exported and turn_wait not in exported
 
     def test_telemetry_state_roundtrips_through_checkpoint(self, tmp_path):
         """The telemetry registry state rides inside the snapshot payload."""

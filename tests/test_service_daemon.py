@@ -7,12 +7,10 @@ bit-identical to uninterrupted one-shot runs of the same specs (the
 same fingerprint contract the crash/resume tests established for the
 supervisor).
 
-Every daemon here pins ``--backend serial``, so each job runs in a
-process forked for it; the ``job_process`` tests read those processes'
-tables in /proc.  Two jobs sharing one scheduler, and so one worker
-cluster, on every backend are the ``service`` cells of
-``test_sweep.py``; these tests need not fork pools from a threaded
-daemon.
+Every job runs serially in a process forked for it; the
+``job_process`` tests read those processes' tables in /proc.  A daemon
+started with a remote ``$REPRO_BACKEND`` refuses to serve, so every
+daemon here runs with it unset.
 """
 
 import json
@@ -23,9 +21,11 @@ import subprocess
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.engine import backends, shutdown_pools
 from repro.runtime import load_elastic_artifact
 from repro.service import (
     DaemonConfig,
@@ -35,7 +35,7 @@ from repro.service import (
     ServiceDaemon,
     one_shot_payload,
 )
-from repro.service.jobs import run_spec
+from repro.service.jobs import run_job, run_job_in_process, run_spec
 from repro.service.protocol import (
     ProtocolError,
     QuotaExceededError,
@@ -51,15 +51,15 @@ TINY = {"steps": 3, "seed": 7}
 
 
 @pytest.fixture()
-def daemon(tmp_path):
+def daemon(tmp_path, monkeypatch):
     """An in-process daemon on a background thread, drained at teardown."""
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
     config = DaemonConfig(
         spool=tmp_path / "spool",
         scheduler=SchedulerConfig(
             max_concurrent=2,
             tenant_max_queued=3,
             poll_interval_s=0.005,
-            backend="serial",
         ),
         accept_timeout_s=0.05,
     )
@@ -129,9 +129,7 @@ class TestProtocol:
 
     def test_second_daemon_on_same_spool_refuses(self, daemon):
         instance, _ = daemon
-        clone = ServiceDaemon(
-            DaemonConfig(spool=instance.spool, scheduler=SchedulerConfig(backend="serial"))
-        )
+        clone = ServiceDaemon(DaemonConfig(spool=instance.spool))
         with pytest.raises(ServiceError, match="already serving"):
             clone.serve()
 
@@ -173,18 +171,52 @@ class TestEndToEnd:
         assert final["progress"] < 50
 
 
-def start_daemon_subprocess(spool, max_concurrent=1, own_group=False):
+class TestOneJobPath:
+    """A daemon job computes serially in a process forked for it, whatever
+    ``$REPRO_BACKEND`` says."""
+
+    def test_run_job_computes_serially_under_a_remote_repro_backend(
+        self, tmp_path, monkeypatch
+    ):
+        shutdown_pools()
+        monkeypatch.setenv("REPRO_BACKEND", "processes")
+        try:
+            payload = run_job(SimpleNamespace(spec=TINY), tmp_path / "run")
+            assert not backends._POOLS  # no worker cluster was started
+        finally:
+            shutdown_pools()
+        assert payload == one_shot_payload(JobSpec(**TINY), backend="serial")
+
+    def test_run_job_in_process_always_forks(self, tmp_path, monkeypatch):
+        shutdown_pools()
+        monkeypatch.setenv("REPRO_BACKEND", "processes")
+        pid_file = tmp_path / "pid"
+        record = SimpleNamespace(job_id="job-000000", spec=dict(TINY, step_sleep_s=0.001))
+        try:
+            run_job_in_process(
+                record, tmp_path / "run",
+                sleep_fn=lambda seconds: pid_file.write_text(str(os.getpid())),
+            )
+            assert not backends._POOLS
+        finally:
+            shutdown_pools()
+        assert int(pid_file.read_text()) != os.getpid()  # the step ran in a child
+
+
+def start_daemon_subprocess(spool, max_concurrent=1, own_group=False, backend=None):
     """A ``repro serve`` child; ``own_group`` makes it lead a process
-    group of its own, as a shell's foreground job does."""
+    group of its own, as a shell's foreground job does.  ``backend`` is
+    its ``$REPRO_BACKEND`` (default: unset)."""
     env = dict(os.environ, PYTHONPATH=str(
         os.path.join(os.path.dirname(__file__), os.pardir, "src")
     ))
-    env.pop("REPRO_BACKEND", None)  # daemon flags pin serial explicitly
+    env.pop("REPRO_BACKEND", None)  # a remote one is refused
+    if backend is not None:
+        env["REPRO_BACKEND"] = backend
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
             "--spool", str(spool),
-            "--backend", "serial",
             "--max-concurrent", str(max_concurrent),
         ],
         env=env,
@@ -462,6 +494,26 @@ class TestDaemonSubprocess:
         finally:
             stop_daemon(proc)
         assert proc.returncode == 0
+
+    def test_a_remote_backend_is_refused_before_the_spool_lock(self, tmp_path):
+        """``REPRO_BACKEND=processes repro serve`` exits 1 with one error
+        line naming the variable, as a second daemon does: every job
+        computes serially in a process of its own.  It takes no spool
+        lock and writes no job record."""
+        spool = tmp_path / "spool"
+        proc = start_daemon_subprocess(spool, backend="processes")
+        try:
+            out, err = proc.communicate(timeout=30.0)
+        finally:
+            stop_daemon(proc)
+        assert proc.returncode == 1
+        assert out == ""
+        assert err == (  # no banner
+            "error: $REPRO_BACKEND=processes is refused: a daemon runs each "
+            "job serially in a process of its own\n"
+        )
+        assert not (spool / "daemon.lock").exists()
+        assert not list(spool.glob("jobs/*.json"))
 
     def test_daemon_lock_two_daemons_started_at_once_one_serves(self, tmp_path):
         """Two daemons started together on one fresh spool: exactly one

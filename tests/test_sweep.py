@@ -17,10 +17,11 @@ The axes:
   ``tunas``, ``elastic`` (once-for-all training), ``specialize`` (a
   policy-only search against an artifact trained once per module) and
   ``service`` (one job of each kind — ``dlrm_quickstart``,
-  ``elastic_train``, ``specialize`` — on one in-process scheduler, so
-  on one shared cluster, each checked against ``one_shot_payload``);
+  ``elastic_train``, ``specialize`` — on one in-process scheduler, each
+  in a process of its own, each checked against ``one_shot_payload``);
 * backends — every name in ``BACKEND_NAMES``, always passed explicitly
-  (``REPRO_BACKEND`` never decides a cell);
+  (``REPRO_BACKEND`` never decides a cell); a daemon job computes
+  serially, so ``service`` runs on ``serial`` only;
 * faults — ``none``; a ``crash`` ``before``, ``mid``-shard or ``after``
   a step; ``corrupt_checkpoint`` (the newest snapshot is damaged, then
   the process crashes, so the restart must fall back past it); and, on
@@ -323,13 +324,11 @@ def lose_a_worker(search, step):
     search.step = step_then_lose
 
 
-def run_service(backend, specs):
-    """Submit ``specs`` to one scheduler on ``backend``; their fingerprints."""
+def run_service(specs):
+    """Submit ``specs`` to one scheduler; their fingerprints."""
     with tempfile.TemporaryDirectory() as directory:
         queue = JobQueue(pathlib.Path(directory))
-        scheduler = JobScheduler(
-            queue, SchedulerConfig(poll_interval_s=0.005, backend=backend, workers=WORKERS)
-        )
+        scheduler = JobScheduler(queue, SchedulerConfig(poll_interval_s=0.005))
         scheduler.start()
         try:
             jobs = [
@@ -354,8 +353,8 @@ def run_cell(workload, backend, fault, step, seed):
     """One supervised run of the cell, snapshotting every ``CHECKPOINT_EVERY`` steps."""
     steps, build = WORKLOADS[workload]
     if workload == "service":
-        assert fault == "none"
-        return run_service(backend, service_specs(steps, seed))
+        assert (backend, fault) == ("serial", "none")
+        return run_service(service_specs(steps, seed))
     # A lost loopback thread is not replaced, so the cell starts on a
     # fresh cluster (no loss counted yet) and shuts the one it degraded
     # down after.
@@ -410,7 +409,7 @@ def assert_matches_serial(workload, backend, fault, step, seed):
 # ----------------------------------------------------------------------
 def cells():
     for workload in WORKLOADS:
-        for backend in BACKEND_NAMES:
+        for backend in BACKEND_NAMES if workload != "service" else ("serial",):
             for fault in FAULTS if workload != "service" else ("none",):
                 if fault == "worker_loss" and (
                     backend not in REMOTE or workload in SHIPS_NOTHING

@@ -182,12 +182,11 @@ class TestBinaryFrames:
 
 
 @pytest.fixture()
-def daemon(tmp_path):
+def daemon(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)  # a remote one is refused
     config = DaemonConfig(
         spool=tmp_path / "spool",
-        scheduler=SchedulerConfig(
-            max_concurrent=1, poll_interval_s=0.005, backend="serial"
-        ),
+        scheduler=SchedulerConfig(max_concurrent=1, poll_interval_s=0.005),
         accept_timeout_s=0.05,
     )
     instance = ServiceDaemon(config)
