@@ -99,9 +99,6 @@ class Telemetry:
     def gauge(self, name: str) -> Gauge:
         return self.registry.gauge(name)
 
-    def histogram(self, name: str) -> Histogram:
-        return self.registry.histogram(name)
-
     def span(self, name: str, **labels: Any):
         return self.trace.span(name, **labels)
 

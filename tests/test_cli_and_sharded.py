@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestCli:
@@ -64,6 +64,17 @@ class TestCliExitCodes:
             main([verb, "--backend", "threads"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'threads'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--backend", "serial"], ["--workers", "2"]], ids=["backend", "workers"]
+    )
+    def test_serve_takes_no_backend_flags(self, capsys, flags):
+        """A daemon job always computes serially, so ``serve`` has no
+        backend to choose."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--spool", "x", *flags])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
     def test_steps_zero_rejected_at_parse_time(self):
         with pytest.raises(SystemExit) as excinfo:

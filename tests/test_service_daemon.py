@@ -175,11 +175,12 @@ class TestOneJobPath:
     """A daemon job computes serially in a process forked for it, whatever
     ``$REPRO_BACKEND`` says."""
 
+    @pytest.mark.parametrize("remote", ["processes", "distributed"])
     def test_run_job_computes_serially_under_a_remote_repro_backend(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, remote
     ):
         shutdown_pools()
-        monkeypatch.setenv("REPRO_BACKEND", "processes")
+        monkeypatch.setenv("REPRO_BACKEND", remote)
         try:
             payload = run_job(SimpleNamespace(spec=TINY), tmp_path / "run")
             assert not backends._POOLS  # no worker cluster was started
@@ -187,9 +188,10 @@ class TestOneJobPath:
             shutdown_pools()
         assert payload == one_shot_payload(JobSpec(**TINY), backend="serial")
 
-    def test_run_job_in_process_always_forks(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("remote", ["processes", "distributed"])
+    def test_run_job_in_process_always_forks(self, tmp_path, monkeypatch, remote):
         shutdown_pools()
-        monkeypatch.setenv("REPRO_BACKEND", "processes")
+        monkeypatch.setenv("REPRO_BACKEND", remote)
         pid_file = tmp_path / "pid"
         record = SimpleNamespace(job_id="job-000000", spec=dict(TINY, step_sleep_s=0.001))
         try:
@@ -495,25 +497,51 @@ class TestDaemonSubprocess:
             stop_daemon(proc)
         assert proc.returncode == 0
 
-    def test_a_remote_backend_is_refused_before_the_spool_lock(self, tmp_path):
+    @pytest.mark.parametrize("backend, error", [
+        ("processes", "$REPRO_BACKEND=processes is refused: a daemon runs each "
+                      "job serially in a process of its own"),
+        ("distributed", "$REPRO_BACKEND=distributed is refused: a daemon runs each "
+                        "job serially in a process of its own"),
+        ("threads", "ValueError: unknown execution backend 'threads' (from "
+                    "$REPRO_BACKEND); expected one of ('serial', 'processes', "
+                    "'distributed')"),
+    ], ids=["processes", "distributed", "threads"])
+    def test_a_remote_backend_is_refused_before_the_spool_lock(
+        self, tmp_path, backend, error
+    ):
         """``REPRO_BACKEND=processes repro serve`` exits 1 with one error
         line naming the variable, as a second daemon does: every job
         computes serially in a process of its own.  It takes no spool
-        lock and writes no job record."""
+        lock and writes no job record.  A name no backend has is refused
+        the same way, not left to fail every job."""
         spool = tmp_path / "spool"
-        proc = start_daemon_subprocess(spool, backend="processes")
+        proc = start_daemon_subprocess(spool, backend=backend)
         try:
             out, err = proc.communicate(timeout=30.0)
         finally:
             stop_daemon(proc)
         assert proc.returncode == 1
         assert out == ""
-        assert err == (  # no banner
-            "error: $REPRO_BACKEND=processes is refused: a daemon runs each "
-            "job serially in a process of its own\n"
-        )
+        assert err == f"error: {error}\n"  # no banner
         assert not (spool / "daemon.lock").exists()
         assert not list(spool.glob("jobs/*.json"))
+
+    def test_a_serial_repro_backend_is_served(self, tmp_path):
+        """Only a remote ``$REPRO_BACKEND`` is refused: ``serial``, the
+        backend every job computes on anyway, is served."""
+        spool = tmp_path / "spool"
+        proc = start_daemon_subprocess(spool, backend="serial")
+        try:
+            client = ServiceClient(spool / "daemon.sock")
+            client.wait_ready(timeout=30.0)
+            record = client.submit("alice", TINY)
+            payload = client.wait_results(record["job_id"], timeout=120.0)
+            client.drain()
+            proc.communicate(timeout=30.0)
+        finally:
+            stop_daemon(proc)
+        assert proc.returncode == 0
+        assert payload == one_shot_payload(JobSpec(**TINY), backend="serial")
 
     def test_daemon_lock_two_daemons_started_at_once_one_serves(self, tmp_path):
         """Two daemons started together on one fresh spool: exactly one
